@@ -5,11 +5,15 @@ registered over one chronicle.  An append touches exactly one bucket, so
 with the registry's prefilter only ~1 view should be maintained per
 append; without it, all N views run their (vacuous) delta propagation.
 
-Expected shape: per-append work grows ~linearly with N without the
-prefilter and stays ~flat with it; results are identical either way.
+Expected shape: per-append work *and wall-clock* grow ~linearly with N
+without the prefilter and stay ~flat with it (the registry's dispatch
+index finds the one affected view by dict lookup instead of testing all
+N); results are identical either way.
 """
 
+import statistics
 import sys
+import time
 
 import pytest
 
@@ -52,6 +56,21 @@ def _append_cost(view_count, prefilter):
     return sum(cost.values()), registry
 
 
+def _append_micros(view_count, prefilter, appends=200):
+    """Median wall-clock µs of one single-record append (of *appends*)."""
+    group, calls, _ = _build(view_count, prefilter)
+    group.append(calls, {"acct": 0, "mins": 1})  # warm up
+    samples = []
+    for index in range(appends):
+        # Ten accounts spread over the buckets: after the first ten
+        # appends every sample is an update of an existing view row.
+        record = {"acct": (index % 10) * (view_count // 10), "mins": 1}
+        start = time.perf_counter()
+        group.append(calls, record)
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples) * 1e6
+
+
 def run_report() -> str:
     rows, with_filter, without_filter = [], [], []
     for count in VIEW_COUNTS:
@@ -60,11 +79,17 @@ def run_report() -> str:
         unfiltered, _ = _append_cost(count, prefilter=False)
         with_filter.append(filtered)
         without_filter.append(unfiltered)
-        rows.append([count, unfiltered, filtered, maintained])
+        rows.append([
+            count, unfiltered, filtered,
+            round(_append_micros(count, prefilter=False), 1),
+            round(_append_micros(count, prefilter=True), 1),
+            maintained,
+        ])
     return (
         "== E9  affected-view identification: work per append vs #views ==\n"
         + format_table(
             ["#views", "work (maintain all)", "work (prefiltered)",
+             "us/append (maintain all)", "us/append (prefiltered)",
              "views maintained (of 2 appends)"],
             rows,
         )
@@ -78,9 +103,19 @@ def test_e9_prefilter_flat_maintain_all_linear():
     with_filter = [_append_cost(n, True)[0] for n in VIEW_COUNTS]
     without_filter = [_append_cost(n, False)[0] for n in VIEW_COUNTS]
     assert fit_series(VIEW_COUNTS, without_filter).model in ("linear", "nlogn")
-    # The prefilter itself tests each candidate's predicate, so its cost
-    # grows far slower; at 1000 views it must win by a wide margin.
+    # Prefiltered work is the one affected view's, whatever N is.
+    assert len(set(with_filter)) == 1
     assert without_filter[-1] > with_filter[-1] * 3
+
+
+def test_e9_wall_clock_flat_with_prefilter_linear_without():
+    small = _append_micros(VIEW_COUNTS[0], prefilter=True)
+    large = _append_micros(VIEW_COUNTS[-1], prefilter=True)
+    assert large <= 2 * small
+    # 100x the views: maintain-all must pay for them, far beyond noise.
+    assert _append_micros(VIEW_COUNTS[-1], prefilter=False) > 10 * _append_micros(
+        VIEW_COUNTS[0], prefilter=False
+    )
 
 
 def test_e9_results_identical():

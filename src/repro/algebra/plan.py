@@ -211,6 +211,8 @@ def compile_predicate(
 
             return attr_cmp
         rhs = predicate.rhs
+        if rhs is None:
+            return lambda values: False  # comparisons with NULL are not true
 
         def const_cmp(values: Tuple[Any, ...]) -> bool:
             left = values[pos]
@@ -247,16 +249,54 @@ def conjoin(tests: List[ValuesPredicate]) -> Optional[ValuesPredicate]:
     return lambda values: all(t(values) for t in fixed)
 
 
+def _is_dispatch_atom(term: Predicate) -> bool:
+    """Whether *term* is ``attr = const`` with a constant a dict can key on.
+
+    The dispatch index answers ``row[attr] == const`` with a dict lookup,
+    so the constant must be hashable and equal to itself (NaN is neither
+    equal to itself nor found by value); ``attr = NULL`` is never true and
+    stays with the residual.
+    """
+    if not isinstance(term, Comparison) or term.op != "=" or term.rhs_is_attr:
+        return False
+    rhs = term.rhs
+    if rhs is None:
+        return False
+    try:
+        hash(rhs)
+    except TypeError:
+        return False
+    return bool(rhs == rhs)
+
+
+def split_prefilter(predicate: Predicate) -> Tuple[Optional[Comparison], List[Predicate]]:
+    """Split one scan conjunction into its dispatch atom and residual terms.
+
+    *predicate* is one entry of :func:`repro.views.registry.scan_prefilters`
+    (cascaded selections already flattened into one ``And``).  Returns the
+    first equality atom the registry's dispatch index can key on (``None``
+    when there is none) and the remaining conjuncts, in order.
+    """
+    terms = list(predicate.terms) if isinstance(predicate, And) else [predicate]
+    for index, term in enumerate(terms):
+        if _is_dispatch_atom(term):
+            return term, terms[:index] + terms[index + 1 :]
+    return None, terms
+
+
 def compile_prefilter(
-    predicates: Iterable[Predicate], schema: Schema
-) -> Callable[[Tuple[Row, ...]], bool]:
-    """Compile a registry prefilter: True when *any* row passes any scan's
-    conjunction (see :func:`repro.views.registry.scan_prefilters`)."""
-    tests = tuple(compile_predicate(p, schema) for p in predicates)
-    if len(tests) == 1:
-        test = tests[0]
-        return lambda rows: any(test(row.values) for row in rows)
-    return lambda rows: any(t(row.values) for row in rows for t in tests)
+    predicate: Predicate, schema: Schema
+) -> Tuple[Optional[Tuple[int, Any]], Optional[ValuesPredicate]]:
+    """Compile one scan conjunction for the registry's dispatch index.
+
+    Returns ``(key, residual)``: *key* is ``(attribute position, constant)``
+    of the conjunction's dispatch atom (``None`` when it has none), and
+    *residual* the remaining conjuncts compiled over raw value tuples
+    (``None`` when nothing is left to test).
+    """
+    atom, rest = split_prefilter(predicate)
+    key = None if atom is None else (schema.position(atom.attr), atom.rhs)
+    return key, conjoin([compile_predicate(term, schema) for term in rest])
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ health track, incident markers — the terminal face of ``/timeline``);
 ``SHOW COSTS [view]`` prints the live per-operator cost ledger
 (:mod:`repro.obs.costmodel`), conformance verdicts stamped when
 ``CERTIFY`` has run; ``EXPLAIN view`` renders the compiled maintenance
-plan tree (fusion, sharing, partition, prefilters) and ``EXPLAIN
+plan tree (fusion, sharing, partition, dispatch keys) and ``EXPLAIN
 ANALYZE view`` additionally drives a short instrumented window of
 synthesized records and annotates every operator with measured
 rows/time/work (note the drive records are appended to the view's

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from contextlib import contextmanager
 from typing import Any, Deque, Iterator, List, Mapping, Optional, Sequence, Union
 
 from ..complexity.counters import GLOBAL_COUNTERS
@@ -41,33 +40,47 @@ from .sequence import SequenceNumber
 
 RowValues = Union[Mapping[str, Any], Sequence[Any]]
 
-# Depth of nested maintenance sections currently active.  Thread-local:
-# the guard marks a *dynamic extent*, and with the sharded engine several
-# worker threads maintain views concurrently — each worker's guard must
-# cover its own maintenance only (an unguarded reader thread may read
-# freely while another thread maintains).  A module-global counter would
-# also corrupt under concurrent non-atomic +=/-=.
-_MAINTENANCE = threading.local()
+class _MaintenanceDepth(threading.local):
+    """Depth of nested maintenance sections active on the current thread.
+
+    Thread-local: the guard marks a *dynamic extent*, and with the sharded
+    engine several worker threads maintain views concurrently — each
+    worker's guard must cover its own maintenance only (an unguarded
+    reader thread may read freely while another thread maintains).  A
+    module-global counter would also corrupt under concurrent non-atomic
+    +=/-=.
+    """
+
+    depth = 0
 
 
-@contextmanager
-def maintenance_guard() -> Iterator[None]:
+_MAINTENANCE = _MaintenanceDepth()
+
+
+class maintenance_guard:
     """Mark a dynamic extent as incremental-maintenance code.
 
     While active, any chronicle read *on this thread* raises
     :class:`~repro.errors.ChronicleAccessError` — the mechanical proof
     that maintenance ran without chronicle access.
+
+    A plain slotted class: the guard is entered twice per maintained view
+    per event, and a ``@contextmanager`` generator would allocate a
+    generator and its wrapper on every entry.
     """
-    _MAINTENANCE.depth = getattr(_MAINTENANCE, "depth", 0) + 1
-    try:
-        yield
-    finally:
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        _MAINTENANCE.depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
         _MAINTENANCE.depth -= 1
 
 
 def in_maintenance() -> bool:
     """Whether maintenance code is executing on the current thread."""
-    return getattr(_MAINTENANCE, "depth", 0) > 0
+    return _MAINTENANCE.depth > 0
 
 
 class Chronicle:

@@ -215,7 +215,7 @@ class ChronicleDatabase:
         """Describe (and optionally measure) a view's maintenance plan.
 
         Returns an :class:`~repro.obs.explain.ExplainReport`: the
-        compiled plan tree with fusion/sharing/partition/prefilter
+        compiled plan tree with fusion/sharing/partition/dispatch-key
         annotations.  With *analyze*, a short instrumented window of
         synthesized records is driven through the normal ingest path
         (which **appends drive records** to the view's chronicle — use

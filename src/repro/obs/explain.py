@@ -3,8 +3,9 @@
 ``EXPLAIN view`` answers "*why* is the compiled plan shaped the way it
 is": it renders the plan tree the compiler built — fused select/project
 chains collapsed into their chain head, sharing points flagged with
-reference counts, the partition declaration, the per-chronicle
-prefilter predicates, and the view's claimed language/IM class.  The
+reference counts, the partition declaration, where the registry's
+predicate dispatch index files the view (dispatch key and residual per
+scanned chronicle), and the view's claimed language/IM class.  The
 tree comes from :func:`repro.algebra.plan.describe_plan` against the
 registry's live :class:`~repro.algebra.plan.PlanCompiler`, so it shows
 the *actual* compiled structure (which depends on cross-view sharing),
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..algebra.plan import PlanNode, describe_plan
+from ..algebra.plan import PlanNode, describe_plan, split_prefilter
 from ..errors import ObservabilityError
 from . import runtime
 from .core import Observability
@@ -102,7 +103,7 @@ class ExplainReport:
         language: Optional[str] = None,
         im_class: Optional[str] = None,
         partition: Any = None,
-        prefilters: Optional[Dict[str, List[str]]] = None,
+        dispatch: Optional[Dict[str, List[Dict[str, str]]]] = None,
         summary: Optional[str] = None,
         note: Optional[str] = None,
     ) -> None:
@@ -112,7 +113,12 @@ class ExplainReport:
         self.language = language
         self.im_class = im_class
         self.partition = partition
-        self.prefilters = prefilters or {}
+        #: Per scanned chronicle, one ``{"key", "residual"}`` entry per
+        #: scan conjunction as the registry's dispatch index files it:
+        #: ``key`` is the equality atom looked up by dict (absent → the
+        #: view is on the chronicle's always list), ``residual`` the
+        #: conjuncts still evaluated (absent → nothing left to test).
+        self.dispatch = dispatch or {}
         #: The summarization step applied on top of the χ expression
         #: (Theorem 4.3's reshaping: grouping or projection).
         self.summary = summary
@@ -193,8 +199,10 @@ class ExplainReport:
             out["im_class"] = self.im_class
         if self.partition is not None:
             out["partition"] = repr(self.partition)
-        if self.prefilters:
-            out["prefilters"] = {k: list(v) for k, v in self.prefilters.items()}
+        if self.dispatch:
+            out["dispatch"] = {
+                k: [dict(entry) for entry in v] for k, v in self.dispatch.items()
+            }
         if self.summary:
             out["summary"] = self.summary
         if self.note:
@@ -218,9 +226,12 @@ class ExplainReport:
             lines.append(f"  summary: {self.language} → {self.im_class}")
         if self.partition is not None:
             lines.append(f"  partition: {self.partition!r}")
-        for chronicle, predicates in sorted(self.prefilters.items()):
-            for predicate in predicates:
-                lines.append(f"  prefilter[{chronicle}]: {predicate}")
+        for chronicle, entries in sorted(self.dispatch.items()):
+            for entry in entries:
+                lines.append(
+                    f"  dispatch[{chronicle}]: {entry.get('key', 'always')}"
+                    f"; residual {entry.get('residual', 'none')}"
+                )
         if self.summary:
             lines.append(f"  summarize: {self.summary}")
         if self.note:
@@ -334,6 +345,17 @@ def _describe_summary(summary: Any) -> Optional[str]:
     return text
 
 
+def _describe_dispatch(predicate: Any) -> Dict[str, str]:
+    """How the dispatch index files one scan conjunction (same split)."""
+    atom, rest = split_prefilter(predicate)
+    entry: Dict[str, str] = {}
+    if atom is not None:
+        entry["key"] = repr(atom)
+    if rest:
+        entry["residual"] = " AND ".join(repr(term) for term in rest)
+    return entry
+
+
 def explain(db: Any, name: str) -> ExplainReport:
     """Describe the maintenance plan of view *name* on *db*."""
     registry, note = _locate_registry(db, name)
@@ -348,8 +370,9 @@ def explain(db: Any, name: str) -> ExplainReport:
         root = view.expression
         engine = "interpreted"
     plan = describe_plan(root, compiler)
-    prefilters = {
-        chronicle: [repr(p) for p in predicates]
+    dispatch = {
+        # No conjunction = an unfiltered scan: one always-entry with no test.
+        chronicle: [_describe_dispatch(p) for p in predicates] or [{}]
         for chronicle, predicates in registered.prefilters.items()
     }
     language = getattr(view, "language", None)
@@ -361,7 +384,7 @@ def explain(db: Any, name: str) -> ExplainReport:
         language=getattr(language, "value", None),
         im_class=getattr(im_class, "value", None),
         partition=registered.partition,
-        prefilters=prefilters,
+        dispatch=dispatch,
         summary=_describe_summary(getattr(view, "summary", None)),
         note=note,
     )

@@ -2,17 +2,24 @@
 
 "When multiple views are to be maintained over the same chronicle, each
 update to the chronicle would require checking all the views to determine
-if they need to be updated."  The registry avoids that with two filters:
+if they need to be updated."  The registry avoids that with two indexes,
+both built when a view is registered:
 
 1. **dependency index** — chronicle name → views depending on it, so an
-   append only visits views over the touched chronicles;
-2. **selection prefilter** — for each (view, chronicle) pair, the
+   append only considers views over the touched chronicles;
+2. **predicate dispatch index** — for each (view, chronicle) pair, the
    conjunction of selection predicates sitting between the view's scan of
-   that chronicle and any non-selection operator.  A delta none of whose
-   rows pass the prefilter cannot change the view, so its (more
-   expensive) delta propagation is skipped.  This is the cheap
-   update-independence test of [LS93] specialized to CA's predicate
-   fragment.
+   that chronicle and any non-selection operator is the view's
+   *prefilter*: a delta none of whose rows pass it cannot change the
+   view, so its (more expensive) delta propagation is skipped.  This is
+   the cheap update-independence test of [LS93] specialized to CA's
+   predicate fragment.  Conjunctions containing an equality atom
+   ``attr = const`` are filed under ``attr position → const``; an event
+   row finds them with one dict lookup per indexed attribute and only
+   the *residual* conjuncts of the views found are evaluated.  Views
+   with no such atom sit on a short per-chronicle *always* list.  The
+   cost of finding the affected views is proportional to rows × indexed
+   attributes + matching views, not to registered views.
 
 The registry is also the natural owner of periodic view sets: only the
 views *active* for the current interval are maintained (third bullet of
@@ -21,13 +28,14 @@ Section 5.2).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..algebra.ast import ChronicleScan, Node, Select
 from ..algebra.plan import (
     UNPARTITIONABLE,
     CompiledPlan,
     PlanCompiler,
+    ValuesPredicate,
     compile_prefilter,
     infer_partition,
 )
@@ -37,6 +45,7 @@ from ..core.group import ChronicleGroup
 from ..errors import ViewRegistrationError
 from ..obs import runtime as obs_runtime
 from ..relational.predicate import Predicate, conjunction
+from ..relational.schema import Schema
 from ..relational.tuples import Row
 from ..sca.maintenance import event_deltas
 from ..sca.view import PersistentView
@@ -82,16 +91,17 @@ def scan_prefilters(expression: Node) -> Dict[str, List[Predicate]]:
 class RegisteredView:
     """Registry bookkeeping for one persistent view.
 
-    In compiled registries this also carries the view's interned
-    expression (*root*), its :class:`~repro.algebra.plan.CompiledPlan`,
-    and position-compiled prefilter tests (one per chronicle) that avoid
-    per-row attribute-name resolution on the append path.
+    *rank* is the view's registration order; survivors of an event are
+    maintained by ascending rank.  In compiled registries this also
+    carries the view's interned expression (*root*) and its
+    :class:`~repro.algebra.plan.CompiledPlan`.
     """
 
-    __slots__ = ("view", "prefilters", "root", "plan", "partition", "_compiled_prefilters")
+    __slots__ = ("view", "rank", "prefilters", "root", "plan", "partition")
 
-    def __init__(self, view: PersistentView) -> None:
+    def __init__(self, view: PersistentView, rank: int) -> None:
         self.view = view
+        self.rank = rank
         self.prefilters = scan_prefilters(view.expression)
         self.root: Optional[Node] = None
         self.plan: Optional[CompiledPlan] = None
@@ -99,37 +109,99 @@ class RegisteredView:
         #: the sharded engine routes records by it; compiled plans carry
         #: the same declaration.
         self.partition = infer_partition(view.summary)
-        self._compiled_prefilters: Optional[
-            Dict[str, Optional[Callable[[Tuple[Row, ...]], bool]]]
-        ] = None
 
-    def compile_prefilters(self) -> None:
-        """Precompile the prefilter conjunctions against chronicle schemas."""
-        schemas = {c.name: c.schema for c in self.view.expression.chronicles()}
-        compiled: Dict[str, Optional[Callable[[Tuple[Row, ...]], bool]]] = {}
-        for name, predicates in self.prefilters.items():
-            if predicates:
-                compiled[name] = compile_prefilter(predicates, schemas[name])
+
+#: One filed scan conjunction: (registration rank, view, compiled test over
+#: a raw value tuple — ``None`` accepts every row).
+DispatchEntry = Tuple[int, RegisteredView, Optional[ValuesPredicate]]
+
+
+class ChronicleDispatch:
+    """Both indexes of one chronicle: its dependent views and their filters.
+
+    *views* is the dependency index (rank → view, so in registration
+    order).  Every scan conjunction of every dependent view is filed
+    exactly once in the predicate dispatch index: under
+    ``tables[position][constant]`` when it contains the atom
+    ``attribute = constant`` (the entry then tests only the residual
+    conjuncts), on the *always* list otherwise.  A view scanning the
+    chronicle twice files two entries and is affected when either
+    accepts a row; a view with an unfiltered scan files one always-entry
+    with no test.
+    """
+
+    __slots__ = ("views", "always", "tables")
+
+    def __init__(self) -> None:
+        self.views: Dict[int, RegisteredView] = {}
+        self.always: List[DispatchEntry] = []
+        self.tables: Dict[int, Dict[Any, List[DispatchEntry]]] = {}
+
+    def add(self, registered: RegisteredView, predicates: List[Predicate], schema: Schema) -> None:
+        """File *registered* and its scan conjunctions over this chronicle."""
+        self.views[registered.rank] = registered
+        if not predicates:  # some scan of the chronicle is unfiltered
+            self.always.append((registered.rank, registered, None))
+            return
+        for predicate in predicates:
+            key, residual = compile_prefilter(predicate, schema)
+            if key is None:
+                self.always.append((registered.rank, registered, residual))
             else:
-                compiled[name] = None  # some scan of the chronicle is unfiltered
-        self._compiled_prefilters = compiled
+                position, constant = key
+                self.tables.setdefault(position, {}).setdefault(constant, []).append(
+                    (registered.rank, registered, residual)
+                )
 
-    def might_be_affected(self, chronicle_name: str, rows: Tuple[Row, ...]) -> bool:
-        """Cheap test: could this delta change the view?"""
-        if self._compiled_prefilters is not None:
-            try:
-                test = self._compiled_prefilters[chronicle_name]
-            except KeyError:
-                return False
-            return True if test is None else test(rows)
-        if chronicle_name not in self.prefilters:
-            return False
-        predicates = self.prefilters[chronicle_name]
-        if not predicates:
-            return True  # some scan of the chronicle is unfiltered
-        return any(
-            predicate.evaluate(row) for row in rows for predicate in predicates
-        )
+    def discard(self, rank: int) -> None:
+        """Remove the view registered as *rank* and every entry it filed."""
+        del self.views[rank]
+        self.always = [entry for entry in self.always if entry[0] != rank]
+        for position, table in list(self.tables.items()):
+            for constant, bucket in list(table.items()):
+                kept = [entry for entry in bucket if entry[0] != rank]
+                if kept:
+                    table[constant] = kept
+                else:
+                    del table[constant]
+            if not table:
+                del self.tables[position]
+
+    def route(
+        self, rows: Tuple[Row, ...], hit: Dict[int, RegisteredView], examined: Set[int]
+    ) -> None:
+        """Add the views some row of *rows* might affect to *hit* (by rank).
+
+        *examined* collects the rank of every view looked at.  Row values
+        come from typed domains (numbers, strings, booleans, NULL), all
+        hashable; NULL finds no bucket because no constant is NULL.
+        """
+        for rank, registered, test in self.always:
+            if rank in hit:
+                continue
+            examined.add(rank)
+            if test is None:
+                hit[rank] = registered
+                continue
+            for row in rows:
+                if test(row.values):
+                    hit[rank] = registered
+                    break
+        tables = self.tables
+        if not tables:
+            return
+        for row in rows:
+            values = row.values
+            for position, table in tables.items():
+                bucket = table.get(values[position])
+                if bucket is None:
+                    continue
+                for rank, registered, test in bucket:
+                    if rank in hit:
+                        continue
+                    examined.add(rank)
+                    if test is None or test(values):
+                        hit[rank] = registered
 
 
 class ViewRegistry:
@@ -138,8 +210,10 @@ class ViewRegistry:
     Parameters
     ----------
     prefilter:
-        Enable the selection prefilter (disable to measure its benefit —
-        benchmark E9 does exactly that).
+        Enable the selection prefilter: route each event through the
+        predicate dispatch index and maintain only the views it returns.
+        Off, every view over a touched chronicle is maintained (shard
+        units run that way; benchmark E9 measures the difference).
     compile:
         Route maintenance through compiled plans
         (:mod:`repro.algebra.plan`): view expressions are structurally
@@ -156,10 +230,15 @@ class ViewRegistry:
         self.compile = compile
         self._views: Dict[str, RegisteredView] = {}
         self._periodic: Dict[str, PeriodicViewSet] = {}
-        self._by_chronicle: Dict[str, List[RegisteredView]] = {}
+        self._by_chronicle: Dict[str, ChronicleDispatch] = {}
+        self._next_rank = 0
         self._stats = {
             "events": 0,
             "candidate_views": 0,
+            # Candidates the router looked at: the views a dispatch lookup
+            # returned plus the always list (every candidate with the
+            # prefilter off).
+            "views_examined": 0,
             "maintained_views": 0,
             # Prefilter effectiveness: a *hit* is a candidate view the
             # prefilter proved unaffected (its maintenance was skipped);
@@ -184,16 +263,20 @@ class ViewRegistry:
         """Register a persistent view for maintenance."""
         if view.name in self._views or view.name in self._periodic:
             raise ViewRegistrationError(f"view name {view.name!r} already registered")
-        registered = RegisteredView(view)
+        registered = RegisteredView(view, self._next_rank)
+        self._next_rank += 1
         if self._compiler is not None:
             registered.root = self._compiler.add_root(view.expression)
-            registered.compile_prefilters()
             # Sharing boundaries may have moved: recompile lazily, off the
             # append path.
             self._plans_stale = True
         self._views[view.name] = registered
-        for chronicle_name in view.chronicle_names():
-            self._by_chronicle.setdefault(chronicle_name, []).append(registered)
+        schemas = {c.name: c.schema for c in view.expression.chronicles()}
+        for name, predicates in registered.prefilters.items():
+            dispatch = self._by_chronicle.get(name)
+            if dispatch is None:
+                dispatch = self._by_chronicle[name] = ChronicleDispatch()
+            dispatch.add(registered, predicates, schemas[name])
         return view
 
     def register_periodic(self, view_set: PeriodicViewSet, group: ChronicleGroup) -> PeriodicViewSet:
@@ -212,10 +295,9 @@ class ViewRegistry:
         registered = self._views.pop(name, None)
         if registered is None:
             raise ViewRegistrationError(f"no view named {name!r}")
-        for chronicle_name in registered.view.chronicle_names():
-            views = self._by_chronicle.get(chronicle_name)
-            if views is not None and registered in views:
-                views.remove(registered)
+        self._per_view.pop(name, None)
+        for chronicle_name in registered.prefilters:
+            self._by_chronicle[chronicle_name].discard(registered.rank)
         if self._compiler is not None and registered.root is not None:
             self._compiler.remove_root(registered.root)
             self._plans_stale = True
@@ -293,9 +375,12 @@ class ViewRegistry:
     def stats(self) -> Dict[str, Any]:
         """Routing statistics for every event seen by this registry.
 
-        Keys: ``events``, ``candidate_views``, ``maintained_views``,
+        Keys: ``events``, ``candidate_views`` (views over the touched
+        chronicles), ``views_examined`` (the candidates the dispatch
+        index made the router look at), ``maintained_views``,
         ``prefilter_hits`` / ``prefilter_misses`` (candidates skipped /
-        not skipped by the Section 5.2 prefilter), and
+        not skipped by the Section 5.2 prefilter; with it on they sum to
+        ``candidate_views``), and
         ``compiled_maintained`` / ``interpreted_maintained`` (which
         engine ran the maintenance).  The same numbers are surfaced as
         metrics (``view_prefilter_total{outcome}``,
@@ -364,27 +449,35 @@ class ViewRegistry:
         stats["events"] += 1
         if self._plans_stale:
             self.ensure_compiled()
-        candidates: Dict[str, RegisteredView] = {}
-        for chronicle_name in event:
-            for registered in self._by_chronicle.get(chronicle_name, ()):
-                candidates[registered.view.name] = registered
-        stats["candidate_views"] += len(candidates)
-        if self.prefilter and candidates:
+        by_chronicle = self._by_chronicle
+        touched = [
+            (by_chronicle[name], rows) for name, rows in event.items() if name in by_chronicle
+        ]
+        if len(touched) == 1:
+            candidates = touched[0][0].views
+        else:
+            merged: Dict[int, RegisteredView] = {}
+            for dispatch, _ in touched:
+                merged.update(dispatch.views)
+            candidates = dict(sorted(merged.items()))  # registration order
+        count = len(candidates)
+        if not count:
+            return 0
+        stats["candidate_views"] += count
+        if self.prefilter:
             span = (
-                tracer.start("prefilter", candidates=len(candidates))
+                tracer.start("prefilter", candidates=count)
                 if tracer is not None
                 else None
             )
             try:
-                survivors = [
-                    registered
-                    for registered in candidates.values()
-                    if any(
-                        registered.might_be_affected(name, rows)
-                        for name, rows in event.items()
-                    )
-                ]
-                hits = len(candidates) - len(survivors)
+                hit: Dict[int, RegisteredView] = {}
+                examined: Set[int] = set()
+                for dispatch, rows in touched:
+                    dispatch.route(rows, hit, examined)
+                survivors = [hit[rank] for rank in sorted(hit)]
+                hits = count - len(survivors)
+                stats["views_examined"] += len(examined)
                 stats["prefilter_hits"] += hits
                 stats["prefilter_misses"] += len(survivors)
                 if obs is not None:
@@ -396,17 +489,19 @@ class ViewRegistry:
                         )
                 if span is not None:
                     span.attrs["skipped"] = hits
+                    span.attrs["examined"] = len(examined)
             finally:
                 if span is not None:
                     tracer.finish(span)
+            if not survivors:
+                return 0
         else:
+            stats["views_examined"] += count
             survivors = list(candidates.values())
-        deltas: Optional[Dict[str, Delta]] = None
+        deltas = event_deltas(group, event)
         cache: Dict[int, Delta] = {}
-        maintained = 0
+        compiled = 0
         for registered in survivors:
-            if deltas is None:
-                deltas = event_deltas(group, event)
             plan = registered.plan
             span = (
                 tracer.start(
@@ -425,6 +520,7 @@ class ViewRegistry:
                     with maintenance_guard():
                         delta = plan(deltas, cache)
                     folded = registered.view.apply_delta(delta)
+                    compiled += 1
                 else:
                     # One delta cache per event: views sharing subexpression
                     # objects compute each shared node's delta once.
@@ -443,9 +539,8 @@ class ViewRegistry:
                     }
                 per_view["spans"] += 1
                 per_view["last_append_seconds"] = span.duration
-            stats[
-                "compiled_maintained" if plan is not None else "interpreted_maintained"
-            ] += 1
-            maintained += 1
+        maintained = len(survivors)
+        stats["compiled_maintained"] += compiled
+        stats["interpreted_maintained"] += maintained - compiled
         stats["maintained_views"] += maintained
         return maintained

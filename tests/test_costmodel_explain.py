@@ -258,6 +258,27 @@ class TestExplain:
         text = explain(db, "deposits_count").format()
         assert "shared" in text  # the interned ChronicleScan serves both views
 
+    def test_dispatch_key_and_residual_shown(self):
+        db = make_banking_db()
+        db.define_view(
+            "DEFINE VIEW acct7 AS SELECT acct, SUM(amount) AS total FROM deposits "
+            "WHERE acct = 7 AND amount > 10 GROUP BY acct"
+        )
+        db.define_view(
+            "DEFINE VIEW everything AS SELECT acct, COUNT(*) AS n FROM deposits GROUP BY acct"
+        )
+        assert "dispatch[deposits]: (acct = 7); residual (amount > 10)" in (
+            db.explain("acct7").format()
+        )
+        # No equality atom: tested on every event of the chronicle.
+        assert "dispatch[deposits]: always; residual (amount > 10)" in (
+            db.explain("balance").format()
+        )
+        assert "dispatch[deposits]: always; residual none" in db.explain("everything").format()
+        assert db.explain("acct7").to_dict()["dispatch"] == {
+            "deposits": [{"key": "(acct = 7)", "residual": "(amount > 10)"}]
+        }
+
     def test_to_dict_serializable(self):
         db = make_banking_db()
         payload = db.explain("balance").to_dict()
