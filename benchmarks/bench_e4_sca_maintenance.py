@@ -44,7 +44,7 @@ def _view_size_cost(groups):
             group.append(calls, {"acct": acct, "mins": 1})
     with GLOBAL_COUNTERS.measure() as cost:
         group.append(calls, {"acct": groups // 2, "mins": 1})
-    return cost, len(view._state), len(view)
+    return cost, len(view.state_export()), len(view)
 
 
 def run_report() -> str:

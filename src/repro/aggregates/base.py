@@ -26,6 +26,17 @@ from ..complexity.counters import GLOBAL_COUNTERS
 from ..errors import AggregateError, NotIncrementalError
 
 
+def identity_finalize(self: "IncrementalAggregate", state: Any) -> Any:
+    """``finalize`` of an aggregate whose accumulator *is* its result.
+
+    Assigned as the ``finalize`` attribute of such aggregate classes, so a
+    caller can tell by identity (``type(f).finalize is identity_finalize``)
+    that the call may be skipped; a subclass that overrides ``finalize``
+    stops matching by construction.
+    """
+    return state
+
+
 class IncrementalAggregate:
     """Base class for incrementally computable aggregation functions.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Any, Optional, Tuple
 
-from .base import IncrementalAggregate
+from .base import IncrementalAggregate, identity_finalize
 
 
 class Count(IncrementalAggregate):
@@ -45,8 +45,7 @@ class Count(IncrementalAggregate):
     def unmerge(self, state: int, removed: int) -> int:
         return state - removed
 
-    def finalize(self, state: int) -> int:
-        return state
+    finalize = identity_finalize
 
 
 class Sum(IncrementalAggregate):
@@ -70,8 +69,7 @@ class Sum(IncrementalAggregate):
     def unmerge(self, state: Any, removed: Any) -> Any:
         return state - removed
 
-    def finalize(self, state: Any) -> Any:
-        return state
+    finalize = identity_finalize
 
 
 class Min(IncrementalAggregate):
@@ -95,8 +93,7 @@ class Min(IncrementalAggregate):
             return left
         return left if left <= right else right
 
-    def finalize(self, state: Optional[Any]) -> Optional[Any]:
-        return state
+    finalize = identity_finalize
 
 
 class Max(IncrementalAggregate):
@@ -120,8 +117,7 @@ class Max(IncrementalAggregate):
             return left
         return left if left >= right else right
 
-    def finalize(self, state: Optional[Any]) -> Optional[Any]:
-        return state
+    finalize = identity_finalize
 
 
 class Avg(IncrementalAggregate):

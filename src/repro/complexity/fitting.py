@@ -168,7 +168,9 @@ def classify_growth(
     flatness test first — if every point sits within ``flat_slack`` of
     the series median, the series is declared constant regardless of
     which basis function happens to chase the noise best — and falls
-    back to :func:`fit_series` model selection otherwise.
+    back to :func:`fit_series` model selection otherwise, where a best
+    fit with a negative slope (the cost *falls* as x grows) also counts
+    as constant.
 
     The conformance profiler (:mod:`repro.obs.conformance`) uses this to
     turn per-append cost sweeps into IM-class verdicts.
@@ -183,13 +185,16 @@ def classify_growth(
         value = float(ys[0])
         return GrowthClass("constant", Fit("constant", value, 0.0, 0.0, 1.0), True)
     result = fit_series(xs, ys, models=models, tolerance=tolerance)
-    if flat:
+    # A best fit that slopes downward is no growth either: the cost is
+    # bounded by a constant however far it falls (a hash chain one entry
+    # shorter is a large relative dip on a count of five).
+    if flat or result.best.slope < 0:
         constant = result.fits.get("constant")
         if constant is None:
             constant = _fit_model(
                 "constant", np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
             )
-        return GrowthClass("constant", constant, True)
+        return GrowthClass("constant", constant, flat)
     return GrowthClass(result.model, result.best, False)
 
 

@@ -34,6 +34,7 @@ import multiprocessing
 import pickle
 import time
 import warnings
+import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from threading import RLock
@@ -79,6 +80,7 @@ from .worker import (
     worker_add_view,
     worker_apply,
     worker_apply_relay,
+    worker_init,
     worker_install,
     worker_remove_view,
 )
@@ -788,6 +790,18 @@ class ThreadShardBackend(ShardBackend):
         self._pool.shutdown(wait=True)
 
 
+def _shutdown_pools(pools: List[Optional[ProcessPoolExecutor]]) -> None:
+    """Shut down every live pool in *pools*, emptying the slots in place.
+
+    Takes the slot list rather than the backend so that a
+    ``weakref.finalize`` can hold it without keeping the backend alive.
+    """
+    for slot, pool in enumerate(pools):
+        if pool is not None:
+            pools[slot] = None
+            pool.shutdown(wait=True)
+
+
 class ProcessShardBackend(ShardBackend):
     """Run tasks in worker processes holding shard replicas.
 
@@ -815,6 +829,12 @@ class ProcessShardBackend(ShardBackend):
     dispatch to shards on that slot raises
     :class:`~repro.errors.EngineError` (the replica state is gone — a
     restore or restart must rebuild it).
+
+    The worker processes are tied to the backend's lifetime: :meth:`close`
+    ends them, and a finalizer ends them when a database is dropped
+    without ``close()`` (or the interpreter exits).  Each worker also
+    ends itself when the parent process dies
+    (:func:`~repro.parallel.worker.worker_init`).
     """
 
     name = "process"
@@ -826,6 +846,7 @@ class ProcessShardBackend(ShardBackend):
         self.relay_telemetry = bool(relay_telemetry)
         self._context = multiprocessing.get_context("spawn")
         self._pools: List[Optional[ProcessPoolExecutor]] = [None] * self.workers
+        weakref.finalize(self, _shutdown_pools, self._pools)
         self._assignment: Dict[str, int] = {}
         self._installed: Set[str] = set()
         self._broken: Dict[int, str] = {}
@@ -849,7 +870,7 @@ class ProcessShardBackend(ShardBackend):
         pool = self._pools[slot]
         if pool is None:
             pool = self._pools[slot] = ProcessPoolExecutor(
-                max_workers=1, mp_context=self._context
+                max_workers=1, mp_context=self._context, initializer=worker_init
             )
         return pool
 
@@ -1024,10 +1045,7 @@ class ProcessShardBackend(ShardBackend):
         self._installed.clear()
 
     def close(self) -> None:
-        for pool in self._pools:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        self._pools = [None] * self.workers
+        _shutdown_pools(self._pools)
 
 
 _BACKENDS = {

@@ -55,8 +55,12 @@ cross-process payload is byte-identical to the minimal contract above.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import threading
 import time
+from multiprocessing.connection import wait as _wait_for
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - unix-only module
@@ -265,25 +269,6 @@ def _capture() -> _TelemetryCapture:
     return _CAPTURE
 
 
-class _RecordingView(PersistentView):
-    """A persistent view that records the summary keys each fold touches.
-
-    The recorded keys are exactly the view rows a window changed — the
-    compact delta summary the worker sends back instead of its whole
-    partition.
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.touched: set = set()
-
-    def _fold(self, delta: Any) -> int:
-        if not delta.is_empty:
-            key_of = self.summary.key_of
-            self.touched.update(key_of(row) for row in delta.rows)
-        return super()._fold(delta)
-
-
 class UnitReplica:
     """A worker-process reconstruction of one parent-side shard unit."""
 
@@ -294,7 +279,7 @@ class UnitReplica:
         self.group.subscribe(self.registry.on_event)
         self.watermark: SequenceNumber = spec.watermark
         self.ensure_chronicles(spec.chronicles)
-        self.views: Dict[str, _RecordingView] = {}
+        self.views: Dict[str, PersistentView] = {}
         for name, summary_sp, state_items in spec.views:
             self.add_view(name, summary_sp, state_items)
 
@@ -311,8 +296,11 @@ class UnitReplica:
         state_items: List[Tuple[Any, Any]],
     ) -> None:
         summary = build_summary(summary_sp, self.group.chronicles)
-        view = _RecordingView(name, summary)
+        view = PersistentView(name, summary)
         view.state_import(state_items)
+        # Folds hand out the (key, state) pairs they touch: the compact
+        # per-window delta sent back instead of the whole partition.
+        view.record_touched()
         self.registry.register(view)
         self.views[name] = view
 
@@ -337,8 +325,6 @@ class UnitReplica:
             rows = tuple(unchecked(schema, tuple(v)) for v in values)
             event[name] = rows
             records += len(rows)
-        for view in self.views.values():
-            view.touched.clear()
         self.group.ingest_stamped(event, watermark)
         self.watermark = watermark
         # Report every *candidate* view (its chronicles were touched —
@@ -350,14 +336,32 @@ class UnitReplica:
         for name, view in self.views.items():
             if touched_names.isdisjoint(view.chronicle_names()):
                 continue
-            state = view._state
-            out[name] = [(key, state.get(key)) for key in view.touched]
+            out[name] = view.take_touched()
         elapsed = time.perf_counter() - started
         return out, records, elapsed, self.registry.stats
 
 
 #: label -> replica, module-global in each worker process.
 _REPLICAS: Dict[str, UnitReplica] = {}
+
+
+def worker_init() -> None:
+    """Pool initializer: end this worker when its parent process dies.
+
+    A spawned worker holds both ends of its call queue, so a parent that
+    is killed outright (SIGKILL, out of memory) never closes it and the
+    idle worker would block in ``get`` for ever.  A daemon thread waits on
+    the parent's sentinel instead and exits the process when it fires.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:  # pragma: no cover - not a multiprocessing child
+        return
+
+    def watch() -> None:
+        _wait_for([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
 def worker_install(spec: ShardUnitSpec) -> str:

@@ -98,13 +98,7 @@ class Relation:
                 raise KeyViolationError(
                     f"relation {self.name!r}: duplicate key {key!r}"
                 )
-        slot = len(self._slots)
-        self._slots.append(row)
-        self._count += 1
-        if self._key_index is not None:
-            self._key_index.insert(key, slot)
-        for attrs, index in self._indexes.items():
-            index.insert(self._index_key(attrs, row), slot)
+        self.insert_at_key(key, row)
         return row
 
     def insert_many(self, values: Iterable[RowLike]) -> List[Row]:
@@ -179,28 +173,37 @@ class Relation:
         self._replace_slot(slot, row.replace(**changes))
         return True
 
-    def replace_key(self, key: Sequence[Any], row: Row) -> bool:
-        """Replace the row stored at *key* with an already-built *row*.
+    def insert_at_key(self, key: Optional[Tuple[Any, ...]], row: Row) -> int:
+        """Trusted insert; returns the slot the row was stored in.
 
-        The caller supplies the complete replacement row (carrying the
-        same key values).  Skips the per-attribute rebuild and
-        re-validation of :meth:`update_key` — the persistent-view fold
-        path constructs the full new row anyway, so rebuilding it from
-        keyword changes is pure overhead there.
+        The caller guarantees what :meth:`insert` checks: *row* is a
+        :class:`Row` of this schema, *key* is its key (``None`` for a
+        keyless relation) and no stored row carries it — on the
+        persistent-view fold path the view's state index has just said
+        so.  The returned slot stays valid until a delete compacts the
+        relation or :meth:`clear` empties it, and is the very ``int`` the
+        key index holds, so remembering it costs the caller one pointer.
         """
-        if self._key_index is None:
-            raise IntegrityError(f"relation {self.name!r} has no key")
-        key = tuple(key)
-        slot = self._key_index.get(key)
-        if slot is None:
-            return False
-        if not self._indexes and self._key_of(row) == key:
-            # Key unchanged and no secondary indexes to maintain: swap the
-            # slot directly (the common case on the view fold path).
+        slot = len(self._slots)
+        self._slots.append(row)
+        self._count += 1
+        if self._key_index is not None:
+            self._key_index.insert(key, slot)
+        for attrs, index in self._indexes.items():
+            index.insert(self._index_key(attrs, row), slot)
+        return slot
+
+    def replace_at(self, slot: int, row: Row) -> None:
+        """Trusted swap of the row in *slot* for one carrying the same key.
+
+        The other half of :meth:`insert_at_key`: no key probe and no key
+        re-derivation — the caller located the row once, through its own
+        index, and kept the slot.
+        """
+        if self._indexes:
+            self._replace_slot(slot, row)
+        else:
             self._slots[slot] = row
-            return True
-        self._replace_slot(slot, row)
-        return True
 
     def _replace_slot(self, slot: int, new_row: Row) -> None:
         old_row = self._slots[slot]

@@ -18,14 +18,26 @@ Summaries are pure *specifications*: the stateful machinery lives in
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..aggregates.base import AggregateSpec
+from ..aggregates.base import AggregateSpec, identity_finalize
 from ..algebra.ast import Node, aggregate_attribute
 from ..errors import AlgebraError, NotAChronicleError, SchemaError
 from ..relational.predicate import Predicate
 from ..relational.schema import Schema
 from ..relational.tuples import Row
+
+
+def _key_getter(positions: Sequence[int]) -> Callable[[Tuple[Any, ...]], Tuple[Any, ...]]:
+    """A value tuple → key tuple extractor over fixed *positions*."""
+    if len(positions) == 1:
+        # itemgetter with one position returns the bare value.
+        (position,) = positions
+        return lambda values: (values[position],)
+    if not positions:
+        return lambda values: ()
+    return itemgetter(*positions)
 
 
 class Summary:
@@ -48,9 +60,10 @@ class Summary:
             )
         self.expression = expression
 
-    def key_of(self, row: Row) -> Tuple[Any, ...]:
-        """The view-location key of one delta row (group key / tuple)."""
-        raise NotImplementedError
+    #: The view-location key (group key / projected tuple) of one delta
+    #: row, from its value tuple; set by the subclasses from their key
+    #: positions.
+    key_of_values: Callable[[Tuple[Any, ...]], Tuple[Any, ...]]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.expression!r})"
@@ -82,16 +95,13 @@ class ProjectSummary(Summary):
         for name in names:
             expression.schema.position(name)
         self.names: Tuple[str, ...] = tuple(names)
-        self._positions = expression.schema.positions(names)
+        self.key_of_values = _key_getter(expression.schema.positions(names))
         attrs = [expression.schema.attribute(n) for n in names]
         self.output_schema = Schema(attrs, key=list(names))
 
-    def key_of(self, row: Row) -> Tuple[Any, ...]:
-        return tuple(row.values[p] for p in self._positions)
-
     def view_row(self, key: Tuple[Any, ...]) -> Row:
         """Build the visible view row for a projected key."""
-        return Row(self.output_schema, key, validate=False)
+        return Row.unchecked(self.output_schema, key)
 
     def __repr__(self) -> str:
         return f"ProjectSummary({list(self.names)}, {self.expression!r})"
@@ -140,16 +150,30 @@ class GroupBySummary(Summary):
             raise SchemaError(f"duplicate output attribute names in {outputs + grouping}")
         self.grouping: Tuple[str, ...] = tuple(grouping)
         self.aggregates: Tuple[AggregateSpec, ...] = tuple(aggregates)
-        self._positions = expression.schema.positions(grouping)
+        self.key_of_values = _key_getter(expression.schema.positions(grouping))
         attrs = [expression.schema.attribute(n) for n in grouping]
         attrs += [aggregate_attribute(expression.schema, a) for a in aggregates]
         self.output_schema = Schema(attrs, key=list(grouping) if grouping else None)
-        # Aggregate-argument positions in the χ schema (None for COUNT(*)),
-        # so the per-row maintenance step indexes instead of name-lookups.
-        self._arg_positions: Tuple[Optional[int], ...] = tuple(
-            None if a.attribute is None else expression.schema.position(a.attribute)
+        #: One ``(accumulator index, step, argument position)`` triple per
+        #: aggregation-list entry (position ``None`` for COUNT(*)): the
+        #: fold steps a group's accumulator list in place through these,
+        #: indexing the χ row instead of looking names up.
+        self.steps: Tuple[Tuple[int, Callable[[Any, Any], Any], Optional[int]], ...] = tuple(
+            (
+                index,
+                a.function.step,
+                None if a.attribute is None else expression.schema.position(a.attribute),
+            )
+            for index, a in enumerate(self.aggregates)
+        )
+        # ``finalize`` per aggregate, ``None`` where it is the identity;
+        # the whole tuple is ``None`` when every one is (SUM/COUNT/MIN/MAX
+        # lists), so the visible row is the key plus the accumulators.
+        finalizers = tuple(
+            None if type(a.function).finalize is identity_finalize else a.function.finalize
             for a in self.aggregates
         )
+        self._finalizers = finalizers if any(finalizers) else None
         # HAVING: a visibility filter over the summary's output rows.  It
         # does not affect maintenance (every group's state is kept — a
         # group may enter/leave the HAVING set as it accumulates); only
@@ -164,20 +188,9 @@ class GroupBySummary(Summary):
                 )
         self.having = having
 
-    def key_of(self, row: Row) -> Tuple[Any, ...]:
-        return tuple(row.values[p] for p in self._positions)
-
     def initial_states(self) -> List[Any]:
         """Fresh accumulators, one per aggregation-list entry."""
         return [a.function.initial() for a in self.aggregates]
-
-    def step_states(self, states: List[Any], row: Row) -> List[Any]:
-        """Fold one χ-delta row into the group's accumulators (O(1) each)."""
-        values = row.values
-        return [
-            a.function.step(state, 1 if p is None else values[p])
-            for a, state, p in zip(self.aggregates, states, self._arg_positions)
-        ]
 
     def merge_states(self, left: List[Any], right: List[Any]) -> List[Any]:
         """Merge two accumulator lists (decomposed evaluation)."""
@@ -188,11 +201,17 @@ class GroupBySummary(Summary):
 
     def view_row(self, key: Tuple[Any, ...], states: Sequence[Any]) -> Row:
         """Build the visible view row for a group's accumulators."""
-        finals = tuple(
-            a.function.finalize(state)
-            for a, state in zip(self.aggregates, states)
-        )
-        return Row(self.output_schema, key + finals, validate=False)
+        finalizers = self._finalizers
+        if finalizers is None:
+            finals = tuple(states)
+        else:
+            finals = tuple(
+                [
+                    state if finalize is None else finalize(state)
+                    for finalize, state in zip(finalizers, states)
+                ]
+            )
+        return Row.unchecked(self.output_schema, key + finals)
 
     def __repr__(self) -> str:
         return (

@@ -75,19 +75,22 @@ class PersistentView:
                 f"outside the required fragment {require_language.value}"
             )
         self.relation = Relation(name, summary.output_schema)
-        # Summary-key → accumulators (grouping) or multiplicity
-        # (projection).  A B+-tree by default — the paper's O(log |V|)
-        # locate; a unique hash index can be substituted (expected O(1),
-        # no ordered scans) via *state_index* — the A1 ablation measures
-        # the difference.
+        self._grouped = isinstance(summary, GroupBySummary)
+        # Summary-key → one mutable entry per key.  Grouping: the
+        # accumulators followed by the slot of the key's visible row in
+        # ``relation`` — ``[acc_1, …, acc_|AL|, slot]``; projection: the
+        # multiplicity, ``[count]``.  The index hands the entry itself
+        # back from ``get``, so a fold locates a key once, steps the
+        # entry in place and swaps the visible row by slot.  A B+-tree by
+        # default — the paper's O(log |V|) locate; a unique hash index
+        # can be substituted (expected O(1), no ordered scans) via
+        # *state_index* — the A1 ablation measures the difference.
         self._state = state_index if state_index is not None else BPlusTree(unique=True)
+        # key → entry of every key folded since the last take_touched();
+        # None (the default) records nothing.
+        self._touched: Optional[Dict[Tuple[Any, ...], List[Any]]] = None
         self._maintenance_count = 0
-        if isinstance(summary, GroupBySummary) and not summary.grouping:
-            # A global aggregate always has its single group row (SQL
-            # semantics: COUNT over the empty set is 0, not absent).
-            states = summary.initial_states()
-            self._state.replace((), states)
-            self.relation.insert(summary.view_row((), states))
+        self._show_global_group()
 
     # -- introspection ---------------------------------------------------------------
 
@@ -149,53 +152,109 @@ class PersistentView:
     def _fold(self, delta: Delta) -> int:
         if delta.is_empty:
             return 0
-        if isinstance(self.summary, GroupBySummary):
+        if self._grouped:
             return self._fold_groups(delta)
         return self._fold_projection(delta)
 
     def _fold_groups(self, delta: Delta) -> int:
+        """Theorem 4.4: one locate per distinct key, one O(1) step per
+        aggregate per row, one visible-row swap per key.
+
+        The accumulators are stepped in place, so a ``step`` that raises
+        part-way leaves this view's state ahead of its visible rows.
+        """
         summary = self.summary
-        assert isinstance(summary, GroupBySummary)
+        rows = delta.rows
+        key_of = summary.key_of_values
+        steps = summary.steps
+        locate = self._state.get
         touched: Dict[Tuple[Any, ...], List[Any]] = {}
-        fresh: Dict[Tuple[Any, ...], bool] = {}
-        for row in delta.rows:
-            GLOBAL_COUNTERS.count("tuple_op")
-            key = summary.key_of(row)
-            states = touched.get(key)
-            if states is None:
-                states = self._state.get(key)  # O(log |V|)
-                if states is None:
-                    states = summary.initial_states()
-                    fresh[key] = True
-                touched[key] = states
-            touched[key] = summary.step_states(states, row)
-            GLOBAL_COUNTERS.count("aggregate_step", len(summary.aggregates))
-        for key, states in touched.items():
-            self._state.replace(key, states)
-            row = summary.view_row(key, states)
-            if fresh.get(key):
-                self.relation.insert(row)
-            elif summary.grouping:
-                self.relation.replace_key(key, row)
+        for row in rows:
+            values = row.values
+            key = key_of(values)
+            entry = touched.get(key)
+            if entry is None:
+                entry = locate(key)  # O(log |V|), once per key
+                if entry is None:
+                    entry = summary.initial_states() + [None]
+                touched[key] = entry
+            for index, step, position in steps:
+                entry[index] = step(
+                    entry[index], 1 if position is None else values[position]
+                )
+        GLOBAL_COUNTERS.count("tuple_op", len(rows))
+        GLOBAL_COUNTERS.count("aggregate_step", len(rows) * len(steps))
+        view_row = summary.view_row
+        replace_at = self.relation.replace_at
+        for key, entry in touched.items():
+            slot = entry[-1]
+            if slot is None:
+                self._show_group(key, entry)
             else:
-                # Global aggregate: a single keyless row, replaced wholesale.
-                self.relation.clear()
-                self.relation.insert(row)
-        return len(delta.rows)
+                replace_at(slot, view_row(key, entry[:-1]))
+        if self._touched is not None:
+            self._touched.update(touched)
+        return len(rows)
+
+    def _show_group(self, key: Tuple[Any, ...], entry: List[Any]) -> None:
+        """Index and show a group not seen before: one ``relation``
+        insert and one index insert, after which the entry remembers the
+        slot its visible row is swapped by."""
+        row = self.summary.view_row(key, entry[:-1])
+        entry[-1] = self.relation.insert_at_key(key, row)
+        self._state.insert(key, entry)
+
+    def _show_global_group(self) -> None:
+        """A global aggregate always has its single group row (SQL
+        semantics: COUNT over the empty set is 0, not absent)."""
+        summary = self.summary
+        if self._grouped and not summary.grouping and not len(self._state):
+            self._show_group((), summary.initial_states() + [None])
 
     def _fold_projection(self, delta: Delta) -> int:
         summary = self.summary
-        assert isinstance(summary, ProjectSummary)
-        for row in delta.rows:
-            GLOBAL_COUNTERS.count("tuple_op")
-            key = summary.key_of(row)
-            count = self._state.get(key)  # O(log |V|)
-            if count is None:
-                self._state.replace(key, 1)
-                self.relation.insert(summary.view_row(key))
+        rows = delta.rows
+        key_of = summary.key_of_values
+        locate = self._state.get
+        touched: Dict[Tuple[Any, ...], List[Any]] = {}
+        for row in rows:
+            key = key_of(row.values)
+            entry = touched.get(key)
+            if entry is None:
+                entry = locate(key)  # O(log |V|), once per key
+                if entry is None:
+                    entry = self._show_tuple(key, 0)
+                touched[key] = entry
+            entry[0] += 1
+        GLOBAL_COUNTERS.count("tuple_op", len(rows))
+        if self._touched is not None:
+            self._touched.update(touched)
+        return len(rows)
+
+    def _show_tuple(self, key: Tuple[Any, ...], count: int) -> List[Any]:
+        """Index and show a projected tuple not seen before; its entry."""
+        entry = [count]
+        self._state.insert(key, entry)
+        self.relation.insert_at_key(key, self.summary.view_row(key))
+        return entry
+
+    def _put(self, key: Tuple[Any, ...], state: Any) -> None:
+        """Locate *key* once and install a state computed elsewhere."""
+        entry = self._state.get(key)
+        if not self._grouped:
+            if entry is None:
+                self._show_tuple(key, state)
             else:
-                self._state.replace(key, count + 1)
-        return len(delta.rows)
+                entry[0] = state
+        elif entry is None:
+            self._show_group(key, list(state) + [None])
+        else:
+            entry[:-1] = state
+            self.relation.replace_at(entry[-1], self.summary.view_row(key, state))
+
+    def _portable(self, entry: List[Any]) -> Any:
+        """An entry's state as it is exported: no slot, no aliasing."""
+        return entry[:-1] if self._grouped else entry[0]
 
     # -- portable state ---------------------------------------------------------------
 
@@ -207,9 +266,12 @@ class PersistentView:
         definition this is the view's *entire* durable state — the
         visible rows are a pure function of it (``view_row``) — so the
         items are what crosses process boundaries (shard snapshots) and
-        what checkpoints persist.
+        what checkpoints persist.  Items are copies: later folds do not
+        change them, and where a row sits in the relation is not part
+        of them.
         """
-        return [(key, value) for key, value in self._state.items()]
+        portable = self._portable
+        return [(key, portable(entry)) for key, entry in self._state.items()]
 
     def state_import(
         self,
@@ -221,31 +283,16 @@ class PersistentView:
         The inverse of :meth:`state_export`: clears current state and
         regenerates the materialized relation from the imported
         accumulators, so a view rebuilt in a worker process (or restored
-        from a checkpoint) is byte-for-byte the view that exported.
+        from a checkpoint) holds exactly the state and rows of the view
+        that exported, the rows in the order of *items*.
         """
         if maintenance_count is not None:
             self._maintenance_count = maintenance_count
         self.relation.clear()
         self._state.clear()
-        summary = self.summary
-        if isinstance(summary, GroupBySummary):
-            for key, states in items:
-                key = tuple(key)
-                states = list(states)
-                self._state.replace(key, states)
-                self.relation.insert(summary.view_row(key, states))
-            if not summary.grouping and self._state.get(()) is None:
-                # Preserve the constructor invariant: a global aggregate
-                # always shows its single group row.
-                states = summary.initial_states()
-                self._state.replace((), states)
-                self.relation.insert(summary.view_row((), states))
-        else:
-            assert isinstance(summary, ProjectSummary)
-            for key, count in items:
-                key = tuple(key)
-                self._state.replace(key, count)
-                self.relation.insert(summary.view_row(key))
+        for key, state in items:
+            self._put(tuple(key), state)
+        self._show_global_group()
 
     def absorb_states(self, items: Iterable[Tuple[Any, Any]]) -> None:
         """Merge authoritative per-key states computed elsewhere.
@@ -253,35 +300,30 @@ class PersistentView:
         The parent-side half of process-shard maintenance: a worker
         returns the post-fold state of exactly the keys one window
         touched, and this replaces those keys' accumulators and visible
-        rows — the same insert/replace discipline as :meth:`_fold`, so a
-        reader under the shard lock sees whole windows or nothing.  Each
-        call counts as one maintenance window, mirroring
-        :meth:`apply_delta`.
+        rows — the same locate-once insert/swap discipline as
+        :meth:`_fold`, so a reader under the shard lock sees whole
+        windows or nothing.  Each call counts as one maintenance window,
+        mirroring :meth:`apply_delta`.
         """
         self._maintenance_count += 1
-        summary = self.summary
-        if isinstance(summary, GroupBySummary):
-            grouping = bool(summary.grouping)
-            for key, states in items:
-                key = tuple(key)
-                states = list(states)
-                existing = self._state.get(key)
-                self._state.replace(key, states)
-                row = summary.view_row(key, states)
-                if existing is None:
-                    self.relation.insert(row)
-                elif grouping:
-                    self.relation.replace_key(key, row)
-                else:
-                    self.relation.clear()
-                    self.relation.insert(row)
-        else:
-            assert isinstance(summary, ProjectSummary)
-            for key, count in items:
-                key = tuple(key)
-                if self._state.get(key) is None:
-                    self.relation.insert(summary.view_row(key))
-                self._state.replace(key, count)
+        for key, state in items:
+            self._put(tuple(key), state)
+
+    def record_touched(self) -> None:
+        """Start recording the keys each fold touches."""
+        self._touched = {}
+
+    def take_touched(self) -> List[Tuple[Tuple[Any, ...], Any]]:
+        """``(key, state)`` items, in :meth:`state_export`'s form, of the
+        keys touched since the last call (after :meth:`record_touched`).
+
+        The fold already holds each touched key's entry, so this costs no
+        second key pass and no second index descent — what a worker
+        process sends back per window instead of its whole partition.
+        """
+        touched, self._touched = self._touched, {}
+        portable = self._portable
+        return [(key, portable(entry)) for key, entry in touched.items()]
 
     def initialize_from_store(self) -> int:
         """Materialize the view from currently stored chronicle history.

@@ -71,12 +71,16 @@ class BPlusTree:
     # -- search helpers ------------------------------------------------------------
 
     def _find_leaf(self, key: Any) -> _Leaf:
-        """Descend to the leaf that owns *key*, charging one probe per level."""
+        """Descend to the leaf that owns *key*.
+
+        Charges one probe per level, reported as one count per descent.
+        """
         node = self._root
-        while isinstance(node, _Internal):
-            self._counters.count("index_probe")
+        probes = 1
+        while type(node) is _Internal:
+            probes += 1
             node = node.children[bisect_right(node.keys, key)]
-        self._counters.count("index_probe")
+        self._counters.count("index_probe", probes)
         return node
 
     def _leftmost_leaf(self) -> _Leaf:
@@ -177,58 +181,38 @@ class BPlusTree:
     def insert(self, key: Any, value: Any) -> None:
         """Insert a ``key → value`` entry."""
         self._counters.count("index_lookup")
-        split = self._insert(self._root, key, value)
-        if split is not None:
-            separator, right = split
-            new_root = _Internal()
-            new_root.keys = [separator]
-            new_root.children = [self._root, right]
-            self._root = new_root
-
-    def replace(self, key: Any, value: Any) -> None:
-        """Upsert: overwrite the value list at *key* with ``[value]``."""
-        self._counters.count("index_lookup")
-        leaf = self._find_leaf(key)
-        position = bisect_left(leaf.keys, key)
-        if position < len(leaf.keys) and leaf.keys[position] == key:
-            self._size -= len(leaf.values[position]) - 1
-            leaf.values[position] = [value]
-        else:
-            # fall back to a normal insert (may split)
-            was_unique = self.unique
-            self.unique = False
-            try:
-                self.insert(key, value)
-            finally:
-                self.unique = was_unique
-
-    def _insert(self, node: Any, key: Any, value: Any) -> Optional[Tuple[Any, Any]]:
-        if isinstance(node, _Leaf):
-            self._counters.count("index_probe")
-            position = bisect_left(node.keys, key)
-            if position < len(node.keys) and node.keys[position] == key:
-                if self.unique:
-                    raise KeyViolationError(f"duplicate key {key!r} in unique index")
-                node.values[position].append(value)
-                self._size += 1
-                return None
-            node.keys.insert(position, key)
-            node.values.insert(position, [value])
+        # One descent, remembering the path so splits can propagate up.
+        path: List[Tuple[_Internal, int]] = []
+        node = self._root
+        while type(node) is _Internal:
+            child_pos = bisect_right(node.keys, key)
+            path.append((node, child_pos))
+            node = node.children[child_pos]
+        self._counters.count("index_probe", len(path) + 1)
+        position = bisect_left(node.keys, key)
+        if position < len(node.keys) and node.keys[position] == key:
+            if self.unique:
+                raise KeyViolationError(f"duplicate key {key!r} in unique index")
+            node.values[position].append(value)
             self._size += 1
-            if len(node.keys) < self.order:
-                return None
-            return self._split_leaf(node)
-        self._counters.count("index_probe")
-        child_pos = bisect_right(node.keys, key)
-        split = self._insert(node.children[child_pos], key, value)
-        if split is None:
-            return None
-        separator, right = split
-        node.keys.insert(child_pos, separator)
-        node.children.insert(child_pos + 1, right)
-        if len(node.children) <= self.order:
-            return None
-        return self._split_internal(node)
+            return
+        node.keys.insert(position, key)
+        node.values.insert(position, [value])
+        self._size += 1
+        if len(node.keys) < self.order:
+            return
+        separator, right = self._split_leaf(node)
+        while path:
+            parent, child_pos = path.pop()
+            parent.keys.insert(child_pos, separator)
+            parent.children.insert(child_pos + 1, right)
+            if len(parent.children) <= self.order:
+                return
+            separator, right = self._split_internal(parent)
+        new_root = _Internal()
+        new_root.keys = [separator]
+        new_root.children = [self._root, right]
+        self._root = new_root
 
     def _split_leaf(self, leaf: _Leaf) -> Tuple[Any, _Leaf]:
         middle = len(leaf.keys) // 2

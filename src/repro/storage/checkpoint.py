@@ -5,11 +5,12 @@ which makes the persistent views' state the only copy of the summarized
 history.  A production deployment therefore needs durability for:
 
 * the group watermarks (so the append rule survives a restart);
-* every persistent view's materialized rows **and** its aggregate
-  accumulators (finalized values alone cannot resume AVG/VAR state);
+* every persistent view's fold state — its aggregate accumulators
+  (finalized values alone cannot resume AVG/VAR state), from which the
+  materialized rows regenerate on restore;
 * relations (they are ordinary stored data);
 * periodic view sets: the clock, expired-interval bookkeeping, and every
-  active interval view's rows and accumulators.
+  active interval view's accumulators.
 
 The format is a single JSON document (version-tagged).  JSON keeps the
 checkpoint inspectable and avoids pickle's code-execution surface; the
@@ -29,7 +30,7 @@ import json
 import os
 import tempfile
 import warnings
-from typing import Any, Dict, IO, Union
+from typing import Any, Dict, IO, List, Tuple, Union
 
 from ..errors import ChronicleError
 from ..relational.tuples import Row
@@ -44,26 +45,34 @@ class CheckpointError(ChronicleError):
     """A checkpoint could not be written or restored."""
 
 
+def _encode_items(items: Any) -> List[List[Any]]:
+    return [[_encode_value(key), _encode_value(value)] for key, value in items]
+
+
+def _decode_items(payload: Dict[str, Any]) -> List[Tuple[Any, Any]]:
+    return [
+        (_decode_value(key), _decode_value(value)) for key, value in payload["state"]
+    ]
+
+
 def _view_state(view: Any) -> Dict[str, Any]:
-    """Extract one persistent view's durable state."""
+    """One persistent view's durable state: its portable fold state.
+
+    The visible rows are a pure function of that state, so they are not
+    written.
+    """
     return {
-        "rows": [_encode_value(row.values) for row in view.relation.rows()],
-        "state": [
-            [_encode_value(key), _encode_value(value)]
-            for key, value in view._state.items()
-        ],
+        "state": _encode_items(view.state_export()),
         "maintenance_count": view.maintenance_count,
     }
 
 
 def _restore_view(view: Any, payload: Dict[str, Any]) -> None:
-    view.relation.clear()
-    view._state.clear()
-    for values in payload["rows"]:
-        view.relation.insert(Row(view.relation.schema, _decode_value(values)))
-    for key, value in payload["state"]:
-        view._state.replace(_decode_value(key), _decode_value(value))
-    view._maintenance_count = payload.get("maintenance_count", 0)
+    # Documents written before rows stopped being persisted also carry a
+    # "rows" section; state_import regenerates the rows, so it is ignored.
+    view.state_import(
+        _decode_items(payload), maintenance_count=payload.get("maintenance_count", 0)
+    )
 
 
 def _periodic_state(view_set: Any) -> Dict[str, Any]:
@@ -135,10 +144,7 @@ def _checkpoint_document(db: Any) -> Dict[str, Any]:
         for name, view in merged.items():
             items, count = view.export_state()
             document["merged"][name] = {
-                "state": [
-                    [_encode_value(key), _encode_value(value)]
-                    for key, value in items
-                ],
+                "state": _encode_items(items),
                 "maintenance_count": count,
             }
     return document
@@ -217,19 +223,12 @@ def _load_checkpoint(db: Any, source: Union[str, IO[str], Dict[str, Any]]) -> No
             # A serial checkpoint restoring into a sharded database: the
             # fold state routes to the owning shards; rows regenerate.
             merged_views[name].import_state(
-                [
-                    (_decode_value(key), _decode_value(value))
-                    for key, value in payload["state"]
-                ],
-                payload.get("maintenance_count", 0),
+                _decode_items(payload), payload.get("maintenance_count", 0)
             )
         else:
             raise CheckpointError(f"checkpoint names unknown view {name!r}")
     for name, payload in document.get("merged", {}).items():
-        items = [
-            (_decode_value(key), _decode_value(value))
-            for key, value in payload["state"]
-        ]
+        items = _decode_items(payload)
         count = payload.get("maintenance_count", 0)
         if name in merged_views:
             merged_views[name].import_state(items, count)

@@ -94,19 +94,6 @@ class HashIndex:
                 return True
         return False
 
-    def replace(self, key: Hashable, value: Any) -> None:
-        """Upsert for unique indexes: overwrite the value stored at *key*."""
-        bucket = self._bucket(key)
-        for position, (existing_key, _) in enumerate(bucket):
-            self._counters.count("index_probe")
-            if existing_key == key:
-                bucket[position] = (key, value)
-                return
-        bucket.append((key, value))
-        self._size += 1
-        if self._size > self._MAX_LOAD * len(self._buckets):
-            self._grow()
-
     def clear(self) -> None:
         """Drop every entry."""
         self._buckets = [[] for _ in range(8)]

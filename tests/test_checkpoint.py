@@ -117,6 +117,66 @@ class TestRoundTrip:
         assert fresh.view_value("usage", (1,), "total") == 10
 
 
+#: ``checkpoint_document`` of ``build()`` after five appends, as written
+#: before views stopped persisting their rows (each view carries a
+#: ``"rows"`` section, in first-appearance order, beside its state).
+LEGACY_DOCUMENT = json.loads(
+    """
+{"format": 1, "groups": {"default": {"watermark": 4}},
+ "relations": {"subscribers": [{"__tuple__": [1, "NJ"]}]},
+ "views": {
+  "usage": {
+   "rows": [{"__tuple__": [2, 5, 5.0, 5, 5]}, {"__tuple__": [1, 63, 21.0, 10, 33]},
+            {"__tuple__": [3, 7, 7.0, 7, 7]}],
+   "state": [[{"__tuple__": [1]}, [63, {"__tuple__": [63, 3]}, 10, {"__tuple__": [true, 33]}]],
+             [{"__tuple__": [2]}, [5, {"__tuple__": [5, 1]}, 5, {"__tuple__": [true, 5]}]],
+             [{"__tuple__": [3]}, [7, {"__tuple__": [7, 1]}, 7, {"__tuple__": [true, 7]}]]],
+   "maintenance_count": 5},
+  "grand": {"rows": [{"__tuple__": [5]}], "state": [[{"__tuple__": []}, [5]]],
+            "maintenance_count": 5}},
+ "periodic": {}}
+"""
+)
+
+
+class TestRowsAreNotPersisted:
+    def test_document_carries_state_only(self):
+        db = build()
+        db.append("calls", {"caller": 1, "minutes": 10})
+        document = write_checkpoint(db, io.StringIO())
+        for payload in document["views"].values():
+            assert sorted(payload) == ["maintenance_count", "state"]
+        # Items are (key, accumulators): nothing about where a row sits.
+        ((key, state),) = document["views"]["usage"]["state"]
+        assert len(state) == 4
+
+    def test_legacy_document_with_rows_still_restores(self):
+        fresh = build()
+        fresh.restore(LEGACY_DOCUMENT)
+        assert [row.values for row in fresh.view("usage")] == [
+            (1, 63, 21.0, 10, 33),  # key order, not first-appearance order
+            (2, 5, 5.0, 5, 5),
+            (3, 7, 7.0, 7, 7),
+        ]
+        assert fresh.view_value("grand", (), "n") == 5
+        assert fresh.view("usage").maintenance_count == 5
+        fresh.append("calls", {"caller": 1, "minutes": 7})
+        assert fresh.view_value("usage", (1,), "mean") == 17.5  # AVG state resumed
+        assert fresh.view_value("usage", (1,), "latest") == 7
+        assert fresh.view_value("grand", (), "n") == 6
+
+    def test_restore_rebuilds_rows_and_state_exactly(self):
+        db = build()
+        for caller, minutes in ((2, 5), (1, 10), (1, 20), (3, 7), (1, 33)):
+            db.append("calls", {"caller": caller, "minutes": minutes})
+        document = write_checkpoint(db, io.StringIO())
+        fresh = build()
+        fresh.restore(json.loads(json.dumps(document)))
+        for name in ("usage", "grand"):
+            assert fresh.view(name).state_export() == db.view(name).state_export()
+            assert fresh.view(name).to_table() == db.view(name).to_table()
+
+
 class TestPeriodicCheckpoint:
     def build_periodic(self):
         db = ChronicleDatabase()

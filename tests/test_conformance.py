@@ -72,6 +72,15 @@ class TestClassifyGrowth:
         assert verdict.model == "constant"
         assert verdict.flat
 
+    def test_falling_series_is_constant_not_growth(self):
+        # One hash-chain entry fewer on a count of six is a 33% dip:
+        # outside the flatness slack, but a cost that falls is bounded.
+        verdict = classify_growth([64, 256, 1_024], [6, 7, 4])
+        assert verdict.model == "constant"
+        assert not verdict.flat
+        # The same jitter the other way round is still growth.
+        assert classify_growth([64, 256, 1_024], [4, 4, 7]).model != "constant"
+
     def test_linear_growth_detected(self):
         verdict = classify_growth([100, 1_000, 10_000], [210, 2_030, 20_100])
         assert verdict.model == "linear"

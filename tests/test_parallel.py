@@ -657,6 +657,102 @@ def _sharded_process_db(shards=2):
     return db
 
 
+def _worker_pids(db):
+    return [
+        pid
+        for pool in db._maintainer._backend._pools
+        if pool is not None
+        for pid in pool._processes
+    ]
+
+
+def _running(pid):
+    """Whether *pid* is a live (not merely unreaped) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _wait_ended(pids, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if _running(pid)]
+
+
+_ORPHANING_CHILD = """
+import sys, time
+from repro import ChronicleDatabase, DatabaseConfig
+from repro.aggregates import SUM, spec
+from repro.algebra.ast import scan
+from repro.sca.summarize import GroupBySummary
+
+def main():
+    db = ChronicleDatabase(
+        config=DatabaseConfig(engine="sharded", shards=2, executor="process")
+    )
+    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+    db.define_view(
+        GroupBySummary(scan(db.chronicle("calls")), ["caller"], [spec(SUM, "minutes")]),
+        name="usage",
+    )
+    db.ingest("calls", [[{"caller": c, "minutes": 1}] for c in range(8)])
+    pids = [
+        pid
+        for pool in db._maintainer._backend._pools
+        if pool is not None
+        for pid in pool._processes
+    ]
+    print(" ".join(map(str, pids)), flush=True)
+    time.sleep(60)
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestWorkerLifetime:
+    """Worker processes never outlive the database that started them."""
+
+    def test_dropped_database_reaps_its_workers(self):
+        db = _sharded_process_db()
+        db.ingest("calls", [[{"caller": c, "minutes": 1}] for c in range(8)])
+        pids = _worker_pids(db)
+        assert pids and all(_running(pid) for pid in pids)
+        del db  # no close()
+        gc.collect()
+        assert _wait_ended(pids) == []
+
+    def test_workers_end_when_the_parent_is_killed(self, tmp_path):
+        script = tmp_path / "child.py"
+        script.write_text(_ORPHANING_CHILD)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            pids = [int(pid) for pid in line.split()]
+            assert pids, proc.stderr.read()
+            assert all(_running(pid) for pid in pids)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert _wait_ended(pids) == []
+
+
 class TestProcessExecutor:
     def test_process_executor_is_accepted(self):
         db = ChronicleDatabase(

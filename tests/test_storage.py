@@ -44,13 +44,6 @@ class TestHashIndexBasics:
     def test_remove_missing(self):
         assert not HashIndex().remove("k")
 
-    def test_replace_upserts(self):
-        index = HashIndex(unique=True)
-        index.replace("k", 1)
-        index.replace("k", 2)
-        assert index.get("k") == 2
-        assert len(index) == 1
-
     def test_contains(self):
         index = HashIndex()
         index.insert("k", 1)
@@ -172,19 +165,6 @@ class TestBPlusTreeBasics:
             tree.insert(v, v)
         assert tree.min_key() == 1
         assert tree.max_key() == 9
-
-    def test_replace(self):
-        tree = BPlusTree(order=4)
-        tree.insert(1, "a")
-        tree.insert(1, "b")
-        tree.replace(1, "only")
-        assert tree.get_all(1) == ["only"]
-        assert len(tree) == 1
-
-    def test_replace_missing_inserts(self):
-        tree = BPlusTree(order=4, unique=True)
-        tree.replace(7, "x")
-        assert tree.get(7) == "x"
 
     def test_remove_and_rebalance(self):
         tree = BPlusTree(order=4)

@@ -1,12 +1,18 @@
 """Tests for the summarization step (Definition 4.3) and persistent views
 (Theorem 4.4 behaviour)."""
 
-import pytest
+import copy
 
-from repro.aggregates import AVG, COUNT, MAX, MIN, SUM, spec
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.aggregates import AVG, COUNT, FIRST, LAST, MAX, MIN, STDEV, SUM, VAR, spec
 from repro.aggregates.base import NonIncrementalAggregate
 from repro.algebra.ast import ChronicleProduct, scan
 from repro.algebra.classify import IMClass, Language
+from repro.complexity.counters import GLOBAL_COUNTERS
+from repro.core.delta import Delta
 from repro.core.group import ChronicleGroup
 from repro.errors import (
     AlgebraError,
@@ -17,9 +23,12 @@ from repro.errors import (
 from repro.relational.predicate import attr_cmp
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.relational.tuples import Row
 from repro.sca.maintenance import attach_view
 from repro.sca.summarize import GroupBySummary, ProjectSummary
 from repro.sca.view import PersistentView, evaluate_summary
+from repro.storage.btree import BPlusTree
+from repro.storage.hash_index import HashIndex
 
 
 def build(retention=None):
@@ -242,3 +251,152 @@ class TestInitialMaterialization:
         attach_view(view, group)
         group.append(calls, {"acct": 0, "mins": 100})
         assert view.value((0,), "sum_mins") == 120
+
+
+# ---------------------------------------------------------------------------
+# The locate-once fold against the batch oracle, under both state indexes
+# ---------------------------------------------------------------------------
+
+EVERY_AGGREGATE = [
+    spec(SUM, "mins"),
+    spec(COUNT),
+    spec(MIN, "mins"),
+    spec(MAX, "mins"),
+    spec(AVG, "mins"),
+    spec(VAR, "mins"),
+    spec(STDEV, "mins"),
+    spec(FIRST, "mins"),
+    spec(LAST, "mins"),
+]
+
+#: name -> summary over the ``events`` chronicle.
+SUMMARY_SHAPES = {
+    "every aggregate by acct": lambda events: GroupBySummary(
+        scan(events), ["acct"], EVERY_AGGREGATE
+    ),
+    "identity finalizers by (acct, kind)": lambda events: GroupBySummary(
+        scan(events), ["acct", "kind"], [spec(SUM, "mins"), spec(COUNT), spec(MAX, "mins")]
+    ),
+    "global aggregate": lambda events: GroupBySummary(
+        scan(events), [], [spec(SUM, "mins"), spec(COUNT), spec(AVG, "mins")]
+    ),
+    "having": lambda events: GroupBySummary(
+        scan(events).select(attr_cmp("mins", ">", 1)),
+        ["acct"],
+        [spec(SUM, "mins", "total"), spec(COUNT, None, "n")],
+        having=attr_cmp("total", ">", 9),
+    ),
+    "projection": lambda events: ProjectSummary(
+        scan(events).select(attr_cmp("mins", ">", 2)), ["acct", "kind"]
+    ),
+}
+
+STATE_INDEXES = {
+    # order 4: a few dozen keys already make a tree three levels deep.
+    "btree": lambda: BPlusTree(order=4, unique=True),
+    "hash": lambda: HashIndex(unique=True),
+}
+
+# Few accounts and kinds: keys repeat inside one batch, and most batches
+# mix keys the view already holds with keys it has never seen.
+_record = st.tuples(st.integers(0, 11), st.integers(0, 2), st.integers(0, 9))
+_batches = st.lists(st.lists(_record, max_size=8), min_size=1, max_size=8)
+
+
+def _rows_and_state(view):
+    """Visible rows and exported state, both order-free."""
+    return (
+        sorted(row.values for row in view.relation.rows()),
+        sorted(view.state_export()),
+    )
+
+
+def _assert_no_slot(view):
+    for key, state in view.state_export():
+        assert isinstance(key, tuple)
+        if isinstance(view.summary, GroupBySummary):
+            assert type(state) is list and len(state) == len(view.summary.aggregates)
+        else:
+            assert type(state) is int
+
+
+class TestLocateOnceFold:
+    @pytest.mark.parametrize("index", sorted(STATE_INDEXES))
+    @pytest.mark.parametrize("shape", sorted(SUMMARY_SHAPES))
+    @settings(max_examples=25, deadline=None)
+    @given(batches=_batches)
+    def test_equals_oracle_after_every_fold(self, shape, index, batches):
+        group = ChronicleGroup("g")
+        events = group.create_chronicle(
+            "events", [("acct", "INT"), ("kind", "INT"), ("mins", "INT"), ("uid", "INT")]
+        )
+        summary = SUMMARY_SHAPES[shape](events)
+        new_index = STATE_INDEXES[index]
+        view = PersistentView("v", summary, state_index=new_index())
+        # A worker/parent pair: the worker folds the same deltas and hands
+        # out what it touched, the parent only ever absorbs that.
+        worker = PersistentView("w", summary, state_index=new_index())
+        worker.record_touched()
+        parent = PersistentView("p", summary, state_index=new_index())
+        attach_view(view, group)
+        attach_view(worker, group)
+        uid = 0
+        for batch in batches:
+            exported_before = view.state_export()
+            frozen = copy.deepcopy(exported_before)
+            records = []
+            for acct, kind, mins in batch:
+                uid += 1
+                records.append({"acct": acct, "kind": kind, "mins": mins, "uid": uid})
+            if records:
+                group.append(events, records)
+            else:
+                assert view.apply_delta(Delta.empty(summary.expression.schema)) == 0
+                assert worker.apply_delta(Delta.empty(summary.expression.schema)) == 0
+            # The fold equals the batch oracle over the stored history.
+            assert view.to_table() == evaluate_summary(summary)
+            assert len(view.relation) == len(view.state_export())
+            # Exported items are copies without the slot ...
+            assert exported_before == frozen
+            _assert_no_slot(view)
+            # ... from which an import rebuilds rows and state exactly.
+            clone = PersistentView("c", summary, state_index=new_index())
+            clone.state_import(view.state_export())
+            assert _rows_and_state(clone) == _rows_and_state(view)
+            assert clone.to_table() == view.to_table()
+            # Absorbing the worker's touched items equals folding the delta.
+            parent.absorb_states(worker.take_touched())
+            assert _rows_and_state(parent) == _rows_and_state(view)
+            assert worker.take_touched() == []
+
+    def test_counts_one_descent_per_distinct_key(self):
+        group = ChronicleGroup("g")
+        events = group.create_chronicle("events", [("acct", "INT"), ("mins", "INT")])
+        aggregates = [spec(SUM, "mins"), spec(COUNT), spec(AVG, "mins")]
+        summary = GroupBySummary(scan(events), ["acct"], aggregates)
+        tree = BPlusTree(order=4, unique=True)
+        view = PersistentView("v", summary, state_index=tree)
+        schema = summary.expression.schema
+
+        def delta(sn, accts):
+            return Delta(
+                schema,
+                [Row.unchecked(schema, (sn, acct, i)) for i, acct in enumerate(accts)],
+            )
+
+        view.apply_delta(delta(1, range(200)))
+        depth = tree.depth
+        assert depth >= 3
+        accts = [7, 150, 7, 42, 150, 7, 99, 42]  # n = 8 rows over k = 4 keys
+        with GLOBAL_COUNTERS.scope() as cost:
+            assert view.apply_delta(delta(2, accts)) == 8
+        assert cost.counts["tuple_op"] == 8
+        assert cost.counts["aggregate_step"] == 8 * len(aggregates)
+        assert cost.counts["index_lookup"] == 4
+        assert cost.counts["index_probe"] == 4 * depth
+        assert cost.counts["view_read"] == cost.counts["chronicle_read"] == 0
+        with GLOBAL_COUNTERS.disabled():
+            with GLOBAL_COUNTERS.scope() as silent:
+                view.apply_delta(delta(3, accts))
+        assert not any(silent.counts.values())
+        assert view.value((7,), "count") == 1 + 3 + 3

@@ -163,7 +163,7 @@ class TestTheorem44:
         attach_view(view, group)
         for i in range(1000):
             group.append(calls, {"acct": i % 37, "mins": 1})
-        assert len(view._state) == len(view) == 37
+        assert len(view.state_export()) == len(view) == 37
 
 
 class TestProposition31AndTheorem43:
