@@ -1,12 +1,12 @@
 """Shared BENCH_*.json result files: schema v2 with machine fingerprint.
 
-Benchmark history files at the repository root (``BENCH_e12.json``,
-``BENCH_e13.json``) share one envelope so every experiment's trajectory
+Benchmark history files at the repository root (``BENCH_e13.json``,
+``BENCH_e14.json``) share one envelope so every experiment's trajectory
 reads the same way::
 
     {
       "schema": 2,
-      "experiment": "E12 compiled maintenance plans",
+      "experiment": "E14 sharded maintenance",
       "runs": [
         {
           "timestamp": "2026-08-06T12:00:00",
@@ -21,10 +21,9 @@ Absolute numbers are machine-dependent, so every run carries a machine
 fingerprint — a regression hunt can then split the history by machine
 instead of chasing a "regression" that is really a hardware change.
 
-Schema v1 files (no ``"schema"`` key — the PR-1 era ``BENCH_e12.json``)
-are migrated in place on load: the envelope gains ``"schema": 2`` and
-old runs are kept verbatim (they simply lack ``machine``/``trials``,
-which readers must treat as unknown).
+Schema v1 files (no ``"schema"`` key) are migrated in place on load: the
+envelope gains ``"schema": 2`` and old runs are kept verbatim (they simply
+lack ``machine``/``trials``, which readers must treat as unknown).
 """
 
 import json

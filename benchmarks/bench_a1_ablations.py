@@ -6,10 +6,12 @@ Three knobs DESIGN.md calls out, each measured on/off:
    locate, ordered scans) vs unique hash index (expected O(1), no
    ordered access).  Expected: the hash index wins on probes by the
    log factor, B+-tree probes grow with log |V|.
-2. **per-event delta sharing** — N views built over one *shared*
-   filtered-scan subtree, maintained with and without the registry's
-   delta cache.  Expected: without sharing the selection runs N times
-   per append; with sharing once.
+2. **per-event delta sharing** — N views, each built independently
+   over a structurally equal filtered scan, maintained each by its own
+   standalone plan (``attach_view``: no registry, nothing shared) vs by
+   one registry, whose interner merges the N subtrees into one node with
+   one delta per event.  Expected: without sharing the selection runs N
+   times per append; with sharing once.
 3. **compiler selection pushdown** — the same selective joined view
    compiled with the chronicle-conjunct pushdown enabled (normal) vs
    simulated off (selection above the join), measured by the §5.2
@@ -61,14 +63,15 @@ def _state_index_probes(groups, use_hash):
 
 def _sharing_work(view_count, share):
     group, calls = make_group(retention=0)
-    shared = scan(calls).select(attr_cmp("mins", ">=", 0))
     registry = ViewRegistry(prefilter=False)
     registry.attach(group)
     for index in range(view_count):
-        node = shared if share else scan(calls).select(attr_cmp("mins", ">=", 0))
-        registry.register(
-            PersistentView(f"v{index}", GroupBySummary(node, ["acct"], [spec(COUNT)]))
-        )
+        node = scan(calls).select(attr_cmp("mins", ">=", 0))
+        view = PersistentView(f"v{index}", GroupBySummary(node, ["acct"], [spec(COUNT)]))
+        if share:
+            registry.register(view)
+        else:
+            attach_view(view, group)
     group.append(calls, {"acct": 0, "mins": 1})  # warm up
     with GLOBAL_COUNTERS.measure() as cost:
         group.append(calls, {"acct": 1, "mins": 1})

@@ -27,7 +27,7 @@ Expected shape: sharded(4) >= 2.5x serial; sharded(2) >= 1.5x; and
 sharded(1) — coalescing alone, no fan-out — already well above 1x,
 showing where the win comes from.  ``gate()`` persists the numbers to
 ``BENCH_e14.json`` (schema v2, see ``_results.py``) and applies the
-noise-aware regression gate of ``check_regression.py``: median of
+noise-aware regression gate: median of
 TRIALS with an MAD band against the best recorded speedup.
 
 Environment knobs: ``E14_SHARDS`` selects the gated shard count
@@ -196,8 +196,7 @@ def run_report() -> str:
 def gate(shards=None) -> int:
     """Measure TRIALS times, record BENCH_e14.json, gate on the median.
 
-    Returns a process exit status (0 ok, 1 regression) — the E14
-    counterpart of ``check_regression.py``, noise-aware the same way:
+    Returns a process exit status (0 ok, 1 regression).  Noise-aware:
     the acceptance bar uses the median speedup, and a drop against the
     best recorded run only fails when it also clears an MAD band of
     this run's own trial spread.

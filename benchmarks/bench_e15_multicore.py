@@ -31,7 +31,7 @@ and a hard failure there would just teach people to ignore the gate.
 machine fingerprint's ``cpus`` plus the payload's ``executor``/
 ``workers`` keep single-core and multi-core history separate — see
 ``comparable_runs`` in ``_results.py``) and applies the same
-median/MAD noise policy as E12/E14.  The sharded≡serial equivalence
+median/MAD noise policy as E14.  The sharded≡serial equivalence
 check runs under the process executor even on one core.
 
 The summary table additionally reports the process executor's IPC cost

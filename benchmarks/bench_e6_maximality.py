@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from repro.algebra.ast import ChronicleProduct, NonEquiSeqJoin, scan
-from repro.algebra.delta_engine import propagate
+from repro.algebra.reference import propagate
 from repro.complexity.counters import GLOBAL_COUNTERS
 from repro.complexity.fitting import fit_series, is_flat
 from repro.complexity.harness import format_table

@@ -1,4 +1,7 @@
-"""Chronicle algebra (Definition 4.1): AST, validation, deltas, oracle."""
+"""Chronicle algebra (Definition 4.1): AST, validation, compiled delta
+plans, and the batch oracle.  The literal Theorem 4.1 rules the plans are
+tested against live in :mod:`repro.algebra.reference`, imported on purpose
+only by tests, benchmarks and the conformance profiler."""
 
 from .ast import (
     ChronicleProduct,
@@ -16,7 +19,6 @@ from .ast import (
     scan,
 )
 from .classify import Classification, IMClass, Language, classify, im_class_of, language_of
-from .delta_engine import propagate
 from .evaluate import evaluate
 from .plan import CompiledPlan, Interner, PlanCompiler, compile_predicate
 from .validate import validate_ca, validate_ca1, validate_ca_join
@@ -35,7 +37,6 @@ __all__ = [
     "ChronicleProduct",
     "NonEquiSeqJoin",
     "scan",
-    "propagate",
     "evaluate",
     "CompiledPlan",
     "Interner",

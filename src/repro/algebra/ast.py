@@ -33,7 +33,6 @@ from ..errors import (
     ChronicleGroupError,
     KeyJoinGuaranteeError,
     NotAChronicleError,
-    SchemaError,
 )
 from ..relational.predicate import Predicate
 from ..relational.schema import Attribute, Schema

@@ -1,33 +1,32 @@
 """Compiled maintenance plans: multi-query CSE + fused delta pipelines.
 
-The interpreted maintenance path (:mod:`repro.algebra.delta_engine`)
-re-dispatches on node type for every operator of every view on every
-append, and its per-event delta cache — keyed by node *identity* — only
-fires when views happen to share subexpression objects, which never
-happens for views compiled independently from text.  This module removes
-both costs, in the spirit of classic multi-query optimization [Sellis 86]
-and DBToaster-style compiled delta programs [Koch et al. 14]:
+Every persistent view is maintained by a compiled plan: the delta rules
+of the Theorem 4.1 proof (stated one operator at a time in
+:mod:`repro.algebra.reference`, the oracle the plans are tested
+against), built once per view into directly linked closures, in the
+spirit of classic multi-query optimization [Sellis 86] and
+DBToaster-style compiled delta programs [Koch et al. 14]:
 
 1. **Structural interning** (:class:`Interner`) — at registration time,
    algebra trees are rewritten bottom-up so structurally equal subtrees
    become *one shared node object*.  Two views defined independently over
    ``σ_p(scan(calls))`` end up referencing the same ``Select`` node, so a
-   per-event cache keyed by node identity now hits across views.
+   per-event cache keyed by node identity hits across views.
 
 2. **Plan compilation** (:class:`PlanCompiler`) — each view's delta
    propagation is fused into a flat closure pipeline.  Chains of
    select/project collapse into a single compiled function over raw value
    tuples (predicates are precompiled against attribute *positions*, so
    the hot loop never resolves names or allocates intermediate rows), and
-   per-node dict dispatch disappears: the plan is a tree of directly
-   linked closures.  Nodes shared between plans become explicit cache
-   points, evaluated once per append event.
+   there is no per-node dispatch: the plan is a tree of directly linked
+   closures.  Nodes shared between plans become explicit cache points,
+   evaluated once per append event.
 
-The compiler covers exactly the CA operators with Theorem 4.1 delta
-rules; anything else (the Theorem 4.3 extension operators, or operators
-added later) falls back to the interpreter via
-:func:`~repro.algebra.delta_engine.propagate`, so compiled plans are
-always available and never less general.
+Every operator compiles to a step.  The CA operators compile to their
+delta rules; the Theorem 4.3 extension operators, which have none,
+compile to a step that raises :class:`~repro.errors.ChronicleAccessError`
+— maintaining them would mean reading stored chronicle history, which
+the maintenance path never does.
 """
 
 from __future__ import annotations
@@ -36,16 +35,18 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..complexity.counters import GLOBAL_COUNTERS
 from ..core.delta import Delta
-from ..errors import AlgebraError
+from ..errors import AlgebraError, ChronicleAccessError
 from ..obs import runtime as obs_runtime
 from ..relational.predicate import And, Comparison, Not, Or, Predicate, TruePredicate
 from ..relational.schema import Attribute, Schema
 from ..relational.tuples import Row
 from .ast import (
+    ChronicleProduct,
     ChronicleScan,
     Difference,
     GroupBySeq,
     Node,
+    NonEquiSeqJoin,
     Project,
     RelKeyJoin,
     RelProduct,
@@ -53,7 +54,6 @@ from .ast import (
     SeqJoin,
     Union,
 )
-from .delta_engine import propagate
 
 #: A compiled delta step: (event deltas, per-event cache) → node delta.
 PlanFn = Callable[[Mapping[str, Delta], Dict[int, Delta]], Delta]
@@ -116,6 +116,8 @@ class Interner:
 
     def __init__(self) -> None:
         self._table: Dict[Tuple[Any, ...], Node] = {}
+        # id(canonical node) → its table key, so release() finds the entry.
+        self._keys: Dict[int, Tuple[Any, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._table)
@@ -128,7 +130,20 @@ class Interner:
         if canonical is None:
             canonical = self._rebuild(node, children)
             self._table[key] = canonical
+            self._keys[id(canonical)] = key
         return canonical
+
+    def release(self, node: Node) -> None:
+        """Forget the canonical *node*: nothing references it any more.
+
+        Keys name children, chronicles and relations by ``id``; the table
+        entry is what keeps those objects (and so their ids) alive, so a
+        node is released only once every node built on it has been —
+        :meth:`PlanCompiler.remove_root` guarantees that order.
+        """
+        key = self._keys.pop(id(node), None)
+        if key is not None:
+            del self._table[key]
 
     @staticmethod
     def _key(node: Node, children: Tuple[Node, ...]) -> Tuple[Any, ...]:
@@ -311,19 +326,13 @@ class CompiledPlan:
     returns the delta of the view's χ expression.  The cache is shared by
     every plan of a registry, so interned nodes referenced by several
     plans are evaluated once per event.
-
-    Every plan also *declares its partition key*: :attr:`partition` is
-    either a :class:`PartitionSpec` (the view's maintenance can be
-    hash-partitioned by those base attributes, see
-    :mod:`repro.parallel`) or the :data:`UNPARTITIONABLE` sentinel.
     """
 
-    __slots__ = ("root", "_fn", "partition")
+    __slots__ = ("root", "_fn")
 
-    def __init__(self, root: Node, fn: PlanFn, partition: Any = None) -> None:
+    def __init__(self, root: Node, fn: PlanFn) -> None:
         self.root = root
         self._fn = fn
-        self.partition = partition if partition is not None else UNPARTITIONABLE
 
     def __call__(
         self, deltas: Mapping[str, Delta], cache: Optional[Dict[int, Delta]] = None
@@ -363,8 +372,11 @@ class PlanCompiler:
             remaining = self._refs.get(id(node), 0) - 1
             if remaining > 0:
                 self._refs[id(node)] = remaining
-            else:
-                self._refs.pop(id(node), None)
+            elif self._refs.pop(id(node), None) is not None:
+                # A root contains every node under it, so a parent's count
+                # reaches zero no later than its children's: no surviving
+                # table key can name the node released here.
+                self.interner.release(node)
 
     def is_shared(self, node: Node) -> bool:
         """Whether *node* is referenced from more than one place."""
@@ -372,15 +384,10 @@ class PlanCompiler:
 
     # -- compilation -----------------------------------------------------------------
 
-    def compile(self, root: Node, partition: Any = None) -> CompiledPlan:
-        """Compile the (interned) *root* into a flat delta program.
-
-        *partition* is the plan's partition declaration (a
-        :class:`PartitionSpec` or :data:`UNPARTITIONABLE`), usually the
-        result of :func:`infer_partition` on the view's summary.
-        """
+    def compile(self, root: Node) -> CompiledPlan:
+        """Compile the (interned) *root* into a flat delta program."""
         GLOBAL_COUNTERS.count("plan_compile")
-        return CompiledPlan(root, self._step(root), partition=partition)
+        return CompiledPlan(root, self._step(root))
 
     def _step(self, node: Node) -> PlanFn:
         fn = self._step_inner(node)
@@ -437,10 +444,9 @@ class PlanCompiler:
             return self._compile_rel_product(node)
         if isinstance(node, RelKeyJoin):
             return self._compile_rel_key_join(node)
-        # Extension operators (and future node types): interpreter fallback.
-        # The per-event cache is id-keyed in both engines, so sharing still
-        # works across the boundary.
-        return lambda deltas, cache: propagate(node, deltas, cache=cache)
+        if isinstance(node, (ChronicleProduct, NonEquiSeqJoin)):
+            return self._compile_extension(node)
+        raise TypeError(f"no delta rule for {type(node).__name__}")
 
     @staticmethod
     def _compile_scan(node: ChronicleScan) -> PlanFn:
@@ -453,25 +459,47 @@ class PlanCompiler:
 
         return scan_step
 
+    @staticmethod
+    def _compile_extension(node: Node) -> PlanFn:
+        """Theorem 4.3: the operator has no delta rule over deltas alone.
+
+        The step raises before computing its operands, so a plan
+        containing it reads nothing — not even the event's deltas.
+        """
+        message = (
+            f"maintaining {type(node).__name__} requires reading stored "
+            f"chronicle history (Theorem 4.3); it is outside CA"
+        )
+
+        def extension_step(deltas: Mapping[str, Delta], cache: Dict[int, Delta]) -> Delta:
+            raise ChronicleAccessError(message)
+
+        return extension_step
+
+    def fused_chain(self, node: Node) -> Tuple[List[Node], Node]:
+        """The select/project chain headed by *node*, and the chain's input.
+
+        The chain extends downward through unary select/project nodes
+        until it hits a sharing point or any other operator; that node is
+        the pipeline's input.  Compilation and EXPLAIN both fuse by this
+        walk, so a described step is a compiled step.
+        """
+        chain: List[Node] = [node]
+        child = node.children[0]
+        while isinstance(child, (Select, Project)) and not self.is_shared(child):
+            chain.append(child)
+            child = child.children[0]
+        return chain, child
+
     def _compile_pipeline(self, node: Node) -> PlanFn:
         """Fuse a select/project chain into one compiled loop.
 
-        The chain extends downward through unary select/project nodes
-        until it hits a sharing point or a non-unary operator; that child
-        becomes the pipeline's input.  Predicates are compiled against
-        base-tuple positions by threading projections' position maps, so
-        the loop touches only raw value tuples.
+        Predicates are compiled against base-tuple positions by threading
+        projections' position maps, so the loop touches only raw value
+        tuples.
         """
-        chain: List[Node] = [node]
-        cursor = node
-        while True:
-            child = cursor.children[0]
-            if isinstance(child, (Select, Project)) and not self.is_shared(child):
-                chain.append(child)
-                cursor = child
-            else:
-                break
-        base_fn = self._step(cursor.children[0])
+        chain, source = self.fused_chain(node)
+        base_fn = self._step(source)
         out_schema = node.schema
 
         perm: Optional[Tuple[int, ...]] = None  # base positions of current attrs
@@ -730,6 +758,17 @@ class PlanCompiler:
         return rel_key_join_step
 
 
+def standalone_plan(expression: Node) -> CompiledPlan:
+    """Compile *expression* on its own, sharing with no other view.
+
+    What maintains a view that no registry owns: a periodic view set's
+    interval views (one plan for the whole set) and a single view wired
+    straight to a group.
+    """
+    compiler = PlanCompiler()
+    return compiler.compile(compiler.add_root(expression))
+
+
 # ---------------------------------------------------------------------------
 # Plan description (EXPLAIN)
 # ---------------------------------------------------------------------------
@@ -808,46 +847,25 @@ def _describe_op(node: Node) -> str:
     return ""
 
 
-def describe_plan(root: Node, compiler: Optional[PlanCompiler] = None) -> PlanNode:
-    """Describe the plan the compiler would build for *root*.
+def describe_plan(root: Node, compiler: PlanCompiler) -> PlanNode:
+    """Describe the plan *compiler* builds for the (interned) *root*.
 
-    With a *compiler* (the registry's, holding the interner refcounts),
-    the description mirrors compiled structure: select/project chains
-    fuse into their head node, and sharing points carry their reference
-    counts.  Without one — the interpreted engine — every expression
-    node maps to its own described node (which matches the interpreter's
-    one-``delta``-span-per-node behaviour).
+    The description has the compiled structure: a select/project chain is
+    one node (:meth:`PlanCompiler.fused_chain`, the walk compilation
+    itself uses), and sharing points carry their reference counts.
     """
-    kind = type(root).__name__
-    shared = compiler.is_shared(root) if compiler is not None else False
-    refs = compiler._refs.get(id(root), 1) if compiler is not None else 1
-
-    if compiler is not None and isinstance(root, (Select, Project)):
-        # Mirror _compile_pipeline's chain walk exactly.
-        chain: List[Node] = [root]
-        cursor: Node = root
-        while True:
-            child = cursor.children[0]
-            if isinstance(child, (Select, Project)) and not compiler.is_shared(child):
-                chain.append(child)
-                cursor = child
-            else:
-                break
-        return PlanNode(
-            kind,
-            detail=_describe_op(root),
-            fused=[_describe_op(op) for op in chain[1:]],
-            shared=shared,
-            refs=refs,
-            children=[describe_plan(cursor.children[0], compiler)],
-        )
-
+    if isinstance(root, (Select, Project)):
+        chain, source = compiler.fused_chain(root)
+        children = [source]
+    else:
+        chain, children = [root], root.children
     return PlanNode(
-        kind,
+        type(root).__name__,
         detail=_describe_op(root),
-        shared=shared,
-        refs=refs,
-        children=[describe_plan(child, compiler) for child in root.children],
+        fused=[_describe_op(op) for op in chain[1:]],
+        shared=compiler.is_shared(root),
+        refs=compiler._refs.get(id(root), 1),
+        children=[describe_plan(child, compiler) for child in children],
     )
 
 

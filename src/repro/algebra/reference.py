@@ -1,4 +1,4 @@
-"""Delta propagation: the incremental heart of the chronicle model.
+"""The reference delta rules: Theorem 4.1, interpreted literally.
 
 Given an append event (one :class:`~repro.core.delta.Delta` per touched
 base chronicle), :func:`propagate` computes the delta of any chronicle-
@@ -23,16 +23,22 @@ and space depend only on the delta and the relations (Theorem 4.2).  The
 two extension operators (chronicle product, non-equijoin) have no such
 rule — their deltas are computed, when explicitly permitted, by consulting
 the *stored* chronicles, which is exactly why Theorem 4.3 excludes them.
+
+This module maintains nothing.  Views are maintained by the compiled
+plans of :mod:`repro.algebra.plan`; this tree walk is the oracle they are
+tested against (one rule per operator, one ``tuple_op`` per rule
+application) and the only code that can measure what the extension
+operators cost (benchmarks E5/E6, :func:`repro.obs.conformance
+.certify_expression`).  Nothing else under ``repro`` imports it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, MutableMapping, Optional
+from typing import Any, Dict, List, Mapping
 
 from ..complexity.counters import GLOBAL_COUNTERS
 from ..core.delta import Delta
 from ..errors import ChronicleAccessError
-from ..obs import runtime as obs_runtime
 from ..relational.tuples import Row
 from .ast import (
     ChronicleProduct,
@@ -48,21 +54,13 @@ from .ast import (
     SeqJoin,
     Union,
 )
-
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "!=": lambda a, b: a != b,
-}
+from .evaluate import _OPS, evaluate
 
 
 def propagate(
     node: Node,
     deltas: Mapping[str, Delta],
     allow_chronicle_access: bool = False,
-    cache: Optional[MutableMapping[int, Delta]] = None,
 ) -> Delta:
     """Compute the delta of *node* for one append event.
 
@@ -75,56 +73,27 @@ def propagate(
         name; chronicles not in the mapping did not change.
     allow_chronicle_access:
         Permit the extension operators (outside CA) to read stored
-        chronicle history.  Never set on the maintenance path — it exists
-        so the Theorem 4.3 benchmarks can measure the cost CA avoids.
-    cache:
-        Optional per-event memo: node identity → its delta.  When several
-        views share subexpression *objects* (e.g. a common filtered scan
-        built once and reused), passing one cache per event computes each
-        shared node's delta once.  The registry does this automatically.
+        chronicle history, so the Theorem 4.3 benchmarks can measure the
+        cost CA avoids.
     """
-    if cache is not None:
-        memo = cache.get(id(node))
-        if memo is not None:
-            GLOBAL_COUNTERS.count("delta_cache_hit")
-            return memo
     handler = _HANDLERS.get(type(node))
     if handler is None:
         raise TypeError(f"no delta rule for {type(node).__name__}")
-    obs = obs_runtime.ACTIVE
-    if obs is not None and obs.trace_operators:
-        # Mirror of the compiled engine's per-step ``delta`` spans, so
-        # traces look the same whichever engine maintains a view.
-        tracer = obs.tracer
-        span = tracer.start(
-            "delta", operator=type(node).__name__, engine="interpreted"
-        )
-        try:
-            result = handler(node, deltas, allow_chronicle_access, cache)
-            span.attrs["rows"] = len(result.rows)
-        finally:
-            tracer.finish(span)
-    else:
-        result = handler(node, deltas, allow_chronicle_access, cache)
-    if cache is not None:
-        cache[id(node)] = result
-    return result
+    return handler(node, deltas, allow_chronicle_access)
 
 
 # -- CA rules ---------------------------------------------------------------------
 
 
-def _scan(node: ChronicleScan, deltas: Mapping[str, Delta], _: bool,
-          cache: Optional[MutableMapping[int, Delta]] = None) -> Delta:
+def _scan(node: ChronicleScan, deltas: Mapping[str, Delta], _: bool) -> Delta:
     delta = deltas.get(node.chronicle.name)
     if delta is None:
         return Delta.empty(node.schema)
     return delta
 
 
-def _select(node: Select, deltas: Mapping[str, Delta], access: bool,
-          cache: Optional[MutableMapping[int, Delta]] = None) -> Delta:
-    child = propagate(node.child, deltas, access, cache)
+def _select(node: Select, deltas: Mapping[str, Delta], access: bool) -> Delta:
+    child = propagate(node.child, deltas, access)
     rows = []
     for row in child.rows:
         GLOBAL_COUNTERS.count("tuple_op")
@@ -133,9 +102,8 @@ def _select(node: Select, deltas: Mapping[str, Delta], access: bool,
     return Delta(node.schema, rows)
 
 
-def _project(node: Project, deltas: Mapping[str, Delta], access: bool,
-          cache: Optional[MutableMapping[int, Delta]] = None) -> Delta:
-    child = propagate(node.child, deltas, access, cache)
+def _project(node: Project, deltas: Mapping[str, Delta], access: bool) -> Delta:
+    child = propagate(node.child, deltas, access)
     rows = []
     for row in child.rows:
         GLOBAL_COUNTERS.count("tuple_op")
@@ -143,20 +111,18 @@ def _project(node: Project, deltas: Mapping[str, Delta], access: bool,
     return Delta(node.schema, rows)
 
 
-def _union(node: Union, deltas: Mapping[str, Delta], access: bool,
-          cache: Optional[MutableMapping[int, Delta]] = None) -> Delta:
-    left = propagate(node.left, deltas, access, cache)
-    right = propagate(node.right, deltas, access, cache)
+def _union(node: Union, deltas: Mapping[str, Delta], access: bool) -> Delta:
+    left = propagate(node.left, deltas, access)
+    right = propagate(node.right, deltas, access)
     GLOBAL_COUNTERS.count("tuple_op", len(left.rows) + len(right.rows))
     rows = [row.rebind(node.schema) for row in left.rows]
     rows += [row.rebind(node.schema) for row in right.rows]
     return Delta(node.schema, rows)
 
 
-def _difference(node: Difference, deltas: Mapping[str, Delta], access: bool,
-          cache: Optional[MutableMapping[int, Delta]] = None) -> Delta:
-    left = propagate(node.left, deltas, access, cache)
-    right = propagate(node.right, deltas, access, cache)
+def _difference(node: Difference, deltas: Mapping[str, Delta], access: bool) -> Delta:
+    left = propagate(node.left, deltas, access)
+    right = propagate(node.right, deltas, access)
     removed = {row.values for row in right.rows}
     rows = []
     for row in left.rows:
@@ -166,10 +132,9 @@ def _difference(node: Difference, deltas: Mapping[str, Delta], access: bool,
     return Delta(node.schema, rows)
 
 
-def _seq_join(node: SeqJoin, deltas: Mapping[str, Delta], access: bool,
-          cache: Optional[MutableMapping[int, Delta]] = None) -> Delta:
-    left = propagate(node.left, deltas, access, cache)
-    right = propagate(node.right, deltas, access, cache)
+def _seq_join(node: SeqJoin, deltas: Mapping[str, Delta], access: bool) -> Delta:
+    left = propagate(node.left, deltas, access)
+    right = propagate(node.right, deltas, access)
     if left.is_empty or right.is_empty:
         # The cross terms ΔE1 ⋈ E2_old and E1_old ⋈ ΔE2 are provably empty
         # (fresh sequence numbers cannot match old ones), so an empty side
@@ -190,9 +155,8 @@ def _seq_join(node: SeqJoin, deltas: Mapping[str, Delta], access: bool,
     return Delta(node.schema, rows)
 
 
-def _group_by_seq(node: GroupBySeq, deltas: Mapping[str, Delta], access: bool,
-          cache: Optional[MutableMapping[int, Delta]] = None) -> Delta:
-    child = propagate(node.child, deltas, access, cache)
+def _group_by_seq(node: GroupBySeq, deltas: Mapping[str, Delta], access: bool) -> Delta:
+    child = propagate(node.child, deltas, access)
     # Every group key contains the (fresh) sequence number, so the delta's
     # groups are complete, brand-new groups: aggregate them outright.
     positions = node.child.schema.positions(node.grouping)
@@ -218,9 +182,8 @@ def _group_by_seq(node: GroupBySeq, deltas: Mapping[str, Delta], access: bool,
     return Delta(node.schema, rows)
 
 
-def _rel_product(node: RelProduct, deltas: Mapping[str, Delta], access: bool,
-          cache: Optional[MutableMapping[int, Delta]] = None) -> Delta:
-    child = propagate(node.child, deltas, access, cache)
+def _rel_product(node: RelProduct, deltas: Mapping[str, Delta], access: bool) -> Delta:
+    child = propagate(node.child, deltas, access)
     if child.is_empty:
         return Delta.empty(node.schema)
     # Proactive updates guarantee the current version is the right one for
@@ -233,9 +196,8 @@ def _rel_product(node: RelProduct, deltas: Mapping[str, Delta], access: bool,
     return Delta(node.schema, rows)
 
 
-def _rel_key_join(node: RelKeyJoin, deltas: Mapping[str, Delta], access: bool,
-          cache: Optional[MutableMapping[int, Delta]] = None) -> Delta:
-    child = propagate(node.child, deltas, access, cache)
+def _rel_key_join(node: RelKeyJoin, deltas: Mapping[str, Delta], access: bool) -> Delta:
+    child = propagate(node.child, deltas, access)
     if child.is_empty:
         return Delta.empty(node.schema)
     rows = []
@@ -250,17 +212,14 @@ def _rel_key_join(node: RelKeyJoin, deltas: Mapping[str, Delta], access: bool,
 # -- extension rules (Theorem 4.3: these NEED the chronicle) -----------------------
 
 
-def _chronicle_product(node: ChronicleProduct, deltas: Mapping[str, Delta], access: bool,
-          cache: Optional[MutableMapping[int, Delta]] = None) -> Delta:
+def _chronicle_product(node: ChronicleProduct, deltas: Mapping[str, Delta], access: bool) -> Delta:
     if not access:
         raise ChronicleAccessError(
             "maintaining a chronicle-chronicle cross product requires reading "
             "stored chronicle history (Theorem 4.3); it is outside CA"
         )
-    from .evaluate import evaluate  # local import avoids a module cycle
-
-    left_delta = propagate(node.left, deltas, access, cache)
-    right_delta = propagate(node.right, deltas, access, cache)
+    left_delta = propagate(node.left, deltas, access)
+    right_delta = propagate(node.right, deltas, access)
     left_full = list(evaluate(node.left))
     right_full = list(evaluate(node.right))
     right_delta_values = {row.values for row in right_delta.rows}
@@ -280,18 +239,15 @@ def _chronicle_product(node: ChronicleProduct, deltas: Mapping[str, Delta], acce
     return Delta(node.schema, rows)
 
 
-def _non_equi_join(node: NonEquiSeqJoin, deltas: Mapping[str, Delta], access: bool,
-          cache: Optional[MutableMapping[int, Delta]] = None) -> Delta:
+def _non_equi_join(node: NonEquiSeqJoin, deltas: Mapping[str, Delta], access: bool) -> Delta:
     if not access:
         raise ChronicleAccessError(
             "maintaining a non-equijoin between chronicles requires reading "
             "stored chronicle history (Theorem 4.3); it is outside CA"
         )
-    from .evaluate import evaluate
-
     compare = _OPS[node.op]
-    left_delta = propagate(node.left, deltas, access, cache)
-    right_delta = propagate(node.right, deltas, access, cache)
+    left_delta = propagate(node.left, deltas, access)
+    right_delta = propagate(node.right, deltas, access)
     left_full = list(evaluate(node.left))
     right_full = list(evaluate(node.right))
     left_seq = node.left.schema.position(node.left.schema.sequence_attribute)

@@ -1,19 +1,13 @@
 """Database configuration: one frozen object instead of keyword sprawl.
 
-Three PRs of organic growth left :class:`~repro.core.database
-.ChronicleDatabase` accepting a grab-bag of keywords (``prefilter_views``,
-``compile_views``, ``observe``, …).  :class:`DatabaseConfig` replaces them
-with a single immutable value object that also carries the engine
-selection knobs of the sharded maintenance engine
+:class:`DatabaseConfig` is the single immutable value object a
+:class:`~repro.core.database.ChronicleDatabase` is built from; it also
+carries the engine selection knobs of the sharded maintenance engine
 (:mod:`repro.parallel`)::
 
     from repro import ChronicleDatabase, DatabaseConfig
 
     db = ChronicleDatabase(config=DatabaseConfig(engine="sharded", shards=4))
-
-The legacy keywords keep working for one release through a shim that
-emits :class:`DeprecationWarning` and maps onto the config (see
-``docs/api.md`` for the migration table).
 """
 
 from __future__ import annotations
@@ -189,8 +183,6 @@ class DatabaseConfig:
         serial shard with a warning).
     prefilter_views:
         Enable the Section 5.2 affected-view prefilter.
-    compile_views:
-        Maintain views through compiled plans (:mod:`repro.algebra.plan`).
     observe:
         Create and install an :class:`~repro.obs.Observability` handle.
     audit_mode:
@@ -225,7 +217,6 @@ class DatabaseConfig:
     shards: int = 4
     executor: str = "thread"
     prefilter_views: bool = True
-    compile_views: bool = True
     observe: bool = False
     audit_mode: str = "warn"
     slo: Optional[SloPolicy] = None

@@ -52,25 +52,6 @@ from .sequence import ChrononMapper, SequenceNumber
 
 DEFAULT_GROUP = "default"
 
-#: Sentinel distinguishing "not passed" from explicit values in the
-#: deprecated keyword shim.
-_UNSET: Any = object()
-
-
-def _resolve_config(config: Optional[DatabaseConfig], legacy: Dict[str, Any]) -> DatabaseConfig:
-    """Merge the config object with any deprecated legacy keywords."""
-    used = {name: value for name, value in legacy.items() if value is not _UNSET}
-    if used:
-        warnings.warn(
-            f"ChronicleDatabase keyword(s) {sorted(used)} are deprecated; "
-            f"pass config=DatabaseConfig(...) instead (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if config is None:
-        config = DatabaseConfig()
-    return config.replace(**used) if used else config
-
 
 class ChronicleDatabase:
     """A chronicle database system (C, R, L, V).
@@ -87,11 +68,6 @@ class ChronicleDatabase:
         (implies ``config.observe``).  Note the runtime slot is
         process-wide, like ``GLOBAL_COUNTERS``: the installed instance
         observes every database in the process.
-    prefilter_views, compile_views, aggregates, observe:
-        **Deprecated** keyword shims for the pre-config API; each maps
-        onto the config field of the same name and emits a
-        :class:`DeprecationWarning` (see ``docs/api.md`` for the
-        migration table).
     """
 
     def __new__(cls, config: Optional[DatabaseConfig] = None, **kwargs: Any) -> "ChronicleDatabase":
@@ -110,27 +86,14 @@ class ChronicleDatabase:
         config: Optional[DatabaseConfig] = None,
         *,
         observability: Optional[Observability] = None,
-        prefilter_views: Any = _UNSET,
-        compile_views: Any = _UNSET,
-        aggregates: Any = _UNSET,
-        observe: Any = _UNSET,
     ) -> None:
-        config = _resolve_config(
-            config,
-            {
-                "prefilter_views": prefilter_views,
-                "compile_views": compile_views,
-                "aggregates": aggregates,
-                "observe": observe,
-            },
-        )
+        if config is None:
+            config = DatabaseConfig()
         #: The database's immutable configuration.
         self.config = config
         self.groups: Dict[str, ChronicleGroup] = {}
         self.relations: Dict[str, VersionedRelation] = {}
-        self.registry = ViewRegistry(
-            prefilter=config.prefilter_views, compile=config.compile_views
-        )
+        self.registry = ViewRegistry(prefilter=config.prefilter_views)
         self.aggregates = (
             config.aggregates if config.aggregates is not None else default_registry()
         )
@@ -629,19 +592,6 @@ class ChronicleDatabase:
     def view_row(self, name: str, key: Sequence[Any]) -> Optional[Row]:
         """Summary query: the view row at *key* — no chronicle access."""
         return self.view(name).lookup(key)
-
-    def query_view(self, name: str, key: Sequence[Any]) -> Optional[Row]:
-        """Deprecated alias of :meth:`view_row`.
-
-        Renamed for consistency with :meth:`view_value` (both are
-        summary-key point queries); retained for one release.
-        """
-        warnings.warn(
-            "ChronicleDatabase.query_view() is deprecated; use view_row()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.view_row(name, key)
 
     def view_value(self, name: str, key: Sequence[Any], output: str) -> Any:
         """Summary query returning a single output attribute."""

@@ -43,7 +43,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.classify import IMClass, Language, classify
-from ..algebra.delta_engine import propagate
+from ..algebra.reference import propagate
 from ..complexity.counters import GLOBAL_COUNTERS
 from ..complexity.fitting import classify_growth, median
 from ..core.delta import Delta
@@ -317,7 +317,6 @@ class ConformanceProfiler:
             if record_factory is not None
             else schema_record_factory(driver_chronicle.schema)
         )
-        engine = "compiled" if self.db.registry.compile else "interpreted"
         sweeps: List[SweepVerdict] = [
             self._sweep_chronicle(view, driver, driver_chronicle, factory, c_sizes)
         ]
@@ -336,7 +335,7 @@ class ConformanceProfiler:
             view=name,
             language=view.language,
             claimed=view.im_class,
-            engine=engine,
+            engine="compiled",
             sweeps=sweeps,
             samples=self.samples,
         )
@@ -514,7 +513,9 @@ def certify_expression(
     and friends — cannot become :class:`PersistentView`\\ s (the
     constructor refuses them, Theorem 4.3), so the registry path above
     can never measure them.  This function drives their delta step
-    directly: *grow* (default: *driver*) is the chronicle whose stored
+    directly, through the reference rules of
+    :mod:`repro.algebra.reference` (the compiled step of an extension
+    operator only raises): *grow* (default: *driver*) is the chronicle whose stored
     history is swept, *driver* receives the per-sample append whose delta
     is propagated through *expression* under a thread-local counter
     scope.  The |C| sweep's expectation is always ``constant`` — the
@@ -567,7 +568,7 @@ def certify_expression(
         view=name if name is not None else f"<{type(expression).__name__}>",
         language=classification.language,
         claimed=classification.im_class,
-        engine="interpreted",
+        engine="reference",
         sweeps=[sweep],
         samples=samples,
     )

@@ -16,7 +16,7 @@ window — synthesized records appended through the normal ingest path
 under a private :class:`~repro.obs.core.Observability` handle — and
 annotates every operator with measured calls, output rows, wall time
 (mean/p99), the Theorem-4.2 work measure, and delta-cache hits, all
-read from the ``maintain``/``delta`` span trees the engines emit.
+read from the ``maintain``/``delta`` span trees maintenance emits.
 Measured spans are matched to described nodes *structurally*, by the
 engine-prefixed operator-kind path (the same "shape" key the
 :class:`~repro.obs.costmodel.CostLedger` aggregates by), so EXPLAIN
@@ -24,9 +24,7 @@ output, ledger rows, and span trees all line up.
 
 Both forms work on the serial engine and on sharded databases (a
 partitioned view is described from one shard's registry — every shard
-compiles the same plan).  Interpreted registries are described from the
-raw expression tree, which matches the interpreter's one-span-per-node
-tracing.
+compiles the same plan).
 """
 
 from __future__ import annotations
@@ -361,15 +359,8 @@ def explain(db: Any, name: str) -> ExplainReport:
     registry, note = _locate_registry(db, name)
     registered = registry._views[name]
     view = registered.view
-    compiler = registry._compiler
-    if compiler is not None:
-        registry.ensure_compiled()
-        root = registered.root
-        engine = "compiled"
-    else:
-        root = view.expression
-        engine = "interpreted"
-    plan = describe_plan(root, compiler)
+    registry.ensure_compiled()
+    plan = describe_plan(registered.root, registry._compiler)
     dispatch = {
         # No conjunction = an unfiltered scan: one always-entry with no test.
         chronicle: [_describe_dispatch(p) for p in predicates] or [{}]
@@ -379,7 +370,7 @@ def explain(db: Any, name: str) -> ExplainReport:
     im_class = getattr(view, "im_class", None)
     return ExplainReport(
         view=name,
-        engine=engine,
+        engine="compiled",
         plan=plan,
         language=getattr(language, "value", None),
         im_class=getattr(im_class, "value", None),

@@ -1,8 +1,7 @@
 """The process-wide observability handle and its no-op fast path.
 
 Instrumentation hooks are compiled into the hot paths of the library
-(append admission, view routing, compiled plan steps, the interpreted
-delta engine).  They must cost nothing when observability is off, so the
+(append admission, view routing, compiled plan steps).  They must cost nothing when observability is off, so the
 contract is deliberately primitive: a single module-level :data:`ACTIVE`
 slot holding either ``None`` (disabled — the default) or the installed
 :class:`~repro.obs.core.Observability` instance.  Every hook reduces to

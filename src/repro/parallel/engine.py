@@ -203,7 +203,6 @@ class ShardUnit:
         index: int,
         label: str,
         source_group: ChronicleGroup,
-        compile_plans: bool,
     ) -> None:
         self.index = index
         self.label = label
@@ -213,7 +212,7 @@ class ShardUnit:
         # would re-scan the whole event per view only to say "yes".  The
         # prefilter stays on the serial registry, where per-batch events
         # are small and most views are untouched.
-        self.registry = ViewRegistry(prefilter=False, compile=compile_plans)
+        self.registry = ViewRegistry(prefilter=False)
         self.group.subscribe(self.registry.on_event)
         self.lock = RLock()
         #: Highest sequence number this shard has absorbed (-1 initially).
@@ -467,7 +466,6 @@ class ShardUnit:
             )
             return ShardUnitSpec(
                 self.label,
-                self.registry.compile,
                 chronicles,
                 views,
                 self.watermark,
@@ -504,15 +502,13 @@ class ShardGroup:
         spec: PartitionSpec,
         source_group: ChronicleGroup,
         shards: int,
-        compile_plans: bool,
     ) -> None:
         self.name = name
         self.spec = spec
         self.source_group = source_group
         self.router = ShardRouter(spec, shards)
         self.units: List[ShardUnit] = [
-            ShardUnit(i, f"{name}:{i}", source_group, compile_plans)
-            for i in range(shards)
+            ShardUnit(i, f"{name}:{i}", source_group) for i in range(shards)
         ]
         self.views: Dict[str, Summary] = {}
 
@@ -1135,8 +1131,8 @@ class ShardedDatabase(ChronicleDatabase):
     :class:`ShardGroup` units and is read through :class:`MergedView`.
     """
 
-    def __init__(self, config: Any = None, **legacy: Any) -> None:
-        super().__init__(config=config, **legacy)
+    def __init__(self, config: Any = None, *, observability: Any = None) -> None:
+        super().__init__(config=config, observability=observability)
         if self.config.engine != "sharded":
             self.config = self.config.replace(engine="sharded")
         self._maintainer = ParallelMaintainer(
@@ -1203,11 +1199,7 @@ class ShardedDatabase(ChronicleDatabase):
         shard_group = self._shard_groups.get(key)
         if shard_group is None:
             shard_group = ShardGroup(
-                f"kc{len(self._shard_groups)}",
-                spec,
-                source_group,
-                self.config.shards,
-                compile_plans=self.config.compile_views,
+                f"kc{len(self._shard_groups)}", spec, source_group, self.config.shards
             )
             self._shard_groups[key] = shard_group
         return shard_group

@@ -102,13 +102,11 @@ class ShardUnitSpec:
     def __init__(
         self,
         label: str,
-        compile_plans: bool,
         chronicles: ChronicleSpecs,
         views: ViewSpecs,
         watermark: SequenceNumber,
     ) -> None:
         self.label = label
-        self.compile_plans = compile_plans
         self.chronicles = chronicles
         self.views = views
         self.watermark = watermark
@@ -275,7 +273,7 @@ class UnitReplica:
     def __init__(self, spec: ShardUnitSpec) -> None:
         self.label = spec.label
         self.group = ChronicleGroup(f"{spec.label}::replica", start=spec.watermark + 1)
-        self.registry = ViewRegistry(prefilter=False, compile=spec.compile_plans)
+        self.registry = ViewRegistry(prefilter=False)
         self.group.subscribe(self.registry.on_event)
         self.watermark: SequenceNumber = spec.watermark
         self.ensure_chronicles(spec.chronicles)

@@ -39,7 +39,6 @@ from .ast import (
     Literal,
     NotExpr,
     OrExpr,
-    SelectItem,
     SelectStatement,
     ViewDefinition,
 )

@@ -1,6 +1,6 @@
 """Summarized chronicle algebra (Definition 4.3) and persistent views."""
 
-from .maintenance import attach_view, event_deltas, maintain_views
+from .maintenance import attach_view, event_deltas
 from .summarize import GroupBySummary, ProjectSummary, Summary
 from .view import PersistentView, evaluate_summary
 
@@ -12,5 +12,4 @@ __all__ = [
     "evaluate_summary",
     "attach_view",
     "event_deltas",
-    "maintain_views",
 ]

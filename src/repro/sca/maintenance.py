@@ -11,7 +11,7 @@ filtering (Section 5.2).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 from ..core.delta import Delta
 from ..core.group import ChronicleGroup
@@ -31,21 +31,14 @@ def event_deltas(
     return deltas
 
 
-def maintain_views(
-    views: Iterable[PersistentView], deltas: Mapping[str, Delta]
-) -> int:
-    """Apply one event's deltas to several views; returns rows folded."""
-    folded = 0
-    for view in views:
-        folded += view.apply_event(deltas)
-    return folded
-
-
 def attach_view(
     view: PersistentView, group: ChronicleGroup
 ) -> Callable[[ChronicleGroup, Dict[str, Tuple[Row, ...]]], None]:
     """Subscribe a single view to a group's append events.
 
+    The view maintains itself through its own compiled plan
+    (:meth:`PersistentView.apply_event`); sharing subexpressions across
+    views needs the :class:`~repro.views.registry.ViewRegistry`.
     Returns the listener so callers can later
     :meth:`~repro.core.group.ChronicleGroup.unsubscribe` it.
     """
@@ -56,49 +49,10 @@ def attach_view(
             return
         obs = obs_runtime.ACTIVE
         if obs is not None and obs.trace:
-            with obs.tracer.span(
-                "maintain", view=view.name, engine="interpreted"
-            ) as span:
+            with obs.tracer.span("maintain", view=view.name, engine="compiled") as span:
                 span.attrs["rows"] = view.apply_event(deltas)
         else:
             view.apply_event(deltas)
-
-    group.subscribe(listener)
-    return listener
-
-
-def attach_compiled_view(
-    view: PersistentView, group: ChronicleGroup
-) -> Callable[[ChronicleGroup, Dict[str, Tuple[Row, ...]]], None]:
-    """Subscribe a single view via a compiled plan (no registry).
-
-    The minimal compiled counterpart of :func:`attach_view` — benchmarks
-    use the pair to isolate the interpreter-vs-plan difference from the
-    registry's routing.  Multi-view cross-expression sharing needs the
-    :class:`~repro.views.registry.ViewRegistry` with ``compile=True``.
-    """
-    from ..algebra.plan import PlanCompiler
-    from ..core.chronicle import maintenance_guard
-
-    compiler = PlanCompiler()
-    plan = compiler.compile(compiler.add_root(view.expression))
-
-    def listener(event_group: ChronicleGroup, event: Dict[str, Tuple[Row, ...]]) -> None:
-        deltas = event_deltas(event_group, event)
-        if not deltas:
-            return
-        obs = obs_runtime.ACTIVE
-        if obs is not None and obs.trace:
-            with obs.tracer.span(
-                "maintain", view=view.name, engine="compiled"
-            ) as span:
-                with maintenance_guard():
-                    delta = plan(deltas)
-                span.attrs["rows"] = view.apply_delta(delta)
-        else:
-            with maintenance_guard():
-                delta = plan(deltas)
-            view.apply_delta(delta)
 
     group.subscribe(listener)
     return listener

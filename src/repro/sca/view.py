@@ -11,10 +11,10 @@ A :class:`PersistentView` owns
 * its :class:`~repro.algebra.classify.Classification` (language fragment
   and IM class).
 
-The maintenance path (:meth:`apply_event`) runs under the chronicle
-no-access guard: computing the χ-delta and folding it into the view can
-never read a chronicle store, which is the mechanical content of
-Theorems 4.2/4.4.
+The maintenance path (:meth:`apply_delta`, fed by a compiled plan of
+:mod:`repro.algebra.plan`) runs under the chronicle no-access guard:
+computing the χ-delta and folding it into the view can never read a
+chronicle store, which is the mechanical content of Theorems 4.2/4.4.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 
 from ..algebra.ast import Node
 from ..algebra.classify import Classification, IMClass, Language, classify
-from ..algebra.delta_engine import propagate
 from ..algebra.evaluate import evaluate
+from ..algebra.plan import CompiledPlan, standalone_plan
 from ..complexity.counters import GLOBAL_COUNTERS
 from ..core.chronicle import maintenance_guard
 from ..core.delta import Delta
@@ -90,6 +90,9 @@ class PersistentView:
         # None (the default) records nothing.
         self._touched: Optional[Dict[Tuple[Any, ...], List[Any]]] = None
         self._maintenance_count = 0
+        # Compiled by the first apply_event(); registry-owned views never
+        # need it.
+        self._plan: Optional[CompiledPlan] = None
         self._show_global_group()
 
     # -- introspection ---------------------------------------------------------------
@@ -119,30 +122,27 @@ class PersistentView:
 
     # -- maintenance ------------------------------------------------------------------
 
-    def apply_event(
-        self,
-        deltas: Mapping[str, Delta],
-        cache: Optional[Dict[int, Delta]] = None,
-    ) -> int:
+    def apply_event(self, deltas: Mapping[str, Delta]) -> int:
         """Maintain the view for one append event; returns rows folded.
 
-        Runs entirely under the chronicle no-access guard.  *cache* is a
-        per-event delta memo shared across views whose expressions share
-        subtree objects (supplied by the registry).
+        The view's own plan, compiled on first use, computes the χ-delta
+        under the no-access guard.  This is the path of a view no
+        registry owns; a registry's plans share subexpressions across
+        views, so it computes the χ-delta and calls :meth:`apply_delta`.
         """
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = standalone_plan(self.expression)
         with maintenance_guard():
-            delta = propagate(self.expression, deltas, cache=cache)
-            folded = self._fold(delta)
-        self._maintenance_count += 1
-        return folded
+            delta = plan(deltas)
+        return self.apply_delta(delta)
 
     def apply_delta(self, delta: Delta) -> int:
-        """Fold one precomputed χ-delta into the view; returns rows folded.
+        """Fold one χ-delta into the view; returns rows folded.
 
-        The compiled-plan path (:mod:`repro.algebra.plan`) computes the
-        χ-delta itself — once per shared subexpression per event — and
-        hands only the fold step to the view.  The fold runs under the
-        chronicle no-access guard, exactly like :meth:`apply_event`.
+        The χ-delta comes from a compiled plan — computed once per
+        shared subexpression per event — and only the fold step is the
+        view's.  The fold runs under the chronicle no-access guard.
         """
         with maintenance_guard():
             folded = self._fold(delta)

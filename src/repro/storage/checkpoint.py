@@ -19,9 +19,7 @@ handles the tuples that aggregate accumulators use.
 
 The public entry points are :func:`write_checkpoint` and
 :func:`load_checkpoint` — normally reached through the facade's
-``ChronicleDatabase.checkpoint()`` / ``restore()``.  The original free
-functions ``checkpoint_database`` / ``restore_database`` remain
-importable for one release behind a :class:`DeprecationWarning` shim.
+``ChronicleDatabase.checkpoint()`` / ``restore()``.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
 from typing import Any, Dict, IO, List, Tuple, Union
 
 from ..errors import ChronicleError
@@ -244,23 +241,3 @@ def _load_checkpoint(db: Any, source: Union[str, IO[str], Dict[str, Any]]) -> No
             )
         _restore_periodic(db.registry._periodic[name], payload)
 
-
-#: Deprecated spellings kept for one release per the docs/api.md policy.
-_DEPRECATED = {
-    "checkpoint_database": ("write_checkpoint", write_checkpoint),
-    "restore_database": ("load_checkpoint", load_checkpoint),
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _DEPRECATED:
-        replacement, func = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.storage.checkpoint.{name} is deprecated; use "
-            f"ChronicleDatabase.checkpoint()/restore() or "
-            f"repro.storage.checkpoint.{replacement}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return func
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
+from ..algebra.plan import standalone_plan
+from ..core.chronicle import maintenance_guard
 from ..core.delta import Delta
 from ..core.group import ChronicleGroup
 from ..errors import ViewExpiredError
 from ..relational.tuples import Row
+from ..sca.maintenance import event_deltas
 from ..sca.summarize import Summary
 from ..sca.view import PersistentView
 
@@ -40,7 +43,8 @@ class PeriodicViewSet:
         Family name; interval views are named ``name[i]``.
     summary:
         The SCA summary template V.  Interval views share the (stateless)
-        summary and expression; each holds its own materialized state.
+        summary, expression and compiled plan; each holds its own
+        materialized state.
     calendar:
         The calendar D.
     chronon_of:
@@ -77,6 +81,10 @@ class PeriodicViewSet:
         self._instantiated = 0
         #: Only rows from these chronicles are routed into intervals.
         self._dependencies = {c.name for c in summary.expression.chronicles()}
+        #: One plan for every interval view: V_i differs from V only in
+        #: which rows it is given.
+        self._plan = standalone_plan(summary.expression)
+        self._group: Optional[ChronicleGroup] = None
 
     # -- wiring ------------------------------------------------------------------
 
@@ -90,13 +98,16 @@ class PeriodicViewSet:
 
             self._chronon_of = default_chronon
         group.subscribe(self._listener)
+        self._group = group
+
+    def detach(self) -> None:
+        """Stop maintaining: unsubscribe from the group (drop view)."""
+        if self._group is not None:
+            self._group.unsubscribe(self._listener)
+            self._group = None
 
     def _listener(self, group: ChronicleGroup, event: Mapping[str, Tuple[Row, ...]]) -> None:
-        deltas = {
-            name: Delta(group[name].schema, rows)
-            for name, rows in event.items()
-            if rows
-        }
+        deltas = event_deltas(group, event)
         if deltas:
             self.route_event(deltas)
 
@@ -121,14 +132,15 @@ class PeriodicViewSet:
                         continue
                     bucket = per_interval.setdefault(index, {})
                     bucket.setdefault(chronicle_name, []).append(row)
+        plan = self._plan
         for index, rows_by_chronicle in per_interval.items():
-            view = self._view(index)
-            view.apply_event(
-                {
-                    name: Delta(deltas[name].schema, rows)
-                    for name, rows in rows_by_chronicle.items()
-                }
-            )
+            interval_deltas = {
+                name: Delta(deltas[name].schema, rows)
+                for name, rows in rows_by_chronicle.items()
+            }
+            with maintenance_guard():
+                delta = plan(interval_deltas)
+            self._view(index).apply_delta(delta)
         self._expire_stale()
         return len(per_interval)
 

@@ -32,7 +32,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, 
 
 from ..algebra.ast import ChronicleScan, Node, Select
 from ..algebra.plan import (
-    UNPARTITIONABLE,
     CompiledPlan,
     PlanCompiler,
     ValuesPredicate,
@@ -92,22 +91,21 @@ class RegisteredView:
     """Registry bookkeeping for one persistent view.
 
     *rank* is the view's registration order; survivors of an event are
-    maintained by ascending rank.  In compiled registries this also
-    carries the view's interned expression (*root*) and its
-    :class:`~repro.algebra.plan.CompiledPlan`.
+    maintained by ascending rank.  *root* is the view's interned
+    expression; *plan* its :class:`~repro.algebra.plan.CompiledPlan`,
+    ``None`` until the registry next compiles.
     """
 
     __slots__ = ("view", "rank", "prefilters", "root", "plan", "partition")
 
-    def __init__(self, view: PersistentView, rank: int) -> None:
+    def __init__(self, view: PersistentView, rank: int, root: Node) -> None:
         self.view = view
         self.rank = rank
         self.prefilters = scan_prefilters(view.expression)
-        self.root: Optional[Node] = None
+        self.root = root
         self.plan: Optional[CompiledPlan] = None
         #: Partition declaration (PartitionSpec or UNPARTITIONABLE) —
-        #: the sharded engine routes records by it; compiled plans carry
-        #: the same declaration.
+        #: the sharded engine routes records by it.
         self.partition = infer_partition(view.summary)
 
 
@@ -207,6 +205,14 @@ class ChronicleDispatch:
 class ViewRegistry:
     """Owns every persistent view of a database and routes appends.
 
+    Maintenance runs through compiled plans (:mod:`repro.algebra.plan`):
+    view expressions are structurally interned at registration so
+    equivalent subexpressions across independently-defined views share one
+    node (and one delta computation per event), and each view's delta
+    propagation runs as a fused closure pipeline.  Plans are (re)compiled
+    lazily after registration changes; appends never pay compilation cost
+    twice.
+
     Parameters
     ----------
     prefilter:
@@ -214,20 +220,10 @@ class ViewRegistry:
         predicate dispatch index and maintain only the views it returns.
         Off, every view over a touched chronicle is maintained (shard
         units run that way; benchmark E9 measures the difference).
-    compile:
-        Route maintenance through compiled plans
-        (:mod:`repro.algebra.plan`): view expressions are structurally
-        interned at registration so equivalent subexpressions across
-        independently-defined views share one node (and one delta
-        computation per event), and each view's delta propagation runs as
-        a fused closure pipeline instead of the tree interpreter.  Plans
-        are (re)compiled lazily after registration changes; appends never
-        pay compilation cost twice.
     """
 
-    def __init__(self, prefilter: bool = True, compile: bool = False) -> None:
+    def __init__(self, prefilter: bool = True) -> None:
         self.prefilter = prefilter
-        self.compile = compile
         self._views: Dict[str, RegisteredView] = {}
         self._periodic: Dict[str, PeriodicViewSet] = {}
         self._by_chronicle: Dict[str, ChronicleDispatch] = {}
@@ -245,16 +241,12 @@ class ViewRegistry:
             # a *miss* is a candidate that had to be maintained anyway.
             "prefilter_hits": 0,
             "prefilter_misses": 0,
-            # Which engine maintained the views (compiled plans vs the
-            # tree interpreter) — sums to maintained_views.
-            "compiled_maintained": 0,
-            "interpreted_maintained": 0,
         }
         # Per-view maintenance observations (span count + last append
         # latency), populated only while observability is installed —
         # the numbers come from the ``maintain`` spans.
         self._per_view: Dict[str, Dict[str, float]] = {}
-        self._compiler: Optional[PlanCompiler] = PlanCompiler() if compile else None
+        self._compiler = PlanCompiler()
         self._plans_stale = False
 
     # -- registration -----------------------------------------------------------------
@@ -263,13 +255,13 @@ class ViewRegistry:
         """Register a persistent view for maintenance."""
         if view.name in self._views or view.name in self._periodic:
             raise ViewRegistrationError(f"view name {view.name!r} already registered")
-        registered = RegisteredView(view, self._next_rank)
+        registered = RegisteredView(
+            view, self._next_rank, self._compiler.add_root(view.expression)
+        )
         self._next_rank += 1
-        if self._compiler is not None:
-            registered.root = self._compiler.add_root(view.expression)
-            # Sharing boundaries may have moved: recompile lazily, off the
-            # append path.
-            self._plans_stale = True
+        # Sharing boundaries may have moved: recompile lazily, off the
+        # append path.
+        self._plans_stale = True
         self._views[view.name] = registered
         schemas = {c.name: c.schema for c in view.expression.chronicles()}
         for name, predicates in registered.prefilters.items():
@@ -289,8 +281,9 @@ class ViewRegistry:
 
     def unregister(self, name: str) -> None:
         """Drop a registered view."""
-        if name in self._periodic:
-            del self._periodic[name]
+        view_set = self._periodic.pop(name, None)
+        if view_set is not None:
+            view_set.detach()
             return
         registered = self._views.pop(name, None)
         if registered is None:
@@ -298,9 +291,8 @@ class ViewRegistry:
         self._per_view.pop(name, None)
         for chronicle_name in registered.prefilters:
             self._by_chronicle[chronicle_name].discard(registered.rank)
-        if self._compiler is not None and registered.root is not None:
-            self._compiler.remove_root(registered.root)
-            self._plans_stale = True
+        self._compiler.remove_root(registered.root)
+        self._plans_stale = True
 
     # -- lookup ------------------------------------------------------------------------
 
@@ -325,21 +317,6 @@ class ViewRegistry:
 
     def __len__(self) -> int:
         return len(self._views) + len(self._periodic)
-
-    def partition_of(self, name: str) -> Any:
-        """The partition declaration of a registered persistent view.
-
-        Returns the view's :class:`~repro.algebra.plan.PartitionSpec`,
-        or :data:`~repro.algebra.plan.UNPARTITIONABLE` for views whose
-        keys straddle partitions (periodic view sets are always
-        unpartitionable — they carry interval state of their own).
-        """
-        registered = self._views.get(name)
-        if registered is not None:
-            return registered.partition
-        if name in self._periodic:
-            return UNPARTITIONABLE
-        raise ViewRegistrationError(f"no view named {name!r}")
 
     @staticmethod
     def merge_stats(many: "Iterable[Dict[str, Any]]") -> Dict[str, Any]:
@@ -380,14 +357,11 @@ class ViewRegistry:
         index made the router look at), ``maintained_views``,
         ``prefilter_hits`` / ``prefilter_misses`` (candidates skipped /
         not skipped by the Section 5.2 prefilter; with it on they sum to
-        ``candidate_views``), and
-        ``compiled_maintained`` / ``interpreted_maintained`` (which
-        engine ran the maintenance).  The same numbers are surfaced as
-        metrics (``view_prefilter_total{outcome}``,
-        ``view_maintained_total{engine}``) when observability is
-        installed.
+        ``candidate_views``).  The same numbers are surfaced as metrics
+        (``view_prefilter_total{outcome}``, ``view_maintained_total``)
+        when observability is installed.
 
-        While observability is installed (either engine), a ``per_view``
+        While observability is installed, a ``per_view``
         key is added: ``{view: {"spans": n, "last_append_seconds": s}}``
         from that view's ``maintain`` spans — absent entirely when no
         span was ever observed, so uninstrumented runs see the original
@@ -408,12 +382,10 @@ class ViewRegistry:
         Called automatically on the first event after a registration
         change; exposed so benchmarks can pay compilation up front.
         """
-        if self._compiler is None or not self._plans_stale:
+        if not self._plans_stale:
             return
         for registered in self._views.values():
-            registered.plan = self._compiler.compile(
-                registered.root, partition=registered.partition
-            )
+            registered.plan = self._compiler.compile(registered.root)
         self._plans_stale = False
 
     def interned_expression(self, name: str) -> Node:
@@ -421,10 +393,6 @@ class ViewRegistry:
         registered = self._views.get(name)
         if registered is None:
             raise ViewRegistrationError(f"no view named {name!r}")
-        if registered.root is None:
-            raise ViewRegistrationError(
-                f"view {name!r} is registered in an interpreted registry"
-            )
         return registered.root
 
     # -- routing -----------------------------------------------------------------------
@@ -499,32 +467,19 @@ class ViewRegistry:
             stats["views_examined"] += count
             survivors = list(candidates.values())
         deltas = event_deltas(group, event)
+        # One delta cache per event: interned nodes shared between plans
+        # are computed once.
         cache: Dict[int, Delta] = {}
-        compiled = 0
         for registered in survivors:
-            plan = registered.plan
             span = (
-                tracer.start(
-                    "maintain",
-                    view=registered.view.name,
-                    engine="compiled" if plan is not None else "interpreted",
-                )
+                tracer.start("maintain", view=registered.view.name, engine="compiled")
                 if tracer is not None
                 else None
             )
             try:
-                if plan is not None:
-                    # Compiled path: the plan computes the χ-delta (under
-                    # the no-access guard); interned nodes shared between
-                    # plans are served from the per-event cache.
-                    with maintenance_guard():
-                        delta = plan(deltas, cache)
-                    folded = registered.view.apply_delta(delta)
-                    compiled += 1
-                else:
-                    # One delta cache per event: views sharing subexpression
-                    # objects compute each shared node's delta once.
-                    folded = registered.view.apply_event(deltas, cache=cache)
+                with maintenance_guard():
+                    delta = registered.plan(deltas, cache)
+                folded = registered.view.apply_delta(delta)
                 if span is not None:
                     span.attrs["rows"] = folded
             finally:
@@ -540,7 +495,5 @@ class ViewRegistry:
                 per_view["spans"] += 1
                 per_view["last_append_seconds"] = span.duration
         maintained = len(survivors)
-        stats["compiled_maintained"] += compiled
-        stats["interpreted_maintained"] += maintained - compiled
         stats["maintained_views"] += maintained
         return maintained

@@ -1,12 +1,14 @@
 """Compiled maintenance plans: equivalence, interning, and fast paths.
 
-The compiled engine (:mod:`repro.algebra.plan`) must be observationally
-identical to the tree interpreter: for any CA/SCA expression and any
-append stream, a view maintained through compiled plans holds exactly
-the rows of one maintained through :func:`repro.algebra.delta_engine
-.propagate` (and both match the batch-recompute oracle).  On top of
-equivalence, structural interning must make independently defined views
-share subexpression deltas — verified through ``GLOBAL_COUNTERS``.
+Compiled plans (:mod:`repro.algebra.plan`) are the only maintenance
+path, so they must be observationally identical to the literal Theorem
+4.1 rules: for any CA/SCA expression and any append stream, a view
+maintained by the registry's plans — and one maintained by its own
+standalone plan — holds exactly the rows of one whose χ-deltas come from
+:func:`repro.algebra.reference.propagate`, and all match the
+batch-recompute oracle.  On top of equivalence, structural interning
+must make independently defined views share subexpression deltas —
+verified through ``GLOBAL_COUNTERS``.
 """
 
 import pytest
@@ -14,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates import AVG, COUNT, MAX, MIN, SUM, spec
-from repro.algebra.ast import ChronicleProduct, scan
+from repro.algebra.ast import ChronicleProduct, NonEquiSeqJoin, scan
 from repro.algebra.plan import Interner, PlanCompiler, compile_predicate
+from repro.algebra.reference import propagate
 from repro.complexity.counters import GLOBAL_COUNTERS
+from repro.core.chronicle import maintenance_guard
 from repro.core.database import ChronicleDatabase
 from repro.core.delta import Delta
 from repro.core.group import ChronicleGroup
@@ -30,7 +34,7 @@ from repro.relational.predicate import Or, attr_cmp, attr_eq, attrs_cmp
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuples import Row
-from repro.sca.maintenance import attach_compiled_view, attach_view
+from repro.sca.maintenance import attach_view, event_deltas
 from repro.sca.summarize import GroupBySummary, ProjectSummary
 from repro.sca.view import PersistentView, evaluate_summary
 from repro.views.registry import ViewRegistry
@@ -60,21 +64,38 @@ def run_events(group, events):
             group.append(target, payload)
 
 
-def assert_compiled_matches_interpreted(node_factory, summary_factory, events):
-    """Maintain one summary through both engines; states must be equal."""
+def attach_reference_view(view, group):
+    """Maintain *view* with χ-deltas from the reference rules."""
+
+    def listener(event_group, event):
+        deltas = event_deltas(event_group, event)
+        if deltas:
+            with maintenance_guard():
+                delta = propagate(view.expression, deltas)
+            view.apply_delta(delta)
+
+    group.subscribe(listener)
+    return view
+
+
+def assert_compiled_matches_reference(node_factory, summary_factory, events):
+    """Maintain one summary by registry plan, standalone plan and the
+    reference rules; all three states equal the batch oracle."""
     group, calls, fees, customers = build_group()
     node = node_factory(calls, fees, customers)
     summary = summary_factory(node, customers)
-    interpreted_registry = ViewRegistry(compile=False)
-    compiled_registry = ViewRegistry(compile=True)
-    interpreted_registry.attach(group)
-    compiled_registry.attach(group)
-    view_i = interpreted_registry.register(PersistentView("v", summary))
-    view_c = compiled_registry.register(PersistentView("v", summary))
-    run_events(group, events)
-    rows_i = sorted(tuple(r.values) for r in view_i)
+    registry = ViewRegistry()
+    registry.attach(group)
+    view_c = registry.register(PersistentView("v", summary))
+    view_s = PersistentView("v", summary)
+    attach_view(view_s, group)
+    view_r = attach_reference_view(PersistentView("v", summary), group)
+    with GLOBAL_COUNTERS.measure() as cost:
+        run_events(group, events)
+    assert cost["chronicle_read"] == 0
     rows_c = sorted(tuple(r.values) for r in view_c)
-    assert rows_c == rows_i
+    assert rows_c == sorted(tuple(r.values) for r in view_r)
+    assert rows_c == sorted(tuple(r.values) for r in view_s)
     oracle = sorted(tuple(r.values) for r in evaluate_summary(summary))
     assert rows_c == oracle
 
@@ -170,14 +191,14 @@ events_strategy = st.lists(
 
 @settings(max_examples=80, deadline=None)
 @given(ca_expressions(), summaries(), events_strategy)
-def test_compiled_equals_interpreted(expression_factory, summary_factory, events):
-    assert_compiled_matches_interpreted(expression_factory, summary_factory, events)
+def test_compiled_equals_reference(expression_factory, summary_factory, events):
+    assert_compiled_matches_reference(expression_factory, summary_factory, events)
 
 
 @settings(max_examples=40, deadline=None)
 @given(ca_expressions(depth=3), summaries(), events_strategy)
-def test_compiled_equals_interpreted_deep(expression_factory, summary_factory, events):
-    assert_compiled_matches_interpreted(expression_factory, summary_factory, events)
+def test_compiled_equals_reference_deep(expression_factory, summary_factory, events):
+    assert_compiled_matches_reference(expression_factory, summary_factory, events)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +210,7 @@ class TestFusedPipelines:
     def test_project_select_chain(self):
         events = [("calls", [(a % ACCT_RANGE, m % (MINS_RANGE + 1))])
                   for a, m in enumerate(range(25))]
-        assert_compiled_matches_interpreted(
+        assert_compiled_matches_reference(
             lambda calls, fees, customers: scan(calls)
             .select(attr_cmp("mins", ">", 1))
             .project(["sn", "mins"])
@@ -200,7 +221,7 @@ class TestFusedPipelines:
 
     def test_seq_join_with_simultaneous_appends(self):
         events = [("both", [(i % ACCT_RANGE, i % MINS_RANGE), (1, 2)]) for i in range(8)]
-        assert_compiled_matches_interpreted(
+        assert_compiled_matches_reference(
             lambda calls, fees, customers: scan(calls).join(scan(fees)),
             lambda node, customers: GroupBySummary(
                 node, ["acct"], [spec(COUNT), spec(SUM, "r_mins")]
@@ -210,7 +231,7 @@ class TestFusedPipelines:
 
     def test_rel_product_with_select(self):
         events = [("calls", [(i % ACCT_RANGE, i % MINS_RANGE)]) for i in range(10)]
-        assert_compiled_matches_interpreted(
+        assert_compiled_matches_reference(
             lambda calls, fees, customers: scan(calls)
             .product(customers)
             .select(attrs_cmp("acct", "=", "r_acct")),
@@ -220,7 +241,7 @@ class TestFusedPipelines:
 
     def test_groupby_seq_node(self):
         events = [("calls", [(i % 2, 3), (i % 2, 3)]) for i in range(6)]
-        assert_compiled_matches_interpreted(
+        assert_compiled_matches_reference(
             lambda calls, fees, customers: scan(calls).groupby_sn(
                 ["sn", "acct"], [spec(SUM, "mins", output="batch_mins")]
             ),
@@ -230,17 +251,38 @@ class TestFusedPipelines:
             events,
         )
 
-    def test_extension_operator_falls_back_to_interpreter(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda calls, fees: ChronicleProduct(scan(calls), scan(fees)),
+            lambda calls, fees: NonEquiSeqJoin(scan(calls), scan(fees), "<"),
+            # Buried under CA operators, the step still raises.
+            lambda calls, fees: ChronicleProduct(scan(calls), scan(fees)).select(
+                attr_cmp("mins", ">", 0)
+            ),
+        ],
+    )
+    def test_extension_operator_step_raises_without_reading(self, build):
         group, calls, fees, _ = build_group()
-        node = ChronicleProduct(scan(calls), scan(fees))
+        group.append(fees, {"acct": 1, "mins": 1})
         compiler = PlanCompiler()
-        plan = compiler.compile(compiler.add_root(node))
+        plan = compiler.compile(compiler.add_root(build(calls, fees)))
         rows = group.append(calls, {"acct": 1, "mins": 2})
         deltas = {"calls": Delta(calls.schema, rows)}
-        # The fallback routes through propagate(), which (correctly)
-        # refuses chronicle access for the Theorem 4.3 extension ops.
+        # Theorem 4.3: no delta rule over deltas alone.  The compiled step
+        # raises by itself — outside the maintenance guard too — and never
+        # touches a chronicle store.
+        with GLOBAL_COUNTERS.measure() as cost:
+            with pytest.raises(ChronicleAccessError, match="Theorem 4.3"):
+                plan(deltas)
+        assert cost["chronicle_read"] == 0
+        # The reference rules agree when access is not granted...
         with pytest.raises(ChronicleAccessError):
-            plan(deltas)
+            propagate(plan.root, deltas)
+        # ...and are the only code that can compute the delta when it is.
+        with GLOBAL_COUNTERS.measure() as cost:
+            propagate(plan.root, deltas, allow_chronicle_access=True)
+        assert cost["chronicle_read"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +392,8 @@ class TestInterning:
         assert cost["delta_cache_hit"] == 0
         assert b.value((2,), "n") == 1
 
-    def test_compiled_registry_prefilter_skips_views(self):
-        registry = ViewRegistry(prefilter=True, compile=True)
+    def test_registry_prefilter_skips_views(self):
+        registry = ViewRegistry(prefilter=True)
         group, calls, _, _ = build_group()
         registry.attach(group)
         selective = registry.register(
@@ -370,24 +412,40 @@ class TestInterning:
         assert selective.maintenance_count == 1
         assert registry.stats["maintained_views"] == 1
 
-
-# ---------------------------------------------------------------------------
-# attach_compiled_view (single-view hook)
-# ---------------------------------------------------------------------------
-
-
-class TestAttachCompiledView:
-    def test_matches_interpreted_single_view(self):
-        group, calls, fees, customers = build_group()
-        node = scan(calls).select(attr_cmp("mins", ">", 1))
-        summary = GroupBySummary(node, ["acct"], [spec(SUM, "mins"), spec(COUNT)])
-        view_i = PersistentView("i", summary)
-        view_c = PersistentView("c", summary)
-        attach_view(view_i, group)
-        attach_compiled_view(view_c, group)
-        for i in range(30):
-            group.append(calls, {"acct": i % 3, "mins": i % 5})
-        assert sorted(r.values for r in view_c) == sorted(r.values for r in view_i)
+    def test_interner_forgets_dropped_views(self):
+        db = ChronicleDatabase()
+        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+        live = db.define_view(
+            "DEFINE VIEW live AS SELECT caller, SUM(minutes) AS total "
+            "FROM calls WHERE minutes > 2 GROUP BY caller"
+        )
+        interner = db.registry._compiler.interner
+        baseline = len(interner)
+        for cycle in range(100):
+            # A constant no other view uses: two nodes nobody else needs.
+            db.define_view(
+                f"DEFINE VIEW t AS SELECT caller, COUNT(*) AS n FROM calls "
+                f"WHERE minutes > {100 + cycle} AND caller > {cycle} GROUP BY caller"
+            )
+            assert len(interner) > baseline
+            db.drop_view("t")
+            assert len(interner) == baseline
+        assert not set(db.registry._compiler._refs) - {
+            id(node) for node in db.registry.interned_expression("live").walk()
+        }
+        # Eviction left the live view's nodes canonical: a structurally
+        # equal view defined afterwards shares them.
+        twin = db.define_view(
+            "DEFINE VIEW twin AS SELECT caller, COUNT(*) AS n "
+            "FROM calls WHERE minutes > 2 GROUP BY caller"
+        )
+        assert db.registry.interned_expression("twin") is db.registry.interned_expression(
+            "live"
+        )
+        with GLOBAL_COUNTERS.measure() as cost:
+            db.append("calls", {"caller": 1, "minutes": 5})
+        assert cost["delta_cache_hit"] == 1
+        assert live.value((1,), "total") == 5 and twin.value((1,), "n") == 1
 
 
 # ---------------------------------------------------------------------------

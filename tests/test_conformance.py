@@ -147,14 +147,6 @@ class TestProfilerConformant:
         assert ("|R|", "work") in parameters
         assert ("|R|", "probes") in parameters
 
-    def test_interpreted_engine_also_certifies(self):
-        db = make_db(compile_views=False)
-        cert = ConformanceProfiler(db, samples=3).certify(
-            "balance", c_sizes=(64, 256, 1_024), u_sizes=None
-        )
-        assert cert.engine == "interpreted"
-        assert cert.conformant
-
     def test_batch_sweep_at_most_linear_in_u(self):
         db = make_db()
         cert = ConformanceProfiler(db, samples=3).certify(
@@ -234,6 +226,7 @@ class TestPlantedViolation:
             name="planted",
         )
         assert cert.language is Language.NOT_CA
+        assert cert.engine == "reference"  # measured through the Thm 4.1 rules
         assert not cert.conformant
         c_sweep = cert.sweeps[0]
         assert c_sweep.model in ("linear", "nlogn", "quadratic", "cubic")

@@ -30,7 +30,6 @@ def _clean_runtime():
 
 def make_banking_db(**kwargs):
     """An E12-style banking database: filtered group-by over deposits."""
-    kwargs.setdefault("compile_views", True)
     db = ChronicleDatabase(config=DatabaseConfig(**kwargs))
     db.create_chronicle("deposits", [("acct", "INT"), ("amount", "INT")], retention=0)
     db.define_view(
@@ -238,11 +237,6 @@ class TestExplain:
         assert "scan deposits" in text
         assert "σ" in text  # the WHERE amount > 10 select
         assert "group by" in text
-
-    def test_uncompiled_views_fall_back_to_expression_tree(self):
-        db = make_banking_db(compile_views=False)
-        text = explain(db, "balance").format()
-        assert "scan deposits" in text
 
     def test_unknown_view_raises(self):
         db = make_banking_db()

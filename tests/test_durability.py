@@ -46,7 +46,6 @@ from repro.obs import runtime as obs_runtime
 from repro.parallel import UnpartitionableViewWarning
 from repro.relational.predicate import attr_cmp
 from repro.sca.summarize import GroupBySummary
-from repro.storage import checkpoint as checkpoint_module
 from repro.storage.durability import NonDurableWarning, RecoveryError
 from repro.storage.wal import ChronicleWal, WalError, wal_path
 
@@ -792,17 +791,3 @@ class TestWalSubstrate:
             assert snapshot.watermark == 2
         finally:
             wal.close()
-
-
-class TestDeprecatedCheckpointNames:
-    def test_legacy_names_warn_and_delegate(self):
-        with pytest.warns(DeprecationWarning, match="write_checkpoint"):
-            legacy = checkpoint_module.checkpoint_database
-        assert legacy is checkpoint_module.write_checkpoint
-        with pytest.warns(DeprecationWarning, match="load_checkpoint"):
-            legacy = checkpoint_module.restore_database
-        assert legacy is checkpoint_module.load_checkpoint
-
-    def test_unknown_attribute_raises(self):
-        with pytest.raises(AttributeError):
-            checkpoint_module.no_such_function

@@ -4,8 +4,9 @@ import pytest
 
 from repro.aggregates import COUNT, SUM, spec
 from repro.algebra.ast import scan
-from repro.algebra.delta_engine import propagate
+from repro.algebra.plan import PlanCompiler
 from repro.baselines.recompute import RecomputeMaintainer
+from repro.complexity.counters import GLOBAL_COUNTERS
 from repro.core.database import ChronicleDatabase
 from repro.core.delta import Delta
 from repro.core.group import ChronicleGroup
@@ -147,13 +148,35 @@ class TestDeltaSharing:
         registry.register(
             PersistentView("b", GroupBySummary(shared, [], [spec(COUNT)]))
         )
-        from repro.complexity.counters import GLOBAL_COUNTERS
-
         with GLOBAL_COUNTERS.measure() as cost:
             group.append(calls, {"caller": 1, "minutes": 5})
         # The shared Select's filter runs once, not twice: one tuple_op
-        # for the selection + two folds (one per view).
+        # for the (fused) selection step + two folds (one per view); the
+        # second view's plan is served from the per-event cache.
         assert cost["tuple_op"] == 3
+        assert cost["delta_cache_hit"] == 1
+
+    def test_independently_built_subtrees_are_shared_too(self):
+        group = ChronicleGroup("g")
+        calls = group.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+        registry = ViewRegistry()
+        registry.attach(group)
+        for name, grouping, aggregate in (
+            ("a", ["caller"], spec(SUM, "minutes")),
+            ("b", [], spec(COUNT)),
+        ):
+            # Equal structure, distinct objects: interning merges them.
+            subtree = scan(calls).select(attr_cmp("minutes", ">", 0))
+            registry.register(
+                PersistentView(name, GroupBySummary(subtree, grouping, [aggregate]))
+            )
+        with GLOBAL_COUNTERS.measure() as cost:
+            group.append(calls, [{"caller": 1, "minutes": 5}, {"caller": 2, "minutes": 0}])
+        # Selection: one tuple_op per input row (2), once; folds: one per
+        # surviving row per view (1 + 1).
+        assert cost["tuple_op"] == 4
+        assert cost["delta_cache_hit"] == 1
+        assert cost["aggregate_step"] == 2
 
     def test_cache_returns_same_delta_object(self):
         group = ChronicleGroup("g")
@@ -161,10 +184,15 @@ class TestDeltaSharing:
         shared = scan(calls).select(attr_cmp("minutes", ">", 0))
         rows = group.append(calls, {"caller": 1, "minutes": 5})
         deltas = {"calls": Delta(calls.schema, rows)}
+        compiler = PlanCompiler()
+        roots = [compiler.add_root(shared), compiler.add_root(shared)]
+        plans = [compiler.compile(root) for root in roots]
         cache = {}
-        first = propagate(shared, deltas, cache=cache)
-        second = propagate(shared, deltas, cache=cache)
+        first = plans[0](deltas, cache)
+        second = plans[1](deltas, cache)
         assert first is second
+        # A fresh event (fresh cache) computes it afresh.
+        assert plans[1](deltas, {}) is not first
 
     def test_sharing_preserves_results(self):
         group = ChronicleGroup("g")

@@ -353,6 +353,8 @@ class TestConcurrentScrapes:
                 threading.Thread(target=scrape, args=(path,))
                 for path in ("/dashboard", "/timeline", "/metrics")
             ]
+            # /metrics renders an empty body until the first series exists.
+            db.append("calls", {"caller": 0, "minutes": 1})
             for t in threads:
                 t.start()
             for i in range(200):

@@ -403,8 +403,8 @@ class TestDatabaseIntegration:
             assert obs.auditor.summary()["violations"] == 0
         assert obs_runtime.ACTIVE is None
 
-    def test_span_tree_shape_compiled(self):
-        db = make_db(compile_views=True)
+    def test_span_tree_shape(self):
+        db = make_db()
         with db.enable_observability():
             db.append("calls", {"caller": 1, "minutes": 5})
             trace = db.observability.tracer.last()
@@ -416,21 +416,30 @@ class TestDatabaseIntegration:
         assert maintain.attrs["rows"] == 1
         assert [s.attrs["engine"] for s in trace.find("delta")] == ["compiled"]
 
-    def test_span_tree_identical_across_engines(self):
-        """Compiled and interpreted maintenance emit the same span model."""
-        shapes = {}
-        for compiled in (True, False):
-            db = make_db(compile_views=compiled)
-            with db.enable_observability():
-                db.append("calls", {"caller": 1, "minutes": 5})
-                trace = db.observability.tracer.last()
-            engine = "compiled" if compiled else "interpreted"
-            assert trace.find("maintain")[0].attrs["engine"] == engine
-            shapes[engine] = [
-                (s.name, s.attrs.get("view"), s.attrs.get("rows"))
-                for s in trace.walk()
+    def test_single_view_hook_emits_the_registry_span_model(self):
+        """attach_view (no registry) and the registry emit the same
+        ``maintain`` subtree: same engine label, same ``delta`` steps."""
+        from repro.sca.maintenance import attach_view
+        from repro.sca.view import PersistentView
+
+        db = make_db()
+        hooked = PersistentView("usage", db.view("usage").summary)
+        group = db.chronicle("calls").group
+        attach_view(hooked, group)
+        with db.enable_observability():
+            db.append("calls", {"caller": 1, "minutes": 5})
+            trace = db.observability.tracer.last()
+        by_registry, by_hook = trace.find("maintain")
+        shapes = [
+            [
+                (s.name, s.attrs.get("view"), s.attrs.get("engine"), s.attrs.get("rows"))
+                for s in maintain.walk()
             ]
-        assert shapes["compiled"] == shapes["interpreted"]
+            for maintain in (by_registry, by_hook)
+        ]
+        assert shapes[0] == shapes[1]
+        assert [name for name, *_ in shapes[0]] == ["maintain", "delta"]
+        assert list(hooked) == list(db.view("usage"))
 
     def test_metrics_accumulate_per_append(self):
         db = make_db()
@@ -449,7 +458,7 @@ class TestDatabaseIntegration:
         assert metrics.value("view_prefilter_total", outcome="miss") == 3
         assert metrics.value("cost_tuple_op_total", group="default") >= 3
 
-    def test_registry_stats_surface_engine_and_prefilter(self):
+    def test_registry_stats_surface_prefilter(self):
         db = make_db()
         db.create_chronicle("other", [("x", "INT")], retention=0)
         db.define_view(
@@ -462,8 +471,6 @@ class TestDatabaseIntegration:
         # the candidate set entirely, so one candidate and no prefilter hit.
         assert stats["candidate_views"] == 1
         assert stats["maintained_views"] == 1
-        assert stats["compiled_maintained"] == 1
-        assert stats["interpreted_maintained"] == 0
         assert stats["prefilter_hits"] + stats["prefilter_misses"] == 1
 
     def test_auditor_catches_injected_chronicle_read(self):
@@ -616,14 +623,6 @@ class TestPerViewRegistryStats:
         with db.enable_observability(audit="off"):
             db.append("calls", {"caller": 1, "minutes": 2})
         assert db.registry.stats["per_view"]["usage"]["spans"] == 1
-
-    def test_per_view_stats_in_interpreted_engine(self):
-        db = make_db(compile_views=False)
-        with db.enable_observability(audit="off"):
-            db.append("calls", {"caller": 1, "minutes": 5})
-        stats = db.registry.stats
-        assert stats["interpreted_maintained"] == 1
-        assert stats["per_view"]["usage"]["spans"] == 1
 
     def test_stats_copy_is_isolated(self):
         db = make_db()

@@ -15,6 +15,7 @@ deprecated-keyword shim, engine selection, and exporter lifetime
 (close(), context manager, GC finalizer).
 """
 
+import dataclasses
 import gc
 import json
 import os
@@ -411,7 +412,7 @@ class TestDatabaseConfig:
         assert config.engine == "serial"
         assert config.shards == 4
         assert config.executor == "thread"
-        assert config.prefilter_views and config.compile_views
+        assert config.prefilter_views
         assert not config.observe
 
     def test_frozen(self):
@@ -447,38 +448,23 @@ class TestDatabaseConfig:
         assert db.config is config
 
 
-class TestLegacyShim:
-    def test_legacy_keywords_warn_and_apply(self):
-        with pytest.deprecated_call():
-            db = ChronicleDatabase(prefilter_views=False, compile_views=False)
-        assert db.config.prefilter_views is False
-        assert db.config.compile_views is False
+class TestConstructorSurface:
+    """The facade takes a config and an observability handle, nothing else."""
 
-    def test_legacy_keywords_merge_into_config(self):
-        with pytest.deprecated_call():
-            db = ChronicleDatabase(
-                config=DatabaseConfig(shards=2), prefilter_views=False
-            )
-        assert db.config.shards == 2
-        assert db.config.prefilter_views is False
+    @pytest.mark.parametrize(
+        "keyword", ["prefilter_views", "compile_views", "aggregates", "observe"]
+    )
+    @pytest.mark.parametrize("engine", ["serial", "sharded"])
+    def test_pre_config_keywords_are_rejected(self, engine, keyword):
+        config = DatabaseConfig(engine=engine, executor="serial")
+        with pytest.raises(TypeError, match=keyword):
+            ChronicleDatabase(config=config, **{keyword: False})
 
-    def test_config_only_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ChronicleDatabase(config=DatabaseConfig(prefilter_views=False))
-
-    def test_query_view_alias(self):
-        db = ChronicleDatabase()
-        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
-        db.define_view(
-            "DEFINE VIEW usage AS "
-            "SELECT caller, SUM(minutes) AS total FROM calls GROUP BY caller"
-        )
-        db.append("calls", {"caller": 1, "minutes": 5})
-        assert db.view_row("usage", (1,)) is not None
-        with pytest.deprecated_call():
-            row = db.query_view("usage", (1,))
-        assert row == db.view_row("usage", (1,))
+    def test_one_engine_no_switch(self):
+        assert "compile_views" not in {f.name for f in dataclasses.fields(DatabaseConfig)}
+        with pytest.raises(ConfigError):
+            DatabaseConfig().replace(compile_views=False)
+        assert not hasattr(ChronicleDatabase, "query_view")
 
 
 class TestEngineSelection:

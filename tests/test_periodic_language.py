@@ -164,3 +164,46 @@ class TestDatabaseIntegration:
         assert "monthly" in out
         session.execute('APPEND calls {"caller": 1, "minutes": 5, "day": 2}')
         assert session.db.periodic_view("monthly")[0].value((1,), "total") == 5
+
+
+class TestDropPeriodicView:
+    """A dropped periodic view is no longer maintained (both facades)."""
+
+    DDL = (
+        "DEFINE PERIODIC VIEW m OVER EVERY 30 BY day AS "
+        "SELECT caller, SUM(minutes) AS t FROM calls GROUP BY caller"
+    )
+
+    @pytest.mark.parametrize("engine", ["serial", "sharded"])
+    def test_dropped_view_set_is_detached_from_its_group(self, engine):
+        from repro.core.config import DatabaseConfig
+
+        db = ChronicleDatabase(config=DatabaseConfig(engine=engine, executor="serial"))
+        db.create_chronicle(
+            "calls", [("caller", "INT"), ("minutes", "INT"), ("day", "INT")], retention=0
+        )
+        group = db.chronicle("calls").group
+        listeners_before = len(group._listeners)
+        dropped = db.define_view(self.DDL)
+        assert len(group._listeners) == listeners_before + 1
+        db.append("calls", {"caller": 1, "minutes": 5, "day": 3})
+        assert dropped.active_indices() == [0]
+        folded = dropped.view(0).maintenance_count
+
+        db.drop_view("m")
+        assert len(group._listeners) == listeners_before
+        db.append("calls", {"caller": 1, "minutes": 7, "day": 40})  # interval 1
+        db.append("calls", {"caller": 1, "minutes": 9, "day": 4})  # interval 0
+        # Nothing instantiated, nothing folded after the drop.
+        assert dropped.active_indices() == [0]
+        assert dropped.instantiated_count == 1
+        assert dropped.view(0).maintenance_count == folded
+        assert dropped.view(0).value((1,), "t") == 5
+
+        # Re-defining under the same name starts one fresh set, not two.
+        again = db.define_view(self.DDL)
+        assert len(group._listeners) == listeners_before + 1
+        db.append("calls", {"caller": 1, "minutes": 2, "day": 5})
+        assert again.view(0).value((1,), "t") == 2
+        assert again.view(0).maintenance_count == 1
+        db.close()

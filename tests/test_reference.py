@@ -1,16 +1,19 @@
-"""Tests for delta propagation (the Theorem 4.1 proof rules).
+"""Tests for the reference delta rules (the Theorem 4.1 proof rules).
 
 The master check: accumulating every append's delta must reproduce the
 batch evaluation of the expression over the fully stored chronicles, and
-every delta must carry only fresh sequence numbers (monotonicity).
+every delta must carry only fresh sequence numbers (monotonicity).  The
+compiled plan of the same expression — what actually maintains views —
+must produce the same delta for every event.
 """
 
 import pytest
 
 from repro.aggregates import COUNT, MAX, SUM, spec
 from repro.algebra.ast import ChronicleProduct, Node, NonEquiSeqJoin, scan
-from repro.algebra.delta_engine import propagate
 from repro.algebra.evaluate import evaluate
+from repro.algebra.plan import standalone_plan
+from repro.algebra.reference import propagate
 from repro.core.delta import Delta
 from repro.core.group import ChronicleGroup
 from repro.errors import ChronicleAccessError
@@ -39,6 +42,7 @@ def replay(group, expression, appends):
     the accumulated delta rows (with freshness asserted per event).
     """
     accumulated = []
+    plan = standalone_plan(expression)
 
     def listener(g, event):
         deltas = {
@@ -47,6 +51,9 @@ def replay(group, expression, appends):
         watermark_before = g.watermark - 1  # one sn issued per event
         delta = propagate(expression, deltas)
         delta.assert_fresh(watermark_before)
+        assert sorted(r.values for r in plan(deltas).rows) == sorted(
+            r.values for r in delta.rows
+        )
         accumulated.extend(delta.rows)
 
     group.subscribe(listener)

@@ -152,7 +152,7 @@ class TestRegistryRouting:
 
     def test_dispatch_keys_follow_predicate_equality(self):
         """1 / 1.0 / True share a bucket (they are ``==``); NULL finds none."""
-        side = Side(prefilter=True, compile=True)
+        side = Side(prefilter=True)
         side.register("null_const", [("calls", [attr_eq("mins", None)])])
         side.register("float_const", [("calls", [attr_eq("acct", 1.0)])])
         side.register("bool_const", [("calls", [attr_eq("acct", True)])])
@@ -329,10 +329,6 @@ class LoggedView(PersistentView):
 
     log = None
 
-    def apply_event(self, deltas, cache=None):
-        self.log.append(self.name)
-        return super().apply_event(deltas, cache=cache)
-
     def apply_delta(self, delta):
         self.log.append(self.name)
         return super().apply_delta(delta)
@@ -341,11 +337,11 @@ class LoggedView(PersistentView):
 class Side:
     """One group + registry; builds views from recipes over its own chronicles."""
 
-    def __init__(self, prefilter, compile):
+    def __init__(self, prefilter):
         self.group = ChronicleGroup("g")
         for name in ("calls", "fees"):
             self.group.create_chronicle(name, ATTRIBUTES, retention=0)
-        self.registry = ViewRegistry(prefilter=prefilter, compile=compile)
+        self.registry = ViewRegistry(prefilter=prefilter)
         self.registry.attach(self.group)
         self.log = []
 
@@ -393,12 +389,11 @@ def test_dispatch_key_and_residual_equal_the_predicate(predicate, record):
     assert bool(accepted) == bool(predicate.evaluate(row))
 
 
-@pytest.mark.parametrize("compile", [True, False])
 @settings(max_examples=500, deadline=None)
 @given(operations)
-def test_dispatch_index_maintains_exactly_the_oracles_views(compile, ops):
-    indexed = Side(prefilter=True, compile=compile)
-    maintain_all = Side(prefilter=False, compile=compile)
+def test_dispatch_index_maintains_exactly_the_oracles_views(ops):
+    indexed = Side(prefilter=True)
+    maintain_all = Side(prefilter=False)
     names = []  # registration order
     for op in ops:
         if op[0] == "register":

@@ -9,17 +9,19 @@ import pytest
 
 from repro.aggregates import COUNT, SUM, spec
 from repro.algebra.ast import ChronicleProduct, scan
-from repro.algebra.delta_engine import propagate
+from repro.algebra.reference import propagate
 from repro.baselines.recompute import RecomputeMaintainer
 from repro.complexity.counters import GLOBAL_COUNTERS
 from repro.complexity.fitting import is_flat
 from repro.core.delta import Delta
 from repro.core.group import ChronicleGroup
+from repro.relational.predicate import attr_cmp
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.sca.maintenance import attach_view
 from repro.sca.summarize import GroupBySummary
 from repro.sca.view import PersistentView
+from repro.views.registry import ViewRegistry
 
 
 def make_customers(size, ordered=True):
@@ -248,3 +250,74 @@ class TestTheorem45OperationCounts:
         # |R| grew 100x; log growth means probes grow by a small additive
         # number of levels, not multiplicatively.
         assert large <= small + 6
+
+
+class TestCompiledStepCounts:
+    """The exact counts the compiled steps report, per append event.
+
+    n input rows through a fused σ∘π chain are n ``tuple_op`` (one per
+    input row for the whole chain, not one per operator); a fold of m
+    rows is m ``tuple_op`` and m·|AL| ``aggregate_step``; locating a
+    touched key is one index descent, whatever the batch repeats.
+    """
+
+    def make(self, expression_of, grouping, aggregates):
+        group = ChronicleGroup("g")
+        calls = group.create_chronicle(
+            "calls", [("acct", "INT"), ("mins", "INT")], retention=0
+        )
+        registry = ViewRegistry()
+        registry.attach(group)
+        view = registry.register(
+            PersistentView(
+                "v", GroupBySummary(expression_of(calls), grouping, aggregates)
+            )
+        )
+        return group, calls, view
+
+    def test_fused_chain_counts_one_tuple_op_per_input_row(self):
+        group, calls, view = self.make(
+            lambda calls: scan(calls)
+            .select(attr_cmp("mins", ">", 2))
+            .project(["sn", "acct", "mins"])
+            .select(attr_cmp("mins", "<", 8)),
+            ["acct"],
+            [spec(SUM, "mins"), spec(COUNT)],
+        )
+        batch = [{"acct": i % 3, "mins": i} for i in range(10)]  # mins 3..7 pass
+        with GLOBAL_COUNTERS.measure() as cost:
+            group.append(calls, batch)
+        assert cost["tuple_op"] == 10 + 5  # chain: 10 inputs; fold: 5 survivors
+        assert cost["aggregate_step"] == 5 * 2
+        assert cost["chronicle_read"] == 0
+        assert view.value((0,), "count") == 2  # mins 3 and 6
+
+    def test_one_descent_per_touched_key(self):
+        group, calls, view = self.make(scan, ["acct"], [spec(SUM, "mins")])
+        for acct in range(200):
+            group.append(calls, {"acct": acct, "mins": 1})
+        with GLOBAL_COUNTERS.measure() as one:
+            group.append(calls, {"acct": 7, "mins": 1})
+        with GLOBAL_COUNTERS.measure() as many:
+            group.append(calls, [{"acct": 7, "mins": m} for m in range(2, 12)])
+        # Ten rows of one key locate it once: the same probes as one row.
+        assert one["index_lookup"] == many["index_lookup"] == 1
+        assert one["index_probe"] == many["index_probe"] > 0
+        assert many["tuple_op"] == 10 and many["aggregate_step"] == 10
+        assert view.value((7,), "sum_mins") == 1 + 1 + sum(range(2, 12))
+
+    def test_key_join_counts_one_lookup_per_delta_row(self):
+        customers = make_customers(64)
+        group, calls, view = self.make(
+            lambda calls: scan(calls).keyjoin(customers, [("acct", "acct")]),
+            ["state"],
+            [spec(COUNT)],
+        )
+        group.append(calls, {"acct": 0, "mins": 1})
+        with GLOBAL_COUNTERS.measure() as cost:
+            group.append(calls, [{"acct": a, "mins": 1} for a in (1, 2, 3)])
+        # Join: one tuple_op per delta row + one per match; fold: one per
+        # joined row.  3 + 3 + 3.
+        assert cost["tuple_op"] == 9
+        assert cost["aggregate_step"] == 3
+        assert cost["chronicle_read"] == 0
