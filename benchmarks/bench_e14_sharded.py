@@ -19,9 +19,9 @@ by account).  The engines compared:
 
 Both engines consume the identical record stream through the same
 ``ingest(chronicle, batches)`` facade; the metric is records/second.
-On a single-core host the win is the coalescing (fewer maintenance
-events for the same row work); on multi-core hosts the worker threads
-additionally overlap shard maintenance.
+The win is the coalescing (fewer maintenance events for the same row
+work): the default executor runs each shard's window inline on the
+admitting thread.
 
 Expected shape: sharded(4) >= 2.5x serial; sharded(2) >= 1.5x; and
 sharded(1) — coalescing alone, no fan-out — already well above 1x,
@@ -90,20 +90,12 @@ def gated_shards() -> int:
     return int(os.environ.get("E14_SHARDS", "4"))
 
 
-def _build(shards, executor=None):
-    """A database (serial when *shards* == 0) with the banking catalog.
-
-    *executor* selects the shard backend (``"thread"`` default); E15
-    reuses this exact catalog at ``executor="process"`` so the engines'
-    numbers stay comparable.
-    """
+def _build(shards):
+    """A database (serial when *shards* == 0) with the banking catalog."""
     if shards == 0:
         db = ChronicleDatabase()
     else:
-        kwargs = {"engine": "sharded", "shards": shards}
-        if executor is not None:
-            kwargs["executor"] = executor
-        db = ChronicleDatabase(config=DatabaseConfig(**kwargs))
+        db = ChronicleDatabase(config=DatabaseConfig(engine="sharded", shards=shards))
     db.create_chronicle(
         "transactions", BankingWorkload.CHRONICLE_SCHEMA, retention=0
     )
@@ -141,9 +133,9 @@ def _windows(count, start=0):
     return windows
 
 
-def _throughput(shards, executor=None):
+def _throughput(shards):
     """Records/second through ``ingest`` for one engine configuration."""
-    db = _build(shards, executor=executor)
+    db = _build(shards)
     try:
         with GLOBAL_COUNTERS.disabled():
             for window in _windows(PRELOAD_WINDOWS):
@@ -188,8 +180,7 @@ def run_report() -> str:
         f"== E14  records/second ({BATCH}-record batches, "
         f"{WINDOW}-batch ingest windows, {1 + len(_KINDS) * len(_BANDS)} views) ==\n"
         + format_table(["engine", "records/s", "vs serial"], rows)
-        + "\nexpected: sharded(4) >= 2.5x serial (group-commit coalescing; "
-        "worker threads add overlap on multi-core hosts)\n"
+        + "\nexpected: sharded(4) >= 2.5x serial (group-commit coalescing)\n"
     )
 
 

@@ -80,7 +80,7 @@ def drill_shard_worker_error(incident_dir):
         incident_dir,
         engine="sharded",
         shards=2,
-        executor="thread",
+        executor="serial",
         slo=SloPolicy(),
         audit_mode="off",
     )
@@ -91,7 +91,7 @@ def drill_shard_worker_error(incident_dir):
         def exploding(tasks):
             raise EngineError("injected worker failure (incident drill)")
 
-        db._maintainer.run = exploding
+        db._shards.backend.run = exploding
         try:
             db.append("calls", {"caller": 9, "minutes": 9})
         except EngineError as exc:

@@ -12,7 +12,7 @@ nonzero:
   relayed worker metrics carrying a ``worker`` label).
 
 Exit status 0 when every assertion holds, 1 otherwise — wired into the
-multicore-smoke CI job next to the E15 gate.  Runs anywhere the process
+multicore-smoke CI job.  Runs anywhere the process
 executor runs (single-core hosts included: the relay measures cost, not
 scaling).
 """
@@ -51,7 +51,7 @@ def _series_values(text, name):
 
 
 def main() -> int:
-    workers = int(os.environ.get("E15_WORKERS", "2"))
+    workers = 2
     db = ChronicleDatabase(
         config=DatabaseConfig(
             engine="sharded",

@@ -86,6 +86,18 @@ class Node:
         for child in self.children:
             yield from child.walk()
 
+    def with_children(self, children: Sequence["Node"]) -> "Node":
+        """This operator, same parameters, over new operand *children*.
+
+        The one "rebuild this node" table: plan interning and shard
+        rebinding both walk a tree post-order and rebuild through it
+        (leaves have no operands and are handled by the walks).  The
+        Theorem 4.3 extension operators do not take part.
+        """
+        raise AlgebraError(
+            f"{type(self).__name__} cannot be rebuilt over new operands"
+        )
+
     @property
     def group(self):
         """The chronicle group the expression's result belongs to.
@@ -171,6 +183,9 @@ class Select(Node):
         self.schema = child.schema
         self.children = (child,)
 
+    def with_children(self, children: Sequence[Node]) -> "Select":
+        return Select(children[0], self.predicate)
+
     def __repr__(self) -> str:
         return f"Select({self.predicate!r}, {self.child!r})"
 
@@ -191,6 +206,9 @@ class Project(Node):
         self.names = tuple(names)
         self.schema = child.schema.project(names)
         self.children = (child,)
+
+    def with_children(self, children: Sequence[Node]) -> "Project":
+        return Project(children[0], self.names)
 
     def __repr__(self) -> str:
         return f"Project({list(self.names)}, {self.child!r})"
@@ -219,6 +237,9 @@ class SeqJoin(Node):
         self.schema = left.schema.concat(right.schema.project(right_kept))
         self.children = (left, right)
 
+    def with_children(self, children: Sequence[Node]) -> "SeqJoin":
+        return SeqJoin(*children)
+
     def combine(self, left_row: Row, right_row: Row) -> Row:
         """Join one matching pair into an output row."""
         values = left_row.values + tuple(
@@ -241,6 +262,9 @@ class Union(Node):
         self.schema = left.schema
         self.children = (left, right)
 
+    def with_children(self, children: Sequence[Node]) -> "Union":
+        return Union(*children)
+
 
 class Difference(Node):
     """C1 − C2 over same-typed chronicles of one group."""
@@ -252,6 +276,9 @@ class Difference(Node):
         self.right = right
         self.schema = left.schema
         self.children = (left, right)
+
+    def with_children(self, children: Sequence[Node]) -> "Difference":
+        return Difference(*children)
 
 
 class GroupBySeq(Node):
@@ -291,6 +318,9 @@ class GroupBySeq(Node):
         self.schema = Schema(attrs, sequence_attribute=seq)
         self.children = (child,)
 
+    def with_children(self, children: Sequence[Node]) -> "GroupBySeq":
+        return GroupBySeq(children[0], self.grouping, self.aggregates)
+
     def __repr__(self) -> str:
         return (
             f"GroupBySeq({list(self.grouping)}, {list(self.aggregates)}, {self.child!r})"
@@ -314,6 +344,9 @@ class RelProduct(Node):
         self.schema = child.schema.concat(relation.schema)
         self._right_arity = len(relation.schema)
         self.children = (child,)
+
+    def with_children(self, children: Sequence[Node]) -> "RelProduct":
+        return RelProduct(children[0], self.relation)
 
     def combine(self, chronicle_row: Row, relation_row: Row) -> Row:
         values = chronicle_row.values + relation_row.values
@@ -366,6 +399,9 @@ class RelKeyJoin(Node):
         self.relation_attrs = tuple(relation_attrs)
         self.schema = child.schema.concat(relation.schema.project(kept))
         self.children = (child,)
+
+    def with_children(self, children: Sequence[Node]) -> "RelKeyJoin":
+        return RelKeyJoin(children[0], self.relation, self.pairs)
 
     def probe_key(self, chronicle_row: Row) -> Any:
         """The relation-side lookup key for one chronicle row."""

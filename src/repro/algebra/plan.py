@@ -128,7 +128,13 @@ class Interner:
         key = self._key(node, children)
         canonical = self._table.get(key)
         if canonical is None:
-            canonical = self._rebuild(node, children)
+            # Unknown operators (keyed by identity) and nodes already over
+            # canonical children are kept as they are.
+            canonical = (
+                node
+                if key[0] == "opaque" or children == node.children
+                else node.with_children(children)
+            )
             self._table[key] = canonical
             self._keys[id(canonical)] = key
         return canonical
@@ -169,30 +175,6 @@ class Interner:
             return ("relkeyjoin", id(node.relation), node.pairs) + child_ids
         # Extension / unknown operators: intern by identity only.
         return ("opaque", id(node))
-
-    @staticmethod
-    def _rebuild(node: Node, children: Tuple[Node, ...]) -> Node:
-        if not children or children == node.children:
-            return node
-        if isinstance(node, Select):
-            return Select(children[0], node.predicate)
-        if isinstance(node, Project):
-            return Project(children[0], node.names)
-        if isinstance(node, Union):
-            return Union(children[0], children[1])
-        if isinstance(node, Difference):
-            return Difference(children[0], children[1])
-        if isinstance(node, SeqJoin):
-            return SeqJoin(children[0], children[1])
-        if isinstance(node, GroupBySeq):
-            return GroupBySeq(children[0], node.grouping, node.aggregates)
-        if isinstance(node, RelProduct):
-            return RelProduct(children[0], node.relation)
-        if isinstance(node, RelKeyJoin):
-            return RelKeyJoin(children[0], node.relation, node.pairs)
-        # Unknown operator with interned children: keep the original node
-        # (its children keep their identity-based sharing).
-        return node
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,7 @@ class Session:
                     f"  view {view.name}: {len(view)} rows "
                     f"[{view.language.value}, {view.im_class.value}]"
                 )
-            for name in getattr(self.db, "partitioned_views", ()):
+            for name in self.db.partitioned_views:
                 view = self.db.view(name)
                 lines.append(
                     f"  view {name}: {len(view)} rows "
@@ -393,11 +393,10 @@ class Session:
         return "\n".join("  " + line for line in report.format().splitlines())
 
     def _show_shards(self) -> str:
-        shard_groups = getattr(self.db, "shard_groups", None)
-        if shard_groups is None:
+        if self.db.config.engine != "sharded":
             return "  engine=serial (no shards; start with engine='sharded')"
         lines = [f"  engine=sharded shards={self.db.config.shards}"]
-        for shard_group in shard_groups:
+        for shard_group in self.db.shard_groups:
             lines.append(
                 f"  key class {shard_group.name} {shard_group.spec!r}: "
                 f"views {sorted(shard_group.views)}"
@@ -417,21 +416,18 @@ class Session:
 
     def _show_workers(self) -> str:
         """The executor fleet: slots, IPC accounting, worker resources."""
-        maintainer = getattr(self.db, "_maintainer", None)
-        if maintainer is None:
+        config = self.db.config
+        if config.engine != "sharded":
             return "  engine=serial (no shard executor; start with engine='sharded')"
-        header = f"  executor={maintainer.executor} workers={maintainer.workers}"
-        backend = maintainer._backend
-        lines = [header]
-        if maintainer.executor == "process":
-            relay = getattr(backend, "relay_telemetry", False)
-            lines[0] += f" relay_telemetry={'on' if relay else 'off'}"
-            broken = getattr(backend, "_broken", {})
+        lines = [f"  executor={config.executor} workers={config.shards}"]
+        if config.executor == "process":
+            backend = self.db._shards.backend
+            lines[0] += f" relay_telemetry={'on' if backend.relay_telemetry else 'off'}"
             slots: dict = {}
-            for label, slot in sorted(getattr(backend, "_assignment", {}).items()):
+            for label, slot in sorted(backend._assignment.items()):
                 slots.setdefault(slot, []).append(label)
             for slot in sorted(slots):
-                state = "BROKEN" if slot in broken else "ok"
+                state = "BROKEN" if slot in backend._broken else "ok"
                 lines.append(f"  slot {slot} [{state}]: shards {slots[slot]}")
         obs = self.db.observability
         if obs is None:

@@ -22,7 +22,7 @@ from ..obs.health import SloPolicy
 ENGINES = ("serial", "sharded")
 
 #: Supported shard executors (sharded engine only).
-EXECUTORS = ("thread", "serial", "process")
+EXECUTORS = ("serial", "process")
 
 #: Supported auditor modes (observability).
 AUDIT_MODES = ("off", "warn", "raise")
@@ -167,18 +167,19 @@ class DatabaseConfig:
     Parameters
     ----------
     engine:
-        ``"serial"`` — the classic single-threaded maintenance path —
-        or ``"sharded"`` — the hash-partitioned parallel engine of
-        :mod:`repro.parallel` (``ChronicleDatabase(config=...)`` then
-        returns a :class:`~repro.parallel.ShardedDatabase`).
+        ``"serial"`` — every view is maintained on the admitting path —
+        or ``"sharded"`` — partitionable views are hash-partitioned
+        across the shards of :mod:`repro.parallel`.  Either way the
+        database is a :class:`~repro.core.database.ChronicleDatabase`.
     shards:
         Number of worker shards per partitionable key class (sharded
         engine only; must be >= 1).
     executor:
-        How shard maintenance fans out: ``"thread"`` (a worker-thread
-        pool, the default), ``"serial"`` (in-line, deterministic — for
-        debugging), or ``"process"`` (worker processes holding portable
-        shard replicas — true multi-core maintenance; views whose
+        Where a window's per-shard maintenance runs (sharded engine
+        only): ``"serial"`` (inline on the admitting thread, the
+        default — deterministic, and the faster of the two on every
+        stream measured so far, docs/performance.md) or ``"process"``
+        (worker processes holding portable shard replicas; views whose
         definitions cannot cross a process boundary fall back to the
         serial shard with a warning).
     prefilter_views:
@@ -215,7 +216,7 @@ class DatabaseConfig:
 
     engine: str = "serial"
     shards: int = 4
-    executor: str = "thread"
+    executor: str = "serial"
     prefilter_views: bool = True
     observe: bool = False
     audit_mode: str = "warn"
@@ -249,8 +250,14 @@ class DatabaseConfig:
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         if self.executor not in EXECUTORS:
+            hint = (
+                ' (the thread pool was removed: "serial" does the same work '
+                "inline, faster)"
+                if self.executor == "thread"
+                else ""
+            )
             raise ConfigError(
-                f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
+                f"unknown executor {self.executor!r}; expected one of {EXECUTORS}{hint}"
             )
         if self.audit_mode not in AUDIT_MODES:
             raise ConfigError(

@@ -60,26 +60,16 @@ class ChronicleDatabase:
     ----------
     config:
         A :class:`~repro.core.config.DatabaseConfig`.  With
-        ``engine="sharded"`` this constructor returns a
-        :class:`~repro.parallel.ShardedDatabase` (the parallel
-        maintenance engine); the default is the serial engine.
+        ``engine="sharded"`` the database holds a
+        :class:`~repro.parallel.engine.ShardEngine` and fans maintenance
+        of partitionable views out to its shards; admission, the write
+        methods and every other method are the same either way.
     observability:
         Install a pre-configured :class:`~repro.obs.Observability`
         (implies ``config.observe``).  Note the runtime slot is
         process-wide, like ``GLOBAL_COUNTERS``: the installed instance
         observes every database in the process.
     """
-
-    def __new__(cls, config: Optional[DatabaseConfig] = None, **kwargs: Any) -> "ChronicleDatabase":
-        if (
-            cls is ChronicleDatabase
-            and config is not None
-            and config.engine == "sharded"
-        ):
-            from ..parallel.engine import ShardedDatabase
-
-            return super().__new__(ShardedDatabase)
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -112,6 +102,12 @@ class ChronicleDatabase:
             from ..storage.durability import DurabilityManager
 
             self._durability = DurabilityManager(self, config.durability)
+        #: The sharded engine's fan-out stage (None on the serial engine).
+        self._shards: Optional[Any] = None
+        if config.engine == "sharded":
+            from ..parallel.engine import ShardEngine
+
+            self._shards = ShardEngine(config)
 
     # -- observability --------------------------------------------------------------
 
@@ -259,14 +255,18 @@ class ChronicleDatabase:
         logged since the last one (``wal+snapshot`` mode), the log is
         fsynced, and the durability file is closed — after which new
         appends are no longer logged.  Stops the metrics exporter's
-        serving thread if one is running.  The database remains usable
-        for in-process work afterwards; use the context-manager form to
-        scope the exporter to a block::
+        serving thread if one is running and ends the shard executor's
+        worker processes.  The database remains usable for in-process
+        work afterwards (a later write respawns workers and reinstalls
+        their replicas); use the context-manager form to scope the
+        exporter to a block::
 
             with ChronicleDatabase(...) as db:
                 db.serve_metrics(port=0)
                 ...
         """
+        if self._shards is not None:
+            self._shards.close()
         if self._durability is not None:
             self._durability.close()
         if self._exporter_finalizer is not None:
@@ -440,17 +440,29 @@ class ChronicleDatabase:
     def _register_summary(
         self, view_name: str, summary: Summary, materialize: bool
     ) -> PersistentView:
-        """Register one summary as a persistent view (engine hook).
+        """Register one summary as a persistent view.
 
-        The sharded engine overrides this to place partitionable views
-        on worker shards; the serial path registers on :attr:`registry`.
+        The sharded engine places a partitionable view on its shards and
+        returns the merged read handle; every other view — and every
+        view on the serial engine — registers on :attr:`registry`.
         """
+        shards = self._shards
+        if shards is not None:
+            if view_name in shards.merged or view_name in self.registry:
+                raise ViewRegistrationError(
+                    f"view name {view_name!r} already registered"
+                )
+            merged = shards.place(view_name, summary, materialize)
+            if merged is not None:
+                return merged
         view = PersistentView(view_name, summary)
         self.registry.register(view)
         if materialize:
             chronicles = summary.expression.chronicles()
             if any(c.appended_count and c.retention != 0 for c in chronicles):
                 view.initialize_from_store()
+        if shards is not None:
+            shards.note_fallback(view_name, summary)
         return view
 
     def _define_periodic_from_compiled(
@@ -514,12 +526,17 @@ class ChronicleDatabase:
 
     def drop_view(self, name: str) -> None:
         """Unregister a persistent or periodic view."""
-        self.registry.unregister(name)
+        if self._shards is None or not self._shards.drop_view(name):
+            self.registry.unregister(name)
         if self._durability is not None:
             self._durability.record_ddl(("drop_view", name))
 
     def view(self, name: str) -> PersistentView:
-        """Fetch a registered persistent view."""
+        """Fetch a persistent view (the merged handle when partitioned)."""
+        if self._shards is not None:
+            merged = self._shards.merged.get(name)
+            if merged is not None:
+                return merged
         return self.registry.view(name)
 
     def periodic_view(self, name: str) -> PeriodicViewSet:
@@ -527,6 +544,18 @@ class ChronicleDatabase:
         return self.registry.periodic(name)
 
     # -- updates -------------------------------------------------------------------------
+
+    # One write path: admit through the group (serial — one sequence-number
+    # domain per group, whatever maintains the views); on the sharded engine
+    # route the stamped rows and dispatch one window; then one durability
+    # commit point per call.  A snapshot taken between the batches of a
+    # window would truncate log entries the shards have not absorbed.
+
+    def _owning_group(self, chronicle: str) -> ChronicleGroup:
+        group_name = self._chronicle_group.get(chronicle)
+        if group_name is None:
+            raise ChronicleGroupError(f"no chronicle named {chronicle!r}")
+        return self.groups[group_name]
 
     def append(
         self,
@@ -537,12 +566,18 @@ class ChronicleDatabase:
     ) -> Tuple[Row, ...]:
         """Append one transaction batch; persistent views update before
         this call returns (the ATM requirement of Section 1)."""
-        group_name = self._chronicle_group.get(chronicle)
-        if group_name is None:
-            raise ChronicleGroupError(f"no chronicle named {chronicle!r}")
-        rows = self.groups[group_name].append(
-            chronicle, records, sequence_number=sequence_number, instant=instant
-        )
+        group = self._owning_group(chronicle)
+        shards = self._shards
+        fan_out = shards.open(group, "append") if shards is not None else None
+        try:
+            rows = group.append(
+                chronicle, records, sequence_number=sequence_number, instant=instant
+            )
+            if fan_out is not None:
+                fan_out.route({chronicle: rows})
+        finally:
+            if fan_out is not None:
+                fan_out.close(1)
         if self._durability is not None:
             self._durability.batch_committed()
         return rows
@@ -555,9 +590,20 @@ class ChronicleDatabase:
         instant: Optional[float] = None,
     ) -> Dict[str, Tuple[Row, ...]]:
         """Append to several chronicles at one sequence number."""
-        stamped = self.group(group).append_simultaneous(
-            batches, sequence_number=sequence_number, instant=instant
+        owner = self.group(group)
+        shards = self._shards
+        fan_out = (
+            shards.open(owner, "append_simultaneous") if shards is not None else None
         )
+        try:
+            stamped = owner.append_simultaneous(
+                batches, sequence_number=sequence_number, instant=instant
+            )
+            if fan_out is not None:
+                fan_out.route(stamped)
+        finally:
+            if fan_out is not None:
+                fan_out.close(1)
         if self._durability is not None:
             self._durability.batch_committed()
         return stamped
@@ -570,14 +616,29 @@ class ChronicleDatabase:
     ) -> int:
         """Append a window of transaction batches; returns records admitted.
 
-        Each batch receives its own fresh sequence number.  On the
-        serial engine every batch is its own maintenance event; the
-        sharded engine overrides this with a group-commit path that
-        ships each worker shard one coalesced event per window.
+        Each batch is admitted with its own fresh sequence number, and
+        the views on :attr:`registry` (all of them on the serial engine;
+        unpartitionable and periodic ones on the sharded engine) are
+        maintained per batch.  The sharded engine's shards receive
+        **one** coalesced event for the whole window — the per-event
+        fixed costs are paid once instead of ``len(batches)`` times.
+        The window is one durability commit point.
         """
+        group = self._owning_group(chronicle)
+        shards = self._shards
+        fan_out = shards.open(group, "ingest") if shards is not None else None
         total = 0
-        for records in batches:
-            total += len(self.append(chronicle, records, instant=instant))
+        try:
+            for records in batches:
+                rows = group.append(chronicle, records, instant=instant)
+                total += len(rows)
+                if fan_out is not None:
+                    fan_out.route({chronicle: rows})
+        finally:
+            if fan_out is not None:
+                fan_out.close(len(batches))
+        if self._durability is not None:
+            self._durability.batch_committed()
         return total
 
     def update_relation(self, name: str, key: Sequence[Any], **changes: Any) -> bool:
@@ -606,13 +667,41 @@ class ChronicleDatabase:
     @property
     def stats(self) -> Dict[str, Any]:
         """Maintenance/routing statistics (merged across shards when sharded)."""
-        return self.registry.stats
+        stats = self.registry.stats
+        return stats if self._shards is None else self._shards.stats(stats)
 
     def watermarks(self) -> Dict[str, Any]:
-        """Per-group admission watermarks (per-shard too when sharded)."""
-        return {
+        """Per-group admission watermarks, plus each shard unit's own."""
+        marks = {
             f"serial/{name}": group.watermark for name, group in self.groups.items()
         }
+        if self._shards is not None:
+            marks.update((unit.label, unit.watermark) for unit in self._shards.units())
+        return marks
+
+    # -- the sharded engine, seen from outside (empty on the serial engine) -----------
+
+    @property
+    def shard_groups(self) -> Tuple[Any, ...]:
+        """The partition key classes, one row of shard units each."""
+        return () if self._shards is None else tuple(self._shards.key_classes.values())
+
+    @property
+    def partitioned_views(self) -> Tuple[str, ...]:
+        """Names of views maintained across worker shards."""
+        return () if self._shards is None else tuple(sorted(self._shards.merged))
+
+    @property
+    def fallback_views(self) -> Tuple[str, ...]:
+        """Names of views the sharded engine left on the serial registry."""
+        return () if self._shards is None else tuple(self._shards.fallbacks)
+
+    def shard_health(self) -> Optional[Any]:
+        """A live :class:`~repro.obs.health.ShardHealth` (None when serial)."""
+        if self._shards is None:
+            return None
+        admission = max((group.watermark for group in self.groups.values()), default=-1)
+        return self._shards.health(admission)
 
     # -- health & incidents ------------------------------------------------------------
 
@@ -717,11 +806,15 @@ class ChronicleDatabase:
         checkpoint document.  The database must first be re-declared to
         the same shape (groups, relations, view definitions); define
         views with ``materialize=False`` since their state comes from
-        the checkpoint.
+        the checkpoint.  Shard routing is stable-hash based, so a
+        checkpoint written by either engine (or another process) restores
+        into either with every key on its owning shard.
         """
         from ..storage.checkpoint import load_checkpoint
 
         load_checkpoint(self, source)
+        if self._shards is not None:
+            self._shards.resync()
 
     def _replay_stamped(
         self,
@@ -729,20 +822,22 @@ class ChronicleDatabase:
         event: Mapping[str, Tuple[Row, ...]],
         watermark: SequenceNumber,
     ) -> None:
-        """Recovery hook: re-apply one logged batch (engine-specific).
+        """Recovery hook: re-apply one logged batch, watermark-aware.
 
-        The serial engine absorbs the event through the group-commit
-        path when the group's watermark is still behind it — replay past
-        the watermark, skip what a snapshot already covers.  The sharded
-        engine overrides this to also route the event to the shards that
-        are still behind.
+        The admission group absorbs the event through the group-commit
+        path when its watermark is still behind it — replay past the
+        watermark, skip what a snapshot already covers — and the sharded
+        engine does the same per shard unit.
         """
         if watermark > group.watermark:
             group.ingest_stamped(event, watermark)
+        if self._shards is not None:
+            self._shards.replay(event, watermark)
 
     def __repr__(self) -> str:
         return (
             f"ChronicleDatabase(groups={sorted(self.groups)}, "
             f"chronicles={sorted(self._chronicle_group)}, "
-            f"relations={sorted(self.relations)}, views={len(self.registry)})"
+            f"relations={sorted(self.relations)}, "
+            f"views={len(self.registry) + len(self.partitioned_views)})"
         )

@@ -341,16 +341,12 @@ class Observability:
     def health(self) -> HealthReport:
         """Evaluate the SLO policy against the current state.
 
-        Uses the bound database's :meth:`shard_health` snapshot when it
-        has one (the sharded engine); a transition *into* ``FAILING``
-        triggers an ``slo-breach`` incident dump.
+        Uses the bound database's :meth:`shard_health` snapshot (None on
+        the serial engine); a transition *into* ``FAILING`` triggers an
+        ``slo-breach`` incident dump.
         """
         db = self.database()
-        shard_health = None
-        if db is not None:
-            probe = getattr(db, "shard_health", None)
-            if probe is not None:
-                shard_health = probe()
+        shard_health = db.shard_health() if db is not None else None
         report = evaluate_health(self, self.slo, shard_health)
         if report.status == "FAILING" and self._last_health_status != "FAILING":
             self.incident("slo-breach", health=report.as_dict())

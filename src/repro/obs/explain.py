@@ -312,7 +312,7 @@ def _locate_registry(db: Any, name: str) -> Tuple[Any, Optional[str]]:
     registry = db.registry
     if name in registry:
         return registry, None
-    for group in getattr(db, "_shard_groups", {}).values():
+    for group in db.shard_groups:
         for unit in group.units:
             if name in unit.registry:
                 note = (

@@ -16,7 +16,7 @@ types:
 * :class:`ShardLag` / :class:`ShardHealth` — a point-in-time snapshot
   of every worker shard: watermark, lag behind admission, staleness,
   records applied, and the imbalance ratio across the fleet.  Built by
-  :meth:`~repro.parallel.engine.ShardedDatabase.shard_health`.
+  :meth:`~repro.core.database.ChronicleDatabase.shard_health`.
 * :class:`HealthCheck` / :class:`HealthReport` — one evaluated rule and
   the overall verdict.  :func:`evaluate_health` turns (metrics,
   auditor, shard snapshot) × policy into a report.
@@ -352,7 +352,7 @@ def evaluate_health(
         )
 
     # IPC overhead: only once the process executor's telemetry relay has
-    # produced samples — a serial/thread deployment (or relay off) never
+    # produced samples — an in-process deployment (or relay off) never
     # grows this check, so its report keeps the classic check set.
     encode = observability.metrics.merged_histogram("ipc_encode_seconds")
     decode = observability.metrics.merged_histogram("ipc_decode_seconds")

@@ -14,7 +14,7 @@ derived, JSON-ready series:
   :class:`~repro.obs.metrics.HistogramWindow` (a lifetime p99 converges
   to a constant and stops saying anything);
 * **freshness** — per-shard ``lag_batches``/``lag_seconds`` and queue
-  depth from :meth:`~repro.parallel.engine.ShardedDatabase.shard_health`
+  depth from :meth:`~repro.core.database.ChronicleDatabase.shard_health`
   (cheap, lock-free);
 * **durability** — WAL bytes/sec and windowed ``wal_append`` p99;
 * **workers** — summed RSS/CPU gauges and the windowed IPC overhead
@@ -206,7 +206,7 @@ class MetricsHistory:
         }
         self._last_counters = totals
 
-        # Serial/thread engines count at chronicle admission; the
+        # In-process maintenance counts at chronicle admission; the
         # process executor counts shard-applied records instead.
         records = deltas["chronicle_records_admitted_total"]
         if records <= 0:
@@ -231,10 +231,9 @@ class MetricsHistory:
         queue_depth = 0.0
         shards: Dict[str, Dict[str, float]] = {}
         db = obs.database()
-        probe = getattr(db, "shard_health", None) if db is not None else None
-        if probe is not None:
+        if db is not None:
             try:
-                fleet = probe()
+                fleet = db.shard_health()
             except Exception:
                 fleet = None
             if fleet is not None:

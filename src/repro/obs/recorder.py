@@ -26,7 +26,7 @@ Two halves:
   persistence is strictly opt-in.
 
 Triggers are wired in three places: :meth:`Observability.on_span_end`
-(auditor violations), :meth:`~repro.parallel.engine.ShardedDatabase
+(auditor violations), :meth:`~repro.parallel.engine.ShardEngine
 ._dispatch` (shard-worker exceptions), and :meth:`Observability.health`
 (transition to ``FAILING``).  :meth:`~repro.core.database
 .ChronicleDatabase.dump_incident` is the manual pull-the-tape call.

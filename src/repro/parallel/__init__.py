@@ -11,15 +11,12 @@ from ..algebra.plan import UNPARTITIONABLE, PartitionSpec, infer_partition
 from .engine import (
     MergedView,
     NonPortableViewWarning,
-    ParallelMaintainer,
     ProcessShardBackend,
-    SerialShardBackend,
     ShardBackend,
+    ShardEngine,
     ShardTask,
-    ShardedDatabase,
     ShardGroup,
     ShardUnit,
-    ThreadShardBackend,
     UnpartitionableViewWarning,
     rebind,
     rebind_summary,
@@ -30,18 +27,15 @@ from .worker import ShardUnitSpec, UnitReplica
 __all__ = [
     "MergedView",
     "NonPortableViewWarning",
-    "ParallelMaintainer",
     "PartitionSpec",
     "ProcessShardBackend",
-    "SerialShardBackend",
     "ShardBackend",
+    "ShardEngine",
     "ShardGroup",
     "ShardRouter",
     "ShardTask",
     "ShardUnit",
     "ShardUnitSpec",
-    "ShardedDatabase",
-    "ThreadShardBackend",
     "UNPARTITIONABLE",
     "UnitReplica",
     "UnpartitionableViewWarning",

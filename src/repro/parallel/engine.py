@@ -1,13 +1,17 @@
-"""The sharded maintenance engine: parallel view maintenance by key class.
+"""The sharded maintenance engine: a fan-out stage the facade holds.
 
 ``ChronicleDatabase(config=DatabaseConfig(engine="sharded", shards=N))``
-builds a :class:`ShardedDatabase`.  Views whose summary key has copy
-lineage to the base records (:func:`~repro.algebra.plan.infer_partition`)
-are split into *N* independent partitions, one per worker shard; views
-whose keys straddle partitions fall back to the ordinary serial path (a
-:class:`UnpartitionableViewWarning` says so).  Appends are admitted and
-sequence-stamped exactly once on the serial path, then fanned out:
+is still a :class:`~repro.core.database.ChronicleDatabase` — the one
+database class — whose ``_shards`` is a :class:`ShardEngine`.  The
+facade admits and sequence-stamps every batch exactly once on the serial
+path (one sequence-number domain per group, Section 4), then hands the
+stamped rows to the engine, which fans maintenance out:
 
+* **placement** — views whose summary key has copy lineage to the base
+  records (:func:`~repro.algebra.plan.infer_partition`) are split into
+  *N* independent partitions; views whose keys straddle partitions stay
+  on the facade's serial registry (an
+  :class:`UnpartitionableViewWarning` says so);
 * **shard unit** — a private :class:`~repro.core.group.ChronicleGroup`
   of *mirror* chronicles (``retention=0`` — the no-access theorem means
   maintenance never reads them, so shards store no chronicle history)
@@ -16,12 +20,18 @@ sequence-stamped exactly once on the serial path, then fanned out:
 * **key class** — views with *equal* :class:`PartitionSpec` route
   identically and share one row of units (:class:`ShardGroup`); views
   with different specs get their own units, since a shard's registry
-  maintains every view it holds against every event it receives;
-* **group commit** — :meth:`ShardedDatabase.ingest` admits a window of
-  transaction batches (each with its own fresh sequence number), then
-  ships each shard *one* coalesced maintenance event for the whole
-  window (:meth:`~repro.core.group.ChronicleGroup.ingest_stamped`),
-  amortizing the per-event fixed costs that dominate small batches.
+  maintains every view it holds against every event it receives.  A key
+  class is retired when its last view is dropped;
+* **window** — one facade write opens one :class:`FanOut`; however many
+  batches it admits (``ingest`` admits a window of them, each with its
+  own fresh sequence number), each shard receives *one* coalesced
+  maintenance event (:meth:`~repro.core.group.ChronicleGroup
+  .ingest_stamped`), amortizing the per-event fixed costs that dominate
+  small batches;
+* **executor** — *where* a window's per-shard tasks run:
+  :class:`ShardBackend` runs them inline on the admitting thread,
+  :class:`ProcessShardBackend` ships them to worker processes holding
+  portable replicas.  Nothing else differs between the two.
 
 Reads merge: :class:`MergedView` routes key lookups to the owning shard
 and unions scans, taking each unit's lock so a lookup never observes a
@@ -35,23 +45,12 @@ import pickle
 import time
 import warnings
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from threading import RLock
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union as TUnion
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..algebra.ast import (
-    ChronicleScan,
-    Difference,
-    GroupBySeq,
-    Node,
-    Project,
-    RelKeyJoin,
-    RelProduct,
-    Select,
-    SeqJoin,
-    Union,
-)
+from ..algebra.ast import ChronicleScan, Node
 from ..algebra.plan import (
     UNPARTITIONABLE,
     PartitionSpec,
@@ -60,12 +59,11 @@ from ..algebra.plan import (
     schema_spec,
     summary_spec,
 )
-from ..core.chronicle import Chronicle, RowValues
-from ..core.database import ChronicleDatabase
+from ..core.chronicle import Chronicle
 from ..core.delta import Delta
 from ..core.group import ChronicleGroup
 from ..core.sequence import SequenceNumber
-from ..errors import ChronicleGroupError, EngineError, ViewRegistrationError
+from ..errors import AlgebraError, EngineError
 from ..obs import runtime as obs_runtime
 from ..obs.health import ShardHealth, ShardLag
 from ..relational.algebra import Table
@@ -100,7 +98,7 @@ class NonPortableViewWarning(UnpartitionableViewWarning):
 
 
 def rebind(node: Node, chronicles: Mapping[str, Chronicle]) -> Node:
-    """Rebuild an algebra tree over mirror chronicles.
+    """Rebuild an algebra tree over mirror chronicles (post-order).
 
     Relations are shared (replicated read-only — proactive updates reach
     every shard through the one shared object); chronicle scans are
@@ -110,26 +108,14 @@ def rebind(node: Node, chronicles: Mapping[str, Chronicle]) -> Node:
     """
     if isinstance(node, ChronicleScan):
         return ChronicleScan(chronicles[node.chronicle.name])
-    if isinstance(node, Select):
-        return Select(rebind(node.child, chronicles), node.predicate)
-    if isinstance(node, Project):
-        return Project(rebind(node.child, chronicles), node.names)
-    if isinstance(node, SeqJoin):
-        return SeqJoin(rebind(node.left, chronicles), rebind(node.right, chronicles))
-    if isinstance(node, Union):
-        return Union(rebind(node.left, chronicles), rebind(node.right, chronicles))
-    if isinstance(node, Difference):
-        return Difference(rebind(node.left, chronicles), rebind(node.right, chronicles))
-    if isinstance(node, GroupBySeq):
-        return GroupBySeq(rebind(node.child, chronicles), node.grouping, node.aggregates)
-    if isinstance(node, RelProduct):
-        return RelProduct(rebind(node.child, chronicles), node.relation)
-    if isinstance(node, RelKeyJoin):
-        return RelKeyJoin(rebind(node.child, chronicles), node.relation, node.pairs)
-    raise EngineError(
-        f"cannot rebind {type(node).__name__} onto shard mirrors; "
-        f"views containing it are unpartitionable"
-    )
+    children = tuple(rebind(child, chronicles) for child in node.children)
+    try:
+        return node.with_children(children)
+    except AlgebraError as exc:
+        raise EngineError(
+            f"cannot rebind {type(node).__name__} onto shard mirrors; "
+            f"views containing it are unpartitionable"
+        ) from exc
 
 
 def rebind_summary(summary: Summary, chronicles: Mapping[str, Chronicle]) -> Summary:
@@ -195,7 +181,6 @@ class ShardUnit:
         "windows_applied",
         "remote_stats",
         "remote_spans",
-        "last_window_summary",
     )
 
     def __init__(
@@ -238,9 +223,6 @@ class ShardUnit:
         #: worker-crash incident bundle reports as the worker's final
         #: observed activity.
         self.remote_spans: List[Dict[str, Any]] = []
-        #: Summary of the last window this unit absorbed (shard,
-        #: watermark, per-chronicle row counts).
-        self.last_window_summary: Optional[Dict[str, Any]] = None
 
     def mirror(self, chronicle: Chronicle) -> Chronicle:
         """The unit's mirror of a real chronicle (created on demand).
@@ -343,7 +325,7 @@ class ShardUnit:
         The worker returns only the ``(key, state)`` pairs the window
         touched per view; this merges them into the parent-side
         partition views under the unit lock — the same snapshot
-        consistency readers get from the thread executor — and performs
+        consistency readers get from the inline executor — and performs
         the same watermark/lag/trace bookkeeping, with the worker's
         wall-clock attached to the ``shard_apply`` span.
 
@@ -670,16 +652,17 @@ class MergedView:
 
 
 # ---------------------------------------------------------------------------
-# The maintainer (executor fan-out)
+# Executors: where a window's tasks run
 # ---------------------------------------------------------------------------
 
 
 class ShardTask:
     """One shard's share of one maintenance window, ready to execute.
 
-    Built on the admission thread by ``_dispatch``; backends decide
-    *where* it runs (inline, worker thread, worker process) — the
-    routing, watermark bookkeeping, and trace context are already fixed.
+    Built on the admission thread by :meth:`ShardEngine._dispatch`;
+    backends decide *where* it runs (inline or in a worker process) —
+    the routing, watermark bookkeeping, and trace context are already
+    fixed.
     """
 
     __slots__ = ("unit", "event", "watermark", "window")
@@ -695,10 +678,6 @@ class ShardTask:
         self.event = event
         self.watermark = watermark
         self.window = window
-
-    def run_local(self) -> None:
-        """Apply the window on the calling thread (serial/thread backends)."""
-        self.unit.apply(self.event, self.watermark, self.window)
 
     def summary(self) -> Dict[str, Any]:
         """A compact description of this task's window, for diagnostics.
@@ -716,20 +695,22 @@ class ShardTask:
 
 
 class ShardBackend:
-    """Executor-agnostic contract the maintainer dispatches through.
+    """The inline executor, and the contract the engine dispatches through.
 
-    One dispatch path serves every executor: ``run`` executes a window's
+    One dispatch path serves both executors: ``run`` executes a window's
     tasks and re-raises the first failure after all complete (a partial
-    window never hides an error); the view/reset hooks let stateful
-    backends (worker processes holding replicas) track registration
-    changes.  The base class is the inline ``serial`` implementation.
+    window never hides an error); the view/reset hooks let a stateful
+    backend (worker processes holding replicas) track registration
+    changes.  This class runs every task on the admitting thread —
+    deterministic, and on every stream measured so far the faster of
+    the two (docs/performance.md).
     """
 
     name = "serial"
 
     def run(self, tasks: Sequence[ShardTask]) -> None:
         for task in tasks:
-            task.run_local()
+            task.unit.apply(task.event, task.watermark, task.window)
 
     def queue_depth(self) -> int:
         """Tasks waiting to execute (0 when nothing is in flight)."""
@@ -749,41 +730,6 @@ class ShardBackend:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-class SerialShardBackend(ShardBackend):
-    """Run every task inline (deterministic; handy under debuggers)."""
-
-
-class ThreadShardBackend(ShardBackend):
-    """Run tasks on a shared thread pool (the PR-4 executor)."""
-
-    name = "thread"
-
-    def __init__(self, workers: int) -> None:
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
-
-    def run(self, tasks: Sequence[ShardTask]) -> None:
-        if len(tasks) == 1:
-            tasks[0].run_local()
-            return
-        futures = [self._pool.submit(task.run_local) for task in tasks]
-        error: Optional[BaseException] = None
-        for future in futures:
-            exc = future.exception()
-            if exc is not None and error is None:
-                error = exc
-        if error is not None:
-            raise error
-
-    def queue_depth(self) -> int:
-        queue = getattr(self._pool, "_work_queue", None)
-        return int(queue.qsize()) if queue is not None else 0
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
 
 
 def _shutdown_pools(pools: List[Optional[ProcessPoolExecutor]]) -> None:
@@ -1006,7 +952,6 @@ class ProcessShardBackend(ShardBackend):
                     ipc=ipc,
                     worker=str(self._slot_of(task.unit.label)),
                 )
-            task.unit.last_window_summary = task.summary()
         if error is not None:
             raise error
 
@@ -1032,181 +977,167 @@ class ProcessShardBackend(ShardBackend):
     def view_removed(self, shard_group: "ShardGroup", name: str) -> None:
         for unit in shard_group.units:
             if unit.label in self._installed:
-                self._pool_for(unit.label).submit(
+                emptied = self._pool_for(unit.label).submit(
                     worker_remove_view, unit.label, name
                 ).result()
+                if emptied:
+                    # The worker released the replica with its last view
+                    # (a retired key class): forget the label entirely.
+                    self._installed.discard(unit.label)
+                    self._assignment.pop(unit.label, None)
 
     def reset_units(self, shard_groups: Sequence["ShardGroup"]) -> None:
         """Forget installed replicas; next dispatch reinstalls from state."""
         self._installed.clear()
 
     def close(self) -> None:
-        _shutdown_pools(self._pools)
+        """End the workers; a later window respawns and reinstalls them.
 
-
-_BACKENDS = {
-    "serial": SerialShardBackend,
-    "thread": ThreadShardBackend,
-    "process": ProcessShardBackend,
-}
-
-
-class ParallelMaintainer:
-    """Fans per-shard maintenance tasks out through a :class:`ShardBackend`.
-
-    ``executor="thread"`` runs tasks on a worker thread pool;
-    ``"serial"`` runs them inline (deterministic, handy under
-    debuggers); ``"process"`` ships windows to worker processes holding
-    portable shard replicas — true multi-core maintenance.  The dispatch
-    path, watermark bookkeeping, lag gauges, and trace correlation are
-    identical across executors; only *where* a window executes differs.
-    """
-
-    def __init__(
-        self,
-        executor: str = "thread",
-        workers: int = 4,
-        relay_telemetry: bool = True,
-    ) -> None:
-        factory = _BACKENDS.get(executor)
-        if factory is None:
-            raise EngineError(f"unknown executor {executor!r}")
-        self.executor = executor
-        self.workers = workers
-        if executor == "serial":
-            self._backend: ShardBackend = factory()
-        elif executor == "process":
-            self._backend = factory(workers, relay_telemetry)
-        else:
-            self._backend = factory(workers)
-
-    def run(self, tasks: Sequence[ShardTask]) -> None:
-        """Run every task; re-raises the first failure after all finish."""
-        if not tasks:
-            return
-        self._backend.run(tasks)
-
-    def queue_depth(self) -> int:
-        """Tasks waiting in the backend's queue (0 for serial).
-
-        A best-effort probe of the executor's internal work queue —
-        under the synchronous :meth:`run` it only exceeds zero while a
-        window is mid-flight, which is exactly when health snapshots
-        taken from other threads want to see it.
+        The replicas died with the workers, so the installed set is
+        cleared like after a restore: the next dispatch rebuilds each
+        replica from the parent's absorbed state.
         """
-        return self._backend.queue_depth()
-
-    def view_added(self, shard_group: "ShardGroup", name: str) -> None:
-        self._backend.view_added(shard_group, name)
-
-    def view_removed(self, shard_group: "ShardGroup", name: str) -> None:
-        self._backend.view_removed(shard_group, name)
-
-    def reset_units(self, shard_groups: Sequence["ShardGroup"]) -> None:
-        self._backend.reset_units(shard_groups)
-
-    def close(self) -> None:
-        self._backend.close()
-
-    def __repr__(self) -> str:
-        return f"ParallelMaintainer(executor={self.executor!r}, workers={self.workers})"
+        _shutdown_pools(self._pools)
+        self._installed.clear()
 
 
 # ---------------------------------------------------------------------------
-# The sharded database
+# The engine object the facade holds
 # ---------------------------------------------------------------------------
 
 
-class ShardedDatabase(ChronicleDatabase):
-    """A chronicle database maintaining partitionable views in parallel.
+#: What one window has routed so far: unit -> chronicle name -> stamped rows.
+Routed = Dict[ShardUnit, Dict[str, List[Row]]]
 
-    Construction goes through the facade::
 
-        db = ChronicleDatabase(config=DatabaseConfig(engine="sharded", shards=4))
+class FanOut:
+    """One facade write's fan-out stage (:meth:`ShardEngine.open`).
 
-    Admission stays serial (one sequence-number domain per group —
-    Section 4's ordering requirement), maintenance fans out.  Views that
-    cannot be partitioned run exactly as in the serial engine, on the
-    base registry; everything else lives in per-key-class
-    :class:`ShardGroup` units and is read through :class:`MergedView`.
+    Opened *before* admission, so the root ``ingest`` span brackets
+    admission through all-shards-visible (dispatch is synchronous): its
+    duration is the end-to-end freshness gap and its identity is what
+    ``shard_apply`` spans link to.  Fed each stamped batch as the group
+    admits it; closed exactly once, when every routed-to shard receives
+    **one** coalesced window — also after a batch was refused, so that
+    what the group did admit is never left unmaintained.
     """
 
-    def __init__(self, config: Any = None, *, observability: Any = None) -> None:
-        super().__init__(config=config, observability=observability)
-        if self.config.engine != "sharded":
-            self.config = self.config.replace(engine="sharded")
-        self._maintainer = ParallelMaintainer(
-            executor=self.config.executor,
-            workers=self.config.shards,
-            relay_telemetry=getattr(self.config, "relay_telemetry", True),
+    __slots__ = ("_engine", "_group", "_span", "_admitted_at", "_pending")
+
+    def __init__(self, engine: "ShardEngine", group: ChronicleGroup, path: str) -> None:
+        self._engine = engine
+        self._group = group
+        obs = obs_runtime.ACTIVE
+        self._span = (
+            obs.tracer.start("ingest", group=group.name, path=path)
+            if obs is not None and obs.trace
+            else None
         )
-        self._shard_groups: Dict[Tuple[str, Any], ShardGroup] = {}
-        self._merged: Dict[str, MergedView] = {}
-        self._fallbacks: List[str] = []
+        self._admitted_at = time.time()
+        self._pending: Routed = {}
 
-    # -- view registration --------------------------------------------------------
+    def route(self, event: Mapping[str, Sequence[Row]]) -> None:
+        """Bucket one admitted batch by owning shard unit."""
+        self._engine._route(event, self._pending)
 
-    def _register_summary(
+    def close(self, batches: int) -> None:
+        """Dispatch the window, then end the ``ingest`` span."""
+        try:
+            if self._pending:
+                self._engine._dispatch(
+                    self._pending, self._group.watermark, self._admitted_at
+                )
+        finally:
+            obs = obs_runtime.ACTIVE
+            if self._span is not None and obs is not None:
+                self._span.attrs["batches"] = batches
+                obs.tracer.finish(self._span)
+
+
+class ShardEngine:
+    """The sharded engine's state: what the facade holds as ``_shards``.
+
+    Owns the key classes, the merged read handles, the names of the
+    views that fell back to the facade's serial registry, and the
+    executor backend.  The facade stays the only front end: it admits
+    through the group (serial, whatever maintains the views) and calls
+    in here to place a view, to fan a write out, and wherever a catalog
+    or introspection method has a sharded half.
+    """
+
+    def __init__(self, config: Any) -> None:
+        self.shards: int = config.shards
+        self.backend: ShardBackend = (
+            ProcessShardBackend(config.shards, config.relay_telemetry)
+            if config.executor == "process"
+            else ShardBackend()
+        )
+        self.key_classes: Dict[Tuple[str, Any], ShardGroup] = {}
+        self.merged: Dict[str, MergedView] = {}
+        self.fallbacks: List[str] = []
+        # Key-class names are never reused: a retired class's labels may
+        # still name worker slots and metric series.
+        self._key_classes_built = 0
+
+    # -- view placement --------------------------------------------------------------
+
+    def place(
         self, view_name: str, summary: Summary, materialize: bool
-    ) -> TUnion[PersistentView, MergedView]:
-        if view_name in self._merged:
-            raise ViewRegistrationError(f"view name {view_name!r} already registered")
+    ) -> Optional[MergedView]:
+        """Partition *summary* across its key class's units.
+
+        None when the view must stay on the facade's serial registry
+        (:meth:`note_fallback` says why, once it is registered there).
+        """
         spec = infer_partition(summary)
-        fallback: Optional[Tuple[str, type]] = None
-        if spec is UNPARTITIONABLE:
-            fallback = (
+        if spec is UNPARTITIONABLE or (
+            self.backend.name == "process" and not is_portable(summary)
+        ):
+            return None
+        source_group = summary.expression.group
+        key = (source_group.name, spec.canonical())
+        shard_group = self.key_classes.get(key)
+        if shard_group is None:
+            shard_group = self.key_classes[key] = ShardGroup(
+                f"kc{self._key_classes_built}", spec, source_group, self.shards
+            )
+            self._key_classes_built += 1
+        shard_group.add_view(view_name, summary)
+        merged = self.merged[view_name] = MergedView(view_name, summary, shard_group)
+        if materialize:
+            self._materialize(shard_group, view_name, summary)
+        # After materialization, so an installed worker replica receives
+        # the view's seeded state, not an empty partition.
+        self.backend.view_added(shard_group, view_name)
+        return merged
+
+    def note_fallback(self, view_name: str, summary: Summary) -> None:
+        """Warn about, count and record a view the serial registry took."""
+        if infer_partition(summary) is UNPARTITIONABLE:
+            message, category = (
                 f"view {view_name!r} is unpartitionable (its summary key has "
                 f"no copy lineage to every scanned chronicle); maintaining it "
                 f"on the serial shard",
                 UnpartitionableViewWarning,
             )
-        elif self.config.executor == "process" and not is_portable(summary):
+        else:
             # The process executor must ship the view definition to a
-            # worker; a definition referencing process-local state (live
-            # relations, lambdas in user aggregates) cannot cross.
-            fallback = (
+            # worker; one referencing process-local state (live relations,
+            # lambdas in user aggregates) cannot cross.
+            message, category = (
                 f"view {view_name!r} has no portable definition (it "
                 f"references process-local state such as a relation or a "
                 f"non-picklable function); maintaining it on the serial shard",
                 NonPortableViewWarning,
             )
-        if fallback is not None:
-            message, category = fallback
-            warnings.warn(message, category, stacklevel=4)
-            obs = obs_runtime.ACTIVE
-            if obs is not None:
-                obs.metrics.inc("shard_fallback_total", view=view_name)
-            self._fallbacks.append(view_name)
-            return super()._register_summary(view_name, summary, materialize)
-        if view_name in self.registry:
-            raise ViewRegistrationError(f"view name {view_name!r} already registered")
-        source_group = summary.expression.group
-        shard_group = self._shard_group_for(spec, source_group)
-        shard_group.add_view(view_name, summary)
-        merged = MergedView(view_name, summary, shard_group)
-        self._merged[view_name] = merged
-        if materialize:
-            self._materialize_partitioned(shard_group, view_name, summary)
-        # After materialization, so an installed worker replica receives
-        # the view's seeded state, not an empty partition.
-        self._maintainer.view_added(shard_group, view_name)
-        return merged
+        warnings.warn(message, category, stacklevel=4)
+        obs = obs_runtime.ACTIVE
+        if obs is not None:
+            obs.metrics.inc("shard_fallback_total", view=view_name)
+        self.fallbacks.append(view_name)
 
-    def _shard_group_for(
-        self, spec: PartitionSpec, source_group: ChronicleGroup
-    ) -> ShardGroup:
-        key = (source_group.name, spec.canonical())
-        shard_group = self._shard_groups.get(key)
-        if shard_group is None:
-            shard_group = ShardGroup(
-                f"kc{len(self._shard_groups)}", spec, source_group, self.config.shards
-            )
-            self._shard_groups[key] = shard_group
-        return shard_group
-
-    def _materialize_partitioned(
-        self, shard_group: ShardGroup, view_name: str, summary: Summary
-    ) -> None:
+    @staticmethod
+    def _materialize(shard_group: ShardGroup, view_name: str, summary: Summary) -> None:
         """Initialize a new view's partitions from stored history.
 
         Routes the retained rows of each scanned chronicle to their
@@ -1215,10 +1146,9 @@ class ShardedDatabase(ChronicleDatabase):
         """
         pending: Dict[int, Dict[str, List[Row]]] = {}
         for chronicle in {c.name: c for c in summary.expression.chronicles()}.values():
-            real = self.chronicle(chronicle.name)
-            if not real.appended_count or real.retention == 0:
+            if not chronicle.appended_count or chronicle.retention == 0:
                 continue
-            routed = shard_group.router.route(chronicle.name, list(real.rows()))
+            routed = shard_group.router.route(chronicle.name, list(chronicle.rows()))
             for index, rows in routed.items():
                 pending.setdefault(index, {}).setdefault(
                     chronicle.name, []
@@ -1233,154 +1163,44 @@ class ShardedDatabase(ChronicleDatabase):
                 }
                 view.apply_event(deltas)
 
-    def drop_view(self, name: str) -> None:
-        merged = self._merged.pop(name, None)
+    def drop_view(self, name: str) -> bool:
+        """Drop *name* if it is partitioned (True); else forget any fallback."""
+        merged = self.merged.pop(name, None)
         if merged is None:
-            super().drop_view(name)
-            return
-        self._maintainer.view_removed(merged._shard_group, name)
-        merged._shard_group.remove_view(name)
-        if self._durability is not None:
-            self._durability.record_ddl(("drop_view", name))
+            if name in self.fallbacks:
+                self.fallbacks.remove(name)
+            return False
+        shard_group = merged._shard_group
+        self.backend.view_removed(shard_group, name)
+        shard_group.remove_view(name)
+        if not shard_group.views:
+            # Retire the key class with its last view: nothing is left
+            # to maintain, so nothing may be routed (or shipped) to it.
+            del self.key_classes[
+                (shard_group.source_group.name, shard_group.spec.canonical())
+            ]
+        return True
 
-    def view(self, name: str) -> Any:
-        """Fetch a view handle: merged for partitioned views."""
-        merged = self._merged.get(name)
-        if merged is not None:
-            return merged
-        return super().view(name)
+    # -- the fan-out stage -------------------------------------------------------------
 
-    # -- appends ---------------------------------------------------------------------
+    def open(self, group: ChronicleGroup, path: str) -> Optional[FanOut]:
+        """The fan-out stage for one facade write (None: nothing to fan to)."""
+        return FanOut(self, group, path) if self.key_classes else None
 
-    def _ingest_span(self, group_name: str, path: str) -> Optional[Any]:
-        """Open the root ``ingest`` span for one sharded write, if tracing.
-
-        The span brackets admission through all-shards-visible (dispatch
-        is synchronous), so its duration is the end-to-end freshness gap;
-        its identity is what worker-thread ``shard_apply`` spans link to.
-        """
-        obs = obs_runtime.ACTIVE
-        if obs is None or not obs.trace or not self._shard_groups:
-            return None
-        return obs.tracer.start("ingest", group=group_name, path=path)
-
-    def _finish_ingest_span(self, span: Optional[Any], **attrs: Any) -> None:
-        if span is None:
-            return
-        obs = obs_runtime.ACTIVE
-        if obs is None:
-            return
-        span.attrs.update(attrs)
-        obs.tracer.finish(span)
-
-    def append(
-        self,
-        chronicle: str,
-        records: TUnion[RowValues, Sequence[RowValues]],
-        sequence_number: Optional[SequenceNumber] = None,
-        instant: Optional[float] = None,
-    ) -> Tuple[Row, ...]:
-        group = self._owning_group(chronicle)
-        span = self._ingest_span(group.name, "append")
-        try:
-            admitted_at = time.time()
-            rows = group.append(
-                chronicle, records, sequence_number=sequence_number, instant=instant
-            )
-            if rows and self._shard_groups:
-                pending = self._route({chronicle: rows})
-                self._dispatch(pending, group.watermark, admitted_at)
-            if self._durability is not None:
-                self._durability.batch_committed()
-            return rows
-        finally:
-            self._finish_ingest_span(span, batches=1)
-
-    def append_simultaneous(
-        self,
-        batches: Mapping[str, TUnion[RowValues, Sequence[RowValues]]],
-        group: str = "default",
-        sequence_number: Optional[SequenceNumber] = None,
-        instant: Optional[float] = None,
-    ) -> Dict[str, Tuple[Row, ...]]:
-        owner = self.group(group)
-        span = self._ingest_span(owner.name, "append_simultaneous")
-        try:
-            admitted_at = time.time()
-            stamped = owner.append_simultaneous(
-                batches, sequence_number=sequence_number, instant=instant
-            )
-            event = {name: rows for name, rows in stamped.items() if rows}
-            if event and self._shard_groups:
-                pending = self._route(event)
-                self._dispatch(pending, owner.watermark, admitted_at)
-            if self._durability is not None:
-                self._durability.batch_committed()
-            return stamped
-        finally:
-            self._finish_ingest_span(span, batches=1)
-
-    def ingest(
-        self,
-        chronicle: str,
-        batches: Sequence[TUnion[RowValues, Sequence[RowValues]]],
-        instant: Optional[float] = None,
-    ) -> int:
-        """Group commit: admit a window of batches, maintain once per shard.
-
-        Each batch is admitted serially with its own fresh sequence
-        number (unpartitionable and periodic views are maintained per
-        batch, exactly as the serial engine would), but each shard
-        receives **one** coalesced event for the whole window — the
-        per-event fixed costs are paid once instead of ``len(batches)``
-        times.  Returns the number of records admitted.
-        """
-        group = self._owning_group(chronicle)
-        span = self._ingest_span(group.name, "ingest")
-        try:
-            admitted_at = time.time()
-            pending: Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]] = {}
-            total = 0
-            for records in batches:
-                rows = group.append(chronicle, records, instant=instant)
-                total += len(rows)
-                if rows and self._shard_groups:
-                    self._route({chronicle: rows}, into=pending)
-            if pending:
-                self._dispatch(pending, group.watermark, admitted_at)
-            if self._durability is not None:
-                self._durability.batch_committed()
-            return total
-        finally:
-            self._finish_ingest_span(span, batches=len(batches))
-
-    def _owning_group(self, chronicle: str) -> ChronicleGroup:
-        group_name = self._chronicle_group.get(chronicle)
-        if group_name is None:
-            raise ChronicleGroupError(f"no chronicle named {chronicle!r}")
-        return self.groups[group_name]
-
-    def _route(
-        self,
-        event: Mapping[str, Tuple[Row, ...]],
-        into: Optional[Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]]] = None,
-    ) -> Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]]:
-        """Bucket one stamped event by (key class, shard) into *into*."""
-        pending = into if into is not None else {}
-        for shard_group in self._shard_groups.values():
-            spec_chronicles = shard_group.spec.keys
+    def _route(self, event: Mapping[str, Sequence[Row]], pending: Routed) -> None:
+        """Bucket one stamped event by owning shard unit into *pending*."""
+        for shard_group in self.key_classes.values():
+            routed_chronicles = shard_group.spec.keys
             for name, rows in event.items():
-                if name not in spec_chronicles:
+                if not rows or name not in routed_chronicles:
                     continue
-                routed = shard_group.router.route(name, rows)
-                units = pending.setdefault(shard_group, {})
-                for index, bucket in routed.items():
-                    units.setdefault(index, {}).setdefault(name, []).extend(bucket)
-        return pending
+                for index, bucket in shard_group.router.route(name, rows).items():
+                    unit_event = pending.setdefault(shard_group.units[index], {})
+                    unit_event.setdefault(name, []).extend(bucket)
 
     def _dispatch(
         self,
-        pending: Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]],
+        pending: Routed,
         watermark: SequenceNumber,
         admitted_at: Optional[float] = None,
     ) -> None:
@@ -1397,74 +1217,96 @@ class ShardedDatabase(ChronicleDatabase):
                     trace_id = producer.trace_id
                     parent_id = producer.span_id
             window = ShardWindow(trace_id, parent_id, admitted_at)
-        for shard_group, units in pending.items():
-            for index, event in units.items():
-                unit = shard_group.units[index]
-                # Mark the dispatch on the admission thread *before* the
-                # worker runs: a concurrent health probe or scrape sees
-                # the in-flight window as lag, not as silence.
-                unit.dispatched = watermark
-                unit.dispatched_at = admitted_at
-                tasks.append(ShardTask(unit, event, watermark, window))
-                if obs is not None:
-                    obs.metrics.inc(
-                        "shard_records_total",
-                        sum(len(rows) for rows in event.values()),
-                        shard=unit.label,
-                    )
-                    obs.metrics.set(
-                        "shard_lag_batches",
-                        max(0, watermark - unit.watermark),
-                        shard=unit.label,
-                    )
+        for unit, event in pending.items():
+            # Mark the dispatch on the admission thread *before* the
+            # worker runs: a concurrent health probe or scrape sees the
+            # in-flight window as lag, not as silence.
+            unit.dispatched = watermark
+            unit.dispatched_at = admitted_at
+            tasks.append(ShardTask(unit, event, watermark, window))
+            if obs is not None:
+                obs.metrics.inc(
+                    "shard_records_total",
+                    sum(len(rows) for rows in event.values()),
+                    shard=unit.label,
+                )
+                obs.metrics.set(
+                    "shard_lag_batches",
+                    max(0, watermark - unit.watermark),
+                    shard=unit.label,
+                )
         try:
-            self._maintainer.run(tasks)
+            self.backend.run(tasks)
         except BaseException as exc:
             if obs is not None:
                 obs.metrics.inc("engine_errors_total")
+                # Watermarks and registry stats come from the database the
+                # handle is bound to; the failing task's window summary and
+                # the worker's last relayed spans (when the backend could
+                # attach them) make a crash diagnosable from the bundle
+                # without reproducing it.
                 obs.incident(
                     "shard-worker-error",
                     error=repr(exc),
                     watermark=watermark,
-                    watermarks=self.watermarks(),
-                    # The failing task's window summary and the worker's
-                    # last relayed spans (when the backend could attach
-                    # them) — a crash should be diagnosable from the
-                    # bundle without reproducing it.
                     window=getattr(exc, "shard_task_summary", None),
                     worker_spans=getattr(exc, "worker_spans", None),
                 )
             raise
 
-    # -- stats / introspection ---------------------------------------------------------
+    def replay(self, event: Mapping[str, Sequence[Row]], watermark: SequenceNumber) -> None:
+        """Recovery: re-apply one logged batch to the shards still behind it.
 
-    @property
-    def stats(self) -> Dict[str, Any]:
-        """Database-wide maintenance stats merged across every registry."""
-        units = [
+        Each routed shard unit receives the event only if its own
+        watermark is behind — a snapshot taken mid-stream leaves nothing
+        to re-apply on the shards it already covers.
+        """
+        pending: Routed = {}
+        self._route(event, pending)
+        behind = {
+            unit: unit_event
+            for unit, unit_event in pending.items()
+            if unit.watermark < watermark
+        }
+        if behind:
+            self._dispatch(behind, watermark)
+
+    def resync(self) -> None:
+        """Parent-side shard state was replaced by a restore.
+
+        Unit watermarks advance to the restored admission watermark, and
+        process-executor replicas are invalidated — the next window
+        reinstalls them from the restored state.
+        """
+        for shard_group in self.key_classes.values():
+            watermark = shard_group.source_group.watermark
+            for unit in shard_group.units:
+                with unit.lock:
+                    unit.watermark = watermark
+                    unit.dispatched = watermark
+        self.backend.reset_units(tuple(self.key_classes.values()))
+
+    # -- introspection -----------------------------------------------------------------
+
+    def units(self) -> List[ShardUnit]:
+        return [
             unit
-            for shard_group in self._shard_groups.values()
+            for shard_group in self.key_classes.values()
             for unit in shard_group.units
         ]
+
+    def stats(self, serial: Dict[str, Any]) -> Dict[str, Any]:
+        """*serial* (the facade registry's stats) merged with every unit's."""
+        units = self.units()
         return ViewRegistry.merge_stats(
-            [self.registry.stats]
+            [serial]
             + [unit.registry.stats for unit in units]
             # Under the process executor the maintaining registry lives
             # in the worker; each window returns its cumulative stats.
             + [unit.remote_stats for unit in units if unit.remote_stats]
         )
 
-    def watermarks(self) -> Dict[str, SequenceNumber]:
-        """Per-shard absorption watermarks (plus the serial admission one)."""
-        marks: Dict[str, SequenceNumber] = {
-            f"serial/{name}": group.watermark for name, group in self.groups.items()
-        }
-        for shard_group in self._shard_groups.values():
-            for unit in shard_group.units:
-                marks[unit.label] = unit.watermark
-        return marks
-
-    def shard_health(self) -> ShardHealth:
+    def health(self, admission: SequenceNumber) -> ShardHealth:
         """A live freshness snapshot across every shard unit.
 
         Lag is measured against what was *dispatched to* each unit, not
@@ -1474,109 +1316,28 @@ class ShardedDatabase(ChronicleDatabase):
         in-flight window.
         """
         now = time.time()
-        admission = max(
-            (group.watermark for group in self.groups.values()), default=-1
+        shards = tuple(
+            ShardLag(
+                shard=unit.label,
+                watermark=unit.watermark,
+                lag_batches=max(0, unit.dispatched - unit.watermark),
+                lag_seconds=(
+                    max(0.0, now - unit.dispatched_at)
+                    if unit.dispatched > unit.watermark
+                    else 0.0
+                ),
+                records_applied=unit.records_applied,
+                windows_applied=unit.windows_applied,
+                last_apply_at=unit.last_apply_at,
+            )
+            for unit in self.units()
         )
-        shards: List[ShardLag] = []
-        for shard_group in self._shard_groups.values():
-            for unit in shard_group.units:
-                behind = unit.dispatched > unit.watermark
-                shards.append(
-                    ShardLag(
-                        shard=unit.label,
-                        watermark=unit.watermark,
-                        lag_batches=max(0, unit.dispatched - unit.watermark),
-                        lag_seconds=(
-                            max(0.0, now - unit.dispatched_at) if behind else 0.0
-                        ),
-                        records_applied=unit.records_applied,
-                        windows_applied=unit.windows_applied,
-                        last_apply_at=unit.last_apply_at,
-                    )
-                )
         return ShardHealth(
             admission_watermark=admission,
-            shards=tuple(shards),
-            queue_depth=self._maintainer.queue_depth(),
+            shards=shards,
+            queue_depth=self.backend.queue_depth(),
             at=now,
         )
 
-    @property
-    def fallback_views(self) -> Tuple[str, ...]:
-        """Names of views that fell back to the serial shard."""
-        return tuple(self._fallbacks)
-
-    @property
-    def partitioned_views(self) -> Tuple[str, ...]:
-        """Names of views maintained across worker shards."""
-        return tuple(sorted(self._merged))
-
-    @property
-    def shard_groups(self) -> Tuple[ShardGroup, ...]:
-        return tuple(self._shard_groups.values())
-
-    # -- durability -------------------------------------------------------------------
-
-    def restore(self, source: Any) -> None:
-        """Restore from a checkpoint, then resync shard bookkeeping.
-
-        Routing is :func:`~repro.parallel.router.stable_hash`-based, so a
-        checkpoint written by any process (or the serial engine) restores
-        here with every key on its owning shard.  Unit watermarks advance
-        to the restored admission watermark, and process-executor worker
-        replicas are invalidated — the next window reinstalls them from
-        the restored state.
-        """
-        super().restore(source)
-        for shard_group in self._shard_groups.values():
-            watermark = shard_group.source_group.watermark
-            for unit in shard_group.units:
-                with unit.lock:
-                    unit.watermark = watermark
-                    unit.dispatched = watermark
-        self._maintainer.reset_units(self.shard_groups)
-
-    def _replay_stamped(
-        self,
-        group: ChronicleGroup,
-        event: Mapping[str, Tuple[Row, ...]],
-        watermark: SequenceNumber,
-    ) -> None:
-        """Watermark-aware replay: serial part, then only the lagging shards.
-
-        The serial admission group (fallback/unpartitionable/periodic
-        views) absorbs the event when its watermark is still behind;
-        each routed shard unit receives it only if that unit's own
-        watermark is behind — a snapshot taken mid-stream leaves nothing
-        to re-apply on the shards it already covers.
-        """
-        super()._replay_stamped(group, event, watermark)
-        if not self._shard_groups:
-            return
-        pending = self._route(event)
-        filtered: Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]] = {}
-        for shard_group, units in pending.items():
-            keep = {
-                index: unit_event
-                for index, unit_event in units.items()
-                if shard_group.units[index].watermark < watermark
-            }
-            if keep:
-                filtered[shard_group] = keep
-        if filtered:
-            self._dispatch(filtered, watermark)
-
-    # -- lifecycle ----------------------------------------------------------------------
-
     def close(self) -> None:
-        """Shut the worker pool down, then the base resources."""
-        self._maintainer.close()
-        super().close()
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedDatabase(shards={self.config.shards}, "
-            f"key_classes={len(self._shard_groups)}, "
-            f"partitioned={sorted(self._merged)}, "
-            f"fallbacks={sorted(self._fallbacks)})"
-        )
+        self.backend.close()

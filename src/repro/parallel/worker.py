@@ -9,7 +9,7 @@ fold-state snapshot.  The replica is a faithful reconstruction of the
 parent-side :class:`~repro.parallel.engine.ShardUnit` — same registry
 settings (no prefilter, compile as configured), same coalesced
 ``ingest_stamped`` maintenance path — so the per-window fold it computes
-is exactly what the thread executor would compute in place.
+is exactly what the inline executor would compute in place.
 
 The cross-process contract is byte-minimal in both directions:
 
@@ -328,7 +328,7 @@ class UnitReplica:
         # Report every *candidate* view (its chronicles were touched —
         # exactly the views the registry maintained this window), even
         # with an empty item list: the parent counts a maintenance
-        # window per reported view, matching the thread executor.
+        # window per reported view, matching the inline executor.
         touched_names = set(event)
         out: Dict[str, List[Tuple[Any, Any]]] = {}
         for name, view in self.views.items():
@@ -380,8 +380,14 @@ def worker_add_view(
     replica.add_view(name, summary_sp, state_items)
 
 
-def worker_remove_view(label: str, name: str) -> None:
-    _REPLICAS[label].remove_view(name)
+def worker_remove_view(label: str, name: str) -> bool:
+    """Drop one view; a replica left with none is released (returns True)."""
+    replica = _REPLICAS[label]
+    replica.remove_view(name)
+    if replica.views:
+        return False
+    del _REPLICAS[label]
+    return True
 
 
 def worker_apply(

@@ -135,11 +135,10 @@ def _checkpoint_document(db: Any) -> Dict[str, Any]:
     # partitions' fold state (rows regenerate from it on restore), which
     # is exactly the serial engine's state for the same view — so these
     # checkpoints restore into either engine.
-    merged = getattr(db, "_merged", None)
-    if merged:
+    if db.partitioned_views:
         document["merged"] = {}
-        for name, view in merged.items():
-            items, count = view.export_state()
+        for name in db.partitioned_views:
+            items, count = db.view(name).export_state()
             document["merged"][name] = {
                 "state": _encode_items(items),
                 "maintenance_count": count,
@@ -212,7 +211,7 @@ def _load_checkpoint(db: Any, source: Union[str, IO[str], Dict[str, Any]]) -> No
                 Row(relation.schema, _decode_value(values))
             )
     known_views = {view.name: view for view in db.registry.views()}
-    merged_views = getattr(db, "_merged", None) or {}
+    merged_views = {name: db.view(name) for name in db.partitioned_views}
     for name, payload in document["views"].items():
         if name in known_views:
             _restore_view(known_views[name], payload)

@@ -359,7 +359,7 @@ class TestShardStatements:
     def test_show_workers_before_first_ingest(self):
         s = self._sharded()
         out = s.execute("SHOW WORKERS")
-        assert "executor=thread workers=2" in out
+        assert "executor=serial workers=2" in out
 
     def test_show_shards_before_any_views(self):
         from repro.core.config import DatabaseConfig

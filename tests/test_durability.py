@@ -2,7 +2,7 @@
 
 Covers the crash-recovery property (recovered views must equal a serial
 recompute of exactly the logged batches, for every workload generator on
-both engines), kill -9 of a live ingesting process (thread and process
+both engines), kill -9 of a live ingesting process (inline and process
 executors; recovery counts validated against the SQLite log itself),
 watermark-bounded replay (tail length <= snapshot interval), mid-stream
 DDL (views defined between snapshots rebuild with their history-derived
@@ -75,7 +75,6 @@ VIEW_NAMES = ("by_key", "filtered", "grand")
 ENGINES = {
     "serial": {"engine": "serial"},
     "sharded-serial": {"engine": "sharded", "shards": 2, "executor": "serial"},
-    "sharded-thread": {"engine": "sharded", "shards": 2, "executor": "thread"},
 }
 
 
@@ -219,7 +218,7 @@ class TestCrashRecovery:
         workload_cls, key, value = WORKLOADS[0]
         records = list(workload_cls(seed=7).records(8))
 
-        sharded = _config(directory, engine="sharded-thread", interval=3)
+        sharded = _config(directory, engine="sharded-serial", interval=3)
         db = ChronicleDatabase.open(directory, config=sharded)
         workload = _catalog(db, workload_cls, key, value)
         for record in records[:7]:
@@ -333,6 +332,139 @@ class TestCrashRecovery:
 
 
 # ---------------------------------------------------------------------------
+# One commit point per facade call: ingest windows under wal+snapshot
+# ---------------------------------------------------------------------------
+
+
+_COMMIT_VIEWS = ("usage", "by_plan")
+
+#: ("ingest", batches) | ("append", batch) | ("update", key, plan), with
+#: ingest windows both longer and shorter than the snapshot interval (3).
+_COMMIT_OPS = (
+    [("ingest", [[{"caller": c % 4, "minutes": c + 1}] for c in range(7)])]
+    + [("append", [{"caller": 1, "minutes": 20}, {"caller": 2, "minutes": 30}])]
+    + [("update", (1,), "gold")]
+    + [("ingest", [[{"caller": 1, "minutes": 5}], [{"caller": 3, "minutes": 6}]])]
+    + [("append", [{"caller": 0, "minutes": 2}]), ("append", [{"caller": 3, "minutes": 9}])]
+    + [("ingest", [[{"caller": c % 3, "minutes": 10 * c + 1}] for c in range(4)])]
+    + [("update", (3,), "basic")]
+    + [("ingest", [[{"caller": 3, "minutes": 1}, {"caller": 1, "minutes": 1}]])]
+)
+
+
+def _commit_catalog(db):
+    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+    db.create_relation("subscribers", [("number", "INT"), ("plan", "STR")], key=["number"])
+    for number in range(4):
+        db.relation("subscribers").insert({"number": number, "plan": "basic"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnpartitionableViewWarning)
+        db.define_view(
+            "DEFINE VIEW usage AS SELECT caller, SUM(minutes) AS total, COUNT(*) AS n "
+            "FROM calls GROUP BY caller"
+        )
+        db.define_view(
+            "DEFINE VIEW by_plan AS SELECT plan, SUM(minutes) AS total FROM calls "
+            "JOIN subscribers ON calls.caller = subscribers.number GROUP BY plan"
+        )
+
+
+def _commit_state(db):
+    return {
+        name: sorted(tuple(row.values) for row in db.view(name).rows())
+        for name in _COMMIT_VIEWS
+    }
+
+
+def _commit_apply(db, op, window=True):
+    """Apply one op; *window*=False feeds an ingest batch by batch."""
+    if op[0] == "update":
+        assert db.update_relation("subscribers", op[1], plan=op[2])
+    elif op[0] == "append" or window:
+        getattr(db, op[0])("calls", op[1])
+    else:
+        for batch in op[1]:
+            db.append("calls", batch)
+
+
+class TestIngestCommitPoint:
+    """``ingest`` is one durability commit point on every engine: at most
+    one snapshot per call, taken once every shard absorbed the window."""
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            {"engine": "serial"},
+            {"engine": "sharded", "shards": 2, "executor": "serial"},
+            {"engine": "sharded", "shards": 2, "executor": "process"},
+        ],
+        ids=["serial", "sharded-inline", "sharded-process"],
+    )
+    def test_windows_snapshot_once_and_recover(self, tmp_path, engine):
+        directory = str(tmp_path / "db")
+        config = DatabaseConfig(
+            durability=DurabilityConfig(
+                mode="wal+snapshot", dir=directory, fsync="off", snapshot_interval_batches=3
+            ),
+            **engine,
+        )
+        # The ground truth: a non-durable serial database fed batch by
+        # batch, its view state remembered at every sequence number.
+        reference = ChronicleDatabase()
+        _commit_catalog(reference)
+        at_watermark = {reference.group().watermark: _commit_state(reference)}
+        db = ChronicleDatabase.open(directory, config=config)
+        snapshots = []
+        try:
+            _commit_catalog(db)
+            take = db.durability.snapshot
+
+            def spy():
+                stamped = take()
+                snapshots.append((stamped, _commit_state(db), db.shard_health()))
+                return stamped
+
+            db.durability.snapshot = spy
+            for op in _COMMIT_OPS:
+                before = len(snapshots)
+                _commit_apply(db, op)
+                assert len(snapshots) - before <= 1, op[0]
+                if op[0] == "ingest":
+                    for batch in op[1]:
+                        reference.append("calls", batch)
+                        at_watermark[reference.group().watermark] = _commit_state(reference)
+                else:
+                    _commit_apply(reference, op)
+                    at_watermark[reference.group().watermark] = _commit_state(reference)
+                assert _commit_state(db) == _commit_state(reference)
+            # 7 + 1 + 2 + 2 + 4 + 1 = 17 logged batches at interval 3, but a
+            # window is one commit point: the 7-batch one took one snapshot.
+            assert 3 <= len(snapshots) <= 6
+            for stamped, state, fleet in snapshots:
+                # What a snapshot holds is the state *at* its stamp: no
+                # shard was still behind the watermark it was stamped with.
+                assert state == at_watermark[stamped]
+                assert fleet is None or fleet.max_lag_batches == 0
+            db.durability.abort()  # crash: no final snapshot
+        finally:
+            db.close()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnpartitionableViewWarning)
+            recovered = ChronicleDatabase.open(directory, config=config)
+        try:
+            assert _commit_state(recovered) == _commit_state(reference)
+            assert recovered.group().watermark == reference.group().watermark
+            more = ("ingest", [[{"caller": c, "minutes": 7}] for c in range(4)])
+            _commit_apply(recovered, more)
+            _commit_apply(reference, more, window=False)
+            assert _commit_state(recovered) == _commit_state(reference)
+        finally:
+            recovered.close()
+            reference.close()
+
+
+# ---------------------------------------------------------------------------
 # kill -9: a live ingesting process dies; the log is the ground truth
 # ---------------------------------------------------------------------------
 
@@ -443,8 +575,8 @@ class TestKillNine:
         finally:
             db.close()
 
-    def test_kill9_thread_executor(self, tmp_path):
-        self._run(tmp_path, "thread", kill_after=6)
+    def test_kill9_inline_executor(self, tmp_path):
+        self._run(tmp_path, "serial", kill_after=6)
 
     def test_kill9_process_executor(self, tmp_path):
         self._run(tmp_path, "process", kill_after=4)

@@ -3,8 +3,8 @@
 Covers partition inference (copy lineage -> PartitionSpec, the
 UNPARTITIONABLE cases), the shard-determinism property (sharded N-worker
 state must equal serial state after arbitrary interleaved batch appends,
-for every workload generator — under the thread, serial, *and* process
-executors), stable hash-routing (identical across interpreter runs and
+for every workload generator — under the inline *and* the process
+executor), stable hash-routing (identical across interpreter runs and
 hash seeds), portable plan/summary/snapshot specs (pickle round-trips,
 worker replica reconstruction), the process executor's crash contract
 (engine_errors_total + incident bundle + consistent watermarks), sharded
@@ -46,7 +46,7 @@ from repro.aggregates import COUNT, MAX, SUM, spec
 from repro.algebra.ast import scan
 from repro.algebra.plan import UNPARTITIONABLE, PartitionSpec, infer_partition
 from repro.core.config import DatabaseConfig as ConfigAlias
-from repro.errors import ConfigError, EngineError
+from repro.errors import ConfigError, EngineError, ViewRegistrationError
 from repro.obs import runtime as obs_runtime
 from repro.algebra.plan import (
     build_schema,
@@ -58,7 +58,6 @@ from repro.algebra.plan import (
 from repro.aggregates.base import IncrementalAggregate
 from repro.parallel import (
     NonPortableViewWarning,
-    ShardedDatabase,
     ShardRouter,
     ShardUnitSpec,
     UnitReplica,
@@ -205,7 +204,6 @@ class TestShardDeterminism:
     @given(
         workload_index=st.integers(min_value=0, max_value=len(WORKLOADS) - 1),
         shards=st.integers(min_value=1, max_value=4),
-        executor=st.sampled_from(["thread", "serial"]),
         batch_sizes=st.lists(
             st.integers(min_value=1, max_value=7), min_size=1, max_size=10
         ),
@@ -213,9 +211,9 @@ class TestShardDeterminism:
         data=st.data(),
     )
     def test_sharded_equals_serial(
-        self, workload_index, shards, executor, batch_sizes, window_cut, data
+        self, workload_index, shards, batch_sizes, window_cut, data
     ):
-        self._check(workload_index, shards, executor, batch_sizes, window_cut, data)
+        self._check(workload_index, shards, "serial", batch_sizes, window_cut, data)
 
     @settings(max_examples=3, deadline=None)
     @given(
@@ -340,6 +338,142 @@ class TestFallback:
             )
 
 
+    def test_fallback_set_follows_drop_and_failed_definitions(self):
+        """define -> drop -> re-define -> duplicate define: the fallback
+        set names each live fallback view once, and a refused definition
+        neither warns nor counts."""
+        db = ChronicleDatabase(
+            config=DatabaseConfig(engine="sharded", shards=2, observe=True)
+        )
+        try:
+            db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+            grand = GroupBySummary(
+                scan(db.chronicle("calls")), [], [spec(SUM, "minutes")]
+            )
+            with pytest.warns(UnpartitionableViewWarning):
+                db.define_view(grand, name="grand")
+            db.drop_view("grand")
+            assert db.fallback_views == ()
+            with pytest.warns(UnpartitionableViewWarning):
+                db.define_view(grand, name="grand")
+            assert db.fallback_views == ("grand",)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UnpartitionableViewWarning)
+                with pytest.raises(ViewRegistrationError):
+                    db.define_view(grand, name="grand")
+            assert db.fallback_views == ("grand",)
+            metrics = db.observability.metrics
+            assert metrics.value("shard_fallback_total", view="grand") == 2
+        finally:
+            db.close()
+
+
+# ---------------------------------------------------------------------------
+# Key-class lifetime, close-then-write, a refused batch inside a window
+# ---------------------------------------------------------------------------
+
+
+def _usage_db(executor, shards=2, engine="sharded"):
+    db = ChronicleDatabase(
+        config=DatabaseConfig(engine=engine, shards=shards, executor=executor)
+    )
+    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+    return db
+
+
+def _define_usage(db):
+    db.define_view(
+        GroupBySummary(
+            scan(db.chronicle("calls")), ["caller"], [spec(SUM, "minutes"), spec(COUNT)]
+        ),
+        name="usage",
+    )
+
+
+def _usage_rows(db):
+    return sorted(tuple(row.values) for row in db.view("usage").rows())
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+class TestEngineLifecycle:
+    def test_key_class_retires_with_its_last_view(self, executor):
+        """Nothing is routed (or shipped to a worker) for a key class no
+        view is left in; re-defining the view builds a fresh one."""
+        serial = _usage_db("serial", engine="serial")
+        db = _usage_db(executor)
+        try:
+            for each in (serial, db):
+                _define_usage(each)
+                each.ingest("calls", [[{"caller": c % 3, "minutes": c}] for c in range(6)])
+            (retired,) = db.shard_groups
+            applied = [unit.windows_applied for unit in retired.units]
+            for each in (serial, db):
+                each.drop_view("usage")
+                each.append("calls", {"caller": 1, "minutes": 50})
+            assert db.shard_groups == ()
+            assert [unit.windows_applied for unit in retired.units] == applied
+            assert set(db.watermarks()) == {"serial/default"}
+            for each in (serial, db):
+                _define_usage(each)
+                each.ingest("calls", [[{"caller": c % 3, "minutes": 1}] for c in range(6)])
+            (fresh,) = db.shard_groups
+            assert fresh is not retired and fresh.name != retired.name
+            assert _usage_rows(db) == _usage_rows(serial)
+        finally:
+            serial.close()
+            db.close()
+
+    def test_close_then_write_and_double_close(self, executor):
+        """close() ends the workers but the database stays usable: the
+        next window reinstalls the replicas from the absorbed state."""
+        serial = _usage_db("serial", engine="serial")
+        db = _usage_db(executor)
+        try:
+            for each in (serial, db):
+                _define_usage(each)
+                each.ingest("calls", [[{"caller": c % 4, "minutes": c}] for c in range(8)])
+            pids = _worker_pids(db)
+            assert bool(pids) == (executor == "process")
+            db.close()
+            db.close()
+            assert _wait_ended(pids) == []
+            for each in (serial, db):
+                each.ingest("calls", [[{"caller": c % 4, "minutes": 100}] for c in range(8)])
+                each.append("calls", {"caller": 9, "minutes": 9})
+            assert _usage_rows(db) == _usage_rows(serial)
+            marks = db.watermarks()
+            assert max(marks.values()) == marks["serial/default"] == 16
+            pids = _worker_pids(db)
+        finally:
+            serial.close()
+            db.close()
+        assert _wait_ended(pids) == []
+
+    def test_refused_batch_leaves_the_admitted_ones_maintained(self, executor):
+        """A batch refused mid-window ends the ingest, but what the group
+        admitted before it is maintained on the shards as on the serial
+        engine."""
+        serial = _usage_db("serial", engine="serial")
+        db = _usage_db(executor)
+        window = [
+            [{"caller": 1, "minutes": 5}],
+            [{"caller": 2, "nonsense": 1}],
+            [{"caller": 3, "minutes": 7}],
+        ]
+        try:
+            for each in (serial, db):
+                _define_usage(each)
+                with pytest.raises(Exception) as refused:
+                    each.ingest("calls", window)
+                assert "nonsense" in str(refused.value)
+                each.append("calls", {"caller": 1, "minutes": 1})
+            assert _usage_rows(serial) == [(1, 6, 2)]
+            assert _usage_rows(db) == _usage_rows(serial)
+        finally:
+            serial.close()
+            db.close()
+
+
 # ---------------------------------------------------------------------------
 # Merged reads
 # ---------------------------------------------------------------------------
@@ -411,7 +545,7 @@ class TestDatabaseConfig:
         config = DatabaseConfig()
         assert config.engine == "serial"
         assert config.shards == 4
-        assert config.executor == "thread"
+        assert config.executor == "serial"
         assert config.prefilter_views
         assert not config.observe
 
@@ -468,23 +602,26 @@ class TestConstructorSurface:
 
 
 class TestEngineSelection:
-    def test_sharded_config_builds_sharded_database(self):
+    def test_sharded_config_builds_the_one_database_class(self):
         db = ChronicleDatabase(config=DatabaseConfig(engine="sharded"))
         try:
-            assert isinstance(db, ShardedDatabase)
-        finally:
-            db.close()
-
-    def test_serial_config_builds_plain_database(self):
-        db = ChronicleDatabase()
-        assert not isinstance(db, ShardedDatabase)
-
-    def test_direct_construction_forces_engine(self):
-        db = ShardedDatabase(config=DatabaseConfig(shards=2))
-        try:
+            assert type(db) is ChronicleDatabase
             assert db.config.engine == "sharded"
+            assert db.shard_health() is not None
         finally:
             db.close()
+
+    def test_serial_database_has_the_sharded_surface_empty(self):
+        db = ChronicleDatabase()
+        assert db.config.engine == "serial"
+        assert db.shard_groups == ()
+        assert db.partitioned_views == ()
+        assert db.fallback_views == ()
+        assert db.shard_health() is None
+
+    def test_thread_executor_is_a_config_error_naming_the_replacement(self):
+        with pytest.raises(ConfigError, match='"serial"'):
+            DatabaseConfig(engine="sharded", executor="thread")
 
     def test_ingest_on_serial_engine(self):
         db = ChronicleDatabase()
@@ -631,22 +768,16 @@ class TestPortableSpecs:
 
 
 def _sharded_process_db(shards=2):
-    db = ChronicleDatabase(
-        config=DatabaseConfig(engine="sharded", shards=shards, executor="process")
-    )
-    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
-    chron = db.chronicle("calls")
-    db.define_view(
-        GroupBySummary(scan(chron), ["caller"], [spec(SUM, "minutes"), spec(COUNT)]),
-        name="usage",
-    )
+    db = _usage_db("process", shards=shards)
+    _define_usage(db)
     return db
 
 
 def _worker_pids(db):
+    """Live worker pids (the inline executor has no pools, so none)."""
     return [
         pid
-        for pool in db._maintainer._backend._pools
+        for pool in getattr(db._shards.backend, "_pools", ())
         if pool is not None
         for pid in pool._processes
     ]
@@ -687,7 +818,7 @@ def main():
     db.ingest("calls", [[{"caller": c, "minutes": 1}] for c in range(8)])
     pids = [
         pid
-        for pool in db._maintainer._backend._pools
+        for pool in db._shards.backend._pools
         if pool is not None
         for pid in pool._processes
     ]
@@ -745,7 +876,7 @@ class TestProcessExecutor:
             config=DatabaseConfig(engine="sharded", shards=2, executor="process")
         )
         try:
-            assert db._maintainer.executor == "process"
+            assert db._shards.backend.name == "process"
         finally:
             db.close()
 
@@ -769,7 +900,7 @@ class TestProcessExecutor:
         try:
             db.ingest("calls", [[{"caller": i % 4, "minutes": i}] for i in range(8)])
             marks_before = dict(db.watermarks())
-            backend = db._maintainer._backend
+            backend = db._shards.backend
             for pool in backend._pools:
                 if pool is not None:
                     for pid in list(pool._processes):
@@ -899,7 +1030,7 @@ class TestShardedCheckpoint:
 
     def test_round_trip_same_engine(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        db = self._fresh("thread")
+        db = self._fresh("serial")
         try:
             self._fill(db)
             before = self._usage(db)
@@ -907,7 +1038,7 @@ class TestShardedCheckpoint:
             db.checkpoint(path)
         finally:
             db.close()
-        db2 = self._fresh("thread")
+        db2 = self._fresh("serial")
         try:
             db2.restore(path)
             assert self._usage(db2) == before

@@ -268,7 +268,7 @@ class TestWorkerEntryPoints:
 
 class TestZeroOverheadContract:
     def _capture_submissions(self, db):
-        backend = db._maintainer._backend
+        backend = db._shards.backend
         captured = []
         original = backend._encode_task
 
@@ -338,7 +338,7 @@ class TestZeroOverheadContract:
             DatabaseConfig(relay_telemetry="yes")
         db = ChronicleDatabase(config=config)
         try:
-            assert db._maintainer._backend.relay_telemetry is False
+            assert db._shards.backend.relay_telemetry is False
         finally:
             db.close()
 
@@ -462,7 +462,7 @@ class TestRelayEndToEnd:
         obs = db.enable_observability(audit="off", incident_dir=str(tmp_path))
         try:
             _windows(db, count=1, batches=8)
-            backend = db._maintainer._backend
+            backend = db._shards.backend
             for pool in backend._pools:
                 if pool is not None:
                     for pid in list(pool._processes):
