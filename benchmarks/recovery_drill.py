@@ -11,7 +11,13 @@ CI's black-box check for the durability subsystem, the counterpart of
    against the batch count read straight off the SQLite log (every
    printed marker must be on disk — ``fsync="always"``), plus
    cross-view consistency (per-key sums/counts vs the global view).
-2. **corruption drill** — a logged batch payload is overwritten in
+2. **chain drill** — the same, under ``wal+snapshot``: the child
+   snapshots every few batches, and is SIGKILLed once at least three
+   delta snapshots have committed after the chain's base.  The parent
+   counts the deltas and the committed batches straight off the SQLite
+   file, recovers, and requires the recovered views to equal — exactly —
+   a non-durable run of the same committed batches.
+3. **corruption drill** — a logged batch payload is overwritten in
    place; reopening must raise :class:`RecoveryError` and leave a
    readable ``recovery-failure.json`` incident bundle in the durable
    directory.
@@ -29,51 +35,128 @@ import sys
 import textwrap
 import time
 
-from repro import ChronicleDatabase, DatabaseConfig, DurabilityConfig
+from repro import BankingWorkload, ChronicleDatabase, DatabaseConfig, DurabilityConfig
+from repro.aggregates import COUNT, SUM, spec
+from repro.algebra.ast import scan
 from repro.errors import ChronicleError
+from repro.sca.summarize import GroupBySummary
 from repro.storage.durability import RecoveryError
 from repro.storage.wal import wal_path
 
 BATCH = 4
 KILL_AFTER = 8  # marker lines before the SIGKILL
+CHAIN_INTERVAL = 4  # chain drill: snapshot every this many batches
+CHAIN_DELTAS = 3  # chain drill: committed deltas before the SIGKILL
 
 _CHILD = textwrap.dedent(
     """
     import sys
-    import warnings
 
-    from repro import BankingWorkload, ChronicleDatabase, DatabaseConfig, DurabilityConfig
-    from repro.aggregates import COUNT, SUM, spec
-    from repro.algebra.ast import scan
-    from repro.sca.summarize import GroupBySummary
+    sys.path.insert(0, sys.argv[4])
+
+    from recovery_drill import BATCH, build
+    from repro import ChronicleDatabase, DatabaseConfig, DurabilityConfig
 
 
     def main():
-        directory = sys.argv[1]
+        directory, mode, interval = sys.argv[1], sys.argv[2], int(sys.argv[3])
         config = DatabaseConfig(
-            durability=DurabilityConfig(mode="wal", dir=directory, fsync="always")
+            durability=DurabilityConfig(
+                mode=mode,
+                dir=directory,
+                fsync="always",
+                snapshot_interval_batches=interval,
+            )
         )
         db = ChronicleDatabase.open(directory, config=config)
-        workload = BankingWorkload(seed=7)
-        db.create_chronicle(workload.NAME, workload.CHRONICLE_SCHEMA)
-        chron = db.chronicle(workload.NAME)
-        db.define_view(
-            GroupBySummary(scan(chron), ["acct"], [spec(SUM, "cents"), spec(COUNT)]),
-            name="by_key",
-        )
-        db.define_view(
-            GroupBySummary(scan(chron), [], [spec(SUM, "cents"), spec(COUNT)]),
-            name="grand",
-        )
+        workload = build(db)
         for n in range(1000000):
-            db.append(workload.NAME, list(workload.records(4)))
-            print(f"BATCH {n}", flush=True)
+            db.append(workload.NAME, list(workload.records(BATCH)))
+            deltas = db.durability.status()["chain_deltas"]
+            print(f"BATCH {n} {deltas}", flush=True)
 
 
     if __name__ == "__main__":
         main()
     """
 )
+
+
+def build(db):
+    """The drills' catalog: per-account and global sums over banking."""
+    workload = BankingWorkload(seed=7)
+    db.create_chronicle(workload.NAME, workload.CHRONICLE_SCHEMA)
+    chron = db.chronicle(workload.NAME)
+    db.define_view(
+        GroupBySummary(scan(chron), ["acct"], [spec(SUM, "cents"), spec(COUNT)]),
+        name="by_key",
+    )
+    db.define_view(
+        GroupBySummary(scan(chron), [], [spec(SUM, "cents"), spec(COUNT)]),
+        name="grand",
+    )
+    return workload
+
+
+def _reference_views(batches):
+    """The drills' catalog, not durable, fed its first *batches* batches."""
+    db = ChronicleDatabase()
+    try:
+        workload = build(db)
+        for _ in range(batches):
+            db.append(workload.NAME, list(workload.records(BATCH)))
+        return _views(db)
+    finally:
+        db.close()
+
+
+def _views(db):
+    return {
+        name: sorted(tuple(row.values) for row in db.view(name).rows())
+        for name in ("by_key", "grand")
+    }
+
+
+def _run_child(artifact_dir, name, mode, interval, done):
+    """Start the child on ``<name>-db``, read its markers until
+    ``done(seen, deltas)``, SIGKILL it; returns ``(directory, seen)``."""
+    directory = os.path.join(artifact_dir, f"{name}-db")
+    script = os.path.join(artifact_dir, "child.py")
+    with open(script, "w") as handle:
+        handle.write(_CHILD)
+    here = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.Popen(
+        [sys.executable, script, directory, mode, str(interval), here],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    seen = 0
+    finished = False
+    started = time.time()
+    try:
+        for line in proc.stdout:
+            if line.startswith("BATCH"):
+                seen += 1
+                if done(seen, int(line.split()[2])):
+                    finished = True
+                    break
+        if not finished:
+            raise SystemExit(
+                f"{name} drill: child died early after {seen} batches: "
+                f"{proc.stderr.read()}"
+            )
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    print(
+        f"{name} drill: SIGKILL after {seen} durable batches "
+        f"({time.time() - started:.1f}s)"
+    )
+    return directory, seen
 
 
 def _logged_batches(directory):
@@ -88,40 +171,9 @@ def _logged_batches(directory):
 
 
 def drill_kill9(artifact_dir):
-    directory = os.path.join(artifact_dir, "kill9-db")
-    script = os.path.join(artifact_dir, "child.py")
-    with open(script, "w") as handle:
-        handle.write(_CHILD)
-    proc = subprocess.Popen(
-        [sys.executable, script, directory],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
+    directory, seen = _run_child(
+        artifact_dir, "kill9", "wal", 512, lambda seen, _: seen >= KILL_AFTER
     )
-    seen = 0
-    started = time.time()
-    try:
-        for line in proc.stdout:
-            if line.startswith("BATCH"):
-                seen += 1
-                if seen >= KILL_AFTER:
-                    break
-        if seen < KILL_AFTER:
-            raise SystemExit(
-                f"kill9 drill: child died early after {seen} batches: "
-                f"{proc.stderr.read()}"
-            )
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    print(
-        f"kill9 drill: SIGKILL after {seen} durable batches "
-        f"({time.time() - started:.1f}s)"
-    )
-
     logged = _logged_batches(directory)
     if logged < seen:
         raise SystemExit(
@@ -156,6 +208,71 @@ def drill_kill9(artifact_dir):
             f"kill9 drill: recovered {logged} batches "
             f"({grand_count} records) in {report.seconds * 1000:.1f}ms, "
             f"views consistent"
+        )
+    finally:
+        db.close()
+
+
+def drill_chain(artifact_dir):
+    # Killed half-way through an interval, so the log tail holds batches
+    # to replay on top of the chain.
+    directory, seen = _run_child(
+        artifact_dir,
+        "chain",
+        "wal+snapshot",
+        CHAIN_INTERVAL,
+        lambda seen, deltas: deltas >= CHAIN_DELTAS and seen % CHAIN_INTERVAL == 2,
+    )
+    # Ground truth straight off the SQLite file: the chain's kinds, and
+    # every committed batch (sequence numbers start at 0, one per batch).
+    conn = sqlite3.connect(wal_path(directory))
+    try:
+        formats = [
+            json.loads(text)["format"]
+            for (text,) in conn.execute("SELECT document FROM snapshots ORDER BY id")
+        ]
+        (chain_end,) = conn.execute("SELECT MAX(watermark) FROM snapshots").fetchone()
+        tail, last = conn.execute(
+            "SELECT COUNT(*), MAX(watermark) FROM log WHERE kind = 'batch'"
+        ).fetchone()
+    finally:
+        conn.close()
+    deltas = formats.count("delta-1")
+    if formats[:1] != [1] or deltas != len(formats) - 1 or deltas < CHAIN_DELTAS:
+        raise SystemExit(
+            f"chain drill: expected a base and >= {CHAIN_DELTAS} deltas on disk, "
+            f"found formats {formats}"
+        )
+    committed = max(chain_end, last if last is not None else -1) + 1
+    if committed < seen:
+        raise SystemExit(
+            f"chain drill: {committed} batches committed but the child "
+            f"printed {seen} durable commits"
+        )
+
+    config = DatabaseConfig(
+        durability=DurabilityConfig(
+            mode="wal+snapshot", dir=directory, fsync="off",
+            snapshot_interval_batches=CHAIN_INTERVAL,
+        )
+    )
+    db = ChronicleDatabase.open(directory, config=config)
+    try:
+        report = db.durability.last_recovery
+        if report.replayed_batches != tail:
+            raise SystemExit(
+                f"chain drill: recovery replayed {report.replayed_batches} "
+                f"of {tail} tail batches"
+            )
+        if _views(db) != _reference_views(committed):
+            raise SystemExit(
+                f"chain drill: recovered views differ from an uninterrupted "
+                f"run of the {committed} committed batches"
+            )
+        print(
+            f"chain drill: base + {deltas} deltas + {tail} tail batches "
+            f"recovered in {report.seconds * 1000:.1f}ms, equal to an "
+            f"uninterrupted run of {committed} batches"
         )
     finally:
         db.close()
@@ -213,6 +330,7 @@ def main():
     artifact_dir = os.environ.get("RECOVERY_DIR", "recovery-artifacts")
     os.makedirs(artifact_dir, exist_ok=True)
     drill_kill9(artifact_dir)
+    drill_chain(artifact_dir)
     drill_corruption(artifact_dir)
     print("recovery drill: OK")
     return 0

@@ -27,7 +27,6 @@ MODULES = [
     "bench_e11_throughput",
     "bench_e13_conformance",
     "bench_e14_sharded",
-    "bench_e17_durability",
     "bench_a1_ablations",
 ]
 

@@ -622,15 +622,19 @@ class MergedView:
         return items, count
 
     def import_state(
-        self, items: Sequence[Tuple[Any, Any]], maintenance_count: int = 0
+        self,
+        items: Sequence[Tuple[Any, Any]],
+        maintenance_count: int = 0,
+        upsert: bool = False,
     ) -> None:
         """Restore the partitions from checkpointed fold state.
 
         Items are routed to their owning shard by the (stable) router
         hash — which is why restore works across processes at all — and
-        each partition rebuilds its rows from its bucket.  The combined
-        maintenance count is assigned to shard 0 so the merged total
-        round-trips.
+        each partition rebuilds its rows from its bucket (or, with
+        *upsert*, replaces only the bucket's keys: a delta snapshot).
+        The combined maintenance count is assigned to shard 0 so the
+        merged total round-trips.
         """
         sg = self._shard_group
         buckets: List[List[Tuple[Any, Any]]] = [[] for _ in sg.units]
@@ -642,7 +646,26 @@ class MergedView:
                 self._partition(unit).state_import(
                     buckets[index],
                     maintenance_count=maintenance_count if index == 0 else 0,
+                    upsert=upsert,
                 )
+
+    def record_touched(self) -> None:
+        """Start recording touched keys in every partition."""
+        for unit in self._shard_group.units:
+            with unit.lock:
+                self._partition(unit).record_touched()
+
+    def take_touched(self) -> Optional[List[Tuple[Any, Any]]]:
+        """Union of the partitions' touched items (keys are disjoint);
+        None when some partition is not recording."""
+        items: List[Tuple[Any, Any]] = []
+        for unit in self._shard_group.units:
+            with unit.lock:
+                touched = self._partition(unit).take_touched()
+            if touched is None:
+                return None
+            items.extend(touched)
+        return items
 
     def __repr__(self) -> str:
         return (
@@ -722,7 +745,7 @@ class ShardBackend:
     def view_removed(self, shard_group: "ShardGroup", name: str) -> None:
         """A view was dropped."""
 
-    def reset_units(self, shard_groups: Sequence["ShardGroup"]) -> None:
+    def reset_units(self) -> None:
         """Parent-side shard state was replaced (restore); resync."""
 
     def close(self) -> None:
@@ -986,7 +1009,7 @@ class ProcessShardBackend(ShardBackend):
                     self._installed.discard(unit.label)
                     self._assignment.pop(unit.label, None)
 
-    def reset_units(self, shard_groups: Sequence["ShardGroup"]) -> None:
+    def reset_units(self) -> None:
         """Forget installed replicas; next dispatch reinstalls from state."""
         self._installed.clear()
 
@@ -1284,7 +1307,7 @@ class ShardEngine:
                 with unit.lock:
                     unit.watermark = watermark
                     unit.dispatched = watermark
-        self.backend.reset_units(tuple(self.key_classes.values()))
+        self.backend.reset_units()
 
     # -- introspection -----------------------------------------------------------------
 

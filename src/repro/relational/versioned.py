@@ -21,7 +21,7 @@ and
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import RetroactiveUpdateError
 from .predicate import Predicate
@@ -49,7 +49,7 @@ class VersionedRelation:
         Record an operation log enabling :meth:`as_of` reconstruction.
     """
 
-    __slots__ = ("current", "_watermark", "keep_history", "_log")
+    __slots__ = ("current", "_watermark", "keep_history", "_log", "_dirty")
 
     def __init__(
         self,
@@ -63,6 +63,9 @@ class VersionedRelation:
         self.keep_history = keep_history
         # (effective_from_sn, op, payload) — payload depends on op
         self._log: List[Tuple[int, str, Any]] = []
+        # Keys of the rows changed since the last take_dirty(); None (the
+        # default) records nothing.  A keyless relation records ().
+        self._dirty: Optional[Set[Tuple[Any, ...]]] = None
 
     # -- identity passthrough -------------------------------------------------------
 
@@ -92,12 +95,62 @@ class VersionedRelation:
             )
         return effective_from
 
+    # -- dirty keys (delta snapshots) ---------------------------------------------------
+
+    def record_dirty(self) -> None:
+        """Start recording the keys of rows inserted, deleted or updated."""
+        self._dirty = set()
+
+    def take_dirty(self) -> Optional[Set[Tuple[Any, ...]]]:
+        """Keys changed since the last call (after :meth:`record_dirty`);
+        None when not recording.  A keyless relation reports ``()`` for
+        any change — only its whole row set can describe it."""
+        dirty = self._dirty
+        if dirty is not None:
+            self._dirty = set()
+        return dirty
+
+    def _mark(self, row: Optional[Row]) -> None:
+        if self._dirty is not None and row is not None:
+            key = self.schema.key
+            self._dirty.add(tuple(row[name] for name in key) if key is not None else ())
+
+    # -- restore (checkpoints) ---------------------------------------------------------
+
+    def restore_rows(
+        self, rows: Iterable[RowLike], keys: Optional[Sequence[Sequence[Any]]] = None
+    ) -> None:
+        """Install rows restored from a checkpoint or snapshot.
+
+        Without *keys* they replace every row (a base); with *keys* they
+        replace the rows of those keys only (a delta — a key with no row
+        among *rows* was deleted).  The history records the change as a
+        version effective from the next sequence number, so earlier
+        versions stay reconstructible and later chronicle tuples join
+        the restored one.  Dirty-key recording stops: the change did not
+        come through a recorded mutation.
+        """
+        effective = self._watermark() + 1
+        if keys is None:
+            old = list(self.current.rows())
+            self.current.clear()
+        else:
+            old = [row for row in map(self.current.lookup_key, keys) if row is not None]
+            for key in keys:
+                self.current.delete_key(key)
+        new = [self.current.insert(value) for value in rows]
+        if self.keep_history:
+            self._log.extend((effective, _DELETE, row) for row in old)
+            self._log.extend((effective, _INSERT, row) for row in new)
+        self._dirty = None
+
     # -- mutation (proactive) ----------------------------------------------------------
 
     def insert(self, value: RowLike, effective_from: Optional[int] = None) -> Row:
         """Proactively insert a row, effective for future sequence numbers."""
         effective = self._effective_from(effective_from)
         row = self.current.insert(value)
+        self._mark(row)
         if self.keep_history:
             self._log.append((effective, _INSERT, row))
         return row
@@ -111,8 +164,10 @@ class VersionedRelation:
         effective = self._effective_from(effective_from)
         row = self.current.lookup_key(key)
         deleted = self.current.delete_key(key)
-        if deleted and self.keep_history:
-            self._log.append((effective, _DELETE, row))
+        if deleted:
+            self._mark(row)
+            if self.keep_history:
+                self._log.append((effective, _DELETE, row))
         return deleted
 
     def update_key(self, key: Sequence[Any], effective_from: Optional[int] = None, **changes: Any) -> bool:
@@ -122,11 +177,14 @@ class VersionedRelation:
         if before is None:
             return False
         updated = self.current.update_key(key, **changes)
-        if updated and self.keep_history:
+        if updated:
             after = self.current.lookup_key(
                 tuple(changes.get(name, before[name]) for name in self.schema.key)
             )
-            self._log.append((effective, _UPDATE, (before, after)))
+            self._mark(before)
+            self._mark(after)
+            if self.keep_history:
+                self._log.append((effective, _UPDATE, (before, after)))
         return updated
 
     def update_where(self, predicate: Predicate, effective_from: Optional[int] = None, **changes: Any) -> int:
@@ -134,9 +192,12 @@ class VersionedRelation:
         effective = self._effective_from(effective_from)
         touched = [row for row in self.current.rows() if predicate.evaluate(row)]
         count = self.current.update_where(predicate, **changes)
-        if self.keep_history:
-            for before in touched:
-                self._log.append((effective, _UPDATE, (before, before.replace(**changes))))
+        for before in touched:
+            after = before.replace(**changes)
+            self._mark(before)
+            self._mark(after)
+            if self.keep_history:
+                self._log.append((effective, _UPDATE, (before, after)))
         return count
 
     # -- temporal read ------------------------------------------------------------------

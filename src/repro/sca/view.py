@@ -238,19 +238,21 @@ class PersistentView:
         self.relation.insert_at_key(key, self.summary.view_row(key))
         return entry
 
-    def _put(self, key: Tuple[Any, ...], state: Any) -> None:
-        """Locate *key* once and install a state computed elsewhere."""
+    def _put(self, key: Tuple[Any, ...], state: Any) -> List[Any]:
+        """Locate *key* once and install a state computed elsewhere;
+        returns the key's entry."""
         entry = self._state.get(key)
         if not self._grouped:
             if entry is None:
-                self._show_tuple(key, state)
-            else:
-                entry[0] = state
+                return self._show_tuple(key, state)
+            entry[0] = state
         elif entry is None:
-            self._show_group(key, list(state) + [None])
+            entry = list(state) + [None]
+            self._show_group(key, entry)
         else:
             entry[:-1] = state
             self.relation.replace_at(entry[-1], self.summary.view_row(key, state))
+        return entry
 
     def _portable(self, entry: List[Any]) -> Any:
         """An entry's state as it is exported: no slot, no aliasing."""
@@ -277,6 +279,7 @@ class PersistentView:
         self,
         items: Iterable[Tuple[Any, Any]],
         maintenance_count: Optional[int] = None,
+        upsert: bool = False,
     ) -> None:
         """Replace the fold state wholesale; rebuilds the visible rows.
 
@@ -284,15 +287,23 @@ class PersistentView:
         regenerates the materialized relation from the imported
         accumulators, so a view rebuilt in a worker process (or restored
         from a checkpoint) holds exactly the state and rows of the view
-        that exported, the rows in the order of *items*.
+        that exported, the rows in the order of *items*.  With *upsert*
+        nothing is cleared: each item replaces (or adds) its own key, the
+        way a delta snapshot is applied over its base.
+
+        Either way recording of touched keys stops — what the recorder
+        saw no longer accounts for every change since it started.
         """
+        self._touched = None
         if maintenance_count is not None:
             self._maintenance_count = maintenance_count
-        self.relation.clear()
-        self._state.clear()
+        if not upsert:
+            self.relation.clear()
+            self._state.clear()
         for key, state in items:
             self._put(tuple(key), state)
-        self._show_global_group()
+        if not upsert:
+            self._show_global_group()
 
     def absorb_states(self, items: Iterable[Tuple[Any, Any]]) -> None:
         """Merge authoritative per-key states computed elsewhere.
@@ -303,25 +314,37 @@ class PersistentView:
         rows — the same locate-once insert/swap discipline as
         :meth:`_fold`, so a reader under the shard lock sees whole
         windows or nothing.  Each call counts as one maintenance window,
-        mirroring :meth:`apply_delta`.
+        mirroring :meth:`apply_delta`, and records the keys like a fold.
         """
         self._maintenance_count += 1
-        for key, state in items:
-            self._put(tuple(key), state)
+        put = self._put
+        touched = self._touched
+        if touched is None:
+            for key, state in items:
+                put(tuple(key), state)
+        else:
+            for key, state in items:
+                key = tuple(key)
+                touched[key] = put(key, state)
 
     def record_touched(self) -> None:
         """Start recording the keys each fold touches."""
         self._touched = {}
 
-    def take_touched(self) -> List[Tuple[Tuple[Any, ...], Any]]:
+    def take_touched(self) -> Optional[List[Tuple[Tuple[Any, ...], Any]]]:
         """``(key, state)`` items, in :meth:`state_export`'s form, of the
-        keys touched since the last call (after :meth:`record_touched`).
+        keys touched since the last call (after :meth:`record_touched`);
+        None when the view is not recording.
 
         The fold already holds each touched key's entry, so this costs no
         second key pass and no second index descent — what a worker
-        process sends back per window instead of its whole partition.
+        process sends back per window instead of its whole partition,
+        and what a delta snapshot holds instead of the whole view.
         """
-        touched, self._touched = self._touched, {}
+        touched = self._touched
+        if touched is None:
+            return None
+        self._touched = {}
         portable = self._portable
         return [(key, portable(entry)) for key, entry in touched.items()]
 

@@ -36,11 +36,21 @@ def encode_value(value: Any) -> Any:
     )
 
 
+_CONTAINERS = (dict, list)
+
+
 def decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if set(value) == {"__tuple__"}:
-            return tuple(decode_value(v) for v in value["__tuple__"])
-        raise CodecError(f"unexpected object in durable payload: {value!r}")
+    # Scalars are returned in place rather than through a recursive call:
+    # recovery decodes every item of a snapshot chain.
     if isinstance(value, list):
-        return [decode_value(v) for v in value]
+        return [decode_value(v) if isinstance(v, _CONTAINERS) else v for v in value]
+    if isinstance(value, dict):
+        if len(value) == 1 and "__tuple__" in value:
+            return tuple(
+                [
+                    decode_value(v) if isinstance(v, _CONTAINERS) else v
+                    for v in value["__tuple__"]
+                ]
+            )
+        raise CodecError(f"unexpected object in durable payload: {value!r}")
     return value

@@ -12,14 +12,22 @@ restart cheap instead:
 * catalog operations (groups, chronicles, relations, view definitions)
   are interleaved in the same ordered log, so a view defined mid-stream
   replays at the right point relative to the data;
-* in ``wal+snapshot`` mode, a watermark-stamped checkpoint document
-  (the same codec as :mod:`repro.storage.checkpoint`) is written every
-  ``snapshot_interval_batches`` batches and the covered log tail is
-  truncated — recovery work and disk are both bounded by the interval.
+* in ``wal+snapshot`` mode, a watermark-stamped snapshot is written
+  every ``snapshot_interval_batches`` batches and the covered log tail
+  is truncated — recovery work and disk are both bounded by the
+  interval.  Snapshots form a **base + delta chain**
+  (:mod:`repro.storage.checkpoint` builds both kinds): a delta holds
+  only what the folds touched since the previous snapshot; a base holds
+  everything and replaces the chain.  A base is written when there is
+  no chain, after any catalog change, when some state is not being
+  recorded (restored or created since), after a failed snapshot, and
+  when the chain's delta bytes reach ``COMPACTION_RATIO`` times the
+  base's — so the chain stays under two bases plus one delta.
 
 Recovery (:func:`open_database`, reached through
 ``ChronicleDatabase.open``) rebuilds the catalog from the logged DDL,
-loads the latest snapshot, then replays the log tail through the normal
+loads the chain — the base, then each delta over it, through the one
+checkpoint loader — then replays the log tail through the normal
 ``ingest_stamped`` → ``on_event`` maintenance path — on the sharded
 engine, each event is routed and applied only to shards whose watermark
 is still behind it.
@@ -53,7 +61,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from ..errors import ChronicleError
 from ..obs import runtime as obs_runtime
 from ..relational.tuples import Row
-from .checkpoint import checkpoint_document
+from .checkpoint import checkpoint_document, delta_document, is_delta
 from .wal import ChronicleWal, WalError
 
 __all__ = [
@@ -76,6 +84,11 @@ class NonDurableWarning(UserWarning):
 #: ``meta``-table key prefix for persisted periodic-view clocks
 #: (``periodic_clock:<view name>`` → latest observed chronon).
 _PERIODIC_CLOCK_PREFIX = "periodic_clock:"
+
+#: Compaction: once the chain's deltas sum to this many times the base's
+#: bytes, the next snapshot is a base.  Bounds recovery's chain reading
+#: at (1 + ratio) bases plus one delta.
+COMPACTION_RATIO = 1.0
 
 #: Thread-local marker set while ``open_database`` constructs a database
 #: over existing durable state — the only context in which the manager
@@ -161,6 +174,14 @@ class DurabilityManager:
         #: Last clock value written per view — skips the ``meta`` upsert
         #: when nothing moved (the common case between expiries).
         self._logged_clocks: Dict[str, float] = {}
+        #: The snapshot chain on disk: its base's bytes (0 = no chain),
+        #: and the deltas written after it.
+        self._base_bytes = 0
+        self._delta_bytes = 0
+        self._chain_deltas = 0
+        #: The next snapshot must be a base: the catalog changed, or a
+        #: snapshot failed after the folds' records were taken.
+        self._base_due = False
         self._closed = False
         #: False while recovery replays the log — replayed operations
         #: must not be re-logged.
@@ -265,6 +286,9 @@ class DurabilityManager:
         if self._closed or not self._live:
             return
         self.wal.log_ddl(op, self._watermark())
+        # Recovery applies the DDL up to the chain's end before loading
+        # the base: a dropped view's state in the base would be orphaned.
+        self._base_due = True
 
     def record_view_definition(
         self, definition: Any, name: Optional[str], materialize: bool
@@ -306,7 +330,11 @@ class DurabilityManager:
     # -- snapshots --------------------------------------------------------------
 
     def snapshot(self) -> int:
-        """Write a watermark-stamped snapshot and truncate the log tail."""
+        """Write a watermark-stamped snapshot and truncate the log tail.
+
+        A delta when the chain allows one, else a base (see the module
+        docstring); returns the stamped watermark.
+        """
         db = self._database()
         obs = obs_runtime.ACTIVE
         span = None
@@ -314,20 +342,43 @@ class DurabilityManager:
             span = obs.tracer.start("snapshot", path=self.wal.path)
         started = time.perf_counter()
         try:
-            document = checkpoint_document(db)
+            document = None
+            if (
+                not self._base_due
+                and self._base_bytes
+                and self._delta_bytes < COMPACTION_RATIO * self._base_bytes
+            ):
+                document = delta_document(db)
+            base = document is None
+            if base:
+                document = checkpoint_document(db, record=True)
+            kind = "base" if base else "delta"
+            if span is not None:
+                span.attrs["kind"] = kind
             # Stamped per-shard watermarks: informational for bundle
             # inspection; the authoritative group watermark travels in
             # the document's "groups" section.
             document["watermarks"] = db.watermarks()
             watermark = self._watermark()
-            size, truncated = self.wal.write_snapshot(document, watermark)
-            self._batches_since_snapshot = 0
+            size, truncated = self.wal.write_snapshot(document, watermark, base=base)
+        except BaseException:
+            # The folds' records were taken (or recording restarted) for
+            # a snapshot that is not on disk: only a base can follow.
+            self._base_due = True
+            raise
         finally:
             if span is not None:
                 obs.tracer.finish(span)
+        if base:
+            self._base_bytes, self._delta_bytes, self._chain_deltas = size, 0, 0
+            self._base_due = False
+        else:
+            self._delta_bytes += size
+            self._chain_deltas += 1
+        self._batches_since_snapshot = 0
         if obs is not None:
-            obs.metrics.inc("snapshots_total")
-            obs.metrics.set("snapshot_bytes", size)
+            obs.metrics.inc("snapshots_total", kind=kind)
+            obs.metrics.set("snapshot_bytes", size, kind=kind)
             obs.metrics.inc("wal_truncated_rows_total", truncated)
             obs.metrics.observe("snapshot_seconds", time.perf_counter() - started)
         return watermark
@@ -335,13 +386,16 @@ class DurabilityManager:
     # -- recovery ----------------------------------------------------------------
 
     def recover(self) -> RecoveryReport:
-        """Load the latest snapshot and replay the log tail.
+        """Load the snapshot chain and replay the log tail.
 
-        Catalog operations at or below the snapshot's log position are
-        applied first (they rebuild the shape the snapshot's state needs),
-        then the snapshot document restores watermarks/relations/views,
-        then the tail replays in admission order through the engines'
-        ``_replay_stamped`` (watermark-aware on both engines).
+        Catalog operations at or below the chain's last log position are
+        applied first (they rebuild the shape the chain's state needs),
+        then the base restores watermarks/relations/views and each delta
+        is merged over it in order (``db.restore``, the one checkpoint
+        loader), then the tail replays in admission order through the
+        engines' ``_replay_stamped`` (watermark-aware on both engines).
+        A chain that is not one base followed by deltas, or a link that
+        does not decode, fails the open with :class:`RecoveryError`.
         """
         db = self._database()
         obs = obs_runtime.ACTIVE
@@ -357,33 +411,52 @@ class DurabilityManager:
                     self._recovered_clocks[name] = float(value)
                 except ValueError:
                     continue
-            snapshot = self.wal.latest_snapshot()
+            chain = self.wal.snapshot_chain()
+            snapshot = chain[-1] if chain else None
             snapshot_id = snapshot.log_id if snapshot is not None else 0
             replayed_ddl = 0
             for entry in self.wal.ddl_entries(up_to=snapshot_id):
                 _apply_ddl(db, entry.payload)
                 replayed_ddl += 1
-            if snapshot is not None:
+            orphans = set()
+            for position, link in enumerate(chain):
+                # Decoded one at a time, so a long chain's documents are
+                # never all alive together.  A failure part-way fails the
+                # open: no database is returned half-restored.
+                document = link.decode()
+                if is_delta(document) != (position > 0):
+                    raise RecoveryError(
+                        f"snapshot chain in {self.wal.path} is malformed: "
+                        f"row {position + 1} of {len(chain)} is "
+                        f"{'a delta' if position == 0 else 'not a delta'}; "
+                        f"a chain is one base followed by deltas"
+                    )
                 # A snapshot may carry state for a programmatic periodic
                 # view no logged DDL rebuilds; restoring would abort on
                 # the unknown name.  Drop that state (the documented
                 # limit) instead of failing the whole recovery — the
                 # view's clock still resumes from the meta table once it
                 # is re-defined.
-                periodic_state = snapshot.document.get("periodic", {})
+                periodic_state = document.get("periodic", {})
                 for name in [
                     n for n in periodic_state if n not in db.registry._periodic
                 ]:
                     del periodic_state[name]
-                    warnings.warn(
-                        f"snapshot carries state for periodic view {name!r} "
-                        f"which no logged DDL rebuilds; dropping it — "
-                        f"re-define the view after open() (its clock "
-                        f"resumes from the log's meta table)",
-                        NonDurableWarning,
-                        stacklevel=2,
-                    )
-                db.restore(snapshot.document)
+                    orphans.add(name)
+                db.restore(document)
+            for name in sorted(orphans):
+                warnings.warn(
+                    f"snapshot carries state for periodic view {name!r} "
+                    f"which no logged DDL rebuilds; dropping it — "
+                    f"re-define the view after open() (its clock "
+                    f"resumes from the log's meta table)",
+                    NonDurableWarning,
+                    stacklevel=2,
+                )
+            if chain:
+                self._base_bytes = len(chain[0].text)
+                self._delta_bytes = sum(len(link.text) for link in chain[1:])
+                self._chain_deltas = len(chain) - 1
             replayed = 0
             relation_updates = 0
             for entry in self.wal.entries(after=snapshot_id):
@@ -540,6 +613,11 @@ class DurabilityManager:
             "snapshot_interval_batches": self.config.snapshot_interval_batches,
             "closed": self._closed,
             "batches_since_snapshot": self._batches_since_snapshot,
+            # The snapshot chain: deltas after the base, and their summed
+            # bytes against the base's (a base is due at COMPACTION_RATIO).
+            "chain_deltas": self._chain_deltas,
+            "chain_delta_bytes": self._delta_bytes,
+            "chain_base_bytes": self._base_bytes,
             "last_recovery": (
                 asdict(self.last_recovery) if self.last_recovery else None
             ),

@@ -14,11 +14,13 @@ schema-versioned tables carry the durable state:
     and ``relupdate`` (a proactive relation update).
 
 ``snapshots``
-    Watermark-stamped checkpoint documents (the JSON codec shared with
-    :mod:`repro.storage.checkpoint`).  Each snapshot records the log
-    rowid it covers; writing one truncates the covered ``batch`` /
+    A chain of watermark-stamped checkpoint documents (the JSON codec
+    shared with :mod:`repro.storage.checkpoint`): one base, then the
+    deltas written after it, in rowid order.  Each snapshot records the
+    log rowid it covers; writing one truncates the covered ``batch`` /
     ``relupdate`` tail (``ddl`` rows are kept — they rebuild the catalog
-    shape before the snapshot's state is loaded).
+    shape before the chain's state is loaded).  Writing a base deletes
+    the chain before it in the same transaction.
 
 The fsync policy maps onto SQLite's ``synchronous`` pragma: ``always``
 → FULL (fsync per autocommitted batch insert), ``batch`` → NORMAL
@@ -34,7 +36,7 @@ import os
 import pickle
 import sqlite3
 import threading
-from typing import Any, Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import ChronicleError
 
@@ -51,11 +53,20 @@ class WalError(ChronicleError):
 
 
 class WalSnapshot(NamedTuple):
-    """The latest snapshot: covered log rowid, watermark, document."""
+    """One snapshot row: covered log rowid, watermark, stored document."""
 
+    snapshot_id: int
     log_id: int
     watermark: int
-    document: Dict[str, Any]
+    text: str
+
+    def decode(self) -> Dict[str, Any]:
+        """The document (decoded on demand: a chain's documents need not
+        all be in memory at once)."""
+        try:
+            return json.loads(self.text)
+        except ValueError as exc:
+            raise WalError(f"corrupt snapshot {self.snapshot_id}: {exc}") from exc
 
 
 class WalEntry(NamedTuple):
@@ -78,7 +89,8 @@ class ChronicleWal:
     Thread-safe for the engine's single-admission discipline plus
     concurrent reads (a lock serializes statements); all writes are
     autocommitted per statement except snapshots, which commit the
-    snapshot row and the log-tail truncation atomically.
+    snapshot row, the chain it replaces, and the log-tail truncation
+    atomically.
     """
 
     def __init__(self, directory: str, fsync: str = "batch") -> None:
@@ -178,13 +190,15 @@ class ChronicleWal:
             )
 
     def write_snapshot(
-        self, document: Dict[str, Any], watermark: int
+        self, document: Dict[str, Any], watermark: int, base: bool = True
     ) -> Tuple[int, int]:
         """Store a snapshot and truncate the covered log tail.
 
-        Returns ``(snapshot_bytes, truncated_rows)``.  The snapshot row,
-        the deletion of older snapshots, and the truncation of covered
-        ``batch``/``relupdate`` rows commit atomically; the WAL file is
+        A *base* replaces the whole chain; otherwise the document is a
+        delta appended to it.  Returns ``(snapshot_bytes,
+        truncated_rows)``.  The snapshot row, the deletion of the chain a
+        base replaces, and the truncation of covered ``batch``/
+        ``relupdate`` rows commit atomically; the WAL file is
         checkpointed (fsync) afterwards regardless of the fsync policy.
         """
         text = json.dumps(document)
@@ -194,7 +208,8 @@ class ChronicleWal:
             try:
                 row = conn.execute("SELECT COALESCE(MAX(id), 0) FROM log").fetchone()
                 log_id = int(row[0])
-                conn.execute("DELETE FROM snapshots")
+                if base:
+                    conn.execute("DELETE FROM snapshots")
                 conn.execute(
                     "INSERT INTO snapshots (log_id, watermark, document)"
                     " VALUES (?, ?, ?)",
@@ -260,15 +275,16 @@ class ChronicleWal:
             has_snap = conn.execute("SELECT 1 FROM snapshots LIMIT 1").fetchone()
         return has_log is None and has_snap is None
 
-    def latest_snapshot(self) -> Optional[WalSnapshot]:
+    def snapshot_chain(self) -> List[WalSnapshot]:
+        """Every snapshot row in the order written (empty when none)."""
         with self._lock:
-            row = self._require().execute(
-                "SELECT log_id, watermark, document FROM snapshots"
-                " ORDER BY id DESC LIMIT 1"
-            ).fetchone()
-        if row is None:
-            return None
-        return WalSnapshot(int(row[0]), int(row[1]), json.loads(row[2]))
+            rows = self._require().execute(
+                "SELECT id, log_id, watermark, document FROM snapshots ORDER BY id"
+            ).fetchall()
+        return [
+            WalSnapshot(int(snapshot_id), int(log_id), int(watermark), str(text))
+            for snapshot_id, log_id, watermark, text in rows
+        ]
 
     def ddl_entries(self, up_to: int) -> Iterator[WalEntry]:
         """Catalog operations at or below log rowid *up_to*, in order."""
@@ -322,7 +338,7 @@ class ChronicleWal:
 
         No snapshot, no flush, no finalization — whatever SQLite already
         committed is what recovery will see.  Used by the crash-recovery
-        tests and the E17 benchmark.
+        tests and the ``durable_join`` benchmark workload's restart.
         """
         with self._lock:
             if self._conn is None:

@@ -79,6 +79,9 @@ class PeriodicViewSet:
         self._expired: set = set()
         self._clock: Optional[float] = None  # latest chronon observed
         self._instantiated = 0
+        #: Whether every interval view, present and future, records the
+        #: keys its folds touch (:meth:`record_touched`).
+        self._recording = False
         #: Only rows from these chronicles are routed into intervals.
         self._dependencies = {c.name for c in summary.expression.chronicles()}
         #: One plan for every interval view: V_i differs from V only in
@@ -148,9 +151,28 @@ class PeriodicViewSet:
         view = self._active.get(index)
         if view is None:
             view = PersistentView(f"{self.name}[{index}]", self.summary)
+            if self._recording:
+                view.record_touched()
             self._active[index] = view
             self._instantiated += 1
         return view
+
+    # -- touched keys (delta snapshots) -------------------------------------------------
+
+    def record_touched(self) -> None:
+        """Start recording touched keys in every active interval view and
+        in every interval view instantiated from now on."""
+        self._recording = True
+        for view in self._active.values():
+            view.record_touched()
+
+    def take_touched(self) -> Optional[Dict[int, List[Tuple[Tuple[Any, ...], Any]]]]:
+        """Every active interval's :meth:`PersistentView.take_touched`
+        items (an interval instantiated since the last call reports all
+        of its state); None when the set is not recording."""
+        if not self._recording:
+            return None
+        return {index: view.take_touched() for index, view in self._active.items()}
 
     def _expire_stale(self) -> None:
         if self.expire_after is None or self._clock is None:

@@ -88,6 +88,34 @@ class TestRoundTrip:
         assert len(fresh.relation("subscribers")) == 2
         assert fresh.relation("subscribers").lookup_key((2,))["state"] == "NY"
 
+    def test_restored_relation_is_the_version_later_tuples_join(self, tmp_path):
+        """A join view materialized after a restore joins each stored
+        tuple with the relation version current at its sequence number —
+        the restored rows, then later updates — not the rows the rebuilt
+        catalog was declared with."""
+        join = (
+            "DEFINE VIEW by_state AS SELECT state, SUM(minutes) AS total FROM calls "
+            "JOIN subscribers ON calls.caller = subscribers.number GROUP BY state"
+        )
+        db = build(define_views=False)
+        db.update_relation("subscribers", (1,), state="NY")
+        path = str(tmp_path / "db.ckpt")
+        db.checkpoint(path)
+
+        fresh = ChronicleDatabase()
+        fresh.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+        fresh.create_relation("subscribers", [("number", "INT"), ("state", "STR")], key=["number"])
+        fresh.relation("subscribers").insert({"number": 1, "state": "NJ"})
+        fresh.restore(path)
+        fresh.append("calls", {"caller": 1, "minutes": 5})  # joins NY
+        fresh.update_relation("subscribers", (1,), state="NJ")
+        fresh.append("calls", {"caller": 1, "minutes": 7})  # joins NJ
+        fresh.define_view(join, materialize=True)
+        assert sorted(row.values for row in fresh.view("by_state").rows()) == [
+            ("NJ", 7),
+            ("NY", 5),
+        ]
+
     def test_stream_target(self):
         db = build()
         db.append("calls", {"caller": 1, "minutes": 10})

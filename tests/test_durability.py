@@ -2,19 +2,25 @@
 
 Covers the crash-recovery property (recovered views must equal a serial
 recompute of exactly the logged batches, for every workload generator on
-both engines), kill -9 of a live ingesting process (inline and process
-executors; recovery counts validated against the SQLite log itself),
-watermark-bounded replay (tail length <= snapshot interval), mid-stream
-DDL (views defined between snapshots rebuild with their history-derived
+both engines, across snapshot chains of several deltas), kill -9 of a
+live ingesting process (inline and process executors; recovery counts
+validated against the SQLite log itself), watermark-bounded replay
+(exactly the tail past the last snapshot), the snapshot chain (crashes
+between deltas and right after a compaction base, failed snapshot
+writes, corrupt or malformed chains, what forces a base, relation rows
+and periodic expiry carried by deltas, the chain's metrics and status),
+a directory in the pre-chain single-snapshot layout, mid-stream DDL
+(views defined between snapshots rebuild with their history-derived
 state), relation proactivity updates, wal-only full replay, cross-engine
 recovery, corrupt-log failure (RecoveryError + incident bundle), the
 unified lifecycle API (open/flush/close, the refusal to construct over
 existing durable state), zero-cost off mode, DurabilityConfig
-validation, NonDurableWarning cases, and the checkpoint deprecation
-shims.
+validation, and NonDurableWarning cases.
 """
 
+import json
 import os
+import pickle
 import shutil
 import signal
 import sqlite3
@@ -161,12 +167,14 @@ def _arm_crash(db):
 
 
 class TestCrashRecovery:
+    # Up to 24 batches at an interval of at most 3: every workload forms
+    # snapshot chains of three or more deltas before the crash.
     @settings(max_examples=12, deadline=None)
     @given(
         workload_index=st.integers(min_value=0, max_value=len(WORKLOADS) - 1),
         engine=st.sampled_from(sorted(ENGINES)),
-        committed=st.integers(min_value=1, max_value=10),
-        interval=st.integers(min_value=1, max_value=4),
+        committed=st.integers(min_value=1, max_value=24),
+        interval=st.integers(min_value=1, max_value=3),
         crash=st.booleans(),
     )
     def test_recovered_state_equals_recompute(
@@ -251,6 +259,31 @@ class TestCrashRecovery:
             assert _state(again) == expected_more
         finally:
             again.close()
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_replays_exactly_the_tail_past_the_last_snapshot(self, tmp_path, engine):
+        """Recovery replays ``batches mod interval`` batches — no more —
+        into the state of an uninterrupted run of the same stream."""
+        interval, batches = 8, 2 * 8 + 5
+        directory = str(tmp_path / "db")
+        workload_cls, key, value = WORKLOADS[0]
+        stream = workload_cls(seed=13)
+        stream_batches = [list(stream.records(6)) for _ in range(batches)]
+        config = _config(directory, engine=engine, interval=interval)
+        db = ChronicleDatabase.open(directory, config=config)
+        workload = _catalog(db, workload_cls, key, value)
+        for batch in stream_batches:
+            db.append(workload.NAME, batch)
+        db.durability.abort()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnpartitionableViewWarning)
+            recovered = ChronicleDatabase.open(directory, config=config)
+        try:
+            assert recovered.durability.last_recovery.replayed_batches == batches % interval
+            assert _state(recovered) == _reference(workload_cls, key, value, stream_batches)
+        finally:
+            recovered.close()
 
     def test_wal_only_mode_replays_full_log(self, tmp_path):
         """Without snapshots, recovery rebuilds everything from batch 0."""
@@ -352,6 +385,20 @@ _COMMIT_OPS = (
 )
 
 
+#: One call from each of 60 callers that are not subscribers.
+_WIDE = [[{"caller": c, "minutes": c % 9 + 1}] for c in range(4, 64)]
+
+
+def _formats(directory):
+    """The snapshot chain's format tags, read straight off the SQLite file."""
+    conn = sqlite3.connect(wal_path(directory))
+    try:
+        rows = conn.execute("SELECT document FROM snapshots ORDER BY id").fetchall()
+    finally:
+        conn.close()
+    return [json.loads(text)["format"] for (text,) in rows]
+
+
 def _commit_catalog(db):
     db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
     db.create_relation("subscribers", [("number", "INT"), ("plan", "STR")], key=["number"])
@@ -389,7 +436,10 @@ def _commit_apply(db, op, window=True):
 
 class TestIngestCommitPoint:
     """``ingest`` is one durability commit point on every engine: at most
-    one snapshot per call, taken once every shard absorbed the window."""
+    one snapshot per call, taken once every shard absorbed the window —
+    and the deltas among those snapshots (built from what the folds, or
+    the parent-side absorbs of the process executor, recorded) recover
+    the same state a full snapshot would."""
 
     @pytest.mark.parametrize(
         "engine",
@@ -425,6 +475,12 @@ class TestIngestCommitPoint:
                 return stamped
 
             db.durability.snapshot = spy
+            # Callers beyond the four subscribers widen usage, so the base
+            # outweighs the deltas after it and a chain forms.
+            db.ingest("calls", _WIDE)
+            for batch in _WIDE:
+                reference.append("calls", batch)
+            at_watermark[reference.group().watermark] = _commit_state(reference)
             for op in _COMMIT_OPS:
                 before = len(snapshots)
                 _commit_apply(db, op)
@@ -439,12 +495,14 @@ class TestIngestCommitPoint:
                 assert _commit_state(db) == _commit_state(reference)
             # 7 + 1 + 2 + 2 + 4 + 1 = 17 logged batches at interval 3, but a
             # window is one commit point: the 7-batch one took one snapshot.
-            assert 3 <= len(snapshots) <= 6
+            assert 4 <= len(snapshots) <= 7
             for stamped, state, fleet in snapshots:
                 # What a snapshot holds is the state *at* its stamp: no
                 # shard was still behind the watermark it was stamped with.
                 assert state == at_watermark[stamped]
                 assert fleet is None or fleet.max_lag_batches == 0
+            formats = _formats(directory)
+            assert formats[0] == 1 and formats.count("delta-1") >= 2, formats
             db.durability.abort()  # crash: no final snapshot
         finally:
             db.close()
@@ -459,6 +517,274 @@ class TestIngestCommitPoint:
             _commit_apply(recovered, more)
             _commit_apply(reference, more, window=False)
             assert _commit_state(recovered) == _commit_state(reference)
+        finally:
+            recovered.close()
+            reference.close()
+
+
+# ---------------------------------------------------------------------------
+# The snapshot chain: a base, deltas over it, and what forces a new base
+# ---------------------------------------------------------------------------
+
+
+_BY_PLAN = (
+    "DEFINE VIEW by_plan AS SELECT plan, SUM(minutes) AS total FROM calls "
+    "JOIN subscribers ON calls.caller = subscribers.number GROUP BY plan"
+)
+
+
+class _Twins:
+    """A durable database (snapshot interval 2) and a non-durable
+    reference, built alike and fed alike."""
+
+    def __init__(self, directory):
+        self.directory = directory
+        self.config = _config(directory, interval=2)
+        self.db = ChronicleDatabase.open(directory, config=self.config)
+        self.reference = ChronicleDatabase()
+        self.calls = 0
+        self.kinds = []
+        take = self.db.durability.snapshot
+
+        def spy():
+            stamped = take()
+            self.kinds.append(self.db.durability.status()["chain_deltas"] and "delta" or "base")
+            return stamped
+
+        self.db.durability.snapshot = spy
+        for db in self.both():
+            _commit_catalog(db)
+            db.ingest("calls", _WIDE)
+
+    def both(self):
+        return (self.db, self.reference)
+
+    def call(self, caller=None):
+        """One 1-record batch into both (the reference first: a snapshot
+        failure raises after the durable database admitted the batch)."""
+        self.calls += 1
+        record = {"caller": self.calls % 4 if caller is None else caller, "minutes": self.calls % 11 + 1}
+        self.reference.append("calls", [record])
+        self.db.append("calls", [record])
+
+    def until(self, predicate, limit=400):
+        """Feed calls until ``predicate(status)`` holds."""
+        for _ in range(limit):
+            if predicate(self.db.durability.status()):
+                return
+            self.call()
+        raise AssertionError("the chain never reached the expected shape")
+
+    def crash_and_reopen(self):
+        self.db.durability.abort()
+        self.db = ChronicleDatabase.open(self.directory, config=self.config)
+        return self.db.durability.last_recovery
+
+    def assert_equal(self):
+        db, reference = self.both()
+        for name in db.registry._views:
+            assert sorted(r.values for r in db.view(name).rows()) == sorted(
+                r.values for r in reference.view(name).rows()
+            ), name
+        assert sorted(db.registry._views) == sorted(reference.registry._views)
+        assert sorted(r.values for r in db.relation("subscribers").rows()) == sorted(
+            r.values for r in reference.relation("subscribers").rows()
+        )
+        assert db.group().watermark == reference.group().watermark
+
+    def close(self):
+        self.db.close()
+        self.reference.close()
+
+
+@pytest.fixture
+def twins(tmp_path):
+    pair = _Twins(str(tmp_path / "db"))
+    yield pair
+    pair.close()
+
+
+class TestSnapshotChain:
+    def test_crash_after_deltas_before_the_next_base(self, twins):
+        twins.until(lambda status: status["chain_deltas"] >= 3)
+        twins.call()  # a log tail past the last delta
+        formats = _formats(twins.directory)
+        assert formats[0] == 1 and set(formats[1:]) == {"delta-1"} and len(formats) >= 4
+        report = twins.crash_and_reopen()
+        assert report.replayed_batches == 1
+        twins.assert_equal()
+        assert twins.db.durability.status()["chain_deltas"] == len(formats) - 1
+        # What was restored is not being recorded: the next snapshot is a
+        # base, and the chain grows from it.
+        twins.until(lambda status: status["batches_since_snapshot"] == 0)
+        assert _formats(twins.directory) == [1]
+        twins.until(lambda status: status["chain_deltas"] >= 1)
+        twins.assert_equal()
+
+    def test_crash_right_after_a_compaction_base(self, twins):
+        twins.until(lambda status: status["chain_deltas"] >= 1)
+        twins.until(lambda status: status["chain_deltas"] == 0)
+        assert twins.kinds[-2:] == ["delta", "base"]  # the ratio, not a DDL
+        assert _formats(twins.directory) == [1]
+        assert twins.crash_and_reopen().replayed_batches == 0
+        twins.assert_equal()
+
+    def test_failed_base_rolls_back_and_the_old_chain_recovers(self, twins):
+        twins.until(lambda status: status["chain_deltas"] >= 2)
+        chain = _formats(twins.directory)
+        # Refuse any snapshot insert that follows the chain's deletion —
+        # that is, a base — inside the snapshot's own transaction.
+        twins.db.durability.wal._conn.execute(
+            "CREATE TEMP TRIGGER refuse_base BEFORE INSERT ON snapshots"
+            " WHEN (SELECT COUNT(*) FROM snapshots) = 0"
+            " BEGIN SELECT RAISE(ABORT, 'injected base failure'); END"
+        )
+        for db in twins.both():
+            db.drop_view("by_plan")  # a catalog change: the next snapshot is a base
+        with pytest.raises(sqlite3.IntegrityError, match="injected"):
+            twins.until(lambda status: False, limit=2)
+        assert _formats(twins.directory) == chain
+        assert twins.db.durability.status()["batches_since_snapshot"] == 2
+        report = twins.crash_and_reopen()
+        assert report.replayed_batches == 2 and report.replayed_ddl >= 1
+        twins.assert_equal()
+
+    def test_a_failed_delta_is_followed_by_a_base(self, twins):
+        twins.until(lambda status: status["chain_deltas"] >= 1)
+        twins.db.durability.wal._conn.execute(
+            "CREATE TEMP TRIGGER refuse_all BEFORE INSERT ON snapshots"
+            " BEGIN SELECT RAISE(ABORT, 'injected delta failure'); END"
+        )
+        with pytest.raises(sqlite3.IntegrityError, match="injected"):
+            twins.until(lambda status: False, limit=2)
+        twins.db.durability.wal._conn.execute("DROP TRIGGER refuse_all")
+        # The failed delta took the folds' records with it.
+        twins.until(lambda status: status["batches_since_snapshot"] == 0)
+        assert _formats(twins.directory) == [1]
+        twins.crash_and_reopen()
+        twins.assert_equal()
+
+    def test_corrupt_delta_row_fails_loudly(self, twins):
+        twins.until(lambda status: status["chain_deltas"] >= 2)
+        twins.db.durability.abort()
+        conn = sqlite3.connect(wal_path(twins.directory))
+        conn.execute(
+            "UPDATE snapshots SET document = substr(document, 1, 40)"
+            " WHERE id = (SELECT MAX(id) FROM snapshots)"
+        )
+        conn.commit()
+        conn.close()
+        with pytest.raises(RecoveryError, match="corrupt snapshot"):
+            ChronicleDatabase.open(twins.directory, config=twins.config)
+        assert os.path.exists(os.path.join(twins.directory, "recovery-failure.json"))
+
+    def test_chain_must_start_with_a_base(self, twins):
+        twins.until(lambda status: status["chain_deltas"] >= 1)
+        twins.db.durability.abort()
+        conn = sqlite3.connect(wal_path(twins.directory))
+        conn.execute("DELETE FROM snapshots WHERE id = (SELECT MIN(id) FROM snapshots)")
+        conn.commit()
+        conn.close()
+        with pytest.raises(RecoveryError, match="malformed"):
+            ChronicleDatabase.open(twins.directory, config=twins.config)
+
+    @pytest.mark.parametrize("change", ["drop", "redefine", "restore"])
+    def test_changes_outside_the_folds_force_a_base(self, twins, tmp_path, change):
+        twins.until(lambda status: status["chain_deltas"] >= 1)
+        checkpoint = str(tmp_path / "state.ckpt")
+        twins.db.checkpoint(checkpoint)
+        twins.until(lambda status: status["chain_deltas"] >= 2)
+        kinds = len(twins.kinds)
+        for db in twins.both():
+            if change == "drop":
+                db.drop_view("by_plan")
+            elif change == "redefine":
+                db.drop_view("by_plan")
+                db.define_view(_BY_PLAN)
+            else:  # back to the checkpoint: state the recorders never saw
+                db.restore(checkpoint)
+        twins.until(lambda status: len(twins.kinds) > kinds)
+        assert twins.kinds[kinds] == "base"
+        twins.call()
+        twins.crash_and_reopen()
+        twins.assert_equal()
+
+    def test_relation_row_inserted_after_the_base_survives(self, twins):
+        twins.until(lambda status: status["chain_deltas"] >= 1)
+        twins.until(lambda status: status["chain_deltas"] == 0)  # just after a base
+        for db in twins.both():
+            db.relation("subscribers").insert({"number": 9, "plan": "gold"})
+            db.relation("subscribers").delete_key((2,))
+        twins.call(caller=9)
+        twins.until(lambda status: status["batches_since_snapshot"] == 0)
+        assert _formats(twins.directory)[-1] == "delta-1"
+        twins.crash_and_reopen()
+        twins.assert_equal()
+        twins.call(caller=9)  # joins the recovered row
+        twins.assert_equal()
+
+    def test_metrics_and_status_describe_the_chain(self, twins):
+        obs = twins.db.enable_observability()
+        seen = len(twins.kinds)
+        try:
+            twins.until(lambda status: status["chain_deltas"] >= 2)
+            twins.until(lambda status: status["chain_deltas"] == 0)
+            twins.until(lambda status: status["chain_deltas"] >= 2)
+            status = twins.db.durability.status()
+            conn = sqlite3.connect(wal_path(twins.directory))
+            sizes = [n for (n,) in conn.execute("SELECT length(document) FROM snapshots ORDER BY id")]
+            conn.close()
+            assert status["chain_base_bytes"] == sizes[0]
+            assert status["chain_delta_bytes"] == sum(sizes[1:])
+            assert status["chain_deltas"] == len(sizes) - 1
+            metrics, kinds = obs.metrics, twins.kinds[seen:]
+            assert metrics.value("snapshots_total", kind="base") == kinds.count("base")
+            assert metrics.value("snapshots_total", kind="delta") == kinds.count("delta")
+            assert metrics.value("snapshot_bytes", kind="delta") == sizes[-1]
+        finally:
+            twins.db.disable_observability()
+
+    def test_text_periodic_view_expiring_between_deltas(self, tmp_path):
+        from repro.errors import ViewExpiredError
+
+        directory = str(tmp_path / "db")
+        config = _config(directory, interval=2)
+        periodic = (
+            "DEFINE PERIODIC VIEW monthly OVER EVERY 30 EXPIRE AFTER 0 BY day AS "
+            "SELECT caller, SUM(minutes) AS total FROM calls GROUP BY caller"
+        )
+        db = ChronicleDatabase.open(directory, config=config)
+        reference = ChronicleDatabase()
+        twins = (db, reference)
+        for target in twins:
+            target.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT"), ("day", "INT")])
+            target.define_view(periodic)
+            # A wide first month, so the base outweighs the deltas after it.
+            target.append("calls", [(c, 1, 0) for c in range(60)])
+        days = [1, 2, 8, 9, 15, 16, 22, 23, 29, 31, 32, 40, 41, 45]
+        expired_in = None
+        for n, day in enumerate(days):
+            for target in twins:
+                target.append("calls", [(n % 5, n + 1, day)])
+            if day == 31:
+                expired_in = len(_formats(directory))
+        formats = _formats(directory)
+        # The expiry (day 31 ends month 0) fell between two deltas.
+        assert formats[0] == 1
+        assert formats[expired_in - 1:] == ["delta-1"] * (len(formats) - expired_in + 1)
+        assert len(formats) > expired_in
+        db.durability.abort()
+        recovered = ChronicleDatabase.open(directory, config=config)
+        try:
+            got, want = recovered.periodic_view("monthly"), reference.periodic_view("monthly")
+            assert got.active_indices() == want.active_indices() == [1]
+            for index in want.active_indices():
+                assert sorted(r.values for r in got[index].rows()) == sorted(
+                    r.values for r in want[index].rows()
+                )
+            with pytest.raises(ViewExpiredError):
+                got[0]
+            assert got._clock == want._clock
         finally:
             recovered.close()
             reference.close()
@@ -580,6 +906,149 @@ class TestKillNine:
 
     def test_kill9_process_executor(self, tmp_path):
         self._run(tmp_path, "process", kill_after=4)
+
+
+# ---------------------------------------------------------------------------
+# A directory written before snapshot chains existed still opens
+# ---------------------------------------------------------------------------
+
+
+_PARENT_DDL = (
+    "DEFINE VIEW usage AS SELECT caller, SUM(minutes) AS total, COUNT(*) AS n "
+    "FROM calls GROUP BY caller",
+    "DEFINE VIEW long_calls AS SELECT caller, MAX(minutes) AS longest FROM calls "
+    "WHERE minutes > 10 GROUP BY caller",
+    _BY_PLAN,
+    "DEFINE PERIODIC VIEW monthly OVER EVERY 30 EXPIRE AFTER 30 BY day AS "
+    "SELECT caller, SUM(minutes) AS total FROM calls GROUP BY caller",
+)
+#: ("append", records) | ("update", key, plan); the first seven are what
+#: the directory below holds.
+_PARENT_OPS = (
+    ("append", [(1, 5, 3), (2, 12, 4)]),
+    ("append", [(3, 30, 10)]),
+    ("update", (2,), "gold"),
+    ("append", [(1, 11, 20), (3, 2, 25)]),
+    ("append", [(2, 40, 31)]),
+    ("append", [(1, 7, 33)]),
+    ("append", [(3, 15, 62)]),  # expires month 0
+    ("append", [(1, 3, 70), (2, 50, 71)]),
+    ("update", (3,), "gold"),
+    ("append", [(3, 9, 95)]),
+) + tuple(("append", [(c % 3 + 1, c, 96 + c)]) for c in range(9))
+
+#: A crashed ``wal+snapshot`` directory in the single-snapshot layout that
+#: builds before snapshot chains wrote, row for row (serial engine,
+#: interval 4, ``_PARENT_OPS[:7]`` applied): the tables, the log rows left
+#: after the snapshot truncated the covered tail, and the one snapshot.
+_PARENT_TABLES = (
+    "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)",
+    "CREATE TABLE log ( id INTEGER PRIMARY KEY AUTOINCREMENT, kind TEXT NOT NULL,"
+    " watermark INTEGER NOT NULL, payload BLOB NOT NULL)",
+    "CREATE TABLE snapshots ( id INTEGER PRIMARY KEY AUTOINCREMENT, log_id INTEGER NOT NULL,"
+    " watermark INTEGER NOT NULL, document TEXT NOT NULL)",
+)
+_PARENT_META = (("periodic_clock:monthly", "62.0"), ("schema_version", "1"))
+_PARENT_LOG = (
+    (1, "ddl", -1, ("group", "default", 0)),
+    (2, "ddl", -1, ("chronicle", "calls", ((("sn", "SEQ", False), ("caller", "INT", False),
+                                            ("minutes", "INT", False), ("day", "INT", False)),
+                                           None, "sn"), None, "default")),
+    (3, "ddl", -1, ("relation", "subscribers", ((("number", "INT", False), ("plan", "STR", False)),
+                                                ("number",), None), "default", True)),
+) + tuple((4 + i, "ddl", -1, ("view_text", None, text, True)) for i, text in enumerate(_PARENT_DDL)) + (
+    (13, "batch", 4, ("default", {"calls": [(4, 1, 7, 33)]})),
+    (14, "batch", 5, ("default", {"calls": [(5, 3, 15, 62)]})),
+)
+_PARENT_SNAPSHOT = (
+    5,
+    12,
+    3,
+    '{"format": 1, "groups": {"default": {"watermark": 3}}, "relations": {"subscribers": '
+    '[{"__tuple__": [1, "basic"]}, {"__tuple__": [2, "gold"]}, {"__tuple__": [3, "basic"]}]}, '
+    '"views": {"usage": {"state": [[{"__tuple__": [1]}, [16, 2]], [{"__tuple__": [2]}, [52, 2]], '
+    '[{"__tuple__": [3]}, [32, 2]]], "maintenance_count": 4}, "long_calls": {"state": '
+    '[[{"__tuple__": [1]}, [11]], [{"__tuple__": [2]}, [40]], [{"__tuple__": [3]}, [30]]], '
+    '"maintenance_count": 4}, "by_plan": {"state": [[{"__tuple__": ["basic"]}, [60]], '
+    '[{"__tuple__": ["gold"]}, [40]]], "maintenance_count": 4}}, "periodic": {"monthly": '
+    '{"clock": 31.0, "expired": [], "instantiated": 2, "views": {"0": {"state": '
+    '[[{"__tuple__": [1]}, [16]], [{"__tuple__": [2]}, [12]], [{"__tuple__": [3]}, [32]]], '
+    '"maintenance_count": 3}, "1": {"state": [[{"__tuple__": [2]}, [40]]], '
+    '"maintenance_count": 1}}}}, "watermarks": {"serial/default": 3}}',
+)
+
+
+def _parent_catalog(db):
+    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT"), ("day", "INT")])
+    db.create_relation("subscribers", [("number", "INT"), ("plan", "STR")], key=["number"])
+    for number in (1, 2, 3):
+        db.relation("subscribers").insert({"number": number, "plan": "basic"})
+    for text in _PARENT_DDL:
+        db.define_view(text)
+
+
+def _parent_state(db):
+    monthly = db.periodic_view("monthly")
+    return {
+        "views": {
+            name: sorted(r.values for r in db.view(name).rows())
+            for name in ("usage", "long_calls", "by_plan")
+        },
+        "monthly": {i: sorted(r.values for r in v.rows()) for i, v in monthly.active_views()},
+        "expired": sorted(monthly._expired),
+        "subscribers": sorted(r.values for r in db.relation("subscribers").rows()),
+        "watermark": db.group().watermark,
+    }
+
+
+class TestPreChainDirectory:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_opens_to_identical_rows_and_keeps_ingesting(self, tmp_path, engine):
+        directory = str(tmp_path / "db")
+        os.makedirs(directory)
+        conn = sqlite3.connect(wal_path(directory))
+        for statement in _PARENT_TABLES:
+            conn.execute(statement)
+        conn.executemany("INSERT INTO meta VALUES (?, ?)", _PARENT_META)
+        conn.executemany(
+            "INSERT INTO log VALUES (?, ?, ?, ?)",
+            [(i, kind, mark, pickle.dumps(payload)) for i, kind, mark, payload in _PARENT_LOG],
+        )
+        conn.execute("INSERT INTO snapshots VALUES (?, ?, ?, ?)", _PARENT_SNAPSHOT)
+        conn.commit()
+        conn.close()
+
+        reference = ChronicleDatabase()
+        _parent_catalog(reference)
+
+        def apply(db, op):
+            if op[0] == "append":
+                db.append("calls", op[1])
+            else:
+                assert db.update_relation("subscribers", op[1], plan=op[2])
+
+        for op in _PARENT_OPS[:7]:
+            apply(reference, op)
+        config = _config(directory, engine=engine, interval=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnpartitionableViewWarning)
+            db = ChronicleDatabase.open(directory, config=config)
+        try:
+            assert db.durability.last_recovery.replayed_batches == 2
+            assert _parent_state(db) == _parent_state(reference)
+            for op in _PARENT_OPS[7:]:
+                apply(db, op)
+                apply(reference, op)
+            assert _parent_state(db) == _parent_state(reference)
+            assert "delta-1" in _formats(directory)
+            db.durability.abort()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnpartitionableViewWarning)
+                db = ChronicleDatabase.open(directory, config=config)
+            assert _parent_state(db) == _parent_state(reference)
+        finally:
+            db.close()
+            reference.close()
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +1388,14 @@ class TestWalSubstrate:
             assert truncated == 3  # batches gone, ddl kept
             kinds = [entry.kind for entry in wal.entries()]
             assert kinds == ["ddl"]
-            snapshot = wal.latest_snapshot()
+            (snapshot,) = wal.snapshot_chain()
             assert snapshot.watermark == 2
+            # A delta appends to the chain (and truncates its own tail);
+            # the next base replaces the whole chain.
+            wal.log_batch("default", {"t": [[3, 1]]}, 3)
+            assert wal.write_snapshot({"format": "delta-1"}, 3, base=False)[1] == 1
+            assert [s.watermark for s in wal.snapshot_chain()] == [2, 3]
+            wal.write_snapshot({"format": 1}, 3)
+            assert [s.decode() for s in wal.snapshot_chain()] == [{"format": 1}]
         finally:
             wal.close()

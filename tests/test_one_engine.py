@@ -1,4 +1,5 @@
-"""Guard: one maintenance path, one database class, one write path.
+"""Guard: one maintenance path, one database class, one write path, one
+snapshot path.
 
 The literal Theorem 4.1 interpreter (:mod:`repro.algebra.reference`) is
 an oracle for tests, benchmarks and the conformance profiler.  If any
@@ -7,7 +8,11 @@ select it comes back under one of its old names, a second engine is
 growing again — fail here, before it has users.  The same goes for a
 second database class: the sharded engine is a stage the facade holds,
 so nothing subclasses :class:`ChronicleDatabase`, the write methods are
-written once, and the shard executors number two.
+written once, and the shard executors number two.  Persistence likewise:
+:mod:`repro.storage.checkpoint` builds and loads every snapshot document
+(base or delta), ``DurabilityManager.snapshot`` is the one writer of
+snapshot rows, and the storage layer takes no switch from the
+environment.
 """
 
 import ast
@@ -16,7 +21,7 @@ import inspect
 import pathlib
 
 import repro
-from repro.core.config import EXECUTORS, DatabaseConfig
+from repro.core.config import EXECUTORS, DatabaseConfig, DurabilityConfig
 from repro.core.database import ChronicleDatabase
 from repro.sca.view import PersistentView
 from repro.views.registry import ViewRegistry
@@ -120,3 +125,86 @@ def test_write_methods_are_written_once():
 def test_no_new_knob():
     assert EXECUTORS == ("serial", "process")
     assert len(dataclasses.fields(DatabaseConfig)) == 11
+    assert len(dataclasses.fields(DurabilityConfig)) == 4
+
+
+STORAGE = SRC / "storage"
+CHECKPOINT = STORAGE / "checkpoint.py"
+DURABILITY = STORAGE / "durability.py"
+#: The hooks through which state enters or leaves a snapshot document.
+STATE_HOOKS = {
+    "state_export", "export_state", "state_import", "import_state", "restore_rows",
+    "take_touched", "take_dirty", "record_touched", "record_dirty",
+    "encode_value", "decode_value", "dumps", "loads",
+}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _called(node):
+    """Names of the functions and methods called anywhere under *node*."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            if isinstance(func, ast.Attribute):
+                yield func.attr
+            elif isinstance(func, ast.Name):
+                yield func.id
+
+
+def test_storage_reads_no_environment():
+    offenders = [
+        (str(path.relative_to(SRC)), node.lineno)
+        for path in sorted(STORAGE.rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+    ]
+    assert offenders == []
+
+
+def test_checkpoint_module_is_the_one_document_codec():
+    # Documents are dicts tagged with a "format": only the checkpoint
+    # module builds them, and only it applies them to a database.
+    builders = {
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value == "format" for k in node.keys)
+    }
+    assert builders == {"storage/checkpoint.py"}
+    loaders = {
+        str(path.relative_to(SRC))
+        for path in sorted(STORAGE.rglob("*.py"))
+        if {"restore_rows", "import_state", "state_import"} & set(_called(_tree(path)))
+    }
+    assert loaders == {"storage/checkpoint.py"}
+    # The durability manager decides what to write and when; it never
+    # encodes state itself.
+    imported = set(imported_modules(DURABILITY))
+    assert not imported & {"json", "pickle", "marshal", "repro.storage.codec"}
+    assert not STATE_HOOKS & set(_called(_tree(DURABILITY)))
+
+
+def _functions(path):
+    """``(owner, function)`` for each module- and class-level function."""
+    for node in _tree(path).body:
+        if isinstance(node, ast.FunctionDef):
+            yield path.stem, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield node.name, item
+
+
+def test_only_the_snapshot_method_writes_snapshots():
+    writers = [
+        (owner, function.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for owner, function in _functions(path)
+        if "write_snapshot" in set(_called(function))
+    ]
+    assert writers == [("DurabilityManager", "snapshot")]

@@ -15,11 +15,18 @@ it still holds the whole history after the system under test has been
 restored into a fresh catalog whose chronicle stores start empty.
 
 Scope: the serial engine and the sharded engine with the ``serial``
-executor.  Thread and process executors, durability and crash rules
-belong to the wider harness on the ROADMAP.
+executor, each also durable (``wal+snapshot`` at a snapshot interval of
+3, so base + delta snapshot chains form) with three more rules — flush
+(after which a copy of the directory must recover to the live state),
+crash (``durability.abort()``) → ``ChronicleDatabase.open()``, and
+``close()`` → ``open()`` — over the definitions the log can rebuild:
+text DDL, portable ``Summary`` specs and text-DDL periodic views; every
+durable example ends in a crash and a recovery.  The process executor
+and worker kills belong to the wider harness on the ROADMAP.
 """
 
 import os
+import shutil
 import tempfile
 import warnings
 from typing import Callable, NamedTuple, Optional
@@ -28,7 +35,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro import ChronicleDatabase, DatabaseConfig
+from repro import ChronicleDatabase, DatabaseConfig, DurabilityConfig
 from repro.aggregates import AVG, COUNT, MAX, MIN, SUM, spec
 from repro.algebra.ast import scan
 from repro.complexity.counters import GLOBAL_COUNTERS
@@ -43,7 +50,7 @@ ACCOUNTS = 4
 STATES = ("NJ", "NY", "PA")
 NAMES = ("v0", "v1", "v2", "v3")
 
-# Tier-1 budget: both machines together ≈ 10 s.  derandomize keeps the
+# Tier-1 budget: the four machines together ≈ 10 s.  derandomize keeps the
 # tier-1 run reproducible; raise the two numbers to explore further.
 MACHINE_SETTINGS = settings(
     max_examples=120,
@@ -52,6 +59,10 @@ MACHINE_SETTINGS = settings(
     derandomize=True,
     suppress_health_check=list(HealthCheck),
 )
+#: Each durable step writes SQLite, and each example ends in a crash and a
+#: recovery: fewer examples.
+DURABLE_SETTINGS = settings(MACHINE_SETTINGS, max_examples=100)
+DURABLE_SHARDED_SETTINGS = settings(MACHINE_SETTINGS, max_examples=60)
 
 records = st.lists(
     st.fixed_dictionaries(
@@ -125,15 +136,24 @@ PLAIN = (
     ),
 )
 
+#: What the log can rebuild: text DDL and programmatic summaries with a
+#: portable plan spec (PLAIN[4] keyjoins a live relation: it has none).
+DURABLE_PLAIN = tuple(d for i, d in enumerate(PLAIN) if i != 4)
+
 PERIODIC_SUMMARY = Definition(
     lambda db: GroupBySummary(
         scan(db.chronicle("calls")), ["acct"], [spec(SUM, "mins"), spec(MAX, "day")]
     )
 )
+PERIODIC_TEXT = text_definition(
+    "SELECT acct, SUM(mins) AS total, MAX(day) AS top FROM calls GROUP BY acct"
+)
 CALENDARS = {
     "monthly": lambda: monthly(month_length=10.0),
     "sliding": lambda: sliding(window=10.0, step=5.0),
 }
+#: The same calendars in the DDL's OVER clause.
+CALENDAR_DDL = {"monthly": "EVERY 10", "sliding": "WINDOW 10 SLIDE 5"}
 
 
 def day_of(row):
@@ -167,12 +187,14 @@ class ViewModel:
 
 class FacadeMachine(RuleBasedStateMachine):
     CONFIG = DatabaseConfig()
+    DEFINITIONS = PLAIN
+    PERIODIC = PERIODIC_SUMMARY
 
     def __init__(self):
         super().__init__()
         self.scratch = tempfile.TemporaryDirectory()
-        self.oracle = self.build_catalog(DatabaseConfig())
-        self.db = self.build_catalog(self.CONFIG)
+        self.oracle = self.build_catalog(ChronicleDatabase())
+        self.db = self.build_catalog(self.open_system())
         self.views = {}
         #: First sequence number the system's chronicle store still holds
         #: (a rebuilt catalog starts with an empty store).
@@ -183,9 +205,12 @@ class FacadeMachine(RuleBasedStateMachine):
         self.oracle.close()
         self.scratch.cleanup()
 
+    def open_system(self):
+        """An empty database for the system under test."""
+        return ChronicleDatabase(config=self.CONFIG)
+
     @staticmethod
-    def build_catalog(config):
-        db = ChronicleDatabase(config=config)
+    def build_catalog(db):
         # Unbounded retention: the oracle world needs the whole history,
         # and the system under test materializes new views from its store.
         db.create_chronicle("calls", [("acct", "INT"), ("mins", "INT"), ("day", "INT")])
@@ -199,7 +224,17 @@ class FacadeMachine(RuleBasedStateMachine):
     def define(self, db, name, model, materialize):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnpartitionableViewWarning)
-            if model.calendar is not None:
+            if model.calendar is not None and model.definition.text is not None:
+                expire = (
+                    f" EXPIRE AFTER {model.expire_after:g}"
+                    if model.expire_after is not None
+                    else ""
+                )
+                db.define_view(
+                    f"DEFINE PERIODIC VIEW {name} OVER {CALENDAR_DDL[model.calendar]}"
+                    f"{expire} BY day AS {model.definition.text}"
+                )
+            elif model.calendar is not None:
                 db.define_periodic_view(
                     name,
                     model.definition.build(db),
@@ -231,14 +266,11 @@ class FacadeMachine(RuleBasedStateMachine):
         assert cost["chronicle_read"] == 0
         assert admitted == self.oracle.ingest("calls", batches)
 
-    @rule(
-        name=st.sampled_from(NAMES),
-        definition=st.sampled_from(PLAIN),
-        materialize=st.booleans(),
-    )
-    def define_view(self, name, definition, materialize):
+    @rule(name=st.sampled_from(NAMES), data=st.data(), materialize=st.booleans())
+    def define_view(self, name, data, materialize):
         if name in self.views:
             return
+        definition = data.draw(st.sampled_from(self.DEFINITIONS))
         since = self.store_floor if materialize else self.db.group().watermark + 1
         model = ViewModel(definition, since)
         self.define(self.db, name, model, materialize)
@@ -253,7 +285,7 @@ class FacadeMachine(RuleBasedStateMachine):
         if name in self.views:
             return
         model = ViewModel(
-            PERIODIC_SUMMARY, self.db.group().watermark + 1, calendar, expire_after
+            self.PERIODIC, self.db.group().watermark + 1, calendar, expire_after
         )
         self.define(self.db, name, model, materialize=False)
         self.views[name] = model
@@ -277,7 +309,7 @@ class FacadeMachine(RuleBasedStateMachine):
         path = os.path.join(self.scratch.name, "state.ckpt")
         self.db.checkpoint(path)
         self.db.close()
-        rebuilt = self.build_catalog(self.CONFIG)
+        rebuilt = self.build_catalog(self.open_system())
         for name, model in self.views.items():
             self.define(rebuilt, name, model, materialize=False)
         rebuilt.restore(path)
@@ -289,6 +321,12 @@ class FacadeMachine(RuleBasedStateMachine):
     @invariant()
     def sequence_numbers_in_lockstep(self):
         assert self.db.group().watermark == self.oracle.group().watermark
+
+    @invariant()
+    def relations_equal_the_oracle(self):
+        assert sorted_rows(self.db.relation("customers")) == sorted_rows(
+            self.oracle.relation("customers")
+        )
 
     @invariant()
     def views_equal_the_batch_oracle(self):
@@ -316,7 +354,106 @@ class ShardedSerialExecutorMachine(FacadeMachine):
     CONFIG = DatabaseConfig(engine="sharded", shards=2, executor="serial")
 
 
+class DurableMachine(FacadeMachine):
+    """The machine over ``wal+snapshot``: every crash and reopen must
+    bring back exactly the acknowledged history."""
+
+    DEFINITIONS = DURABLE_PLAIN
+    PERIODIC = PERIODIC_TEXT
+
+    def open_system(self, name="db"):
+        directory = os.path.join(self.scratch.name, name)
+        durability = DurabilityConfig(
+            mode="wal+snapshot", dir=directory, fsync="off", snapshot_interval_batches=3
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnpartitionableViewWarning)
+            return ChronicleDatabase.open(
+                directory, config=self.CONFIG.replace(durability=durability)
+            )
+
+    def state(self, db):
+        """Every model view's rows (per active interval for a periodic
+        set), the relation and the watermark."""
+        views = {}
+        for name, model in self.views.items():
+            if model.calendar is None:
+                views[name] = sorted_rows(db.view(name))
+            else:
+                views[name] = {
+                    index: sorted_rows(view)
+                    for index, view in db.periodic_view(name).active_views()
+                }
+        return views, sorted_rows(db.relation("customers")), db.group().watermark
+
+    @staticmethod
+    def build_catalog(db):
+        FacadeMachine.build_catalog(db)
+        if db.durability is not None:
+            # Rows inserted directly are durable through snapshots only.
+            db.durability.snapshot()
+        return db
+
+    def reopen(self):
+        self.db = self.open_system()
+        report = self.db.durability.last_recovery
+        # The rebuilt store holds the replayed tail: the rows past the
+        # chain's last snapshot.
+        self.store_floor = report.snapshot_watermark + 1
+
+    def teardown(self):
+        # Every example ends in a crash: whatever the steps left on disk
+        # must recover to the acknowledged history.
+        self.crash_and_open()
+        self.sequence_numbers_in_lockstep()
+        self.relations_equal_the_oracle()
+        self.views_equal_the_batch_oracle()
+        super().teardown()
+
+    @rule()
+    def flush(self):
+        # A durability barrier: a crash right after it loses nothing.  A
+        # copy of the directory is recovered beside the live database.
+        self.db.flush()
+        copy = os.path.join(self.scratch.name, "copy")
+        shutil.rmtree(copy, ignore_errors=True)
+        shutil.copytree(os.path.join(self.scratch.name, "db"), copy)
+        recovered = self.open_system("copy")
+        try:
+            assert self.state(recovered) == self.state(self.db)
+        finally:
+            recovered.close()
+
+    @rule()
+    def crash_and_open(self):
+        self.db.durability.abort()
+        self.db.close()
+        self.reopen()
+
+    @rule()
+    def close_and_open(self):
+        self.db.close()
+        self.reopen()
+
+    @rule()
+    def checkpoint_and_restore(self):
+        # In place: the directory belongs to this database.  The restored
+        # state must reach the log as a base, not as a delta of records
+        # taken before it.
+        path = os.path.join(self.scratch.name, "state.ckpt")
+        self.db.checkpoint(path)
+        self.db.restore(path)
+
+
+class DurableShardedMachine(DurableMachine):
+    CONFIG = ShardedSerialExecutorMachine.CONFIG
+
+
 TestSerialEngine = FacadeMachine.TestCase
 TestSerialEngine.settings = MACHINE_SETTINGS
 TestShardedEngineSerialExecutor = ShardedSerialExecutorMachine.TestCase
 TestShardedEngineSerialExecutor.settings = MACHINE_SETTINGS
+TestDurableSerialEngine = DurableMachine.TestCase
+TestDurableSerialEngine.settings = DURABLE_SETTINGS
+TestDurableShardedEngine = DurableShardedMachine.TestCase
+TestDurableShardedEngine.settings = DURABLE_SHARDED_SETTINGS
