@@ -10,7 +10,7 @@ Run:  python examples/frequent_flyer.py
 """
 
 from repro import ChronicleDatabase, GroupBySummary, scan, spec
-from repro.aggregates import COUNT, SUM
+from repro.aggregates import COUNT
 from repro.relational import attr_eq
 from repro.workloads import FrequentFlyerWorkload, premier_status
 

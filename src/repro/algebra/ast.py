@@ -24,7 +24,7 @@ minus/groupby_sn/product/keyjoin`` methods returning new nodes.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..aggregates.base import AggregateSpec
 from ..core.chronicle import Chronicle
@@ -55,30 +55,45 @@ def aggregate_attribute(input_schema: Schema, spec: AggregateSpec) -> Attribute:
 
 
 class Node:
-    """Base class of chronicle-algebra operator nodes."""
+    """Base class of chronicle-algebra operator nodes.
+
+    A constructor takes the operands first, then :attr:`param_names`.
+    Rebuilding, interning, portable specs and shard rebinding derive
+    from that one declaration; rules that differ per operator are one
+    ``{operator class: rule}`` table per consumer.
+    """
 
     #: Output schema; always a chronicle schema for CA nodes.
     schema: Schema
     #: Operand nodes (empty for leaves).
     children: Tuple["Node", ...] = ()
+    #: The operator's name in interning keys and portable plan specs;
+    #: ``None`` for the Theorem 4.3 extension operators, which are never
+    #: merged by the interner, encoded or rebound onto shard mirrors.
+    tag: Optional[str] = None
+    #: The non-operand constructor arguments, in constructor order.  A
+    #: parameter's name is also its kind for the generic consumers:
+    #: ``chronicle`` and ``relation`` name live objects, ``predicate``
+    #: and ``aggregates`` carry data with a structural key of their own.
+    param_names: Tuple[str, ...] = ()
+
+    @property
+    def params(self) -> Tuple[Any, ...]:
+        """The values of :attr:`param_names`, in constructor order."""
+        return tuple(getattr(self, name) for name in self.param_names)
 
     # -- tree queries ---------------------------------------------------------------
 
     def chronicles(self) -> List[Chronicle]:
         """Every base chronicle referenced, in leaf order (with repeats)."""
-        found: List[Chronicle] = []
-        for node in self.walk():
-            if isinstance(node, ChronicleScan):
-                found.append(node.chronicle)
-        return found
+        return self._referenced("chronicle")
 
     def relations(self) -> List[Any]:
         """Every relation referenced, in tree order (with repeats)."""
-        found: List[Any] = []
-        for node in self.walk():
-            if isinstance(node, (RelProduct, RelKeyJoin)):
-                found.append(node.relation)
-        return found
+        return self._referenced("relation")
+
+    def _referenced(self, param: str) -> List[Any]:
+        return [getattr(node, param) for node in self.walk() if param in node.param_names]
 
     def walk(self) -> Iterator["Node"]:
         """Depth-first pre-order iteration over the tree."""
@@ -86,17 +101,21 @@ class Node:
         for child in self.children:
             yield from child.walk()
 
+    def fold(self, visit: Callable[["Node", Tuple[Any, ...]], Any]) -> Any:
+        """Post-order map: ``visit(node, results for its children)``.
+
+        Children are folded left to right before their parent; the
+        result for the root is returned.
+        """
+        return visit(self, tuple(child.fold(visit) for child in self.children))
+
     def with_children(self, children: Sequence["Node"]) -> "Node":
         """This operator, same parameters, over new operand *children*.
 
-        The one "rebuild this node" table: plan interning and shard
-        rebinding both walk a tree post-order and rebuild through it
-        (leaves have no operands and are handled by the walks).  The
-        Theorem 4.3 extension operators do not take part.
+        Goes through the constructor, so every structural invariant is
+        checked again for the new operands.
         """
-        raise AlgebraError(
-            f"{type(self).__name__} cannot be rebuilt over new operands"
-        )
+        return type(self)(*children, *self.params)
 
     @property
     def group(self):
@@ -162,6 +181,9 @@ class Node:
 class ChronicleScan(Node):
     """Leaf node: a base chronicle."""
 
+    tag = "scan"
+    param_names = ("chronicle",)
+
     def __init__(self, chronicle: Chronicle) -> None:
         self.chronicle = chronicle
         self.schema = chronicle.schema
@@ -174,6 +196,9 @@ class ChronicleScan(Node):
 class Select(Node):
     """σ_p(C) with p a CA predicate (checked by the validator)."""
 
+    tag = "select"
+    param_names = ("predicate",)
+
     def __init__(self, child: Node, predicate: Predicate) -> None:
         # Every referenced attribute must exist; fail at build time.
         for name in predicate.attributes():
@@ -183,15 +208,15 @@ class Select(Node):
         self.schema = child.schema
         self.children = (child,)
 
-    def with_children(self, children: Sequence[Node]) -> "Select":
-        return Select(children[0], self.predicate)
-
     def __repr__(self) -> str:
         return f"Select({self.predicate!r}, {self.child!r})"
 
 
 class Project(Node):
     """Π over attributes that include the sequencing attribute."""
+
+    tag = "project"
+    param_names = ("names",)
 
     def __init__(self, child: Node, names: Sequence[str]) -> None:
         names = list(names)
@@ -207,9 +232,6 @@ class Project(Node):
         self.schema = child.schema.project(names)
         self.children = (child,)
 
-    def with_children(self, children: Sequence[Node]) -> "Project":
-        return Project(children[0], self.names)
-
     def __repr__(self) -> str:
         return f"Project({list(self.names)}, {self.child!r})"
 
@@ -223,6 +245,8 @@ class SeqJoin(Node):
     prefixed ``r_``.
     """
 
+    tag = "seqjoin"
+
     def __init__(self, left: Node, right: Node) -> None:
         if left.schema.sequence_attribute is None or right.schema.sequence_attribute is None:
             raise NotAChronicleError("sequence join requires two chronicle operands")
@@ -232,13 +256,9 @@ class SeqJoin(Node):
         right_kept = [
             n for n in right.schema.names if n != right.schema.sequence_attribute
         ]
-        self._right_kept = tuple(right_kept)
         self._right_positions = right.schema.positions(right_kept)
         self.schema = left.schema.concat(right.schema.project(right_kept))
         self.children = (left, right)
-
-    def with_children(self, children: Sequence[Node]) -> "SeqJoin":
-        return SeqJoin(*children)
 
     def combine(self, left_row: Row, right_row: Row) -> Row:
         """Join one matching pair into an output row."""
@@ -247,12 +267,11 @@ class SeqJoin(Node):
         )
         return Row(self.schema, values, validate=False)
 
-    def __repr__(self) -> str:
-        return f"SeqJoin({self.left!r}, {self.right!r})"
-
 
 class Union(Node):
     """C1 ∪ C2 over same-typed chronicles of one group."""
+
+    tag = "union"
 
     def __init__(self, left: Node, right: Node) -> None:
         left.schema.require_compatible(right.schema, "chronicle union")
@@ -262,12 +281,11 @@ class Union(Node):
         self.schema = left.schema
         self.children = (left, right)
 
-    def with_children(self, children: Sequence[Node]) -> "Union":
-        return Union(*children)
-
 
 class Difference(Node):
     """C1 − C2 over same-typed chronicles of one group."""
+
+    tag = "difference"
 
     def __init__(self, left: Node, right: Node) -> None:
         left.schema.require_compatible(right.schema, "chronicle difference")
@@ -277,9 +295,6 @@ class Difference(Node):
         self.schema = left.schema
         self.children = (left, right)
 
-    def with_children(self, children: Sequence[Node]) -> "Difference":
-        return Difference(*children)
-
 
 class GroupBySeq(Node):
     """GROUPBY(C, GL, AL) with the sequencing attribute in GL.
@@ -288,6 +303,9 @@ class GroupBySeq(Node):
     bring fresh sequence numbers, delta groups are brand-new groups — the
     aggregation step of the Theorem 4.2 proof.
     """
+
+    tag = "groupby_sn"
+    param_names = ("grouping", "aggregates")
 
     def __init__(
         self,
@@ -318,9 +336,6 @@ class GroupBySeq(Node):
         self.schema = Schema(attrs, sequence_attribute=seq)
         self.children = (child,)
 
-    def with_children(self, children: Sequence[Node]) -> "GroupBySeq":
-        return GroupBySeq(children[0], self.grouping, self.aggregates)
-
     def __repr__(self) -> str:
         return (
             f"GroupBySeq({list(self.grouping)}, {list(self.aggregates)}, {self.child!r})"
@@ -336,17 +351,16 @@ class RelProduct(Node):
     tuple — the source of the (u·|R|)^j factor in Theorem 4.2.
     """
 
+    tag = "relproduct"
+    param_names = ("relation",)
+
     def __init__(self, child: Node, relation: Any) -> None:
         if child.schema.sequence_attribute is None:
             raise NotAChronicleError("relation product requires a chronicle operand")
         self.child = child
         self.relation = relation
         self.schema = child.schema.concat(relation.schema)
-        self._right_arity = len(relation.schema)
         self.children = (child,)
-
-    def with_children(self, children: Sequence[Node]) -> "RelProduct":
-        return RelProduct(children[0], self.relation)
 
     def combine(self, chronicle_row: Row, relation_row: Row) -> Row:
         values = chronicle_row.values + relation_row.values
@@ -366,6 +380,9 @@ class RelKeyJoin(Node):
     tuple.  The matched relation key attributes are projected out of the
     result (they duplicate chronicle attributes).
     """
+
+    tag = "relkeyjoin"
+    param_names = ("relation", "pairs")
 
     def __init__(
         self,
@@ -393,15 +410,11 @@ class RelKeyJoin(Node):
         self.relation = relation
         self.pairs: Tuple[Tuple[str, str], ...] = tuple(pairs)
         kept = [n for n in relation.schema.names if n not in relation_attrs]
-        self._kept = tuple(kept)
         self._kept_positions = relation.schema.positions(kept)
         self._child_positions = child.schema.positions([c for c, _ in pairs])
         self.relation_attrs = tuple(relation_attrs)
         self.schema = child.schema.concat(relation.schema.project(kept))
         self.children = (child,)
-
-    def with_children(self, children: Sequence[Node]) -> "RelKeyJoin":
-        return RelKeyJoin(children[0], self.relation, self.pairs)
 
     def probe_key(self, chronicle_row: Row) -> Any:
         """The relation-side lookup key for one chronicle row."""
@@ -442,7 +455,6 @@ class ChronicleProduct(Node):
         # Both sequence numbers survive; the left one remains the
         # distinguished sequencing attribute of the (pseudo-)chronicle.
         self.schema = left.schema.concat(right.schema)
-        self._right_arity = len(right.schema)
         self.children = (left, right)
 
     def combine(self, left_row: Row, right_row: Row) -> Row:
@@ -455,6 +467,8 @@ class NonEquiSeqJoin(Node):
     Not part of CA for the same reason as :class:`ChronicleProduct`
     (Theorem 4.3(2)): old chronicle tuples must be revisited.
     """
+
+    param_names = ("op",)
 
     def __init__(self, left: Node, right: Node, op: str) -> None:
         if op == "=":

@@ -9,6 +9,9 @@ complexity formulas:
 * ``j`` — number of equijoins and chronicle-relation products/joins;
 * ``max_relation_size`` — |R| for the formulas' relation factor.
 
+A selection whose predicate lies outside the Definition 4.1 fragment
+(:func:`predicate_in_ca_fragment`) also puts an expression in NOT_CA.
+
 The summarization step then maps fragments to the incremental maintenance
 classes of Section 3 (Theorem 4.5):
 
@@ -25,18 +28,34 @@ NOT_CA                 IM-C^k
 from __future__ import annotations
 
 import enum
+from typing import Optional
 
+from ..relational.predicate import And, Comparison, Or, Predicate, TruePredicate
 from .ast import (
     ChronicleProduct,
     Node,
     NonEquiSeqJoin,
     RelKeyJoin,
     RelProduct,
-    Select,
     SeqJoin,
     Union as UnionNode,
 )
-from .validate import predicate_in_ca_fragment
+
+
+def predicate_in_ca_fragment(predicate: Predicate) -> bool:
+    """Whether *predicate* is admissible in a CA selection.
+
+    The Definition 4.1 fragment is atomic comparisons and disjunctions of
+    them.  A top-level conjunction of admissible predicates is accepted
+    as syntactic sugar for a cascade of selections.
+    """
+    if isinstance(predicate, (Comparison, TruePredicate)):
+        return True
+    if isinstance(predicate, Or):
+        return all(isinstance(term, Comparison) for term in predicate.terms)
+    if isinstance(predicate, And):
+        return all(predicate_in_ca_fragment(term) for term in predicate.terms)
+    return False
 
 
 class Language(enum.Enum):
@@ -87,16 +106,20 @@ class Classification:
         The u and j of the Theorem 4.2 formulas.
     max_relation_size:
         Largest referenced relation (0 when none), the formulas' |R|.
+    offender:
+        The first node, in walk order, that puts the expression in its
+        fragment (``None`` for CA1) — what a validator's error names.
     """
 
-    __slots__ = ("language", "unions", "joins", "max_relation_size")
+    __slots__ = ("language", "unions", "joins", "max_relation_size", "offender")
 
     def __init__(self, language: Language, unions: int, joins: int,
-                 max_relation_size: int) -> None:
+                 max_relation_size: int, offender: Optional[Node] = None) -> None:
         self.language = language
         self.unions = unions
         self.joins = joins
         self.max_relation_size = max_relation_size
+        self.offender = offender
 
     @property
     def im_class(self) -> IMClass:
@@ -123,34 +146,39 @@ class Classification:
         )
 
 
+#: Each operator's own contribution: the smallest fragment containing
+#: it, and the joins and unions it adds to Theorem 4.2's j and u.
+#: Operators not listed contribute ``(CA1, 0, 0)``; a node carrying a
+#: selection predicate outside the Definition 4.1 fragment is NOT_CA.
+_CONTRIBUTIONS = {
+    SeqJoin: (Language.CA1, 1, 0),
+    UnionNode: (Language.CA1, 0, 1),
+    RelKeyJoin: (Language.CA_JOIN, 1, 0),
+    RelProduct: (Language.CA, 1, 0),
+    ChronicleProduct: (Language.NOT_CA, 1, 0),
+    NonEquiSeqJoin: (Language.NOT_CA, 1, 0),
+}
+_NOTHING = (Language.CA1, 0, 0)
+
+
 def classify(node: Node) -> Classification:
     """Classify an operator tree into its smallest language fragment."""
     language = Language.CA1
+    offender = None
     unions = 0
     joins = 0
     max_relation = 0
     for sub in node.walk():
-        if isinstance(sub, (ChronicleProduct, NonEquiSeqJoin)):
-            language = Language.NOT_CA
-            joins += 1
-        elif isinstance(sub, RelProduct):
-            if language is not Language.NOT_CA:
-                language = Language.CA
-            joins += 1
+        fragment, sub_joins, sub_unions = _CONTRIBUTIONS.get(type(sub), _NOTHING)
+        if "predicate" in sub.param_names and not predicate_in_ca_fragment(sub.predicate):
+            fragment = Language.NOT_CA
+        if "relation" in sub.param_names:
             max_relation = max(max_relation, len(sub.relation))
-        elif isinstance(sub, RelKeyJoin):
-            if language is Language.CA1:
-                language = Language.CA_JOIN
-            joins += 1
-            max_relation = max(max_relation, len(sub.relation))
-        elif isinstance(sub, SeqJoin):
-            joins += 1
-        elif isinstance(sub, UnionNode):
-            unions += 1
-        elif isinstance(sub, Select):
-            if language is not Language.NOT_CA and not predicate_in_ca_fragment(sub.predicate):
-                language = Language.NOT_CA
-    return Classification(language, unions, joins, max_relation)
+        if not fragment <= language:
+            language, offender = fragment, sub
+        joins += sub_joins
+        unions += sub_unions
+    return Classification(language, unions, joins, max_relation, offender)
 
 
 def language_of(node: Node) -> Language:

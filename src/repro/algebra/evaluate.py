@@ -16,7 +16,7 @@ through a replayed stream.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from ..complexity.counters import GLOBAL_COUNTERS
 from ..relational.algebra import Table
@@ -55,18 +55,22 @@ def _version_for(relation: Any, sequence_number: int) -> Any:
 
 def evaluate(node: Node) -> Table:
     """Evaluate *node* from scratch over the stored chronicles."""
+    return node.fold(_evaluate_step)
+
+
+def _evaluate_step(node: Node, children: Tuple[Table, ...]) -> Table:
+    """One :meth:`Node.fold` step: the operator's rule over its operands' tables."""
     handler = _HANDLERS.get(type(node))
     if handler is None:
         raise TypeError(f"no evaluation rule for {type(node).__name__}")
-    return handler(node)
+    return handler(node, *children)
 
 
 def _scan(node: ChronicleScan) -> Table:
     return Table(node.schema, list(node.chronicle.rows()), dedup=False)
 
 
-def _select(node: Select) -> Table:
-    child = evaluate(node.child)
+def _select(node: Select, child: Table) -> Table:
     rows = []
     for row in child.rows:
         GLOBAL_COUNTERS.count("tuple_op")
@@ -75,34 +79,27 @@ def _select(node: Select) -> Table:
     return Table(node.schema, rows, dedup=False)
 
 
-def _project(node: Project) -> Table:
-    child = evaluate(node.child)
+def _project(node: Project, child: Table) -> Table:
     rows = [row.project(node.names, node.schema) for row in child.rows]
     GLOBAL_COUNTERS.count("tuple_op", len(rows))
     return Table(node.schema, rows)
 
 
-def _union(node: Union) -> Table:
-    left = evaluate(node.left)
-    right = evaluate(node.right)
+def _union(node: Union, left: Table, right: Table) -> Table:
     GLOBAL_COUNTERS.count("tuple_op", len(left.rows) + len(right.rows))
     rows = [row.rebind(node.schema) for row in left.rows]
     rows += [row.rebind(node.schema) for row in right.rows]
     return Table(node.schema, rows)
 
 
-def _difference(node: Difference) -> Table:
-    left = evaluate(node.left)
-    right = evaluate(node.right)
+def _difference(node: Difference, left: Table, right: Table) -> Table:
     removed = {row.values for row in right.rows}
     rows = [row.rebind(node.schema) for row in left.rows if row.values not in removed]
     GLOBAL_COUNTERS.count("tuple_op", len(left.rows))
     return Table(node.schema, rows)
 
 
-def _seq_join(node: SeqJoin) -> Table:
-    left = evaluate(node.left)
-    right = evaluate(node.right)
+def _seq_join(node: SeqJoin, left: Table, right: Table) -> Table:
     right_seq = node.right.schema.position(node.right.schema.sequence_attribute)
     buckets: Dict[Any, List[Row]] = {}
     for row in right.rows:
@@ -118,8 +115,7 @@ def _seq_join(node: SeqJoin) -> Table:
     return Table(node.schema, rows)
 
 
-def _group_by_seq(node: GroupBySeq) -> Table:
-    child = evaluate(node.child)
+def _group_by_seq(node: GroupBySeq, child: Table) -> Table:
     positions = node.child.schema.positions(node.grouping)
     states: Dict[Any, List[Any]] = {}
     order: List[Any] = []
@@ -143,8 +139,7 @@ def _group_by_seq(node: GroupBySeq) -> Table:
     return Table(node.schema, rows, dedup=False)
 
 
-def _rel_product(node: RelProduct) -> Table:
-    child = evaluate(node.child)
+def _rel_product(node: RelProduct, child: Table) -> Table:
     seq_position = node.child.schema.position(node.child.schema.sequence_attribute)
     rows = []
     for crow in child.rows:
@@ -155,8 +150,7 @@ def _rel_product(node: RelProduct) -> Table:
     return Table(node.schema, rows)
 
 
-def _rel_key_join(node: RelKeyJoin) -> Table:
-    child = evaluate(node.child)
+def _rel_key_join(node: RelKeyJoin, child: Table) -> Table:
     seq_position = node.child.schema.position(node.child.schema.sequence_attribute)
     rows = []
     for crow in child.rows:
@@ -168,9 +162,7 @@ def _rel_key_join(node: RelKeyJoin) -> Table:
     return Table(node.schema, rows)
 
 
-def _chronicle_product(node: ChronicleProduct) -> Table:
-    left = evaluate(node.left)
-    right = evaluate(node.right)
+def _chronicle_product(node: ChronicleProduct, left: Table, right: Table) -> Table:
     rows = []
     for lrow in left.rows:
         for rrow in right.rows:
@@ -179,9 +171,7 @@ def _chronicle_product(node: ChronicleProduct) -> Table:
     return Table(node.schema, rows)
 
 
-def _non_equi_join(node: NonEquiSeqJoin) -> Table:
-    left = evaluate(node.left)
-    right = evaluate(node.right)
+def _non_equi_join(node: NonEquiSeqJoin, left: Table, right: Table) -> Table:
     compare = _OPS[node.op]
     left_seq = node.left.schema.position(node.left.schema.sequence_attribute)
     right_seq = node.right.schema.position(node.right.schema.sequence_attribute)

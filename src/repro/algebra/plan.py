@@ -124,7 +124,9 @@ class Interner:
 
     def intern(self, node: Node) -> Node:
         """The canonical node for *node*'s structure (children interned)."""
-        children = tuple(self.intern(child) for child in node.children)
+        return node.fold(self._canonical)
+
+    def _canonical(self, node: Node, children: Tuple[Node, ...]) -> Node:
         key = self._key(node, children)
         canonical = self._table.get(key)
         if canonical is None:
@@ -153,28 +155,26 @@ class Interner:
 
     @staticmethod
     def _key(node: Node, children: Tuple[Node, ...]) -> Tuple[Any, ...]:
-        child_ids = tuple(id(c) for c in children)
-        if isinstance(node, ChronicleScan):
-            return ("scan", id(node.chronicle))
-        if isinstance(node, Select):
-            return ("select", predicate_key(node.predicate)) + child_ids
-        if isinstance(node, Project):
-            return ("project", node.names) + child_ids
-        if isinstance(node, Union):
-            return ("union",) + child_ids
-        if isinstance(node, Difference):
-            return ("difference",) + child_ids
-        if isinstance(node, SeqJoin):
-            return ("seqjoin",) + child_ids
-        if isinstance(node, GroupBySeq):
-            aggs = tuple(_aggregate_key(a) for a in node.aggregates)
-            return ("groupby", node.grouping, aggs) + child_ids
-        if isinstance(node, RelProduct):
-            return ("relproduct", id(node.relation)) + child_ids
-        if isinstance(node, RelKeyJoin):
-            return ("relkeyjoin", id(node.relation), node.pairs) + child_ids
-        # Extension / unknown operators: intern by identity only.
-        return ("opaque", id(node))
+        if node.tag is None:
+            # Extension / unknown operators: intern by identity only.
+            return ("opaque", id(node))
+        params = tuple(
+            value if name not in _PARAM_KEYS else _PARAM_KEYS[name](value)
+            for name, value in zip(node.param_names, node.params)
+        )
+        return (node.tag,) + params + tuple(id(c) for c in children)
+
+
+#: How a parameter enters a structural key, by kind: live objects by
+#: identity, predicates and aggregation lists by structure.  Any other
+#: parameter (names, grouping lists, join pairs) is a hashable value and
+#: stands for itself.
+_PARAM_KEYS: Dict[str, Callable[[Any], Any]] = {
+    "chronicle": id,
+    "relation": id,
+    "predicate": predicate_key,
+    "aggregates": lambda specs: tuple(_aggregate_key(a) for a in specs),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,10 @@ class PlanCompiler:
         return CompiledPlan(root, self._step(root))
 
     def _step(self, node: Node) -> PlanFn:
-        fn = self._step_inner(node)
+        rule = _DELTA_RULES.get(type(node))
+        if rule is None:
+            raise TypeError(f"no delta rule for {type(node).__name__}")
+        fn = rule(self, node)
         if self.is_shared(node):
             key = id(node)
             inner = fn
@@ -409,29 +412,7 @@ class PlanCompiler:
 
         return traced
 
-    def _step_inner(self, node: Node) -> PlanFn:
-        if isinstance(node, ChronicleScan):
-            return self._compile_scan(node)
-        if isinstance(node, (Select, Project)):
-            return self._compile_pipeline(node)
-        if isinstance(node, Union):
-            return self._compile_union(node)
-        if isinstance(node, Difference):
-            return self._compile_difference(node)
-        if isinstance(node, SeqJoin):
-            return self._compile_seq_join(node)
-        if isinstance(node, GroupBySeq):
-            return self._compile_group_by(node)
-        if isinstance(node, RelProduct):
-            return self._compile_rel_product(node)
-        if isinstance(node, RelKeyJoin):
-            return self._compile_rel_key_join(node)
-        if isinstance(node, (ChronicleProduct, NonEquiSeqJoin)):
-            return self._compile_extension(node)
-        raise TypeError(f"no delta rule for {type(node).__name__}")
-
-    @staticmethod
-    def _compile_scan(node: ChronicleScan) -> PlanFn:
+    def _compile_scan(self, node: ChronicleScan) -> PlanFn:
         name = node.chronicle.name
         empty = Delta.empty(node.schema)
 
@@ -441,8 +422,7 @@ class PlanCompiler:
 
         return scan_step
 
-    @staticmethod
-    def _compile_extension(node: Node) -> PlanFn:
+    def _compile_extension(self, node: Node) -> PlanFn:
         """Theorem 4.3: the operator has no delta rule over deltas alone.
 
         The step raises before computing its operands, so a plan
@@ -740,6 +720,24 @@ class PlanCompiler:
         return rel_key_join_step
 
 
+#: The compiled delta rule of each operator (Theorem 4.1, one row per
+#: operator; :mod:`repro.algebra.reference` states the same rules one
+#: tree walk at a time).  A select/project chain fuses into one step.
+_DELTA_RULES: Dict[type, Callable[[PlanCompiler, Any], PlanFn]] = {
+    ChronicleScan: PlanCompiler._compile_scan,
+    Select: PlanCompiler._compile_pipeline,
+    Project: PlanCompiler._compile_pipeline,
+    Union: PlanCompiler._compile_union,
+    Difference: PlanCompiler._compile_difference,
+    SeqJoin: PlanCompiler._compile_seq_join,
+    GroupBySeq: PlanCompiler._compile_group_by,
+    RelProduct: PlanCompiler._compile_rel_product,
+    RelKeyJoin: PlanCompiler._compile_rel_key_join,
+    ChronicleProduct: PlanCompiler._compile_extension,
+    NonEquiSeqJoin: PlanCompiler._compile_extension,
+}
+
+
 def standalone_plan(expression: Node) -> CompiledPlan:
     """Compile *expression* on its own, sharing with no other view.
 
@@ -807,44 +805,53 @@ class PlanNode:
         return out
 
 
-def _describe_op(node: Node) -> str:
-    """A one-line operator description for EXPLAIN output."""
-    if isinstance(node, ChronicleScan):
-        return f"scan {node.chronicle.name}"
-    if isinstance(node, Select):
-        return f"σ {node.predicate!r}"
-    if isinstance(node, Project):
-        return "π [" + ", ".join(node.names) + "]"
-    if isinstance(node, GroupBySeq):
-        aggs = ", ".join(
-            f"{spec.function.name.upper()}({spec.attribute or '*'}) AS {spec.output}"
-            for spec in node.aggregates
-        )
-        return f"group by ({', '.join(node.grouping)}); {aggs}"
-    if isinstance(node, RelProduct):
-        return f"× relation {node.relation.name}"
-    if isinstance(node, RelKeyJoin):
-        pairs = ", ".join(f"{c}={r}" for c, r in node.pairs)
-        return f"⋈ relation {node.relation.name} on ({pairs})"
-    return ""
+def describe_aggregates(specs: Iterable[Any]) -> str:
+    """An aggregation list as EXPLAIN shows it: ``SUM(x) AS total, ...``."""
+    return ", ".join(
+        f"{spec.function.name.upper()}({spec.attribute or '*'}) AS {spec.output}"
+        for spec in specs
+    )
+
+
+#: The one-line EXPLAIN description of each operator (none for the rest).
+_DESCRIPTIONS: Dict[type, Callable[[Any], str]] = {
+    ChronicleScan: lambda node: f"scan {node.chronicle.name}",
+    Select: lambda node: f"σ {node.predicate!r}",
+    Project: lambda node: "π [" + ", ".join(node.names) + "]",
+    GroupBySeq: lambda node: (
+        f"group by ({', '.join(node.grouping)}); {describe_aggregates(node.aggregates)}"
+    ),
+    RelProduct: lambda node: f"× relation {node.relation.name}",
+    RelKeyJoin: lambda node: (
+        f"⋈ relation {node.relation.name} on ("
+        + ", ".join(f"{c}={r}" for c, r in node.pairs)
+        + ")"
+    ),
+}
+
+
+def _describe(node: Node) -> str:
+    rule = _DESCRIPTIONS.get(type(node))
+    return "" if rule is None else rule(node)
 
 
 def describe_plan(root: Node, compiler: PlanCompiler) -> PlanNode:
     """Describe the plan *compiler* builds for the (interned) *root*.
 
-    The description has the compiled structure: a select/project chain is
-    one node (:meth:`PlanCompiler.fused_chain`, the walk compilation
-    itself uses), and sharing points carry their reference counts.
+    The description has the compiled structure: a node that compiles to
+    a fused pipeline is one node with its chain
+    (:meth:`PlanCompiler.fused_chain`, the walk compilation itself uses),
+    and sharing points carry their reference counts.
     """
-    if isinstance(root, (Select, Project)):
+    if _DELTA_RULES.get(type(root)) is PlanCompiler._compile_pipeline:
         chain, source = compiler.fused_chain(root)
         children = [source]
     else:
         chain, children = [root], root.children
     return PlanNode(
         type(root).__name__,
-        detail=_describe_op(root),
-        fused=[_describe_op(op) for op in chain[1:]],
+        detail=_describe(root),
+        fused=[_describe(op) for op in chain[1:]],
         shared=compiler.is_shared(root),
         refs=compiler._refs.get(id(root), 1),
         children=[describe_plan(child, compiler) for child in children],
@@ -937,89 +944,83 @@ class PartitionSpec:
         return f"PartitionSpec({inner})"
 
 
-#: attr name -> {chronicle name -> base attr};  None = poisoned subtree.
-_Lineage = Optional[Dict[str, Dict[str, str]]]
+#: attr name -> {chronicle name -> base attr}.
+_Lineage = Dict[str, Dict[str, str]]
 
 
-def _attribute_lineage(node: Node) -> _Lineage:
-    """Copy-lineage of *node*'s output attributes to base-chronicle attrs.
+def _merge_branches(node: Node, left: _Lineage, right: _Lineage) -> _Lineage:
+    merged: _Lineage = {}
+    for attr in node.schema.names:
+        sources = dict(left.get(attr, {}))
+        for chronicle, base in right.get(attr, {}).items():
+            if sources.get(chronicle, base) != base:
+                # The two branches copy the attribute from different
+                # base columns of the same chronicle: no single
+                # routing attribute serves both. Dropping the entry
+                # makes the resolution check below fail for it.
+                sources.pop(chronicle, None)
+            else:
+                sources[chronicle] = base
+        merged[attr] = sources
+    return merged
 
-    Returns ``None`` when the subtree contains an operator whose output
-    rows derive from several chronicle rows (SeqJoin, the extension
-    operators, or any operator this analysis does not know) — such trees
-    are unpartitionable outright.  An attribute mapped to an empty dict
-    has no chronicle lineage (aggregate outputs, relation attributes).
-    """
-    if isinstance(node, ChronicleScan):
-        name = node.chronicle.name
-        return {attr: {name: attr} for attr in node.schema.names}
-    if isinstance(node, Select):
-        return _attribute_lineage(node.child)
-    if isinstance(node, Project):
-        child = _attribute_lineage(node.child)
-        if child is None:
-            return None
-        return {name: child[name] for name in node.names}
-    if isinstance(node, (Union, Difference)):
-        left = _attribute_lineage(node.left)
-        right = _attribute_lineage(node.right)
-        if left is None or right is None:
-            return None
-        merged: Dict[str, Dict[str, str]] = {}
-        for attr in node.schema.names:
-            sources = dict(left.get(attr, {}))
-            for chronicle, base in right.get(attr, {}).items():
-                if sources.get(chronicle, base) != base:
-                    # The two branches copy the attribute from different
-                    # base columns of the same chronicle: no single
-                    # routing attribute serves both. Dropping the entry
-                    # makes the resolution check below fail for it.
-                    sources.pop(chronicle, None)
-                else:
-                    sources[chronicle] = base
-            merged[attr] = sources
-        return merged
-    if isinstance(node, GroupBySeq):
-        child = _attribute_lineage(node.child)
-        if child is None:
-            return None
-        lineage = {name: child[name] for name in node.grouping}
-        for spec in node.aggregates:
-            lineage[spec.output] = {}
-        return lineage
-    if isinstance(node, (RelProduct, RelKeyJoin)):
-        # The relation side is replicated read-only across shards, so
-        # chronicle-attribute lineage passes through; relation-sourced
-        # output attributes carry no chronicle lineage.
-        child = _attribute_lineage(node.child)
-        if child is None:
-            return None
-        return {name: child.get(name, {}) for name in node.schema.names}
-    # SeqJoin, ChronicleProduct, NonEquiSeqJoin, unknown operators: an
-    # output row combines several chronicle rows matched by sequence
-    # number — value-routing cannot co-locate the match partners.
-    return None
+
+def _group_lineage(node: GroupBySeq, child: _Lineage) -> _Lineage:
+    lineage = {name: child[name] for name in node.grouping}
+    for spec in node.aggregates:
+        lineage[spec.output] = {}
+    return lineage
+
+
+def _joined_lineage(node: Node, child: _Lineage) -> _Lineage:
+    # The relation side is replicated read-only across shards, so
+    # chronicle-attribute lineage passes through; relation-sourced output
+    # attributes carry no chronicle lineage.
+    return {name: child.get(name, {}) for name in node.schema.names}
+
+
+#: Copy-lineage of each operator's output attributes, from its operands'
+#: lineage.  An attribute mapped to an empty dict has no chronicle
+#: lineage (aggregate outputs, relation attributes).  Operators absent
+#: here — SeqJoin, the extension operators, unknown ones — combine
+#: several chronicle rows matched by sequence number into one output
+#: row, which value-routing cannot co-locate: their trees are
+#: unpartitionable outright.
+_LINEAGE: Dict[type, Callable[..., _Lineage]] = {
+    ChronicleScan: lambda node: {
+        attr: {node.chronicle.name: attr} for attr in node.schema.names
+    },
+    Select: lambda node, child: child,
+    Project: lambda node, child: {name: child[name] for name in node.names},
+    Union: _merge_branches,
+    Difference: _merge_branches,
+    GroupBySeq: _group_lineage,
+    RelProduct: _joined_lineage,
+    RelKeyJoin: _joined_lineage,
+}
+
+
+def _copy_lineage(node: Node, children: Tuple[Optional[_Lineage], ...]) -> Optional[_Lineage]:
+    """One :meth:`Node.fold` step; ``None`` poisons the whole tree."""
+    rule = _LINEAGE.get(type(node))
+    if rule is None or None in children:
+        return None
+    return rule(node, *children)
 
 
 def infer_partition(summary: Any) -> Any:
     """Infer a view's partition declaration from its summary.
 
     Returns a :class:`PartitionSpec` when maintenance can be
-    hash-partitioned by the summary key, else :data:`UNPARTITIONABLE`.
-    *summary* is a :class:`~repro.sca.summarize.Summary` (grouping or
-    projection).
+    hash-partitioned by the summary key — the key of the view's output
+    schema: the grouping list, or the projected names — else
+    :data:`UNPARTITIONABLE`.
     """
-    grouping = getattr(summary, "grouping", None)
-    if grouping is not None:
-        if not grouping:
-            return UNPARTITIONABLE  # global aggregate: one cross-key state
-        keys = tuple(grouping)
-    else:
-        keys = tuple(getattr(summary, "names", ()))
-        if not keys:
-            return UNPARTITIONABLE
+    keys = summary.output_schema.key
+    if not keys:
+        return UNPARTITIONABLE  # global aggregate: one cross-key state
     expression = summary.expression
-    lineage = _attribute_lineage(expression)
+    lineage = expression.fold(_copy_lineage)
     if lineage is None:
         return UNPARTITIONABLE
     chronicle_names = {c.name for c in expression.chronicles()}
@@ -1083,93 +1084,72 @@ def build_schema(spec: Tuple[Any, ...]) -> Schema:
 def node_spec(node: Node) -> Tuple[Any, ...]:
     """A picklable encoding of a chronicle-algebra tree (scans by name).
 
-    Covers exactly the operators whose delta rules are process-portable.
-    Relation-backed operators (``RelProduct``/``RelKeyJoin``) reference a
-    live, proactively-updated relation object that only exists in the
-    admission process — there is no sound way to replicate it into a
-    worker mid-stream — and the extension operators need chronicle
-    history a worker does not store; both raise
+    The layout is ``(tag, *child specs, *params)``; a chronicle travels
+    as its name.  Covers exactly the operators whose delta rules are
+    process-portable.  Relation-backed operators (``RelProduct``/
+    ``RelKeyJoin``) reference a live, proactively-updated relation object
+    that only exists in the admission process — there is no sound way to
+    replicate it into a worker mid-stream — and the extension operators
+    need chronicle history a worker does not store; both raise
     :class:`~repro.errors.AlgebraError` (callers fall back to the serial
     shard).
     """
-    if isinstance(node, ChronicleScan):
-        return ("scan", node.chronicle.name)
-    if isinstance(node, Select):
-        return ("select", node_spec(node.child), node.predicate)
-    if isinstance(node, Project):
-        return ("project", node_spec(node.child), node.names)
-    if isinstance(node, SeqJoin):
-        return ("seqjoin", node_spec(node.left), node_spec(node.right))
-    if isinstance(node, Union):
-        return ("union", node_spec(node.left), node_spec(node.right))
-    if isinstance(node, Difference):
-        return ("difference", node_spec(node.left), node_spec(node.right))
-    if isinstance(node, GroupBySeq):
-        return ("groupby_sn", node_spec(node.child), node.grouping, node.aggregates)
-    raise AlgebraError(
-        f"{type(node).__name__} has no portable plan spec (it references "
-        f"process-local state); views containing it stay on the serial shard "
-        f"under the process executor"
+    if node.tag is None or "relation" in node.param_names:
+        raise AlgebraError(
+            f"{type(node).__name__} has no portable plan spec (it references "
+            f"process-local state); views containing it stay on the serial shard "
+            f"under the process executor"
+        )
+    params = (
+        value.name if name == "chronicle" else value
+        for name, value in zip(node.param_names, node.params)
     )
+    return (node.tag, *(node_spec(child) for child in node.children), *params)
+
+
+#: Spec tag → operator class: the decoding side of :func:`node_spec`.
+_OPERATORS: Dict[str, type] = {
+    cls.tag: cls for cls in Node.__subclasses__() if cls.tag is not None
+}
 
 
 def build_node(spec: Tuple[Any, ...], chronicles: Mapping[str, Any]) -> Node:
     """Rebuild an algebra tree from :func:`node_spec` over *chronicles*."""
-    kind = spec[0]
-    if kind == "scan":
-        return ChronicleScan(chronicles[spec[1]])
-    if kind == "select":
-        return Select(build_node(spec[1], chronicles), spec[2])
-    if kind == "project":
-        return Project(build_node(spec[1], chronicles), spec[2])
-    if kind == "seqjoin":
-        return SeqJoin(build_node(spec[1], chronicles), build_node(spec[2], chronicles))
-    if kind == "union":
-        return Union(build_node(spec[1], chronicles), build_node(spec[2], chronicles))
-    if kind == "difference":
-        return Difference(
-            build_node(spec[1], chronicles), build_node(spec[2], chronicles)
-        )
-    if kind == "groupby_sn":
-        return GroupBySeq(build_node(spec[1], chronicles), spec[2], spec[3])
-    raise AlgebraError(f"unknown plan-spec node kind {kind!r}")
+    cls = _OPERATORS.get(spec[0])
+    if cls is None:
+        raise AlgebraError(f"unknown plan-spec node kind {spec[0]!r}")
+    operands = len(spec) - 1 - len(cls.param_names)
+    children = [build_node(child, chronicles) for child in spec[1 : 1 + operands]]
+    params = [
+        chronicles[value] if name == "chronicle" else value
+        for name, value in zip(cls.param_names, spec[1 + operands :])
+    ]
+    return cls(*children, *params)
 
 
 def summary_spec(summary: Any) -> Tuple[Any, ...]:
     """A picklable encoding of a view definition (summary over χ).
 
-    Raises :class:`~repro.errors.AlgebraError` for summaries that cannot
-    cross a process boundary; :func:`is_portable` wraps this as a probe.
+    The layout is ``(tag, node spec of χ, *params)``.  Raises
+    :class:`~repro.errors.AlgebraError` for summaries that cannot cross a
+    process boundary; :func:`is_portable` wraps this as a probe.
     """
-    from ..sca.summarize import GroupBySummary, ProjectSummary
-
-    if isinstance(summary, GroupBySummary):
-        return (
-            "groupby",
-            node_spec(summary.expression),
-            summary.grouping,
-            summary.aggregates,
-            summary.having,
+    if summary.tag is None:
+        raise AlgebraError(
+            f"summary type {type(summary).__name__} has no portable plan spec"
         )
-    if isinstance(summary, ProjectSummary):
-        return ("projection", node_spec(summary.expression), summary.names)
-    raise AlgebraError(
-        f"summary type {type(summary).__name__} has no portable plan spec"
-    )
+    return (summary.tag, node_spec(summary.expression), *summary.params)
 
 
 def build_summary(spec: Tuple[Any, ...], chronicles: Mapping[str, Any]) -> Any:
     """Rebuild a summary from :func:`summary_spec` over *chronicles*."""
-    from ..sca.summarize import GroupBySummary, ProjectSummary
+    from ..sca.summarize import Summary
 
-    kind = spec[0]
-    if kind == "groupby":
-        return GroupBySummary(
-            build_node(spec[1], chronicles), spec[2], spec[3], having=spec[4]
-        )
-    if kind == "projection":
-        return ProjectSummary(build_node(spec[1], chronicles), spec[2])
-    raise AlgebraError(f"unknown plan-spec summary kind {kind!r}")
+    by_tag = {cls.tag: cls for cls in Summary.__subclasses__()}
+    cls = by_tag.get(spec[0])
+    if cls is None:
+        raise AlgebraError(f"unknown plan-spec summary kind {spec[0]!r}")
+    return cls(build_node(spec[1], chronicles), *spec[2:])
 
 
 def is_portable(summary: Any) -> bool:

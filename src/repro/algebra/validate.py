@@ -1,69 +1,52 @@
 """Structural validation of chronicle-algebra expressions.
 
 Most of Definition 4.1's rules are enforced at node construction time
-(see :mod:`repro.algebra.ast`).  This module adds the whole-expression
-checks:
-
-* the selection-predicate fragment (``A θ B`` / ``A θ k`` and
-  disjunctions thereof — conjunctions are accepted as sugar for cascaded
-  selections, anything else is rejected);
-* absence of the extension operators (chronicle×chronicle products,
-  non-equijoins) from CA expressions;
-* per-fragment restrictions (no relation operators in CA1; only
-  key-guaranteed joins in CA⋈).
+(see :mod:`repro.algebra.ast`).  The whole-expression checks — the
+selection-predicate fragment, absence of the extension operators from
+CA, no relation operators in CA1, only key-guaranteed joins in CA⋈ — are
+one question: is the expression's fragment (:func:`~repro.algebra
+.classify.classify`) within the validator's ceiling?  Each validator
+asks it and, when the answer is no, names the node that raised the
+fragment.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..errors import LanguageViolationError
-from ..relational.predicate import And, Comparison, Or, Predicate, TruePredicate
-from .ast import (
-    ChronicleProduct,
-    Node,
-    NonEquiSeqJoin,
-    RelKeyJoin,
-    RelProduct,
-    Select,
-)
+from .ast import Node
+from .classify import Language, classify
 
 
-def predicate_in_ca_fragment(predicate: Predicate) -> bool:
-    """Whether *predicate* is admissible in a CA selection.
-
-    The Definition 4.1 fragment is atomic comparisons and disjunctions of
-    them.  A top-level conjunction of admissible predicates is accepted
-    as syntactic sugar for a cascade of selections.
-    """
-    if isinstance(predicate, (Comparison, TruePredicate)):
-        return True
-    if isinstance(predicate, Or):
-        return all(isinstance(term, Comparison) for term in predicate.terms)
-    if isinstance(predicate, And):
-        return all(predicate_in_ca_fragment(term) for term in predicate.terms)
-    return False
-
-
-def _extension_nodes(node: Node) -> Iterable[Node]:
-    for sub in node.walk():
-        if isinstance(sub, (ChronicleProduct, NonEquiSeqJoin)):
-            yield sub
+def _require(node: Node, ceiling: Language) -> None:
+    result = classify(node)
+    if result.language <= ceiling:
+        return
+    offender = result.offender
+    if result.language is Language.NOT_CA:
+        if "predicate" in offender.param_names:
+            message = (
+                f"selection predicate {offender.predicate!r} is outside the "
+                f"Definition 4.1 fragment (comparisons and disjunctions)"
+            )
+        else:
+            message = (
+                f"{type(offender).__name__} is outside chronicle algebra: "
+                f"maintaining it requires access to stored chronicle history "
+                f"(Theorem 4.3)"
+            )
+    elif ceiling is Language.CA1:
+        message = "CA1 excludes every chronicle-relation operator (Definition 4.2)"
+    else:
+        message = (
+            "CA-join replaces the chronicle-relation cross product with a "
+            "key-guaranteed join; use keyjoin() instead of product()"
+        )
+    raise LanguageViolationError(message)
 
 
 def validate_ca(node: Node) -> None:
     """Raise unless *node* is a chronicle-algebra (CA) expression."""
-    for sub in _extension_nodes(node):
-        raise LanguageViolationError(
-            f"{type(sub).__name__} is outside chronicle algebra: maintaining "
-            f"it requires access to stored chronicle history (Theorem 4.3)"
-        )
-    for sub in node.walk():
-        if isinstance(sub, Select) and not predicate_in_ca_fragment(sub.predicate):
-            raise LanguageViolationError(
-                f"selection predicate {sub.predicate!r} is outside the "
-                f"Definition 4.1 fragment (comparisons and disjunctions)"
-            )
+    _require(node, Language.CA)
 
 
 def validate_ca_join(node: Node) -> None:
@@ -72,21 +55,9 @@ def validate_ca_join(node: Node) -> None:
     CA⋈ replaces the relation cross product with the key-guaranteed
     join; RelKeyJoin constructors already verified the guarantee.
     """
-    validate_ca(node)
-    for sub in node.walk():
-        if isinstance(sub, RelProduct):
-            raise LanguageViolationError(
-                "CA-join replaces the chronicle-relation cross product with a "
-                "key-guaranteed join; use keyjoin() instead of product()"
-            )
+    _require(node, Language.CA_JOIN)
 
 
 def validate_ca1(node: Node) -> None:
     """Raise unless *node* is a CA1 expression (no relation operators)."""
-    validate_ca(node)
-    for sub in node.walk():
-        if isinstance(sub, (RelProduct, RelKeyJoin)):
-            raise LanguageViolationError(
-                "CA1 excludes every chronicle-relation operator "
-                "(Definition 4.2)"
-            )
+    _require(node, Language.CA1)

@@ -20,11 +20,11 @@ from __future__ import annotations
 from typing import Mapping, Optional, Tuple
 
 from ..algebra.ast import Node
-from ..algebra.evaluate import evaluate
 from ..core.group import ChronicleGroup
-from ..relational.algebra import Table, group_by as ra_group_by, project as ra_project
+from ..relational.algebra import Table
 from ..relational.tuples import Row
-from ..sca.summarize import GroupBySummary, ProjectSummary, Summary
+from ..sca.summarize import Summary
+from ..sca.view import evaluate_summary
 
 
 class RecomputeMaintainer:
@@ -50,22 +50,7 @@ class RecomputeMaintainer:
 
     def recompute(self) -> Table:
         """Re-evaluate the view from scratch over the stored chronicles."""
-        table = evaluate(self.expression)
-        if isinstance(self.summary, ProjectSummary):
-            result = ra_project(table, list(self.summary.names))
-        else:
-            assert isinstance(self.summary, GroupBySummary)
-            result = ra_group_by(
-                table, list(self.summary.grouping), list(self.summary.aggregates)
-            )
-            result = Table(
-                self.summary.output_schema,
-                [
-                    row.rebind(self.summary.output_schema)
-                    for row in result.rows
-                    if self.summary.visible(row)
-                ],
-            )
+        result = evaluate_summary(self.summary)
         self._result = result
         self._recomputations += 1
         return result

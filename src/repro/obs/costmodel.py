@@ -71,6 +71,26 @@ def span_probes(counters: Mapping[str, int]) -> int:
     return sum(v for k, v in counters.items() if k in _LOCATE_EVENTS)
 
 
+def shape_paths(prefix: str, kinds: Sequence[str]) -> List[str]:
+    """The shape path of each sibling operator, in order.
+
+    ``prefix/Kind``, or ``prefix/Kind@i`` when several siblings share a
+    kind (*i* counts among those siblings).  The cost ledger keys
+    ``delta`` spans by it and ``EXPLAIN`` keys described plan nodes by
+    it, which is what lines the two up.
+    """
+    totals: Dict[str, int] = {}
+    for kind in kinds:
+        totals[kind] = totals.get(kind, 0) + 1
+    seen: Dict[str, int] = {}
+    paths = []
+    for kind in kinds:
+        index = seen.get(kind, 0)
+        seen[kind] = index + 1
+        paths.append(f"{prefix}/{kind}" if totals[kind] == 1 else f"{prefix}/{kind}@{index}")
+    return paths
+
+
 class CostEntry:
     """Aggregate cost statistics for one (view, operator, shape) key."""
 
@@ -278,17 +298,8 @@ class CostLedger:
         self, view: str, prefix: str, children: Sequence[Span]
     ) -> None:
         deltas = [c for c in children if c.name == "delta"]
-        totals: Dict[str, int] = {}
-        for child in deltas:
-            op = str(child.attrs.get("operator", "?"))
-            totals[op] = totals.get(op, 0) + 1
-        seen: Dict[str, int] = {}
-        for child in deltas:
-            op = str(child.attrs.get("operator", "?"))
-            index = seen.get(op, 0)
-            seen[op] = index + 1
-            component = op if totals[op] == 1 else f"{op}@{index}"
-            shape = f"{prefix}/{component}"
+        operators = [str(child.attrs.get("operator", "?")) for child in deltas]
+        for child, op, shape in zip(deltas, operators, shape_paths(prefix, operators)):
             self.observe(
                 view,
                 op,

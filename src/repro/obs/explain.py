@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..algebra.plan import PlanNode, describe_plan, split_prefilter
+from ..algebra.plan import PlanNode, describe_aggregates, describe_plan, split_prefilter
 from ..errors import ObservabilityError
 from . import runtime
 from .core import Observability
-from .costmodel import span_work
+from .costmodel import shape_paths, span_work
 from .tracer import Span
 
 #: Instrumented-window defaults: enough appends for stable numbers,
@@ -134,23 +134,14 @@ class ExplainReport:
         """Engine-prefixed shape path per described node (by ``id``).
 
         The same path construction the :class:`~repro.obs.costmodel
-        .CostLedger` applies to span trees: operator kinds from the
-        maintain span down, ``Kind@i`` among same-kind siblings.
+        .CostLedger` applies to span trees
+        (:func:`~repro.obs.costmodel.shape_paths`): operator kinds from
+        the maintain span down, ``Kind@i`` among same-kind siblings.
         """
         out: Dict[int, str] = {}
 
         def assign(nodes: Sequence[PlanNode], prefix: str) -> None:
-            totals: Dict[str, int] = {}
-            for node in nodes:
-                totals[node.kind] = totals.get(node.kind, 0) + 1
-            seen: Dict[str, int] = {}
-            for node in nodes:
-                index = seen.get(node.kind, 0)
-                seen[node.kind] = index + 1
-                component = (
-                    node.kind if totals[node.kind] == 1 else f"{node.kind}@{index}"
-                )
-                path = f"{prefix}/{component}"
+            for node, path in zip(nodes, shape_paths(prefix, [n.kind for n in nodes])):
                 out[id(node)] = path
                 assign(node.children, path)
 
@@ -166,17 +157,8 @@ class ExplainReport:
 
     def _record_deltas(self, children: Sequence[Span], prefix: str) -> None:
         deltas = [c for c in children if c.name == "delta"]
-        totals: Dict[str, int] = {}
-        for child in deltas:
-            op = str(child.attrs.get("operator", "?"))
-            totals[op] = totals.get(op, 0) + 1
-        seen: Dict[str, int] = {}
-        for child in deltas:
-            op = str(child.attrs.get("operator", "?"))
-            index = seen.get(op, 0)
-            seen[op] = index + 1
-            component = op if totals[op] == 1 else f"{op}@{index}"
-            path = f"{prefix}/{component}"
+        operators = [str(child.attrs.get("operator", "?")) for child in deltas]
+        for child, path in zip(deltas, shape_paths(prefix, operators)):
             measurement = self.measurements.get(path)
             if measurement is None:
                 measurement = self.measurements[path] = OperatorMeasurement()
@@ -327,10 +309,7 @@ def _locate_registry(db: Any, name: str) -> Tuple[Any, Optional[str]]:
 def _describe_summary(summary: Any) -> Optional[str]:
     grouping = getattr(summary, "grouping", None)
     if grouping is not None:
-        aggs = ", ".join(
-            f"{spec.function.name.upper()}({spec.attribute or '*'}) AS {spec.output}"
-            for spec in summary.aggregates
-        )
+        aggs = describe_aggregates(summary.aggregates)
         text = f"group by ({', '.join(grouping) or 'ALL'}); {aggs}"
     else:
         names = getattr(summary, "names", None)

@@ -50,7 +50,7 @@ from concurrent.futures.process import BrokenProcessPool
 from threading import RLock
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..algebra.ast import ChronicleScan, Node
+from ..algebra.ast import Node
 from ..algebra.plan import (
     UNPARTITIONABLE,
     PartitionSpec,
@@ -63,12 +63,12 @@ from ..core.chronicle import Chronicle
 from ..core.delta import Delta
 from ..core.group import ChronicleGroup
 from ..core.sequence import SequenceNumber
-from ..errors import AlgebraError, EngineError
+from ..errors import EngineError
 from ..obs import runtime as obs_runtime
 from ..obs.health import ShardHealth, ShardLag
 from ..relational.algebra import Table
 from ..relational.tuples import Row
-from ..sca.summarize import GroupBySummary, ProjectSummary, Summary
+from ..sca.summarize import Summary
 from ..sca.view import PersistentView
 from ..views.registry import ViewRegistry
 from .router import ShardRouter
@@ -106,28 +106,25 @@ def rebind(node: Node, chronicles: Mapping[str, Chronicle]) -> Node:
     :class:`~repro.relational.schema.Schema` objects, so rows stamped on
     the serial path flow into shard maintenance without copying.
     """
-    if isinstance(node, ChronicleScan):
-        return ChronicleScan(chronicles[node.chronicle.name])
-    children = tuple(rebind(child, chronicles) for child in node.children)
-    try:
-        return node.with_children(children)
-    except AlgebraError as exc:
-        raise EngineError(
-            f"cannot rebind {type(node).__name__} onto shard mirrors; "
-            f"views containing it are unpartitionable"
-        ) from exc
+
+    def swap(node: Node, children: Tuple[Node, ...]) -> Node:
+        if node.tag is None:
+            raise EngineError(
+                f"cannot rebind {type(node).__name__} onto shard mirrors; "
+                f"views containing it are unpartitionable"
+            )
+        params = (
+            chronicles[value.name] if name == "chronicle" else value
+            for name, value in zip(node.param_names, node.params)
+        )
+        return type(node)(*children, *params)
+
+    return node.fold(swap)
 
 
 def rebind_summary(summary: Summary, chronicles: Mapping[str, Chronicle]) -> Summary:
     """Rebuild a summary specification over mirror chronicles."""
-    expression = rebind(summary.expression, chronicles)
-    if isinstance(summary, GroupBySummary):
-        return GroupBySummary(
-            expression, summary.grouping, summary.aggregates, having=summary.having
-        )
-    if isinstance(summary, ProjectSummary):
-        return ProjectSummary(expression, summary.names)
-    raise EngineError(f"cannot rebind summary type {type(summary).__name__}")
+    return summary.over(rebind(summary.expression, chronicles))
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +250,30 @@ class ShardUnit:
         """
         obs = obs_runtime.ACTIVE
         with self.lock:
-            if obs is not None and obs.trace:
-                if window is not None and window.trace_id is not None:
-                    span = obs.tracer.start_linked(
-                        "shard_apply",
-                        window.trace_id,
-                        window.parent_id,
-                        shard=self.label,
-                    )
-                else:
-                    span = obs.tracer.start("shard_apply", shard=self.label)
-                try:
-                    self.group.ingest_stamped(event, watermark)
-                finally:
-                    obs.tracer.finish(span)
-            else:
+            span = self._open_apply_span(obs, window)
+            try:
                 self.group.ingest_stamped(event, watermark)
+            finally:
+                if span is not None:
+                    obs.tracer.finish(span)
             records = sum(len(rows) for rows in event.values())
             self.mark_applied(watermark, window, records)
+
+    def _open_apply_span(
+        self, obs: Any, window: Optional[ShardWindow], **attrs: Any
+    ) -> Any:
+        """Open this unit's ``shard_apply`` span (``None`` when not tracing).
+
+        Linked to the producing admission span when *window* carries a
+        trace identity; a root span otherwise.
+        """
+        if obs is None or not obs.trace:
+            return None
+        if window is not None and window.trace_id is not None:
+            return obs.tracer.start_linked(
+                "shard_apply", window.trace_id, window.parent_id, shard=self.label, **attrs
+            )
+        return obs.tracer.start("shard_apply", shard=self.label, **attrs)
 
     def mark_applied(
         self,
@@ -340,20 +343,7 @@ class ShardUnit:
         """
         obs = obs_runtime.ACTIVE
         with self.lock:
-            span = None
-            if obs is not None and obs.trace:
-                if window is not None and window.trace_id is not None:
-                    span = obs.tracer.start_linked(
-                        "shard_apply",
-                        window.trace_id,
-                        window.parent_id,
-                        shard=self.label,
-                        worker_seconds=worker_seconds,
-                    )
-                else:
-                    span = obs.tracer.start(
-                        "shard_apply", shard=self.label, worker_seconds=worker_seconds
-                    )
+            span = self._open_apply_span(obs, window, worker_seconds=worker_seconds)
             try:
                 for name, items in per_view_items.items():
                     self.registry.view(name).absorb_states(items)

@@ -41,12 +41,30 @@ def _key_getter(positions: Sequence[int]) -> Callable[[Tuple[Any, ...]], Tuple[A
 
 
 class Summary:
-    """Base class of the two summarization operations."""
+    """Base class of the two summarization operations.
+
+    As for the algebra operators, :attr:`param_names` declares the
+    constructor arguments after χ; :meth:`over` and portable specs
+    derive from it.
+    """
 
     #: Schema of the resulting persistent view (no sequencing attribute).
     output_schema: Schema
     #: Optional visibility filter over output rows (HAVING).
     having: Optional[Predicate] = None
+    #: The summary's name in portable plan specs (``None``: not portable).
+    tag: Optional[str] = None
+    #: The constructor arguments after χ, in constructor order.
+    param_names: Tuple[str, ...] = ()
+
+    @property
+    def params(self) -> Tuple[Any, ...]:
+        """The values of :attr:`param_names`, in constructor order."""
+        return tuple(getattr(self, name) for name in self.param_names)
+
+    def over(self, expression: Node) -> "Summary":
+        """The same summarization over another χ *expression*."""
+        return type(self)(expression, *self.params)
 
     def visible(self, row: Row) -> bool:
         """Whether *row* passes the summary's visibility filter."""
@@ -80,6 +98,9 @@ class ProjectSummary(Summary):
         Projection attributes; must not include χ's sequencing attribute
         and must be non-empty.
     """
+
+    tag = "projection"
+    param_names = ("names",)
 
     def __init__(self, expression: Node, names: Sequence[str]) -> None:
         super().__init__(expression)
@@ -120,7 +141,12 @@ class GroupBySummary(Summary):
     aggregates:
         The aggregation list; every function must honour the incremental
         contract (Definition 4.3 rejects non-incremental aggregates).
+    having:
+        Optional visibility filter over the output rows (HAVING).
     """
+
+    tag = "groupby"
+    param_names = ("grouping", "aggregates", "having")
 
     def __init__(
         self,

@@ -405,18 +405,11 @@ class PersistentView:
         )
 
 
-def evaluate_summary(summary: Summary) -> Table:
-    """Oracle: batch-evaluate a summary over the stored chronicles.
+def _project_table(summary: ProjectSummary, table: Table) -> Table:
+    return ra_project(table, list(summary.names))
 
-    Computes χ with the batch evaluator and applies the summarization
-    with the set-semantics relational operators; the result must equal
-    the incrementally maintained view (the golden invariant the test
-    suite checks).
-    """
-    table = evaluate(summary.expression)
-    if isinstance(summary, ProjectSummary):
-        return ra_project(table, list(summary.names))
-    assert isinstance(summary, GroupBySummary)
+
+def _group_table(summary: GroupBySummary, table: Table) -> Table:
     result = ra_group_by(table, list(summary.grouping), list(summary.aggregates))
     # Rebind to the view's schema (domains may be narrower than the
     # generic group_by result) and apply the HAVING filter.
@@ -426,3 +419,18 @@ def evaluate_summary(summary: Summary) -> Table:
         if summary.having is None or summary.having.evaluate(row)
     ]
     return Table(summary.output_schema, rows)
+
+
+#: The set-semantics relational operation each summary applies to χ.
+_SUMMARIZE = {ProjectSummary: _project_table, GroupBySummary: _group_table}
+
+
+def evaluate_summary(summary: Summary) -> Table:
+    """Oracle: batch-evaluate a summary over the stored chronicles.
+
+    Computes χ with the batch evaluator and applies the summarization
+    with the set-semantics relational operators; the result must equal
+    the incrementally maintained view (the golden invariant the test
+    suite checks).
+    """
+    return _SUMMARIZE[type(summary)](summary, evaluate(summary.expression))

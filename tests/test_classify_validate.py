@@ -5,13 +5,15 @@ import pytest
 
 from repro.aggregates import SUM, spec
 from repro.algebra.ast import ChronicleProduct, NonEquiSeqJoin, scan
-from repro.algebra.classify import IMClass, Language, classify, im_class_of, language_of
-from repro.algebra.validate import (
+from repro.algebra.classify import (
+    IMClass,
+    Language,
+    classify,
+    im_class_of,
+    language_of,
     predicate_in_ca_fragment,
-    validate_ca,
-    validate_ca1,
-    validate_ca_join,
 )
+from repro.algebra.validate import validate_ca, validate_ca1, validate_ca_join
 from repro.core.group import ChronicleGroup
 from repro.errors import LanguageViolationError
 from repro.relational.predicate import And, Not, Or, attr_cmp, attr_eq

@@ -1,5 +1,5 @@
 """Guard: one maintenance path, one database class, one write path, one
-snapshot path.
+snapshot path, one walk over the plan.
 
 The literal Theorem 4.1 interpreter (:mod:`repro.algebra.reference`) is
 an oracle for tests, benchmarks and the conformance profiler.  If any
@@ -12,7 +12,13 @@ written once, and the shard executors number two.  Persistence likewise:
 :mod:`repro.storage.checkpoint` builds and loads every snapshot document
 (base or delta), ``DurabilityManager.snapshot`` is the one writer of
 snapshot rows, and the storage layer takes no switch from the
-environment.
+environment.  And the plan: every operator declares its parameters and
+spec tag once (``Node.param_names``/``Node.tag``), so rebuilding,
+interning keys, portable specs and shard rebinding are each one generic
+function, and per-operator rules are one ``{operator class: rule}``
+table per consumer.  A ``with_children`` override, an operator class
+named inside one of the generic functions, or a new ``isinstance`` test
+against an operator class is a ladder growing back.
 """
 
 import ast
@@ -21,6 +27,7 @@ import inspect
 import pathlib
 
 import repro
+from repro.algebra.ast import Node
 from repro.core.config import EXECUTORS, DatabaseConfig, DurabilityConfig
 from repro.core.database import ChronicleDatabase
 from repro.sca.view import PersistentView
@@ -208,3 +215,90 @@ def test_only_the_snapshot_method_writes_snapshots():
         if "write_snapshot" in set(_called(function))
     ]
     assert writers == [("DurabilityManager", "snapshot")]
+
+
+# -- one walk over the plan ------------------------------------------------------
+
+ALGEBRA = SRC / "algebra"
+OPERATORS = {cls.__name__ for cls in Node.__subclasses__()}
+#: The functions derived from the operators' declarations alone.
+GENERIC = {
+    "algebra/plan.py": {"_key", "node_spec", "build_node", "summary_spec", "build_summary"},
+    "parallel/engine.py": {"rebind"},
+}
+#: Every operator-class ``isinstance`` test left under ``src/repro``, by
+#: (module, enclosing function), and why it is not a table row.
+ISINSTANCE_SITES = [
+    # A fused chain *is* a run of select/project nodes.
+    ("algebra/plan.py", "fused_chain"),
+    # Within a fused chain a selection adds a test, a projection permutes.
+    ("algebra/plan.py", "_compile_pipeline"),
+    # Prefilters are the selections directly above a chronicle scan: the
+    # descent stops at the first node that is neither.
+    ("views/registry.py", "descend"),
+    ("views/registry.py", "descend"),
+]
+
+
+def _operator_names(tree):
+    """Local names bound to operator classes in a module (aliases included)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("ast"):
+            names |= {alias.asname or alias.name for alias in node.names if alias.name in OPERATORS}
+    return names | OPERATORS
+
+
+def _enclosed(tree):
+    """``(innermost enclosing function name, node)`` for every node of a module."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            yield owner, child
+            yield from visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    yield from visit(tree, None)
+
+
+def test_no_operator_overrides_the_generic_rebuild():
+    overrides = [
+        (str(path.relative_to(SRC)), node.name)
+        for path in sorted(ALGEBRA.rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(i, ast.FunctionDef) and i.name == "with_children" for i in node.body)
+    ]
+    assert overrides == [("algebra/ast.py", "Node")]
+
+
+def test_generic_functions_name_no_operator_class():
+    for relative, wanted in GENERIC.items():
+        tree = _tree(SRC / relative)
+        operators = _operator_names(tree)
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in wanted:
+                found.add(node.name)
+                named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                assert not named & operators, (relative, node.name, named & operators)
+        assert found == wanted, relative
+
+
+def test_operator_isinstance_tests_stay_counted():
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = _tree(path)
+        operators = _operator_names(tree)
+        for owner, node in _enclosed(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)} & operators
+            ):
+                sites.append((str(path.relative_to(SRC)), owner))
+    remaining = list(ISINSTANCE_SITES)
+    for site in sites:
+        assert site in remaining, f"new operator-class isinstance test in {site}"
+        remaining.remove(site)
