@@ -94,7 +94,7 @@ def certify_planted():
 
 
 def run_certificates():
-    obs = Observability(trace=True, trace_operators=False, audit="off")
+    obs = Observability(trace_operators=False, audit="off")
     certificates = certify_views(observability=obs)
     certificates["planted_cxc"] = certify_planted()
     return certificates, obs

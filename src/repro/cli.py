@@ -422,7 +422,6 @@ class Session:
         lines = [f"  executor={config.executor} workers={config.shards}"]
         if config.executor == "process":
             backend = self.db._shards.backend
-            lines[0] += f" relay_telemetry={'on' if backend.relay_telemetry else 'off'}"
             slots: dict = {}
             for label, slot in sorted(backend._assignment.items()):
                 slots.setdefault(slot, []).append(label)
@@ -489,8 +488,9 @@ class Session:
 
     def _show_stats(self) -> str:
         obs = self._observability()
-        stats = self.db.registry.stats
-        per_view = stats.pop("per_view", None)
+        registry = self.db.registry
+        stats = registry.stats
+        per_view = obs.view_stats(view.name for view in registry.views())
         lines = ["== registry =="]
         for key, value in sorted(stats.items()):
             lines.append(f"  {key}: {value}")

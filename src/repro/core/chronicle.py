@@ -27,7 +27,6 @@ from collections import deque
 from typing import Any, Deque, Iterator, List, Mapping, Optional, Sequence, Union
 
 from ..complexity.counters import GLOBAL_COUNTERS
-from ..obs import runtime as obs_runtime
 from ..errors import (
     ChronicleAccessError,
     RetentionError,
@@ -212,11 +211,6 @@ class Chronicle:
                         )
                     values[seq_position] = sequence_number
             rows.append(unchecked(schema, check_values(values)))
-        obs = obs_runtime.ACTIVE
-        if obs is not None:
-            obs.metrics.inc(
-                "chronicle_records_admitted_total", len(rows), chronicle=self.name
-            )
         return rows
 
     @staticmethod
@@ -233,16 +227,11 @@ class Chronicle:
     def _store(self, rows: Sequence[Row]) -> None:
         """Retain *rows* according to the retention policy."""
         self._appended += len(rows)
-        obs = obs_runtime.ACTIVE
         if self.retention != 0:
             self._stored.extend(rows)
             if self.retention is not None:
                 while len(self._stored) > self.retention:
                     self._stored.popleft()
-        if obs is not None:
-            metrics = obs.metrics
-            metrics.inc("chronicle_appends_total", len(rows), chronicle=self.name)
-            metrics.set("chronicle_stored_rows", len(self._stored), chronicle=self.name)
 
     # -- reads (guarded) ------------------------------------------------------------
 
@@ -302,6 +291,15 @@ class Chronicle:
     def appended_count(self) -> int:
         """Lifetime number of appended rows (unaffected by retention)."""
         return self._appended
+
+    @property
+    def stored_count(self) -> int:
+        """Number of *stored* rows — a size, not a read, so unguarded.
+
+        What the ``chronicle_stored_rows`` gauge reads, from whatever
+        thread scrapes it (:meth:`repro.obs.core.Observability.collect`).
+        """
+        return len(self._stored)
 
     @property
     def sequence_attribute(self) -> str:

@@ -186,6 +186,8 @@ class DatabaseConfig:
         Enable the Section 5.2 affected-view prefilter.
     observe:
         Create and install an :class:`~repro.obs.Observability` handle.
+        Under ``executor="process"`` an installed handle also has each
+        window carry worker-side telemetry back to the parent.
     audit_mode:
         Auditor mode used when *observe* builds the handle
         (``"off"`` / ``"warn"`` / ``"raise"``).
@@ -194,13 +196,6 @@ class DatabaseConfig:
         (``/health``, ``SHOW HEALTH``, :meth:`ChronicleDatabase.health`)
         runs against when *observe* builds the handle.  ``None`` — the
         default policy.
-    relay_telemetry:
-        Whether ``executor="process"`` windows carry worker-side
-        telemetry (spans, metric deltas, resource readings) back to the
-        parent when observability is installed.  Costs nothing while
-        observability is off — the relay engages only when both switches
-        are on; with it off, the cross-process payload stays the
-        byte-minimal contract regardless of observability.
     aggregates:
         Aggregate registry for the view language (``None`` — a fresh
         copy of the standard registry).
@@ -221,7 +216,6 @@ class DatabaseConfig:
     observe: bool = False
     audit_mode: str = "warn"
     slo: Optional[SloPolicy] = None
-    relay_telemetry: bool = True
     aggregates: Optional[Any] = field(default=None, compare=False)
     durability: Optional[DurabilityConfig] = None
     history: Optional[HistoryConfig] = None
@@ -266,10 +260,6 @@ class DatabaseConfig:
             )
         if not isinstance(self.shards, int) or self.shards < 1:
             raise ConfigError(f"shards must be a positive int, got {self.shards!r}")
-        if not isinstance(self.relay_telemetry, bool):
-            raise ConfigError(
-                f"relay_telemetry must be a bool, got {self.relay_telemetry!r}"
-            )
 
     def replace(self, **changes: Any) -> "DatabaseConfig":
         """A copy of this config with *changes* applied (validated)."""

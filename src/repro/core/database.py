@@ -122,10 +122,10 @@ class ChronicleDatabase:
         """Install (or re-install) observability for this database.
 
         *obs* is an existing :class:`~repro.obs.Observability`; with
-        ``None`` one is built from *config* (``trace``,
-        ``trace_operators``, ``audit``, ``view_read_limit``, ``ring``) —
-        or the previously enabled handle is re-installed when no config
-        is given.  With ``install=False`` the handle is attached to the
+        ``None`` one is built from *config* (``trace_operators``,
+        ``audit``, ``ring``, ``slo``, ``incident_dir``) — or the
+        previously enabled handle is re-installed when no config is
+        given.  With ``install=False`` the handle is attached to the
         database but not published to the process-wide runtime slot
         (callers then scope it themselves with
         :func:`repro.obs.runtime.installed` — the CLI does this per
@@ -666,9 +666,22 @@ class ChronicleDatabase:
 
     @property
     def stats(self) -> Dict[str, Any]:
-        """Maintenance/routing statistics (merged across shards when sharded)."""
+        """Maintenance/routing statistics (merged across shards when sharded).
+
+        With observability enabled, a ``per_view`` key adds each observed
+        view's ``{"spans": n, "last_append_seconds": s}`` from the handle
+        (:meth:`~repro.obs.core.Observability.view_stats`).
+        """
         stats = self.registry.stats
-        return stats if self._shards is None else self._shards.stats(stats)
+        if self._shards is not None:
+            stats = self._shards.stats(stats)
+        obs = self._observability
+        if obs is not None:
+            views = [view.name for view in self.registry.views()]
+            per_view = obs.view_stats(views + list(self.partitioned_views))
+            if per_view:
+                stats["per_view"] = per_view
+        return stats
 
     def watermarks(self) -> Dict[str, Any]:
         """Per-group admission watermarks, plus each shard unit's own."""

@@ -180,15 +180,17 @@ class ChronicleGroup:
         This is the "simultaneous insertion" of Section 4: every record in
         every batch shares the same fresh sequence number.
 
-        When observability is installed with tracing on, the whole call —
-        admission, storage, and every maintenance listener — runs inside
-        one ``append`` root span (see :mod:`repro.obs`).
+        When observability is installed, the whole call — admission,
+        storage, and every maintenance listener — runs inside one
+        ``append`` root span (see :mod:`repro.obs`), whose ``admitted``
+        attribute counts the records each chronicle admitted.
         """
         obs = obs_runtime.ACTIVE
-        if obs is not None and obs.trace:
+        if obs is not None:
             span = obs.tracer.start("append", group=self.name)
             try:
-                stamped = self._append_impl(batches, sequence_number, instant)
+                span.attrs["admitted"] = admitted = {}
+                stamped = self._append_impl(batches, sequence_number, instant, admitted)
                 sizes = {name: len(rows) for name, rows in stamped.items() if rows}
                 span.attrs["deltas"] = sizes
                 if sizes:
@@ -204,6 +206,7 @@ class ChronicleGroup:
         batches: Mapping["Chronicle | str", Union[RowValues, Sequence[RowValues]]],
         sequence_number: Optional[SequenceNumber] = None,
         instant: Optional[float] = None,
+        admitted: Optional[Dict[str, int]] = None,
     ) -> Dict[str, Tuple[Row, ...]]:
         resolved: Dict[Chronicle, List[RowValues]] = {}
         for target, records in batches.items():
@@ -217,16 +220,18 @@ class ChronicleGroup:
             self.chronons.record(stamp, instant)
         stamped: Dict[str, Tuple[Row, ...]] = {}
         for chronicle, records in resolved.items():
-            admitted = chronicle._admit_batch(records, stamp)
+            batch = chronicle._admit_batch(records, stamp)
+            if admitted is not None:
+                admitted[chronicle.name] = len(batch)
             # Records in one batch share the sequence number, so identical
             # records are the same tuple: set semantics dedups them here,
             # keeping storage consistent with the (deduplicating) deltas.
-            if len(admitted) == 1:
-                rows = tuple(admitted)
+            if len(batch) == 1:
+                rows = tuple(batch)
             else:
                 seen = set()
                 unique = []
-                for row in admitted:
+                for row in batch:
                     if row.values not in seen:
                         seen.add(row.values)
                         unique.append(row)
@@ -266,7 +271,7 @@ class ChronicleGroup:
         this group's previous watermark.
         """
         obs = obs_runtime.ACTIVE
-        if obs is not None and obs.trace:
+        if obs is not None:
             span = obs.tracer.start("append", group=self.name)
             try:
                 self._ingest_stamped_impl(event, watermark)

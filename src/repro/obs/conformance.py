@@ -282,7 +282,7 @@ class ConformanceProfiler:
         self._obs = (
             observability
             if observability is not None
-            else Observability(trace=True, trace_operators=False, audit="off")
+            else Observability(trace_operators=False, audit="off")
         )
         self._next_record = 0
 

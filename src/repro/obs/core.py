@@ -1,52 +1,40 @@
 """The :class:`Observability` façade: tracer + metrics + auditor.
 
-One instance bundles the three surfaces and the configuration knobs,
-and bridges them: every finished span flows through
-:meth:`Observability.on_span_end`, which feeds the metrics registry and
-hands maintenance spans to the auditor.  Installing the instance
-(:meth:`install`, or ``ChronicleDatabase(observe=True)``) publishes it
-to :mod:`repro.obs.runtime`, which is the only thing the hot-path hooks
+One instance bundles the three surfaces and bridges them.  Code outside
+this package reaches it one way: it opens spans on the handle published
+in :mod:`repro.obs.runtime` and sets attributes on them.  Every metric
+comes from this module, from one of four sources:
+
+* **spans** — :data:`SPAN_RULES`, one ``{span name: rule}`` table.
+  :meth:`Observability.on_span_end` feeds each finished span to the rule
+  for its name, which derives counters and histograms from the span's
+  attributes, duration and cost counters;
+* **incidents** — :data:`INCIDENT_COUNTERS`: an incident raised with
+  ``failure=True`` (the engine's and recovery's own error sites) counts
+  its reason's counter;
+* **the relay** — :meth:`Observability.land_relay` lands one
+  process-executor window's worker spans, metric deltas and IPC
+  readings;
+* **state** — :meth:`Observability.collect` reads the series that mirror
+  database state (appended and stored rows, shard lag) off the bound
+  database whenever a reader takes :attr:`Observability.metrics`;
+  nothing pushes them.
+
+Adding a metric is one row here, never a call in a hot-path module;
+``docs/observability.md`` lists every family with its source.  The
+attributes the rules read are the contract with the hooks: ``admitted``
+(``{chronicle: records}``) on the facade's ``append``, ``candidates`` /
+``skipped`` on ``prefilter``, ``records`` on ``shard_apply``, ``bytes``
+on ``wal_append``, ``bytes`` / ``truncated`` / ``kind`` on a written
+``snapshot``, ``replayed_batches`` on a finished ``recovery``, ``view``
+on ``drop_view``.  A span without the attribute its rule is gated on
+(the operation raised) counts nothing.
+
+Installing the instance (:meth:`install`, or
+``ChronicleDatabase(observe=True)``) publishes it to
+:mod:`repro.obs.runtime`, which is the only thing the hot-path hooks
 ever look at — so constructing an Observability costs nothing until it
 is installed, and uninstalling restores the zero-overhead no-op path.
-
-Span names are the contract between the hooks and this bridge:
-
-``append``
-    One whole append event (admission + every listener).  Metrics:
-    ``append_events_total{group}``, ``append_seconds{group}``, and the
-    per-event :class:`~repro.complexity.counters.CostCounters` deltas as
-    ``cost_<event>_total`` counters.
-``prefilter``
-    The registry's candidate filtering for one event.
-``maintain``
-    One view maintained for one event.  Metrics:
-    ``view_maintained_total{view,engine}``,
-    ``view_maintain_seconds{view,engine}``; audited.
-``delta``
-    One operator delta step (compiled plan step or interpreter node).
-    Metrics: ``operator_invocations_total{operator,engine}``,
-    ``operator_delta_rows_total{operator,engine}``.
-``ingest``
-    One sharded write window (admission through all-shards-visible —
-    the end-to-end freshness gap).  Metrics:
-    ``ingest_windows_total{group}``, ``ingest_visibility_seconds{group}``.
-``shard_apply``
-    One coalesced window applied by a shard worker.  Metrics:
-    ``shard_batches_total{shard}``, ``shard_apply_seconds{shard}``.
-
-Under ``executor="process"`` with the telemetry relay on
-(``DatabaseConfig.relay_telemetry``), worker-side spans arrive as
-relayed records grafted under ``shard_apply``
-(:meth:`~repro.obs.tracer.Tracer.graft` — they bypass this bridge; the
-worker's metric deltas are merged directly with ``shard``/``worker``
-labels), and the parent emits the IPC accounting series:
-``ipc_bytes_down_total{shard}`` / ``ipc_bytes_up_total{shard}``,
-``ipc_encode_seconds{shard,direction}`` /
-``ipc_decode_seconds{shard,direction}``, ``worker_rss_bytes{worker}`` /
-``worker_cpu_seconds{worker}``, and the pressure-valve counters
-``relay_spans_dropped_total{shard}`` /
-``relay_series_dropped_total{shard}``.
-
 Every finished *root* span is additionally summarized into the
 :class:`~repro.obs.recorder.FlightRecorder` ring, and listener
 exceptions are swallowed and counted
@@ -57,7 +45,7 @@ never abort the maintenance path.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import MaintenanceAuditError, ObservabilityError
 from . import runtime
@@ -66,25 +54,170 @@ from .costmodel import CostLedger
 from .health import HealthReport, SloPolicy, evaluate_health
 from .metrics import MetricsRegistry
 from .recorder import FlightRecorder, summarize_span
-from .tracer import Span, Tracer
+from .tracer import Span, Tracer, span_records
+
+# ---------------------------------------------------------------------------
+# The span table
+# ---------------------------------------------------------------------------
+
+
+def _append(obs: "Observability", span: Span) -> None:
+    metrics, group = obs._metrics, str(span.attrs.get("group", "?"))
+    metrics.inc("append_events_total", group=group)
+    metrics.observe("append_seconds", span.duration, group=group)
+    for event, amount in span.counters.items():
+        metrics.inc(f"cost_{event}_total", amount, group=group)
+    for chronicle, records in span.attrs.get("admitted", {}).items():
+        metrics.inc("chronicle_records_admitted_total", records, chronicle=chronicle)
+
+
+def _prefilter(obs: "Observability", span: Span) -> None:
+    skipped = span.attrs.get("skipped")
+    if skipped is None:  # the filter raised
+        return
+    maintained = span.attrs["candidates"] - skipped
+    if skipped:
+        obs._metrics.inc("view_prefilter_total", skipped, outcome="hit")
+    if maintained:
+        obs._metrics.inc("view_prefilter_total", maintained, outcome="miss")
+
+
+def _maintain(obs: "Observability", span: Span) -> None:
+    view = str(span.attrs.get("view", "?"))
+    engine = str(span.attrs.get("engine", "?"))
+    obs._metrics.inc("view_maintained_total", view=view, engine=engine)
+    obs._metrics.observe("view_maintain_seconds", span.duration, view=view, engine=engine)
+    obs._last_maintain[view] = span.duration
+    # Before the auditor: a raise-mode violation still leaves its cost
+    # recorded in the ledger.
+    obs.cost_ledger.observe_maintain(span)
+    try:
+        violations = obs.auditor.check_span(span)
+    except MaintenanceAuditError as exc:
+        # Raise-mode: freeze the black box before the append aborts —
+        # this is exactly the moment the tape matters.
+        obs.incident("auditor-violation", error=str(exc), span=summarize_span(span))
+        raise
+    if violations:
+        obs.incident(
+            "auditor-violation",
+            violations=[v.describe() for v in violations],
+            span=summarize_span(span),
+        )
+
+
+def _delta(obs: "Observability", span: Span) -> None:
+    operator = str(span.attrs.get("operator", "?"))
+    engine = str(span.attrs.get("engine", "?"))
+    obs._metrics.inc("operator_invocations_total", operator=operator, engine=engine)
+    rows = span.attrs.get("rows")
+    if rows:
+        obs._metrics.inc("operator_delta_rows_total", rows, operator=operator, engine=engine)
+
+
+def _ingest(obs: "Observability", span: Span) -> None:
+    group = str(span.attrs.get("group", "?"))
+    obs._metrics.inc("ingest_windows_total", group=group)
+    obs._metrics.observe("ingest_visibility_seconds", span.duration, group=group)
+
+
+def _shard_apply(obs: "Observability", span: Span) -> None:
+    shard = span.attrs.get("shard")
+    if shard is None:
+        # Never emit an unknown-shard bucket: a missing label is a bug in
+        # the emitting hook, counted as such.
+        obs._metrics.inc("span_label_missing_total", span="shard_apply")
+        return
+    shard = str(shard)
+    obs._metrics.inc("shard_batches_total", shard=shard)
+    obs._metrics.observe("shard_apply_seconds", span.duration, shard=shard)
+    records = span.attrs.get("records")
+    if records is not None:
+        obs._metrics.inc("shard_records_total", records, shard=shard)
+
+
+def _shard_fallback(obs: "Observability", span: Span) -> None:
+    obs._metrics.inc("shard_fallback_total", view=str(span.attrs.get("view", "?")))
+
+
+def _wal_append(obs: "Observability", span: Span) -> None:
+    size = span.attrs.get("bytes")
+    if size is None:  # the write raised
+        return
+    group = str(span.attrs.get("group", "?"))
+    obs._metrics.inc("wal_batches_total", group=group)
+    obs._metrics.inc("wal_bytes_total", size, group=group)
+    obs._metrics.observe("wal_append_seconds", span.duration, group=group)
+
+
+def _snapshot(obs: "Observability", span: Span) -> None:
+    size = span.attrs.get("bytes")
+    if size is None:  # nothing was written
+        return
+    kind = span.attrs["kind"]
+    obs._metrics.inc("snapshots_total", kind=kind)
+    obs._metrics.set("snapshot_bytes", size, kind=kind)
+    obs._metrics.inc("wal_truncated_rows_total", span.attrs["truncated"])
+    obs._metrics.observe("snapshot_seconds", span.duration)
+
+
+def _recovery(obs: "Observability", span: Span) -> None:
+    replayed = span.attrs.get("replayed_batches")
+    if replayed is None:  # failed: counted by the recovery-failure incident
+        return
+    obs._metrics.inc("recoveries_total")
+    obs._metrics.set("recovery_replayed_batches", replayed)
+    obs._metrics.observe("recovery_seconds", span.duration)
+
+
+def _wal_flush(obs: "Observability", span: Span) -> None:
+    obs._metrics.observe("wal_flush_seconds", span.duration)
+
+
+def _drop_view(obs: "Observability", span: Span) -> None:
+    # The dropped view's series stay (counters never shrink); its
+    # per-view stats restart, so a view re-defined under the same name
+    # reports only its own maintenance.
+    view = str(span.attrs.get("view", "?"))
+    obs._dropped[view] = obs._maintained().get(view, 0)
+    obs._last_maintain.pop(view, None)
+
+
+#: Span name -> the rule turning one finished span into metrics.
+SPAN_RULES: Dict[str, Callable[["Observability", Span], None]] = {
+    "append": _append,
+    "prefilter": _prefilter,
+    "maintain": _maintain,
+    "delta": _delta,
+    "ingest": _ingest,
+    "shard_apply": _shard_apply,
+    "shard_fallback": _shard_fallback,
+    "wal_append": _wal_append,
+    "snapshot": _snapshot,
+    "recovery": _recovery,
+    "wal_flush": _wal_flush,
+    "drop_view": _drop_view,
+}
+
+#: Failure incident reasons, and the counter each one feeds.
+INCIDENT_COUNTERS: Dict[str, str] = {
+    "shard-worker-error": "engine_errors_total",
+    "recovery-failure": "recovery_failures_total",
+}
 
 
 class Observability:
     """Tracing, metrics, and auditing for one process.
 
+    An installed handle always traces: spans are how every hook reports.
+
     Parameters
     ----------
-    trace:
-        Record span trees per append event (ring buffer of *ring*).
     trace_operators:
         Also record per-operator ``delta`` spans (the deepest, most
         verbose layer; disable to trace only append/view granularity).
     audit:
-        Auditor mode: ``"off"``, ``"warn"``, or ``"raise"``.  Any mode
-        other than ``"off"`` forces *trace* on — the auditor reads the
-        counter diffs the tracer collects.
-    view_read_limit:
-        Permitted ``view_read`` count per maintenance span (default 0).
+        Auditor mode: ``"off"``, ``"warn"``, or ``"raise"``.
     ring:
         Trace ring-buffer capacity.
     slo:
@@ -97,43 +230,29 @@ class Observability:
         ``None`` (the default) keeps the in-memory ring but never
         touches disk automatically; explicit
         :meth:`incident`/``dump_incident(path=...)`` calls still work.
-    costs:
-        Feed the :class:`~repro.obs.costmodel.CostLedger` from finished
-        maintenance spans (requires *trace*; the ledger object exists
-        either way so readers never need a None check).
-    cost_entries:
-        The ledger's cardinality bound (distinct (view, operator,
-        shape) keys).
     """
 
     def __init__(
         self,
-        trace: bool = True,
         trace_operators: bool = True,
         audit: str = "warn",
-        view_read_limit: int = 0,
         ring: int = 256,
         slo: Optional[SloPolicy] = None,
         incident_dir: Optional[str] = None,
-        costs: bool = True,
-        cost_entries: int = 512,
     ) -> None:
-        self.metrics = MetricsRegistry()
-        self.auditor = Auditor(
-            mode=audit, view_read_limit=view_read_limit, metrics=self.metrics
-        )
-        self.trace = bool(trace) or self.auditor.enabled
-        self.trace_operators = self.trace and trace_operators
+        # Written by the span rules; read through :attr:`metrics`.
+        self._metrics = MetricsRegistry()
+        self.auditor = Auditor(mode=audit, metrics=self._metrics)
+        self.trace_operators = bool(trace_operators)
         self.tracer = Tracer(capacity=ring, on_span_end=self.on_span_end)
         #: Conformance certificates by view name (JSON-ready dicts),
         #: published by :class:`~repro.obs.conformance.ConformanceProfiler`
         #: and served on the ``/certificates`` HTTP route.
         self.certificates: Dict[str, Dict[str, Any]] = {}
         #: The live per-(view, operator, shape) cost aggregates, fed by
-        #: every finished ``maintain`` span when *costs* is on.  Served
-        #: by ``SHOW COSTS`` and the ``/costs`` HTTP route.
-        self.cost_ledger = CostLedger(max_entries=cost_entries)
-        self.record_costs = self.trace and bool(costs)
+        #: every finished ``maintain`` span.  Served by ``SHOW COSTS``
+        #: and the ``/costs`` HTTP route.
+        self.cost_ledger = CostLedger()
         #: The SLO policy health evaluation uses (None = defaults).
         self.slo = slo
         #: The black-box ring + incident dumper.
@@ -146,6 +265,23 @@ class Observability:
         self.history: Optional[Any] = None
         self._db_ref: Optional["weakref.ReferenceType[Any]"] = None
         self._last_health_status = "OK"
+        #: Wall time of each view's latest ``maintain`` span.
+        self._last_maintain: Dict[str, float] = {}
+        #: ``view_maintained_total`` per view when it was last dropped.
+        self._dropped: Dict[str, float] = {}
+        #: Each chronicle's ``appended_count`` when the database was bound.
+        self._appended_before: Dict[str, int] = {}
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The metrics registry, its state series read first (:meth:`collect`).
+
+        The one read entry point — ``/metrics``, ``/snapshot``, health,
+        incident bundles and the CLI all take the registry here, once
+        per request.
+        """
+        self.collect()
+        return self._metrics
 
     # -- installation ------------------------------------------------------------------
 
@@ -241,87 +377,138 @@ class Observability:
     # -- span bridge -------------------------------------------------------------------
 
     def on_span_end(self, span: Span) -> None:
-        """Feed one finished span into metrics and (maybe) the auditor."""
-        name = span.name
-        metrics = self.metrics
-        if name == "maintain":
-            view = str(span.attrs.get("view", "?"))
-            engine = str(span.attrs.get("engine", "?"))
-            metrics.inc("view_maintained_total", view=view, engine=engine)
-            metrics.observe(
-                "view_maintain_seconds", span.duration, view=view, engine=engine
-            )
-            if self.record_costs:
-                # Before the auditor: a raise-mode violation still
-                # leaves its cost recorded in the ledger.
-                self.cost_ledger.observe_maintain(span)
-            try:
-                violations = self.auditor.check_span(span)
-            except MaintenanceAuditError as exc:
-                # Raise-mode: freeze the black box before the append
-                # aborts — this is exactly the moment the tape matters.
-                self.incident(
-                    "auditor-violation",
-                    error=str(exc),
-                    span=summarize_span(span),
-                )
-                raise
-            if violations:
-                self.incident(
-                    "auditor-violation",
-                    violations=[v.describe() for v in violations],
-                    span=summarize_span(span),
-                )
-        elif name == "delta":
-            operator = str(span.attrs.get("operator", "?"))
-            engine = str(span.attrs.get("engine", "?"))
-            metrics.inc(
-                "operator_invocations_total", operator=operator, engine=engine
-            )
-            rows = span.attrs.get("rows")
-            if rows:
-                metrics.inc(
-                    "operator_delta_rows_total",
-                    rows,
-                    operator=operator,
-                    engine=engine,
-                )
-        elif name == "append":
-            group = str(span.attrs.get("group", "?"))
-            metrics.inc("append_events_total", group=group)
-            metrics.observe("append_seconds", span.duration, group=group)
-            for event, amount in span.counters.items():
-                metrics.inc(f"cost_{event}_total", amount, group=group)
-        elif name == "shard_apply":
-            # One coalesced maintenance window applied by a shard worker
-            # (sharded engine).  The nested append/maintain spans carry
-            # the per-view numbers; this series shows shard balance.
-            shard = span.attrs.get("shard")
-            if shard is None:
-                # Never emit an unknown-shard bucket: a missing label is
-                # a bug in the emitting hook, counted as such.
-                metrics.inc("span_label_missing_total", span="shard_apply")
-            else:
-                shard = str(shard)
-                metrics.inc("shard_batches_total", shard=shard)
-                metrics.observe("shard_apply_seconds", span.duration, shard=shard)
-        elif name == "ingest":
-            # One sharded write window: the span covers admission through
-            # all-shards-visible, so its duration IS the end-to-end
-            # freshness gap the paper's bounded-cost claims protect.
-            group = str(span.attrs.get("group", "?"))
-            metrics.inc("ingest_windows_total", group=group)
-            metrics.observe("ingest_visibility_seconds", span.duration, group=group)
+        """Feed one finished span through its :data:`SPAN_RULES` row."""
+        rule = SPAN_RULES.get(span.name)
+        if rule is not None:
+            rule(self, span)
         if span._is_root:
             self.recorder.record_span(span)
         for listener in self._span_listeners:
             try:
                 listener(span)
             except Exception:
-                metrics.inc(
+                self._metrics.inc(
                     "span_listener_errors_total",
                     listener=type(listener).__name__,
                 )
+
+    # -- the process-executor relay ----------------------------------------------------
+
+    def drain_relay(
+        self, max_spans: int, max_series: int
+    ) -> Tuple[List[Dict[str, Any]], int, List[Tuple[str, str, Any, Any]], int]:
+        """Everything recorded since the last drain, bounded; starts afresh.
+
+        The worker-process half of :meth:`land_relay`: the finished
+        traces as :func:`~repro.obs.tracer.span_records` (at most
+        *max_spans* spans) and the metric series as
+        :meth:`~repro.obs.metrics.MetricsRegistry.to_deltas` (at most
+        *max_series*), each with the number dropped.  Returns
+        ``(spans, spans_dropped, series, series_dropped)``.
+        """
+        spans, spans_dropped = span_records(self.tracer.traces(), max_spans)
+        series = self._metrics.to_deltas()
+        self._metrics.reset()
+        self.tracer.clear()
+        return spans, spans_dropped, series[:max_series], max(0, len(series) - max_series)
+
+    def land_relay(
+        self,
+        span: Span,
+        shard: str,
+        telemetry: Any,
+        ipc: Dict[str, Any],
+        worker: str,
+    ) -> None:
+        """Land one relayed worker window under its ``shard_apply`` *span*.
+
+        The worker's span records are grafted as finished children of
+        *span* (before it finishes, so they enter the ring inside the
+        stitched ingest trace).  They bypass :data:`SPAN_RULES`: the
+        worker's own table counted them, and those counts arrive as its
+        metric deltas, merged here with ``shard``/``worker`` labels.  The
+        byte/time readings of both pickling directions become the
+        ``ipc_*`` series.
+        """
+        for grafted in self.tracer.graft(span, telemetry.spans, worker=worker):
+            for maintain in grafted.find("maintain"):
+                self._last_maintain[str(maintain.attrs.get("view", "?"))] = maintain.duration
+        metrics = self._metrics
+        metrics.inc("ipc_bytes_down_total", ipc["bytes_down"], shard=shard)
+        metrics.inc("ipc_bytes_up_total", ipc["bytes_up"], shard=shard)
+        for stage in ("encode", "decode"):
+            for direction in ("down", "up"):
+                seconds = ipc[f"{stage}_{direction}_seconds"]
+                metrics.observe(f"ipc_{stage}_seconds", seconds, shard=shard, direction=direction)
+        metrics.merge_deltas(telemetry.series, shard=shard, worker=worker)
+        if telemetry.spans_dropped:
+            metrics.inc("relay_spans_dropped_total", telemetry.spans_dropped, shard=shard)
+        if telemetry.series_dropped:
+            metrics.inc("relay_series_dropped_total", telemetry.series_dropped, shard=shard)
+        if telemetry.maxrss_bytes:
+            metrics.set("worker_rss_bytes", telemetry.maxrss_bytes, worker=worker)
+        metrics.set("worker_cpu_seconds", telemetry.cpu_seconds, worker=worker)
+
+    # -- state read on demand ----------------------------------------------------------
+
+    def collect(self) -> None:
+        """Read the state series off the bound database (no-op unbound).
+
+        ``chronicle_appends_total`` (rows appended since the bind) and
+        ``chronicle_stored_rows`` for each of the database's chronicles
+        appended to since the bind, and ``shard_lag_batches`` /
+        ``shard_lag_seconds`` for each shard unit that has been
+        dispatched to: the values the latest write would have pushed.
+        Runs whenever a reader takes :attr:`metrics`, so a scrape, a
+        snapshot, a health evaluation and a history sample all see
+        current state, and the write path pushes none of it.  The values
+        follow the bound database for as long as the bind holds, whether
+        or not this handle is installed.
+        """
+        db = self.database()
+        if db is None:
+            return
+        metrics, before = self._metrics, self._appended_before
+        for group in list(db.groups.values()):
+            for chronicle in list(group.chronicles.values()):
+                name = chronicle.name
+                appended = chronicle.appended_count - before.get(name, 0)
+                if appended > 0:
+                    metrics.counter("chronicle_appends_total", chronicle=name).value = appended
+                    metrics.set("chronicle_stored_rows", chronicle.stored_count, chronicle=name)
+        for shard_group in db.shard_groups:
+            for unit in shard_group.units:
+                if unit.windows_applied or unit.dispatched > unit.watermark:
+                    lag = max(0, unit.dispatched - unit.watermark)
+                    metrics.set("shard_lag_batches", lag, shard=unit.label)
+                if unit.windows_applied:
+                    metrics.set("shard_lag_seconds", unit.last_lag_seconds, shard=unit.label)
+
+    def _maintained(self) -> Dict[Any, float]:
+        """``view_maintained_total`` per view, over engines, shards and workers."""
+        out: Dict[Any, float] = {}
+        for labels, counter in self._metrics.series("view_maintained_total"):
+            view = labels.get("view")
+            out[view] = out.get(view, 0) + counter.value
+        return out
+
+    def view_stats(self, views: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+        """``{view: {"spans": n, "last_append_seconds": s}}`` for *views*.
+
+        ``spans`` counts the view's ``maintain`` spans since it was
+        (re-)defined; ``last_append_seconds`` is the wall time of the
+        latest one.  Views with no span since are absent.
+        """
+        wanted = set(views)
+        out: Dict[str, Dict[str, Any]] = {}
+        for view, count in self._maintained().items():
+            count -= self._dropped.get(view, 0)
+            if view in wanted and count > 0:
+                out[view] = {
+                    "spans": count,
+                    "last_append_seconds": self._last_maintain.get(view, 0.0),
+                }
+        return out
 
     # -- health & incidents ------------------------------------------------------------
 
@@ -330,8 +517,16 @@ class Observability:
 
         Held through a weak reference so the process-wide handle can
         never keep a dropped database alive.  One database at a time —
-        like the runtime slot itself, the last bind wins.
+        like the runtime slot itself, the last bind wins.  Rows appended
+        before the first bind to *db* were never observed, so
+        ``chronicle_appends_total`` leaves them out.
         """
+        if db is not self.database():
+            self._appended_before = {
+                chronicle.name: chronicle.appended_count
+                for group in db.groups.values()
+                for chronicle in group.chronicles.values()
+            }
         self._db_ref = weakref.ref(db)
 
     def database(self) -> Optional[Any]:
@@ -354,17 +549,28 @@ class Observability:
         return report
 
     def incident(
-        self, reason: str, path: Optional[str] = None, **context: Any
+        self,
+        reason: str,
+        path: Optional[str] = None,
+        failure: bool = False,
+        **context: Any,
     ) -> Optional[str]:
         """Trigger the flight recorder with full context; returns the path.
 
-        Assembles whatever the moment can safely provide — per-shard
-        watermarks and merged registry stats from the bound database,
-        plus this handle's :meth:`snapshot` — and hands it to
+        *failure* marks the library's own error sites (a shard worker
+        raised, recovery failed): the reason's :data:`INCIDENT_COUNTERS`
+        counter is counted first, so the bundle's snapshot includes it.
+        A manual dump never counts, whatever its reason.  Assembles
+        whatever the moment can safely provide — per-shard watermarks
+        and merged registry stats from the bound database, plus this
+        handle's :meth:`snapshot` — and hands it to
         :meth:`~repro.obs.recorder.FlightRecorder.trigger`.  Context
         collection is best-effort: an incident dump must never add a
         second failure to the one being recorded.
         """
+        counter = INCIDENT_COUNTERS.get(reason) if failure else None
+        if counter is not None:
+            self._metrics.inc(counter)
         db = self.database()
         if db is not None:
             try:
@@ -426,7 +632,7 @@ class Observability:
             "costs": {
                 "entries": len(self.cost_ledger),
                 "dropped": self.cost_ledger.dropped,
-                "recording": self.record_costs,
+                "recording": True,
             },
             "recorder": {
                 "events": len(self.recorder.events()),
@@ -448,6 +654,6 @@ class Observability:
     def __repr__(self) -> str:
         state = "installed" if self.installed else "idle"
         return (
-            f"Observability({state}, trace={self.trace}, "
-            f"operators={self.trace_operators}, audit={self.auditor.mode!r})"
+            f"Observability({state}, operators={self.trace_operators}, "
+            f"audit={self.auditor.mode!r})"
         )

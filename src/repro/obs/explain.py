@@ -395,7 +395,7 @@ def explain_analyze(
 
         record_factory = schema_record_factory(db.chronicle(driver).schema)
 
-    obs = Observability(trace=True, trace_operators=True, audit="off", ring=512)
+    obs = Observability(audit="off", ring=512)
     collected: List[Span] = []
     with runtime.installed(obs):
         # Warm-up append: first-touch effects (lazy compilation, new

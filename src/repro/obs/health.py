@@ -44,6 +44,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
+from .metrics import Histogram
 
 #: The three health verdicts, healthiest first.
 STATUSES = ("OK", "DEGRADED", "FAILING")
@@ -308,6 +309,24 @@ class HealthReport:
         return f"HealthReport({self.status!r}, breaches={len(self.breaches)})"
 
 
+def ipc_overhead(
+    encode: Optional[Histogram],
+    decode: Optional[Histogram],
+    visibility: Optional[Histogram],
+) -> Optional[float]:
+    """The share of the sharded write path spent pickling.
+
+    Summed ``ipc_encode_seconds`` + ``ipc_decode_seconds`` over summed
+    ``ingest_visibility_seconds`` — lifetime histograms for ``/health``,
+    one interval's windows for ``/timeline``.  ``None`` when there is no
+    IPC histogram or no visibility time to divide by.
+    """
+    if (encode is None and decode is None) or visibility is None or visibility.sum <= 0:
+        return None
+    ipc_seconds = (encode.sum if encode else 0.0) + (decode.sum if decode else 0.0)
+    return ipc_seconds / visibility.sum
+
+
 def evaluate_health(
     observability: Any,
     policy: Optional[SloPolicy] = None,
@@ -324,7 +343,8 @@ def evaluate_health(
     policy = policy if policy is not None else SloPolicy()
     checks: List[HealthCheck] = []
 
-    merged = observability.metrics.merged_histogram("view_maintain_seconds")
+    metrics = observability.metrics
+    merged = metrics.merged_histogram("view_maintain_seconds")
     p99 = merged.quantile(0.99) if merged is not None and merged.count else 0.0
     checks.append(
         HealthCheck("maintain_p99_seconds", p99, policy.max_maintain_p99_seconds)
@@ -352,28 +372,18 @@ def evaluate_health(
         )
 
     # IPC overhead: only once the process executor's telemetry relay has
-    # produced samples — an in-process deployment (or relay off) never
-    # grows this check, so its report keeps the classic check set.
-    encode = observability.metrics.merged_histogram("ipc_encode_seconds")
-    decode = observability.metrics.merged_histogram("ipc_decode_seconds")
-    ipc_samples = (encode.count if encode is not None else 0) + (
-        decode.count if decode is not None else 0
-    )
-    if ipc_samples:
-        ipc_seconds = (encode.sum if encode is not None else 0.0) + (
-            decode.sum if decode is not None else 0.0
+    # produced samples — an in-process deployment never grows this
+    # check, so its report keeps the classic check set.
+    encode = metrics.merged_histogram("ipc_encode_seconds")
+    decode = metrics.merged_histogram("ipc_decode_seconds")
+    if (encode.count if encode else 0) + (decode.count if decode else 0):
+        fraction = ipc_overhead(
+            encode, decode, metrics.merged_histogram("ingest_visibility_seconds")
         )
-        visibility = observability.metrics.merged_histogram(
-            "ingest_visibility_seconds"
-        )
-        window_seconds = (
-            visibility.sum if visibility is not None and visibility.count else 0.0
-        )
-        fraction = ipc_seconds / window_seconds if window_seconds > 0 else 1.0
         checks.append(
             HealthCheck(
                 "ipc_overhead_fraction",
-                round(fraction, 6),
+                round(1.0 if fraction is None else fraction, 6),
                 policy.max_ipc_overhead_fraction,
             )
         )
@@ -388,7 +398,7 @@ def evaluate_health(
         )
     )
 
-    errors = observability.metrics.value("engine_errors_total") or 0
+    errors = metrics.value("engine_errors_total") or 0
     checks.append(
         HealthCheck("engine_errors", errors, policy.max_engine_errors, hard=True)
     )

@@ -46,6 +46,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
+from .health import ipc_overhead
 from .metrics import HistogramWindow
 
 #: Scalar series every sample carries (the ``series=`` vocabulary of
@@ -125,7 +126,10 @@ class MetricsHistory:
         self._last_counters: Dict[str, float] = {}
         self._last_health: Optional[str] = None
         self._seen_trigger = 0
-        metrics = observability.metrics
+        # The registry itself, read without collecting: the sampler sums
+        # no state series, and each sample's health evaluation collects
+        # them once.
+        self._metrics = metrics = observability._metrics
         self._maintain = HistogramWindow(metrics, "view_maintain_seconds")
         self._wal_append = HistogramWindow(metrics, "wal_append_seconds")
         self._ipc_encode = HistogramWindow(metrics, "ipc_encode_seconds")
@@ -179,12 +183,12 @@ class MetricsHistory:
 
     def _counter_sum(self, name: str) -> float:
         total = 0.0
-        for _, instrument in self.observability.metrics.series(name):
+        for _, instrument in self._metrics.series(name):
             total += instrument.value
         return total
 
     def _gauge_sum(self, name: str) -> Optional[float]:
-        series = self.observability.metrics.series(name)
+        series = self._metrics.series(name)
         if not series:
             return None
         return sum(instrument.value for _, instrument in series)
@@ -217,16 +221,9 @@ class MetricsHistory:
         encode = self._ipc_encode.delta()
         decode = self._ipc_decode.delta()
         visibility = self._visibility.delta()
-        ipc_fraction: Optional[float] = None
-        if (
-            (encode is not None or decode is not None)
-            and visibility is not None
-            and visibility.sum > 0
-        ):
-            ipc_seconds = (encode.sum if encode else 0.0) + (
-                decode.sum if decode else 0.0
-            )
-            ipc_fraction = round(ipc_seconds / visibility.sum, 4)
+        ipc_fraction = ipc_overhead(encode, decode, visibility)
+        if ipc_fraction is not None:
+            ipc_fraction = round(ipc_fraction, 4)
 
         queue_depth = 0.0
         shards: Dict[str, Dict[str, float]] = {}

@@ -10,7 +10,7 @@ slot holding either ``None`` (disabled — the default) or the installed
 
     obs = runtime.ACTIVE
     if obs is not None:
-        ...  # record spans / metrics
+        ...  # open spans (obs.tracer)
 
 — one module-attribute load and one identity test on the disabled path,
 the cheapest guard Python offers (verified by the E12 before/after runs

@@ -46,7 +46,7 @@ import json
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..complexity.counters import GLOBAL_COUNTERS
 
@@ -135,27 +135,6 @@ class Span:
             out["children"] = [child.to_dict() for child in self.children]
         return out
 
-    def to_record(self) -> Dict[str, Any]:
-        """A compact, id-free summary of this subtree for cross-process relay.
-
-        Unlike :meth:`to_dict` this omits span/trace identity — ids are
-        process-unique and meaningless across a process boundary; the
-        receiving :meth:`Tracer.graft` mints fresh local ids under the
-        adopting parent's trace.
-        """
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "started_at": self.started_at,
-            "duration": self.duration,
-        }
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        if self.counters:
-            out["counters"] = dict(self.counters)
-        if self.children:
-            out["children"] = [child.to_record() for child in self.children]
-        return out
-
     def format(self, indent: int = 0) -> str:
         """A human-readable one-line-per-span rendering of the subtree."""
         attrs = " ".join(f"{k}={v}" for k, v in self.attrs.items())
@@ -176,6 +155,45 @@ class Span:
             f"Span({self.name!r}, {self.duration * 1e6:.0f}us, "
             f"attrs={self.attrs}, children={len(self.children)})"
         )
+
+
+def span_records(roots: Sequence[Span], cap: int) -> Tuple[List[Dict[str, Any]], int]:
+    """Compact, id-free records of finished span trees, for the relay.
+
+    The inverse of :meth:`Tracer.graft`: unlike :meth:`Span.to_dict` a
+    record omits span/trace identity — ids are process-unique and
+    meaningless across a process boundary; the receiving tracer mints
+    fresh local ids under the adopting parent's trace.  *cap* bounds the
+    span *count* (whole trees, depth-first); once reached, the remaining
+    subtrees are dropped and counted — the shallow structure (window →
+    append → first views) survives pressure, the deep tail goes first.
+    Returns ``(records, dropped)``.
+    """
+    budget = cap
+    dropped = 0
+
+    def take(span: Span) -> Optional[Dict[str, Any]]:
+        nonlocal budget, dropped
+        if budget <= 0:
+            dropped += sum(1 for _ in span.walk())
+            return None
+        budget -= 1
+        record: Dict[str, Any] = {
+            "name": span.name,
+            "started_at": span.started_at,
+            "duration": span.duration,
+        }
+        if span.attrs:
+            record["attrs"] = dict(span.attrs)
+        if span.counters:
+            record["counters"] = dict(span.counters)
+        children = [taken for taken in map(take, span.children) if taken is not None]
+        if children:
+            record["children"] = children
+        return record
+
+    records = [record for record in map(take, roots) if record is not None]
+    return records, dropped
 
 
 class Tracer:
@@ -257,7 +275,7 @@ class Tracer:
 
         The cross-process face of :meth:`start_linked`: a worker process
         cannot link its spans live (it holds no reference to the parent
-        tracer), so it ships compact :meth:`Span.to_record` summaries
+        tracer), so it ships compact :func:`span_records` summaries
         back with its window result and the parent grafts them here —
         each record becomes a real :class:`Span` with a fresh local id,
         *parent*'s ``trace_id``, and *parent* as ``parent_id``, so a

@@ -249,25 +249,25 @@ class ShardUnit:
         ``trace_id``.
         """
         obs = obs_runtime.ACTIVE
+        records = sum(len(rows) for rows in event.values())
         with self.lock:
-            span = self._open_apply_span(obs, window)
+            span = self._open_apply_span(obs, window, records=records)
             try:
                 self.group.ingest_stamped(event, watermark)
             finally:
                 if span is not None:
                     obs.tracer.finish(span)
-            records = sum(len(rows) for rows in event.values())
             self.mark_applied(watermark, window, records)
 
     def _open_apply_span(
         self, obs: Any, window: Optional[ShardWindow], **attrs: Any
     ) -> Any:
-        """Open this unit's ``shard_apply`` span (``None`` when not tracing).
+        """Open this unit's ``shard_apply`` span (``None`` when unobserved).
 
         Linked to the producing admission span when *window* carries a
         trace identity; a root span otherwise.
         """
-        if obs is None or not obs.trace:
+        if obs is None:
             return None
         if window is not None and window.trace_id is not None:
             return obs.tracer.start_linked(
@@ -294,21 +294,6 @@ class ShardUnit:
         self.records_applied += records
         if window is not None:
             self.last_lag_seconds = max(0.0, now - window.admitted_at)
-        obs = obs_runtime.ACTIVE
-        if obs is not None:
-            # The freshness gauges: how long admission→visible took
-            # for the window just absorbed, and how many sequence
-            # numbers of dispatched work remain unabsorbed (newer
-            # windows may have queued behind this one).
-            if window is not None:
-                obs.metrics.set(
-                    "shard_lag_seconds", self.last_lag_seconds, shard=self.label
-                )
-            obs.metrics.set(
-                "shard_lag_batches",
-                max(0, self.dispatched - watermark),
-                shard=self.label,
-            )
 
     def absorb(
         self,
@@ -332,24 +317,22 @@ class ShardUnit:
         the same watermark/lag/trace bookkeeping, with the worker's
         wall-clock attached to the ``shard_apply`` span.
 
-        When the telemetry relay is active, *telemetry* carries the
-        worker's captured spans and metric deltas, *ipc* the byte/time
-        readings of both pickling directions, and *worker* the pool-slot
-        label.  The spans are grafted under the ``shard_apply`` span
-        (before it finishes — they enter the ring inside the stitched
-        ingest trace), the deltas merged into the global registry with
-        ``shard``/``worker`` labels, and the IPC readings turned into
-        the ``ipc_*`` accounting series.
+        On the telemetry relay, *telemetry* carries the worker's captured
+        spans and metric deltas, *ipc* the byte/time readings of both
+        pickling directions, and *worker* the pool-slot label; all three
+        land in the observability handle under the ``shard_apply`` span
+        (:meth:`~repro.obs.core.Observability.land_relay`).
         """
         obs = obs_runtime.ACTIVE
         with self.lock:
-            span = self._open_apply_span(obs, window, worker_seconds=worker_seconds)
+            span = self._open_apply_span(
+                obs, window, records=records, worker_seconds=worker_seconds
+            )
             try:
                 for name, items in per_view_items.items():
                     self.registry.view(name).absorb_states(items)
-                if span is not None and telemetry is not None and telemetry.spans:
-                    graft_attrs = {"worker": worker} if worker is not None else {}
-                    obs.tracer.graft(span, telemetry.spans, **graft_attrs)
+                if span is not None and telemetry is not None:
+                    obs.land_relay(span, self.label, telemetry, ipc, worker)
             finally:
                 if span is not None:
                     obs.tracer.finish(span)
@@ -357,66 +340,6 @@ class ShardUnit:
             if telemetry is not None:
                 self.remote_spans = telemetry.spans
             self.mark_applied(watermark, window, records)
-            if obs is not None:
-                self._relay_metrics(obs, telemetry, ipc, worker)
-
-    def _relay_metrics(
-        self,
-        obs: Any,
-        telemetry: Optional[WindowTelemetry],
-        ipc: Optional[Dict[str, Any]],
-        worker: Optional[str],
-    ) -> None:
-        """Publish one relayed window's IPC accounting and metric deltas."""
-        metrics = obs.metrics
-        shard = self.label
-        if ipc is not None:
-            metrics.inc("ipc_bytes_down_total", ipc["bytes_down"], shard=shard)
-            metrics.inc("ipc_bytes_up_total", ipc["bytes_up"], shard=shard)
-            metrics.observe(
-                "ipc_encode_seconds",
-                ipc["encode_down_seconds"],
-                shard=shard,
-                direction="down",
-            )
-            metrics.observe(
-                "ipc_decode_seconds",
-                ipc["decode_down_seconds"],
-                shard=shard,
-                direction="down",
-            )
-            metrics.observe(
-                "ipc_encode_seconds",
-                ipc["encode_up_seconds"],
-                shard=shard,
-                direction="up",
-            )
-            metrics.observe(
-                "ipc_decode_seconds",
-                ipc["decode_up_seconds"],
-                shard=shard,
-                direction="up",
-            )
-        if telemetry is not None:
-            metrics.merge_deltas(telemetry.metrics, shard=shard, worker=worker)
-            if telemetry.spans_dropped:
-                metrics.inc(
-                    "relay_spans_dropped_total", telemetry.spans_dropped, shard=shard
-                )
-            if telemetry.metrics_dropped:
-                metrics.inc(
-                    "relay_series_dropped_total",
-                    telemetry.metrics_dropped,
-                    shard=shard,
-                )
-            if worker is not None:
-                if telemetry.maxrss_bytes:
-                    metrics.set(
-                        "worker_rss_bytes", telemetry.maxrss_bytes, worker=worker
-                    )
-                metrics.set(
-                    "worker_cpu_seconds", telemetry.cpu_seconds, worker=worker
-                )
 
     # -- portability -------------------------------------------------------------------
 
@@ -769,14 +692,14 @@ class ProcessShardBackend(ShardBackend):
     window (amortized over its lifetime); per window only stamped value
     tuples go down and touched ``(key, state)`` pairs come back.
 
-    With observability installed (and ``relay_telemetry`` on), windows
-    travel through :func:`~repro.parallel.worker.worker_apply_relay`
-    instead: the parent pre-pickles the window (timing the encode,
-    counting the bytes) and the worker piggybacks a bounded
+    With observability installed, windows travel through
+    :func:`~repro.parallel.worker.worker_apply_relay` instead: the parent
+    pre-pickles the window (timing the encode, counting the bytes) and
+    the worker piggybacks a bounded
     :class:`~repro.parallel.worker.WindowTelemetry` — captured spans,
     metric deltas, resource readings — on the result, which
-    :meth:`ShardUnit.absorb` grafts, merges, and accounts.  With either
-    switch off the legacy path runs and the payload is byte-identical.
+    :meth:`ShardUnit.absorb` lands in the handle.  Without a handle the
+    minimal path runs and the payload is byte-identical.
 
     A worker that raises keeps its pool: the window failed, the parent
     watermark stands, and the next dispatch retries cleanly.  A worker
@@ -794,11 +717,8 @@ class ProcessShardBackend(ShardBackend):
 
     name = "process"
 
-    def __init__(self, workers: int, relay_telemetry: bool = True) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = max(1, workers)
-        #: Whether windows carry telemetry back when observability is on
-        #: (:attr:`~repro.core.config.DatabaseConfig.relay_telemetry`).
-        self.relay_telemetry = bool(relay_telemetry)
         self._context = multiprocessing.get_context("spawn")
         self._pools: List[Optional[ProcessPoolExecutor]] = [None] * self.workers
         weakref.finalize(self, _shutdown_pools, self._pools)
@@ -851,29 +771,21 @@ class ProcessShardBackend(ShardBackend):
 
     # -- dispatch ----------------------------------------------------------------------
 
-    def _relay_active(self) -> bool:
-        """Whether windows should travel through the telemetry relay.
-
-        Both switches must be on: the config knob *and* an installed
-        observability handle — with either off, dispatch uses the legacy
-        :func:`~repro.parallel.worker.worker_apply` entry point and the
-        cross-process payload is byte-identical to the minimal contract.
-        """
-        return self.relay_telemetry and obs_runtime.ACTIVE is not None
-
     def _encode_task(self, task: ShardTask) -> Tuple[Any, Tuple[Any, ...], Optional[Dict[str, Any]]]:
         """One task's submission: ``(worker fn, args, ipc meta or None)``.
 
-        On the relay path the parent pickles the window itself (so the
-        encode can be timed and the bytes counted); the pool then ships
-        an opaque ``bytes`` — re-pickling bytes is nearly free.  Off the
-        relay path the args are exactly PR 6's ``worker_apply`` payload.
+        Windows travel through the telemetry relay exactly when an
+        observability handle is installed.  On the relay path the parent
+        pickles the window itself (so the encode can be timed and the
+        bytes counted); the pool then ships an opaque ``bytes`` —
+        re-pickling bytes is nearly free.  Off it the args are exactly
+        the minimal ``worker_apply`` payload.
         """
         payload = {
             name: [row.values for row in rows]
             for name, rows in task.event.items()
         }
-        if not self._relay_active():
+        if obs_runtime.ACTIVE is None:
             return worker_apply, (task.unit.label, payload, task.watermark), None
         t0 = time.perf_counter()
         blob = pickle.dumps(
@@ -945,15 +857,12 @@ class ProcessShardBackend(ShardBackend):
                 blob, worker_decode, worker_encode = result
                 t0 = time.perf_counter()
                 items, records, elapsed, stats, telemetry = pickle.loads(blob)
-                decode_up = time.perf_counter() - t0
-                ipc = {
-                    "bytes_down": ipc_meta["bytes_down"],
-                    "bytes_up": len(blob),
-                    "encode_down_seconds": ipc_meta["encode_down_seconds"],
-                    "decode_down_seconds": worker_decode,
-                    "encode_up_seconds": worker_encode,
-                    "decode_up_seconds": decode_up,
-                }
+                ipc_meta.update(
+                    bytes_up=len(blob),
+                    decode_down_seconds=worker_decode,
+                    encode_up_seconds=worker_encode,
+                    decode_up_seconds=time.perf_counter() - t0,
+                )
                 task.unit.absorb(
                     items,
                     task.watermark,
@@ -962,7 +871,7 @@ class ProcessShardBackend(ShardBackend):
                     elapsed,
                     stats,
                     telemetry=telemetry,
-                    ipc=ipc,
+                    ipc=ipc_meta,
                     worker=str(self._slot_of(task.unit.label)),
                 )
         if error is not None:
@@ -1043,7 +952,7 @@ class FanOut:
         obs = obs_runtime.ACTIVE
         self._span = (
             obs.tracer.start("ingest", group=group.name, path=path)
-            if obs is not None and obs.trace
+            if obs is not None
             else None
         )
         self._admitted_at = time.time()
@@ -1081,7 +990,7 @@ class ShardEngine:
     def __init__(self, config: Any) -> None:
         self.shards: int = config.shards
         self.backend: ShardBackend = (
-            ProcessShardBackend(config.shards, config.relay_telemetry)
+            ProcessShardBackend(config.shards)
             if config.executor == "process"
             else ShardBackend()
         )
@@ -1145,9 +1054,11 @@ class ShardEngine:
             )
         warnings.warn(message, category, stacklevel=4)
         obs = obs_runtime.ACTIVE
-        if obs is not None:
-            obs.metrics.inc("shard_fallback_total", view=view_name)
-        self.fallbacks.append(view_name)
+        if obs is None:
+            self.fallbacks.append(view_name)
+        else:
+            with obs.tracer.span("shard_fallback", view=view_name):
+                self.fallbacks.append(view_name)
 
     @staticmethod
     def _materialize(shard_group: ShardGroup, view_name: str, summary: Summary) -> None:
@@ -1223,13 +1134,12 @@ class ShardEngine:
         if admitted_at is None:
             admitted_at = time.time()
         if obs is not None:
-            trace_id = parent_id = None
-            if obs.trace:
-                producer = obs.tracer.current()
-                if producer is not None:
-                    trace_id = producer.trace_id
-                    parent_id = producer.span_id
-            window = ShardWindow(trace_id, parent_id, admitted_at)
+            producer = obs.tracer.current()
+            window = (
+                ShardWindow(None, None, admitted_at)
+                if producer is None
+                else ShardWindow(producer.trace_id, producer.span_id, admitted_at)
+            )
         for unit, event in pending.items():
             # Mark the dispatch on the admission thread *before* the
             # worker runs: a concurrent health probe or scrape sees the
@@ -1237,22 +1147,10 @@ class ShardEngine:
             unit.dispatched = watermark
             unit.dispatched_at = admitted_at
             tasks.append(ShardTask(unit, event, watermark, window))
-            if obs is not None:
-                obs.metrics.inc(
-                    "shard_records_total",
-                    sum(len(rows) for rows in event.values()),
-                    shard=unit.label,
-                )
-                obs.metrics.set(
-                    "shard_lag_batches",
-                    max(0, watermark - unit.watermark),
-                    shard=unit.label,
-                )
         try:
             self.backend.run(tasks)
         except BaseException as exc:
             if obs is not None:
-                obs.metrics.inc("engine_errors_total")
                 # Watermarks and registry stats come from the database the
                 # handle is bound to; the failing task's window summary and
                 # the worker's last relayed spans (when the backend could
@@ -1260,6 +1158,7 @@ class ShardEngine:
                 # without reproducing it.
                 obs.incident(
                     "shard-worker-error",
+                    failure=True,
                     error=repr(exc),
                     watermark=watermark,
                     window=getattr(exc, "shard_task_summary", None),

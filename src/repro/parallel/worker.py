@@ -25,32 +25,34 @@ The cross-process contract is byte-minimal in both directions:
 
 **The telemetry relay.**  Spawned workers never inherit the parent's
 observability runtime, so when the parent has observability installed
-(and ``DatabaseConfig.relay_telemetry`` is on) each window additionally
-travels through :func:`worker_apply_relay`: the parent pre-pickles the
-window itself (timing the encode, counting the bytes), and the worker
+each window travels through :func:`worker_apply_relay` instead: the
+parent pre-pickles the window itself (timing the encode, counting the
+bytes), and the worker
 
 * installs a process-local capture handle
   (:class:`~repro.obs.core.Observability`, no operator spans, audit
   off) for exactly the window's extent, so the ordinary hooks record a
   ``window_apply`` → ``append`` → per-view ``maintain`` span tree with
   :class:`~repro.complexity.counters.CostCounters` diffs;
-* compacts the captured spans (:meth:`~repro.obs.tracer.Span
-  .to_record`) and drains its metrics registry as per-window deltas
-  (:meth:`~repro.obs.metrics.MetricsRegistry.to_deltas`), both **capped**
-  (:data:`RELAY_MAX_SPANS` / :data:`RELAY_MAX_SERIES`) with drop
-  counters — telemetry is bounded by catalog size, never by window
-  size, and degrades by dropping, never by blocking;
+* drains the handle (:meth:`~repro.obs.core.Observability.drain_relay`):
+  the captured spans as compact records
+  (:func:`~repro.obs.tracer.span_records`) and the registry as
+  per-window metric deltas, both **capped** (:data:`RELAY_MAX_SPANS` /
+  :data:`RELAY_MAX_SERIES`) with drop counters — telemetry is bounded
+  by catalog size, never by window size, and degrades by dropping,
+  never by blocking;
 * returns them in a :class:`WindowTelemetry` piggybacked on the same
   result tuple — no second channel — together with its decode/encode
   wall times and resource readings (max RSS, CPU seconds).
 
-The parent grafts the spans under its ``shard_apply`` span
-(:meth:`~repro.obs.tracer.Tracer.graft` — so worker-side ``maintain``
-spans share the producing ingest's ``trace_id``), merges the metric
-deltas with ``shard``/``worker`` labels, and turns the byte/time
-readings into the ``ipc_*`` accounting series.  With observability off
-the relay never engages: windows go through :func:`worker_apply` and the
-cross-process payload is byte-identical to the minimal contract above.
+The parent lands it all under its ``shard_apply`` span
+(:meth:`~repro.obs.core.Observability.land_relay`: the spans grafted, so
+worker-side ``maintain`` spans share the producing ingest's
+``trace_id``; the metric deltas merged with ``shard``/``worker``
+labels; the byte/time readings turned into the ``ipc_*`` accounting
+series).  With observability off the relay never engages: windows go
+through :func:`worker_apply` and the cross-process payload is
+byte-identical to the minimal contract above.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from ..algebra.plan import build_schema, build_summary
 from ..core.chronicle import Chronicle
 from ..core.group import ChronicleGroup
 from ..core.sequence import SequenceNumber
+from ..obs import runtime as obs_runtime
 from ..relational.tuples import Row
 from ..sca.view import PersistentView
 from ..views.registry import ViewRegistry
@@ -123,25 +126,23 @@ class WindowTelemetry:
 
     A plain attribute bag (pickles by default), deliberately bounded:
     *spans* holds at most :data:`RELAY_MAX_SPANS` compact records and
-    *metrics* at most :data:`RELAY_MAX_SERIES` delta series; anything
-    beyond is dropped and counted in the ``*_dropped`` fields, which the
-    parent surfaces as ``relay_spans_dropped_total`` /
-    ``relay_series_dropped_total``.
+    *series* at most :data:`RELAY_MAX_SERIES` metric delta series;
+    anything beyond is dropped and counted in the ``*_dropped`` fields.
     """
 
     def __init__(
         self,
         spans: List[Dict[str, Any]],
         spans_dropped: int,
-        metrics: List[Tuple[str, str, Any, Any]],
-        metrics_dropped: int,
+        series: List[Tuple[str, str, Any, Any]],
+        series_dropped: int,
         maxrss_bytes: int,
         cpu_seconds: float,
     ) -> None:
         self.spans = spans
         self.spans_dropped = spans_dropped
-        self.metrics = metrics
-        self.metrics_dropped = metrics_dropped
+        self.series = series
+        self.series_dropped = series_dropped
         self.maxrss_bytes = maxrss_bytes
         self.cpu_seconds = cpu_seconds
 
@@ -149,7 +150,7 @@ class WindowTelemetry:
         return (
             f"WindowTelemetry(spans={len(self.spans)}"
             f"{f'+{self.spans_dropped} dropped' if self.spans_dropped else ''}, "
-            f"series={len(self.metrics)}, rss={self.maxrss_bytes})"
+            f"series={len(self.series)}, rss={self.maxrss_bytes})"
         )
 
 
@@ -167,104 +168,36 @@ def _rusage() -> Tuple[int, float]:
     return maxrss, float(usage.ru_utime + usage.ru_stime)
 
 
-def _compact_spans(
-    roots: Sequence[Any], cap: int = RELAY_MAX_SPANS
-) -> Tuple[List[Dict[str, Any]], int]:
-    """Compact finished root spans into bounded relay records.
-
-    The span *count* (whole tree, depth-first) is what the cap bounds;
-    once reached, remaining subtrees are dropped and counted — the
-    shallow structure (window → append → first views) survives pressure,
-    the deep tail goes first.
-    """
-    budget = cap
-    dropped = 0
-
-    def take(span: Any) -> Optional[Dict[str, Any]]:
-        nonlocal budget, dropped
-        if budget <= 0:
-            dropped += sum(1 for _ in span.walk())
-            return None
-        budget -= 1
-        record: Dict[str, Any] = {
-            "name": span.name,
-            "started_at": span.started_at,
-            "duration": span.duration,
-        }
-        if span.attrs:
-            record["attrs"] = dict(span.attrs)
-        if span.counters:
-            record["counters"] = dict(span.counters)
-        children = []
-        for child in span.children:
-            taken = take(child)
-            if taken is not None:
-                children.append(taken)
-        if children:
-            record["children"] = children
-        return record
-
-    out = []
-    for root in roots:
-        record = take(root)
-        if record is not None:
-            out.append(record)
-    return out, dropped
+#: The worker process's private observability handle, built on the first
+#: relayed window (plain :func:`worker_apply` windows never pay for it):
+#: operator spans off (the deepest layer would dominate the relay budget
+#: for no routing value), auditor off (the parent's auditor already saw
+#: this view class; a worker-side raise could not propagate usefully
+#: anyway).  It is installed into the worker's runtime slot only for a
+#: window's extent and drained after each window, so its registry holds
+#: exactly one window's deltas at a time.
+_CAPTURE: Optional[Any] = None
 
 
-class _TelemetryCapture:
-    """The worker process's private observability handle.
-
-    Built lazily on the first relayed window (plain :func:`worker_apply`
-    windows never pay for it): tracing on, operator spans off (the
-    deepest layer would dominate the relay budget for no routing value),
-    auditor off (the parent's auditor already saw this view class; a
-    worker-side raise could not propagate usefully anyway).  The handle
-    is installed into the worker's runtime slot only for a window's
-    extent and reset between windows, so its registry accumulates
-    exactly one window's deltas at a time.
-    """
-
-    def __init__(self) -> None:
-        from ..obs.core import Observability
-
-        self.obs = Observability(trace=True, trace_operators=False, audit="off")
-
-    def run(self, replica: "UnitReplica", window: WindowValues, watermark: SequenceNumber):
-        from ..obs import runtime as obs_runtime
-
-        obs = self.obs
-        obs.metrics.reset()
-        obs.tracer.clear()
-        with obs_runtime.installed(obs):
-            with obs.tracer.span(
-                "window_apply", shard=replica.label, watermark=watermark
-            ):
-                result = replica.apply(window, watermark)
-        spans, spans_dropped = _compact_spans(obs.tracer.traces())
-        deltas = obs.metrics.to_deltas()
-        metrics_dropped = max(0, len(deltas) - RELAY_MAX_SERIES)
-        maxrss, cpu_seconds = _rusage()
-        telemetry = WindowTelemetry(
-            spans,
-            spans_dropped,
-            deltas[:RELAY_MAX_SERIES],
-            metrics_dropped,
-            maxrss,
-            cpu_seconds,
-        )
-        return result + (telemetry,)
-
-
-#: The worker's lazily-built capture handle (None until first relay).
-_CAPTURE: Optional[_TelemetryCapture] = None
-
-
-def _capture() -> _TelemetryCapture:
+def _relay_window(
+    replica: "UnitReplica", window: WindowValues, watermark: SequenceNumber
+) -> Tuple[Any, ...]:
+    """:meth:`UnitReplica.apply` under the capture handle, plus its telemetry."""
     global _CAPTURE
     if _CAPTURE is None:
-        _CAPTURE = _TelemetryCapture()
-    return _CAPTURE
+        from ..obs.core import Observability
+
+        _CAPTURE = Observability(trace_operators=False, audit="off")
+    obs = _CAPTURE
+    try:
+        with obs_runtime.installed(obs):
+            with obs.tracer.span("window_apply", shard=replica.label, watermark=watermark):
+                result = replica.apply(window, watermark)
+    finally:
+        # Drained even when the window failed: the next window's
+        # telemetry must be its own.
+        drained = obs.drain_relay(RELAY_MAX_SPANS, RELAY_MAX_SERIES)
+    return result + (WindowTelemetry(*drained, *_rusage()),)
 
 
 class UnitReplica:
@@ -410,7 +343,7 @@ def worker_apply_relay(label: str, blob: bytes) -> Tuple[bytes, float, float]:
     t0 = time.perf_counter()
     window, watermark = pickle.loads(blob)
     decode_seconds = time.perf_counter() - t0
-    payload = _capture().run(_REPLICAS[label], window, watermark)
+    payload = _relay_window(_REPLICAS[label], window, watermark)
     t0 = time.perf_counter()
     result = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     encode_seconds = time.perf_counter() - t0

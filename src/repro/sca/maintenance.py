@@ -48,7 +48,7 @@ def attach_view(
         if not deltas:
             return
         obs = obs_runtime.ACTIVE
-        if obs is not None and obs.trace:
+        if obs is not None:
             with obs.tracer.span("maintain", view=view.name, engine="compiled") as span:
                 span.attrs["rows"] = view.apply_event(deltas)
         else:

@@ -220,16 +220,11 @@ class DurabilityManager:
             name: [row.values for row in rows] for name, rows in event.items()
         }
         obs = obs_runtime.ACTIVE
-        if obs is not None:
-            started = time.perf_counter()
-            size = self.wal.log_batch(group.name, payload, watermark)
-            obs.metrics.inc("wal_batches_total", group=group.name)
-            obs.metrics.inc("wal_bytes_total", size, group=group.name)
-            obs.metrics.observe(
-                "wal_append_seconds", time.perf_counter() - started, group=group.name
-            )
-        else:
+        if obs is None:
             self.wal.log_batch(group.name, payload, watermark)
+        else:
+            with obs.tracer.span("wal_append", group=group.name) as span:
+                span.attrs["bytes"] = self.wal.log_batch(group.name, payload, watermark)
         self._batches_since_snapshot += 1
 
     def batch_committed(self) -> None:
@@ -337,10 +332,7 @@ class DurabilityManager:
         """
         db = self._database()
         obs = obs_runtime.ACTIVE
-        span = None
-        if obs is not None and obs.trace:
-            span = obs.tracer.start("snapshot", path=self.wal.path)
-        started = time.perf_counter()
+        span = None if obs is None else obs.tracer.start("snapshot", path=self.wal.path)
         try:
             document = None
             if (
@@ -361,6 +353,8 @@ class DurabilityManager:
             document["watermarks"] = db.watermarks()
             watermark = self._watermark()
             size, truncated = self.wal.write_snapshot(document, watermark, base=base)
+            if span is not None:
+                span.attrs["bytes"], span.attrs["truncated"] = size, truncated
         except BaseException:
             # The folds' records were taken (or recording restarted) for
             # a snapshot that is not on disk: only a base can follow.
@@ -376,11 +370,6 @@ class DurabilityManager:
             self._delta_bytes += size
             self._chain_deltas += 1
         self._batches_since_snapshot = 0
-        if obs is not None:
-            obs.metrics.inc("snapshots_total", kind=kind)
-            obs.metrics.set("snapshot_bytes", size, kind=kind)
-            obs.metrics.inc("wal_truncated_rows_total", truncated)
-            obs.metrics.observe("snapshot_seconds", time.perf_counter() - started)
         return watermark
 
     # -- recovery ----------------------------------------------------------------
@@ -399,9 +388,7 @@ class DurabilityManager:
         """
         db = self._database()
         obs = obs_runtime.ACTIVE
-        span = None
-        if obs is not None and obs.trace:
-            span = obs.tracer.start("recovery", path=self.wal.path)
+        span = None if obs is None else obs.tracer.start("recovery", path=self.wal.path)
         started = time.perf_counter()
         self._live = False
         try:
@@ -509,10 +496,6 @@ class DurabilityManager:
             if span is not None:
                 span.attrs["replayed_batches"] = replayed
                 span.attrs["replayed_ddl"] = replayed_ddl
-            if obs is not None:
-                obs.metrics.inc("recoveries_total")
-                obs.metrics.set("recovery_replayed_batches", replayed)
-                obs.metrics.observe("recovery_seconds", elapsed)
             return self.last_recovery
         except RecoveryError as exc:
             self._recovery_failed(exc)
@@ -528,16 +511,13 @@ class DurabilityManager:
                 obs.tracer.finish(span)
 
     def _recovery_failed(self, exc: BaseException) -> None:
-        """Incident bundle + metrics on a failed recovery; close the log."""
-        obs = obs_runtime.ACTIVE
-        if obs is not None:
-            obs.metrics.inc("recovery_failures_total")
+        """Incident bundle (which counts the failure); close the log."""
         db = self._db_ref()
         handle = db._observability if db is not None else None
         if handle is None:
             from ..obs import Observability
 
-            handle = Observability(trace=False, audit="off")
+            handle = Observability(audit="off")
             if db is not None:
                 handle.bind_database(db)
         bundle = os.path.join(self.config.dir, "recovery-failure.json")
@@ -545,6 +525,7 @@ class DurabilityManager:
             handle.incident(
                 "recovery-failure",
                 path=bundle,
+                failure=True,
                 error=repr(exc),
                 wal=self.wal.path,
             )
@@ -562,17 +543,11 @@ class DurabilityManager:
         if self._live:
             self._record_periodic_clocks()
         obs = obs_runtime.ACTIVE
-        span = None
-        if obs is not None and obs.trace:
-            span = obs.tracer.start("wal_flush", path=self.wal.path)
-        started = time.perf_counter()
-        try:
+        if obs is None:
             self.wal.flush()
-        finally:
-            if span is not None:
-                obs.tracer.finish(span)
-        if obs is not None:
-            obs.metrics.observe("wal_flush_seconds", time.perf_counter() - started)
+        else:
+            with obs.tracer.span("wal_flush", path=self.wal.path):
+                self.wal.flush()
 
     def close(self) -> None:
         """Finalize the log: final snapshot (if due), fsync, detach, close."""

@@ -242,10 +242,6 @@ class ViewRegistry:
             "prefilter_hits": 0,
             "prefilter_misses": 0,
         }
-        # Per-view maintenance observations (span count + last append
-        # latency), populated only while observability is installed —
-        # the numbers come from the ``maintain`` spans.
-        self._per_view: Dict[str, Dict[str, float]] = {}
         self._compiler = PlanCompiler()
         self._plans_stale = False
 
@@ -288,7 +284,11 @@ class ViewRegistry:
         registered = self._views.pop(name, None)
         if registered is None:
             raise ViewRegistrationError(f"no view named {name!r}")
-        self._per_view.pop(name, None)
+        obs = obs_runtime.ACTIVE
+        if obs is not None:
+            # Restarts the view's per-view stats on the handle.
+            with obs.tracer.span("drop_view", view=name):
+                pass
         for chronicle_name in registered.prefilters:
             self._by_chronicle[chronicle_name].discard(registered.rank)
         self._compiler.remove_root(registered.root)
@@ -323,29 +323,12 @@ class ViewRegistry:
         """Merge several registries' :attr:`stats` dicts into one.
 
         The sharded engine keeps one registry per shard; this produces
-        the database-wide view: numeric keys are summed, ``per_view``
-        entries merge by view name (span counts summed, the most recent
-        last-append latency kept — i.e. the max, since shards of one
-        batch finish within the same append).
+        the database-wide view by summing every key.
         """
         merged: Dict[str, Any] = {}
-        per_view: Dict[str, Dict[str, float]] = {}
         for stats in many:
             for key, value in stats.items():
-                if key == "per_view":
-                    for name, values in value.items():
-                        into = per_view.setdefault(
-                            name, {"spans": 0, "last_append_seconds": 0.0}
-                        )
-                        into["spans"] += values.get("spans", 0)
-                        into["last_append_seconds"] = max(
-                            into["last_append_seconds"],
-                            values.get("last_append_seconds", 0.0),
-                        )
-                else:
-                    merged[key] = merged.get(key, 0) + value
-        if per_view:
-            merged["per_view"] = per_view
+                merged[key] = merged.get(key, 0) + value
         return merged
 
     @property
@@ -359,20 +342,11 @@ class ViewRegistry:
         not skipped by the Section 5.2 prefilter; with it on they sum to
         ``candidate_views``).  The same numbers are surfaced as metrics
         (``view_prefilter_total{outcome}``, ``view_maintained_total``)
-        when observability is installed.
-
-        While observability is installed, a ``per_view``
-        key is added: ``{view: {"spans": n, "last_append_seconds": s}}``
-        from that view's ``maintain`` spans — absent entirely when no
-        span was ever observed, so uninstrumented runs see the original
-        flat shape.
+        when observability is installed; per-view span counts and
+        latencies are the observability handle's
+        (:meth:`~repro.obs.core.Observability.view_stats`).
         """
-        out: Dict[str, Any] = dict(self._stats)
-        if self._per_view:
-            out["per_view"] = {
-                name: dict(values) for name, values in self._per_view.items()
-            }
-        return out
+        return dict(self._stats)
 
     # -- compilation --------------------------------------------------------------------
 
@@ -412,7 +386,7 @@ class ViewRegistry:
         only added cost is one module-attribute load per event.
         """
         obs = obs_runtime.ACTIVE
-        tracer = obs.tracer if obs is not None and obs.trace else None
+        tracer = obs.tracer if obs is not None else None
         stats = self._stats
         stats["events"] += 1
         if self._plans_stale:
@@ -448,13 +422,6 @@ class ViewRegistry:
                 stats["views_examined"] += len(examined)
                 stats["prefilter_hits"] += hits
                 stats["prefilter_misses"] += len(survivors)
-                if obs is not None:
-                    if hits:
-                        obs.metrics.inc("view_prefilter_total", hits, outcome="hit")
-                    if survivors:
-                        obs.metrics.inc(
-                            "view_prefilter_total", len(survivors), outcome="miss"
-                        )
                 if span is not None:
                     span.attrs["skipped"] = hits
                     span.attrs["examined"] = len(examined)
@@ -485,15 +452,6 @@ class ViewRegistry:
             finally:
                 if span is not None:
                     tracer.finish(span)
-            if span is not None:
-                per_view = self._per_view.get(registered.view.name)
-                if per_view is None:
-                    per_view = self._per_view[registered.view.name] = {
-                        "spans": 0,
-                        "last_append_seconds": 0.0,
-                    }
-                per_view["spans"] += 1
-                per_view["last_append_seconds"] = span.duration
         maintained = len(survivors)
         stats["maintained_views"] += maintained
         return maintained

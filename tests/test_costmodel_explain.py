@@ -127,7 +127,7 @@ class TestCostLedger:
 class TestLedgerFromIngest:
     def test_populated_from_normal_appends(self):
         db = make_banking_db()
-        obs = Observability(trace=True, trace_operators=True, audit="off")
+        obs = Observability(audit="off")
         with obs_runtime.installed(obs):
             drive(db, events=8)
         views = obs.cost_ledger.views()
@@ -142,7 +142,7 @@ class TestLedgerFromIngest:
 
     def test_operator_entries_carry_counters(self):
         db = make_banking_db()
-        obs = Observability(trace=True, trace_operators=True, audit="off")
+        obs = Observability(audit="off")
         with obs_runtime.installed(obs):
             drive(db, events=8)
         op_entries = [
@@ -155,24 +155,15 @@ class TestLedgerFromIngest:
 
     def test_cost_snapshot_round_trips(self):
         db = make_banking_db()
-        obs = Observability(trace=True, trace_operators=True, audit="off")
+        obs = Observability(audit="off")
         with obs_runtime.installed(obs):
             drive(db, events=5)
         snapshot = obs.cost_snapshot()
         assert CostLedger.from_json(json.dumps(snapshot)).as_dict() == snapshot
 
-    def test_costs_off_keeps_ledger_empty(self):
-        db = make_banking_db()
-        obs = Observability(trace=True, trace_operators=True, audit="off", costs=False)
-        assert obs.record_costs is False
-        with obs_runtime.installed(obs):
-            drive(db, events=5)
-        assert len(obs.cost_ledger) == 0
-        assert obs.tracer.completed_count == 5  # tracing itself still on
-
     def test_snapshot_reports_ledger_stats(self):
         db = make_banking_db()
-        obs = Observability(trace=True, trace_operators=True, audit="off")
+        obs = Observability(audit="off")
         with obs_runtime.installed(obs):
             drive(db, events=3)
         snap = obs.snapshot()
@@ -215,7 +206,7 @@ class TestDisabledMode:
         assert obs_runtime.ACTIVE is None
 
     def test_uninstalled_handle_records_nothing(self):
-        obs = Observability(trace=True, trace_operators=True, audit="off")
+        obs = Observability(audit="off")
         db = make_banking_db()
         drive(db, events=6)
         assert len(obs.cost_ledger) == 0

@@ -369,12 +369,6 @@ class TestRuntime:
             assert obs_runtime.ACTIVE is outer
         assert obs_runtime.ACTIVE is None
 
-    def test_audit_mode_forces_tracing(self):
-        obs = Observability(trace=False, audit="warn")
-        assert obs.trace
-        obs = Observability(trace=False, audit="off")
-        assert not obs.trace and not obs.trace_operators
-
 
 # ---------------------------------------------------------------------------
 # End-to-end: the database under observation
@@ -607,11 +601,12 @@ class TestPerViewRegistryStats:
             "DEFINE VIEW talkers AS SELECT caller, COUNT(*) AS n "
             "FROM calls GROUP BY caller"
         )
-        assert "per_view" not in db.registry.stats  # nothing observed yet
+        assert "per_view" not in db.stats  # nothing observed yet
         with db.enable_observability(audit="off"):
             db.append("calls", {"caller": 1, "minutes": 5})
             db.append("calls", {"caller": 1, "minutes": 2})
-        per_view = db.registry.stats["per_view"]
+        assert "per_view" not in db.registry.stats  # the handle's, not a copy
+        per_view = db.stats["per_view"]
         assert per_view["usage"]["spans"] == 2
         assert per_view["talkers"]["spans"] == 2
         assert per_view["usage"]["last_append_seconds"] > 0.0
@@ -619,15 +614,133 @@ class TestPerViewRegistryStats:
     def test_uninstrumented_appends_do_not_count(self):
         db = make_db()
         db.append("calls", {"caller": 1, "minutes": 5})
-        assert "per_view" not in db.registry.stats
+        assert "per_view" not in db.stats
         with db.enable_observability(audit="off"):
             db.append("calls", {"caller": 1, "minutes": 2})
-        assert db.registry.stats["per_view"]["usage"]["spans"] == 1
+        assert db.stats["per_view"]["usage"]["spans"] == 1
 
     def test_stats_copy_is_isolated(self):
         db = make_db()
         with db.enable_observability(audit="off"):
             db.append("calls", {"caller": 1, "minutes": 5})
-        stats = db.registry.stats
+        stats = db.stats
         stats["per_view"]["usage"]["spans"] = 999
-        assert db.registry.stats["per_view"]["usage"]["spans"] == 1
+        assert db.stats["per_view"]["usage"]["spans"] == 1
+
+    @pytest.mark.parametrize("engine", ["serial", "sharded"])
+    def test_redefined_view_starts_clean(self, engine):
+        """drop → re-define under the same name: the new view's stats are its own."""
+        from repro.cli import Session
+
+        session = Session(config=DatabaseConfig(engine=engine, shards=2))
+        db = session.db
+        session.execute("CREATE CHRONICLE calls (caller INT, minutes INT) RETENTION 0")
+        usage = "DEFINE VIEW usage AS SELECT caller, SUM(minutes) AS total FROM calls GROUP BY caller"
+        session.execute(usage)
+        for minutes in (5, 2):
+            session.execute(f'APPEND calls [{{"caller": 1, "minutes": {minutes}}}]')
+        assert db.stats["per_view"]["usage"]["spans"] == 2
+        with obs_runtime.installed(db.observability):  # the shell has no DROP VIEW
+            db.drop_view("usage")
+        assert "per_view" not in db.stats
+        session.execute(usage)
+        assert "per_view" not in db.stats
+        # SHOW STATS lists the facade registry's views: the partitioned
+        # ones of the sharded engine live on the shard units.
+        facade = engine == "serial"
+        assert "usage:" not in session.execute("SHOW STATS").split("== audit ==")[0]
+        session.execute('APPEND calls [{"caller": 1, "minutes": 9}]')
+        assert db.stats["per_view"]["usage"]["spans"] == 1
+        assert ("usage: 1 maintain spans" in session.execute("SHOW STATS")) is facade
+        # The counter itself never shrinks: it still counts all three.
+        maintained = db.observability.metrics.series("view_maintained_total")
+        assert sum(counter.value for _, counter in maintained) == 3
+
+
+class TestStateSeries:
+    """The series read from database state rather than pushed by writes."""
+
+    @staticmethod
+    def _db():
+        db = make_db()
+        db.create_chronicle("kept", [("x", "INT")])
+        return db
+
+    def test_appends_before_enabling_are_not_counted(self):
+        db = self._db()
+        db.append("kept", [{"x": 1}, {"x": 2}])
+        with db.enable_observability(audit="off"):
+            db.append("kept", {"x": 3})
+            db.append("calls", {"caller": 1, "minutes": 5})
+            metrics = db.observability.metrics
+        assert metrics.value("chronicle_appends_total", chronicle="kept") == 1
+        assert metrics.value("chronicle_stored_rows", chronicle="kept") == 3
+        assert metrics.value("chronicle_appends_total", chronicle="calls") == 1
+        assert metrics.value("chronicle_stored_rows", chronicle="calls") == 0
+
+    def test_unobserved_chronicle_has_no_series(self):
+        db = self._db()
+        db.append("kept", {"x": 1})
+        with db.enable_observability(audit="off"):
+            db.append("calls", {"caller": 1, "minutes": 5})
+            families = db.observability.metrics.as_dict()
+        assert list(families["chronicle_appends_total"]["series"]) == ["chronicle=calls"]
+        assert list(families["chronicle_stored_rows"]["series"]) == ["chronicle=calls"]
+
+    def test_state_series_follow_the_bound_database(self):
+        """Bound, not installed: the gauges and the counter still read state."""
+        db = self._db()
+        with db.enable_observability(audit="off") as obs:
+            db.append("kept", {"x": 1})
+        db.append("kept", {"x": 2})
+        assert obs.metrics.value("chronicle_appends_total", chronicle="kept") == 2
+        assert obs.metrics.value("chronicle_stored_rows", chronicle="kept") == 2
+        # Span-derived series only count what happened while installed.
+        assert obs.metrics.value("chronicle_records_admitted_total", chronicle="kept") == 1
+
+    def test_rebinding_the_same_database_keeps_counting(self):
+        db = self._db()
+        obs = db.enable_observability(audit="off")
+        db.append("kept", {"x": 1})
+        db.disable_observability()
+        db.enable_observability()
+        db.append("kept", {"x": 2})
+        assert obs.metrics.value("chronicle_appends_total", chronicle="kept") == 2
+        obs.uninstall()
+
+    def test_unbound_installed_handle_reads_no_state(self):
+        """A handle installed without a database derives every span series
+        but has no state to read."""
+        db = self._db()
+        obs = Observability(audit="off")
+        with obs_runtime.installed(obs):
+            db.append("kept", {"x": 1})
+        families = obs.metrics.as_dict()
+        assert families["append_events_total"]["series"] == {"group=default": 1}
+        assert families["chronicle_records_admitted_total"]["series"] == {"chronicle=kept": 1}
+        assert "chronicle_appends_total" not in families
+        assert "chronicle_stored_rows" not in families
+
+
+class TestIncidentCounters:
+    def test_manual_dump_counts_no_error(self, tmp_path):
+        """Only the library's own failure sites count: a manual dump named
+        like one leaves the error counters and the hard health check alone."""
+        db = make_db(observe=True)
+        try:
+            for reason in ("shard-worker-error", "recovery-failure"):
+                db.dump_incident(reason, path=str(tmp_path / f"{reason}.json"))
+            metrics = db.observability.metrics
+            assert metrics.value("engine_errors_total") is None
+            assert metrics.value("recovery_failures_total") is None
+            assert db.health().status != "FAILING"
+        finally:
+            db.disable_observability()
+
+    def test_failure_incident_counts_its_reason(self):
+        obs = Observability(audit="off")
+        obs.incident("shard-worker-error", failure=True)
+        obs.incident("recovery-failure", failure=True)
+        obs.incident("slo-breach", failure=True)  # not an error counter
+        assert obs.metrics.value("engine_errors_total") == 1
+        assert obs.metrics.value("recovery_failures_total") == 1

@@ -1,5 +1,5 @@
 """Guard: one maintenance path, one database class, one write path, one
-snapshot path, one walk over the plan.
+snapshot path, one walk over the plan, one way to hook telemetry.
 
 The literal Theorem 4.1 interpreter (:mod:`repro.algebra.reference`) is
 an oracle for tests, benchmarks and the conformance profiler.  If any
@@ -18,18 +18,25 @@ interning keys, portable specs and shard rebinding are each one generic
 function, and per-operator rules are one ``{operator class: rule}``
 table per consumer.  A ``with_children`` override, an operator class
 named inside one of the generic functions, or a new ``isinstance`` test
-against an operator class is a ladder growing back.
+against an operator class is a ladder growing back.  Telemetry, finally:
+outside :mod:`repro.obs` code only opens spans, so no module there
+writes a metric and none but the shell (which renders what it reads)
+names a metric family, every span-derived
+metric is one row of ``SPAN_RULES`` in ``obs/core.py``, and the
+observability knobs nobody set stay deleted.
 """
 
 import ast
 import dataclasses
 import inspect
+import json
 import pathlib
 
 import repro
 from repro.algebra.ast import Node
 from repro.core.config import EXECUTORS, DatabaseConfig, DurabilityConfig
 from repro.core.database import ChronicleDatabase
+from repro.obs.core import INCIDENT_COUNTERS, SPAN_RULES, Observability
 from repro.sca.view import PersistentView
 from repro.views.registry import ViewRegistry
 
@@ -131,7 +138,7 @@ def test_write_methods_are_written_once():
 
 def test_no_new_knob():
     assert EXECUTORS == ("serial", "process")
-    assert len(dataclasses.fields(DatabaseConfig)) == 11
+    assert len(dataclasses.fields(DatabaseConfig)) == 10
     assert len(dataclasses.fields(DurabilityConfig)) == 4
 
 
@@ -302,3 +309,81 @@ def test_operator_isinstance_tests_stay_counted():
     for site in sites:
         assert site in remaining, f"new operator-class isinstance test in {site}"
         remaining.remove(site)
+
+
+# -- one way to hook telemetry ---------------------------------------------------
+
+OBS = SRC / "obs"
+GOLDEN = pathlib.Path(__file__).with_name("one_hook_golden.json")
+
+
+def _metric_families():
+    """Every metric family the telemetry golden runs produce."""
+    golden = json.loads(GOLDEN.read_text())
+    runs = [run for name, run in golden.items() if name != "durable"]
+    runs += list(golden["durable"].values())
+    return {family for run in runs for family in run["metrics"]} | set(INCIDENT_COUNTERS.values())
+
+
+#: The metrics registry's write methods.
+REGISTRY_WRITES = {"inc", "set", "observe", "counter", "gauge", "histogram", "merge_deltas", "reset"}
+
+
+def _is_registry(node):
+    """``<x>.metrics``, ``<x>._metrics`` or a local named ``metrics``."""
+    return (isinstance(node, ast.Attribute) and node.attr in ("metrics", "_metrics")) or (
+        isinstance(node, ast.Name) and node.id == "metrics"
+    )
+
+
+def test_only_obs_writes_metrics():
+    """No metric write and no private registry access outside obs/."""
+    offenders = [
+        (str(path.relative_to(SRC)), node.lineno)
+        for path in sorted(SRC.rglob("*.py"))
+        if OBS not in path.parents
+        for node in ast.walk(_tree(path))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in REGISTRY_WRITES
+            and _is_registry(node.value)
+        )
+        or (isinstance(node, ast.Attribute) and node.attr == "_metrics")
+    ]
+    assert offenders == []
+
+
+def test_only_obs_names_metric_families():
+    """The write path never names a metric.  The shell is the one reader
+    outside obs/ that does: it renders SHOW output from the registry."""
+    families = _metric_families()
+    assert "view_maintained_total" in families and "chronicle_stored_rows" in families
+    offenders = [
+        (str(path.relative_to(SRC)), node.lineno, node.value)
+        for path in sorted(SRC.rglob("*.py"))
+        if OBS not in path.parents and path != SRC / "cli.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Constant) and node.value in families
+    ]
+    assert offenders == []
+
+
+def test_span_rules_are_one_table():
+    # The bridge looks the rule up; no comparison names a span anywhere
+    # in the module (the if/elif ladder it replaced did).
+    core = _tree(OBS / "core.py")
+    compared = {
+        node.value
+        for compare in ast.walk(core)
+        if isinstance(compare, ast.Compare)
+        for node in ast.walk(compare)
+        if isinstance(node, ast.Constant)
+    }
+    assert not compared & set(SPAN_RULES)
+
+
+def test_observability_knobs_stay_deleted():
+    parameters = list(inspect.signature(Observability.__init__).parameters)[1:]
+    assert parameters == ["trace_operators", "audit", "ring", "slo", "incident_dir"]
+    assert not hasattr(Observability(), "trace")
+    assert not hasattr(ViewRegistry(), "_per_view")

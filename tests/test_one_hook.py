@@ -1,0 +1,422 @@
+"""One way to hook telemetry: what "same telemetry" means, pinned.
+
+Code outside :mod:`repro.obs` only opens spans; every metric is derived
+from a finished span by one ``{span name: rule}`` table in
+``obs/core.py``, from an incident reason, from a relayed worker window,
+or read from database state when a reader asks.  These tests pin what
+that produces on four fixed runs, all with ``observe=True``:
+
+* ``serial`` — a text-DDL catalog with a relation join, a periodic view,
+  an unpartitionable total, two chronicles (one with a retention
+  window), prefilter hits and misses, a batch with duplicate records and
+  a batch refused half-way through admission;
+* ``sharded_inline`` — the same stream on ``engine="sharded"`` with the
+  inline executor and two key classes;
+* ``durable`` — ``wal+snapshot`` with interval 3, a flush, a crash
+  (``durability.abort()``) and ``ChronicleDatabase.open``;
+* ``sharded_process`` — the same stream as ``serial`` on two worker
+  processes with the telemetry relay on.
+
+Per run the golden holds ``metrics.as_dict()`` (counter and gauge values
+kept, histograms reduced to their count, the timing gauges to presence,
+and so is ``cost_index_probe_total``, the one cost count that still moves
+with the hash seed),
+the (name, identity attrs, children) shape of every trace, the health
+verdict, the incident-bundle keys, the ``/timeline`` vocabulary and the
+``SHOW STATS`` / ``SHOW WORKERS`` / ``TRACE 3`` text with timings
+masked.  The capture runs in a child interpreter under
+``PYTHONHASHSEED=0``.
+
+The golden was captured before the telemetry hooks moved behind the span
+table; the differences that move made on purpose are applied to it in
+:func:`expected` and nowhere else:
+
+* on ``sharded_inline`` the chronicle-labelled series equal the serial
+  run's (every shard unit's mirror chronicle used to write the same
+  series as the real chronicle);
+* on ``sharded_process`` the worker replicas' relayed ``chronicle_*``
+  series are gone, and with them the bytes they took in the result
+  pickles, so ``ipc_bytes_up_total`` may only shrink;
+* traces gain ``wal_append`` and ``shard_fallback`` spans, and spans
+  gain the attributes the rules read (``admitted`` on ``append``,
+  ``records`` on ``shard_apply``, ``bytes``/``truncated`` on
+  ``snapshot``); ``SHOW WORKERS`` drops its ``relay_telemetry=on`` flag.
+
+To re-capture after a change that is *meant* to alter one of these
+results, run ``PYTHONHASHSEED=0 PYTHONPATH=src python -m
+tests.test_one_hook > tests/one_hook_golden.json`` from the repository
+root.
+"""
+
+import copy
+import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
+import tempfile
+import warnings
+from typing import Any, Dict, List
+
+import pytest
+
+from repro import ChronicleDatabase, DatabaseConfig
+from repro.cli import Session
+from repro.core.config import DurabilityConfig, HistoryConfig
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = pathlib.Path(__file__).with_name("one_hook_golden.json")
+
+#: Gauges whose value is a wall-clock reading, and the one cost count
+#: that still moves with the hash seed (by one probe in ~90 on the serial
+#: run between seeds 0 and 1): kept as presence only.
+PRESENCE_ONLY = (
+    "shard_lag_seconds",
+    "worker_rss_bytes",
+    "worker_cpu_seconds",
+    "cost_index_probe_total",
+)
+#: Span attributes that name a span rather than measure it.
+IDENTITY_ATTRS = ("view", "operator", "engine", "group", "chronicle", "shard", "worker", "kind")
+#: Families labelled by chronicle.
+CHRONICLE_FAMILIES = (
+    "chronicle_appends_total",
+    "chronicle_records_admitted_total",
+    "chronicle_stored_rows",
+)
+#: Spans the span table needs that had no span before.
+NEW_SPANS = ("wal_append", "shard_fallback")
+#: Attributes the span table reads that spans did not carry before.
+NEW_ATTRS = ("admitted", "records", "bytes", "truncated")
+
+CATALOG = (
+    "DEFINE VIEW usage AS SELECT caller, SUM(minutes) AS total, COUNT(*) AS calls "
+    "FROM calls GROUP BY caller",
+    "DEFINE VIEW long_calls AS SELECT caller, COUNT(*) AS calls FROM calls "
+    "WHERE minutes > 10 GROUP BY caller",
+    "DEFINE VIEW texters AS SELECT caller, SUM(chars) AS chars FROM texts GROUP BY caller",
+    "DEFINE VIEW plan_minutes AS SELECT plan, SUM(minutes) AS minutes "
+    "FROM calls JOIN subscribers ON calls.caller = subscribers.number GROUP BY plan",
+    "DEFINE VIEW grand AS SELECT SUM(minutes) AS total FROM calls",
+    "DEFINE PERIODIC VIEW monthly OVER EVERY 30 BY day AS "
+    "SELECT caller, SUM(minutes) AS total FROM calls GROUP BY caller",
+)
+
+ENGINES = {
+    "serial": {},
+    "sharded_inline": {"engine": "sharded", "shards": 2},
+    "sharded_process": {"engine": "sharded", "shards": 2, "executor": "process"},
+}
+
+
+def _config(**overrides: Any) -> DatabaseConfig:
+    return DatabaseConfig(observe=True, history=HistoryConfig(enabled=False), **overrides)
+
+
+# ---------------------------------------------------------------------------
+# The runs
+# ---------------------------------------------------------------------------
+
+
+def build(db: ChronicleDatabase) -> None:
+    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT"), ("day", "INT")])
+    db.create_chronicle("texts", [("caller", "INT"), ("chars", "INT")], retention=2)
+    db.create_relation("subscribers", [("number", "INT"), ("plan", "STR")], key=["number"])
+    for number in range(4):
+        db.relation("subscribers").insert({"number": number, "plan": "ab"[number % 2]})
+    for definition in CATALOG:
+        db.define_view(definition)
+
+
+def drive(db: ChronicleDatabase) -> None:
+    # minutes 4 and 9 are prefilter hits for long_calls, the rest misses.
+    for i in range(6):
+        db.append("calls", {"caller": i % 3, "minutes": 4 + 5 * i, "day": i})
+    db.append_simultaneous(
+        {
+            "calls": [{"caller": 1, "minutes": 3, "day": 7}],
+            "texts": [{"caller": 1, "chars": 80}, {"caller": 2, "chars": 20}],
+        }
+    )
+    db.ingest("calls", [[{"caller": c, "minutes": 12, "day": 8}] for c in range(4)])
+    db.ingest("texts", [[{"caller": c, "chars": 5 * c}] for c in range(3)])
+    # Two identical records: two admitted, one stored.
+    db.append("calls", [{"caller": 0, "minutes": 1, "day": 40}] * 2)
+    try:  # calls is admitted, texts refused: the batch fails half-way
+        db.append_simultaneous(
+            {
+                "calls": [{"caller": 2, "minutes": 50, "day": 41}],
+                "texts": [{"caller": 2, "bogus": 1}],
+            }
+        )
+    except Exception:
+        pass
+    db.append("texts", {"caller": 0, "chars": 7})
+
+
+def run_engine(engine: str) -> Dict[str, Any]:
+    db = ChronicleDatabase(config=_config(**ENGINES[engine]))
+    try:
+        build(db)
+        drive(db)
+        return capture_run(db)
+    finally:
+        db.close()
+        db.disable_observability()
+
+
+def run_durable() -> Dict[str, Any]:
+    with tempfile.TemporaryDirectory() as directory:
+        config = _config(
+            durability=DurabilityConfig(
+                mode="wal+snapshot", dir=directory, snapshot_interval_batches=3
+            )
+        )
+        db = ChronicleDatabase.open(directory, config=config)
+        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT"), ("day", "INT")])
+        for definition in CATALOG[:2]:
+            db.define_view(definition)
+        for i in range(8):
+            db.append("calls", {"caller": i % 3, "minutes": 4 + 5 * i, "day": i})
+            if i == 4:
+                db.flush()
+        before = capture_run(db)
+        db.durability.abort()
+        db.disable_observability()
+        reopened = ChronicleDatabase.open(directory, config=config)
+        try:
+            for i in range(2):
+                reopened.append("calls", {"caller": i, "minutes": 11, "day": 9})
+            after = capture_run(reopened)
+        finally:
+            reopened.close()
+            reopened.disable_observability()
+    return {"before_crash": before, "after_open": after}
+
+
+def capture() -> Dict[str, Any]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {
+            "serial": run_engine("serial"),
+            "sharded_inline": run_engine("sharded_inline"),
+            "durable": run_durable(),
+            "sharded_process": run_engine("sharded_process"),
+        }
+
+
+# ---------------------------------------------------------------------------
+# What one run records
+# ---------------------------------------------------------------------------
+
+
+def reduce_metrics(metrics: Dict[str, Any]) -> Dict[str, Any]:
+    out: Dict[str, Any] = {}
+    for name, family in metrics.items():
+        series = {}
+        for labels, value in family["series"].items():
+            if family["type"] == "histogram":
+                value = {"count": value["count"]}
+            elif name in PRESENCE_ONLY:
+                value = "present"
+            series[labels] = value
+        out[name] = {"type": family["type"], "series": series}
+    return out
+
+
+def shape(span: Any) -> List[Any]:
+    identity = {key: str(span.attrs[key]) for key in IDENTITY_ATTRS if key in span.attrs}
+    return [span.name, identity, [shape(child) for child in span.children]]
+
+
+_DURATION = re.compile(r"[\d,]+us\b")
+_FLOAT = re.compile(r"\d+\.\d+(?:e-?\d+)?")
+_PATH = re.compile(r"path=/\S+")
+
+
+def mask(text: str) -> str:
+    """A CLI rendering with its wall-clock readings and temp paths masked."""
+    return _FLOAT.sub("#", _DURATION.sub("#us", _PATH.sub("path=#", text)))
+
+
+def cli(db: ChronicleDatabase, statement: str) -> str:
+    session = Session.__new__(Session)
+    session.db, session._observe, session._config = db, True, db.config
+    return session.execute(statement)
+
+
+def capture_run(db: ChronicleDatabase) -> Dict[str, Any]:
+    obs = db.observability
+    stats = cli(db, "SHOW STATS")
+    # The metrics section renders metrics.as_dict(), pinned below.
+    stats = stats.split("== metrics ==")[0]
+    with tempfile.TemporaryDirectory() as directory:
+        path = db.dump_incident("golden", path=os.path.join(directory, "bundle.json"))
+        with open(path) as handle:
+            bundle = json.load(handle)
+    context = bundle["context"]
+    health = obs.health()
+    history = obs.start_history(thread=False)
+    history.sample_now()
+    history.sample_now()
+    timeline = history.timeline()
+    obs.stop_history()
+    return {
+        "metrics": reduce_metrics(obs.metrics.as_dict()),
+        "traces": [shape(trace) for trace in obs.tracer.traces()],
+        "chronicles": {
+            name: [len(db.chronicle(name)), db.chronicle(name).appended_count]
+            for name in ("calls", "texts")
+            if name in db.catalog().chronicles
+        },
+        "health": {
+            "status": health.status,
+            "checks": [[check.name, check.hard] for check in health.checks],
+        },
+        "incident_keys": {
+            "bundle": sorted(bundle),
+            "context": sorted(context),
+            "snapshot": sorted(context["snapshot"]),
+            "registry_stats": sorted(context["registry_stats"]),
+        },
+        "timeline": {
+            "keys": sorted(timeline),
+            "series": sorted(timeline["series"]),
+            "shards": sorted(timeline["shards"]),
+        },
+        "show_stats": mask(stats),
+        "show_workers": mask(cli(db, "SHOW WORKERS")),
+        "trace_3": mask(cli(db, "TRACE 3")),
+    }
+
+
+# ---------------------------------------------------------------------------
+# The comparison
+# ---------------------------------------------------------------------------
+
+
+def runs(document: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """Every captured run by name, the durable run's two handles apart."""
+    out = {name: run for name, run in document.items() if name != "durable"}
+    for phase, run in document["durable"].items():
+        out[f"durable/{phase}"] = run
+    return out
+
+
+def expected(golden: Dict[str, Any]) -> Dict[str, Any]:
+    """The golden with the intended differences applied (module docstring)."""
+    want = copy.deepcopy(golden)
+    for family in CHRONICLE_FAMILIES:
+        want["sharded_inline"]["metrics"][family] = want["serial"]["metrics"][family]
+        relayed = want["sharded_process"]["metrics"][family]["series"]
+        for labels in [labels for labels in relayed if "worker=" in labels]:
+            del relayed[labels]
+    for run in runs(want).values():
+        run["show_workers"] = run["show_workers"].replace(" relay_telemetry=on", "")
+    return want
+
+
+def without_new_spans(shapes: List[Any]) -> List[Any]:
+    return [
+        [name, identity, without_new_spans(children)]
+        for name, identity, children in shapes
+        if name not in NEW_SPANS
+    ]
+
+
+_NEW_ATTR = re.compile(r" (?:%s)=(?:\{[^}]*\}|\S+?)(?=[ \]])" % "|".join(NEW_ATTRS))
+
+
+def without_new_attrs(text: str) -> str:
+    lines = [
+        line
+        for line in text.splitlines()
+        if not any(line.lstrip().startswith(name) for name in NEW_SPANS)
+    ]
+    return "\n".join(_NEW_ATTR.sub("", line).replace(" []", "") for line in lines)
+
+
+def capture_in_child() -> Dict[str, Any]:
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "tests.test_one_hook"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def captured() -> Dict[str, Any]:
+    return capture_in_child()
+
+
+@pytest.fixture(scope="module")
+def golden() -> Dict[str, Any]:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize(
+    "run",
+    ["serial", "sharded_inline", "durable/before_crash", "durable/after_open", "sharded_process"],
+)
+def test_same_telemetry_as_the_golden(captured, golden, run):
+    got, want = runs(captured)[run], runs(expected(golden))[run]
+    got_metrics, want_metrics = got["metrics"], want["metrics"]
+    if run == "sharded_process":
+        # The dropped relayed series took bytes in every result pickle.
+        got_up = got_metrics["ipc_bytes_up_total"]["series"]
+        want_up = want_metrics["ipc_bytes_up_total"].pop("series")
+        assert set(got_up) == set(want_up)
+        assert all(got_up[shard] < want_up[shard] for shard in want_up)
+        got_metrics["ipc_bytes_up_total"].pop("series")
+        for run_doc in (got, want):
+            run_doc["show_workers"] = re.sub(r"up [\d,]+B", "up #B", run_doc["show_workers"])
+    assert got_metrics == want_metrics
+    assert without_new_spans(got["traces"]) == want["traces"]
+    for key in ("chronicles", "health", "incident_keys", "timeline", "show_stats", "show_workers"):
+        assert got[key] == want[key], key
+    assert without_new_attrs(got["trace_3"]) == want["trace_3"]
+
+
+def test_the_new_spans_are_there(captured):
+    names = set()
+
+    def walk(shapes):
+        for name, _, children in shapes:
+            names.add(name)
+            walk(children)
+
+    for run in runs(captured).values():
+        walk(run["traces"])
+    assert set(NEW_SPANS) <= names
+
+
+def test_chronicle_series_are_the_chronicles_state_on_every_engine(captured):
+    """The collision: shard units' mirror chronicles share the real
+    chronicle's name, and used to overwrite its series."""
+    serial = captured["serial"]
+    for run in ("serial", "sharded_inline", "sharded_process"):
+        metrics = captured[run]["metrics"]
+        for name, (stored, appended) in captured[run]["chronicles"].items():
+            assert [stored, appended] == serial["chronicles"][name], (run, name)
+            labels = f"chronicle={name}"
+            assert metrics["chronicle_stored_rows"]["series"][labels] == stored, (run, name)
+            assert metrics["chronicle_appends_total"]["series"][labels] == appended, (run, name)
+            assert (
+                metrics["chronicle_records_admitted_total"]["series"][labels]
+                == serial["metrics"]["chronicle_records_admitted_total"]["series"][labels]
+            ), (run, name)
+
+
+if __name__ == "__main__":
+    json.dump(capture(), sys.stdout, indent=1, ensure_ascii=False, sort_keys=True)
+    sys.stdout.write("\n")

@@ -217,17 +217,18 @@ class TestRegistration:
         registry = ViewRegistry()
         registry.attach(group)
         old = registry.register(view_over(calls, "v", attr_eq("acct", 1)))
-        with runtime.installed(Observability(trace=True)):
+        obs = Observability()
+        with runtime.installed(obs):
             group.append(calls, {"acct": 1, "mins": 5})
-            assert registry.stats["per_view"]["v"]["spans"] == 1
+            assert obs.view_stats(["v"])["v"]["spans"] == 1
             registry.unregister("v")
-            assert "per_view" not in registry.stats
+            assert "v" not in obs.view_stats(["v"])
             group.append(calls, {"acct": 1, "mins": 5})
             new = registry.register(view_over(calls, "v", attr_eq("acct", 2)))
             group.append(calls, {"acct": 1, "mins": 5})  # the dropped view's key
-            assert "per_view" not in registry.stats
+            assert "v" not in obs.view_stats(["v"])
             group.append(calls, {"acct": 2, "mins": 7})
-            assert registry.stats["per_view"]["v"]["spans"] == 1
+            assert obs.view_stats(["v"])["v"]["spans"] == 1
         assert old.maintenance_count == 1
         assert new.maintenance_count == 1
         assert new.value((2,), "sum_mins") == 7

@@ -3,12 +3,12 @@
 Covers the PR-7 contract from both ends of the process boundary:
 
 * in-process primitives (no spawn): span record compaction and its cap,
-  ``Span.to_record`` / ``Tracer.graft`` identity rules, metric
+  ``span_records`` / ``Tracer.graft`` identity rules, metric
   ``to_deltas`` / ``merge_deltas`` round trips, and the worker entry
   points driven directly against a module-global replica;
-* the zero-overhead contract: with observability off (or
-  ``relay_telemetry=False``) the process executor submits exactly PR 6's
-  ``worker_apply`` payload, byte-identical under pickle — the
+* the zero-overhead contract: with observability off the process
+  executor submits exactly the minimal ``worker_apply`` payload,
+  byte-identical under pickle — the
   throughput half of that contract is enforced by the E14/E15 gates'
   median/MAD policy in CI, which run with observability off;
 * end-to-end spawn tests: stitched traces (worker ``maintain`` spans
@@ -32,16 +32,16 @@ from repro import ChronicleDatabase, DatabaseConfig
 from repro.aggregates import COUNT, SUM, spec
 from repro.algebra.ast import scan
 from repro.cli import Session
-from repro.errors import ConfigError, EngineError
+from repro.errors import EngineError
 from repro.obs import runtime as obs_runtime
 from repro.obs.core import Observability
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
-from repro.parallel.engine import ProcessShardBackend
+from repro.obs.tracer import Tracer, span_records
+from repro.core.group import ChronicleGroup
+from repro.parallel.engine import ProcessShardBackend, ShardTask, ShardUnit
 from repro.parallel.worker import (
     RELAY_MAX_SPANS,
     WindowTelemetry,
-    _compact_spans,
     worker_apply,
     worker_apply_relay,
     worker_install,
@@ -102,7 +102,8 @@ class TestSpanRecords:
 
     def test_to_record_omits_ids_and_keeps_structure(self):
         root = self._tree()
-        record = root.to_record()
+        (record,), dropped = span_records([root], RELAY_MAX_SPANS)
+        assert dropped == 0
         assert record["name"] == "window_apply"
         assert "span_id" not in record and "trace_id" not in record
         children = record["children"][0]["children"]
@@ -110,7 +111,7 @@ class TestSpanRecords:
         assert record["duration"] == root.duration
 
     def test_graft_adopts_parent_identity(self):
-        records = [self._tree().to_record()]
+        records, _ = span_records([self._tree()], RELAY_MAX_SPANS)
         tracer = Tracer()
         with tracer.span("shard_apply", shard="kc0:0") as parent:
             grafted = tracer.graft(parent, records, worker="3")
@@ -133,13 +134,13 @@ class TestSpanRecords:
             for i in range(10):
                 with tracer.span("maintain", view=f"v{i}"):
                     pass
-        records, dropped = _compact_spans([root], cap=4)
+        records, dropped = span_records([root], 4)
         kept = [records[0]["name"]] + [
             c["name"] for c in records[0].get("children", ())
         ]
         assert len(kept) == 4
         assert dropped == 7  # 11 spans total, 4 kept
-        full, none_dropped = _compact_spans([root], cap=RELAY_MAX_SPANS)
+        full, none_dropped = span_records([root], RELAY_MAX_SPANS)
         assert none_dropped == 0
         assert len(full[0]["children"]) == 10
 
@@ -254,7 +255,7 @@ class TestWorkerEntryPoints:
             collect(root)
             assert {"window_apply", "append", "maintain"} <= names
             assert len(telemetry.spans) <= RELAY_MAX_SPANS
-            assert telemetry.metrics and telemetry.spans_dropped == 0
+            assert telemetry.series and telemetry.spans_dropped == 0
             # Relaying must not leak the capture handle into the runtime.
             assert obs_runtime.ACTIVE is None
         finally:
@@ -303,44 +304,16 @@ class TestZeroOverheadContract:
         finally:
             db.close()
 
-    def test_relay_knob_off_keeps_legacy_payload_even_when_observed(self):
-        db = _process_db(relay_telemetry=False)
-        obs = db.enable_observability(audit="off")
-        try:
-            captured = self._capture_submissions(db)
-            _windows(db, count=2)
-            assert captured
-            assert all(fn is worker_apply for _, (fn, _, _) in captured)
-            assert all(meta is None for _, (_, _, meta) in captured)
-            assert not obs.metrics.series("ipc_bytes_down_total")
-        finally:
-            obs.uninstall()
-            db.close()
-
     def test_relay_engages_only_with_observability_installed(self):
-        backend = ProcessShardBackend(2, relay_telemetry=True)
+        backend = ProcessShardBackend(2)
+        task = ShardTask(ShardUnit(0, "kc0:0", ChronicleGroup("g")), {}, 0, None)
         try:
-            assert not backend._relay_active()
+            assert backend._encode_task(task)[0] is worker_apply
             with obs_runtime.installed(Observability(audit="off")):
-                assert backend._relay_active()
-            assert not backend._relay_active()
-            off = ProcessShardBackend(2, relay_telemetry=False)
-            with obs_runtime.installed(Observability(audit="off")):
-                assert not off._relay_active()
+                assert backend._encode_task(task)[0] is worker_apply_relay
+            assert backend._encode_task(task)[0] is worker_apply
         finally:
             backend.close()
-
-    def test_config_knob_validates_and_flows(self):
-        assert DatabaseConfig().relay_telemetry is True
-        config = _process_config(relay_telemetry=False)
-        assert config.replace(relay_telemetry=True).relay_telemetry is True
-        with pytest.raises(ConfigError, match="relay_telemetry"):
-            DatabaseConfig(relay_telemetry="yes")
-        db = ChronicleDatabase(config=config)
-        try:
-            assert db._shards.backend.relay_telemetry is False
-        finally:
-            db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +484,6 @@ class TestShowWorkersCli:
             )
             before = session.execute("SHOW WORKERS")
             assert "executor=process" in before
-            assert "relay_telemetry=on" in before
             assert "no worker telemetry" in before
             for i in range(6):
                 session.execute(
