@@ -490,15 +490,20 @@ class PlanCompiler:
             return base_fn
         unchecked = Row.unchecked
         count = GLOBAL_COUNTERS.count
+        empty = Delta.empty(out_schema)
 
         if perm is None:
 
             def filter_step(deltas: Mapping[str, Delta], cache: Dict[int, Delta]) -> Delta:
                 rows = base_fn(deltas, cache).rows
                 if not rows:
-                    return Delta(out_schema, ())
+                    return empty
                 count("tuple_op", len(rows))
-                return Delta(out_schema, [row for row in rows if test(row.values)])
+                # A selection keeps a subset of a set; a projection (below)
+                # may merge rows, so its steps deduplicate.
+                return Delta.unchecked(
+                    out_schema, [row for row in rows if test(row.values)]
+                )
 
             return filter_step
 
@@ -508,7 +513,7 @@ class PlanCompiler:
             def project_step(deltas: Mapping[str, Delta], cache: Dict[int, Delta]) -> Delta:
                 rows = base_fn(deltas, cache).rows
                 if not rows:
-                    return Delta(out_schema, ())
+                    return empty
                 count("tuple_op", len(rows))
                 return Delta(
                     out_schema,
@@ -525,7 +530,7 @@ class PlanCompiler:
         def fused_step(deltas: Mapping[str, Delta], cache: Dict[int, Delta]) -> Delta:
             rows = base_fn(deltas, cache).rows
             if not rows:
-                return Delta(out_schema, ())
+                return empty
             count("tuple_op", len(rows))
             out = []
             for row in rows:
@@ -558,16 +563,19 @@ class PlanCompiler:
         right_fn = self._step(node.children[1])
         schema = node.schema
         count = GLOBAL_COUNTERS.count
+        empty = Delta.empty(schema)
 
         def difference_step(deltas: Mapping[str, Delta], cache: Dict[int, Delta]) -> Delta:
             left = left_fn(deltas, cache).rows
             if not left:
-                return Delta(schema, ())
+                return empty
             removed = {row.values for row in right_fn(deltas, cache).rows}
             count("tuple_op", len(left))
             if not removed:
-                return Delta(schema, left)
-            return Delta(schema, [row for row in left if row.values not in removed])
+                return Delta.unchecked(schema, left)
+            return Delta.unchecked(
+                schema, [row for row in left if row.values not in removed]
+            )
 
         return difference_step
 
@@ -580,16 +588,17 @@ class PlanCompiler:
         right_positions = node._right_positions
         unchecked = Row.unchecked
         count = GLOBAL_COUNTERS.count
+        empty = Delta.empty(schema)
 
         def seq_join_step(deltas: Mapping[str, Delta], cache: Dict[int, Delta]) -> Delta:
             left = left_fn(deltas, cache).rows
             if not left:
-                return Delta(schema, ())
+                return empty
             right = right_fn(deltas, cache).rows
             if not right:
                 # Cross terms with old tuples are provably empty (fresh
                 # sequence numbers never match old ones).
-                return Delta(schema, ())
+                return empty
             buckets: Dict[Any, List[Tuple[Any, ...]]] = {}
             for row in right:
                 values = row.values
@@ -607,7 +616,9 @@ class PlanCompiler:
                         )
                     )
             count("tuple_op", ops)
-            return Delta(schema, rows)
+            # Distinct inputs give distinct pairs: a bucket's right rows
+            # share their sequence number, so they differ in what is kept.
+            return Delta.unchecked(schema, rows)
 
         return seq_join_step
 
@@ -625,11 +636,12 @@ class PlanCompiler:
         )
         unchecked = Row.unchecked
         count = GLOBAL_COUNTERS.count
+        empty = Delta.empty(schema)
 
         def group_by_step(deltas: Mapping[str, Delta], cache: Dict[int, Delta]) -> Delta:
             child = child_fn(deltas, cache).rows
             if not child:
-                return Delta(schema, ())
+                return empty
             states: Dict[Tuple[Any, ...], List[Any]] = {}
             order: List[Tuple[Any, ...]] = []
             for row in child:
@@ -654,7 +666,7 @@ class PlanCompiler:
                     for finalize, state in zip(finalizers, states[key])
                 )
                 rows.append(unchecked(schema, key + finals))
-            return Delta(schema, rows)
+            return Delta.unchecked(schema, rows)  # one row per distinct key
 
         return group_by_step
 
@@ -664,11 +676,12 @@ class PlanCompiler:
         relation = node.relation
         unchecked = Row.unchecked
         count = GLOBAL_COUNTERS.count
+        empty = Delta.empty(schema)
 
         def rel_product_step(deltas: Mapping[str, Delta], cache: Dict[int, Delta]) -> Delta:
             child = child_fn(deltas, cache).rows
             if not child:
-                return Delta(schema, ())
+                return empty
             # Proactive updates guarantee the current version of R is the
             # right one for fresh sequence numbers.
             current = [row.values for row in relation.rows()]
@@ -678,6 +691,7 @@ class PlanCompiler:
                 for rvalues in current:
                     rows.append(unchecked(schema, cvalues + rvalues))
             count("tuple_op", len(child) * len(current))
+            # A relation without a key may hold equal rows: deduplicate.
             return Delta(schema, rows)
 
         return rel_product_step
@@ -692,11 +706,12 @@ class PlanCompiler:
         single = len(child_positions) == 1
         unchecked = Row.unchecked
         count = GLOBAL_COUNTERS.count
+        empty = Delta.empty(schema)
 
         def rel_key_join_step(deltas: Mapping[str, Delta], cache: Dict[int, Delta]) -> Delta:
             child = child_fn(deltas, cache).rows
             if not child:
-                return Delta(schema, ())
+                return empty
             rows = []
             ops = len(child)
             lookup = relation.lookup
@@ -715,7 +730,9 @@ class PlanCompiler:
                         )
                     )
             count("tuple_op", ops)
-            return Delta(schema, rows)
+            # The join attributes are unique in the relation: at most one
+            # match per distinct chronicle row.
+            return Delta.unchecked(schema, rows)
 
         return rel_key_join_step
 

@@ -24,7 +24,20 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Iterator, List, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..complexity.counters import GLOBAL_COUNTERS
 from ..errors import (
@@ -35,6 +48,7 @@ from ..errors import (
 )
 from ..relational.schema import Schema
 from ..relational.tuples import Row
+from ..relational.types import BOOL, FLOAT, INT, SEQ, STR, Domain
 from .sequence import SequenceNumber
 
 RowValues = Union[Mapping[str, Any], Sequence[Any]]
@@ -82,6 +96,121 @@ def in_maintenance() -> bool:
     return _MAINTENANCE.depth > 0
 
 
+#: A compiled admission step: ``(records, stamp) -> stamped value tuples``.
+Admission = Callable[[Sequence[RowValues], SequenceNumber], List[Tuple[Any, ...]]]
+
+#: The one Python type each domain's well-formed values have.  Any other
+#: value — an ``int`` for FLOAT, a ``bool`` for INT, a ``str`` subclass,
+#: ``None`` — is the per-attribute path's to coerce or refuse.
+EXACT_TYPES: Dict[Domain, type] = {INT: int, FLOAT: float, STR: str, BOOL: bool, SEQ: int}
+
+
+def compile_admission(schema: Schema) -> Admission:
+    """Compile *schema*'s admission step, once per chronicle.
+
+    The step validates a batch of records and stamps each with the
+    batch's sequence number, returning one value tuple per record in
+    schema order.  Records are mappings, or positional sequences that
+    include or omit the sequencing attribute; an included sequence
+    number must match the stamp (records cannot choose their own).
+
+    The normal record — a ``dict``, ``tuple`` or ``list`` holding exactly
+    the payload attributes, each of its domain's exact type — costs one
+    C-level extraction (an ``itemgetter`` over the payload names) and one
+    compare of its value types with a precomputed tuple.  Every other
+    record goes through ``Attribute.check`` per attribute, which coerces
+    what the domain admits and raises the typed error otherwise; both
+    paths give the same tuple for the same record.
+    """
+    seq_name = schema.sequence_attribute
+    seq_position = schema.position(seq_name)
+    names = schema.names
+    names_set = schema.names_set
+    attributes = schema.attributes
+    arity = len(names)
+    payload = names[:seq_position] + names[seq_position + 1 :]
+    width = len(payload)
+    expected = tuple(EXACT_TYPES.get(schema.attribute(name).domain) for name in payload)
+    if width == 1:
+        only = payload[0]
+
+        def pick(record: Mapping[str, Any]) -> Tuple[Any, ...]:
+            return (record[only],)
+
+    elif width:
+        pick = itemgetter(*payload)
+    else:
+
+        def pick(record: Mapping[str, Any]) -> Tuple[Any, ...]:
+            return ()
+
+    def foreign(supplied: Any, stamp: SequenceNumber) -> SchemaError:
+        return SchemaError(
+            f"record supplies sequence number {supplied}, but the "
+            f"group stamped {stamp}"
+        )
+
+    def malformed(record: Mapping[str, Any]) -> SchemaError:
+        """The precise error for a mapping with the wrong keys."""
+        extra = [name for name in record if name not in names_set]
+        if extra:
+            return UnknownAttributeError(
+                f"values supplied for unknown attributes {sorted(extra)}"
+            )
+        missing = [name for name in names_set if name not in record]
+        return SchemaError(f"missing value for attribute {sorted(missing)[0]!r}")
+
+    def checked(record: RowValues, stamp: SequenceNumber) -> Tuple[Any, ...]:
+        """Any record, one attribute at a time."""
+        if isinstance(record, Mapping):
+            supplied = record.get(seq_name)
+            if supplied is not None and supplied != stamp:
+                raise foreign(supplied, stamp)
+            if len(record) > arity or (len(record) == arity and seq_name not in record):
+                raise malformed(record)
+            try:
+                values = [stamp if name == seq_name else record[name] for name in names]
+            except KeyError:
+                raise malformed(record) from None
+        else:
+            values = list(record)
+            if len(values) == arity - 1:
+                values.insert(seq_position, stamp)
+            elif len(values) == arity:
+                supplied = values[seq_position]
+                if supplied is not None and supplied != stamp:
+                    raise foreign(supplied, stamp)
+                values[seq_position] = stamp
+            else:
+                raise SchemaError(f"expected {arity} values, got {len(values)}")
+        return tuple(attribute.check(value) for attribute, value in zip(attributes, values))
+
+    def admit(records: Sequence[RowValues], stamp: SequenceNumber) -> List[Tuple[Any, ...]]:
+        head = (stamp,)
+        out: List[Tuple[Any, ...]] = []
+        for record in records:
+            kind = type(record)
+            values = None
+            if kind is dict:
+                if len(record) == width:
+                    try:
+                        values = pick(record)
+                    except KeyError:
+                        pass
+            elif kind is tuple or kind is list:
+                values = tuple(record)  # the type compare checks the width
+            if values is not None and tuple(map(type, values)) == expected:
+                if seq_position:
+                    out.append(values[:seq_position] + head + values[seq_position:])
+                else:
+                    out.append(head + values)
+            else:
+                out.append(checked(record, stamp))
+        return out
+
+    return admit
+
+
 class Chronicle:
     """An append-only sequence of records with bounded retention.
 
@@ -102,7 +231,9 @@ class Chronicle:
         See module docstring.
     """
 
-    __slots__ = ("name", "schema", "retention", "_stored", "_appended", "_seq_position", "group")
+    __slots__ = (
+        "name", "schema", "retention", "_stored", "_appended", "_seq_position", "group", "admit"
+    )
 
     def __init__(
         self,
@@ -124,105 +255,10 @@ class Chronicle:
         self._seq_position = schema.position(schema.sequence_attribute)
         #: Back-reference set by the owning group.
         self.group = None
+        #: The schema's compiled admission step (:func:`compile_admission`).
+        self.admit: Admission = compile_admission(schema)
 
     # -- append path -------------------------------------------------------------
-
-    def _admit(self, values: RowValues, sequence_number: SequenceNumber) -> Row:
-        """Validate one record and stamp it with *sequence_number*.
-
-        Accepts mappings or positional sequences that either include or
-        omit the sequencing attribute; an included value must match the
-        stamp (records cannot choose their own sequence numbers).
-        """
-        seq_name = self.schema.sequence_attribute
-        if isinstance(values, Mapping):
-            payload = dict(values)
-            supplied = payload.get(seq_name)
-            if supplied is not None and supplied != sequence_number:
-                raise SchemaError(
-                    f"record supplies sequence number {supplied}, but the "
-                    f"group stamped {sequence_number}"
-                )
-            payload[seq_name] = sequence_number
-            return Row.from_mapping(self.schema, payload)
-        values = list(values)
-        if len(values) == len(self.schema) - 1:
-            values.insert(self._seq_position, sequence_number)
-        elif len(values) == len(self.schema):
-            supplied = values[self._seq_position]
-            if supplied is not None and supplied != sequence_number:
-                raise SchemaError(
-                    f"record supplies sequence number {supplied}, but the "
-                    f"group stamped {sequence_number}"
-                )
-            values[self._seq_position] = sequence_number
-        return Row(self.schema, values)
-
-    def _admit_batch(
-        self, records: Sequence[RowValues], sequence_number: SequenceNumber
-    ) -> List[Row]:
-        """Validate and stamp a whole batch in one pass (fast path).
-
-        Semantically identical to calling :meth:`_admit` per record, but
-        the per-record overhead is gone: the schema's cached name set
-        replaces per-row set construction, values run through exactly one
-        ``check_values`` pass, and rows are built with the unchecked
-        constructor from the already-validated tuples.
-        """
-        schema = self.schema
-        seq_name = schema.sequence_attribute
-        seq_position = self._seq_position
-        names = schema.names
-        names_set = schema.names_set
-        arity = len(names)
-        check_values = schema.check_values
-        unchecked = Row.unchecked
-        rows: List[Row] = []
-        for record in records:
-            if isinstance(record, Mapping):
-                supplied = record.get(seq_name)
-                if supplied is not None and supplied != sequence_number:
-                    raise SchemaError(
-                        f"record supplies sequence number {supplied}, but the "
-                        f"group stamped {sequence_number}"
-                    )
-                if len(record) > arity or (
-                    len(record) == arity and seq_name not in record
-                ):
-                    self._reject_unknown(record, names_set)
-                try:
-                    values = [
-                        sequence_number if name == seq_name else record[name]
-                        for name in names
-                    ]
-                except KeyError:
-                    self._reject_unknown(record, names_set)
-                    raise  # unreachable: _reject_unknown raised
-            else:
-                values = list(record)
-                if len(values) == arity - 1:
-                    values.insert(seq_position, sequence_number)
-                elif len(values) == arity:
-                    supplied = values[seq_position]
-                    if supplied is not None and supplied != sequence_number:
-                        raise SchemaError(
-                            f"record supplies sequence number {supplied}, but "
-                            f"the group stamped {sequence_number}"
-                        )
-                    values[seq_position] = sequence_number
-            rows.append(unchecked(schema, check_values(values)))
-        return rows
-
-    @staticmethod
-    def _reject_unknown(record: Mapping[str, Any], names_set: "frozenset") -> None:
-        """Raise the precise admit error for a malformed mapping record."""
-        extra = [name for name in record if name not in names_set]
-        if extra:
-            raise UnknownAttributeError(
-                f"values supplied for unknown attributes {sorted(extra)}"
-            )
-        missing = [name for name in names_set if name not in record]
-        raise SchemaError(f"missing value for attribute {sorted(missing)[0]!r}")
 
     def _store(self, rows: Sequence[Row]) -> None:
         """Retain *rows* according to the retention policy."""

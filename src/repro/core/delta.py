@@ -32,6 +32,11 @@ class Delta:
         Inserted rows; deduplicated (set semantics within the delta —
         operands of a union may derive the same tuple at one sequence
         number).
+
+    ``rows`` holding no two rows with equal ``values`` is an invariant
+    the maintenance path relies on: the group deduplicates each admitted
+    batch once, and every step that cannot merge tuples builds its output
+    with :meth:`unchecked` instead of deduplicating again.
     """
 
     __slots__ = ("schema", "rows")
@@ -47,8 +52,22 @@ class Delta:
         self.rows: Tuple[Row, ...] = tuple(unique)
 
     @classmethod
+    def unchecked(cls, schema: Schema, rows: Iterable[Row]) -> "Delta":
+        """A delta over *rows* that are already distinct (no dedup pass).
+
+        For rows that are a deduplicated admitted batch, a subset of a
+        delta's rows, or an injective image of distinct rows (a
+        selection, a difference, a sequence or key join, the groups of a
+        GROUP BY).
+        """
+        delta = object.__new__(cls)
+        delta.schema = schema
+        delta.rows = tuple(rows)
+        return delta
+
+    @classmethod
     def empty(cls, schema: Schema) -> "Delta":
-        return cls(schema, ())
+        return cls.unchecked(schema, ())
 
     @property
     def is_empty(self) -> bool:

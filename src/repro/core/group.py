@@ -212,30 +212,29 @@ class ChronicleGroup:
         for target, records in batches.items():
             chronicle = self._resolve(target)
             resolved[chronicle] = self._normalize_records(chronicle, records)
-        if sequence_number is None:
-            stamp = self._issuer.issue()
-        else:
-            stamp = self._issuer.accept(sequence_number)
+        # Every record of every chronicle is admitted against the stamp
+        # the call will get before anything changes: a refused call
+        # leaves stores, watermark, chronons, log and views as they were.
+        stamp = self._issuer.peek(sequence_number)
+        admissions = [
+            (chronicle, chronicle.admit(records, stamp))
+            for chronicle, records in resolved.items()
+        ]
         if instant is not None:
             self.chronons.record(stamp, instant)
+        self._issuer.accept(stamp)
+        unchecked = Row.unchecked
         stamped: Dict[str, Tuple[Row, ...]] = {}
-        for chronicle, records in resolved.items():
-            batch = chronicle._admit_batch(records, stamp)
+        for chronicle, values in admissions:
             if admitted is not None:
-                admitted[chronicle.name] = len(batch)
+                admitted[chronicle.name] = len(values)
             # Records in one batch share the sequence number, so identical
             # records are the same tuple: set semantics dedups them here,
-            # keeping storage consistent with the (deduplicating) deltas.
-            if len(batch) == 1:
-                rows = tuple(batch)
-            else:
-                seen = set()
-                unique = []
-                for row in batch:
-                    if row.values not in seen:
-                        seen.add(row.values)
-                        unique.append(row)
-                rows = tuple(unique)
+            # once — every delta built from the event relies on it.
+            schema = chronicle.schema
+            if len(values) > 1:
+                values = dict.fromkeys(values)
+            rows = tuple([unchecked(schema, row_values) for row_values in values])
             chronicle._store(rows)
             stamped[chronicle.name] = rows
         event = {name: rows for name, rows in stamped.items() if rows}

@@ -20,7 +20,7 @@ Three mappers cover the practical cases:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List
+from typing import List, Optional
 
 from ..errors import SequenceOrderError
 
@@ -127,18 +127,25 @@ class SequenceIssuer:
         self._last += 1
         return self._last
 
-    def accept(self, sequence_number: SequenceNumber) -> SequenceNumber:
-        """Validate an externally supplied sequence number and advance.
+    def peek(self, sequence_number: Optional[SequenceNumber] = None) -> SequenceNumber:
+        """The number the next append gets, without advancing.
 
-        Raises :class:`SequenceOrderError` unless it exceeds the
-        watermark, per the chronicle model's append rule.
+        That is the next number, or *sequence_number* once validated:
+        :class:`SequenceOrderError` unless it exceeds the watermark, per
+        the chronicle model's append rule.
         """
+        if sequence_number is None:
+            return self._last + 1
         if sequence_number <= self._last:
             raise SequenceOrderError(
                 f"sequence number {sequence_number} is not greater than the "
                 f"chronicle group's watermark {self._last}"
             )
-        self._last = sequence_number
+        return sequence_number
+
+    def accept(self, sequence_number: SequenceNumber) -> SequenceNumber:
+        """Validate an externally supplied sequence number and advance."""
+        self._last = self.peek(sequence_number)
         return sequence_number
 
     def __repr__(self) -> str:

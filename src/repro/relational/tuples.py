@@ -64,9 +64,9 @@ class Row:
         whose elements already conform to *schema* — e.g. values taken
         from rows that went through the checked path, reshaped by
         position.  The fused maintenance pipelines
-        (:mod:`repro.algebra.plan`) and the batched append fast path
-        (:meth:`repro.core.chronicle.Chronicle._admit_batch`) build all
-        their rows this way.
+        (:mod:`repro.algebra.plan`) and the group's append path (over
+        the tuples :func:`repro.core.chronicle.compile_admission`
+        checked) build all their rows this way.
         """
         row = object.__new__(cls)
         row.schema = schema

@@ -23,11 +23,16 @@ from .view import PersistentView
 def event_deltas(
     group: ChronicleGroup, event: Mapping[str, Tuple[Row, ...]]
 ) -> Dict[str, Delta]:
-    """Convert one append event into per-chronicle deltas."""
+    """Convert one append event into per-chronicle deltas.
+
+    An event's rows per chronicle are already a set: the group
+    deduplicated each admitted batch, and a coalesced window joins
+    batches with different sequence numbers.
+    """
     deltas: Dict[str, Delta] = {}
     for name, rows in event.items():
         if rows:
-            deltas[name] = Delta(group[name].schema, rows)
+            deltas[name] = Delta.unchecked(group[name].schema, rows)
     return deltas
 
 

@@ -11,16 +11,25 @@ must make independently defined views share subexpression deltas —
 verified through ``GLOBAL_COUNTERS``.
 """
 
+import itertools
+import tempfile
+import warnings
+from collections import OrderedDict
+from collections.abc import Mapping
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates import AVG, COUNT, MAX, MIN, SUM, spec
 from repro.algebra.ast import ChronicleProduct, NonEquiSeqJoin, scan
-from repro.algebra.plan import Interner, PlanCompiler, compile_predicate
+from repro.algebra.plan import Interner, PlanCompiler, compile_predicate, is_portable
 from repro.algebra.reference import propagate
 from repro.complexity.counters import GLOBAL_COUNTERS
-from repro.core.chronicle import maintenance_guard
+from repro.core.chronicle import compile_admission, maintenance_guard
+from repro.core.config import DatabaseConfig, DurabilityConfig
 from repro.core.database import ChronicleDatabase
 from repro.core.delta import Delta
 from repro.core.group import ChronicleGroup
@@ -32,7 +41,7 @@ from repro.errors import (
 )
 from repro.relational.predicate import Or, attr_cmp, attr_eq, attrs_cmp
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
+from repro.relational.schema import Attribute, Schema
 from repro.relational.tuples import Row
 from repro.sca.maintenance import attach_view, event_deltas
 from repro.sca.summarize import GroupBySummary, ProjectSummary
@@ -199,6 +208,89 @@ def test_compiled_equals_reference(expression_factory, summary_factory, events):
 @given(ca_expressions(depth=3), summaries(), events_strategy)
 def test_compiled_equals_reference_deep(expression_factory, summary_factory, events):
     assert_compiled_matches_reference(expression_factory, summary_factory, events)
+
+
+# ---------------------------------------------------------------------------
+# Property test: a delta is a set wherever nothing deduplicates it
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def no_dedup_deltas_checked():
+    """Fail wherever a delta built without deduplication — an event's
+    deltas, a selection, difference, join or GROUP BY step — holds two
+    rows with equal values."""
+    unchecked = Delta.unchecked.__func__
+
+    def checked(cls, schema, rows):
+        delta = unchecked(cls, schema, rows)
+        values = [row.values for row in delta.rows]
+        assert len(set(values)) == len(values), values
+        return delta
+
+    with mock.patch.object(Delta, "unchecked", classmethod(checked)):
+        yield
+
+
+def database_catalog(db, expression_factory, summary_factory):
+    """The property test's chronicles and relation in *db*, and view ``v``."""
+    calls = db.create_chronicle("calls", [("acct", "INT"), ("mins", "INT")])
+    fees = db.create_chronicle("fees", [("acct", "INT"), ("mins", "INT")])
+    customers = db.create_relation("customers", [("acct", "INT"), ("state", "STR")], key=["acct"])
+    for acct in range(ACCT_RANGE):
+        customers.insert({"acct": acct, "state": "NJ" if acct % 2 else "NY"})
+    summary = summary_factory(expression_factory(calls, fees, customers), customers)
+    db.define_view(summary, name="v")
+    return summary
+
+
+def feed_windows(db, events):
+    """*events* through the facade: a run of one chronicle's events is one
+    ``ingest`` window, coalesced per shard on the sharded engine."""
+    for target, run in itertools.groupby(events, key=lambda event: event[0]):
+        batches = [[{"acct": a, "mins": m} for a, m in records] for _, records in run]
+        if target == "both":
+            for payload in batches:
+                db.append_simultaneous({"calls": payload, "fees": payload})
+        else:
+            db.ingest(target, batches)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ca_expressions(), st.booleans(), summaries(), events_strategy)
+def test_deltas_built_without_dedup_are_sets(expression_factory, per_sn, summary_factory, events):
+    """Compiled ≡ reference ≡ batch oracle, with every no-dedup delta
+    checked — also in coalesced sharded windows and in recovery replay."""
+    if per_sn:  # a GROUP BY sn step on top, keeping the (sn, acct, mins) shape
+        inner = expression_factory
+
+        def expression_factory(calls, fees, customers):
+            return inner(calls, fees, customers).groupby_sn(
+                ["sn", "acct"], [spec(SUM, "mins", output="mins")]
+            )
+
+    with no_dedup_deltas_checked(), warnings.catch_warnings(), tempfile.TemporaryDirectory() as d:
+        warnings.simplefilter("ignore")
+        assert_compiled_matches_reference(expression_factory, summary_factory, events)
+        serial = ChronicleDatabase()
+        sharded = ChronicleDatabase(config=DatabaseConfig(engine="sharded", shards=2))
+        durability = DurabilityConfig(mode="wal", dir=d, fsync="off")
+        durable = ChronicleDatabase.open(d, config=DatabaseConfig(durability=durability))
+        for db in (serial, sharded, durable):
+            summary = database_catalog(db, expression_factory, summary_factory)
+            feed_windows(db, events)
+        expected = sorted(row.values for row in serial.view("v"))
+        assert expected == sorted(row.values for row in evaluate_summary(summary))
+        assert sorted(row.values for row in sharded.view("v")) == expected
+        durable.durability.abort()
+        durable.close()
+        recovered = ChronicleDatabase.open(d, config=durable.config)
+        try:
+            if is_portable(summary):  # the log rebuilt the view and replayed into it
+                assert sorted(row.values for row in recovered.view("v")) == expected
+        finally:
+            for db in (serial, sharded, recovered):
+                db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +569,144 @@ class TestCompilePredicate:
 # ---------------------------------------------------------------------------
 
 
+def reference_admit(schema, records, stamp):
+    """The admission rules, one record and one attribute at a time.
+
+    A mapping may name the sequencing attribute, with ``None`` or the
+    stamp; any other key is an unknown attribute and every other
+    attribute must be present.  A sequence gives every attribute in
+    order, or every one but the sequencing attribute.  Values then go
+    through :meth:`Schema.check_values`.  Returns the stamped tuples, or
+    raises the first record's error.
+    """
+    seq = schema.sequence_attribute
+    position = schema.position(seq)
+    arity = len(schema)
+    out = []
+    for record in records:
+        if isinstance(record, Mapping):
+            supplied = record.get(seq)
+        else:
+            values = list(record)
+            supplied = values[position] if len(values) == arity else None
+        if supplied is not None and supplied != stamp:
+            raise SchemaError(
+                f"record supplies sequence number {supplied}, but the group stamped {stamp}"
+            )
+        if isinstance(record, Mapping):
+            extra = [name for name in record if name not in schema.names_set]
+            if extra:
+                raise UnknownAttributeError(
+                    f"values supplied for unknown attributes {sorted(extra)}"
+                )
+            missing = sorted(name for name in schema.names if name not in record)
+            if set(missing) - {seq}:
+                raise SchemaError(f"missing value for attribute {missing[0]!r}")
+            values = [stamp if name == seq else record[name] for name in schema.names]
+        elif len(values) == arity - 1:
+            values.insert(position, stamp)
+        elif len(values) == arity:
+            values[position] = stamp
+        out.append(schema.check_values(values))
+    return out
+
+
+class StrSubclass(str):
+    pass
+
+
+#: Well-formed values of each domain.
+WELL_FORMED = {
+    "INT": st.integers(-3, 3),
+    "FLOAT": st.floats(allow_nan=False, width=16),
+    "STR": st.sampled_from(["", "x"]),
+    "BOOL": st.booleans(),
+}
+#: Values at the edges of the domains: a bool for INT, an int for FLOAT
+#: (admitted as is), a str subclass, None, and an object no domain holds.
+EDGE_VALUES = (True, False, 0, 1, 3, 3.0, -0.0, "x", StrSubclass("y"), None, object())
+EDGES = st.sampled_from(EDGE_VALUES)
+
+
+@st.composite
+def admission_cases(draw):
+    """A chronicle schema, a stamp and a batch of 1–3 records in any form."""
+    payload = [
+        Attribute(f"a{i}", draw(st.sampled_from(sorted(WELL_FORMED))), draw(st.booleans()))
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    payload.insert(draw(st.integers(0, len(payload))), Attribute("sn", "SEQ"))
+    schema = Schema(payload, sequence_attribute="sn")
+    stamp = draw(st.integers(0, 5))
+    records = []
+    rarely = st.integers(0, 7).map(lambda n: n == 5)  # 0 is drawn more often
+    edge = st.integers(0, 3).map(lambda n: n == 2)
+    for _ in range(draw(st.integers(1, 3))):
+        values = {
+            attr.name: draw(EDGES if draw(edge) else WELL_FORMED[attr.domain.name])
+            for attr in schema
+            if attr.name != "sn"
+        }
+        values["sn"] = (
+            stamp + 1 if draw(rarely) else draw(st.sampled_from([stamp, None, "absent"]))
+        )
+        if draw(rarely) and len(values) > 1:  # a missing attribute
+            del values[draw(st.sampled_from(sorted(values)))]
+        if draw(rarely):
+            values["zz"] = 0  # an unknown attribute
+        form = draw(st.sampled_from(["dict", "ordered", "tuple", "list", "row"]))
+        present = {name: value for name, value in values.items() if value != "absent"}
+        if form in ("dict", "ordered"):
+            record = present if form == "dict" else OrderedDict(present)
+        else:
+            names = [n for n in schema.names if n in present and (n != "sn" or form == "row")]
+            if draw(st.booleans()):
+                names = [n for n in schema.names if n in present]
+            items = [present[n] for n in names]
+            if draw(st.integers(0, 5)) == 0:
+                items.append(0)  # wrong arity
+            record = (
+                Row.unchecked(schema, tuple(items)) if form == "row"
+                else tuple(items) if form == "tuple" else items
+            )
+        records.append(record)
+    return schema, stamp, records
+
+
+def outcome(admit, schema, records, stamp):
+    """Each tuple's values and their exact types, or the error raised."""
+    try:
+        tuples = admit(schema, records, stamp)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+    return [(values, tuple(map(type, values))) for values in tuples]
+
+
 class TestBatchedAdmit:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(admission_cases())
+    def test_compiled_admission_matches_the_reference_rules(self, case):
+        schema, stamp, records = case
+        compiled = outcome(
+            lambda s, r, n: compile_admission(s)(r, n), schema, records, stamp
+        )
+        assert compiled == outcome(reference_admit, schema, records, stamp)
+
+    @pytest.mark.parametrize("domain", sorted(WELL_FORMED))
+    @pytest.mark.parametrize("nullable", [False, True])
+    def test_every_edge_value_in_every_normal_form(self, domain, nullable):
+        """Each edge value alone in an otherwise normal record: the one
+        thing that could send it down the exact-type path by mistake."""
+        schema = Schema(
+            [Attribute("sn", "SEQ"), Attribute("k", "INT"), Attribute("v", domain, nullable)],
+            sequence_attribute="sn",
+        )
+        admit = compile_admission(schema)
+        for value in EDGE_VALUES:
+            for record in ({"k": 1, "v": value}, (1, value), [1, value]):
+                compiled = outcome(lambda s, r, n: admit(r, n), schema, [record], 7)
+                assert compiled == outcome(reference_admit, schema, [record], 7), (value, record)
+
     def test_unchecked_constructor(self):
         schema = Schema.build(("a", "INT"), ("b", "STR"))
         row = Row.unchecked(schema, (1, "x"))

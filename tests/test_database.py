@@ -4,11 +4,16 @@ import pytest
 
 from repro.aggregates import SUM, spec
 from repro.algebra.ast import scan
+from repro.core.config import DatabaseConfig, DurabilityConfig
 from repro.core.database import ChronicleDatabase
 from repro.errors import (
     ChronicleGroupError,
     RetentionError,
     RetroactiveUpdateError,
+    SchemaError,
+    SequenceOrderError,
+    TypeMismatchError,
+    UnknownAttributeError,
     ViewRegistrationError,
 )
 from repro.sca.summarize import GroupBySummary
@@ -151,6 +156,100 @@ class TestUpdates:
         )
         sns = {rows[0].sequence_number for rows in stamped.values()}
         assert len(sns) == 1
+
+
+REFUSALS = {
+    # The first chronicle's batch is well-formed; the second's is not.
+    "second chronicle mistyped": (
+        TypeMismatchError,
+        lambda db: db.append_simultaneous(
+            {"a": [{"k": 1, "x": 5}], "b": [{"k": 1, "y": "bad"}]}
+        ),
+    ),
+    "last record unknown attribute": (
+        UnknownAttributeError,
+        lambda db: db.append("a", [{"k": 2, "x": 1}, {"k": 2, "x": 1, "zzz": 0}]),
+    ),
+    "missing attribute": (SchemaError, lambda db: db.append("a", [{"k": 3}])),
+    "foreign sequence number": (
+        SchemaError,
+        lambda db: db.append("a", [{"sn": 99, "k": 3, "x": 1}]),
+    ),
+    "stale sequence number": (
+        SequenceOrderError,
+        lambda db: db.append("a", {"k": 3, "x": 1}, sequence_number=0),
+    ),
+    "NULL for a non-nullable attribute": (
+        TypeMismatchError,
+        lambda db: db.append("a", [(4, 1), (4, None)]),
+    ),
+}
+
+
+class TestRefusedCallsChangeNothing:
+    """A call that admission refuses leaves no trace: stored rows,
+    appended counts, views, watermarks, the log and the next sequence
+    number are what they were before it."""
+
+    @pytest.fixture(params=["serial", "sharded", "wal+snapshot"])
+    def database(self, request, tmp_path):
+        if request.param == "wal+snapshot":
+            directory = str(tmp_path / "db")
+            durability = DurabilityConfig(
+                mode="wal+snapshot", dir=directory, fsync="off", snapshot_interval_batches=3
+            )
+            database = ChronicleDatabase.open(
+                directory, config=DatabaseConfig(durability=durability)
+            )
+        elif request.param == "sharded":
+            database = ChronicleDatabase(config=DatabaseConfig(engine="sharded", shards=2))
+        else:
+            database = ChronicleDatabase()
+        database.create_chronicle("a", [("k", "INT"), ("x", "INT")])
+        database.create_chronicle("b", [("k", "INT"), ("y", "INT")])
+        database.define_view("DEFINE VIEW va AS SELECT k, SUM(x) AS t FROM a GROUP BY k")
+        database.define_view("DEFINE VIEW vb AS SELECT k, SUM(y) AS t FROM b GROUP BY k")
+        database.append_simultaneous({"a": [{"k": 0, "x": 1}], "b": [{"k": 0, "y": 2}]})
+        yield database
+        database.close()
+
+    @staticmethod
+    def state(db):
+        chronicles = {
+            name: (list(db.chronicle(name).rows()), db.chronicle(name).appended_count)
+            for name in ("a", "b")
+        }
+        views = {name: sorted(row.values for row in db.view(name)) for name in ("va", "vb")}
+        log = db.durability.wal.log_rows() if db.durability is not None else None
+        return chronicles, views, db.watermarks(), db.group().next_sequence_number(), log
+
+    @pytest.mark.parametrize("refusal", sorted(REFUSALS))
+    def test_refused_call(self, database, refusal):
+        error, call = REFUSALS[refusal]
+        before = self.state(database)
+        with pytest.raises(error):
+            call(database)
+        assert self.state(database) == before
+        rows = database.append("a", {"k": 1, "x": 5})
+        assert rows[0].sequence_number == before[3]
+        assert database.view_value("va", (1,), "t") == 5
+
+    def test_a_recovered_log_holds_no_refused_record(self, database):
+        if database.durability is None:
+            pytest.skip("durability off")
+        for error, call in REFUSALS.values():
+            with pytest.raises(error):
+                call(database)
+        database.append("b", {"k": 1, "y": 3})
+        live = self.state(database)[1:]
+        path = database.durability.config.dir
+        database.durability.abort()
+        database.close()
+        reopened = ChronicleDatabase.open(path, config=database.config)
+        try:
+            assert self.state(reopened)[1:] == live
+        finally:
+            reopened.close()
 
 
 class TestQueries:

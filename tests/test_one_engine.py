@@ -1,5 +1,6 @@
 """Guard: one maintenance path, one database class, one write path, one
-snapshot path, one walk over the plan, one way to hook telemetry.
+snapshot path, one walk over the plan, one way to hook telemetry, one
+admission step.
 
 The literal Theorem 4.1 interpreter (:mod:`repro.algebra.reference`) is
 an oracle for tests, benchmarks and the conformance profiler.  If any
@@ -23,7 +24,11 @@ outside :mod:`repro.obs` code only opens spans, so no module there
 writes a metric and none but the shell (which renders what it reads)
 names a metric family, every span-derived
 metric is one row of ``SPAN_RULES`` in ``obs/core.py``, and the
-observability knobs nobody set stay deleted.
+observability knobs nobody set stay deleted.  Admission, last: each
+chronicle admits through the step compiled when it is created (no
+per-record ``_admit``, no ``check_values`` in the group or the
+chronicle), an event is deduplicated once, by the group, and none of it
+grew a switch.
 """
 
 import ast
@@ -380,6 +385,79 @@ def test_span_rules_are_one_table():
         if isinstance(node, ast.Constant)
     }
     assert not compared & set(SPAN_RULES)
+
+
+# -- admit once -------------------------------------------------------------------
+
+CORE = SRC / "core"
+#: Modules on the admission and event-delta path.
+ADMISSION_PATH = (
+    CORE / "chronicle.py",
+    CORE / "group.py",
+    CORE / "delta.py",
+    SRC / "sca" / "maintenance.py",
+    ALGEBRA / "plan.py",
+)
+
+
+def _function(path, owner, name):
+    found = [f for o, f in _functions(path) if (o, f.name) == (owner, name)]
+    assert len(found) == 1, (path, owner, name)
+    return found[0]
+
+
+def _constructs_delta(node):
+    """Whether *node* calls ``Delta(...)``, the deduplicating constructor."""
+    return any(
+        isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "Delta"
+        for call in ast.walk(node)
+    )
+
+
+def test_admission_is_one_compiled_step():
+    """Each chronicle admits through the closure compiled when it is
+    created; the interpretive per-record paths stay deleted."""
+    chronicle = [node for path, node in _classes() if node.name == "Chronicle"]
+    assert len(chronicle) == 1
+    methods = {item.name for item in chronicle[0].body if isinstance(item, ast.FunctionDef)}
+    assert not methods & {"_admit", "_admit_batch", "_reject_unknown"}
+    for path in (CORE / "chronicle.py", CORE / "group.py"):
+        assert "check_values" not in set(_called(_tree(path))), path
+    assert "admit" in set(_called(_function(CORE / "group.py", "ChronicleGroup", "_append_impl")))
+
+
+def test_an_event_is_deduplicated_once():
+    """The group deduplicates an admitted batch; event deltas, coalesced
+    windows and replayed batches are built without a second pass."""
+    append = _function(CORE / "group.py", "ChronicleGroup", "_append_impl")
+    assert list(_called(append)).count("fromkeys") == 1
+    for name in ("ingest_stamped", "_ingest_stamped_impl"):
+        function = _function(CORE / "group.py", "ChronicleGroup", name)
+        assert not {"fromkeys", "set"} & set(_called(function)), name
+        assert not _constructs_delta(function), name
+    event_deltas = _function(SRC / "sca" / "maintenance.py", "maintenance", "event_deltas")
+    assert "unchecked" in set(_called(event_deltas))
+    assert not _constructs_delta(event_deltas)
+
+
+def test_admission_adds_no_knob():
+    def parameters(function):
+        return [name for name in inspect.signature(function).parameters if name != "self"]
+
+    from repro.core.chronicle import Chronicle
+    from repro.core.group import ChronicleGroup
+
+    assert parameters(Chronicle.__init__) == ["name", "schema", "retention"]
+    assert parameters(ChronicleGroup.__init__) == ["name", "chronons", "start"]
+    assert len(dataclasses.fields(DatabaseConfig)) == 10
+    offenders = [
+        (str(path.relative_to(SRC)), node.lineno)
+        for path in ADMISSION_PATH
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+    ]
+    assert offenders == []
 
 
 def test_observability_knobs_stay_deleted():

@@ -9,7 +9,7 @@ that produces on four fixed runs, all with ``observe=True``:
 * ``serial`` — a text-DDL catalog with a relation join, a periodic view,
   an unpartitionable total, two chronicles (one with a retention
   window), prefilter hits and misses, a batch with duplicate records and
-  a batch refused half-way through admission;
+  a two-chronicle call refused by its second chronicle's admission;
 * ``sharded_inline`` — the same stream on ``engine="sharded"`` with the
   inline executor and two key classes;
 * ``durable`` — ``wal+snapshot`` with interval 3, a flush, a crash
@@ -143,7 +143,7 @@ def drive(db: ChronicleDatabase) -> None:
     db.ingest("texts", [[{"caller": c, "chars": 5 * c}] for c in range(3)])
     # Two identical records: two admitted, one stored.
     db.append("calls", [{"caller": 0, "minutes": 1, "day": 40}] * 2)
-    try:  # calls is admitted, texts refused: the batch fails half-way
+    try:  # calls is well-formed, texts is not: the whole call is refused
         db.append_simultaneous(
             {
                 "calls": [{"caller": 2, "minutes": 50, "day": 41}],

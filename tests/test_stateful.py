@@ -1,7 +1,9 @@
 """A stateful differential test of the public facade (hypothesis).
 
 One :class:`RuleBasedStateMachine` drives a database through its public
-calls — ``append``, ``ingest``, view definition (text DDL, programmatic
+calls — ``append``, ``ingest``, a write that admission refuses (after
+which every view, the store, the watermarks, the next sequence number and
+the log must be as they were), view definition (text DDL, programmatic
 ``Summary``, periodic over tiling and sliding calendars with and without
 expiration), ``drop_view``, ``update_relation``, and ``checkpoint`` →
 ``restore`` into a rebuilt catalog — and after every rule compares every
@@ -31,6 +33,7 @@ import tempfile
 import warnings
 from typing import Callable, NamedTuple, Optional
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -39,6 +42,7 @@ from repro import ChronicleDatabase, DatabaseConfig, DurabilityConfig
 from repro.aggregates import AVG, COUNT, MAX, MIN, SUM, spec
 from repro.algebra.ast import scan
 from repro.complexity.counters import GLOBAL_COUNTERS
+from repro.errors import SchemaError, TypeMismatchError, UnknownAttributeError
 from repro.parallel import UnpartitionableViewWarning
 from repro.query.compiler import compile_view
 from repro.relational.predicate import And, attr_cmp
@@ -74,6 +78,16 @@ records = st.lists(
     ),
     min_size=1,
     max_size=4,
+)
+#: Records admission refuses, each with the error it raises.
+MALFORMED = (
+    ({"acct": "x", "mins": 1, "day": 2}, TypeMismatchError),
+    ({"acct": True, "mins": 1, "day": 2}, TypeMismatchError),
+    ({"acct": 1, "mins": None, "day": 2}, TypeMismatchError),
+    ({"acct": 1, "mins": 1}, SchemaError),
+    ({"acct": 1, "mins": 1, "day": 2, "zzz": 0}, UnknownAttributeError),
+    ({"sn": 10**9, "acct": 1, "mins": 1, "day": 2}, SchemaError),
+    ((1, 2), SchemaError),
 )
 
 
@@ -266,6 +280,27 @@ class FacadeMachine(RuleBasedStateMachine):
         assert cost["chronicle_read"] == 0
         assert admitted == self.oracle.ingest("calls", batches)
 
+    @rule(
+        batch=records,
+        position=st.integers(0, 4),
+        malformed=st.sampled_from(MALFORMED),
+        call=st.sampled_from(("append", "append_simultaneous", "ingest")),
+    )
+    def refused_write(self, batch, position, malformed, call):
+        """A batch holding one malformed record is refused whole, and the
+        refused call changes nothing.  The oracle is not fed."""
+        record, error = malformed
+        batch = batch[:position] + [record] + batch[position:]
+        before = self.refusable_state()
+        with pytest.raises(error):
+            if call == "append":
+                self.db.append("calls", batch)
+            elif call == "append_simultaneous":
+                self.db.append_simultaneous({"calls": batch})
+            else:
+                self.db.ingest("calls", [batch])
+        assert self.refusable_state() == before
+
     @rule(name=st.sampled_from(NAMES), data=st.data(), materialize=st.booleans())
     def define_view(self, name, data, materialize):
         if name in self.views:
@@ -315,6 +350,37 @@ class FacadeMachine(RuleBasedStateMachine):
         rebuilt.restore(path)
         self.db = rebuilt
         self.store_floor = rebuilt.group().watermark + 1
+
+    # -- state -----------------------------------------------------------------------
+
+    def state(self, db):
+        """Every model view's rows (per active interval for a periodic
+        set), the relation and the watermark."""
+        views = {}
+        for name, model in self.views.items():
+            if model.calendar is None:
+                views[name] = sorted_rows(db.view(name))
+            else:
+                views[name] = {
+                    index: sorted_rows(view)
+                    for index, view in db.periodic_view(name).active_views()
+                }
+        return views, sorted_rows(db.relation("customers")), db.group().watermark
+
+    def refusable_state(self):
+        """What a refused call must leave as it was: :meth:`state`, the
+        chronicle's store and appended count, every shard unit's
+        watermark, the next sequence number and the log."""
+        calls = self.db.chronicle("calls")
+        durability = self.db.durability
+        return (
+            self.state(self.db),
+            list(calls.rows()),
+            calls.appended_count,
+            self.db.watermarks(),
+            self.db.group().next_sequence_number(),
+            durability.wal.log_rows() if durability is not None else None,
+        )
 
     # -- invariants ------------------------------------------------------------------
 
@@ -371,20 +437,6 @@ class DurableMachine(FacadeMachine):
             return ChronicleDatabase.open(
                 directory, config=self.CONFIG.replace(durability=durability)
             )
-
-    def state(self, db):
-        """Every model view's rows (per active interval for a periodic
-        set), the relation and the watermark."""
-        views = {}
-        for name, model in self.views.items():
-            if model.calendar is None:
-                views[name] = sorted_rows(db.view(name))
-            else:
-                views[name] = {
-                    index: sorted_rows(view)
-                    for index, view in db.periodic_view(name).active_views()
-                }
-        return views, sorted_rows(db.relation("customers")), db.group().watermark
 
     @staticmethod
     def build_catalog(db):
