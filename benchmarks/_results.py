@@ -1,12 +1,12 @@
 """Shared BENCH_*.json result files: schema v2 with machine fingerprint.
 
-Benchmark history files at the repository root (``BENCH_e13.json``,
-``BENCH_e14.json``) share one envelope so every experiment's trajectory
-reads the same way::
+A benchmark history file at the repository root (``BENCH_e13.json``)
+keeps one envelope, so an experiment's trajectory reads the same way
+from run to run::
 
     {
       "schema": 2,
-      "experiment": "E14 sharded maintenance",
+      "experiment": "E13 empirical IM-class conformance",
       "runs": [
         {
           "timestamp": "2026-08-06T12:00:00",
@@ -42,37 +42,6 @@ def machine_fingerprint():
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
     }
-
-
-#: Fingerprint axes that make two runs' absolute numbers comparable.
-#: ``cpus`` matters most: a 1-core runner and a 4-core runner produce
-#: legitimately different parallel speedups, and a regression gate must
-#: never compare across that boundary.
-COMPARABLE_AXES = ("machine", "cpus")
-
-
-def comparable_runs(history, fingerprint=None, **payload_keys):
-    """The subset of *history*'s runs a regression gate may compare against.
-
-    A run qualifies when its machine fingerprint matches *fingerprint*
-    (default: this machine) on every :data:`COMPARABLE_AXES` axis and its
-    payload carries every ``payload_keys`` item verbatim (e.g.
-    ``shards=4`` or ``executor="process"``).  Schema-v1 runs with no
-    fingerprint are excluded — their provenance is unknown.
-    """
-    if fingerprint is None:
-        fingerprint = machine_fingerprint()
-    matched = []
-    for run in history.get("runs", []):
-        machine = run.get("machine")
-        if machine is None:
-            continue
-        if any(machine.get(axis) != fingerprint.get(axis) for axis in COMPARABLE_AXES):
-            continue
-        if any(run.get(key) != value for key, value in payload_keys.items()):
-            continue
-        matched.append(run)
-    return matched
 
 
 def load_history(path, experiment):

@@ -26,7 +26,6 @@ MODULES = [
     "bench_e10_batch_incremental",
     "bench_e11_throughput",
     "bench_e13_conformance",
-    "bench_e14_sharded",
     "bench_a1_ablations",
 ]
 

@@ -53,7 +53,8 @@ conformance sweeps of :mod:`repro.obs.conformance` against the view —
 note this appends synthesized drive records to the view's chronicle —
 and prints the certificate.  ``SERVE METRICS port`` starts the live
 HTTP exporter (``/metrics``, ``/certificates``, ``/snapshot``,
-``/timeline``, ``/dashboard``; port 0 picks an ephemeral port);
+``/costs``, ``/health``, ``/timeline``, ``/dashboard``; port 0 picks an
+ephemeral port);
 ``SERVE STOP`` stops it.  A session keeps its
 own :class:`~repro.obs.Observability` handle and installs it only for
 the duration of each statement, so CLI instrumentation never leaks into

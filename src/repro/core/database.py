@@ -200,7 +200,8 @@ class ChronicleDatabase:
 
         Enables observability (installing it) if it is not enabled yet,
         then serves ``/metrics`` (Prometheus text), ``/certificates``,
-        ``/snapshot``, and ``/health`` on *port* (0 = ephemeral).
+        ``/snapshot``, ``/costs``, ``/health``, ``/timeline`` and
+        ``/dashboard`` on *port* (0 = ephemeral).
         Returns the :class:`~repro.obs.exporters.MetricsServer`.
 
         The exporter's serving thread is tied to this database's
@@ -739,13 +740,14 @@ class ChronicleDatabase:
     ) -> Optional[str]:
         """Pull the flight-recorder tape by hand; returns the bundle path.
 
-        Captures the recorder ring plus watermarks, registry stats, and
-        the metrics snapshot into a JSON incident bundle — the same
+        Captures the tape (the recent traces of the tracer's ring plus
+        the trigger markers), watermarks, registry stats, and the
+        metrics snapshot into a JSON incident bundle — the same
         bundle automatic triggers (auditor violation, shard-worker
         error, SLO breach) write.  With *path* the bundle goes exactly
         there; otherwise it lands in the observability handle's
         ``incident_dir`` (``None`` means nothing is written and ``None``
-        is returned — the trigger still lands in the ring).
+        is returned — the trigger is still marked and counted).
         """
         obs = self._observability
         if obs is None:

@@ -15,12 +15,12 @@ The auditor closes that gap observationally: every ``maintain`` span's
 the invariants
 
 * ``chronicle_read == 0`` — the no-access rule, live;
-* ``view_read <= view_read_limit`` — reads beyond the permitted locate
-  step stay bounded (default limit 0: the counter is *defined* as
-  "reads other than the locate step", so any count is a violation).
+* ``view_read <= VIEW_READ_LIMIT`` (0) — reads beyond the permitted
+  locate step stay bounded: the counter is *defined* as "reads other
+  than the locate step", so any count is a violation.
 
-Violations are recorded (bounded ring), counted in the metrics
-registry, and — depending on the mode — ignored (``"off"``), reported
+Violations are recorded (the last :data:`VIOLATIONS_KEPT`), counted in
+the metrics registry, and — depending on the mode — ignored (``"off"``), reported
 as warnings (``"warn"``), or raised as
 :class:`~repro.errors.MaintenanceAuditError` (``"raise"``), turning the
 theorem into a deployable assertion.
@@ -44,6 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .tracer import Span
 
 MODES = ("off", "warn", "raise")
+
+#: Most ``view_read`` counts a maintenance span may show.
+VIEW_READ_LIMIT = 0
+
+#: How many violation records an auditor retains.
+VIOLATIONS_KEPT = 128
 
 
 class AuditWarning(UserWarning):
@@ -82,30 +88,20 @@ class Auditor:
     ----------
     mode:
         ``"off"``, ``"warn"`` (default), or ``"raise"``.
-    view_read_limit:
-        Maximum permitted ``view_read`` count per maintenance span
-        (reads *beyond* the locate step; default 0).
     metrics:
         Optional registry receiving ``audit_violations_total{rule=...}``.
-    capacity:
-        How many violation records to retain.
     """
 
     def __init__(
-        self,
-        mode: str = "warn",
-        view_read_limit: int = 0,
-        metrics: Optional["MetricsRegistry"] = None,
-        capacity: int = 128,
+        self, mode: str = "warn", metrics: Optional["MetricsRegistry"] = None
     ) -> None:
         if mode not in MODES:
             raise ObservabilityError(
                 f"unknown audit mode {mode!r}; expected one of {MODES}"
             )
         self.mode = mode
-        self.view_read_limit = view_read_limit
         self.metrics = metrics
-        self.violations: Deque[AuditViolation] = deque(maxlen=capacity)
+        self.violations: Deque[AuditViolation] = deque(maxlen=VIOLATIONS_KEPT)
         self.checked_spans = 0
 
     @property
@@ -125,11 +121,9 @@ class Auditor:
                 AuditViolation("no-chronicle-access", span, chronicle_reads, 0)
             )
         view_reads = counters.get("view_read", 0)
-        if view_reads > self.view_read_limit:
+        if view_reads > VIEW_READ_LIMIT:
             found.append(
-                AuditViolation(
-                    "bounded-view-read", span, view_reads, self.view_read_limit
-                )
+                AuditViolation("bounded-view-read", span, view_reads, VIEW_READ_LIMIT)
             )
         for violation in found:
             self._report(violation)

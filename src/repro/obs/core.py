@@ -35,9 +35,7 @@ Installing the instance (:meth:`install`, or
 :mod:`repro.obs.runtime`, which is the only thing the hot-path hooks
 ever look at — so constructing an Observability costs nothing until it
 is installed, and uninstalling restores the zero-overhead no-op path.
-Every finished *root* span is additionally summarized into the
-:class:`~repro.obs.recorder.FlightRecorder` ring, and listener
-exceptions are swallowed and counted
+Span-listener exceptions are swallowed and counted
 (``span_listener_errors_total{listener}``) so a broken exporter can
 never abort the maintenance path.
 """
@@ -219,7 +217,8 @@ class Observability:
     audit:
         Auditor mode: ``"off"``, ``"warn"``, or ``"raise"``.
     ring:
-        Trace ring-buffer capacity.
+        Trace ring-buffer capacity — also the bound of an incident
+        bundle's tape, which is read from that ring.
     slo:
         The :class:`~repro.obs.health.SloPolicy` the ``/health`` route
         and :meth:`health` evaluate against (``None`` — the default
@@ -227,8 +226,7 @@ class Observability:
     incident_dir:
         Directory where the flight recorder writes incident bundles on
         triggers (auditor violation, shard-worker error, SLO breach).
-        ``None`` (the default) keeps the in-memory ring but never
-        touches disk automatically; explicit
+        ``None`` (the default) never touches disk automatically; explicit
         :meth:`incident`/``dump_incident(path=...)`` calls still work.
     """
 
@@ -255,7 +253,7 @@ class Observability:
         self.cost_ledger = CostLedger()
         #: The SLO policy health evaluation uses (None = defaults).
         self.slo = slo
-        #: The black-box ring + incident dumper.
+        #: The incident dumper (its tape is the tracer's ring).
         self.recorder = FlightRecorder(directory=incident_dir)
         self._span_listeners: List[Callable[[Span], None]] = []
         self._server: Optional[Any] = None
@@ -326,8 +324,12 @@ class Observability:
         return self._server
 
     def serve(self, port: int = 0, host: str = "127.0.0.1") -> Any:
-        """Start the HTTP exporter (``/metrics``, ``/certificates``,
-        ``/snapshot``) on *port* (0 = ephemeral); returns the server."""
+        """Start the HTTP exporter on *port* (0 = ephemeral); returns the server.
+
+        Routes: ``/metrics``, ``/certificates``, ``/snapshot``,
+        ``/costs``, ``/health``, ``/timeline`` and ``/dashboard``
+        (:data:`~repro.obs.exporters.ROUTES`).
+        """
         from .exporters import MetricsServer
 
         if self._server is not None:
@@ -381,8 +383,6 @@ class Observability:
         rule = SPAN_RULES.get(span.name)
         if rule is not None:
             rule(self, span)
-        if span._is_root:
-            self.recorder.record_span(span)
         for listener in self._span_listeners:
             try:
                 listener(span)
@@ -427,12 +427,14 @@ class Observability:
         stitched ingest trace).  They bypass :data:`SPAN_RULES`: the
         worker's own table counted them, and those counts arrive as its
         metric deltas, merged here with ``shard``/``worker`` labels.  The
-        byte/time readings of both pickling directions become the
-        ``ipc_*`` series.
+        worker's cost ledger is not relayed, so each grafted ``maintain``
+        span is folded into this handle's ledger here.  The byte/time
+        readings of both pickling directions become the ``ipc_*`` series.
         """
         for grafted in self.tracer.graft(span, telemetry.spans, worker=worker):
             for maintain in grafted.find("maintain"):
                 self._last_maintain[str(maintain.attrs.get("view", "?"))] = maintain.duration
+                self.cost_ledger.observe_maintain(maintain)
         metrics = self._metrics
         metrics.inc("ipc_bytes_down_total", ipc["bytes_down"], shard=shard)
         metrics.inc("ipc_bytes_up_total", ipc["bytes_up"], shard=shard)
@@ -564,7 +566,8 @@ class Observability:
         whatever the moment can safely provide — per-shard watermarks
         and merged registry stats from the bound database, plus this
         handle's :meth:`snapshot` — and hands it to
-        :meth:`~repro.obs.recorder.FlightRecorder.trigger`.  Context
+        :meth:`~repro.obs.recorder.FlightRecorder.trigger` with the
+        tracer's ring, from which the bundle's tape is read.  Context
         collection is best-effort: an incident dump must never add a
         second failure to the one being recorded.
         """
@@ -597,7 +600,7 @@ class Observability:
                 )
             except Exception:
                 pass
-        return self.recorder.trigger(reason, context, path=path)
+        return self.recorder.trigger(reason, context, path=path, traces=self.tracer.traces())
 
     # -- snapshots ---------------------------------------------------------------------
 
@@ -607,8 +610,7 @@ class Observability:
         Conformance verdicts published since the last snapshot are
         linked onto matching entries first, so every exported row
         carries its claimed-vs-fitted class when one is known.  This is
-        what the ``/costs`` HTTP route serves and what
-        :meth:`~repro.obs.costmodel.CostLedger.from_dict` restores.
+        what the ``/costs`` HTTP route serves.
         """
         if self.certificates:
             self.cost_ledger.link_certificates(self.certificates)
@@ -616,12 +618,13 @@ class Observability:
 
     def snapshot(self) -> Dict[str, Any]:
         """A one-call dict of everything: metrics, audit, trace status."""
+        buffered = len(self.tracer.traces())
         return {
             "metrics": self.metrics.as_dict(),
             "audit": self.auditor.summary(),
             "traces": {
                 "completed": self.tracer.completed_count,
-                "buffered": len(self.tracer.traces()),
+                "buffered": buffered,
                 "capacity": self.tracer.capacity,
             },
             "certificates": {
@@ -632,10 +635,10 @@ class Observability:
             "costs": {
                 "entries": len(self.cost_ledger),
                 "dropped": self.cost_ledger.dropped,
-                "recording": True,
             },
             "recorder": {
-                "events": len(self.recorder.events()),
+                # The tape a dump would write: buffered traces + markers.
+                "events": buffered + len(self.recorder.triggers_since(0)),
                 "triggered": self.recorder.triggered,
                 "dumped": self.recorder.dumped,
             },

@@ -1,4 +1,4 @@
-"""A persistent per-operator cost model fed by live ``maintain`` spans.
+"""A per-operator cost model fed by finished ``maintain`` spans.
 
 The conformance profiler (:mod:`repro.obs.conformance`) answers "does
 this view's cost *scale* the way the paper claims?" with controlled
@@ -25,18 +25,23 @@ Shapes mirror the compiled plan structure (fused select/project chains
 collapse into their chain-head span), so ledger rows line up one-to-one
 with ``EXPLAIN`` output (:mod:`repro.obs.explain`).
 
-Ledgers persist: :meth:`CostLedger.as_dict` / :meth:`from_dict` (and
-the JSON wrappers) round-trip **exactly** — every stored float survives
-:mod:`json` unchanged, and derived statistics (mean, p50, p99) are
-recomputed deterministically from the stored totals.  Certificates from
+Derived statistics (mean, p50, p99) are computed from the stored
+totals.  :meth:`CostLedger.as_dict` is the JSON payload the ``/costs``
+route and :meth:`~repro.obs.core.Observability.cost_snapshot` serve;
+``SHOW COSTS`` renders :meth:`CostLedger.format`.  Certificates from
 the conformance profiler are stamped onto matching entries with
 :meth:`CostLedger.link_certificates`, so each row can carry its
 claimed IM class next to the empirically fitted curve classes.
 
-Zero-overhead contract: the ledger is only ever fed from
-:meth:`Observability.on_span_end <repro.obs.core.Observability
-.on_span_end>` — with no observability installed no spans finish, so no
-ledger code runs.
+The ledger is the one fold of ``maintain``/``delta`` span trees: the
+span table feeds it the spans that finish in this process,
+:meth:`Observability.land_relay <repro.obs.core.Observability
+.land_relay>` the ``maintain`` spans grafted from process workers, and
+``EXPLAIN ANALYZE`` (:mod:`repro.obs.explain`) folds its measured
+window into a ledger of its own.
+
+Zero-overhead contract: with no observability installed no spans
+finish, so no ledger code runs.
 
 This module is imported by :mod:`repro.obs.core` and therefore must not
 import :mod:`repro.obs.conformance` (which imports ``core``); the work/
@@ -45,7 +50,6 @@ probe cost measures live *here* and conformance re-exports them.
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -56,9 +60,13 @@ from .tracer import Span
 #: O(log |V|) locate-step overhead the IM classes are stated modulo).
 _LOCATE_EVENTS = frozenset(("index_probe", "index_lookup"))
 
-#: Default EWMA smoothing factor: each call contributes 10%, so the
-#: average reflects roughly the last ~20 calls.
+#: EWMA smoothing factor: each call contributes 10%, so the average
+#: reflects roughly the last ~20 calls.
 EWMA_ALPHA = 0.1
+
+#: Most distinct (view, operator, shape) keys a ledger allocates: a
+#: runaway label space degrades the ledger, never the process.
+MAX_ENTRIES = 512
 
 
 def span_work(counters: Mapping[str, int]) -> int:
@@ -103,6 +111,7 @@ class CostEntry:
         "work",
         "probes",
         "seconds",
+        "max_seconds",
         "ewma_seconds",
         "counters",
         "histogram",
@@ -120,6 +129,7 @@ class CostEntry:
         self.work = 0
         self.probes = 0
         self.seconds = 0.0
+        self.max_seconds = 0.0
         self.ewma_seconds = 0.0
         self.counters: Dict[str, int] = {}
         self.histogram = Histogram(DEFAULT_LATENCY_BUCKETS)
@@ -130,28 +140,22 @@ class CostEntry:
         self.conformant: Optional[bool] = None
         self.fitted: Dict[str, str] = {}
 
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        return (self.view, self.operator, self.shape)
-
-    def observe(
-        self, seconds: float, rows: int, counters: Mapping[str, int], alpha: float
-    ) -> None:
+    def observe(self, seconds: float, rows: int, counters: Mapping[str, int]) -> None:
         self.calls += 1
         self.rows += int(rows)
         self.work += span_work(counters)
         self.probes += span_probes(counters)
         self.seconds += seconds
+        self.max_seconds = max(self.max_seconds, seconds)
         if self.calls == 1:
             self.ewma_seconds = seconds
         else:
-            self.ewma_seconds += alpha * (seconds - self.ewma_seconds)
+            self.ewma_seconds += EWMA_ALPHA * (seconds - self.ewma_seconds)
         self.histogram.observe(seconds)
         for event, amount in counters.items():
             self.counters[event] = self.counters.get(event, 0) + amount
 
-    # Derived statistics — deterministic functions of the stored totals,
-    # so a deserialized entry reproduces them exactly.
+    # Derived statistics — functions of the stored totals.
 
     @property
     def mean_seconds(self) -> float:
@@ -175,11 +179,11 @@ class CostEntry:
             "work": self.work,
             "probes": self.probes,
             "seconds": self.seconds,
+            "max_seconds": self.max_seconds,
             "ewma_seconds": self.ewma_seconds,
             "counters": dict(sorted(self.counters.items())),
             "buckets": list(self.histogram.bucket_counts),
-            # Derived, recomputed on load — exported for human readers
-            # and dashboards, not state.
+            # Derived — exported for human readers and dashboards.
             "mean_seconds": self.mean_seconds,
             "p50_seconds": self.p50_seconds,
             "p99_seconds": self.p99_seconds,
@@ -192,63 +196,26 @@ class CostEntry:
             out["fitted"] = dict(sorted(self.fitted.items()))
         return out
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CostEntry":
-        entry = cls(str(data["view"]), str(data["operator"]), str(data["shape"]))
-        entry.calls = int(data["calls"])
-        entry.rows = int(data["rows"])
-        entry.work = int(data["work"])
-        entry.probes = int(data["probes"])
-        entry.seconds = float(data["seconds"])
-        entry.ewma_seconds = float(data["ewma_seconds"])
-        entry.counters = {str(k): int(v) for k, v in data.get("counters", {}).items()}
-        buckets = [int(n) for n in data["buckets"]]
-        if len(buckets) != len(entry.histogram.bucket_counts):
-            raise ValueError(
-                "cost entry bucket count mismatch: "
-                f"{len(buckets)} != {len(entry.histogram.bucket_counts)}"
-            )
-        entry.histogram.bucket_counts = buckets
-        entry.histogram.count = sum(buckets)
-        entry.histogram.sum = entry.seconds
-        entry.claimed_class = data.get("claimed_class")
-        conformant = data.get("conformant")
-        entry.conformant = None if conformant is None else bool(conformant)
-        entry.fitted = {str(k): str(v) for k, v in data.get("fitted", {}).items()}
-        return entry
-
 
 class CostLedger:
     """Bounded, thread-safe per-(view, operator, shape) cost aggregates.
 
     Feed it finished ``maintain`` spans (:meth:`observe_maintain`) or
     raw measurements (:meth:`observe`); read it via :meth:`entries`,
-    :meth:`as_dict`, :meth:`to_json`, or the rendered :meth:`format`
-    table (what ``SHOW COSTS`` prints).
+    :meth:`as_dict`, or the rendered :meth:`format` table (what ``SHOW
+    COSTS`` prints).
 
-    Cardinality is bounded: once *max_entries* distinct keys exist, new
-    keys are counted in :attr:`dropped` instead of allocated — a
-    runaway label space degrades the ledger, never the process.
+    Cardinality is bounded: once :data:`MAX_ENTRIES` distinct keys
+    exist, new keys are counted in :attr:`dropped` instead of allocated.
     """
 
-    SCHEMA = 1
-
-    def __init__(self, max_entries: int = 512, ewma_alpha: float = EWMA_ALPHA) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        self.max_entries = max_entries
-        self.ewma_alpha = ewma_alpha
+    def __init__(self) -> None:
         self.dropped = 0
         self._entries: Dict[Tuple[str, str, str], CostEntry] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return True
 
     # ------------------------------------------------------------------
     # Feeding
@@ -268,11 +235,11 @@ class CostLedger:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                if len(self._entries) >= self.max_entries:
+                if len(self._entries) >= MAX_ENTRIES:
                     self.dropped += 1
                     return
                 entry = self._entries[key] = CostEntry(view, operator, shape)
-            entry.observe(seconds, rows, counters or {}, self.ewma_alpha)
+            entry.observe(seconds, rows, counters or {})
 
     def observe_maintain(self, span: Span) -> None:
         """Fold one finished ``maintain`` span and its delta subtree.
@@ -364,49 +331,11 @@ class CostLedger:
             self._entries.clear()
             self.dropped = 0
 
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "schema": self.SCHEMA,
-            "max_entries": self.max_entries,
-            "ewma_alpha": self.ewma_alpha,
             "dropped": self.dropped,
             "entries": [entry.as_dict() for entry in self.entries()],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CostLedger":
-        schema = data.get("schema", 0)
-        if schema != cls.SCHEMA:
-            raise ValueError(f"unsupported cost ledger schema: {schema!r}")
-        ledger = cls(
-            max_entries=int(data.get("max_entries", 512)),
-            ewma_alpha=float(data.get("ewma_alpha", EWMA_ALPHA)),
-        )
-        ledger.dropped = int(data.get("dropped", 0))
-        for raw in data.get("entries", ()):
-            entry = CostEntry.from_dict(raw)
-            ledger._entries[entry.key] = entry
-        return ledger
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CostLedger":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "CostLedger":
-        with open(path) as handle:
-            return cls.from_json(handle.read())
 
     # ------------------------------------------------------------------
     # Rendering

@@ -15,12 +15,15 @@ not a recomputation.
 window — synthesized records appended through the normal ingest path
 under a private :class:`~repro.obs.core.Observability` handle — and
 annotates every operator with measured calls, output rows, wall time
-(mean/p99), the Theorem-4.2 work measure, and delta-cache hits, all
-read from the ``maintain``/``delta`` span trees maintenance emits.
-Measured spans are matched to described nodes *structurally*, by the
-engine-prefixed operator-kind path (the same "shape" key the
-:class:`~repro.obs.costmodel.CostLedger` aggregates by), so EXPLAIN
-output, ledger rows, and span trees all line up.
+(mean/max), the Theorem-4.2 work measure, and delta-cache hits.  The
+window's ``maintain`` spans (those grafted from process workers
+included) are folded by :meth:`CostLedger.observe_maintain
+<repro.obs.costmodel.CostLedger.observe_maintain>` into a ledger the
+report holds, and described nodes read their entries *structurally*,
+by the engine-prefixed operator-kind path (the ledger's "shape" key),
+so EXPLAIN output, ledger rows, and span trees all line up.  On the
+process executor workers trace no operators: only the per-view
+``maintain`` rollup is measured.
 
 Both forms work on the serial engine and on sharded databases (a
 partitioned view is described from one shard's registry — every shard
@@ -35,59 +38,12 @@ from ..algebra.plan import PlanNode, describe_aggregates, describe_plan, split_p
 from ..errors import ObservabilityError
 from . import runtime
 from .core import Observability
-from .costmodel import shape_paths, span_work
-from .tracer import Span
+from .costmodel import CostEntry, CostLedger, shape_paths
 
 #: Instrumented-window defaults: enough appends for stable numbers,
 #: small enough to finish in milliseconds.
 DEFAULT_EVENTS = 8
 DEFAULT_BATCH = 4
-
-
-class OperatorMeasurement:
-    """Aggregated measurements of one plan position over the window."""
-
-    __slots__ = ("calls", "rows", "seconds", "max_seconds", "counters")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.rows = 0
-        self.seconds = 0.0
-        self.max_seconds = 0.0
-        self.counters: Dict[str, int] = {}
-
-    def add(self, span: Span) -> None:
-        self.calls += 1
-        self.rows += int(span.attrs.get("rows", 0) or 0)
-        self.seconds += span.duration
-        if span.duration > self.max_seconds:
-            self.max_seconds = span.duration
-        for event, amount in span.counters.items():
-            self.counters[event] = self.counters.get(event, 0) + amount
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.seconds / self.calls if self.calls else 0.0
-
-    @property
-    def work(self) -> int:
-        return span_work(self.counters)
-
-    @property
-    def cache_hits(self) -> int:
-        return self.counters.get("delta_cache_hit", 0)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "calls": self.calls,
-            "rows": self.rows,
-            "seconds": self.seconds,
-            "max_seconds": self.max_seconds,
-            "work": self.work,
-        }
-        if self.counters:
-            out["counters"] = dict(sorted(self.counters.items()))
-        return out
 
 
 class ExplainReport:
@@ -125,8 +81,18 @@ class ExplainReport:
         self.analyzed = False
         self.events = 0
         self.batch = 0
-        self.maintain: Optional[OperatorMeasurement] = None
-        self.measurements: Dict[str, OperatorMeasurement] = {}
+        #: The measured window's ``maintain`` spans, folded.
+        self.ledger = CostLedger()
+
+    @property
+    def maintain(self) -> Optional[CostEntry]:
+        """The per-view rollup of the measured window."""
+        return self.ledger.get(self.view, "maintain", self.engine)
+
+    @property
+    def measurements(self) -> Dict[str, CostEntry]:
+        """The measured operators of the window, by shape path."""
+        return {e.shape: e for e in self.ledger.entries() if e.operator != "maintain"}
 
     # -- span → plan-node matching --------------------------------------------------
 
@@ -147,23 +113,6 @@ class ExplainReport:
 
         assign([self.plan], self.engine)
         return out
-
-    def record_maintain(self, span: Span) -> None:
-        """Fold one measured ``maintain`` span into the report."""
-        if self.maintain is None:
-            self.maintain = OperatorMeasurement()
-        self.maintain.add(span)
-        self._record_deltas(span.children, self.engine)
-
-    def _record_deltas(self, children: Sequence[Span], prefix: str) -> None:
-        deltas = [c for c in children if c.name == "delta"]
-        operators = [str(child.attrs.get("operator", "?")) for child in deltas]
-        for child, path in zip(deltas, shape_paths(prefix, operators)):
-            measurement = self.measurements.get(path)
-            if measurement is None:
-                measurement = self.measurements[path] = OperatorMeasurement()
-            measurement.add(child)
-            self._record_deltas(child.children, path)
 
     # -- output ---------------------------------------------------------------------
 
@@ -188,13 +137,13 @@ class ExplainReport:
         if self.note:
             out["note"] = self.note
         if self.analyzed:
+            maintain = self.maintain
             out["analyze"] = {
                 "events": self.events,
                 "batch": self.batch,
-                "maintain": self.maintain.to_dict() if self.maintain else None,
+                "maintain": maintain.as_dict() if maintain else None,
                 "operators": {
-                    path: m.to_dict()
-                    for path, m in sorted(self.measurements.items())
+                    path: m.as_dict() for path, m in sorted(self.measurements.items())
                 },
             }
         return out
@@ -216,20 +165,22 @@ class ExplainReport:
             lines.append(f"  summarize: {self.summary}")
         if self.note:
             lines.append(f"  note: {self.note}")
+        measurements = self.measurements
         if self.analyzed:
+            maintain = self.maintain
             lines.append(
                 f"  measured: {self.events} events × {self.batch} records"
                 + (
-                    f", maintain mean={_us(self.maintain.mean_seconds)}"
-                    f" work/call={self.maintain.work / self.maintain.calls:.1f}"
-                    if self.maintain is not None and self.maintain.calls
+                    f", maintain mean={_us(maintain.mean_seconds)}"
+                    f" work/call={maintain.work / maintain.calls:.1f}"
+                    if maintain is not None
                     else " (no maintain spans recorded)"
                 )
             )
         lines.append("  plan:")
 
         paths = self.paths()
-        tree: List[Tuple[str, Optional[OperatorMeasurement]]] = []
+        tree: List[Tuple[str, Optional[CostEntry]]] = []
 
         def render(node: PlanNode, indent: int) -> None:
             label = node.kind
@@ -239,9 +190,7 @@ class ExplainReport:
                 label += f" ⨟ {fused}"
             if node.shared:
                 label += f" [shared ×{node.refs}]"
-            measurement = (
-                self.measurements.get(paths[id(node)]) if self.analyzed else None
-            )
+            measurement = measurements.get(paths[id(node)])
             tree.append(("    " + "  " * indent + label, measurement))
             for child in node.children:
                 render(child, indent + 1)
@@ -259,17 +208,18 @@ class ExplainReport:
                 f" max={_us(measurement.max_seconds)}"
                 f" work={measurement.work}"
             )
-            if measurement.cache_hits:
-                columns += f" cache_hits={measurement.cache_hits}"
+            cache_hits = measurement.counters.get("delta_cache_hit", 0)
+            if cache_hits:
+                columns += f" cache_hits={cache_hits}"
             lines.append(f"{text.ljust(width)}  {columns}")
 
         if self.analyzed:
             matched = {paths[id(node)] for node in self.plan.walk()}
-            extras = sorted(set(self.measurements) - matched)
+            extras = sorted(set(measurements) - matched)
             if extras:
                 lines.append("  unmatched spans (interpreter fallback inside a step):")
                 for path in extras:
-                    m = self.measurements[path]
+                    m = measurements[path]
                     lines.append(
                         f"    {path}  calls={m.calls} rows={m.rows}"
                         f" mean={_us(m.mean_seconds)}"
@@ -372,9 +322,9 @@ def explain_analyze(
 
     Drives synthesized records (or *record_factory(index)* outputs)
     through the normal ingest path of the driver *chronicle* (default:
-    the view's first) under a private observability handle, then
-    annotates the report with per-operator measurements from the
-    recorded span trees.  The database's own observability state is
+    the view's first) under a private observability handle, then folds
+    the view's ``maintain`` spans recorded after the warm-up into the
+    report's ledger.  The database's own observability state is
     suspended for the window and restored after.
     """
     if events < 1:
@@ -396,7 +346,7 @@ def explain_analyze(
         record_factory = schema_record_factory(db.chronicle(driver).schema)
 
     obs = Observability(audit="off", ring=512)
-    collected: List[Span] = []
+    collected = []
     with runtime.installed(obs):
         # Warm-up append: first-touch effects (lazy compilation, new
         # group rows) land here, not in the measurements.
@@ -421,5 +371,5 @@ def explain_analyze(
     report.events = events
     report.batch = batch
     for span in collected:
-        report.record_maintain(span)
+        report.ledger.observe_maintain(span)
     return report

@@ -11,9 +11,7 @@ stdlib-only:
   - ``/certificates`` — the conformance certificates
     (:mod:`repro.obs.conformance`) as JSON;
   - ``/costs`` — the live :class:`~repro.obs.costmodel.CostLedger`
-    (certificates stamped) as JSON, loadable with
-    :meth:`CostLedger.from_dict <repro.obs.costmodel.CostLedger
-    .from_dict>`;
+    (certificates stamped) as JSON;
   - ``/snapshot`` — the full :meth:`~repro.obs.core.Observability
     .snapshot` as JSON;
   - ``/health`` — the :class:`~repro.obs.health.HealthReport` as JSON

@@ -1,29 +1,26 @@
-"""The flight recorder: a black-box ring plus dump-on-anomaly bundles.
+"""The flight recorder: dump-on-anomaly incident bundles.
 
 When a shard worker throws, the auditor flags a chronicle read, or the
 SLO evaluator turns ``FAILING``, the question is always "what was the
-engine doing *just before*?" — and by the time anyone asks, the trace
-ring has churned and the metrics only show totals.  The
-:class:`FlightRecorder` answers it the way an aircraft black box does:
-it continuously records a bounded ring of compact event summaries
-(finished root spans, watermarks, violations, notes) at negligible
-cost, and on a trigger freezes everything into a JSON *incident bundle*
-on disk.
+engine doing *just before*?" — and by the time anyone asks, the metrics
+only show totals.  The :class:`FlightRecorder` answers it the way an
+aircraft black box does: on a trigger it freezes the *tape* into a JSON
+*incident bundle* on disk.
 
-Two halves:
+The tape is not a second store.  The tracer's ring
+(:attr:`Observability.tracer <repro.obs.core.Observability.tracer>`,
+bounded by ``Observability(ring=)``) already holds the most recent
+finished traces; at dump time each one is summarized
+(:func:`summarize_span`: name, trace/span ids, duration, attrs, the
+views its children maintained) and merged, in time order, with the
+recorder's own trigger markers.  Nothing is copied while spans finish.
 
-* **the ring** — :meth:`FlightRecorder.record_span` summarizes every
-  finished *root* span (name, trace/span ids, duration, attrs, the
-  views its children maintained) into a dict; :meth:`FlightRecorder
-  .note` adds free-form events (engine errors, SLO transitions).  Both
-  are lock-guarded deque appends — worker threads record concurrently.
-* **the dump** — :meth:`FlightRecorder.trigger` writes
-  ``incident-<seq>-<reason>.json`` into :attr:`directory`: the ring,
-  the trigger reason and context (snapshot, watermarks, registry
-  stats, health report — assembled by :meth:`~repro.obs.core
-  .Observability.incident`).  With no directory configured the trigger
-  still lands in the ring (and is counted), but nothing touches disk —
-  persistence is strictly opt-in.
+:meth:`FlightRecorder.trigger` writes ``incident-<seq>-<reason>.json``
+into :attr:`~FlightRecorder.directory`: the tape, the trigger reason
+and context (snapshot, watermarks, registry stats, health report —
+assembled by :meth:`~repro.obs.core.Observability.incident`).  With no
+directory configured the trigger is still marked (and counted), but
+nothing touches disk — persistence is strictly opt-in.
 
 Triggers are wired in three places: :meth:`Observability.on_span_end`
 (auditor violations), :meth:`~repro.parallel.engine.ShardEngine
@@ -46,7 +43,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from .tracer import Span
 
@@ -78,12 +75,10 @@ def summarize_span(span: Span) -> Dict[str, Any]:
 
 
 class FlightRecorder:
-    """Bounded black-box ring with dump-on-trigger incident bundles.
+    """Trigger markers plus dump-on-trigger incident bundles.
 
     Parameters
     ----------
-    capacity:
-        Events the ring retains (oldest dropped beyond it).
     directory:
         Where incident bundles land (created on first dump).  ``None``
         disables automatic persistence; explicit-path dumps still work.
@@ -94,60 +89,31 @@ class FlightRecorder:
     """
 
     def __init__(
-        self,
-        capacity: int = 512,
-        directory: Optional[str] = None,
-        cooldown_seconds: float = 30.0,
+        self, directory: Optional[str] = None, cooldown_seconds: float = 30.0
     ) -> None:
-        if capacity < 1:
-            raise ValueError("recorder capacity must be >= 1")
         if cooldown_seconds < 0:
             raise ValueError("cooldown_seconds must be >= 0")
-        self.capacity = capacity
         self.directory = directory
         self.cooldown_seconds = cooldown_seconds
         #: Lifetime triggers (including those that wrote no file).
         self.triggered = 0
         #: Lifetime bundles written to disk.
         self.dumped = 0
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
-        # Side-channel of trigger markers only: the metrics-history
-        # sampler polls this every tick, and copying the full ring per
-        # tick would dwarf the cost of everything else it reads.
+        # The last 64 trigger markers: on the tape, and polled by the
+        # metrics-history sampler every tick.
         self._triggers: Deque[Dict[str, Any]] = deque(maxlen=64)
         self._lock = threading.Lock()
         self._sequence = 0
         self._last_dump_at: Dict[str, float] = {}
 
-    # -- the ring ------------------------------------------------------------------
-
-    def record_span(self, span: Span) -> None:
-        """Ring one finished root span (non-roots are cheap no-ops)."""
-        if not span.is_root:
-            return
-        summary = summarize_span(span)
-        with self._lock:
-            self._ring.append(summary)
-
-    def note(self, kind: str, **data: Any) -> None:
-        """Ring one free-form event (engine error, status change, ...)."""
-        event = {"kind": kind, "at": time.time()}
-        event.update(data)
-        with self._lock:
-            self._ring.append(event)
-
-    def events(self) -> List[Dict[str, Any]]:
-        """The ring's events, oldest first (a copy)."""
-        with self._lock:
-            return list(self._ring)
+    # -- trigger markers -----------------------------------------------------------
 
     def triggers_since(self, sequence: int) -> List[Dict[str, Any]]:
         """Trigger markers newer than *sequence*, oldest first.
 
-        A bounded (last 64) side-channel so pollers can pick up incident
-        markers incrementally without copying the event ring.  Filtering
-        by trigger sequence rather than wall clock keeps it immune to
-        clock adjustments.
+        Pollers pick up incident markers incrementally this way.
+        Filtering by trigger sequence rather than wall clock keeps it
+        immune to clock adjustments.
         """
         with self._lock:
             return [dict(t) for t in self._triggers if t["sequence"] > sequence]
@@ -159,21 +125,23 @@ class FlightRecorder:
         reason: str,
         context: Optional[Dict[str, Any]] = None,
         path: Optional[str] = None,
+        traces: Sequence[Span] = (),
     ) -> Optional[str]:
-        """Record a trigger and (maybe) dump a bundle; returns the path.
+        """Mark a trigger and (maybe) dump a bundle; returns the path.
 
         With *path* the bundle goes exactly there, cooldown-free.  With
         :attr:`directory` configured, a ``incident-<seq>-<reason>.json``
         file is written unless the same reason dumped within the
-        cooldown.  Otherwise only the ring records the trigger and
-        ``None`` is returned.
+        cooldown.  Otherwise only the marker is kept and ``None`` is
+        returned.  A written bundle's ``events`` are the summaries of
+        *traces* (the tracer's ring) and the trigger markers, oldest
+        first.
         """
         now = time.time()
         with self._lock:
             self.triggered += 1
             self._sequence += 1
             sequence = self._sequence
-            self._ring.append({"kind": "trigger", "at": now, "reason": reason})
             self._triggers.append(
                 {"at": now, "reason": reason, "sequence": sequence}
             )
@@ -191,7 +159,12 @@ class FlightRecorder:
                 path = os.path.join(
                     self.directory, f"incident-{sequence:04d}-{safe_reason}.json"
                 )
-            events = list(self._ring)
+            markers = [
+                {"kind": "trigger", "at": t["at"], "reason": t["reason"]}
+                for t in self._triggers
+            ]
+        events = [summarize_span(trace) for trace in traces] + markers
+        events.sort(key=lambda event: event["at"])
         bundle: Dict[str, Any] = {
             "reason": reason,
             "at": now,
@@ -212,7 +185,6 @@ class FlightRecorder:
 
     def __repr__(self) -> str:
         return (
-            f"FlightRecorder(capacity={self.capacity}, "
-            f"directory={self.directory!r}, events={len(self._ring)}, "
+            f"FlightRecorder(directory={self.directory!r}, "
             f"triggered={self.triggered}, dumped={self.dumped})"
         )

@@ -15,7 +15,7 @@ import pytest
 
 from repro import ChronicleDatabase, DatabaseConfig
 from repro.errors import ObservabilityError
-from repro.obs import CostLedger, Observability
+from repro.obs import CostLedger, Observability, costmodel
 from repro.obs import runtime as obs_runtime
 from repro.obs.explain import ExplainReport, explain, explain_analyze
 
@@ -63,15 +63,17 @@ class TestCostLedger:
         assert entry.mean_seconds == pytest.approx(0.002)
 
     def test_ewma_tracks_recent_values(self):
-        ledger = CostLedger(ewma_alpha=0.5)
+        ledger = CostLedger()
         ledger.observe("v", "op", "s", 0.002)
         assert ledger.entries()[0].ewma_seconds == pytest.approx(0.002)
         ledger.observe("v", "op", "s", 0.004)
-        # first call seeds the EWMA; then ewma += alpha * (x - ewma)
-        assert ledger.entries()[0].ewma_seconds == pytest.approx(0.003)
+        # first call seeds the EWMA; then ewma += alpha * (x - ewma), alpha 0.1
+        assert ledger.entries()[0].ewma_seconds == pytest.approx(0.0022)
+        assert ledger.entries()[0].max_seconds == pytest.approx(0.004)
 
-    def test_bounded_cardinality_drops_new_keys(self):
-        ledger = CostLedger(max_entries=2)
+    def test_bounded_cardinality_drops_new_keys(self, monkeypatch):
+        monkeypatch.setattr(costmodel, "MAX_ENTRIES", 2)
+        ledger = CostLedger()
         ledger.observe("v", "a", "s1", 0.001)
         ledger.observe("v", "b", "s2", 0.001)
         ledger.observe("v", "c", "s3", 0.001)  # over the cap: dropped
@@ -80,35 +82,6 @@ class TestCostLedger:
         assert ledger.dropped == 1
         assert ledger.get("v", "a", "s1").calls == 2
         assert ledger.get("v", "c", "s3") is None
-
-    def test_json_round_trip_is_exact(self):
-        ledger = CostLedger()
-        for i in range(7):
-            ledger.observe(
-                "balance",
-                "GroupBySeq",
-                "compiled/GroupBySeq",
-                0.0001 * (i + 1),
-                rows=i,
-                counters={"aggregate_step": i, "index_probe": 1},
-            )
-        ledger.observe("other", "maintain", "compiled", 0.002, rows=4)
-        snapshot = ledger.as_dict()
-        restored = CostLedger.from_json(ledger.to_json())
-        assert restored.as_dict() == snapshot
-        # And a second hop stays fixed: load(save(x)) is idempotent.
-        assert CostLedger.from_json(restored.to_json()).as_dict() == snapshot
-
-    def test_save_load_files(self, tmp_path):
-        ledger = CostLedger()
-        ledger.observe("v", "op", "s", 0.001, rows=2)
-        path = str(tmp_path / "costs.json")
-        ledger.save(path)
-        assert CostLedger.load(path).as_dict() == ledger.as_dict()
-
-    def test_schema_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            CostLedger.from_dict({"schema": 99, "entries": []})
 
     def test_format_empty_and_filtered(self):
         ledger = CostLedger()
@@ -159,7 +132,9 @@ class TestLedgerFromIngest:
         with obs_runtime.installed(obs):
             drive(db, events=5)
         snapshot = obs.cost_snapshot()
-        assert CostLedger.from_json(json.dumps(snapshot)).as_dict() == snapshot
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        assert snapshot == obs.cost_ledger.as_dict()
+        assert {e["view"] for e in snapshot["entries"]} == {"balance"}
 
     def test_snapshot_reports_ledger_stats(self):
         db = make_banking_db()
@@ -167,7 +142,6 @@ class TestLedgerFromIngest:
         with obs_runtime.installed(obs):
             drive(db, events=3)
         snap = obs.snapshot()
-        assert snap["costs"]["recording"] is True
         assert snap["costs"]["entries"] == len(obs.cost_ledger)
         assert snap["costs"]["dropped"] == 0
 
@@ -397,7 +371,7 @@ class TestSurfaces:
                     payload = json.loads(resp.read())
             finally:
                 db.observability.stop_serving()
-            restored = CostLedger.from_dict(payload)
-            assert "balance" in restored.views()
+            assert payload == json.loads(json.dumps(db.observability.cost_snapshot()))
+            assert "balance" in {entry["view"] for entry in payload["entries"]}
         finally:
             db.disable_observability()

@@ -7,7 +7,7 @@ breaches), end-to-end DEGRADED -> FAILING transitions on a live sharded
 database (including the HTTP status codes /health answers with),
 per-shard lag gauges and label hygiene (no shard="?" bucket, ever),
 cross-thread trace correlation (every shard_apply span carries the
-producing ingest's trace id), the flight-recorder ring/cooldown/bundle
+producing ingest's trace id), the flight-recorder tape/cooldown/bundle
 format, incident dumps on auditor violations and shard-worker errors,
 and concurrent scrapes while a writer thread drives the sharded engine.
 """
@@ -34,6 +34,7 @@ from repro.obs import (
     ShardHealth,
     ShardLag,
     SloPolicy,
+    Tracer,
     evaluate_health,
 )
 from repro.obs import runtime as obs_runtime
@@ -466,30 +467,42 @@ class TestTraceCorrelation:
 
 
 class TestFlightRecorder:
-    def test_ring_is_bounded(self):
-        recorder = FlightRecorder(capacity=4)
-        for i in range(10):
-            recorder.note("tick", i=i)
-        events = recorder.events()
-        assert len(events) == 4
-        assert [e["i"] for e in events] == [6, 7, 8, 9]
+    def test_ring_is_bounded(self, tmp_path):
+        # The tape is read from the tracer's ring: Observability(ring=)
+        # bounds it.
+        db = make_db()
+        with Observability(audit="off", ring=4) as obs:
+            _append_some(db, 10)
+            path = obs.incident("drill", path=str(tmp_path / "bundle.json"))
+        events = json.loads(open(path).read())["events"]
+        assert [e["kind"] for e in events] == ["span"] * 4 + ["trigger"]
+        assert [e["span_id"] for e in events[:4]] == [t.span_id for t in obs.tracer.traces()]
+        assert [e["at"] for e in events] == sorted(e["at"] for e in events)
 
     def test_trigger_without_directory_stays_in_memory(self):
         recorder = FlightRecorder()
         assert recorder.trigger("drill") is None
         assert recorder.triggered == 1 and recorder.dumped == 0
-        assert recorder.events()[-1]["kind"] == "trigger"
+        assert [t["reason"] for t in recorder.triggers_since(0)] == ["drill"]
 
     def test_explicit_path_dump(self, tmp_path):
         recorder = FlightRecorder()
-        recorder.note("tick", n=1)
+        tracer = Tracer()
+        with tracer.span("append", group="g"):
+            pass
         path = recorder.trigger(
-            "manual", {"extra": "context"}, path=str(tmp_path / "bundle.json")
+            "manual",
+            {"extra": "context"},
+            path=str(tmp_path / "bundle.json"),
+            traces=tracer.traces(),
         )
         bundle = json.loads(open(path).read())
         assert bundle["reason"] == "manual"
         assert bundle["context"] == {"extra": "context"}
-        assert any(e["kind"] == "tick" for e in bundle["events"])
+        assert [(e["kind"], e.get("name")) for e in bundle["events"]] == [
+            ("span", "append"),
+            ("trigger", None),
+        ]
 
     def test_directory_dump_with_cooldown(self, tmp_path):
         recorder = FlightRecorder(directory=str(tmp_path), cooldown_seconds=3600)
@@ -505,8 +518,6 @@ class TestFlightRecorder:
         ]
 
     def test_bad_limits_rejected(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
         with pytest.raises(ValueError):
             FlightRecorder(cooldown_seconds=-1)
 
@@ -527,7 +538,7 @@ class TestIncidents:
                 db.append("calls", {"caller": 1, "minutes": 5})
         recorder = db.observability.recorder
         assert recorder.triggered == 1
-        assert any(e.get("reason") == "auditor-violation" for e in recorder.events())
+        assert [t["reason"] for t in recorder.triggers_since(0)] == ["auditor-violation"]
 
     def test_raise_mode_writes_bundle_before_aborting(self, tmp_path):
         db = make_db()

@@ -325,14 +325,15 @@ class TestAuditor:
         assert auditor.check_span(span) == []
 
     def test_view_read_limit(self):
-        auditor = Auditor(mode="raise", view_read_limit=1)
+        # The limit is 0: any read beyond the locate step is a violation.
+        auditor = Auditor(mode="raise")
         tracer = Tracer()
         with tracer.span("maintain", view="v") as span:
-            GLOBAL_COUNTERS.count("view_read", 1)
+            GLOBAL_COUNTERS.count("index_lookup", 1)
         assert auditor.check_span(span) == []
         with tracer.span("maintain", view="v") as span:
-            GLOBAL_COUNTERS.count("view_read", 2)
-        with pytest.raises(MaintenanceAuditError, match="bounded-view-read"):
+            GLOBAL_COUNTERS.count("view_read", 1)
+        with pytest.raises(MaintenanceAuditError, match=r"bounded-view-read: observed 1 \(limit 0\)"):
             auditor.check_span(span)
 
     def test_unknown_mode_rejected(self):

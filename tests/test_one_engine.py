@@ -23,8 +23,12 @@ against an operator class is a ladder growing back.  Telemetry, finally:
 outside :mod:`repro.obs` code only opens spans, so no module there
 writes a metric and none but the shell (which renders what it reads)
 names a metric family, every span-derived
-metric is one row of ``SPAN_RULES`` in ``obs/core.py``, and the
-observability knobs nobody set stay deleted.  Admission, last: each
+metric is one row of ``SPAN_RULES`` in ``obs/core.py``, the
+observability knobs nobody set stay deleted, and each observation is
+folded or stored once: ``CostLedger`` is the one fold of ``delta`` span
+trees (EXPLAIN ANALYZE folds through it), the tracer's ring is the one
+store of finished traces (the flight recorder reads it at dump time),
+and the ledger keeps no load path.  Admission, last: each
 chronicle admits through the step compiled when it is created (no
 per-record ``_admit``, no ``check_values`` in the group or the
 chronicle), an event is deduplicated once, by the group, and none of it
@@ -41,7 +45,11 @@ import repro
 from repro.algebra.ast import Node
 from repro.core.config import EXECUTORS, DatabaseConfig, DurabilityConfig
 from repro.core.database import ChronicleDatabase
+from repro.obs import explain
+from repro.obs.auditor import Auditor
 from repro.obs.core import INCIDENT_COUNTERS, SPAN_RULES, Observability
+from repro.obs.costmodel import CostLedger
+from repro.obs.recorder import FlightRecorder
 from repro.sca.view import PersistentView
 from repro.views.registry import ViewRegistry
 
@@ -465,3 +473,30 @@ def test_observability_knobs_stay_deleted():
     assert parameters == ["trace_operators", "audit", "ring", "slo", "incident_dir"]
     assert not hasattr(Observability(), "trace")
     assert not hasattr(ViewRegistry(), "_per_view")
+
+
+def test_one_fold_per_observation():
+    def parameters(cls):
+        return list(inspect.signature(cls.__init__).parameters)[1:]
+
+    assert parameters(CostLedger) == []
+    assert parameters(FlightRecorder) == ["directory", "cooldown_seconds"]
+    assert parameters(Auditor) == ["mode", "metrics"]
+    assert len(dataclasses.fields(DatabaseConfig)) == 10
+    assert not hasattr(explain, "OperatorMeasurement")
+    for name in ("record_span", "note", "events"):
+        assert not hasattr(FlightRecorder, name), name
+    for name in ("from_dict", "from_json", "to_json", "save", "load", "SCHEMA"):
+        assert not hasattr(CostLedger, name), name
+    on_span_end = _function(OBS / "core.py", "Observability", "on_span_end")
+    assert "summarize_span" not in set(_called(on_span_end))
+    # Only the ledger walks delta spans: nothing else in obs/ compares a
+    # span name with "delta" or finds "delta" spans.
+    walkers = {
+        str(path.relative_to(SRC))
+        for path in sorted(OBS.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Compare) or (isinstance(node, ast.Call) and "find" in _called(node)))
+        and any(isinstance(c, ast.Constant) and c.value == "delta" for c in ast.walk(node))
+    }
+    assert walkers == {"obs/costmodel.py"}

@@ -517,6 +517,44 @@ class TestMergedView:
         finally:
             db.close()
 
+    def test_sharded_ingest_coalesces_a_window_per_shard_unit(self):
+        """The E14 decomposition, as counts: on the banded banking catalog
+        the serial engine runs one registry event per batch, ``sharded(1)``
+        one per shard unit per ingest window, with identical view rows."""
+        from benchmarks.e2e import streams, workloads
+
+        names = ["balance"] + [
+            f"v_{kind}_{index}" for kind in streams.KINDS for index in range(len(streams.BANDS))
+        ]
+        windows, batches, size = 3, 8, 6
+        records = list(BankingWorkload(seed=13, accounts=64).records(windows * batches * size))
+        stream = [
+            [records[(w * batches + b) * size : (w * batches + b + 1) * size] for b in range(batches)]
+            for w in range(windows)
+        ]
+        results = {}
+        for label, config in (
+            ("serial", DatabaseConfig()),
+            ("sharded", DatabaseConfig(engine="sharded", shards=1)),
+        ):
+            db = workloads._banded_catalog(config, workloads._no_lap)
+            try:
+                for window in stream:
+                    db.ingest("transactions", window)
+                rows = {
+                    name: sorted(tuple(row.values) for row in db.view(name).rows())
+                    for name in names
+                }
+                registries = [unit.registry for group in db.shard_groups for unit in group.units]
+                events = sum(r.stats["events"] for r in registries or [db.registry])
+                results[label] = (events, rows)
+            finally:
+                db.close()
+        assert results["serial"][0] == windows * batches
+        assert results["sharded"][0] == windows
+        assert len(names) == 41 and results["serial"][1]["balance"]
+        assert results["sharded"][1] == results["serial"][1]
+
     def test_late_view_materializes_from_history(self):
         db = ChronicleDatabase(config=DatabaseConfig(engine="sharded", shards=2))
         try:

@@ -9,13 +9,14 @@ Covers the PR-7 contract from both ends of the process boundary:
 * the zero-overhead contract: with observability off the process
   executor submits exactly the minimal ``worker_apply`` payload,
   byte-identical under pickle — the
-  throughput half of that contract is enforced by the E14/E15 gates'
-  median/MAD policy in CI, which run with observability off;
+  throughput half of that contract is measured by the ``bulk_process``
+  workload of ``benchmarks/e2e``, which runs with observability off;
 * end-to-end spawn tests: stitched traces (worker ``maintain`` spans
   parented under ``shard_apply``, sharing the ingest ``trace_id``),
   JSONL export round trips, the ``ipc_*`` and worker-labeled series,
-  crash bundles carrying the failed window's summary, and the
-  ``SHOW WORKERS`` CLI view.
+  crash bundles carrying the failed window's summary, the
+  ``SHOW WORKERS`` CLI view, and ``SHOW COSTS`` listing the workers'
+  ``maintain`` spans.
 """
 
 import json
@@ -497,3 +498,28 @@ class TestShowWorkersCli:
             assert "slot 0 [ok]" in out
         finally:
             session.db.close()
+
+    def test_show_costs_lists_the_workers_maintenance(self):
+        # Grafted spans bypass the span table and the worker's ledger is
+        # not relayed: landing the relay folds them into the ledger.
+        session = Session(config=_process_config())
+        db = session.db
+        try:
+            session.execute("CREATE CHRONICLE calls (caller INT, minutes INT) RETENTION 0")
+            session.execute(
+                "DEFINE VIEW usage AS SELECT caller, SUM(minutes) AS total "
+                "FROM calls GROUP BY caller"
+            )
+            with obs_runtime.installed(db.observability):
+                db.ingest(
+                    "calls",
+                    [[{"caller": 6 * b + i, "minutes": i + 1} for i in range(6)] for b in range(4)],
+                )
+            windows = sum(unit.windows_applied for group in db.shard_groups for unit in group.units)
+            assert windows == 2
+            rollups = [e for e in db.observability.cost_ledger.entries() if e.operator == "maintain"]
+            assert [(e.view, e.shape, e.calls) for e in rollups] == [("usage", "compiled", windows)]
+            out = session.execute("SHOW COSTS")
+            assert "usage" in out and "maintain" in out
+        finally:
+            db.close()
