@@ -18,7 +18,6 @@ commands::
     SHOW COSTS;
     SHOW HEALTH;
     SHOW WORKERS;
-    SHOW TIMELINE 20;
     EXPLAIN usage;
     EXPLAIN ANALYZE usage;
     TRACE 3;
@@ -37,9 +36,6 @@ the OK/DEGRADED/FAILING report (with per-shard lag when sharded);
 ``SHOW WORKERS`` renders the shard executor fleet — pool slots and
 their shard assignments, per-shard IPC byte/time accounting, and worker
 RSS/CPU readings when the process executor's telemetry relay has run;
-``SHOW TIMELINE [n]`` samples the metrics history and renders the last
-*n* samples as sparklines (throughput, maintain p99, shard lag, a
-health track, incident markers — the terminal face of ``/timeline``);
 ``SHOW COSTS [view]`` prints the live per-operator cost ledger
 (:mod:`repro.obs.costmodel`), conformance verdicts stamped when
 ``CERTIFY`` has run; ``EXPLAIN view`` renders the compiled maintenance
@@ -52,9 +48,8 @@ with wall time and cost-counter diffs).  ``CERTIFY view`` runs the empirical
 conformance sweeps of :mod:`repro.obs.conformance` against the view —
 note this appends synthesized drive records to the view's chronicle —
 and prints the certificate.  ``SERVE METRICS port`` starts the live
-HTTP exporter (``/metrics``, ``/certificates``, ``/snapshot``,
-``/costs``, ``/health``, ``/timeline``, ``/dashboard``; port 0 picks an
-ephemeral port);
+HTTP exporter (``/metrics``, ``/certificates``, ``/costs``,
+``/health``; port 0 picks an ephemeral port);
 ``SERVE STOP`` stops it.  A session keeps its
 own :class:`~repro.obs.Observability` handle and installs it only for
 the duration of each statement, so CLI instrumentation never leaks into
@@ -320,38 +315,7 @@ class Session:
             return self._show_workers()
         if target == "DURABILITY":
             return self._show_durability()
-        if target == "TIMELINE":
-            return self._show_timeline(words)
         raise CliError(f"SHOW: unknown target {target!r}")
-
-    def _show_timeline(self, words: List[str]) -> str:
-        """``SHOW TIMELINE [n]``: the metrics history as sparklines.
-
-        REPL statements arrive sporadically, so the session runs the
-        sampler threadless and forces one sample per invocation — each
-        ``SHOW TIMELINE`` appends the window since the previous one.
-        """
-        obs = self._observability()
-        n = 12
-        if len(words) > 2:
-            try:
-                n = int(words[2])
-            except ValueError:
-                raise CliError(f"SHOW TIMELINE: bad sample count {words[2]!r}")
-            if n < 1:
-                raise CliError("SHOW TIMELINE: sample count must be >= 1")
-        history = obs.history
-        if history is None:
-            settings = self.db.config.history
-            history = obs.start_history(
-                interval=settings.sample_interval_seconds,
-                capacity=settings.capacity,
-                thread=False,
-            )
-        history.sample_now()
-        return "\n".join(
-            "  " + line for line in history.format(n).splitlines()
-        )
 
     def _show_durability(self) -> str:
         manager = self.db.durability

@@ -105,62 +105,6 @@ class DurabilityConfig:
 
 
 @dataclass(frozen=True)
-class HistoryConfig:
-    """Immutable metrics-history (timeline) knobs.
-
-    Consulted only when observability is on: with ``observe=False`` (and
-    no handle passed in) no sampler exists — zero threads, zero
-    allocations, byte-identical hot path.
-
-    Parameters
-    ----------
-    enabled:
-        Start the :class:`~repro.obs.history.MetricsHistory` daemon
-        sampler alongside the observability handle (default on; it is
-        inert without ``observe=True``).
-    sample_interval_seconds:
-        Cadence of the sampler thread (> 0).
-    capacity:
-        Ring bound in samples (>= 2); the default 720 holds 12 minutes
-        at the 1-second cadence.
-    """
-
-    enabled: bool = True
-    sample_interval_seconds: float = 1.0
-    capacity: int = 720
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.enabled, bool):
-            raise ConfigError(
-                f"history enabled must be a bool, got {self.enabled!r}"
-            )
-        if (
-            isinstance(self.sample_interval_seconds, bool)
-            or not isinstance(self.sample_interval_seconds, (int, float))
-            or not self.sample_interval_seconds > 0
-        ):
-            raise ConfigError(
-                "sample_interval_seconds must be a positive number, got "
-                f"{self.sample_interval_seconds!r}"
-            )
-        if (
-            not isinstance(self.capacity, int)
-            or isinstance(self.capacity, bool)
-            or self.capacity < 2
-        ):
-            raise ConfigError(
-                f"history capacity must be an int >= 2, got {self.capacity!r}"
-            )
-
-    def replace(self, **changes: Any) -> "HistoryConfig":
-        """A copy of this config with *changes* applied (validated)."""
-        unknown = set(changes) - {f.name for f in fields(self)}
-        if unknown:
-            raise ConfigError(f"unknown config fields {sorted(unknown)}")
-        return replace(self, **changes)
-
-
-@dataclass(frozen=True)
 class DatabaseConfig:
     """Immutable configuration of a :class:`ChronicleDatabase`.
 
@@ -202,11 +146,6 @@ class DatabaseConfig:
     durability:
         A :class:`DurabilityConfig`.  ``None`` normalizes to the default
         (mode ``"off"``), keeping the hot path untouched.
-    history:
-        A :class:`HistoryConfig` for the metrics-history sampler behind
-        ``/timeline``, ``/dashboard``, and ``SHOW TIMELINE``.  ``None``
-        normalizes to the default (enabled, 1s cadence, 720 samples);
-        it only takes effect when observability is on.
     """
 
     engine: str = "serial"
@@ -218,7 +157,6 @@ class DatabaseConfig:
     slo: Optional[SloPolicy] = None
     aggregates: Optional[Any] = field(default=None, compare=False)
     durability: Optional[DurabilityConfig] = None
-    history: Optional[HistoryConfig] = None
 
     def __post_init__(self) -> None:
         if self.durability is None:
@@ -227,13 +165,6 @@ class DatabaseConfig:
             raise ConfigError(
                 "durability must be a DurabilityConfig or None, got "
                 f"{type(self.durability).__name__}"
-            )
-        if self.history is None:
-            object.__setattr__(self, "history", HistoryConfig())
-        elif not isinstance(self.history, HistoryConfig):
-            raise ConfigError(
-                "history must be a HistoryConfig or None, got "
-                f"{type(self.history).__name__}"
             )
         if self.slo is not None and not isinstance(self.slo, SloPolicy):
             raise ConfigError(

@@ -90,11 +90,8 @@ class ChronicleDatabase:
         self._chronicle_group: Dict[str, str] = {}  # chronicle name -> group name
         self._observability: Optional[Observability] = None
         self._exporter_finalizer: Optional[weakref.finalize] = None
-        self._history_finalizer: Optional[weakref.finalize] = None
         if observability is not None or config.observe:
             self.enable_observability(observability)
-            if config.history is not None and config.history.enabled:
-                self.start_history()
         #: The durability manager (None when ``config.durability`` is off —
         #: the hot path then carries no durability hooks at all).
         self._durability: Optional[Any] = None
@@ -200,8 +197,7 @@ class ChronicleDatabase:
 
         Enables observability (installing it) if it is not enabled yet,
         then serves ``/metrics`` (Prometheus text), ``/certificates``,
-        ``/snapshot``, ``/costs``, ``/health``, ``/timeline`` and
-        ``/dashboard`` on *port* (0 = ephemeral).
+        ``/costs`` and ``/health`` on *port* (0 = ephemeral).
         Returns the :class:`~repro.obs.exporters.MetricsServer`.
 
         The exporter's serving thread is tied to this database's
@@ -218,36 +214,6 @@ class ChronicleDatabase:
         # keep the database alive.
         self._exporter_finalizer = weakref.finalize(self, Observability.stop_serving, obs)
         return server
-
-    def start_history(self, thread: bool = True) -> Any:
-        """Start (or return) the metrics-history sampler for this database.
-
-        Enables observability if needed, then starts the
-        :class:`~repro.obs.history.MetricsHistory` ring behind
-        ``/timeline``, ``/dashboard``, and ``SHOW TIMELINE``, sized by
-        ``config.history``.  Like the exporter thread, the sampler is
-        tied to the database's lifetime: :meth:`close` stops it and a
-        finalizer catches garbage collection.  Returns the running
-        sampler (the existing one if already running).
-        """
-        obs = self._observability
-        if obs is None:
-            obs = self.enable_observability()
-        if obs.history is not None and obs.history.running:
-            return obs.history
-        settings = self.config.history
-        history = obs.start_history(
-            interval=settings.sample_interval_seconds,
-            capacity=settings.capacity,
-            thread=thread,
-        )
-        if self._history_finalizer is not None:
-            self._history_finalizer.detach()
-        # Closes over the handle, not self — cannot keep the db alive.
-        self._history_finalizer = weakref.finalize(
-            self, Observability.stop_history, obs
-        )
-        return history
 
     def close(self) -> None:
         """Release background resources and finalize the log (idempotent).
@@ -273,12 +239,8 @@ class ChronicleDatabase:
         if self._exporter_finalizer is not None:
             self._exporter_finalizer.detach()
             self._exporter_finalizer = None
-        if self._history_finalizer is not None:
-            self._history_finalizer.detach()
-            self._history_finalizer = None
         if self._observability is not None:
             self._observability.stop_serving()
-            self._observability.stop_history()
 
     def __enter__(self) -> "ChronicleDatabase":
         return self

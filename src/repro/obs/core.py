@@ -257,10 +257,6 @@ class Observability:
         self.recorder = FlightRecorder(directory=incident_dir)
         self._span_listeners: List[Callable[[Span], None]] = []
         self._server: Optional[Any] = None
-        #: The :class:`~repro.obs.history.MetricsHistory` sampler, once
-        #: started (``None`` until then; survives :meth:`stop_history`
-        #: so the ring stays readable after shutdown).
-        self.history: Optional[Any] = None
         self._db_ref: Optional["weakref.ReferenceType[Any]"] = None
         self._last_health_status = "OK"
         #: Wall time of each view's latest ``maintain`` span.
@@ -274,9 +270,9 @@ class Observability:
     def metrics(self) -> MetricsRegistry:
         """The metrics registry, its state series read first (:meth:`collect`).
 
-        The one read entry point — ``/metrics``, ``/snapshot``, health,
-        incident bundles and the CLI all take the registry here, once
-        per request.
+        The one read entry point — ``/metrics``, :meth:`snapshot`,
+        health, incident bundles and the CLI all take the registry here,
+        once per request.
         """
         self.collect()
         return self._metrics
@@ -326,9 +322,8 @@ class Observability:
     def serve(self, port: int = 0, host: str = "127.0.0.1") -> Any:
         """Start the HTTP exporter on *port* (0 = ephemeral); returns the server.
 
-        Routes: ``/metrics``, ``/certificates``, ``/snapshot``,
-        ``/costs``, ``/health``, ``/timeline`` and ``/dashboard``
-        (:data:`~repro.obs.exporters.ROUTES`).
+        Routes: ``/metrics``, ``/certificates``, ``/costs`` and
+        ``/health`` (:data:`~repro.obs.exporters.ROUTES`).
         """
         from .exporters import MetricsServer
 
@@ -344,37 +339,6 @@ class Observability:
         if self._server is not None:
             self._server.stop()
             self._server = None
-
-    # -- metrics history ---------------------------------------------------------------
-
-    def start_history(
-        self,
-        interval: float = 1.0,
-        capacity: int = 720,
-        thread: bool = True,
-    ) -> Any:
-        """Start the :class:`~repro.obs.history.MetricsHistory` sampler.
-
-        With ``thread=True`` a daemon thread samples every *interval*
-        seconds; ``thread=False`` builds the ring without one (callers
-        drive :meth:`~repro.obs.history.MetricsHistory.sample_now`
-        themselves — the CLI's ``SHOW TIMELINE``).  Raises
-        :class:`ObservabilityError` when a sampler thread is already
-        running; a stopped sampler is replaced, dropping its ring.
-        """
-        from .history import MetricsHistory
-
-        if self.history is not None and self.history.running:
-            raise ObservabilityError("metrics history already running")
-        self.history = MetricsHistory(self, interval=interval, capacity=capacity)
-        if thread:
-            self.history.start()
-        return self.history
-
-    def stop_history(self) -> None:
-        """Stop the history sampler thread; the ring stays readable."""
-        if self.history is not None:
-            self.history.stop()
 
     # -- span bridge -------------------------------------------------------------------
 
@@ -462,8 +426,8 @@ class Observability:
         ``shard_lag_seconds`` for each shard unit that has been
         dispatched to: the values the latest write would have pushed.
         Runs whenever a reader takes :attr:`metrics`, so a scrape, a
-        snapshot, a health evaluation and a history sample all see
-        current state, and the write path pushes none of it.  The values
+        snapshot and a health evaluation all see current state, and the
+        write path pushes none of it.  The values
         follow the bound database for as long as the bind holds, whether
         or not this handle is installed.
         """
@@ -540,7 +504,9 @@ class Observability:
 
         Uses the bound database's :meth:`shard_health` snapshot (None on
         the serial engine); a transition *into* ``FAILING`` triggers an
-        ``slo-breach`` incident dump.
+        ``slo-breach`` incident dump.  Nothing evaluates health in the
+        background: ``/health``, ``SHOW HEALTH`` and ``db.health()`` are
+        the callers.
         """
         db = self.database()
         shard_health = db.shard_health() if db is not None else None
@@ -588,18 +554,6 @@ class Observability:
             context.setdefault("snapshot", self.snapshot())
         except Exception:
             pass
-        if self.history is not None:
-            from .history import INCIDENT_TIMELINE_SAMPLES
-
-            try:
-                # The trailing window: a bundle records the lead-up,
-                # not just the moment of failure.
-                context.setdefault(
-                    "timeline",
-                    self.history.timeline(limit=INCIDENT_TIMELINE_SAMPLES),
-                )
-            except Exception:
-                pass
         return self.recorder.trigger(reason, context, path=path, traces=self.tracer.traces())
 
     # -- snapshots ---------------------------------------------------------------------
@@ -617,7 +571,10 @@ class Observability:
         return self.cost_ledger.as_dict()
 
     def snapshot(self) -> Dict[str, Any]:
-        """A one-call dict of everything: metrics, audit, trace status."""
+        """A one-call dict of everything: metrics, audit, trace status.
+
+        An incident bundle carries it as ``context.snapshot``.
+        """
         buffered = len(self.tracer.traces())
         return {
             "metrics": self.metrics.as_dict(),
@@ -642,16 +599,6 @@ class Observability:
                 "triggered": self.recorder.triggered,
                 "dumped": self.recorder.dumped,
             },
-            "history": (
-                {
-                    "running": self.history.running,
-                    "samples": len(self.history.samples()),
-                    "interval_seconds": self.history.interval,
-                    "capacity": self.history.capacity,
-                }
-                if self.history is not None
-                else {"running": False, "samples": 0}
-            ),
         }
 
     def __repr__(self) -> str:

@@ -12,23 +12,16 @@ stdlib-only:
     (:mod:`repro.obs.conformance`) as JSON;
   - ``/costs`` — the live :class:`~repro.obs.costmodel.CostLedger`
     (certificates stamped) as JSON;
-  - ``/snapshot`` — the full :meth:`~repro.obs.core.Observability
-    .snapshot` as JSON;
   - ``/health`` — the :class:`~repro.obs.health.HealthReport` as JSON
     (status 200 for ``OK``/``DEGRADED``, 503 for ``FAILING`` — load
-    balancers and probes key off the status code alone);
-  - ``/timeline`` — the bounded :meth:`~repro.obs.history
-    .MetricsHistory.timeline` series as JSON (``?window=`` seconds,
-    ``?series=`` comma-separated names, ``?limit=`` samples; 404 until
-    the history sampler exists);
-  - ``/dashboard`` — the dependency-free single-page operations
-    dashboard (:func:`~repro.obs.history.render_dashboard`).
+    balancers and probes key off the status code alone).
 
-  Routes live in the module-level :data:`ROUTES` registry — a new
-  endpoint is one ``@route("/path")`` function, not another branch in
-  the handler.  Bind port 0 for an ephemeral port (tests do); the
-  bound port is available as :attr:`MetricsServer.port` after
-  :meth:`start`.
+  Trajectories come from scraping ``/metrics``: every series is a
+  counter, histogram or gauge there.  Routes live in the module-level
+  :data:`ROUTES` registry — a new endpoint is one ``@route("/path")``
+  function of the handle, not another branch in the handler.  Bind
+  port 0 for an ephemeral port (tests do); the bound port is available
+  as :attr:`MetricsServer.port` after :meth:`start`.
 
 * :class:`JsonlSpanSink` — streams every completed trace (root span
   tree) to a JSON-lines file as it finishes, with size-based rotation
@@ -51,7 +44,6 @@ import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-from urllib.parse import parse_qs
 
 from ..errors import ObservabilityError
 from .tracer import Span
@@ -74,7 +66,7 @@ _IDENTITY_ATTRS = (
 # ---------------------------------------------------------------------------
 
 #: A route returns ``(status, content_type, body)`` for one GET.
-Route = Callable[[Any, Dict[str, str]], Tuple[int, str, bytes]]
+Route = Callable[[Any], Tuple[int, str, bytes]]
 
 #: The exporter's route table: normalized path -> handler.  New
 #: endpoints register themselves with :func:`route`; the request
@@ -100,30 +92,23 @@ def _json_reply(payload: Any, status: int = 200) -> Tuple[int, str, bytes]:
 
 
 @route("/metrics")
-def _metrics_route(obs: Any, params: Dict[str, str]) -> Tuple[int, str, bytes]:
+def _metrics_route(obs: Any) -> Tuple[int, str, bytes]:
     body = obs.metrics.to_prometheus().encode("utf-8")
     return 200, "text/plain; version=0.0.4; charset=utf-8", body
 
 
 @route("/certificates")
-def _certificates_route(
-    obs: Any, params: Dict[str, str]
-) -> Tuple[int, str, bytes]:
+def _certificates_route(obs: Any) -> Tuple[int, str, bytes]:
     return _json_reply(obs.certificates)
 
 
-@route("/snapshot")
-def _snapshot_route(obs: Any, params: Dict[str, str]) -> Tuple[int, str, bytes]:
-    return _json_reply(obs.snapshot())
-
-
 @route("/costs")
-def _costs_route(obs: Any, params: Dict[str, str]) -> Tuple[int, str, bytes]:
+def _costs_route(obs: Any) -> Tuple[int, str, bytes]:
     return _json_reply(obs.cost_snapshot())
 
 
 @route("/health")
-def _health_route(obs: Any, params: Dict[str, str]) -> Tuple[int, str, bytes]:
+def _health_route(obs: Any) -> Tuple[int, str, bytes]:
     try:
         report = obs.health()
         payload = report.as_dict()
@@ -136,60 +121,19 @@ def _health_route(obs: Any, params: Dict[str, str]) -> Tuple[int, str, bytes]:
     return _json_reply(payload, status)
 
 
-@route("/timeline")
-def _timeline_route(obs: Any, params: Dict[str, str]) -> Tuple[int, str, bytes]:
-    history = obs.history
-    if history is None:
-        return _json_reply(
-            {"error": "metrics history is not enabled", "count": 0}, 404
-        )
-    try:
-        window = float(params["window"]) if "window" in params else None
-        limit = int(params["limit"]) if "limit" in params else None
-    except ValueError as exc:
-        return _json_reply({"error": f"bad query parameter: {exc}"}, 400)
-    series = None
-    if "series" in params:
-        series = [name for name in params["series"].split(",") if name]
-    try:
-        payload = history.timeline(
-            window_seconds=window, series=series, limit=limit
-        )
-    except ValueError as exc:
-        return _json_reply({"error": str(exc)}, 400)
-    return _json_reply(payload)
-
-
-@route("/dashboard")
-def _dashboard_route(
-    obs: Any, params: Dict[str, str]
-) -> Tuple[int, str, bytes]:
-    from .history import render_dashboard
-
-    body = render_dashboard(obs).encode("utf-8")
-    return 200, "text/html; charset=utf-8", body
-
-
 class _MetricsHandler(BaseHTTPRequestHandler):
     """Routes GETs to the owning server's observability handle."""
 
     server: "MetricsServer"
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path, _, query = self.path.partition("?")
-        path = path.rstrip("/") or "/"
+        path = self.path.partition("?")[0].rstrip("/") or "/"
         handler = ROUTES.get(path)
         if handler is None:
             self._reply(404, "text/plain; charset=utf-8", b"not found\n")
             return
-        params = {
-            key: values[-1]
-            for key, values in parse_qs(query, keep_blank_values=True).items()
-        }
         try:
-            status, content_type, body = handler(
-                self.server.observability, params
-            )
+            status, content_type, body = handler(self.server.observability)
         except Exception as exc:
             # A broken route answers 500; it must never hang the scrape
             # loop or kill the serving thread.

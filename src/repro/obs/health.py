@@ -44,7 +44,6 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from .metrics import Histogram
 
 #: The three health verdicts, healthiest first.
 STATUSES = ("OK", "DEGRADED", "FAILING")
@@ -309,24 +308,6 @@ class HealthReport:
         return f"HealthReport({self.status!r}, breaches={len(self.breaches)})"
 
 
-def ipc_overhead(
-    encode: Optional[Histogram],
-    decode: Optional[Histogram],
-    visibility: Optional[Histogram],
-) -> Optional[float]:
-    """The share of the sharded write path spent pickling.
-
-    Summed ``ipc_encode_seconds`` + ``ipc_decode_seconds`` over summed
-    ``ingest_visibility_seconds`` — lifetime histograms for ``/health``,
-    one interval's windows for ``/timeline``.  ``None`` when there is no
-    IPC histogram or no visibility time to divide by.
-    """
-    if (encode is None and decode is None) or visibility is None or visibility.sum <= 0:
-        return None
-    ipc_seconds = (encode.sum if encode else 0.0) + (decode.sum if decode else 0.0)
-    return ipc_seconds / visibility.sum
-
-
 def evaluate_health(
     observability: Any,
     policy: Optional[SloPolicy] = None,
@@ -377,13 +358,17 @@ def evaluate_health(
     encode = metrics.merged_histogram("ipc_encode_seconds")
     decode = metrics.merged_histogram("ipc_decode_seconds")
     if (encode.count if encode else 0) + (decode.count if decode else 0):
-        fraction = ipc_overhead(
-            encode, decode, metrics.merged_histogram("ingest_visibility_seconds")
-        )
+        # The share of the sharded write path spent pickling; with no
+        # visibility time to divide by, all of it is overhead.
+        ipc_seconds = (encode.sum if encode else 0.0) + (decode.sum if decode else 0.0)
+        visibility = metrics.merged_histogram("ingest_visibility_seconds")
+        fraction = 1.0
+        if visibility is not None and visibility.sum > 0:
+            fraction = ipc_seconds / visibility.sum
         checks.append(
             HealthCheck(
                 "ipc_overhead_fraction",
-                round(1.0 if fraction is None else fraction, 6),
+                round(fraction, 6),
                 policy.max_ipc_overhead_fraction,
             )
         )

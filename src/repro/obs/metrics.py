@@ -384,54 +384,6 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-class HistogramWindow:
-    """Per-interval deltas of one cumulative histogram family.
-
-    Histograms only ever accumulate, so a lifetime ``quantile(0.99)``
-    converges to a constant and stops saying anything about *now*.  The
-    metrics-history sampler wants the p99 *of the last interval*: wrap
-    the family name in a window, and each :meth:`delta` call returns a
-    :class:`Histogram` holding exactly the observations recorded since
-    the previous call (all series of the family merged).
-
-    Returns ``None`` while the family is absent; a delta with
-    ``count == 0`` when nothing new arrived.  A shrinking cumulative
-    count (registry reset between calls) re-baselines: the whole
-    current histogram becomes the window.
-    """
-
-    __slots__ = ("registry", "name", "_bounds", "_counts", "_sum", "_count")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self.registry = registry
-        self.name = name
-        self._bounds: Optional[Tuple[float, ...]] = None
-        self._counts: List[int] = []
-        self._sum = 0.0
-        self._count = 0
-
-    def delta(self) -> Optional[Histogram]:
-        merged = self.registry.merged_histogram(self.name)
-        if merged is None:
-            return None
-        if self._bounds != merged.bounds or self._count > merged.count:
-            previous_counts: Sequence[int] = (0,) * len(merged.bucket_counts)
-            previous_sum, previous_count = 0.0, 0
-        else:
-            previous_counts = self._counts
-            previous_sum, previous_count = self._sum, self._count
-        window = Histogram(merged.bounds)
-        for index, count in enumerate(merged.bucket_counts):
-            window.bucket_counts[index] = count - previous_counts[index]
-        window.sum = merged.sum - previous_sum
-        window.count = merged.count - previous_count
-        self._bounds = merged.bounds
-        self._counts = list(merged.bucket_counts)
-        self._sum = merged.sum
-        self._count = merged.count
-        return window
-
-
 def _render_labels(key: LabelKey, extra: Optional[Tuple[str, str]] = None) -> str:
     pairs: Iterable[Tuple[str, str]] = key if extra is None else tuple(key) + (extra,)
     return ",".join(f'{k}="{v}"' for k, v in pairs)

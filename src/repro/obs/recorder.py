@@ -99,8 +99,7 @@ class FlightRecorder:
         self.triggered = 0
         #: Lifetime bundles written to disk.
         self.dumped = 0
-        # The last 64 trigger markers: on the tape, and polled by the
-        # metrics-history sampler every tick.
+        # The last 64 trigger markers, on the tape.
         self._triggers: Deque[Dict[str, Any]] = deque(maxlen=64)
         self._lock = threading.Lock()
         self._sequence = 0
@@ -111,7 +110,6 @@ class FlightRecorder:
     def triggers_since(self, sequence: int) -> List[Dict[str, Any]]:
         """Trigger markers newer than *sequence*, oldest first.
 
-        Pollers pick up incident markers incrementally this way.
         Filtering by trigger sequence rather than wall clock keeps it
         immune to clock adjustments.
         """

@@ -177,37 +177,6 @@ class TestObservabilityStatements:
         with pytest.raises(CliError):
             session.execute("TRACE 1 2")
 
-    def test_show_timeline_renders_sparklines(self, session):
-        self._load(session)
-        out = session.execute("SHOW TIMELINE")
-        assert "timeline: last" in out
-        session.execute('APPEND calls {"caller": 9, "minutes": 2}')
-        out = session.execute("SHOW TIMELINE")
-        assert "timeline: last 2 sample(s)" in out
-        assert "records/s" in out
-        assert "health" in out
-
-    def test_show_timeline_threadless(self, session):
-        import threading
-
-        session.execute("SHOW TIMELINE")
-        history = session.db.observability.history
-        assert history is not None
-        assert not history.running
-        assert "repro-history" not in {t.name for t in threading.enumerate()}
-
-    def test_show_timeline_count(self, session):
-        for _ in range(4):
-            session.execute("SHOW TIMELINE")
-        out = session.execute("SHOW TIMELINE 2")
-        assert "last 2 sample(s)" in out
-
-    def test_show_timeline_bad_count(self, session):
-        with pytest.raises(CliError):
-            session.execute("SHOW TIMELINE soon")
-        with pytest.raises(CliError):
-            session.execute("SHOW TIMELINE 0")
-
     def test_observe_false_disables_commands(self):
         s = Session(observe=False)
         s.execute("CREATE CHRONICLE calls (caller INT) RETENTION 0")
@@ -215,8 +184,10 @@ class TestObservabilityStatements:
             s.execute("SHOW STATS")
         with pytest.raises(CliError):
             s.execute("TRACE 1")
-        with pytest.raises(CliError):
-            s.execute("SHOW TIMELINE")
+
+    def test_show_timeline_is_an_unknown_target(self, session):
+        with pytest.raises(CliError, match="SHOW: unknown target 'TIMELINE'"):
+            session.execute("SHOW TIMELINE")
 
     def test_observability_does_not_leak_between_statements(self, session):
         from repro.obs import runtime as obs_runtime

@@ -1,8 +1,8 @@
 """Tests for the live exporters (repro.obs.exporters).
 
 Covers the HTTP endpoint (ephemeral-port smoke: /metrics content type
-and text-0.0.4 payload, /certificates, /snapshot, 404), the route
-registry the handler dispatches through (/timeline, /dashboard, the
+and text-0.0.4 payload, /certificates, 404), the route registry the
+handler dispatches through (exactly four routes, the
 unanswerable-/health contract), JSONL span streaming with the rotation
 boundary, and the flame-style cost attribution tree.
 """
@@ -93,17 +93,14 @@ class TestMetricsServer:
         finally:
             db.disable_observability()
 
-    def test_snapshot_route_and_404(self):
+    def test_unknown_route_404(self):
         obs = Observability(audit="off")
         server = MetricsServer(obs, port=0).start()
         try:
-            status, content_type, body = _get(server.url + "/snapshot")
-            assert status == 200
-            snap = json.loads(body)
-            assert {"metrics", "audit", "traces", "certificates"} <= set(snap)
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(server.url + "/nope")
-            assert excinfo.value.code == 404
+            for path in ("/nope", "/snapshot", "/timeline", "/dashboard"):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _get(server.url + path)
+                assert excinfo.value.code == 404, path
         finally:
             server.stop()
 
@@ -132,7 +129,7 @@ class TestMetricsServer:
 
 
 # ---------------------------------------------------------------------------
-# Route registry + the timeline/dashboard endpoints
+# Route registry
 # ---------------------------------------------------------------------------
 
 
@@ -140,15 +137,7 @@ class TestRoutes:
     def test_registry_covers_every_endpoint(self):
         from repro.obs.exporters import ROUTES
 
-        assert {
-            "/metrics",
-            "/certificates",
-            "/snapshot",
-            "/costs",
-            "/health",
-            "/timeline",
-            "/dashboard",
-        } <= set(ROUTES)
+        assert set(ROUTES) == {"/metrics", "/certificates", "/costs", "/health"}
 
     def test_trailing_slash_and_query_normalization(self):
         obs = Observability(audit="off")
@@ -178,7 +167,7 @@ class TestRoutes:
     def test_broken_route_answers_500_not_hang(self):
         from repro.obs.exporters import ROUTES
 
-        def broken(obs, params):
+        def broken(obs):
             raise RuntimeError("route died")
 
         ROUTES["/broken-test-route"] = broken
@@ -195,77 +184,6 @@ class TestRoutes:
         finally:
             obs.stop_serving()
             del ROUTES["/broken-test-route"]
-
-    def test_timeline_404_until_history_exists(self):
-        obs = Observability(audit="off")
-        server = obs.serve(port=0)
-        try:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(server.url + "/timeline")
-            assert excinfo.value.code == 404
-            payload = json.loads(excinfo.value.read())
-            assert payload["count"] == 0
-        finally:
-            obs.stop_serving()
-
-    def test_timeline_serves_bounded_json(self):
-        db = make_db(observe=True)
-        try:
-            history = db.observability.history
-            for i in range(3):
-                db.append("calls", {"caller": i, "minutes": 2})
-                history.sample_now()
-            server = db.observability.serve(port=0)
-            try:
-                status, content_type, body = _get(
-                    server.url + "/timeline?series=records_per_sec&limit=2"
-                )
-                assert status == 200
-                assert content_type == "application/json"
-                payload = json.loads(body)
-                assert payload["count"] == 2
-                assert set(payload["series"]) == {"records_per_sec"}
-                assert len(payload["series"]["records_per_sec"]) == 2
-                assert payload["capacity"] == history.capacity
-            finally:
-                db.observability.stop_serving()
-        finally:
-            db.disable_observability()
-            db.close()
-
-    def test_timeline_rejects_bad_parameters(self):
-        db = make_db(observe=True)
-        try:
-            server = db.observability.serve(port=0)
-            try:
-                for query in ("?window=soon", "?limit=many", "?series=bogus"):
-                    with pytest.raises(urllib.error.HTTPError) as excinfo:
-                        _get(server.url + "/timeline" + query)
-                    assert excinfo.value.code == 400
-            finally:
-                db.observability.stop_serving()
-        finally:
-            db.disable_observability()
-            db.close()
-
-    def test_dashboard_serves_html(self):
-        db = make_db(observe=True)
-        try:
-            db.append("calls", {"caller": 1, "minutes": 5})
-            db.observability.history.sample_now()
-            server = db.observability.serve(port=0)
-            try:
-                status, content_type, body = _get(server.url + "/dashboard")
-                assert status == 200
-                assert content_type == "text/html; charset=utf-8"
-                html = body.decode()
-                assert html.lower().startswith("<!doctype html>")
-                assert "<svg" in html
-            finally:
-                db.observability.stop_serving()
-        finally:
-            db.disable_observability()
-            db.close()
 
 
 # ---------------------------------------------------------------------------

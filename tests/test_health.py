@@ -644,8 +644,10 @@ class TestConcurrentScrape:
             while not done.is_set() or scrapes < 3:
                 status, body = _get(server.url + "/metrics")
                 assert status == 200 and b"shard_" in body
-                status, body = _get(server.url + "/snapshot")
-                assert json.loads(body)["recorder"]["triggered"] == 0
+                status, body = _get(server.url + "/costs")
+                assert status == 200 and "entries" in json.loads(body)
+                status, body = _get(server.url + "/certificates")
+                assert status == 200 and json.loads(body) == {}
                 status, body = _get(server.url + "/health")
                 assert json.loads(body)["status"] in ("OK", "DEGRADED")
                 scrapes += 1
@@ -656,4 +658,5 @@ class TestConcurrentScrape:
             db.close()
             db.observability.uninstall()
         assert not errors
+        assert db.observability.recorder.triggered == 0
         assert db.view("usage").maintenance_count > 0

@@ -32,14 +32,21 @@ and the ledger keeps no load path.  Admission, last: each
 chronicle admits through the step compiled when it is created (no
 per-record ``_admit``, no ``check_values`` in the group or the
 chronicle), an event is deduplicated once, by the group, and none of it
-grew a switch.
+grew a switch.  And no surface without a reader: the metrics-history
+stack (its sampler thread, ``/timeline``, ``/dashboard``, ``SHOW
+TIMELINE``, ``HistoryConfig``) and the ``/snapshot`` route stay deleted,
+so the exporter serves four routes and observing starts no thread.
 """
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import json
 import pathlib
+import threading
+
+import pytest
 
 import repro
 from repro.algebra.ast import Node
@@ -49,6 +56,7 @@ from repro.obs import explain
 from repro.obs.auditor import Auditor
 from repro.obs.core import INCIDENT_COUNTERS, SPAN_RULES, Observability
 from repro.obs.costmodel import CostLedger
+from repro.obs.exporters import ROUTES
 from repro.obs.recorder import FlightRecorder
 from repro.sca.view import PersistentView
 from repro.views.registry import ViewRegistry
@@ -151,7 +159,7 @@ def test_write_methods_are_written_once():
 
 def test_no_new_knob():
     assert EXECUTORS == ("serial", "process")
-    assert len(dataclasses.fields(DatabaseConfig)) == 10
+    assert len(dataclasses.fields(DatabaseConfig)) == 9
     assert len(dataclasses.fields(DurabilityConfig)) == 4
 
 
@@ -457,7 +465,7 @@ def test_admission_adds_no_knob():
 
     assert parameters(Chronicle.__init__) == ["name", "schema", "retention"]
     assert parameters(ChronicleGroup.__init__) == ["name", "chronons", "start"]
-    assert len(dataclasses.fields(DatabaseConfig)) == 10
+    assert len(dataclasses.fields(DatabaseConfig)) == 9
     offenders = [
         (str(path.relative_to(SRC)), node.lineno)
         for path in ADMISSION_PATH
@@ -482,7 +490,7 @@ def test_one_fold_per_observation():
     assert parameters(CostLedger) == []
     assert parameters(FlightRecorder) == ["directory", "cooldown_seconds"]
     assert parameters(Auditor) == ["mode", "metrics"]
-    assert len(dataclasses.fields(DatabaseConfig)) == 10
+    assert len(dataclasses.fields(DatabaseConfig)) == 9
     assert not hasattr(explain, "OperatorMeasurement")
     for name in ("record_span", "note", "events"):
         assert not hasattr(FlightRecorder, name), name
@@ -500,3 +508,26 @@ def test_one_fold_per_observation():
         and any(isinstance(c, ast.Constant) and c.value == "delta" for c in ast.walk(node))
     }
     assert walkers == {"obs/costmodel.py"}
+
+
+# -- no surface without a reader ---------------------------------------------------
+
+
+def test_the_metrics_history_stays_deleted():
+    assert importlib.util.find_spec("repro.obs.history") is None
+    assert len(dataclasses.fields(DatabaseConfig)) == 9
+    assert set(ROUTES) == {"/metrics", "/certificates", "/costs", "/health"}
+    for owner in (ChronicleDatabase, Observability):
+        for name in ("start_history", "stop_history"):
+            assert not hasattr(owner, name), (owner.__name__, name)
+
+
+@pytest.mark.parametrize("engine", ["serial", "sharded"])
+def test_observing_starts_no_thread(engine):
+    before = {thread.name for thread in threading.enumerate()}
+    db = ChronicleDatabase(config=DatabaseConfig(engine=engine, observe=True))
+    try:
+        assert {thread.name for thread in threading.enumerate()} == before
+    finally:
+        db.close()
+        db.disable_observability()

@@ -22,9 +22,8 @@ kept, histograms reduced to their count, the timing gauges to presence,
 and so is ``cost_index_probe_total``, the one cost count that still moves
 with the hash seed),
 the (name, identity attrs, children) shape of every trace, the health
-verdict, the incident-bundle keys, the ``/timeline`` vocabulary and the
-``SHOW STATS`` / ``SHOW WORKERS`` / ``TRACE 3`` text with timings
-masked.  The capture runs in a child interpreter under
+verdict, the incident-bundle keys and the ``SHOW STATS`` / ``SHOW
+WORKERS`` / ``TRACE 3`` text with timings masked.  The capture runs in a child interpreter under
 ``PYTHONHASHSEED=0``.
 
 The golden was captured before the telemetry hooks moved behind the span
@@ -63,7 +62,7 @@ import pytest
 
 from repro import ChronicleDatabase, DatabaseConfig
 from repro.cli import Session
-from repro.core.config import DurabilityConfig, HistoryConfig
+from repro.core.config import DurabilityConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).with_name("one_hook_golden.json")
@@ -111,7 +110,7 @@ ENGINES = {
 
 
 def _config(**overrides: Any) -> DatabaseConfig:
-    return DatabaseConfig(observe=True, history=HistoryConfig(enabled=False), **overrides)
+    return DatabaseConfig(observe=True, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +256,6 @@ def capture_run(db: ChronicleDatabase) -> Dict[str, Any]:
             bundle = json.load(handle)
     context = bundle["context"]
     health = obs.health()
-    history = obs.start_history(thread=False)
-    history.sample_now()
-    history.sample_now()
-    timeline = history.timeline()
-    obs.stop_history()
     return {
         "metrics": reduce_metrics(obs.metrics.as_dict()),
         "traces": [shape(trace) for trace in obs.tracer.traces()],
@@ -279,11 +273,6 @@ def capture_run(db: ChronicleDatabase) -> Dict[str, Any]:
             "context": sorted(context),
             "snapshot": sorted(context["snapshot"]),
             "registry_stats": sorted(context["registry_stats"]),
-        },
-        "timeline": {
-            "keys": sorted(timeline),
-            "series": sorted(timeline["series"]),
-            "shards": sorted(timeline["shards"]),
         },
         "show_stats": mask(stats),
         "show_workers": mask(cli(db, "SHOW WORKERS")),
@@ -382,7 +371,7 @@ def test_same_telemetry_as_the_golden(captured, golden, run):
             run_doc["show_workers"] = re.sub(r"up [\d,]+B", "up #B", run_doc["show_workers"])
     assert got_metrics == want_metrics
     assert without_new_spans(got["traces"]) == want["traces"]
-    for key in ("chronicles", "health", "incident_keys", "timeline", "show_stats", "show_workers"):
+    for key in ("chronicles", "health", "incident_keys", "show_stats", "show_workers"):
         assert got[key] == want[key], key
     assert without_new_attrs(got["trace_3"]) == want["trace_3"]
 
