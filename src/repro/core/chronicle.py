@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from collections.abc import Mapping
 from operator import itemgetter
 from typing import (
     Any,
@@ -32,7 +33,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -77,9 +77,10 @@ class maintenance_guard:
     :class:`~repro.errors.ChronicleAccessError` — the mechanical proof
     that maintenance ran without chronicle access.
 
-    A plain slotted class: the guard is entered twice per maintained view
-    per event, and a ``@contextmanager`` generator would allocate a
-    generator and its wrapper on every entry.
+    A plain slotted class, entered once per maintained event (around the
+    plan and fold of every view the event reaches), where a
+    ``@contextmanager`` generator would allocate a generator and its
+    wrapper on every entry.
     """
 
     __slots__ = ()

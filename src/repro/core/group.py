@@ -21,7 +21,8 @@ The group is also the natural place for:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ChronicleGroupError
 from ..obs import runtime as obs_runtime

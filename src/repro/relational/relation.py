@@ -9,7 +9,8 @@ index layer; temporal versioning is layered on in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from collections.abc import Mapping
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..complexity.counters import GLOBAL_COUNTERS
 from ..errors import IntegrityError, KeyViolationError, UnknownAttributeError

@@ -15,18 +15,25 @@ The maintenance path (:meth:`apply_delta`, fed by a compiled plan of
 :mod:`repro.algebra.plan`) runs under the chronicle no-access guard:
 computing the χ-delta and folding it into the view can never read a
 chronicle store, which is the mechanical content of Theorems 4.2/4.4.
+
+The extent contract: whoever maintains an event opens one no-access
+extent around the plans and folds of every view it reaches — the
+registry per event, a periodic set per event, :meth:`apply_event` per
+call — and :meth:`apply_delta` folds inside the caller's extent,
+opening one of its own only when called outside any.  The fold itself
+is compiled once per view, at construction (:meth:`_compile_fold`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..algebra.ast import Node
 from ..algebra.classify import Classification, IMClass, Language, classify
 from ..algebra.evaluate import evaluate
 from ..algebra.plan import CompiledPlan, standalone_plan
 from ..complexity.counters import GLOBAL_COUNTERS
-from ..core.chronicle import maintenance_guard
+from ..core.chronicle import in_maintenance, maintenance_guard
 from ..core.delta import Delta
 from ..errors import ViewError
 from ..relational.algebra import Table, group_by as ra_group_by, project as ra_project
@@ -93,6 +100,7 @@ class PersistentView:
         # Compiled by the first apply_event(); registry-owned views never
         # need it.
         self._plan: Optional[CompiledPlan] = None
+        self._fold = self._compile_fold()
         self._show_global_group()
 
     # -- introspection ---------------------------------------------------------------
@@ -126,75 +134,107 @@ class PersistentView:
         """Maintain the view for one append event; returns rows folded.
 
         The view's own plan, compiled on first use, computes the χ-delta
-        under the no-access guard.  This is the path of a view no
-        registry owns; a registry's plans share subexpressions across
-        views, so it computes the χ-delta and calls :meth:`apply_delta`.
+        and the fold folds it, both in one no-access extent.  This is the
+        path of a view no registry owns; a registry's plans share
+        subexpressions across views, so it computes the χ-delta and calls
+        :meth:`apply_delta` inside its own per-event extent.
         """
         plan = self._plan
         if plan is None:
             plan = self._plan = standalone_plan(self.expression)
         with maintenance_guard():
-            delta = plan(deltas)
-        return self.apply_delta(delta)
+            return self.apply_delta(plan(deltas))
 
     def apply_delta(self, delta: Delta) -> int:
         """Fold one χ-delta into the view; returns rows folded.
 
         The χ-delta comes from a compiled plan — computed once per
         shared subexpression per event — and only the fold step is the
-        view's.  The fold runs under the chronicle no-access guard.
+        view's.  The fold runs in the caller's no-access extent, and in
+        one of its own only when called outside any.
         """
-        with maintenance_guard():
-            folded = self._fold(delta)
+        if in_maintenance():
+            folded = self._fold(delta.rows)
+        else:
+            with maintenance_guard():
+                folded = self._fold(delta.rows)
         self._maintenance_count += 1
         return folded
 
-    def _fold(self, delta: Delta) -> int:
-        if delta.is_empty:
-            return 0
-        if self._grouped:
-            return self._fold_groups(delta)
-        return self._fold_projection(delta)
+    def _compile_fold(self) -> Callable[[Tuple[Row, ...]], int]:
+        """The view's fold step, compiled once, at construction.
 
-    def _fold_groups(self, delta: Delta) -> int:
-        """Theorem 4.4: one locate per distinct key, one O(1) step per
-        aggregate per row, one visible-row swap per key.
-
-        The accumulators are stepped in place, so a ``step`` that raises
-        part-way leaves this view's state ahead of its visible rows.
+        Grouping is Theorem 4.4: one locate per distinct key, one O(1)
+        step per aggregate per row, one visible-row swap per key; the
+        accumulators are stepped in place, so a ``step`` that raises
+        part-way leaves this view's state ahead of its visible rows.  A
+        projection counts each row into its tuple's multiplicity.  Either
+        way the step binds every summary and index callable it needs
+        here, so a fold reads no attribute of the view but the
+        touched-key recorder.
         """
         summary = self.summary
-        rows = delta.rows
         key_of = summary.key_of_values
-        steps = summary.steps
         locate = self._state.get
-        touched: Dict[Tuple[Any, ...], List[Any]] = {}
-        for row in rows:
-            values = row.values
-            key = key_of(values)
-            entry = touched.get(key)
-            if entry is None:
-                entry = locate(key)  # O(log |V|), once per key
-                if entry is None:
-                    entry = summary.initial_states() + [None]
-                touched[key] = entry
-            for index, step, position in steps:
-                entry[index] = step(
-                    entry[index], 1 if position is None else values[position]
-                )
-        GLOBAL_COUNTERS.count("tuple_op", len(rows))
-        GLOBAL_COUNTERS.count("aggregate_step", len(rows) * len(steps))
+        count = GLOBAL_COUNTERS.count
+        if not self._grouped:
+            show_tuple = self._show_tuple
+
+            def fold_projection(rows: Tuple[Row, ...]) -> int:
+                if not rows:
+                    return 0
+                touched: Dict[Tuple[Any, ...], List[Any]] = {}
+                for row in rows:
+                    key = key_of(row.values)
+                    entry = touched.get(key)
+                    if entry is None:
+                        entry = locate(key)  # O(log |V|), once per key
+                        if entry is None:
+                            entry = show_tuple(key, 0)
+                        touched[key] = entry
+                    entry[0] += 1
+                count("tuple_op", len(rows))
+                if self._touched is not None:
+                    self._touched.update(touched)
+                return len(rows)
+
+            return fold_projection
+        steps = summary.steps
+        initial_states = summary.initial_states
         view_row = summary.view_row
         replace_at = self.relation.replace_at
-        for key, entry in touched.items():
-            slot = entry[-1]
-            if slot is None:
-                self._show_group(key, entry)
-            else:
-                replace_at(slot, view_row(key, entry[:-1]))
-        if self._touched is not None:
-            self._touched.update(touched)
-        return len(rows)
+        show_group = self._show_group
+
+        def fold_groups(rows: Tuple[Row, ...]) -> int:
+            if not rows:
+                return 0
+            touched: Dict[Tuple[Any, ...], List[Any]] = {}
+            for row in rows:
+                values = row.values
+                key = key_of(values)
+                entry = touched.get(key)
+                if entry is None:
+                    entry = locate(key)  # O(log |V|), once per key
+                    if entry is None:
+                        entry = initial_states() + [None]
+                    touched[key] = entry
+                for index, step, position in steps:
+                    entry[index] = step(
+                        entry[index], 1 if position is None else values[position]
+                    )
+            count("tuple_op", len(rows))
+            count("aggregate_step", len(rows) * len(steps))
+            for key, entry in touched.items():
+                slot = entry[-1]
+                if slot is None:
+                    show_group(key, entry)
+                else:
+                    replace_at(slot, view_row(key, entry[:-1]))
+            if self._touched is not None:
+                self._touched.update(touched)
+            return len(rows)
+
+        return fold_groups
 
     def _show_group(self, key: Tuple[Any, ...], entry: List[Any]) -> None:
         """Index and show a group not seen before: one ``relation``
@@ -210,26 +250,6 @@ class PersistentView:
         summary = self.summary
         if self._grouped and not summary.grouping and not len(self._state):
             self._show_group((), summary.initial_states() + [None])
-
-    def _fold_projection(self, delta: Delta) -> int:
-        summary = self.summary
-        rows = delta.rows
-        key_of = summary.key_of_values
-        locate = self._state.get
-        touched: Dict[Tuple[Any, ...], List[Any]] = {}
-        for row in rows:
-            key = key_of(row.values)
-            entry = touched.get(key)
-            if entry is None:
-                entry = locate(key)  # O(log |V|), once per key
-                if entry is None:
-                    entry = self._show_tuple(key, 0)
-                touched[key] = entry
-            entry[0] += 1
-        GLOBAL_COUNTERS.count("tuple_op", len(rows))
-        if self._touched is not None:
-            self._touched.update(touched)
-        return len(rows)
 
     def _show_tuple(self, key: Tuple[Any, ...], count: int) -> List[Any]:
         """Index and show a projected tuple not seen before; its entry."""
@@ -311,8 +331,8 @@ class PersistentView:
         The parent-side half of process-shard maintenance: a worker
         returns the post-fold state of exactly the keys one window
         touched, and this replaces those keys' accumulators and visible
-        rows — the same locate-once insert/swap discipline as
-        :meth:`_fold`, so a reader under the shard lock sees whole
+        rows — the same locate-once insert/swap discipline as the
+        fold, so a reader under the shard lock sees whole
         windows or nothing.  Each call counts as one maintenance window,
         mirroring :meth:`apply_delta`, and records the keys like a fold.
         """
@@ -357,7 +377,7 @@ class PersistentView:
         empty.  Returns the number of χ rows folded.
         """
         table = evaluate(self.expression)
-        return self._fold(Delta(self.expression.schema, table.rows))
+        return self._fold(Delta(self.expression.schema, table.rows).rows)
 
     # -- queries ----------------------------------------------------------------------
 

@@ -136,14 +136,16 @@ class PeriodicViewSet:
                     bucket = per_interval.setdefault(index, {})
                     bucket.setdefault(chronicle_name, []).append(row)
         plan = self._plan
-        for index, rows_by_chronicle in per_interval.items():
-            interval_deltas = {
-                name: Delta.unchecked(deltas[name].schema, rows)
-                for name, rows in rows_by_chronicle.items()
-            }
-            with maintenance_guard():
+        # One no-access extent for the event, around every interval's
+        # plan and fold.
+        with maintenance_guard():
+            for index, rows_by_chronicle in per_interval.items():
+                interval_deltas = {
+                    name: Delta.unchecked(deltas[name].schema, rows)
+                    for name, rows in rows_by_chronicle.items()
+                }
                 delta = plan(interval_deltas)
-            self._view(index).apply_delta(delta)
+                self._view(index).apply_delta(delta)
         self._expire_stale()
         return len(per_interval)
 

@@ -437,21 +437,22 @@ class ViewRegistry:
         # One delta cache per event: interned nodes shared between plans
         # are computed once.
         cache: Dict[int, Delta] = {}
-        for registered in survivors:
-            span = (
-                tracer.start("maintain", view=registered.view.name, engine="compiled")
-                if tracer is not None
-                else None
-            )
-            try:
-                with maintenance_guard():
-                    delta = registered.plan(deltas, cache)
-                folded = registered.view.apply_delta(delta)
-                if span is not None:
-                    span.attrs["rows"] = folded
-            finally:
-                if span is not None:
-                    tracer.finish(span)
+        # One no-access extent per event, around every survivor's plan
+        # and fold: apply_delta folds inside it instead of opening its own.
+        with maintenance_guard():
+            for registered in survivors:
+                span = (
+                    tracer.start("maintain", view=registered.view.name, engine="compiled")
+                    if tracer is not None
+                    else None
+                )
+                try:
+                    folded = registered.view.apply_delta(registered.plan(deltas, cache))
+                    if span is not None:
+                        span.attrs["rows"] = folded
+                finally:
+                    if span is not None:
+                        tracer.finish(span)
         maintained = len(survivors)
         stats["maintained_views"] += maintained
         return maintained

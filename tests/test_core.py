@@ -1,6 +1,10 @@
 """Tests for the chronicle-model kernel: sequences, chronicles, groups,
 deltas — the Section 2 rules."""
 
+import collections
+import types
+from collections.abc import Mapping
+
 import pytest
 
 from repro.core.chronicle import Chronicle, in_maintenance, maintenance_guard
@@ -18,6 +22,7 @@ from repro.errors import (
     RetentionError,
     SchemaError,
     SequenceOrderError,
+    TypeMismatchError,
 )
 from repro.relational.schema import Schema
 from repro.relational.tuples import Row
@@ -323,3 +328,115 @@ class TestDelta:
         delta = Delta(schema, [Row(schema, [5, 1])])
         with pytest.raises(SequenceOrderError):
             delta.assert_fresh(watermark_before=5)
+
+
+# ---------------------------------------------------------------------------
+# Record shapes: which inputs append and insert accept (the mapping tests are
+# collections.abc's, so any Mapping — subclass or registered — counts)
+# ---------------------------------------------------------------------------
+
+
+class CustomMapping(Mapping):
+    def __init__(self, values):
+        self._values = dict(values)
+
+    def __getitem__(self, key):
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
+class VirtualMapping:
+    """A mapping by registration only, not by inheritance."""
+
+    def __init__(self, values):
+        self._values = dict(values)
+
+    def __getitem__(self, key):
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+    def __contains__(self, key):
+        return key in self._values
+
+    def get(self, key, default=None):
+        return self._values.get(key, default)
+
+
+Mapping.register(VirtualMapping)
+
+
+class DictSubclass(dict):
+    pass
+
+
+RECORD = {"caller": 1, "minutes": 5}
+SECOND = {"caller": 2, "minutes": 6}
+
+
+def record_shapes():
+    row = Row(Schema.build(("sn", "SEQ"), ("caller", "INT"), ("minutes", "INT")), (0, 1, 5))
+    return {
+        "dict": (RECORD, [(1, 5)]),
+        "ordered-dict": (collections.OrderedDict(RECORD), [(1, 5)]),
+        "mapping-proxy": (types.MappingProxyType(RECORD), [(1, 5)]),
+        "mapping-subclass": (CustomMapping(RECORD), [(1, 5)]),
+        "registered-mapping": (VirtualMapping(RECORD), [(1, 5)]),
+        "dict-subclass": (DictSubclass(RECORD), [(1, 5)]),
+        "list-of-dicts": ([RECORD, SECOND], [(1, 5), (2, 6)]),
+        "tuple-of-dicts": ((RECORD,), [(1, 5)]),
+        "list-of-mapping-proxies": ([types.MappingProxyType(SECOND)], [(2, 6)]),
+        "positional-tuple": ((1, 5), [(1, 5)]),
+        "positional-list": ([1, 5], [(1, 5)]),
+        "list-of-tuples": ([(1, 5), (2, 6)], [(1, 5), (2, 6)]),
+        "list-of-lists": ([[1, 5]], [(1, 5)]),
+        "generator": ((r for r in [RECORD]), [(1, 5)]),
+        "row": (row, [(1, 5)]),
+        "list-of-rows": ([row], [(1, 5)]),
+        "empty": ([], []),
+        "set-record": ([{1, 5}], SchemaError),
+        "string": ("ab", TypeMismatchError),
+    }
+
+
+class TestRecordShapes:
+    @pytest.mark.parametrize("shape", list(record_shapes()))
+    def test_append_accepts_the_same_shapes(self, shape):
+        records, expected = record_shapes()[shape]
+        group = ChronicleGroup("g")
+        calls = group.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                group.append(calls, records)
+            assert calls.appended_count == 0
+        else:
+            rows = group.append(calls, records)
+            assert [row.values[1:] for row in rows] == expected
+
+    def test_relation_insert_accepts_mappings_and_sequences(self):
+        from repro.relational.relation import Relation
+
+        schema = Schema.build(("number", "INT"), ("state", "STR"), key=["number"])
+        relation = Relation("r", schema)
+        for value in (
+            {"number": 1, "state": "NJ"},
+            types.MappingProxyType({"number": 2, "state": "NY"}),
+            CustomMapping({"number": 3, "state": "CA"}),
+            VirtualMapping({"number": 4, "state": "TX"}),
+            (5, "WA"),
+            [6, "OR"],
+            Row(schema, (7, "ME")),
+        ):
+            relation.insert(value)
+        assert sorted(row.values for row in relation.rows()) == [
+            (1, "NJ"), (2, "NY"), (3, "CA"), (4, "TX"), (5, "WA"), (6, "OR"), (7, "ME"),
+        ]

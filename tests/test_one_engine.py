@@ -36,6 +36,10 @@ grew a switch.  And no surface without a reader: the metrics-history
 stack (its sampler thread, ``/timeline``, ``/dashboard``, ``SHOW
 TIMELINE``, ``HistoryConfig``) and the ``/snapshot`` route stay deleted,
 so the exporter serves four routes and observing starts no thread.
+Maintenance, finally: a registry event enters the no-access guard once,
+whatever the number of views it maintains, and each view folds through
+the step compiled when it is built (no ``_fold_groups`` or
+``_fold_projection`` interpreted per event).
 """
 
 import ast
@@ -531,3 +535,67 @@ def test_observing_starts_no_thread(engine):
     finally:
         db.close()
         db.disable_observability()
+
+
+# -- maintain once --------------------------------------------------------------------
+
+
+def _counting(monkeypatch, owner, name):
+    """Patch *owner.name* to count its calls; returns the count list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_the_interpreted_fold_stays_deleted():
+    for name in ("_fold_groups", "_fold_projection"):
+        assert not hasattr(PersistentView, name), name
+    view_source = (SRC / "sca" / "view.py").read_text()
+    assert "_fold_groups" not in view_source and "_fold_projection" not in view_source
+
+
+@pytest.mark.parametrize("observe", [False, True], ids=["off", "observed"])
+@pytest.mark.parametrize("survivors", [1, 6, 41])
+def test_one_guard_extent_per_registry_event(monkeypatch, survivors, observe):
+    from repro.core.chronicle import maintenance_guard
+
+    db = ChronicleDatabase(config=DatabaseConfig(observe=observe))
+    try:
+        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")], retention=0)
+        for index in range(survivors):
+            aggregate = ("SUM(minutes)", "COUNT(*)", "MAX(minutes)")[index % 3]
+            db.define_view(
+                f"DEFINE VIEW v{index} AS SELECT caller, {aggregate} AS out "
+                f"FROM calls WHERE minutes > {index} GROUP BY caller"
+            )
+        entries = _counting(monkeypatch, maintenance_guard, "__enter__")
+        for event in range(5):
+            records = [{"caller": event % 2, "minutes": 100 + event}, {"caller": 7, "minutes": 50}]
+            db.append("calls", records)
+            assert len(entries) == event + 1
+        assert db.registry.stats["maintained_views"] == 5 * survivors
+    finally:
+        db.close()
+        db.disable_observability()
+
+
+def test_the_fold_is_compiled_once_per_view(monkeypatch):
+    compiled = _counting(monkeypatch, PersistentView, "_compile_fold")
+    db = ChronicleDatabase()
+    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")], retention=0)
+    db.define_view(
+        "DEFINE VIEW total AS SELECT caller, SUM(minutes) AS t FROM calls GROUP BY caller"
+    )
+    db.define_view("DEFINE VIEW seen AS SELECT caller FROM calls")
+    assert len(compiled) == 2
+    for event in range(20):
+        db.append("calls", {"caller": event % 3, "minutes": event})
+    assert len(compiled) == 2
+    assert db.view_value("total", (1,), "t") == sum(range(1, 20, 3))
+    assert len(db.view("seen")) == 3
