@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
+from contextlib import nullcontext
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..aggregates.registry import default_registry
@@ -585,23 +586,26 @@ class ChronicleDatabase:
         maintained per batch.  The sharded engine's shards receive
         **one** coalesced event for the whole window — the per-event
         fixed costs are paid once instead of ``len(batches)`` times.
-        The window is one durability commit point.
+        The window is one durability commit point: its batches' log rows
+        commit as one transaction.
         """
         group = self._owning_group(chronicle)
-        shards = self._shards
-        fan_out = shards.open(group, "ingest") if shards is not None else None
+        durability = self._durability
         total = 0
-        try:
-            for records in batches:
-                rows = group.append(chronicle, records, instant=instant)
-                total += len(rows)
+        with nullcontext() if durability is None else durability.window():
+            shards = self._shards
+            fan_out = shards.open(group, "ingest") if shards is not None else None
+            try:
+                for records in batches:
+                    rows = group.append(chronicle, records, instant=instant)
+                    total += len(rows)
+                    if fan_out is not None:
+                        fan_out.route({chronicle: rows})
+            finally:
                 if fan_out is not None:
-                    fan_out.route({chronicle: rows})
-        finally:
-            if fan_out is not None:
-                fan_out.close(len(batches))
-        if self._durability is not None:
-            self._durability.batch_committed()
+                    fan_out.close(len(batches))
+        if durability is not None:
+            durability.batch_committed()
         return total
 
     def update_relation(self, name: str, key: Sequence[Any], **changes: Any) -> bool:

@@ -55,8 +55,9 @@ import threading
 import time
 import warnings
 import weakref
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from ..errors import ChronicleError
 from ..obs import runtime as obs_runtime
@@ -226,6 +227,20 @@ class DurabilityManager:
             with obs.tracer.span("wal_append", group=group.name) as span:
                 span.attrs["bytes"] = self.wal.log_batch(group.name, payload, watermark)
         self._batches_since_snapshot += 1
+
+    @contextmanager
+    def window(self) -> Iterator[None]:
+        """One durable ``ingest`` window: its batches' log rows commit as
+        one transaction.  They commit when the window raises too, so the
+        log holds the rows one commit per batch would have left."""
+        if self._closed or not self._live:
+            yield
+            return
+        self.wal.begin()
+        try:
+            yield
+        finally:
+            self.wal.commit()
 
     def batch_committed(self) -> None:
         """Facade hook after maintenance finished one batch/window.

@@ -5,28 +5,42 @@ durability directory), opened in ``wal`` journal mode.  Two
 schema-versioned tables carry the durable state:
 
 ``log``
-    One row per event, in admission order (the rowid is the recovery
+    One row per event, in admission order (the id is the recovery
     order).  Kinds: ``batch`` (an admitted append event — the chronicle
     name → stamped value tuples map of PR 6's cross-process dispatch,
     pickled, plus the event watermark), ``ddl`` (a catalog operation:
     group/chronicle/relation/view definitions, interleaved with the
     batches so a view defined mid-stream replays at the right point),
-    and ``relupdate`` (a proactive relation update).
+    and ``relupdate`` (a proactive relation update).  The log assigns
+    the ids itself: at open, the next id is one above both the largest
+    id in the log and the largest id a snapshot covers, so an id of a
+    truncated tail is never handed out again (recovery replays the ids
+    above the last snapshot's).
 
 ``snapshots``
     A chain of watermark-stamped checkpoint documents (the JSON codec
     shared with :mod:`repro.storage.checkpoint`): one base, then the
     deltas written after it, in rowid order.  Each snapshot records the
-    log rowid it covers; writing one truncates the covered ``batch`` /
+    last log id it covers; writing one truncates the covered ``batch`` /
     ``relupdate`` tail (``ddl`` rows are kept — they rebuild the catalog
     shape before the chain's state is loaded).  Writing a base deletes
     the chain before it in the same transaction.
 
+Schema version 2 (this build's new files): ``log.id`` is a plain
+``INTEGER PRIMARY KEY`` and pages are :data:`PAGE_SIZE` bytes, so a
+one-batch commit writes one small page to SQLite's WAL file.  Version 1
+files (``AUTOINCREMENT``, whose counter row was a second page per
+commit, and 4 KiB pages) open and continue with explicit ids; a build
+that knows only version 1 refuses a version 2 file, whose implicit
+rowids could reuse ids a snapshot covers.
+
+Every write is one autocommitted statement, except a snapshot (one
+transaction) and a durable ``ingest`` window, whose batches commit
+together (:meth:`ChronicleWal.begin` / :meth:`ChronicleWal.commit`).
 The fsync policy maps onto SQLite's ``synchronous`` pragma: ``always``
-→ FULL (fsync per autocommitted batch insert), ``batch`` → NORMAL
-(commit per batch; in WAL mode this survives process crash without a
-per-batch fsync — the file is fsynced at snapshot/flush/close), ``off``
-→ OFF.
+→ FULL (fsync per commit), ``batch`` → NORMAL (commit per batch or
+window; in WAL mode this survives process crash without a per-commit
+fsync — the file is fsynced at snapshot/flush/close), ``off`` → OFF.
 """
 
 from __future__ import annotations
@@ -43,7 +57,13 @@ from ..errors import ChronicleError
 #: Name of the single durability file inside ``DurabilityConfig.dir``.
 WAL_FILENAME = "chronicle.db"
 
-SCHEMA_VERSION = 1
+#: The version new files get; both open (module docstring).
+SCHEMA_VERSION = 2
+SUPPORTED_VERSIONS = (1, 2)
+
+#: Page size of a new file: a one-batch commit appends one page-sized
+#: frame to SQLite's WAL file.
+PAGE_SIZE = 1024
 
 _SYNCHRONOUS = {"always": "FULL", "batch": "NORMAL", "off": "OFF"}
 
@@ -53,7 +73,7 @@ class WalError(ChronicleError):
 
 
 class WalSnapshot(NamedTuple):
-    """One snapshot row: covered log rowid, watermark, stored document."""
+    """One snapshot row: last covered log id, watermark, stored document."""
 
     snapshot_id: int
     log_id: int
@@ -90,7 +110,8 @@ class ChronicleWal:
     concurrent reads (a lock serializes statements); all writes are
     autocommitted per statement except snapshots, which commit the
     snapshot row, the chain it replaces, and the log-tail truncation
-    atomically.
+    atomically, and the rows logged between :meth:`begin` and
+    :meth:`commit`.
     """
 
     def __init__(self, directory: str, fsync: str = "batch") -> None:
@@ -104,9 +125,12 @@ class ChronicleWal:
             self._conn: Optional[sqlite3.Connection] = sqlite3.connect(
                 self.path, isolation_level=None, check_same_thread=False
             )
+            # Takes effect only on a new file; must precede journal_mode.
+            self._conn.execute(f"PRAGMA page_size={PAGE_SIZE}")
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute(f"PRAGMA synchronous={_SYNCHRONOUS[fsync]}")
             self._ensure_schema()
+            self._next_id = self._first_free_id()
         except sqlite3.Error as exc:
             raise WalError(f"cannot open append-ahead log {self.path}: {exc}") from exc
 
@@ -119,7 +143,7 @@ class ChronicleWal:
         )
         conn.execute(
             "CREATE TABLE IF NOT EXISTS log ("
-            " id INTEGER PRIMARY KEY AUTOINCREMENT,"
+            " id INTEGER PRIMARY KEY,"
             " kind TEXT NOT NULL,"
             " watermark INTEGER NOT NULL,"
             " payload BLOB NOT NULL)"
@@ -139,11 +163,20 @@ class ChronicleWal:
                 "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
                 (str(SCHEMA_VERSION),),
             )
-        elif int(row[0]) != SCHEMA_VERSION:
+        elif int(row[0]) not in SUPPORTED_VERSIONS:
             raise WalError(
                 f"append-ahead log {self.path} has schema version {row[0]}, "
-                f"this build supports {SCHEMA_VERSION}"
+                f"this build supports {', '.join(map(str, SUPPORTED_VERSIONS))}"
             )
+
+    def _first_free_id(self) -> int:
+        """One above every log id ever committed: the rows still in the
+        log, and the truncated tail the last snapshot covers."""
+        row = self._require().execute(
+            "SELECT MAX(COALESCE((SELECT MAX(id) FROM log), 0),"
+            " COALESCE((SELECT MAX(log_id) FROM snapshots), 0))"
+        ).fetchone()
+        return int(row[0]) + 1
 
     def _require(self) -> sqlite3.Connection:
         if self._conn is None:
@@ -161,33 +194,41 @@ class ChronicleWal:
     ) -> int:
         """Append one admitted batch; returns the encoded size in bytes."""
         blob = pickle.dumps((group, payload), protocol=pickle.HIGHEST_PROTOCOL)
-        with self._lock:
-            self._require().execute(
-                "INSERT INTO log (kind, watermark, payload) VALUES ('batch', ?, ?)",
-                (watermark, blob),
-            )
+        self._append("batch", watermark, blob)
         return len(blob)
 
     def log_ddl(self, op: Tuple[Any, ...], watermark: int) -> None:
         """Append one catalog operation, ordered against the batches."""
-        blob = pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._lock:
-            self._require().execute(
-                "INSERT INTO log (kind, watermark, payload) VALUES ('ddl', ?, ?)",
-                (watermark, blob),
-            )
+        self._append("ddl", watermark, pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL))
 
     def log_relation_update(
         self, name: str, key: Any, changes: Dict[str, Any], watermark: int
     ) -> None:
         """Append one proactive relation update, ordered against the batches."""
         blob = pickle.dumps((name, key, changes), protocol=pickle.HIGHEST_PROTOCOL)
+        self._append("relupdate", watermark, blob)
+
+    def _append(self, kind: str, watermark: int, blob: bytes) -> None:
+        """Insert one log row under the next id; the id is spent only
+        once the row is in."""
         with self._lock:
+            entry_id = self._next_id
             self._require().execute(
-                "INSERT INTO log (kind, watermark, payload)"
-                " VALUES ('relupdate', ?, ?)",
-                (watermark, blob),
+                "INSERT INTO log (id, kind, watermark, payload) VALUES (?, ?, ?, ?)",
+                (entry_id, kind, watermark, blob),
             )
+            self._next_id = entry_id + 1
+
+    def begin(self) -> None:
+        """Open a transaction: the rows logged until :meth:`commit`
+        commit together (one durable ``ingest`` window)."""
+        with self._lock:
+            self._require().execute("BEGIN")
+
+    def commit(self) -> None:
+        """Commit the transaction :meth:`begin` opened."""
+        with self._lock:
+            self._require().execute("COMMIT")
 
     def write_snapshot(
         self, document: Dict[str, Any], watermark: int, base: bool = True
@@ -206,8 +247,7 @@ class ChronicleWal:
             conn = self._require()
             conn.execute("BEGIN IMMEDIATE")
             try:
-                row = conn.execute("SELECT COALESCE(MAX(id), 0) FROM log").fetchone()
-                log_id = int(row[0])
+                log_id = self._next_id - 1
                 if base:
                     conn.execute("DELETE FROM snapshots")
                 conn.execute(
@@ -287,7 +327,7 @@ class ChronicleWal:
         ]
 
     def ddl_entries(self, up_to: int) -> Iterator[WalEntry]:
-        """Catalog operations at or below log rowid *up_to*, in order."""
+        """Catalog operations at or below log id *up_to*, in order."""
         with self._lock:
             rows = self._require().execute(
                 "SELECT id, watermark, payload FROM log"
@@ -298,7 +338,7 @@ class ChronicleWal:
             yield WalEntry(entry_id, "ddl", watermark, pickle.loads(blob))
 
     def entries(self, after: int = 0) -> Iterator[WalEntry]:
-        """All log rows above rowid *after*, decoded, in admission order."""
+        """All log rows above id *after*, decoded, in admission order."""
         with self._lock:
             rows = self._require().execute(
                 "SELECT id, kind, watermark, payload FROM log"

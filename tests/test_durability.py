@@ -53,7 +53,7 @@ from repro.parallel import UnpartitionableViewWarning
 from repro.relational.predicate import attr_cmp
 from repro.sca.summarize import GroupBySummary
 from repro.storage.durability import NonDurableWarning, RecoveryError
-from repro.storage.wal import ChronicleWal, WalError, wal_path
+from repro.storage.wal import PAGE_SIZE, SCHEMA_VERSION, ChronicleWal, WalError, wal_path
 
 
 @pytest.fixture(autouse=True)
@@ -1049,6 +1049,223 @@ class TestPreChainDirectory:
         finally:
             db.close()
             reference.close()
+
+
+# ---------------------------------------------------------------------------
+# The log's own ids, its page size, and one transaction per ingest window
+# ---------------------------------------------------------------------------
+
+
+def _log_rows(directory):
+    """``(id, kind, watermark, payload)`` of every log row, off the file."""
+    conn = sqlite3.connect(wal_path(directory))
+    try:
+        rows = conn.execute("SELECT id, kind, watermark, payload FROM log ORDER BY id").fetchall()
+    finally:
+        conn.close()
+    return [(i, kind, mark, pickle.loads(blob)) for i, kind, mark, blob in rows]
+
+
+def _reopen(directory, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnpartitionableViewWarning)
+        return ChronicleDatabase.open(directory, config=config)
+
+
+class TestLogIds:
+    def test_truncated_batch_id_is_not_reused(self, tmp_path):
+        """A snapshot truncates a tail ending in a batch; the next batch
+        must get an id above the one the snapshot covers, or recovery
+        (which replays ids above it) would skip it."""
+        directory = str(tmp_path / "db")
+        config = _config(directory, interval=3)
+        db = ChronicleDatabase.open(directory, config=config)
+        reference = ChronicleDatabase()
+        try:
+            for target in (db, reference):
+                _commit_catalog(target)
+                for caller in range(3):  # the third append snapshots
+                    target.append("calls", [{"caller": caller, "minutes": 4}])
+            assert db.durability.status()["batches_since_snapshot"] == 0
+            covered = db.durability.wal.snapshot_chain()[-1].log_id
+            assert max(row[0] for row in _log_rows(directory)) < covered
+            for target in (db, reference):
+                target.append("calls", [{"caller": 1, "minutes": 9}])
+            assert [row[0] for row in _log_rows(directory)][-1] == covered + 1
+            db.durability.abort()
+            db = _reopen(directory, config)
+            assert db.durability.last_recovery.replayed_batches == 1
+            assert _commit_state(db) == _commit_state(reference)
+        finally:
+            db.close()
+            reference.close()
+
+    def test_version_1_directory_opens_and_continues(self, tmp_path):
+        """A directory in the version 1 layout (AUTOINCREMENT log ids,
+        4 KiB pages) opens, replays, and keeps appending above its ids."""
+        written = str(tmp_path / "written")
+        config = _config(written, interval=3)
+        db = ChronicleDatabase.open(written, config=config)
+        reference = ChronicleDatabase()
+        ops = [("append", [{"caller": c % 4, "minutes": c + 1}]) for c in range(7)]
+        ops.insert(4, ("update", (2,), "gold"))
+        for target in (db, reference):
+            _commit_catalog(target)
+            for op in ops:
+                _commit_apply(target, op)
+        db.durability.abort()
+
+        # The same rows, rebuilt in the version 1 layout.
+        directory = str(tmp_path / "v1")
+        os.makedirs(directory)
+        source = sqlite3.connect(wal_path(written))
+        meta = source.execute("SELECT key, value FROM meta").fetchall()
+        log = source.execute("SELECT * FROM log").fetchall()
+        snapshots = source.execute("SELECT * FROM snapshots").fetchall()
+        source.close()
+        conn = sqlite3.connect(wal_path(directory))
+        conn.execute("PRAGMA page_size=4096")
+        conn.execute("PRAGMA journal_mode=WAL")
+        for statement in _PARENT_TABLES:
+            conn.execute(statement)
+        conn.executemany("INSERT INTO meta VALUES (?, ?)", meta)
+        conn.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
+        conn.executemany("INSERT INTO log VALUES (?, ?, ?, ?)", log)
+        conn.executemany("INSERT INTO snapshots VALUES (?, ?, ?, ?)", snapshots)
+        # AUTOINCREMENT remembers the truncated tail's ids too.
+        last = max(snapshot[1] for snapshot in snapshots)
+        conn.execute("UPDATE sqlite_sequence SET seq = MAX(seq, ?) WHERE name = 'log'", (last,))
+        conn.commit()
+        conn.close()
+        old_ids = [row[0] for row in _log_rows(directory)]
+
+        config = _config(directory, interval=3)
+        try:
+            db = _reopen(directory, config)
+            assert db.durability.last_recovery.replayed_batches == 1
+            assert _commit_state(db) == _commit_state(reference)
+            more = [("append", [{"caller": 5, "minutes": 2}]), ("update", (1,), "gold")]
+            for op in more:  # two rows, below the snapshot interval
+                _commit_apply(db, op)
+                _commit_apply(reference, op)
+            new_ids = [row[0] for row in _log_rows(directory)][len(old_ids):]
+            assert len(new_ids) == 2 and min(new_ids) > max(old_ids + [last])
+            window = ("ingest", [[{"caller": c, "minutes": 3}] for c in range(3)])
+            _commit_apply(db, window)  # snapshots into the version 1 chain
+            _commit_apply(reference, window, window=False)
+            db.durability.abort()
+            conn = sqlite3.connect(wal_path(directory))
+            try:
+                assert conn.execute("PRAGMA page_size").fetchone() == (4096,)
+                assert conn.execute(
+                    "SELECT value FROM meta WHERE key = 'schema_version'"
+                ).fetchone() == ("1",)
+            finally:
+                conn.close()
+            db = _reopen(directory, config)
+            assert _commit_state(db) == _commit_state(reference)
+            assert sorted(r.values for r in db.relation("subscribers").rows()) == sorted(
+                r.values for r in reference.relation("subscribers").rows()
+            )
+        finally:
+            db.close()
+            reference.close()
+
+    def test_new_file_is_version_2_with_small_pages(self, tmp_path):
+        directory = str(tmp_path / "db")
+        ChronicleWal(directory, fsync="off").close()
+        conn = sqlite3.connect(wal_path(directory))
+        try:
+            assert conn.execute("PRAGMA page_size").fetchone() == (PAGE_SIZE,)
+            assert conn.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone() == (str(SCHEMA_VERSION),)
+        finally:
+            conn.close()
+        assert (PAGE_SIZE, SCHEMA_VERSION) == (1024, 2)
+
+    def test_one_page_per_one_batch_commit(self, tmp_path):
+        """N one-batch appends add at most 1.25·N frames to SQLite's WAL
+        file (one leaf page each, plus the leaf splits); with 4 KiB pages
+        and an AUTOINCREMENT counter page it was about 2·N."""
+        directory = str(tmp_path / "db")
+        db = ChronicleDatabase.open(directory, config=_config(directory, mode="wal"))
+        try:
+            _commit_catalog(db)
+            db.flush()
+            appends = 200
+            for n in range(appends):
+                db.append("calls", [{"caller": n % 4, "minutes": n % 11 + 1}])
+            _, frames, _ = db.durability.wal._conn.execute(
+                "PRAGMA wal_checkpoint(PASSIVE)"
+            ).fetchone()
+            assert appends <= frames <= 1.25 * appends
+        finally:
+            db.close()
+
+
+class TestIngestWindowTransaction:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_one_commit_per_window_and_recovery(self, tmp_path, engine):
+        directory = str(tmp_path / "db")
+        # Snapshots carry the directly inserted subscribers; none is due
+        # during the test.
+        config = _config(directory, engine=engine, interval=1000)
+        db = _reopen(directory, config)
+        reference = ChronicleDatabase()
+        statements = []
+        try:
+            for target in (db, reference):
+                _commit_catalog(target)
+            db.durability.wal._conn.set_trace_callback(statements.append)
+            window = [[{"caller": c % 5, "minutes": c + 1}] for c in range(6)]
+            db.ingest("calls", window)
+            db.durability.wal._conn.set_trace_callback(None)
+            assert [s for s in statements if not s.startswith("INSERT")] == ["BEGIN", "COMMIT"]
+            assert len(statements) == 2 + len(window)
+            _commit_apply(reference, ("ingest", window), window=False)
+            for op in _COMMIT_OPS:
+                _commit_apply(db, op)
+                _commit_apply(reference, op, window=False)
+            db.durability.abort()
+            db = _reopen(directory, config)
+            assert _commit_state(db) == _commit_state(reference)
+            assert db.group().watermark == reference.group().watermark
+        finally:
+            db.close()
+            reference.close()
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_raising_window_logs_what_per_batch_commits_log(self, tmp_path, engine):
+        """Maintenance raises on the third batch of five: the window's
+        log holds the same rows as three autocommitted appends."""
+        window = [[{"caller": c, "minutes": c + 1}] for c in range(5)]
+        logs = []
+        for feed in ("ingest", "append"):
+            directory = str(tmp_path / feed)
+            db = _reopen(directory, _config(directory, engine=engine, mode="wal"))
+            try:
+                _commit_catalog(db)
+                seen = []
+
+                def third_raises(group, event):
+                    seen.append(event)
+                    if len(seen) == 3:
+                        raise _InjectedCrash("injected maintenance failure")
+
+                db.groups["default"].subscribe(third_raises)
+                with pytest.raises(_InjectedCrash):
+                    if feed == "ingest":
+                        db.ingest("calls", window)
+                    else:
+                        for batch in window:
+                            db.append("calls", batch)
+                assert not db.durability.wal._conn.in_transaction
+            finally:
+                db.durability.abort()
+            logs.append(_log_rows(directory))
+        assert logs[0] == logs[1]
+        assert [row[1] for row in logs[0]].count("batch") == 3
 
 
 # ---------------------------------------------------------------------------

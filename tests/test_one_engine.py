@@ -13,7 +13,8 @@ written once, and the shard executors number two.  Persistence likewise:
 :mod:`repro.storage.checkpoint` builds and loads every snapshot document
 (base or delta), ``DurabilityManager.snapshot`` is the one writer of
 snapshot rows, and the storage layer takes no switch from the
-environment.  And the plan: every operator declares its parameters and
+environment; the log assigns its own row ids (no AUTOINCREMENT table
+in a new file).  And the plan: every operator declares its parameters and
 spec tag once (``Node.param_names``/``Node.tag``), so rebuilding,
 interning keys, portable specs and shard rebinding are each one generic
 function, and per-operator rules are one ``{operator class: rule}``
@@ -237,6 +238,23 @@ def _functions(path):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     yield node.name, item
+
+
+def test_the_log_assigns_its_own_ids(tmp_path):
+    """A new file's ``log`` table has no AUTOINCREMENT, whose counter row
+    was a second page per commit (no setting came with the change:
+    ``test_no_new_knob``)."""
+    import sqlite3
+
+    from repro.storage.wal import ChronicleWal, wal_path
+
+    ChronicleWal(str(tmp_path), fsync="off").close()
+    conn = sqlite3.connect(wal_path(str(tmp_path)))
+    try:
+        (ddl,) = conn.execute("SELECT sql FROM sqlite_master WHERE name = 'log'").fetchone()
+    finally:
+        conn.close()
+    assert "id INTEGER PRIMARY KEY," in ddl and "AUTOINCREMENT" not in ddl
 
 
 def test_only_the_snapshot_method_writes_snapshots():
