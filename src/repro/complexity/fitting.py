@@ -16,15 +16,15 @@ complex model whose RMSE is within ``tolerance`` of the best-fitting
 model's.  This bias matters — constant data also fits a line with slope
 ≈ 0, and we want to call it constant.
 
-Only numpy is used, and only here (the measurement kit, not the engine).
+numpy is used only here, and imported by the functions that fit: the
+engine never fits, so ``import repro`` needs no numpy (the ``bench``
+extra installs it).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 #: Model name → basis function of x (the non-constant regressor).
 _BASES: Dict[str, Optional[Callable[[float], float]]] = {
@@ -67,7 +67,20 @@ class FitResult(NamedTuple):
         return self.best.model
 
 
-def _fit_model(model: str, xs: np.ndarray, ys: np.ndarray) -> Fit:
+def _numpy() -> Any:
+    """numpy, imported on the first fit (the ``bench`` extra)."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise ImportError(
+            "fitting cost curves needs numpy: pip install 'repro[bench]'"
+        ) from exc
+    return numpy
+
+
+def _fit_model(model: str, xs: Sequence[float], ys: Sequence[float]) -> Fit:
+    np = _numpy()
+    ys = np.asarray(ys, dtype=float)
     basis = _BASES[model]
     if basis is None:
         intercept = float(np.mean(ys))
@@ -109,9 +122,9 @@ def fit_series(
         raise ValueError("xs and ys must have equal length")
     if len(xs) < 3:
         raise ValueError("fitting needs at least 3 points")
-    xs_array = np.asarray(xs, dtype=float)
+    np = _numpy()
     ys_array = np.asarray(ys, dtype=float)
-    fits = {model: _fit_model(model, xs_array, ys_array) for model in models}
+    fits = {model: _fit_model(model, xs, ys_array) for model in models}
     best_rmse = min(fit.rmse for fit in fits.values())
     scale = max(float(np.mean(np.abs(ys_array))), 1e-12)
     threshold = best_rmse * (1.0 + tolerance) + 1e-9 * scale
@@ -191,9 +204,7 @@ def classify_growth(
     if flat or result.best.slope < 0:
         constant = result.fits.get("constant")
         if constant is None:
-            constant = _fit_model(
-                "constant", np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-            )
+            constant = _fit_model("constant", xs, ys)
         return GrowthClass("constant", constant, flat)
     return GrowthClass(result.model, result.best, False)
 

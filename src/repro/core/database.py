@@ -199,7 +199,7 @@ class ChronicleDatabase:
         Enables observability (installing it) if it is not enabled yet,
         then serves ``/metrics`` (Prometheus text), ``/certificates``,
         ``/costs`` and ``/health`` on *port* (0 = ephemeral).
-        Returns the :class:`~repro.obs.exporters.MetricsServer`.
+        Returns the :class:`~repro.obs.server.MetricsServer`.
 
         The exporter's serving thread is tied to this database's
         lifetime: :meth:`close` stops it, and a finalizer stops it if

@@ -34,7 +34,6 @@ from .costmodel import CostEntry, CostLedger, span_probes, span_work
 from .exporters import (
     AttributionNode,
     JsonlSpanSink,
-    MetricsServer,
     attribution_tree,
     format_attribution,
 )
@@ -60,6 +59,8 @@ from .tracer import Span, Tracer
 #: Conformance symbols are loaded lazily (PEP 562): this package is
 #: imported by the core hot-path modules for the runtime slot, and the
 #: profiler imports the algebra layer — an eager import would cycle.
+#: ``MetricsServer`` is lazy too: only a process that serves should pay
+#: for :mod:`http.server`.
 _CONFORMANCE_EXPORTS = (
     "ConformanceCertificate",
     "ConformanceProfiler",
@@ -73,6 +74,10 @@ def __getattr__(name: str):
         from . import conformance
 
         return getattr(conformance, name)
+    if name == "MetricsServer":
+        from .server import MetricsServer
+
+        return MetricsServer
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -316,7 +316,7 @@ class Observability:
 
     @property
     def server(self) -> Optional[Any]:
-        """The running :class:`~repro.obs.exporters.MetricsServer`, if any."""
+        """The running :class:`~repro.obs.server.MetricsServer`, if any."""
         return self._server
 
     def serve(self, port: int = 0, host: str = "127.0.0.1") -> Any:
@@ -325,7 +325,7 @@ class Observability:
         Routes: ``/metrics``, ``/certificates``, ``/costs`` and
         ``/health`` (:data:`~repro.obs.exporters.ROUTES`).
         """
-        from .exporters import MetricsServer
+        from .server import MetricsServer
 
         if self._server is not None:
             raise ObservabilityError(

@@ -1,9 +1,11 @@
-"""Live exporters: HTTP metrics endpoint, JSONL span streams, flame trees.
+"""Live exporters: HTTP routes, JSONL span streams, flame trees.
 
 Three ways out of the process for the observability layer's data, all
 stdlib-only:
 
-* :class:`MetricsServer` — a tiny :mod:`http.server` daemon exposing
+* :data:`ROUTES` — what the HTTP endpoint
+  (:class:`~repro.obs.server.MetricsServer`, imported on the first
+  :meth:`~repro.obs.core.Observability.serve`) answers:
 
   - ``/metrics`` — the Prometheus text exposition format
     (``text/plain; version=0.0.4``), straight from
@@ -17,11 +19,9 @@ stdlib-only:
     balancers and probes key off the status code alone).
 
   Trajectories come from scraping ``/metrics``: every series is a
-  counter, histogram or gauge there.  Routes live in the module-level
-  :data:`ROUTES` registry — a new endpoint is one ``@route("/path")``
-  function of the handle, not another branch in the handler.  Bind
-  port 0 for an ephemeral port (tests do); the bound port is available
-  as :attr:`MetricsServer.port` after :meth:`start`.
+  counter, histogram or gauge there.  A new endpoint is one
+  ``@route("/path")`` function of the handle, not another branch in
+  the handler.
 
 * :class:`JsonlSpanSink` — streams every completed trace (root span
   tree) to a JSON-lines file as it finishes, with size-based rotation
@@ -42,10 +42,8 @@ from __future__ import annotations
 import json
 import os
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ObservabilityError
 from .tracer import Span
 
 #: Attributes that identify a span within its parent (other attrs —
@@ -62,7 +60,7 @@ _IDENTITY_ATTRS = (
 
 
 # ---------------------------------------------------------------------------
-# HTTP endpoint
+# HTTP routes
 # ---------------------------------------------------------------------------
 
 #: A route returns ``(status, content_type, body)`` for one GET.
@@ -119,88 +117,6 @@ def _health_route(obs: Any) -> Tuple[int, str, bytes]:
         payload = {"status": "FAILING", "error": repr(exc)}
         status = 503
     return _json_reply(payload, status)
-
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """Routes GETs to the owning server's observability handle."""
-
-    server: "MetricsServer"
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.partition("?")[0].rstrip("/") or "/"
-        handler = ROUTES.get(path)
-        if handler is None:
-            self._reply(404, "text/plain; charset=utf-8", b"not found\n")
-            return
-        try:
-            status, content_type, body = handler(self.server.observability)
-        except Exception as exc:
-            # A broken route answers 500; it must never hang the scrape
-            # loop or kill the serving thread.
-            status, content_type, body = _json_reply({"error": repr(exc)}, 500)
-        self._reply(status, content_type, body)
-
-    def _reply(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        # Scrapes every few seconds would otherwise spam stderr.
-        pass
-
-
-class MetricsServer(ThreadingHTTPServer):
-    """A daemon-threaded HTTP server over one observability handle.
-
-    Usage::
-
-        server = MetricsServer(obs, port=9464).start()
-        ...                       # curl localhost:9464/metrics
-        server.stop()
-
-    The listening socket binds in ``__init__`` (so :attr:`port` is real
-    immediately, even with ``port=0``); :meth:`start` launches the
-    serving thread.
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self, observability: Any, port: int = 0, host: str = "127.0.0.1"
-    ) -> None:
-        self.observability = observability
-        self._thread: Optional[threading.Thread] = None
-        super().__init__((host, port), _MetricsHandler)
-
-    @property
-    def port(self) -> int:
-        return int(self.server_address[1])
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.server_address[0]}:{self.port}"
-
-    def start(self) -> "MetricsServer":
-        if self._thread is not None:
-            raise ObservabilityError("metrics server already started")
-        self._thread = threading.Thread(
-            target=self.serve_forever,
-            name=f"repro-metrics-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self.shutdown()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        self.server_close()
 
 
 # ---------------------------------------------------------------------------

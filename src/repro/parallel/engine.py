@@ -762,12 +762,16 @@ class ProcessShardBackend(ShardBackend):
             if self._assignment.get(installed) != slot
         }
 
-    def _ensure_installed(self, unit: ShardUnit) -> ProcessPoolExecutor:
-        pool = self._pool_for(unit.label)
-        if unit.label not in self._installed:
-            pool.submit(worker_install, unit.spec()).result()
-            self._installed.add(unit.label)
-        return pool
+    def _failed(self, task: ShardTask, exc: BaseException, when: str = "") -> BaseException:
+        """The error a caller sees for *task*; a dead worker breaks its slot."""
+        if isinstance(exc, BrokenProcessPool):
+            self._mark_broken(task.unit.label, exc)
+            cause, exc = exc, EngineError(
+                f"shard {task.unit.label!r}'s worker process died{when}: {exc!r}"
+            )
+            exc.__cause__ = cause
+        self._attach_diagnostics(exc, task)
+        return exc
 
     # -- dispatch ----------------------------------------------------------------------
 
@@ -804,49 +808,41 @@ class ProcessShardBackend(ShardBackend):
             pass
 
     def run(self, tasks: Sequence[ShardTask]) -> None:
-        submitted: List[Tuple[ShardTask, Any, Optional[Dict[str, Any]]]] = []
-        error: Optional[BaseException] = None
+        failures: List[BaseException] = []
+        # Every missing replica's install is submitted before any is
+        # awaited, so the workers spawn and rebuild side by side.
+        installs = []
         for task in tasks:
-            unit = task.unit
+            if task.unit.label not in self._installed:
+                try:
+                    pool = self._pool_for(task.unit.label)
+                    installs.append((task, pool.submit(worker_install, task.unit.spec())))
+                except (BrokenProcessPool, EngineError) as exc:
+                    # A dead pool refuses submit synchronously; a slot
+                    # that died before makes _pool_for refuse.
+                    failures.append(self._failed(task, exc))
+        for task, future in installs:
             try:
-                pool = self._ensure_installed(unit)
-                fn, args, ipc_meta = self._encode_task(task)
-                future = pool.submit(fn, *args)
+                future.result()
+                self._installed.add(task.unit.label)
             except BrokenProcessPool as exc:
-                # The pool's management thread already noticed the death;
-                # submit refuses synchronously.
-                self._mark_broken(unit.label, exc)
-                if error is None:
-                    error = EngineError(
-                        f"shard {unit.label!r}'s worker process died: {exc!r}"
-                    )
-                    error.__cause__ = exc
-                    self._attach_diagnostics(error, task)
-                continue
-            except EngineError as exc:
-                # A previously broken slot (_pool_for refuses).
-                if error is None:
-                    error = exc
-                    self._attach_diagnostics(error, task)
+                failures.append(self._failed(task, exc))
+        submitted: List[Tuple[ShardTask, Any, Optional[Dict[str, Any]]]] = []
+        for task in tasks:
+            if task.unit.label not in self._installed:
+                continue  # its install failed above
+            try:
+                fn, args, ipc_meta = self._encode_task(task)
+                future = self._pool_for(task.unit.label).submit(fn, *args)
+            except BrokenProcessPool as exc:
+                failures.append(self._failed(task, exc))
                 continue
             submitted.append((task, future, ipc_meta))
         for task, future, ipc_meta in submitted:
             try:
                 result = future.result()
-            except BrokenProcessPool as exc:
-                self._mark_broken(task.unit.label, exc)
-                if error is None:
-                    error = EngineError(
-                        f"shard {task.unit.label!r}'s worker process died "
-                        f"mid-window: {exc!r}"
-                    )
-                    error.__cause__ = exc
-                    self._attach_diagnostics(error, task)
-                continue
             except BaseException as exc:
-                if error is None:
-                    error = exc
-                    self._attach_diagnostics(error, task)
+                failures.append(self._failed(task, exc, " mid-window"))
                 continue
             if ipc_meta is None:
                 items, records, elapsed, stats = result
@@ -874,8 +870,8 @@ class ProcessShardBackend(ShardBackend):
                     ipc=ipc_meta,
                     worker=str(self._slot_of(task.unit.label)),
                 )
-        if error is not None:
-            raise error
+        if failures:
+            raise failures[0]
 
     def queue_depth(self) -> int:
         depth = 0
@@ -889,24 +885,28 @@ class ProcessShardBackend(ShardBackend):
     # -- registration tracking ---------------------------------------------------------
 
     def view_added(self, shard_group: "ShardGroup", name: str) -> None:
-        for unit in shard_group.units:
-            if unit.label in self._installed:
-                summary_sp, state, chronicles = unit.view_payload(name)
-                self._pool_for(unit.label).submit(
-                    worker_add_view, unit.label, name, summary_sp, state, chronicles
-                ).result()
+        futures = [
+            self._pool_for(unit.label).submit(
+                worker_add_view, unit.label, name, *unit.view_payload(name)
+            )
+            for unit in shard_group.units
+            if unit.label in self._installed
+        ]
+        for future in futures:
+            future.result()
 
     def view_removed(self, shard_group: "ShardGroup", name: str) -> None:
-        for unit in shard_group.units:
-            if unit.label in self._installed:
-                emptied = self._pool_for(unit.label).submit(
-                    worker_remove_view, unit.label, name
-                ).result()
-                if emptied:
-                    # The worker released the replica with its last view
-                    # (a retired key class): forget the label entirely.
-                    self._installed.discard(unit.label)
-                    self._assignment.pop(unit.label, None)
+        units = [unit for unit in shard_group.units if unit.label in self._installed]
+        futures = [
+            self._pool_for(unit.label).submit(worker_remove_view, unit.label, name)
+            for unit in units
+        ]
+        for unit, future in zip(units, futures):
+            if future.result():
+                # The worker released the replica with its last view
+                # (a retired key class): forget the label entirely.
+                self._installed.discard(unit.label)
+                self._assignment.pop(unit.label, None)
 
     def reset_units(self) -> None:
         """Forget installed replicas; next dispatch reinstalls from state."""

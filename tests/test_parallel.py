@@ -27,6 +27,7 @@ import time
 import urllib.error
 import urllib.request
 import warnings
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -1033,6 +1034,62 @@ class TestProcessExecutor:
             db.drop_view("late")
             db.append("calls", {"caller": 0, "minutes": 11})
             assert "late" not in db.partitioned_views
+        finally:
+            db.close()
+
+
+class TestWorkersStartTogether:
+    """Every worker gets its task before the parent waits on any of them."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Log ``("submit" | "result", worker function name)`` in call order."""
+        log, names = [], {}
+        submit, result = ProcessPoolExecutor.submit, Future.result
+
+        def spy_submit(pool, fn, *args, **kwargs):
+            future = submit(pool, fn, *args, **kwargs)
+            names[future] = fn.__name__
+            log.append(("submit", fn.__name__))
+            return future
+
+        def spy_result(future, timeout=None):
+            if future in names:
+                log.append(("result", names[future]))
+            return result(future, timeout)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy_submit)
+        monkeypatch.setattr(Future, "result", spy_result)
+        return log
+
+    @staticmethod
+    def _all_submitted_first(log, fn):
+        submits = [i for i, entry in enumerate(log) if entry == ("submit", fn)]
+        first_wait = log.index(("result", fn))
+        return len(submits) == 2 and max(submits) < first_wait
+
+    def test_first_window_installs_both_replicas_at_once(self, monkeypatch):
+        db = _sharded_process_db()
+        try:
+            log = self._spy(monkeypatch)
+            db.ingest("calls", [[{"caller": c, "minutes": 1}] for c in range(8)])
+            assert self._all_submitted_first(log, "worker_install"), log
+            assert sum(db.view_value("usage", (c,), "sum_minutes") for c in range(8)) == 8
+        finally:
+            db.close()
+
+    def test_view_changes_reach_both_workers_at_once(self, monkeypatch):
+        db = _sharded_process_db()
+        try:
+            db.ingest("calls", [[{"caller": c, "minutes": 1}] for c in range(8)])
+            log = self._spy(monkeypatch)
+            db.define_view(
+                GroupBySummary(scan(db.chronicle("calls")), ["caller"], [spec(MAX, "minutes")]),
+                name="peak",
+            )
+            assert self._all_submitted_first(log, "worker_add_view"), log
+            db.drop_view("peak")
+            assert self._all_submitted_first(log, "worker_remove_view"), log
         finally:
             db.close()
 
