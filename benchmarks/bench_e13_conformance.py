@@ -9,6 +9,9 @@ classes :mod:`repro.algebra.classify` claims from the operator trees:
   work must fit **constant** in |C| (Theorem 4.2) with slope ≈ 0;
 * ``by_state``  — CA-join through a keyed relation (claimed IM-log(R)):
   work constant in |C| and |R|, probes at worst logarithmic in |R|;
+* ``balance_sharded`` — ``balance`` again on a 2-shard inline
+  database: each sample sums the view's spans over every shard its
+  records reach, so the certificate must match the serial one;
 * ``planted``   — a deliberately planted chronicle-product C×C
   (outside CA, so it can never register as a PersistentView; measured
   through :func:`~repro.obs.conformance.certify_expression`): its
@@ -19,10 +22,10 @@ Work excludes ``index_probe``/``index_lookup`` (the permitted O(log |V|)
 locate step); counters, not wall clock, drive the fits, so the verdicts
 are deterministic.
 
-Results are appended to ``BENCH_e13.json`` (schema v2, see
-``_results.py``).  Set ``E13_ARTIFACTS=dir`` to also dump the live
-exporter surfaces — ``metrics.prom`` (Prometheus text),
-``traces.jsonl`` (measurement span trees), ``certificates.json``, and
+The script exits non-zero when a verdict disagrees with the paper.
+Set ``E13_ARTIFACTS=dir`` to also dump the live exporter surfaces —
+``metrics.prom`` (Prometheus text), ``traces.jsonl`` (measurement span
+trees), ``certificates.json`` (the uploaded record of each run), and
 ``attribution.txt`` (the flame-style cost tree) — the files CI uploads.
 """
 
@@ -32,6 +35,7 @@ import sys
 
 from repro.algebra.ast import ChronicleProduct, scan
 from repro.complexity.harness import format_table
+from repro.core.config import DatabaseConfig
 from repro.core.database import ChronicleDatabase
 from repro.core.group import ChronicleGroup
 from repro.obs import Observability, certify_expression, format_attribution
@@ -41,21 +45,22 @@ C_SIZES = (256, 1_024, 4_096)
 R_SIZES = (256, 1_024, 4_096)
 SAMPLES = 3
 
-RESULTS_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_e13.json"
-)
-EXPERIMENT = "E13 empirical IM-class conformance"
 
-
-def _database():
-    db = ChronicleDatabase()
+def _flights(**config):
+    """``flights`` and the ``balance`` view on a database built from *config*."""
+    db = ChronicleDatabase(config=DatabaseConfig(**config))
     db.create_chronicle("flights", [("acct", "INT"), ("miles", "INT")])
-    db.create_relation(
-        "customers", [("acct", "INT"), ("state", "STR")], key=["acct"]
-    )
     db.define_view(
         "DEFINE VIEW balance AS "
         "SELECT acct, SUM(miles) AS balance FROM flights GROUP BY acct"
+    )
+    return db
+
+
+def _database():
+    db = _flights()
+    db.create_relation(
+        "customers", [("acct", "INT"), ("state", "STR")], key=["acct"]
     )
     db.define_view(
         "DEFINE VIEW by_state AS "
@@ -74,6 +79,17 @@ def certify_views(observability=None):
         "balance": profiler.certify("balance", c_sizes=C_SIZES),
         "by_state": profiler.certify("by_state", c_sizes=C_SIZES, r_sizes=R_SIZES),
     }
+
+
+def certify_sharded():
+    """``balance`` on a 2-shard inline database — must match the serial sweep."""
+    db = _flights(engine="sharded", shards=2)
+    try:
+        return ConformanceProfiler(db, samples=SAMPLES).certify(
+            "balance", c_sizes=C_SIZES
+        )
+    finally:
+        db.close()
 
 
 def certify_planted():
@@ -96,37 +112,9 @@ def certify_planted():
 def run_certificates():
     obs = Observability(trace_operators=False, audit="off")
     certificates = certify_views(observability=obs)
+    certificates["balance_sharded"] = certify_sharded()
     certificates["planted_cxc"] = certify_planted()
     return certificates, obs
-
-
-def _persist(certificates):
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from _results import append_run, load_history, save_history
-
-    history = load_history(RESULTS_PATH, EXPERIMENT)
-    append_run(
-        history,
-        {
-            "samples": SAMPLES,
-            "views": {
-                name: {
-                    "claimed": cert.claimed.value,
-                    "conformant": cert.conformant,
-                    "sweeps": {
-                        f"{s.parameter} {s.metric}": {
-                            "model": s.model,
-                            "slope": round(s.slope, 4),
-                            "r_squared": round(s.r_squared, 4),
-                        }
-                        for s in cert.sweeps
-                    },
-                }
-                for name, cert in certificates.items()
-            },
-        },
-    )
-    save_history(RESULTS_PATH, history)
 
 
 def _write_artifacts(directory, certificates, obs):
@@ -147,10 +135,11 @@ def _write_artifacts(directory, certificates, obs):
 
 
 def _expected_verdicts(certificates) -> bool:
-    """The CI gate: CA views conformant, the planted product flagged."""
+    """The CI gate: CA views conformant on both engines, the planted C×C flagged."""
     return (
         certificates["balance"].conformant
         and certificates["by_state"].conformant
+        and certificates["balance_sharded"].conformant
         and not certificates["planted_cxc"].conformant
     )
 
@@ -181,14 +170,13 @@ def _format_report(certificates) -> str:
             ["view", "claimed", "sweep", "fitted", "slope", "r²", "verdict"], rows
         )
         + f"\nverdicts: {verdicts}\n"
-        "expected: CA views CONFORMANT (|C| slope ≈ 0); the planted C×C "
-        "NON-CONFORMANT (Theorem 4.3(2) made empirical)\n"
+        "expected: CA views CONFORMANT (|C| slope ≈ 0) on both engines; "
+        "the planted C×C NON-CONFORMANT (Theorem 4.3(2) made empirical)\n"
     )
 
 
 def run_report() -> str:
     certificates, obs = run_certificates()
-    _persist(certificates)
     artifacts = os.environ.get("E13_ARTIFACTS")
     if artifacts:
         _write_artifacts(artifacts, certificates, obs)
@@ -197,7 +185,6 @@ def run_report() -> str:
 
 def main() -> int:
     certificates, obs = run_certificates()
-    _persist(certificates)
     artifacts = os.environ.get("E13_ARTIFACTS")
     if artifacts:
         _write_artifacts(artifacts, certificates, obs)

@@ -1,4 +1,4 @@
-"""Measurement kit: cost counters, sweep harness, complexity fitting."""
+"""Measurement kit: cost counters, complexity fitting, report tables."""
 
 from .counters import GLOBAL_COUNTERS, CostCounters
 from .fitting import (
@@ -7,12 +7,10 @@ from .fitting import (
     GrowthClass,
     classify_growth,
     fit_series,
-    growth_ratio,
     is_flat,
-    mad,
     median,
 )
-from .harness import Measurement, Sweep, format_table, measure, report
+from .harness import format_table
 
 __all__ = [
     "CostCounters",
@@ -22,13 +20,7 @@ __all__ = [
     "Fit",
     "FitResult",
     "GrowthClass",
-    "growth_ratio",
     "is_flat",
-    "mad",
     "median",
-    "Sweep",
-    "Measurement",
-    "measure",
     "format_table",
-    "report",
 ]

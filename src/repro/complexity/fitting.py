@@ -49,12 +49,6 @@ class Fit(NamedTuple):
     rmse: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        basis = _BASES[self.model]
-        if basis is None:
-            return self.intercept
-        return self.intercept + self.slope * basis(x)
-
 
 class FitResult(NamedTuple):
     """The full fitting outcome."""
@@ -146,17 +140,6 @@ def median(values: Sequence[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def mad(values: Sequence[float]) -> float:
-    """Median absolute deviation — the robust spread estimate.
-
-    Unlike the standard deviation, one wild outlier (a GC pause, a
-    background process stealing the core) barely moves it, which is what
-    noise-aware benchmark gating needs.
-    """
-    center = median(values)
-    return median([abs(float(v) - center) for v in values])
-
-
 class GrowthClass(NamedTuple):
     """Verdict of :func:`classify_growth`: model plus the evidence."""
 
@@ -207,18 +190,6 @@ def classify_growth(
             constant = _fit_model("constant", xs, ys)
         return GrowthClass("constant", constant, flat)
     return GrowthClass(result.model, result.best, False)
-
-
-def growth_ratio(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """y[last]/y[first] normalized by x growth — a quick flatness check.
-
-    A value near 1 means the series is flat in x (constant-time
-    behaviour); a value tracking ``xs[-1]/xs[0]`` means linear growth.
-    """
-    if len(xs) < 2:
-        raise ValueError("growth_ratio needs at least 2 points")
-    y0 = max(abs(float(ys[0])), 1e-12)
-    return float(ys[-1]) / y0
 
 
 def is_flat(

@@ -1,129 +1,13 @@
-"""Parameter-sweep harness and report formatting for the experiments.
+"""Report formatting for the experiments.
 
-Every benchmark in ``benchmarks/`` follows the same pattern: build a
-system at parameter x, measure the per-append cost (wall time and cost
-counters), print a table row per x, and fit the series to a complexity
-model.  This module holds that shared machinery so each benchmark file
-reads as: workload + sweep definition + expectations.
+Every benchmark in ``benchmarks/`` prints its deliverable as a
+fixed-width table of one row per swept parameter value.  The sweeps
+that *certify* a cost claim live in :mod:`repro.obs.conformance`.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
-
-from .counters import GLOBAL_COUNTERS
-from .fitting import FitResult, fit_series
-
-
-class Measurement(NamedTuple):
-    """One sweep point: parameter value, timing, and counter deltas."""
-
-    x: float
-    seconds: float
-    counters: Dict[str, int]
-
-    @property
-    def probes(self) -> int:
-        return self.counters.get("index_probe", 0)
-
-    @property
-    def tuple_ops(self) -> int:
-        return self.counters.get("tuple_op", 0)
-
-    @property
-    def chronicle_reads(self) -> int:
-        return self.counters.get("chronicle_read", 0)
-
-    @property
-    def work(self) -> int:
-        """Total countable work — the theorems' operation-count measure."""
-        return sum(self.counters.values())
-
-
-def measure(action: Callable[[], Any], repeats: int = 1) -> Measurement:
-    """Run *action* *repeats* times; returns per-run averages.
-
-    Captures wall time and the global cost-counter deltas.
-    """
-    before = GLOBAL_COUNTERS.snapshot()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        action()
-    elapsed = time.perf_counter() - start
-    deltas = GLOBAL_COUNTERS.diff(before)
-    return Measurement(
-        0.0,
-        elapsed / repeats,
-        {event: count // repeats for event, count in deltas.items()},
-    )
-
-
-class Sweep:
-    """A series of measurements over a swept parameter.
-
-    Parameters
-    ----------
-    parameter:
-        Name of the swept variable (for table headers).
-    """
-
-    def __init__(self, parameter: str) -> None:
-        self.parameter = parameter
-        self.points: List[Measurement] = []
-
-    def run(
-        self,
-        xs: Sequence[float],
-        setup: Callable[[float], Callable[[], Any]],
-        repeats: int = 1,
-    ) -> "Sweep":
-        """For each x: ``action = setup(x)``, then measure the action.
-
-        Setup work (building chronicles, preloading streams) happens
-        outside the measured region, with counters suspended.
-        """
-        for x in xs:
-            with GLOBAL_COUNTERS.disabled():
-                action = setup(x)
-            point = measure(action, repeats=repeats)
-            self.points.append(point._replace(x=float(x)))
-        return self
-
-    # -- accessors ---------------------------------------------------------------
-
-    @property
-    def xs(self) -> List[float]:
-        return [point.x for point in self.points]
-
-    def series(self, metric: str = "seconds") -> List[float]:
-        """Extract one metric: 'seconds', 'work', or a counter name."""
-        values = []
-        for point in self.points:
-            if metric == "seconds":
-                values.append(point.seconds)
-            elif metric == "work":
-                values.append(float(point.work))
-            else:
-                values.append(float(point.counters.get(metric, 0)))
-        return values
-
-    def fit(self, metric: str = "work", **kwargs: Any) -> FitResult:
-        """Fit the metric's series to a complexity model."""
-        return fit_series(self.xs, self.series(metric), **kwargs)
-
-    def rows(self) -> List[List[Any]]:
-        """Table rows: x, time (µs), work, probes, chronicle reads."""
-        return [
-            [
-                point.x,
-                point.seconds * 1e6,
-                point.work,
-                point.probes,
-                point.chronicle_reads,
-            ]
-            for point in self.points
-        ]
+from typing import Any, List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -150,21 +34,3 @@ def _cell(value: Any) -> str:
     if isinstance(value, int):
         return f"{value:,}"
     return str(value)
-
-
-def report(
-    title: str,
-    parameter: str,
-    sweep: "Sweep",
-    extra_columns: Optional[Dict[str, Sequence[Any]]] = None,
-) -> str:
-    """Render one experiment's table with the standard columns."""
-    headers = [parameter, "µs/append", "work", "probes", "chr_reads"]
-    rows = sweep.rows()
-    if extra_columns:
-        for name, values in extra_columns.items():
-            headers.append(name)
-            for row, value in zip(rows, values):
-                row.append(value)
-    body = format_table(headers, rows)
-    return f"== {title} ==\n{body}"

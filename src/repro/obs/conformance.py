@@ -31,6 +31,12 @@ bounds them (IM-Constant forbids growth; IM-log(R) allows log growth in
 :mod:`repro.obs.costmodel` — shared with the live cost ledger — and are
 re-exported here.
 
+One drive loop (:func:`drive`) takes every measurement of a registered
+view: each sweep point here, and the window ``EXPLAIN ANALYZE``
+(:mod:`repro.obs.explain`) measures.  One sweep loop turns the points
+into verdicts, for the profiler and for :func:`certify_expression`
+alike.
+
 Certificates are JSON-ready (:meth:`ConformanceCertificate.to_dict`)
 and are published on the installed observability handle's
 ``certificates`` dict, where the ``/certificates`` HTTP route
@@ -39,8 +45,9 @@ and are published on the installed observability handle's
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra.classify import IMClass, Language, classify
 from ..algebra.reference import propagate
@@ -65,6 +72,8 @@ __all__ = [
 ]
 
 RecordFactory = Callable[[int], Dict[str, Any]]
+#: One measured append: (work, probes, seconds).
+Sample = Tuple[float, float, float]
 
 #: Default sweep sizes (appended records / relation rows / batch sizes).
 DEFAULT_C_SIZES: Tuple[int, ...] = (256, 1_024, 4_096)
@@ -249,6 +258,81 @@ class ConformanceCertificate:
         )
 
 
+def drive(
+    db: Any,
+    obs: Observability,
+    chronicle: str,
+    view: str,
+    records: Iterator[Dict[str, Any]],
+    batch: int,
+    appends: int,
+) -> List[List[Span]]:
+    """The one measurement window: a warm-up append, then *appends* more.
+
+    Each append carries the next *batch* of *records* through the
+    database's normal write path with the private handle *obs*
+    installed (the database's own handle is suspended meanwhile).  The
+    warm-up absorbs first-touch effects (lazy plan compilation, new
+    group rows) and is not measured.  For each measured append the
+    result holds every ``maintain`` span of *view* in the traces that
+    finished during it — the ``append`` root, a sharded database's
+    ``shard_apply`` roots, and the spans grafted from process workers —
+    so a partitioned view is measured on every shard its records reach.
+    The profiler's sweeps and ``EXPLAIN ANALYZE`` both measure here.
+    """
+    tracer = obs.tracer
+
+    def append() -> None:
+        db.append(chronicle, list(itertools.islice(records, batch)))
+
+    measured: List[List[Span]] = []
+    with runtime.installed(obs):
+        append()
+        for _ in range(appends):
+            before = tracer.completed_count
+            append()
+            measured.append(
+                [
+                    span
+                    for trace in tracer.traces(tracer.completed_count - before)
+                    for span in trace.find("maintain")
+                    if span.attrs.get("view") == view
+                ]
+            )
+    return measured
+
+
+def _sweep(
+    parameter: str,
+    sizes: Sequence[int],
+    measure: Callable[[int], List[Sample]],
+    expected: Dict[str, Optional[Tuple[str, ...]]],
+    grow: Optional[Callable[[int], None]] = None,
+    x: Optional[Callable[[int], float]] = None,
+) -> List[SweepVerdict]:
+    """One scaling sweep: a :class:`SweepVerdict` per metric in *expected*.
+
+    At each size ``grow(size)`` brings the swept quantity up to it
+    (setup, not measured), ``measure(size)`` returns one
+    (work, probes, seconds) sample per measured append, and the point's
+    coordinate is ``x(size)`` read after measuring (default: the size).
+    The curves are fitted on the per-point medians.
+    """
+    xs: List[float] = []
+    series: Dict[str, List[float]] = {"work": [], "probes": [], "seconds": []}
+    for size in sizes:
+        if grow is not None:
+            grow(size)
+        samples = measure(size)
+        xs.append(float(x(size) if x is not None else size))
+        for values, column in zip(series.values(), zip(*samples)):
+            values.append(median(column))
+    return [
+        SweepVerdict(parameter, metric, xs, series[metric], series["seconds"], bound)
+        for metric, bound in expected.items()
+    ]
+
+
 class ConformanceProfiler:
     """Runs scaling sweeps against a database's registered views.
 
@@ -284,7 +368,8 @@ class ConformanceProfiler:
             if observability is not None
             else Observability(trace_operators=False, audit="off")
         )
-        self._next_record = 0
+        #: Drive-record indices, shared by every sweep of every view.
+        self._index = itertools.count()
 
     # -- public API ----------------------------------------------------------------
 
@@ -312,25 +397,58 @@ class ConformanceProfiler:
         view = self.db.view(name)
         driver = chronicle if chronicle is not None else view.chronicle_names()[0]
         driver_chronicle = self.db.chronicle(driver)
-        factory = (
+        records = map(
             record_factory
             if record_factory is not None
-            else schema_record_factory(driver_chronicle.schema)
+            else schema_record_factory(driver_chronicle.schema),
+            self._index,
         )
-        sweeps: List[SweepVerdict] = [
-            self._sweep_chronicle(view, driver, driver_chronicle, factory, c_sizes)
-        ]
-        relations = self._relations_of(view)
+
+        def grow_chronicle(size: int) -> None:
+            # Setup, not measurement: observability suspended and counters
+            # off, but every record still flows through full view
+            # maintenance, so the views' states track the stream honestly.
+            with runtime.suspended(), GLOBAL_COUNTERS.disabled():
+                for _ in range(size - driver_chronicle.appended_count):
+                    self.db.append(driver, next(records))
+
+        def measure(batch: int) -> List[Sample]:
+            return self._samples(name, driver, records, batch)
+
+        relations = list({r.name: r for r in view.expression.relations()}.values())
+        factories = relation_factories or {}
+
+        def grow_relations(size: int) -> None:
+            with runtime.suspended(), GLOBAL_COUNTERS.disabled():
+                for relation in relations:
+                    factory = factories.get(
+                        relation.name,
+                        schema_record_factory(relation.schema, unique_ints=True),
+                    )
+                    while len(relation) < size:
+                        relation.insert(factory(len(relation)))
+
+        sweeps = _sweep(
+            "|C|",
+            c_sizes,
+            lambda size: measure(1),
+            {"work": ("constant",)},
+            grow=grow_chronicle,
+            x=lambda size: max(size, driver_chronicle.appended_count),
+        )
         if relations:
-            if r_sizes is None:
-                r_sizes = DEFAULT_R_SIZES
-            sweeps.extend(
-                self._sweep_relations(
-                    view, driver, factory, relations, relation_factories or {}, r_sizes
-                )
+            sweeps += _sweep(
+                "|R|",
+                r_sizes if r_sizes is not None else DEFAULT_R_SIZES,
+                lambda size: measure(1),
+                {
+                    "work": _R_WORK_EXPECTED[view.im_class],
+                    "probes": _R_PROBE_EXPECTED[view.im_class],
+                },
+                grow=grow_relations,
             )
         if u_sizes is not None:
-            sweeps.append(self._sweep_batch(view, driver, factory, u_sizes))
+            sweeps += _sweep("u", u_sizes, measure, {"work": _U_EXPECTED})
         certificate = ConformanceCertificate(
             view=name,
             language=view.language,
@@ -349,138 +467,33 @@ class ConformanceProfiler:
             for view in list(self.db.registry.views())
         }
 
-    # -- sweep drivers -------------------------------------------------------------
-
-    @staticmethod
-    def _relations_of(view: Any) -> List[Any]:
-        """The distinct relations the view's expression references."""
-        return list({r.name: r for r in view.expression.relations()}.values())
-
-    def _sweep_chronicle(
-        self,
-        view: Any,
-        driver: str,
-        driver_chronicle: Any,
-        factory: RecordFactory,
-        sizes: Sequence[int],
-    ) -> SweepVerdict:
-        xs: List[float] = []
-        works: List[float] = []
-        seconds: List[float] = []
-        for size in sizes:
-            self._grow_chronicle(driver, driver_chronicle, factory, size)
-            work, _, secs = self._measure(view, driver, factory, batch=1)
-            xs.append(float(max(size, driver_chronicle.appended_count)))
-            works.append(work)
-            seconds.append(secs)
-        return SweepVerdict("|C|", "work", xs, works, seconds, ("constant",))
-
-    def _sweep_relations(
-        self,
-        view: Any,
-        driver: str,
-        factory: RecordFactory,
-        relations: List[Any],
-        relation_factories: Dict[str, RecordFactory],
-        sizes: Sequence[int],
-    ) -> List[SweepVerdict]:
-        xs: List[float] = []
-        works: List[float] = []
-        probes: List[float] = []
-        seconds: List[float] = []
-        for size in sizes:
-            for relation in relations:
-                grow = relation_factories.get(
-                    relation.name,
-                    schema_record_factory(relation.schema, unique_ints=True),
-                )
-                self._grow_relation(relation, grow, size)
-            work, probe, secs = self._measure(view, driver, factory, batch=1)
-            xs.append(float(size))
-            works.append(work)
-            probes.append(probe)
-            seconds.append(secs)
-        claimed = view.im_class
-        return [
-            SweepVerdict("|R|", "work", xs, works, seconds, _R_WORK_EXPECTED[claimed]),
-            SweepVerdict(
-                "|R|", "probes", xs, probes, seconds, _R_PROBE_EXPECTED[claimed]
-            ),
-        ]
-
-    def _sweep_batch(
-        self, view: Any, driver: str, factory: RecordFactory, sizes: Sequence[int]
-    ) -> SweepVerdict:
-        xs: List[float] = []
-        works: List[float] = []
-        seconds: List[float] = []
-        for size in sizes:
-            work, _, secs = self._measure(view, driver, factory, batch=size)
-            xs.append(float(size))
-            works.append(work)
-            seconds.append(secs)
-        return SweepVerdict("u", "work", xs, works, seconds, _U_EXPECTED)
-
     # -- measurement mechanics -----------------------------------------------------
 
-    def _records(self, factory: RecordFactory, count: int) -> List[Dict[str, Any]]:
-        start = self._next_record
-        self._next_record += count
-        return [factory(start + i) for i in range(count)]
+    def _samples(
+        self, view: str, driver: str, records: Iterator[Dict[str, Any]], batch: int
+    ) -> List[Sample]:
+        """One (work, probes, seconds) per measured append of :func:`drive`.
 
-    def _grow_chronicle(
-        self, driver: str, driver_chronicle: Any, factory: RecordFactory, size: int
-    ) -> None:
-        """Append drive records until the chronicle has seen *size* of them.
-
-        Preloading runs with observability suspended and counters off —
-        it is setup, not measurement — but every record still flows
-        through full view maintenance, so the views' states track the
-        stream honestly.
+        Each sample sums the view's ``maintain`` spans of its append, so
+        a partitioned view costs what all its shards did.
         """
-        missing = size - driver_chronicle.appended_count
-        if missing <= 0:
-            return
-        with runtime.suspended(), GLOBAL_COUNTERS.disabled():
-            for record in self._records(factory, missing):
-                self.db.append(driver, record)
-
-    def _grow_relation(self, relation: Any, factory: RecordFactory, size: int) -> None:
-        with runtime.suspended(), GLOBAL_COUNTERS.disabled():
-            while len(relation) < size:
-                relation.insert(factory(len(relation)))
-
-    def _measure(
-        self, view: Any, driver: str, factory: RecordFactory, batch: int
-    ) -> Tuple[float, float, float]:
-        """Median (work, probes, seconds) of the view's maintain span."""
-        works: List[float] = []
-        probes: List[float] = []
-        seconds: List[float] = []
-        with runtime.installed(self._obs):
-            # One unmeasured warm-up append so first-touch effects (new
-            # group rows, lazy plan compilation) don't skew the samples.
-            self.db.append(driver, self._records(factory, batch))
-            for _ in range(self.samples):
-                self.db.append(driver, self._records(factory, batch))
-                span = self._maintain_span(view.name)
-                works.append(float(span_work(span.counters)))
-                probes.append(float(span_probes(span.counters)))
-                seconds.append(span.duration)
-        return median(works), median(probes), median(seconds)
-
-    def _maintain_span(self, view_name: str) -> Span:
-        trace = self._obs.tracer.last()
-        if trace is not None:
-            for span in trace.find("maintain"):
-                if span.attrs.get("view") == view_name:
-                    return span
-        raise ConformanceError(
-            f"no maintenance span for view {view_name!r} in the last append "
-            f"trace — the drive records may not pass the view's prefilter "
-            f"(supply record_factory), or the view does not depend on the "
-            f"driver chronicle"
-        )
+        samples: List[Sample] = []
+        for spans in drive(self.db, self._obs, driver, view, records, batch, self.samples):
+            if not spans:
+                raise ConformanceError(
+                    f"no maintenance span for view {view!r} in a measured "
+                    f"append — the drive records may not pass the view's "
+                    f"prefilter (supply record_factory), or the view does "
+                    f"not depend on the driver chronicle"
+                )
+            samples.append(
+                (
+                    float(sum(span_work(span.counters) for span in spans)),
+                    float(sum(span_probes(span.counters) for span in spans)),
+                    sum(span.duration for span in spans),
+                )
+            )
+        return samples
 
     def _publish(self, certificate: ConformanceCertificate) -> None:
         """Publish to the database's handle (and the active one, if other)."""
@@ -534,41 +547,43 @@ def certify_expression(
     grow_factory = (
         grow_factory if grow_factory is not None else schema_record_factory(grow.schema)
     )
-    classification = classify(expression)
-    next_record = [0]
+    index = itertools.count(1)
 
-    def _next(factory: RecordFactory) -> Dict[str, Any]:
-        next_record[0] += 1
-        return factory(next_record[0])
-
-    xs: List[float] = []
-    works: List[float] = []
-    seconds: List[float] = []
-    for size in sizes:
+    def grow_to(size: int) -> None:
         with GLOBAL_COUNTERS.disabled():
             while grow.appended_count < size:
-                group.append(grow, _next(grow_factory))
-        sample_works: List[float] = []
-        sample_seconds: List[float] = []
+                group.append(grow, grow_factory(next(index)))
+
+    def measure(size: int) -> List[Sample]:
+        out: List[Sample] = []
         for _ in range(samples):
-            rows = group.append(driver, _next(record_factory))
+            rows = group.append(driver, record_factory(next(index)))
             deltas = {driver.name: Delta(driver.schema, rows)}
             start = time.perf_counter()
             with GLOBAL_COUNTERS.scope() as cost:
                 propagate(
                     expression, deltas, allow_chronicle_access=allow_chronicle_access
                 )
-            sample_seconds.append(time.perf_counter() - start)
-            sample_works.append(float(span_work(cost.counts)))
-        xs.append(float(grow.appended_count))
-        works.append(median(sample_works))
-        seconds.append(median(sample_seconds))
-    sweep = SweepVerdict("|C|", "work", xs, works, seconds, ("constant",))
+            seconds = time.perf_counter() - start
+            out.append(
+                (float(span_work(cost.counts)), float(span_probes(cost.counts)), seconds)
+            )
+        return out
+
+    sweeps = _sweep(
+        "|C|",
+        sizes,
+        measure,
+        {"work": ("constant",)},
+        grow=grow_to,
+        x=lambda size: grow.appended_count,
+    )
+    classification = classify(expression)
     return ConformanceCertificate(
         view=name if name is not None else f"<{type(expression).__name__}>",
         language=classification.language,
         claimed=classification.im_class,
         engine="reference",
-        sweeps=[sweep],
+        sweeps=sweeps,
         samples=samples,
     )

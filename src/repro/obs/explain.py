@@ -32,11 +32,11 @@ compiles the same plan).
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.plan import PlanNode, describe_aggregates, describe_plan, split_prefilter
 from ..errors import ObservabilityError
-from . import runtime
 from .core import Observability
 from .costmodel import CostEntry, CostLedger, shape_paths
 
@@ -322,10 +322,11 @@ def explain_analyze(
 
     Drives synthesized records (or *record_factory(index)* outputs)
     through the normal ingest path of the driver *chronicle* (default:
-    the view's first) under a private observability handle, then folds
-    the view's ``maintain`` spans recorded after the warm-up into the
-    report's ledger.  The database's own observability state is
-    suspended for the window and restored after.
+    the view's first) in the conformance profiler's measurement window
+    (:func:`~repro.obs.conformance.drive`), then folds the view's
+    ``maintain`` spans of the measured appends — every shard's, on a
+    sharded database — into the report's ledger.  The database's own
+    observability state is suspended for the window and restored after.
     """
     if events < 1:
         raise ValueError("events must be >= 1")
@@ -340,27 +341,13 @@ def explain_analyze(
             f"chronicle {driver!r} does not feed view {name!r} "
             f"(it reads {sorted(chronicles)})"
         )
+    from .conformance import drive, schema_record_factory
+
     if record_factory is None:
-        from .conformance import schema_record_factory
-
         record_factory = schema_record_factory(db.chronicle(driver).schema)
-
-    obs = Observability(audit="off", ring=512)
-    collected = []
-    with runtime.installed(obs):
-        # Warm-up append: first-touch effects (lazy compilation, new
-        # group rows) land here, not in the measurements.
-        db.append(driver, [record_factory(i) for i in range(batch)])
-        seen = {id(s) for t in obs.tracer.traces() for s in t.walk()}
-        for event in range(events):
-            base = (event + 1) * batch
-            db.append(
-                driver, [record_factory(base + i) for i in range(batch)]
-            )
-        for trace in obs.tracer.traces():
-            for span in trace.find("maintain"):
-                if span.attrs.get("view") == name and id(span) not in seen:
-                    collected.append(span)
+    records = map(record_factory, itertools.count())
+    measured = drive(db, Observability(audit="off"), driver, name, records, batch, events)
+    collected = [span for spans in measured for span in spans]
     if not collected:
         raise ObservabilityError(
             f"no maintenance spans recorded for view {name!r} — the "

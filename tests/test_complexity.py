@@ -1,12 +1,12 @@
-"""Tests for the measurement kit: counters, fitting, sweep harness."""
+"""Tests for the measurement kit: counters, fitting, report tables."""
 
 import math
 
 import pytest
 
 from repro.complexity.counters import GLOBAL_COUNTERS, CostCounters
-from repro.complexity.fitting import fit_series, growth_ratio, is_flat
-from repro.complexity.harness import Sweep, format_table, measure, report
+from repro.complexity.fitting import fit_series, is_flat
+from repro.complexity.harness import format_table
 
 
 class TestCounters:
@@ -86,10 +86,6 @@ class TestFitting:
         result = fit_series(xs, ys, models=("constant", "linear"))
         assert result.model == "linear"
 
-    def test_predict(self):
-        fit = fit_series([1, 2, 3, 4], [2, 4, 6, 8]).best
-        assert fit.predict(10) == pytest.approx(20, abs=1e-6)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_series([1, 2], [1, 2])
@@ -100,9 +96,6 @@ class TestFitting:
         result = fit_series([1, 2, 3, 4], [2, 4, 6, 8])
         assert result.best.r_squared == pytest.approx(1.0)
 
-    def test_growth_ratio(self):
-        assert growth_ratio([1, 10], [5, 50]) == pytest.approx(10.0)
-
     def test_is_flat(self):
         assert is_flat([1, 10, 100], [5, 5.5, 4.8])
         assert not is_flat([1, 10, 100], [5, 50, 500])
@@ -110,50 +103,8 @@ class TestFitting:
 
 
 class TestHarness:
-    def test_measure_counts_and_times(self):
-        result = measure(lambda: GLOBAL_COUNTERS.count("tuple_op", 3), repeats=4)
-        assert result.counters["tuple_op"] == 3
-        assert result.seconds >= 0
-
-    def test_sweep_runs_setup_uncounted(self):
-        sweep = Sweep("n")
-
-        def setup(n):
-            GLOBAL_COUNTERS.count("tuple_op", 1000)  # suspended
-            return lambda: GLOBAL_COUNTERS.count("tuple_op", int(n))
-
-        sweep.run([1, 2, 4], setup)
-        assert sweep.series("tuple_op") == [1.0, 2.0, 4.0]
-        assert sweep.xs == [1.0, 2.0, 4.0]
-
-    def test_sweep_fit(self):
-        sweep = Sweep("n")
-        sweep.run(
-            [10, 100, 1000],
-            lambda n: (lambda: GLOBAL_COUNTERS.count("tuple_op", 7)),
-        )
-        assert sweep.fit("tuple_op").model == "constant"
-
-    def test_sweep_work_metric(self):
-        sweep = Sweep("n")
-        sweep.run([1], lambda n: (lambda: GLOBAL_COUNTERS.count("index_probe", 2)))
-        assert sweep.series("work") == [2.0]
-
     def test_format_table(self):
         text = format_table(["a", "b"], [[1, 2.5], [10, 0.000001]])
         lines = text.splitlines()
         assert len(lines) == 4
         assert "a" in lines[0] and "b" in lines[0]
-
-    def test_report_includes_title_and_rows(self):
-        sweep = Sweep("n")
-        sweep.run([5], lambda n: (lambda: None))
-        text = report("E0 smoke", "n", sweep)
-        assert "E0 smoke" in text
-        assert "µs/append" in text
-
-    def test_report_extra_columns(self):
-        sweep = Sweep("n")
-        sweep.run([5], lambda n: (lambda: None))
-        text = report("t", "n", sweep, extra_columns={"fit": ["constant"]})
-        assert "constant" in text

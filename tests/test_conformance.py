@@ -13,7 +13,7 @@ import pytest
 from repro import ChronicleDatabase, DatabaseConfig
 from repro.algebra.ast import ChronicleProduct, scan
 from repro.algebra.classify import IMClass, Language
-from repro.complexity.fitting import GrowthClass, classify_growth, mad, median
+from repro.complexity.fitting import GrowthClass, classify_growth, median
 from repro.core.group import ChronicleGroup
 from repro.errors import ConformanceError
 from repro.obs import Observability, certify_expression, schema_record_factory
@@ -52,7 +52,7 @@ def make_join_db():
 
 
 # ---------------------------------------------------------------------------
-# Fitting support (classify_growth / median / mad)
+# Fitting support (classify_growth / median)
 # ---------------------------------------------------------------------------
 
 
@@ -92,9 +92,6 @@ class TestClassifyGrowth:
         assert median([4.0, 1.0, 2.0, 3.0]) == 2.5
         with pytest.raises(ValueError):
             median([])
-
-    def test_mad_robust_to_one_outlier(self):
-        assert mad([10.0, 10.0, 10.0, 10.0, 500.0]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +197,48 @@ class TestProfilerConformant:
     def test_samples_validated(self):
         with pytest.raises(ValueError):
             ConformanceProfiler(make_db(), samples=0)
+
+
+# ---------------------------------------------------------------------------
+# Sharded engines: a sample is the view's cost on every shard it reaches
+# ---------------------------------------------------------------------------
+
+
+def _u_sweep(cert):
+    return next(s for s in cert.sweeps if s.parameter == "u")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param({}, id="serial"),
+        pytest.param({"engine": "sharded", "shards": 2}, id="sharded-inline"),
+        pytest.param(
+            {"engine": "sharded", "shards": 2, "executor": "process"},
+            id="sharded-process",
+        ),
+    ],
+)
+def test_partitioned_view_certifies_like_serial(config):
+    """Each sample sums the view's maintain spans over all shards.
+
+    Taking only the first ``maintain`` span of an append's trace
+    measures one shard's partition of the batch: the u sweep then comes
+    out ``[2, 4, 16]`` (fitted nlogn) instead of the serial
+    ``[2, 8, 32]``, and a conformant view is certified NON-CONFORMANT.
+    """
+    serial = make_db().certify_view("balance", samples=3, c_sizes=(64, 128, 256))
+    db = make_db(**config)
+    try:
+        cert = db.certify_view("balance", samples=3, c_sizes=(64, 128, 256))
+        report = db.explain("balance", analyze=True, events=8, batch=4)
+    finally:
+        db.close()
+    assert _u_sweep(cert).ys == _u_sweep(serial).ys == [2.0, 8.0, 32.0]
+    assert cert.conformant, cert.format()
+    # Every measured batch of 4 consecutive accounts reaches every shard.
+    assert report.maintain.calls == 8 * config.get("shards", 1)
+    assert report.maintain.rows == 8 * 4
 
 
 # ---------------------------------------------------------------------------

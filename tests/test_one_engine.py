@@ -40,7 +40,10 @@ so the exporter serves four routes and observing starts no thread.
 Maintenance, finally: a registry event enters the no-access guard once,
 whatever the number of views it maintains, and each view folds through
 the step compiled when it is built (no ``_fold_groups`` or
-``_fold_projection`` interpreted per event).
+``_fold_projection`` interpreted per event).  And one measurement
+driver: every conformance sweep point and EXPLAIN ANALYZE window runs
+through :func:`repro.obs.conformance.drive`, and the second sweep
+harness (``complexity.harness.Sweep`` and friends) stays deleted.
 """
 
 import ast
@@ -617,3 +620,52 @@ def test_the_fold_is_compiled_once_per_view(monkeypatch):
     assert len(compiled) == 2
     assert db.view_value("total", (1,), "t") == sum(range(1, 20, 3))
     assert len(db.view("seen")) == 3
+
+
+# -- one measurement driver -----------------------------------------------------------
+
+
+def test_the_second_sweep_harness_stays_deleted():
+    from repro import complexity
+    from repro.complexity import fitting, harness
+    from repro.obs.conformance import ConformanceProfiler
+
+    for name in ("Sweep", "measure", "Measurement", "report"):
+        assert not hasattr(harness, name), name
+        assert not hasattr(complexity, name), name
+    for name in ("growth_ratio", "mad"):
+        assert not hasattr(fitting, name), name
+        assert not hasattr(complexity, name), name
+    assert not hasattr(fitting.Fit, "predict")
+    for name in ("_sweep_chronicle", "_sweep_relations", "_sweep_batch", "_measure"):
+        assert not hasattr(ConformanceProfiler, name), name
+
+
+def test_every_measurement_goes_through_the_one_drive_loop(monkeypatch):
+    from repro.obs import conformance
+
+    windows = []
+    drive = conformance.drive
+
+    def spy(db, obs, chronicle, view, records, batch, appends):
+        windows.append((view, batch, appends))
+        return drive(db, obs, chronicle, view, records, batch, appends)
+
+    monkeypatch.setattr(conformance, "drive", spy)
+    db = ChronicleDatabase()
+    db.create_chronicle("flights", [("acct", "INT"), ("miles", "INT")])
+    db.create_relation("customers", [("acct", "INT"), ("state", "STR")], key=["acct"])
+    db.define_view(
+        "DEFINE VIEW by_state AS SELECT state, SUM(miles) AS total "
+        "FROM flights JOIN customers ON flights.acct = customers.acct GROUP BY state"
+    )
+    cert = db.certify_view(
+        "by_state", samples=2, c_sizes=(8, 16, 32), r_sizes=(8, 16, 32), u_sizes=(1, 2, 4)
+    )
+    # One window per sweep point: |C| and |R| at batch 1, then u = 1, 2, 4.
+    assert [s.parameter for s in cert.sweeps] == ["|C|", "|R|", "|R|", "u"]
+    assert windows == [("by_state", 1, 2)] * 6 + [("by_state", u, 2) for u in (1, 2, 4)]
+    windows.clear()
+    report = db.explain("by_state", analyze=True, events=3, batch=2)
+    assert windows == [("by_state", 2, 3)]
+    assert report.maintain.calls == 3
