@@ -17,7 +17,7 @@ commands::
     SHOW STATS;
     SHOW COSTS;
     SHOW HEALTH;
-    SHOW WORKERS;
+    SHOW SHARDS;
     EXPLAIN usage;
     EXPLAIN ANALYZE usage;
     TRACE 3;
@@ -33,9 +33,9 @@ commands::
 ``SHOW STATS`` prints the registry routing statistics and the metrics
 snapshot; ``SHOW HEALTH`` evaluates the session's SLO policy and prints
 the OK/DEGRADED/FAILING report (with per-shard lag when sharded);
-``SHOW WORKERS`` renders the shard executor fleet — pool slots and
-their shard assignments, per-shard IPC byte/time accounting, and worker
-RSS/CPU readings when the process executor's telemetry relay has run;
+``SHOW SHARDS`` lists the sharded engine's key classes and units —
+each unit's watermark and rows, and on the process executor its
+worker's pool slot;
 ``SHOW COSTS [view]`` prints the live per-operator cost ledger
 (:mod:`repro.obs.costmodel`), conformance verdicts stamped when
 ``CERTIFY`` has run; ``EXPLAIN view`` renders the compiled maintenance
@@ -311,8 +311,6 @@ class Session:
             return self._show_shards()
         if target == "HEALTH":
             return self._show_health()
-        if target == "WORKERS":
-            return self._show_workers()
         if target == "DURABILITY":
             return self._show_durability()
         raise CliError(f"SHOW: unknown target {target!r}")
@@ -358,9 +356,11 @@ class Session:
         return "\n".join("  " + line for line in report.format().splitlines())
 
     def _show_shards(self) -> str:
-        if self.db.config.engine != "sharded":
+        config = self.db.config
+        if config.engine != "sharded":
             return "  engine=serial (no shards; start with engine='sharded')"
-        lines = [f"  engine=sharded shards={self.db.config.shards}"]
+        lines = [f"  engine=sharded shards={config.shards} executor={config.executor}"]
+        backend = self.db._shards.backend
         for shard_group in self.db.shard_groups:
             lines.append(
                 f"  key class {shard_group.name} {shard_group.spec!r}: "
@@ -371,75 +371,17 @@ class Session:
                     len(unit.registry.view(name).relation)
                     for name in shard_group.views
                 )
-                lines.append(
-                    f"    shard {unit.label}: watermark={unit.watermark} rows={rows}"
-                )
+                line = f"    shard {unit.label}: watermark={unit.watermark} rows={rows}"
+                if config.executor == "process":
+                    # The worker pool slot, assigned at the unit's first window.
+                    slot = backend._assignment.get(unit.label)
+                    line += f" slot={'-' if slot is None else slot}"
+                    if slot in backend._broken:
+                        line += " [BROKEN]"
+                lines.append(line)
         fallbacks = self.db.fallback_views
         if fallbacks:
             lines.append(f"  serial-shard fallbacks: {sorted(fallbacks)}")
-        return "\n".join(lines)
-
-    def _show_workers(self) -> str:
-        """The executor fleet: slots, IPC accounting, worker resources."""
-        config = self.db.config
-        if config.engine != "sharded":
-            return "  engine=serial (no shard executor; start with engine='sharded')"
-        lines = [f"  executor={config.executor} workers={config.shards}"]
-        if config.executor == "process":
-            backend = self.db._shards.backend
-            slots: dict = {}
-            for label, slot in sorted(backend._assignment.items()):
-                slots.setdefault(slot, []).append(label)
-            for slot in sorted(slots):
-                state = "BROKEN" if slot in backend._broken else "ok"
-                lines.append(f"  slot {slot} [{state}]: shards {slots[slot]}")
-        obs = self.db.observability
-        if obs is None:
-            lines.append("  (observability disabled; no worker telemetry)")
-            return "\n".join(lines)
-        metrics = obs.metrics
-        down = {
-            labels.get("shard"): inst.value
-            for labels, inst in metrics.series("ipc_bytes_down_total")
-        }
-        up = {
-            labels.get("shard"): inst.value
-            for labels, inst in metrics.series("ipc_bytes_up_total")
-        }
-        if down or up:
-            lines.append("  == ipc ==")
-            pickling: dict = {}
-            for name in ("ipc_encode_seconds", "ipc_decode_seconds"):
-                for labels, inst in metrics.series(name):
-                    shard = labels.get("shard")
-                    pickling[shard] = pickling.get(shard, 0.0) + inst.sum
-            for shard in sorted(set(down) | set(up), key=str):
-                lines.append(
-                    f"  shard {shard}: down {int(down.get(shard, 0)):,}B "
-                    f"up {int(up.get(shard, 0)):,}B "
-                    f"enc+dec {pickling.get(shard, 0.0) * 1e3:.2f}ms"
-                )
-        rss = {
-            labels.get("worker"): inst.value
-            for labels, inst in metrics.series("worker_rss_bytes")
-        }
-        cpu = {
-            labels.get("worker"): inst.value
-            for labels, inst in metrics.series("worker_cpu_seconds")
-        }
-        if rss or cpu:
-            lines.append("  == workers ==")
-            for worker in sorted(set(rss) | set(cpu), key=str):
-                lines.append(
-                    f"  worker {worker}: "
-                    f"rss {rss.get(worker, 0) / (1 << 20):.1f}MiB "
-                    f"cpu {cpu.get(worker, 0.0):.2f}s"
-                )
-        if not (down or up or rss or cpu):
-            lines.append(
-                "  (no worker telemetry yet — run windows under "
-                "executor='process' with observability on)"
-            )
         return "\n".join(lines)
 
     def _observability(self):

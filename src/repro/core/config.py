@@ -130,8 +130,9 @@ class DatabaseConfig:
         Enable the Section 5.2 affected-view prefilter.
     observe:
         Create and install an :class:`~repro.obs.Observability` handle.
-        Under ``executor="process"`` an installed handle also has each
-        window carry worker-side telemetry back to the parent.
+        Under ``executor="process"`` it observes the parent side only:
+        worker processes trace nothing, and a window's ``shard_apply``
+        span carries its record count and the worker's wall time.
     audit_mode:
         Auditor mode used when *observe* builds the handle
         (``"off"`` / ``"warn"`` / ``"raise"``).
@@ -189,8 +190,11 @@ class DatabaseConfig:
                 f"unknown audit_mode {self.audit_mode!r}; "
                 f"expected one of {AUDIT_MODES}"
             )
-        if not isinstance(self.shards, int) or self.shards < 1:
+        if not isinstance(self.shards, int) or isinstance(self.shards, bool) or self.shards < 1:
             raise ConfigError(f"shards must be a positive int, got {self.shards!r}")
+        for name in ("prefilter_views", "observe"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
     def replace(self, **changes: Any) -> "DatabaseConfig":
         """A copy of this config with *changes* applied (validated)."""

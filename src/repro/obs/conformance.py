@@ -54,7 +54,7 @@ from ..algebra.reference import propagate
 from ..complexity.counters import GLOBAL_COUNTERS
 from ..complexity.fitting import classify_growth, median
 from ..core.delta import Delta
-from ..errors import ConformanceError
+from ..errors import ConformanceError, ObservabilityError
 from ..relational.schema import Schema
 from . import runtime
 from .core import Observability
@@ -275,11 +275,22 @@ def drive(
     warm-up absorbs first-touch effects (lazy plan compilation, new
     group rows) and is not measured.  For each measured append the
     result holds every ``maintain`` span of *view* in the traces that
-    finished during it — the ``append`` root, a sharded database's
-    ``shard_apply`` roots, and the spans grafted from process workers —
-    so a partitioned view is measured on every shard its records reach.
-    The profiler's sweeps and ``EXPLAIN ANALYZE`` both measure here.
+    finished during it — the ``append`` root and a sharded database's
+    ``shard_apply`` roots — so a partitioned view is measured on every
+    shard its records reach.  The profiler's sweeps and ``EXPLAIN
+    ANALYZE`` both measure here.
+
+    A view partitioned across ``executor="process"`` workers cannot be
+    measured: the workers send no spans back.  It raises
+    :class:`~repro.errors.ObservabilityError` before any append.
     """
+    if view in db.partitioned_views and db.config.executor == "process":
+        raise ObservabilityError(
+            f"view {view!r} is maintained in worker processes "
+            f"(executor='process'), which report no maintain spans; measure "
+            f"it on a database with executor='serial', which runs the same "
+            f"fold in-process"
+        )
     tracer = obs.tracer
 
     def append() -> None:

@@ -3,7 +3,7 @@
 One instance bundles the three surfaces and bridges them.  Code outside
 this package reaches it one way: it opens spans on the handle published
 in :mod:`repro.obs.runtime` and sets attributes on them.  Every metric
-comes from this module, from one of four sources:
+comes from this module, from one of three sources:
 
 * **spans** — :data:`SPAN_RULES`, one ``{span name: rule}`` table.
   :meth:`Observability.on_span_end` feeds each finished span to the rule
@@ -12,9 +12,6 @@ comes from this module, from one of four sources:
 * **incidents** — :data:`INCIDENT_COUNTERS`: an incident raised with
   ``failure=True`` (the engine's and recovery's own error sites) counts
   its reason's counter;
-* **the relay** — :meth:`Observability.land_relay` lands one
-  process-executor window's worker spans, metric deltas and IPC
-  readings;
 * **state** — :meth:`Observability.collect` reads the series that mirror
   database state (appended and stored rows, shard lag) off the bound
   database whenever a reader takes :attr:`Observability.metrics`;
@@ -43,7 +40,7 @@ never abort the maintenance path.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..errors import MaintenanceAuditError, ObservabilityError
 from . import runtime
@@ -52,7 +49,7 @@ from .costmodel import CostLedger
 from .health import HealthReport, SloPolicy, evaluate_health
 from .metrics import MetricsRegistry
 from .recorder import FlightRecorder, summarize_span
-from .tracer import Span, Tracer, span_records
+from .tracer import Span, Tracer
 
 # ---------------------------------------------------------------------------
 # The span table
@@ -355,65 +352,6 @@ class Observability:
                     "span_listener_errors_total",
                     listener=type(listener).__name__,
                 )
-
-    # -- the process-executor relay ----------------------------------------------------
-
-    def drain_relay(
-        self, max_spans: int, max_series: int
-    ) -> Tuple[List[Dict[str, Any]], int, List[Tuple[str, str, Any, Any]], int]:
-        """Everything recorded since the last drain, bounded; starts afresh.
-
-        The worker-process half of :meth:`land_relay`: the finished
-        traces as :func:`~repro.obs.tracer.span_records` (at most
-        *max_spans* spans) and the metric series as
-        :meth:`~repro.obs.metrics.MetricsRegistry.to_deltas` (at most
-        *max_series*), each with the number dropped.  Returns
-        ``(spans, spans_dropped, series, series_dropped)``.
-        """
-        spans, spans_dropped = span_records(self.tracer.traces(), max_spans)
-        series = self._metrics.to_deltas()
-        self._metrics.reset()
-        self.tracer.clear()
-        return spans, spans_dropped, series[:max_series], max(0, len(series) - max_series)
-
-    def land_relay(
-        self,
-        span: Span,
-        shard: str,
-        telemetry: Any,
-        ipc: Dict[str, Any],
-        worker: str,
-    ) -> None:
-        """Land one relayed worker window under its ``shard_apply`` *span*.
-
-        The worker's span records are grafted as finished children of
-        *span* (before it finishes, so they enter the ring inside the
-        stitched ingest trace).  They bypass :data:`SPAN_RULES`: the
-        worker's own table counted them, and those counts arrive as its
-        metric deltas, merged here with ``shard``/``worker`` labels.  The
-        worker's cost ledger is not relayed, so each grafted ``maintain``
-        span is folded into this handle's ledger here.  The byte/time
-        readings of both pickling directions become the ``ipc_*`` series.
-        """
-        for grafted in self.tracer.graft(span, telemetry.spans, worker=worker):
-            for maintain in grafted.find("maintain"):
-                self._last_maintain[str(maintain.attrs.get("view", "?"))] = maintain.duration
-                self.cost_ledger.observe_maintain(maintain)
-        metrics = self._metrics
-        metrics.inc("ipc_bytes_down_total", ipc["bytes_down"], shard=shard)
-        metrics.inc("ipc_bytes_up_total", ipc["bytes_up"], shard=shard)
-        for stage in ("encode", "decode"):
-            for direction in ("down", "up"):
-                seconds = ipc[f"{stage}_{direction}_seconds"]
-                metrics.observe(f"ipc_{stage}_seconds", seconds, shard=shard, direction=direction)
-        metrics.merge_deltas(telemetry.series, shard=shard, worker=worker)
-        if telemetry.spans_dropped:
-            metrics.inc("relay_spans_dropped_total", telemetry.spans_dropped, shard=shard)
-        if telemetry.series_dropped:
-            metrics.inc("relay_series_dropped_total", telemetry.series_dropped, shard=shard)
-        if telemetry.maxrss_bytes:
-            metrics.set("worker_rss_bytes", telemetry.maxrss_bytes, worker=worker)
-        metrics.set("worker_cpu_seconds", telemetry.cpu_seconds, worker=worker)
 
     # -- state read on demand ----------------------------------------------------------
 

@@ -34,9 +34,7 @@ the conformance profiler are stamped onto matching entries with
 claimed IM class next to the empirically fitted curve classes.
 
 The ledger is the one fold of ``maintain``/``delta`` span trees: the
-span table feeds it the spans that finish in this process,
-:meth:`Observability.land_relay <repro.obs.core.Observability
-.land_relay>` the ``maintain`` spans grafted from process workers, and
+span table feeds it the spans that finish in this process, and
 ``EXPLAIN ANALYZE`` (:mod:`repro.obs.explain`) folds its measured
 window into a ledger of its own.
 

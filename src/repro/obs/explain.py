@@ -16,18 +16,18 @@ window — synthesized records appended through the normal ingest path
 under a private :class:`~repro.obs.core.Observability` handle — and
 annotates every operator with measured calls, output rows, wall time
 (mean/max), the Theorem-4.2 work measure, and delta-cache hits.  The
-window's ``maintain`` spans (those grafted from process workers
-included) are folded by :meth:`CostLedger.observe_maintain
+window's ``maintain`` spans are folded by
+:meth:`CostLedger.observe_maintain
 <repro.obs.costmodel.CostLedger.observe_maintain>` into a ledger the
 report holds, and described nodes read their entries *structurally*,
 by the engine-prefixed operator-kind path (the ledger's "shape" key),
-so EXPLAIN output, ledger rows, and span trees all line up.  On the
-process executor workers trace no operators: only the per-view
-``maintain`` rollup is measured.
+so EXPLAIN output, ledger rows, and span trees all line up.
 
 Both forms work on the serial engine and on sharded databases (a
 partitioned view is described from one shard's registry — every shard
-compiles the same plan).
+compiles the same plan), except that ANALYZE raises
+:class:`~repro.errors.ObservabilityError` for a view partitioned across
+``executor="process"`` workers, which trace nothing.
 """
 
 from __future__ import annotations

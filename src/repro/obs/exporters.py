@@ -55,7 +55,6 @@ _IDENTITY_ATTRS = (
     "group",
     "chronicle",
     "shard",
-    "worker",
 )
 
 

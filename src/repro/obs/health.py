@@ -71,14 +71,6 @@ class SloPolicy:
         absorbed a window while batches are pending (soft).
     max_queue_depth:
         Permitted depth of the shard executor's work queue (soft).
-    max_ipc_overhead_fraction:
-        Permitted share of the sharded write path spent pickling —
-        the summed ``ipc_encode_seconds``/``ipc_decode_seconds`` wall
-        time over the summed ``ingest_visibility_seconds`` (soft).  Only
-        evaluated once the process executor's telemetry relay has
-        produced IPC samples; above the limit, the cross-process
-        encoding — not maintenance — dominates the window and the
-        ROADMAP's shared-memory payload work is the fix.
     max_auditor_violations:
         Permitted lifetime auditor violations (hard; default 0 — the
         no-chronicle-access theorem allows none).
@@ -90,7 +82,6 @@ class SloPolicy:
     max_shard_lag_batches: int = 10_000
     max_shard_lag_seconds: float = 5.0
     max_queue_depth: int = 1_000
-    max_ipc_overhead_fraction: float = 0.5
     max_auditor_violations: int = 0
     max_engine_errors: int = 0
 
@@ -349,27 +340,6 @@ def evaluate_health(
         checks.append(
             HealthCheck(
                 "queue_depth", shard_health.queue_depth, policy.max_queue_depth
-            )
-        )
-
-    # IPC overhead: only once the process executor's telemetry relay has
-    # produced samples — an in-process deployment never grows this
-    # check, so its report keeps the classic check set.
-    encode = metrics.merged_histogram("ipc_encode_seconds")
-    decode = metrics.merged_histogram("ipc_decode_seconds")
-    if (encode.count if encode else 0) + (decode.count if decode else 0):
-        # The share of the sharded write path spent pickling; with no
-        # visibility time to divide by, all of it is overhead.
-        ipc_seconds = (encode.sum if encode else 0.0) + (decode.sum if decode else 0.0)
-        visibility = metrics.merged_histogram("ingest_visibility_seconds")
-        fraction = 1.0
-        if visibility is not None and visibility.sum > 0:
-            fraction = ipc_seconds / visibility.sum
-        checks.append(
-            HealthCheck(
-                "ipc_overhead_fraction",
-                round(fraction, 6),
-                policy.max_ipc_overhead_fraction,
             )
         )
 

@@ -275,70 +275,6 @@ class MetricsRegistry:
         """Drop every instrument (tests and benchmark phases)."""
         self._families.clear()
 
-    # -- cross-process deltas -----------------------------------------------------
-
-    def to_deltas(self) -> List[Tuple[str, str, LabelKey, Any]]:
-        """Every series as a portable ``(name, kind, labels, value)`` list.
-
-        The wire format of the worker telemetry relay
-        (:mod:`repro.parallel.worker`): a worker resets its registry per
-        window, so the accumulated series *are* that window's deltas.
-        Counter/gauge values travel as numbers; histograms as
-        ``(sum, count, bucket_counts)`` with the standard bucket bounds
-        implied — bounded by label cardinality, never by window size.
-        """
-        out: List[Tuple[str, str, LabelKey, Any]] = []
-        for name, (kind, _help, series) in self._families.items():
-            for key, instrument in series.items():
-                if kind == "histogram":
-                    value: Any = (
-                        instrument.sum,
-                        instrument.count,
-                        list(instrument.bucket_counts),
-                    )
-                else:
-                    value = instrument.value
-                out.append((name, kind, key, value))
-        return out
-
-    def merge_deltas(
-        self,
-        deltas: Iterable[Tuple[str, str, Any, Any]],
-        **extra_labels: Any,
-    ) -> int:
-        """Merge :meth:`to_deltas` output into this registry.
-
-        *extra_labels* (e.g. ``shard=...``, ``worker=...``) are added to
-        every merged series, so one registry can absorb many workers'
-        deltas without collisions.  Counters add, gauges overwrite,
-        histograms merge bucket-wise (a series whose bucket count does
-        not match the local default layout is skipped rather than
-        mis-merged).  Returns the number of series merged.
-        """
-        merged = 0
-        for name, kind, key, value in deltas:
-            labels = dict(key)
-            for label, label_value in extra_labels.items():
-                if label_value is not None:
-                    labels[label] = label_value
-            if kind == "counter":
-                self.inc(name, value, **labels)
-            elif kind == "gauge":
-                self.set(name, value, **labels)
-            elif kind == "histogram":
-                total, count, bucket_counts = value
-                histogram = self.histogram(name, **labels)
-                if len(bucket_counts) != len(histogram.bucket_counts):
-                    continue
-                for index, bucket in enumerate(bucket_counts):
-                    histogram.bucket_counts[index] += bucket
-                histogram.sum += total
-                histogram.count += count
-            else:
-                continue
-            merged += 1
-        return merged
-
     def as_dict(self) -> Dict[str, Any]:
         """``{name: {"type", "help", "series": {label-string: value}}}``."""
         out: Dict[str, Any] = {}

@@ -28,12 +28,10 @@ Triggers are wired in three places: :meth:`Observability.on_span_end`
 (transition to ``FAILING``).  :meth:`~repro.core.database
 .ChronicleDatabase.dump_incident` is the manual pull-the-tape call.
 
-Shard-worker bundles carry cross-process context when the telemetry
-relay was active: the failed :class:`~repro.parallel.engine.ShardTask`'s
-window summary (shard, watermark, per-chronicle row counts) under
-``context.window``, and the worker's last relayed span records under
-``context.worker_spans`` — a crash is diagnosable from the bundle
-without reproducing it.
+Shard-worker bundles carry the failed
+:class:`~repro.parallel.engine.ShardTask`'s window summary (shard,
+watermark, per-chronicle row counts) under ``context.window``, so a
+crash is diagnosable from the bundle without reproducing it.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ import json
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Union
 
 from ..complexity.counters import GLOBAL_COUNTERS
 
@@ -157,45 +157,6 @@ class Span:
         )
 
 
-def span_records(roots: Sequence[Span], cap: int) -> Tuple[List[Dict[str, Any]], int]:
-    """Compact, id-free records of finished span trees, for the relay.
-
-    The inverse of :meth:`Tracer.graft`: unlike :meth:`Span.to_dict` a
-    record omits span/trace identity — ids are process-unique and
-    meaningless across a process boundary; the receiving tracer mints
-    fresh local ids under the adopting parent's trace.  *cap* bounds the
-    span *count* (whole trees, depth-first); once reached, the remaining
-    subtrees are dropped and counted — the shallow structure (window →
-    append → first views) survives pressure, the deep tail goes first.
-    Returns ``(records, dropped)``.
-    """
-    budget = cap
-    dropped = 0
-
-    def take(span: Span) -> Optional[Dict[str, Any]]:
-        nonlocal budget, dropped
-        if budget <= 0:
-            dropped += sum(1 for _ in span.walk())
-            return None
-        budget -= 1
-        record: Dict[str, Any] = {
-            "name": span.name,
-            "started_at": span.started_at,
-            "duration": span.duration,
-        }
-        if span.attrs:
-            record["attrs"] = dict(span.attrs)
-        if span.counters:
-            record["counters"] = dict(span.counters)
-        children = [taken for taken in map(take, span.children) if taken is not None]
-        if children:
-            record["children"] = children
-        return record
-
-    records = [record for record in map(take, roots) if record is not None]
-    return records, dropped
-
-
 class Tracer:
     """Builds span trees per append event and keeps the recent ones.
 
@@ -268,44 +229,6 @@ class Tracer:
             span.parent_id = parent_id
         return span
 
-    def graft(
-        self, parent: Span, records: List[Dict[str, Any]], **attrs: Any
-    ) -> List[Span]:
-        """Adopt remote span records as finished children of *parent*.
-
-        The cross-process face of :meth:`start_linked`: a worker process
-        cannot link its spans live (it holds no reference to the parent
-        tracer), so it ships compact :func:`span_records` summaries
-        back with its window result and the parent grafts them here —
-        each record becomes a real :class:`Span` with a fresh local id,
-        *parent*'s ``trace_id``, and *parent* as ``parent_id``, so a
-        ``shard_apply`` span gains its worker-side ``maintain`` children
-        and the stitched tree exports through the normal ring/JSONL
-        paths.  *attrs* (e.g. ``worker=3``) are stamped onto the
-        top-level grafted spans only.  Grafted spans do not pass through
-        ``on_span_end`` — their metrics arrive separately as relayed
-        deltas.
-        """
-        grafted = []
-        for record in records:
-            span = self._graft_one(parent, record)
-            for key, value in attrs.items():
-                span.attrs.setdefault(key, value)
-            grafted.append(span)
-        return grafted
-
-    def _graft_one(self, parent: Span, record: Dict[str, Any]) -> Span:
-        span = Span(str(record.get("name", "?")), dict(record.get("attrs", {})))
-        span.trace_id = parent.trace_id
-        span.parent_id = parent.span_id
-        span.started_at = float(record.get("started_at", span.started_at))
-        span.duration = float(record.get("duration", 0.0))
-        span.counters = dict(record.get("counters", {}))
-        parent.children.append(span)
-        for child in record.get("children", ()):
-            self._graft_one(span, child)
-        return span
-
     def current(self) -> Optional[Span]:
         """The innermost open span of the calling thread, if any."""
         stack = getattr(self._local, "stack", None)
@@ -358,9 +281,6 @@ class Tracer:
     def last(self) -> Optional[Span]:
         """The most recent completed trace, if any."""
         return self._ring[-1] if self._ring else None
-
-    def clear(self) -> None:
-        self._ring.clear()
 
     # -- export -----------------------------------------------------------------------
 

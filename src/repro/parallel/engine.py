@@ -41,7 +41,6 @@ half-applied window (snapshot consistency via per-shard watermarks).
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import time
 import warnings
 import weakref
@@ -74,10 +73,8 @@ from ..views.registry import ViewRegistry
 from .router import ShardRouter
 from .worker import (
     ShardUnitSpec,
-    WindowTelemetry,
     worker_add_view,
     worker_apply,
-    worker_apply_relay,
     worker_init,
     worker_install,
     worker_remove_view,
@@ -177,7 +174,6 @@ class ShardUnit:
         "records_applied",
         "windows_applied",
         "remote_stats",
-        "remote_spans",
     )
 
     def __init__(
@@ -216,10 +212,6 @@ class ShardUnit:
         #: replica (empty unless the process executor maintains it —
         #: the parent-side registry then never sees events itself).
         self.remote_stats: Dict[str, Any] = {}
-        #: The last relayed worker span records (compact dicts) — what a
-        #: worker-crash incident bundle reports as the worker's final
-        #: observed activity.
-        self.remote_spans: List[Dict[str, Any]] = []
 
     def mirror(self, chronicle: Chronicle) -> Chronicle:
         """The unit's mirror of a real chronicle (created on demand).
@@ -303,10 +295,6 @@ class ShardUnit:
         records: int,
         worker_seconds: float,
         stats: Dict[str, Any],
-        *,
-        telemetry: Optional[WindowTelemetry] = None,
-        ipc: Optional[Dict[str, Any]] = None,
-        worker: Optional[str] = None,
     ) -> None:
         """Make one worker-process window visible (runs on the parent).
 
@@ -316,12 +304,6 @@ class ShardUnit:
         consistency readers get from the inline executor — and performs
         the same watermark/lag/trace bookkeeping, with the worker's
         wall-clock attached to the ``shard_apply`` span.
-
-        On the telemetry relay, *telemetry* carries the worker's captured
-        spans and metric deltas, *ipc* the byte/time readings of both
-        pickling directions, and *worker* the pool-slot label; all three
-        land in the observability handle under the ``shard_apply`` span
-        (:meth:`~repro.obs.core.Observability.land_relay`).
         """
         obs = obs_runtime.ACTIVE
         with self.lock:
@@ -331,14 +313,10 @@ class ShardUnit:
             try:
                 for name, items in per_view_items.items():
                     self.registry.view(name).absorb_states(items)
-                if span is not None and telemetry is not None:
-                    obs.land_relay(span, self.label, telemetry, ipc, worker)
             finally:
                 if span is not None:
                     obs.tracer.finish(span)
             self.remote_stats = stats
-            if telemetry is not None:
-                self.remote_spans = telemetry.spans
             self.mark_applied(watermark, window, records)
 
     # -- portability -------------------------------------------------------------------
@@ -690,16 +668,10 @@ class ProcessShardBackend(ShardBackend):
     the replica really was rebuilt from the portable spec rather than
     inherited address space.  Replicas install lazily on a shard's first
     window (amortized over its lifetime); per window only stamped value
-    tuples go down and touched ``(key, state)`` pairs come back.
-
-    With observability installed, windows travel through
-    :func:`~repro.parallel.worker.worker_apply_relay` instead: the parent
-    pre-pickles the window (timing the encode, counting the bytes) and
-    the worker piggybacks a bounded
-    :class:`~repro.parallel.worker.WindowTelemetry` — captured spans,
-    metric deltas, resource readings — on the result, which
-    :meth:`ShardUnit.absorb` lands in the handle.  Without a handle the
-    minimal path runs and the payload is byte-identical.
+    tuples go down and touched ``(key, state)`` pairs come back, whether
+    or not an observability handle is installed: the workers trace
+    nothing, and the parent's ``shard_apply`` span is the window's whole
+    observable record.
 
     A worker that raises keeps its pool: the window failed, the parent
     watermark stands, and the next dispatch retries cleanly.  A worker
@@ -770,42 +742,13 @@ class ProcessShardBackend(ShardBackend):
                 f"shard {task.unit.label!r}'s worker process died{when}: {exc!r}"
             )
             exc.__cause__ = cause
-        self._attach_diagnostics(exc, task)
+        try:  # the failing window's summary, for the incident bundle
+            exc.shard_task_summary = task.summary()  # type: ignore[attr-defined]
+        except Exception:  # pragma: no cover - exotic exception types
+            pass
         return exc
 
     # -- dispatch ----------------------------------------------------------------------
-
-    def _encode_task(self, task: ShardTask) -> Tuple[Any, Tuple[Any, ...], Optional[Dict[str, Any]]]:
-        """One task's submission: ``(worker fn, args, ipc meta or None)``.
-
-        Windows travel through the telemetry relay exactly when an
-        observability handle is installed.  On the relay path the parent
-        pickles the window itself (so the encode can be timed and the
-        bytes counted); the pool then ships an opaque ``bytes`` —
-        re-pickling bytes is nearly free.  Off it the args are exactly
-        the minimal ``worker_apply`` payload.
-        """
-        payload = {
-            name: [row.values for row in rows]
-            for name, rows in task.event.items()
-        }
-        if obs_runtime.ACTIVE is None:
-            return worker_apply, (task.unit.label, payload, task.watermark), None
-        t0 = time.perf_counter()
-        blob = pickle.dumps(
-            (payload, task.watermark), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        encode_seconds = time.perf_counter() - t0
-        meta = {"bytes_down": len(blob), "encode_down_seconds": encode_seconds}
-        return worker_apply_relay, (task.unit.label, blob), meta
-
-    def _attach_diagnostics(self, exc: BaseException, task: ShardTask) -> None:
-        """Stamp the failing task's context onto *exc* for the incident path."""
-        try:
-            exc.shard_task_summary = task.summary()  # type: ignore[attr-defined]
-            exc.worker_spans = task.unit.remote_spans  # type: ignore[attr-defined]
-        except Exception:  # pragma: no cover - exotic exception types
-            pass
 
     def run(self, tasks: Sequence[ShardTask]) -> None:
         failures: List[BaseException] = []
@@ -827,49 +770,26 @@ class ProcessShardBackend(ShardBackend):
                 self._installed.add(task.unit.label)
             except BrokenProcessPool as exc:
                 failures.append(self._failed(task, exc))
-        submitted: List[Tuple[ShardTask, Any, Optional[Dict[str, Any]]]] = []
+        submitted: List[Tuple[ShardTask, Any]] = []
         for task in tasks:
             if task.unit.label not in self._installed:
                 continue  # its install failed above
+            # The one wire protocol: stamped value tuples and the watermark.
+            payload = {name: [row.values for row in rows] for name, rows in task.event.items()}
             try:
-                fn, args, ipc_meta = self._encode_task(task)
-                future = self._pool_for(task.unit.label).submit(fn, *args)
+                pool = self._pool_for(task.unit.label)
+                submitted.append(
+                    (task, pool.submit(worker_apply, task.unit.label, payload, task.watermark))
+                )
             except BrokenProcessPool as exc:
                 failures.append(self._failed(task, exc))
-                continue
-            submitted.append((task, future, ipc_meta))
-        for task, future, ipc_meta in submitted:
+        for task, future in submitted:
             try:
-                result = future.result()
+                items, records, elapsed, stats = future.result()
             except BaseException as exc:
                 failures.append(self._failed(task, exc, " mid-window"))
                 continue
-            if ipc_meta is None:
-                items, records, elapsed, stats = result
-                task.unit.absorb(
-                    items, task.watermark, task.window, records, elapsed, stats
-                )
-            else:
-                blob, worker_decode, worker_encode = result
-                t0 = time.perf_counter()
-                items, records, elapsed, stats, telemetry = pickle.loads(blob)
-                ipc_meta.update(
-                    bytes_up=len(blob),
-                    decode_down_seconds=worker_decode,
-                    encode_up_seconds=worker_encode,
-                    decode_up_seconds=time.perf_counter() - t0,
-                )
-                task.unit.absorb(
-                    items,
-                    task.watermark,
-                    task.window,
-                    records,
-                    elapsed,
-                    stats,
-                    telemetry=telemetry,
-                    ipc=ipc_meta,
-                    worker=str(self._slot_of(task.unit.label)),
-                )
+            task.unit.absorb(items, task.watermark, task.window, records, elapsed, stats)
         if failures:
             raise failures[0]
 
@@ -1152,17 +1072,15 @@ class ShardEngine:
         except BaseException as exc:
             if obs is not None:
                 # Watermarks and registry stats come from the database the
-                # handle is bound to; the failing task's window summary and
-                # the worker's last relayed spans (when the backend could
-                # attach them) make a crash diagnosable from the bundle
-                # without reproducing it.
+                # handle is bound to; the failing task's window summary
+                # (when the backend could attach it) makes a crash
+                # diagnosable from the bundle without reproducing it.
                 obs.incident(
                     "shard-worker-error",
                     failure=True,
                     error=repr(exc),
                     watermark=watermark,
                     window=getattr(exc, "shard_task_summary", None),
-                    worker_spans=getattr(exc, "worker_spans", None),
                 )
             raise
 

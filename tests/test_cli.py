@@ -298,7 +298,7 @@ class TestConformanceStatements:
 
 
 class TestShardStatements:
-    """SHOW WORKERS / SHOW SHARDS must degrade gracefully, never traceback."""
+    """SHOW SHARDS must degrade gracefully, never traceback."""
 
     def _sharded(self):
         from repro.core.config import DatabaseConfig
@@ -316,21 +316,54 @@ class TestShardStatements:
         assert "engine=serial" in out
         assert "engine='sharded'" in out  # points at the fix
 
-    def test_show_workers_on_serial_engine(self, session):
-        out = session.execute("SHOW WORKERS")
-        assert "engine=serial" in out
-        assert "engine='sharded'" in out
-
     def test_show_shards_before_first_ingest(self):
         s = self._sharded()
         out = s.execute("SHOW SHARDS")
         assert "engine=sharded shards=2" in out
         assert "watermark=-1" in out  # shards exist, nothing routed yet
 
-    def test_show_workers_before_first_ingest(self):
+    def test_show_shards_names_the_executor(self):
         s = self._sharded()
-        out = s.execute("SHOW WORKERS")
-        assert "executor=serial workers=2" in out
+        out = s.execute("SHOW SHARDS")
+        assert "engine=sharded shards=2 executor=serial" in out
+        assert "slot=" not in out  # the inline executor has no pool slots
+
+    def test_show_shards_names_each_units_slot_on_the_process_executor(self):
+        import os
+        import signal
+        import time
+
+        from repro.core.config import DatabaseConfig
+        from repro.errors import EngineError
+
+        s = Session(config=DatabaseConfig(engine="sharded", shards=2, executor="process"))
+        try:
+            s.execute("CREATE CHRONICLE calls (caller INT, minutes INT) RETENTION 0")
+            s.execute(
+                "DEFINE VIEW usage AS SELECT caller, SUM(minutes) AS total "
+                "FROM calls GROUP BY caller"
+            )
+            before = s.execute("SHOW SHARDS")
+            assert "executor=process" in before
+            assert before.count("slot=-") == 2  # no window yet, no slot
+            for i in range(6):
+                s.execute('APPEND calls {"caller": %d, "minutes": %d}' % (i % 3, i))
+            out = s.execute("SHOW SHARDS")
+            assert "slot=-" not in out and "[BROKEN]" not in out
+            assert sorted(line.split("slot=")[1] for line in out.splitlines() if "slot=" in line) == [
+                "0",
+                "1",
+            ]
+            backend = s.db._shards.backend
+            for pool in backend._pools:
+                for pid in list(pool._processes):
+                    os.kill(pid, signal.SIGKILL)
+            time.sleep(0.3)
+            with pytest.raises(EngineError, match="worker process died"):
+                s.db.ingest("calls", [[{"caller": c, "minutes": 1}] for c in range(4)])
+            assert "[BROKEN]" in s.execute("SHOW SHARDS")
+        finally:
+            s.db.close()
 
     def test_show_shards_before_any_views(self):
         from repro.core.config import DatabaseConfig

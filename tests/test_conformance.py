@@ -15,7 +15,7 @@ from repro.algebra.ast import ChronicleProduct, scan
 from repro.algebra.classify import IMClass, Language
 from repro.complexity.fitting import GrowthClass, classify_growth, median
 from repro.core.group import ChronicleGroup
-from repro.errors import ConformanceError
+from repro.errors import ConformanceError, ObservabilityError
 from repro.obs import Observability, certify_expression, schema_record_factory
 from repro.obs import runtime as obs_runtime
 from repro.obs.conformance import ConformanceProfiler, span_probes, span_work
@@ -226,10 +226,21 @@ def test_partitioned_view_certifies_like_serial(config):
     measures one shard's partition of the batch: the u sweep then comes
     out ``[2, 4, 16]`` (fitted nlogn) instead of the serial
     ``[2, 8, 32]``, and a conformant view is certified NON-CONFORMANT.
+
+    Process workers report no spans, so there the one drive loop refuses
+    a partitioned view with a typed error naming the in-process executor.
     """
     serial = make_db().certify_view("balance", samples=3, c_sizes=(64, 128, 256))
     db = make_db(**config)
     try:
+        if config.get("executor") == "process":
+            for measure in (
+                lambda: db.certify_view("balance", samples=3, c_sizes=(64, 128, 256)),
+                lambda: db.explain("balance", analyze=True, events=8, batch=4),
+            ):
+                with pytest.raises(ObservabilityError, match="executor='serial'"):
+                    measure()
+            return
         cert = db.certify_view("balance", samples=3, c_sizes=(64, 128, 256))
         report = db.explain("balance", analyze=True, events=8, batch=4)
     finally:

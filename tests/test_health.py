@@ -205,58 +205,6 @@ class TestEvaluateHealth:
         assert all(c["ok"] for c in payload["checks"])
 
 
-class TestIpcOverheadCheck:
-    """The soft ipc_overhead_fraction check, fed by the telemetry relay."""
-
-    def _ipc(self, obs, encode=0.1, decode=0.1, visibility=2.0):
-        obs.metrics.observe(
-            "ipc_encode_seconds", encode, shard="kc0:0", direction="down"
-        )
-        obs.metrics.observe(
-            "ipc_decode_seconds", decode, shard="kc0:0", direction="up"
-        )
-        if visibility:
-            obs.metrics.observe("ingest_visibility_seconds", visibility)
-
-    def test_absent_without_ipc_samples(self):
-        report = evaluate_health(Observability(audit="off"))
-        assert "ipc_overhead_fraction" not in {c.name for c in report.checks}
-
-    def test_within_budget_is_ok(self):
-        obs = Observability(audit="off")
-        self._ipc(obs, encode=0.1, decode=0.1, visibility=2.0)
-        report = evaluate_health(obs)
-        check = next(
-            c for c in report.checks if c.name == "ipc_overhead_fraction"
-        )
-        assert check.ok and not check.hard
-        assert check.observed == pytest.approx(0.1, abs=1e-6)
-        assert report.status == "OK"
-
-    def test_breach_is_soft(self):
-        obs = Observability(audit="off")
-        self._ipc(obs, encode=1.0, decode=1.0, visibility=2.0)
-        report = evaluate_health(obs, SloPolicy(max_ipc_overhead_fraction=0.5))
-        assert report.status == "DEGRADED"
-        assert [c.name for c in report.breaches] == ["ipc_overhead_fraction"]
-
-    def test_no_visibility_samples_counts_as_full_overhead(self):
-        obs = Observability(audit="off")
-        self._ipc(obs, visibility=0)
-        check = next(
-            c
-            for c in evaluate_health(obs).checks
-            if c.name == "ipc_overhead_fraction"
-        )
-        assert check.observed == 1.0 and not check.ok
-
-    def test_policy_field_validates(self):
-        assert SloPolicy().max_ipc_overhead_fraction == 0.5
-        SloPolicy(max_ipc_overhead_fraction=0)
-        with pytest.raises(ConfigError):
-            SloPolicy(max_ipc_overhead_fraction=-0.1)
-
-
 class TestShardHealthSnapshot:
     def test_imbalance_ratio(self):
         snapshot = ShardHealth(

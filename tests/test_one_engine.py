@@ -372,7 +372,7 @@ def _metric_families():
 
 
 #: The metrics registry's write methods.
-REGISTRY_WRITES = {"inc", "set", "observe", "counter", "gauge", "histogram", "merge_deltas", "reset"}
+REGISTRY_WRITES = {"inc", "set", "observe", "counter", "gauge", "histogram", "reset"}
 
 
 def _is_registry(node):
@@ -669,3 +669,68 @@ def test_every_measurement_goes_through_the_one_drive_loop(monkeypatch):
     report = db.explain("by_state", analyze=True, events=3, batch=2)
     assert windows == [("by_state", 2, 3)]
     assert report.maintain.calls == 3
+
+
+# -- one wire protocol to the shard workers ------------------------------------------
+
+#: Names of the deleted telemetry relay and of every surface only it fed.
+RELAY_NAMES = (
+    "relay",
+    "graft",
+    "ipc_",
+    "worker_rss",
+    "worker_cpu",
+    "WindowTelemetry",
+    "span_records",
+    "to_deltas",
+    "merge_deltas",
+    "max_ipc_overhead_fraction",
+    "WORKERS",
+    "remote_spans",
+    "worker_spans",
+)
+
+
+def test_the_telemetry_relay_stays_deleted():
+    from repro.cli import CliError, Session
+    from repro.obs import tracer
+    from repro.obs.health import SloPolicy
+    from repro.obs.metrics import MetricsRegistry
+    from repro.parallel import engine, worker
+
+    found = [
+        (str(path.relative_to(SRC)), name)
+        for path in sorted(SRC.rglob("*.py"))
+        for name in RELAY_NAMES
+        if name in path.read_text()
+    ]
+    assert found == []
+    for name in ("WindowTelemetry", "worker_apply_relay", "RELAY_MAX_SPANS", "RELAY_MAX_SERIES"):
+        assert not hasattr(worker, name), name
+    for name in ("drain_relay", "land_relay"):
+        assert not hasattr(Observability, name), name
+    assert not hasattr(tracer, "span_records")
+    assert not hasattr(tracer.Tracer, "graft")
+    for name in ("to_deltas", "merge_deltas"):
+        assert not hasattr(MetricsRegistry, name), name
+    assert [f.name for f in dataclasses.fields(SloPolicy)] == [
+        "max_maintain_p99_seconds",
+        "max_shard_lag_batches",
+        "max_shard_lag_seconds",
+        "max_queue_depth",
+        "max_auditor_violations",
+        "max_engine_errors",
+    ]
+    assert "remote_spans" not in engine.ShardUnit.__slots__
+    # Six positional parameters, read by position by the benchmark's tracer.
+    assert list(inspect.signature(engine.ShardUnit.absorb).parameters) == [
+        "self",
+        "per_view_items",
+        "watermark",
+        "window",
+        "records",
+        "worker_seconds",
+        "stats",
+    ]
+    with pytest.raises(CliError, match="unknown target 'WORKERS'"):
+        Session().execute("SHOW WORKERS")

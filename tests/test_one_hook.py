@@ -2,9 +2,9 @@
 
 Code outside :mod:`repro.obs` only opens spans; every metric is derived
 from a finished span by one ``{span name: rule}`` table in
-``obs/core.py``, from an incident reason, from a relayed worker window,
-or read from database state when a reader asks.  These tests pin what
-that produces on four fixed runs, all with ``observe=True``:
+``obs/core.py``, from an incident reason, or read from database state
+when a reader asks.  These tests pin what that produces on four fixed
+runs, all with ``observe=True``:
 
 * ``serial`` — a text-DDL catalog with a relation join, a periodic view,
   an unpartitionable total, two chronicles (one with a retention
@@ -15,16 +15,16 @@ that produces on four fixed runs, all with ``observe=True``:
 * ``durable`` — ``wal+snapshot`` with interval 3, a flush, a crash
   (``durability.abort()``) and ``ChronicleDatabase.open``;
 * ``sharded_process`` — the same stream as ``serial`` on two worker
-  processes with the telemetry relay on.
+  processes, observed on the parent side only.
 
 Per run the golden holds ``metrics.as_dict()`` (counter and gauge values
 kept, histograms reduced to their count, the timing gauges to presence,
 and so is ``cost_index_probe_total``, the one cost count that still moves
 with the hash seed),
 the (name, identity attrs, children) shape of every trace, the health
-verdict, the incident-bundle keys and the ``SHOW STATS`` / ``SHOW
-WORKERS`` / ``TRACE 3`` text with timings masked.  The capture runs in a child interpreter under
-``PYTHONHASHSEED=0``.
+verdict, the incident-bundle keys and the ``SHOW STATS`` / ``TRACE 3``
+text with timings masked.  The capture runs in a child interpreter
+under ``PYTHONHASHSEED=0``.
 
 The golden was captured before the telemetry hooks moved behind the span
 table; the differences that move made on purpose are applied to it in
@@ -33,13 +33,17 @@ table; the differences that move made on purpose are applied to it in
 * on ``sharded_inline`` the chronicle-labelled series equal the serial
   run's (every shard unit's mirror chronicle used to write the same
   series as the real chronicle);
-* on ``sharded_process`` the worker replicas' relayed ``chronicle_*``
-  series are gone, and with them the bytes they took in the result
-  pickles, so ``ipc_bytes_up_total`` may only shrink;
 * traces gain ``wal_append`` and ``shard_fallback`` spans, and spans
   gain the attributes the rules read (``admitted`` on ``append``,
   ``records`` on ``shard_apply``, ``bytes``/``truncated`` on
-  ``snapshot``); ``SHOW WORKERS`` drops its ``relay_telemetry=on`` flag.
+  ``snapshot``).
+
+Workers no longer send telemetry back (one wire protocol), so on
+``sharded_process`` the ``ipc_*`` and ``worker_*`` families, every
+``worker``-labelled series, the spans grafted under ``shard_apply`` and
+the ``ipc_overhead_fraction`` health check are gone; :func:`expected`
+removes them from the golden too.  ``SHOW WORKERS`` was deleted with
+them, and its text pruned from the golden file.
 
 To re-capture after a change that is *meant* to alter one of these
 results, run ``PYTHONHASHSEED=0 PYTHONPATH=src python -m
@@ -70,14 +74,9 @@ GOLDEN = pathlib.Path(__file__).with_name("one_hook_golden.json")
 #: Gauges whose value is a wall-clock reading, and the one cost count
 #: that still moves with the hash seed (by one probe in ~90 on the serial
 #: run between seeds 0 and 1): kept as presence only.
-PRESENCE_ONLY = (
-    "shard_lag_seconds",
-    "worker_rss_bytes",
-    "worker_cpu_seconds",
-    "cost_index_probe_total",
-)
+PRESENCE_ONLY = ("shard_lag_seconds", "cost_index_probe_total")
 #: Span attributes that name a span rather than measure it.
-IDENTITY_ATTRS = ("view", "operator", "engine", "group", "chronicle", "shard", "worker", "kind")
+IDENTITY_ATTRS = ("view", "operator", "engine", "group", "chronicle", "shard", "kind")
 #: Families labelled by chronicle.
 CHRONICLE_FAMILIES = (
     "chronicle_appends_total",
@@ -275,7 +274,6 @@ def capture_run(db: ChronicleDatabase) -> Dict[str, Any]:
             "registry_stats": sorted(context["registry_stats"]),
         },
         "show_stats": mask(stats),
-        "show_workers": mask(cli(db, "SHOW WORKERS")),
         "trace_3": mask(cli(db, "TRACE 3")),
     }
 
@@ -293,16 +291,48 @@ def runs(document: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
     return out
 
 
+#: Families only the deleted telemetry relay fed.
+RELAY_FAMILIES = re.compile(r"ipc_|worker_")
+
+
+def without_grafted_spans(shapes: List[Any]) -> List[Any]:
+    return [
+        [name, identity, [] if name == "shard_apply" else without_grafted_spans(children)]
+        for name, identity, children in shapes
+    ]
+
+
+def without_grafted_lines(text: str) -> str:
+    """TRACE output without the lines nested under a ``shard_apply`` line."""
+    kept: List[str] = []
+    depth = None
+    for line in text.splitlines():
+        indent = len(line) - len(line.lstrip())
+        if depth is not None and indent > depth:
+            continue
+        depth = indent if line.lstrip().startswith("shard_apply") else None
+        kept.append(line)
+    return "\n".join(kept)
+
+
 def expected(golden: Dict[str, Any]) -> Dict[str, Any]:
     """The golden with the intended differences applied (module docstring)."""
     want = copy.deepcopy(golden)
     for family in CHRONICLE_FAMILIES:
         want["sharded_inline"]["metrics"][family] = want["serial"]["metrics"][family]
-        relayed = want["sharded_process"]["metrics"][family]["series"]
-        for labels in [labels for labels in relayed if "worker=" in labels]:
-            del relayed[labels]
-    for run in runs(want).values():
-        run["show_workers"] = run["show_workers"].replace(" relay_telemetry=on", "")
+    process = want["sharded_process"]
+    metrics = process["metrics"]
+    for family in list(metrics):
+        series = metrics[family]["series"]
+        for labels in [labels for labels in series if "worker=" in labels]:
+            del series[labels]
+        if RELAY_FAMILIES.match(family):
+            del metrics[family]
+    process["traces"] = without_grafted_spans(process["traces"])
+    process["trace_3"] = without_grafted_lines(process["trace_3"])
+    process["health"]["checks"] = [
+        check for check in process["health"]["checks"] if check[0] != "ipc_overhead_fraction"
+    ]
     return want
 
 
@@ -359,19 +389,9 @@ def golden() -> Dict[str, Any]:
 )
 def test_same_telemetry_as_the_golden(captured, golden, run):
     got, want = runs(captured)[run], runs(expected(golden))[run]
-    got_metrics, want_metrics = got["metrics"], want["metrics"]
-    if run == "sharded_process":
-        # The dropped relayed series took bytes in every result pickle.
-        got_up = got_metrics["ipc_bytes_up_total"]["series"]
-        want_up = want_metrics["ipc_bytes_up_total"].pop("series")
-        assert set(got_up) == set(want_up)
-        assert all(got_up[shard] < want_up[shard] for shard in want_up)
-        got_metrics["ipc_bytes_up_total"].pop("series")
-        for run_doc in (got, want):
-            run_doc["show_workers"] = re.sub(r"up [\d,]+B", "up #B", run_doc["show_workers"])
-    assert got_metrics == want_metrics
+    assert got["metrics"] == want["metrics"]
     assert without_new_spans(got["traces"]) == want["traces"]
-    for key in ("chronicles", "health", "incident_keys", "show_stats", "show_workers"):
+    for key in ("chronicles", "health", "incident_keys", "show_stats"):
         assert got[key] == want[key], key
     assert without_new_attrs(got["trace_3"]) == want["trace_3"]
 

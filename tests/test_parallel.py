@@ -65,6 +65,7 @@ from repro.parallel import (
     UnpartitionableViewWarning,
     stable_hash,
 )
+from repro.parallel.worker import worker_apply, worker_install
 from repro.relational.predicate import attr_cmp, attr_eq
 from repro.sca.summarize import GroupBySummary
 
@@ -374,9 +375,9 @@ class TestFallback:
 # ---------------------------------------------------------------------------
 
 
-def _usage_db(executor, shards=2, engine="sharded"):
+def _usage_db(executor, shards=2, engine="sharded", **config):
     db = ChronicleDatabase(
-        config=DatabaseConfig(engine=engine, shards=shards, executor=executor)
+        config=DatabaseConfig(engine=engine, shards=shards, executor=executor, **config)
     )
     db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
     return db
@@ -600,6 +601,12 @@ class TestDatabaseConfig:
             {"shards": -1},
             {"executor": "fork"},
             {"audit_mode": "loud"},
+            # A bool is an int, but True shards is a mistake, not one shard.
+            {"shards": True},
+            # A non-empty string is truthy: "false" would turn observing on.
+            {"observe": "false"},
+            {"observe": 1},
+            {"prefilter_views": "no"},
         ],
     )
     def test_validation(self, kwargs):
@@ -806,8 +813,8 @@ class TestPortableSpecs:
 # ---------------------------------------------------------------------------
 
 
-def _sharded_process_db(shards=2):
-    db = _usage_db("process", shards=shards)
+def _sharded_process_db(shards=2, **config):
+    db = _usage_db("process", shards=shards, **config)
     _define_usage(db)
     return db
 
@@ -974,6 +981,46 @@ class TestProcessExecutor:
             obs.uninstall()
             db.close()
 
+    def test_crash_bundle_carries_the_window_summary(self, tmp_path):
+        db = _sharded_process_db()
+        obs = db.enable_observability(audit="off", incident_dir=str(tmp_path))
+        try:
+            db.ingest("calls", [[{"caller": i % 4, "minutes": i}] for i in range(8)])
+            backend = db._shards.backend
+            for pool in backend._pools:
+                if pool is not None:
+                    for pid in list(pool._processes):
+                        os.kill(pid, signal.SIGKILL)
+            time.sleep(0.3)
+            with pytest.raises(EngineError, match="worker process died"):
+                db.ingest(
+                    "calls", [[{"caller": c, "minutes": 9}] for c in range(4)]
+                )
+            bundles = list(tmp_path.glob("incident-*-shard-worker-error.json"))
+            assert len(bundles) == 1
+            # The failed window's summary, enough to characterize it.
+            window = json.loads(bundles[0].read_text())["context"]["window"]
+            assert window is not None, "bundle must carry the failed window"
+            assert window["shard"].startswith("kc0:") and window["watermark"] >= 0
+            assert window["chronicles"] == {"calls": window["records"]}
+            assert window["records"] >= 1
+        finally:
+            obs.uninstall()
+            db.close()
+
+    def test_worker_apply_returns_the_minimal_result(self):
+        # Driven in-process against a replica installed from a real unit.
+        db = _sharded_process_db()
+        try:
+            label = worker_install(db.shard_groups[0].units[0].spec())
+            # Value tuples carry the stamped schema, ``sn`` first.
+            result = worker_apply(label, {"calls": [(1, 1, 5), (2, 3, 7)]}, 2)
+            items, records, elapsed, stats = result
+            assert records == 2 and elapsed >= 0
+            assert set(items) == {"usage"} and stats["events"] == 1
+        finally:
+            db.close()
+
     def test_nonportable_view_falls_back_to_serial_shard(self):
         class LocalSum(IncrementalAggregate):
             # A process-local class: its summary spec cannot unpickle in
@@ -1092,6 +1139,47 @@ class TestWorkersStartTogether:
             assert self._all_submitted_first(log, "worker_remove_view"), log
         finally:
             db.close()
+
+
+class TestOneWireProtocol:
+    """A window crosses to its worker the same way, observed or not."""
+
+    @staticmethod
+    def _submissions(monkeypatch, observe):
+        """``(worker function, pickled args)`` per window of one run."""
+        submitted = []
+        submit = ProcessPoolExecutor.submit
+
+        def spy(pool, fn, *args, **kwargs):
+            if fn is not worker_install:
+                submitted.append((fn, pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL)))
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+        db = _sharded_process_db(observe=observe)
+        try:
+            for window in range(3):
+                db.ingest(
+                    "calls",
+                    [[{"caller": (6 * window + i) % 8, "minutes": i + 1}] for i in range(6)],
+                )
+            assert sum(db.view_value("usage", (c,), "count") for c in range(8)) == 18
+        finally:
+            db.close()
+            db.disable_observability()
+            monkeypatch.undo()
+        return submitted
+
+    def test_observing_does_not_change_what_crosses(self, monkeypatch):
+        plain = self._submissions(monkeypatch, observe=False)
+        observed = self._submissions(monkeypatch, observe=True)
+        assert observed == plain
+        assert len(plain) == 6  # 3 windows x 2 shards
+        for fn, blob in plain:
+            assert fn is worker_apply
+            label, window, watermark = pickle.loads(blob)
+            assert label.startswith("kc0:") and isinstance(watermark, int)
+            assert all(isinstance(values, tuple) for rows in window.values() for values in rows)
 
 
 # ---------------------------------------------------------------------------
