@@ -22,6 +22,13 @@ DBToaster-style compiled delta programs [Koch et al. 14]:
    closures.  Nodes shared between plans become explicit cache points,
    evaluated once per append event.
 
+3. **Seeded roots** — a view whose χ is a selection chain over one scan
+   (σ…σ(scan C)) gets its delta from the registry's dispatch index,
+   which tests the same conjunction over the same rows to find the
+   affected views.  The registry puts those rows into the per-event
+   cache under the interned root, and the root compiles to one step that
+   reads them: the selection runs once per event, in routing.
+
 Every operator compiles to a step.  The CA operators compile to their
 delta rules; the Theorem 4.3 extension operators, which have none,
 compile to a step that raises :class:`~repro.errors.ChronicleAccessError`
@@ -31,7 +38,7 @@ the maintenance path never does.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..complexity.counters import GLOBAL_COUNTERS
 from ..core.delta import Delta
@@ -333,11 +340,17 @@ class PlanCompiler:
     sharing changes as views come and go, plans are (re)compiled lazily
     by the registry after any registration change — compilation is cheap
     and happens off the append path.
+
+    *seeded* holds the ids of the interned roots whose delta the caller
+    puts into the per-event cache itself (the registry's dispatch index
+    computes it); each compiles to a step that reads it there.  Empty by
+    default: every node is then computed from the event's base deltas.
     """
 
     def __init__(self) -> None:
         self.interner = Interner()
         self._refs: Dict[int, int] = {}
+        self.seeded: Set[int] = set()
 
     # -- root bookkeeping -----------------------------------------------------------
 
@@ -364,6 +377,18 @@ class PlanCompiler:
         """Whether *node* is referenced from more than one place."""
         return self._refs.get(id(node), 0) > 1
 
+    def is_cached(self, node: Node) -> bool:
+        """Whether *node*'s step is wrapped with the per-event delta cache.
+
+        A shared node is, unless its step is already one dict read: a
+        chronicle scan reads the event's deltas, a seeded root its seed.
+        """
+        return (
+            self.is_shared(node)
+            and _DELTA_RULES.get(type(node)) is not PlanCompiler._compile_scan
+            and id(node) not in self.seeded
+        )
+
     # -- compilation -----------------------------------------------------------------
 
     def compile(self, root: Node) -> CompiledPlan:
@@ -375,8 +400,8 @@ class PlanCompiler:
         rule = _DELTA_RULES.get(type(node))
         if rule is None:
             raise TypeError(f"no delta rule for {type(node).__name__}")
-        fn = rule(self, node)
-        if self.is_shared(node):
+        fn = self._compile_seeded(node) if id(node) in self.seeded else rule(self, node)
+        if self.is_cached(node):
             key = id(node)
             inner = fn
 
@@ -421,6 +446,22 @@ class PlanCompiler:
             return delta if delta is not None else empty
 
         return scan_step
+
+    def _compile_seeded(self, node: Node) -> PlanFn:
+        """A seeded root: its delta is already in the per-event cache.
+
+        No seed means no row passed the root's conjunction this event
+        (routing tests every row of the chronicle against it), so the
+        delta is empty.
+        """
+        key = id(node)
+        empty = Delta.empty(node.schema)
+
+        def seeded_step(deltas: Mapping[str, Delta], cache: Dict[int, Delta]) -> Delta:
+            delta = cache.get(key)
+            return delta if delta is not None else empty
+
+        return seeded_step
 
     def _compile_extension(self, node: Node) -> PlanFn:
         """Theorem 4.3: the operator has no delta rule over deltas alone.
@@ -781,7 +822,7 @@ class PlanNode:
     emits (and with :class:`~repro.obs.costmodel.CostLedger` shapes).
     """
 
-    __slots__ = ("kind", "detail", "fused", "shared", "refs", "children")
+    __slots__ = ("kind", "detail", "fused", "shared", "refs", "seeded", "children")
 
     def __init__(
         self,
@@ -790,6 +831,7 @@ class PlanNode:
         fused: Optional[List[str]] = None,
         shared: bool = False,
         refs: int = 1,
+        seeded: bool = False,
         children: Optional[List["PlanNode"]] = None,
     ) -> None:
         self.kind = kind
@@ -801,6 +843,9 @@ class PlanNode:
         #: per-event delta cache).
         self.shared = shared
         self.refs = refs
+        #: Whether this step reads the delta the dispatch index computed
+        #: (a seeded root: the whole σ…σ(scan) chain is in ``fused``).
+        self.seeded = seeded
         self.children = children or []
 
     def walk(self) -> Iterable["PlanNode"]:
@@ -817,6 +862,8 @@ class PlanNode:
         if self.shared:
             out["shared"] = True
             out["refs"] = self.refs
+        if self.seeded:
+            out["seeded"] = True
         if self.children:
             out["children"] = [child.to_dict() for child in self.children]
         return out
@@ -858,9 +905,17 @@ def describe_plan(root: Node, compiler: PlanCompiler) -> PlanNode:
     The description has the compiled structure: a node that compiles to
     a fused pipeline is one node with its chain
     (:meth:`PlanCompiler.fused_chain`, the walk compilation itself uses),
-    and sharing points carry their reference counts.
+    sharing points carry their reference counts, and a seeded root is one
+    step with no operand (its σ…σ(scan) chain is fused into it).
     """
-    if _DELTA_RULES.get(type(root)) is PlanCompiler._compile_pipeline:
+    seeded = id(root) in compiler.seeded
+    if seeded:
+        chain, node = [root], root
+        while node.children:
+            node = node.children[0]
+            chain.append(node)
+        children: Iterable[Node] = ()
+    elif _DELTA_RULES.get(type(root)) is PlanCompiler._compile_pipeline:
         chain, source = compiler.fused_chain(root)
         children = [source]
     else:
@@ -869,8 +924,9 @@ def describe_plan(root: Node, compiler: PlanCompiler) -> PlanNode:
         type(root).__name__,
         detail=_describe(root),
         fused=[_describe(op) for op in chain[1:]],
-        shared=compiler.is_shared(root),
+        shared=compiler.is_cached(root),
         refs=compiler._refs.get(id(root), 1),
+        seeded=seeded,
         children=[describe_plan(child, compiler) for child in children],
     )
 

@@ -78,7 +78,8 @@ class maintenance_guard:
     that maintenance ran without chronicle access.
 
     A plain slotted class, entered once per maintained event (around the
-    plan and fold of every view the event reaches), where a
+    registry's routing and the plan and fold of every view the event
+    reaches), where a
     ``@contextmanager`` generator would allocate a generator and its
     wrapper on every entry.
     """

@@ -3,7 +3,8 @@
 ``EXPLAIN view`` answers "*why* is the compiled plan shaped the way it
 is": it renders the plan tree the compiler built — fused select/project
 chains collapsed into their chain head, sharing points flagged with
-reference counts, the partition declaration, where the registry's
+reference counts, roots the dispatch index seeds flagged as such, the
+partition declaration, where the registry's
 predicate dispatch index files the view (dispatch key and residual per
 scanned chronicle), and the view's claimed language/IM class.  The
 tree comes from :func:`repro.algebra.plan.describe_plan` against the
@@ -190,6 +191,8 @@ class ExplainReport:
                 label += f" ⨟ {fused}"
             if node.shared:
                 label += f" [shared ×{node.refs}]"
+            if node.seeded:
+                label += " [seeded by dispatch]"
             measurement = measurements.get(paths[id(node)])
             tree.append(("    " + "  " * indent + label, measurement))
             for child in node.children:

@@ -21,6 +21,19 @@ both built when a view is registered:
    cost of finding the affected views is proportional to rows × indexed
    attributes + matching views, not to registered views.
 
+The dispatch index also computes deltas.  For a view whose χ is a
+selection chain over one chronicle scan (σ…σ(scan C)), its filed
+conjunction *is* the chain, so the rows an event's entry accepts are the
+view's σ-delta (σ is linear: a selection's delta is the selection of the
+base delta).  Such a view is *seeded*: routing collects the rows its
+entry accepts, the registry puts them into the per-event delta cache
+under the view's interned root, and the compiled plan reads them there
+(:class:`~repro.algebra.plan.PlanCompiler` compiles a seeded root to one
+step that reads its seed).  Each row is tested once per filed entry, and
+routing runs inside the event's no-access extent, since its tests are
+now the maintenance path's selection step.  A registry with the
+prefilter off seeds nothing and compiles full plans.
+
 The registry is also the natural owner of periodic view sets: only the
 views *active* for the current interval are maintained (third bullet of
 Section 5.2).
@@ -62,18 +75,31 @@ def scan_prefilters(expression: Node) -> Dict[str, List[Predicate]]:
     keeping the predicate lists separate — callers must pass a row when
     *any* scan's conjunction accepts it.
     """
+    return _prefilter_walk(expression)[0]
+
+
+def _prefilter_walk(expression: Node) -> Tuple[Dict[str, List[Predicate]], bool]:
+    """:func:`scan_prefilters`, and whether *expression* is seeded.
+
+    Seeded means the whole expression is a selection chain over one scan
+    (σ…σ(scan C), at least one σ): its one filed conjunction is the
+    chain, so the rows the dispatch index accepts are its delta.
+    """
     filters: Dict[str, List[Predicate]] = {}
     unfiltered: set = set()
+    seeded = False
 
-    def descend(node: Node, pending: Tuple[Predicate, ...]) -> None:
+    def descend(node: Node, pending: Tuple[Predicate, ...], chain: bool) -> None:
+        nonlocal seeded
         if isinstance(node, Select):
-            descend(node.child, pending + (node.predicate,))
+            descend(node.child, pending + (node.predicate,), chain)
             return
         if isinstance(node, ChronicleScan):
             name = node.chronicle.name
             filters.setdefault(name, [])
             if pending and name not in unfiltered:
                 filters[name].append(conjunction(list(pending)))
+                seeded = chain
             else:
                 # An unfiltered scan accepts everything: no prefilter for
                 # this chronicle, regardless of other (filtered) scans.
@@ -81,10 +107,10 @@ def scan_prefilters(expression: Node) -> Dict[str, List[Predicate]]:
                 filters[name] = []
             return
         for child in node.children:
-            descend(child, ())
+            descend(child, (), False)
 
-    descend(expression, ())
-    return filters
+    descend(expression, (), True)
+    return filters, seeded
 
 
 class RegisteredView:
@@ -93,15 +119,16 @@ class RegisteredView:
     *rank* is the view's registration order; survivors of an event are
     maintained by ascending rank.  *root* is the view's interned
     expression; *plan* its :class:`~repro.algebra.plan.CompiledPlan`,
-    ``None`` until the registry next compiles.
+    ``None`` until the registry next compiles.  *seeded* says whether the
+    dispatch index computes the root's delta (see the module docstring).
     """
 
-    __slots__ = ("view", "rank", "prefilters", "root", "plan", "partition")
+    __slots__ = ("view", "rank", "prefilters", "seeded", "root", "plan", "partition")
 
     def __init__(self, view: PersistentView, rank: int, root: Node) -> None:
         self.view = view
         self.rank = rank
-        self.prefilters = scan_prefilters(view.expression)
+        self.prefilters, self.seeded = _prefilter_walk(view.expression)
         self.root = root
         self.plan: Optional[CompiledPlan] = None
         #: Partition declaration (PartitionSpec or UNPARTITIONABLE) —
@@ -109,9 +136,14 @@ class RegisteredView:
         self.partition = infer_partition(view.summary)
 
 
-#: One filed scan conjunction: (registration rank, view, compiled test over
-#: a raw value tuple — ``None`` accepts every row).
-DispatchEntry = Tuple[int, RegisteredView, Optional[ValuesPredicate]]
+#: One filed scan conjunction: (registration rank, its compiled test over a
+#: raw value tuple or ``None`` to accept every row, whether the view is
+#: seeded).
+DispatchEntry = Tuple[int, Optional[ValuesPredicate], bool]
+
+#: What routing found, by rank: a seeded view's accepted rows, in event
+#: order, or ``None`` for any other affected view.
+Hits = Dict[int, Optional[List[Row]]]
 
 
 class ChronicleDispatch:
@@ -125,7 +157,8 @@ class ChronicleDispatch:
     conjuncts), on the *always* list otherwise.  A view scanning the
     chronicle twice files two entries and is affected when either
     accepts a row; a view with an unfiltered scan files one always-entry
-    with no test.
+    with no test.  A seeded view files one entry, and routing tests every
+    row against it, keeping the rows it accepts.
     """
 
     __slots__ = ("views", "always", "tables")
@@ -137,18 +170,19 @@ class ChronicleDispatch:
 
     def add(self, registered: RegisteredView, predicates: List[Predicate], schema: Schema) -> None:
         """File *registered* and its scan conjunctions over this chronicle."""
-        self.views[registered.rank] = registered
+        rank, seeded = registered.rank, registered.seeded
+        self.views[rank] = registered
         if not predicates:  # some scan of the chronicle is unfiltered
-            self.always.append((registered.rank, registered, None))
+            self.always.append((rank, None, False))
             return
         for predicate in predicates:
             key, residual = compile_prefilter(predicate, schema)
             if key is None:
-                self.always.append((registered.rank, registered, residual))
+                self.always.append((rank, residual, seeded))
             else:
                 position, constant = key
                 self.tables.setdefault(position, {}).setdefault(constant, []).append(
-                    (registered.rank, registered, residual)
+                    (rank, residual, seeded)
                 )
 
     def discard(self, rank: int) -> None:
@@ -165,26 +199,26 @@ class ChronicleDispatch:
             if not table:
                 del self.tables[position]
 
-    def route(
-        self, rows: Tuple[Row, ...], hit: Dict[int, RegisteredView], examined: Set[int]
-    ) -> None:
-        """Add the views some row of *rows* might affect to *hit* (by rank).
+    def route(self, rows: Tuple[Row, ...], hit: Hits, examined: Set[int]) -> None:
+        """Add the views some row of *rows* affects to *hit* (by rank).
 
-        *examined* collects the rank of every view looked at.  Row values
-        come from typed domains (numbers, strings, booleans, NULL), all
-        hashable; NULL finds no bucket because no constant is NULL.
+        A seeded view's entry is tested against every row, and *hit*
+        keeps the rows it accepts; any other view is done with at its
+        first accepting row.  *examined* collects the rank of every view
+        looked at.  Row values come from typed domains (numbers, strings,
+        booleans, NULL), all hashable; NULL finds no bucket because no
+        constant is NULL.
         """
-        for rank, registered, test in self.always:
-            if rank in hit:
-                continue
+        # A rank already hit was examined when it was hit, so adding every
+        # rank looked at counts each examined view once.
+        for rank, test, seeded in self.always:
             examined.add(rank)
-            if test is None:
-                hit[rank] = registered
-                continue
-            for row in rows:
-                if test(row.values):
-                    hit[rank] = registered
-                    break
+            if seeded:
+                accepted = [row for row in rows if test(row.values)]
+                if accepted:
+                    hit[rank] = accepted
+            elif rank not in hit and (test is None or any(test(row.values) for row in rows)):
+                hit[rank] = None
         tables = self.tables
         if not tables:
             return
@@ -194,12 +228,17 @@ class ChronicleDispatch:
                 bucket = table.get(values[position])
                 if bucket is None:
                     continue
-                for rank, registered, test in bucket:
-                    if rank in hit:
-                        continue
+                for rank, test, seeded in bucket:
                     examined.add(rank)
-                    if test is None or test(values):
-                        hit[rank] = registered
+                    if seeded:
+                        if test is None or test(values):
+                            accepted = hit.get(rank)
+                            if accepted is None:
+                                hit[rank] = [row]
+                            else:
+                                accepted.append(row)
+                    elif rank not in hit and (test is None or test(values)):
+                        hit[rank] = None
 
 
 class ViewRegistry:
@@ -358,8 +397,12 @@ class ViewRegistry:
         """
         if not self._plans_stale:
             return
+        compiler = self._compiler
+        compiler.seeded = (
+            {id(r.root) for r in self._views.values() if r.seeded} if self.prefilter else set()
+        )
         for registered in self._views.values():
-            registered.plan = self._compiler.compile(registered.root)
+            registered.plan = compiler.compile(registered.root)
         self._plans_stale = False
 
     def interned_expression(self, name: str) -> Node:
@@ -406,40 +449,46 @@ class ViewRegistry:
         if not count:
             return 0
         stats["candidate_views"] += count
-        if self.prefilter:
-            span = (
-                tracer.start("prefilter", candidates=count)
-                if tracer is not None
-                else None
-            )
-            try:
-                hit: Dict[int, RegisteredView] = {}
-                examined: Set[int] = set()
-                for dispatch, rows in touched:
-                    dispatch.route(rows, hit, examined)
-                survivors = [hit[rank] for rank in sorted(hit)]
-                hits = count - len(survivors)
-                stats["views_examined"] += len(examined)
-                stats["prefilter_hits"] += hits
-                stats["prefilter_misses"] += len(survivors)
-                if span is not None:
-                    span.attrs["skipped"] = hits
-                    span.attrs["examined"] = len(examined)
-            finally:
-                if span is not None:
-                    tracer.finish(span)
-            if not survivors:
-                return 0
-        else:
-            stats["views_examined"] += count
-            survivors = list(candidates.values())
-        deltas = event_deltas(group, event)
-        # One delta cache per event: interned nodes shared between plans
-        # are computed once.
-        cache: Dict[int, Delta] = {}
-        # One no-access extent per event, around every survivor's plan
-        # and fold: apply_delta folds inside it instead of opening its own.
+        # One no-access extent per event, around routing (whose tests are
+        # the seeded views' selection step) and every survivor's plan and
+        # fold: apply_delta folds inside it instead of opening its own.
         with maintenance_guard():
+            if self.prefilter:
+                span = (
+                    tracer.start("prefilter", candidates=count)
+                    if tracer is not None
+                    else None
+                )
+                try:
+                    hit: Hits = {}
+                    examined: Set[int] = set()
+                    for dispatch, rows in touched:
+                        dispatch.route(rows, hit, examined)
+                    survivors = [candidates[rank] for rank in sorted(hit)]
+                    hits = count - len(survivors)
+                    stats["views_examined"] += len(examined)
+                    stats["prefilter_hits"] += hits
+                    stats["prefilter_misses"] += len(survivors)
+                    if span is not None:
+                        span.attrs["skipped"] = hits
+                        span.attrs["examined"] = len(examined)
+                finally:
+                    if span is not None:
+                        tracer.finish(span)
+                if not survivors:
+                    return 0
+                # One delta cache per event: interned nodes shared between
+                # plans are computed once, and seeded roots are put there.
+                cache: Dict[int, Delta] = {}
+                for rank, accepted in hit.items():
+                    if accepted is not None:
+                        root = candidates[rank].root
+                        cache[id(root)] = Delta.unchecked(root.schema, accepted)
+            else:
+                stats["views_examined"] += count
+                survivors = list(candidates.values())
+                cache = {}
+            deltas = event_deltas(group, event)
             for registered in survivors:
                 span = (
                     tracer.start("maintain", view=registered.view.name, engine="compiled")

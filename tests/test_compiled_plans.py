@@ -398,7 +398,43 @@ class TestInterning:
         assert a is not b
         assert a.children[0] is b.children[0]  # the scan is still shared
 
+    @staticmethod
+    def joined_calls_db():
+        db = ChronicleDatabase()
+        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+        db.create_relation("subscribers", [("number", "INT"), ("plan", "STR")], key=["number"])
+        for number in range(4):
+            db.relation("subscribers").insert({"number": number, "plan": "ab"[number % 2]})
+        return db
+
+    #: A join over the filtered scan: a reshaping operator, so the view is
+    #: maintained by its plan rather than seeded by the dispatch index.
+    JOIN = "FROM calls JOIN subscribers ON calls.caller = subscribers.number"
+
     def test_text_defined_views_share_one_delta_computation(self):
+        db = self.joined_calls_db()
+        a = db.define_view(
+            f"DEFINE VIEW a AS SELECT plan, SUM(minutes) AS total {self.JOIN} "
+            "WHERE minutes > 2 GROUP BY plan"
+        )
+        b = db.define_view(
+            f"DEFINE VIEW b AS SELECT plan, COUNT(*) AS n {self.JOIN} "
+            "WHERE minutes > 2 GROUP BY plan"
+        )
+        # Independently compiled from text, yet one interned expression.
+        assert db.registry.interned_expression("a") is db.registry.interned_expression("b")
+        with GLOBAL_COUNTERS.measure() as cost:
+            db.append("calls", {"caller": 1, "minutes": 5})
+        # The shared join is evaluated once and served from the per-event
+        # cache for the second view: one selection tuple_op, two for the
+        # key join (the row and its match), one fold per view, and exactly
+        # one cache hit.
+        assert cost["delta_cache_hit"] == 1
+        assert cost["tuple_op"] == 5
+        assert a.value(("b",), "total") == 5
+        assert b.value(("b",), "n") == 1
+
+    def test_text_defined_selection_views_are_seeded_by_the_dispatch(self):
         db = ChronicleDatabase()
         db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
         a = db.define_view(
@@ -409,33 +445,33 @@ class TestInterning:
             "DEFINE VIEW b AS SELECT caller, COUNT(*) AS n "
             "FROM calls WHERE minutes > 2 GROUP BY caller"
         )
-        # Independently compiled from text, yet one interned expression.
-        assert db.registry.interned_expression("a") is db.registry.interned_expression("b")
+        root = db.registry.interned_expression("a")
+        assert db.registry.interned_expression("b") is root
         with GLOBAL_COUNTERS.measure() as cost:
-            db.append("calls", {"caller": 1, "minutes": 5})
-        # The shared filtered scan is evaluated once and served from the
-        # per-event cache for the second view: one selection tuple_op plus
-        # one fold per view, and exactly one cache hit.
-        assert cost["delta_cache_hit"] == 1
-        assert cost["tuple_op"] == 3
+            db.append("calls", [{"caller": 1, "minutes": 5}, {"caller": 1, "minutes": 1}])
+        # The dispatch index computed the σ-delta: the plans test no row
+        # (no selection tuple_op), serve nothing from the cache, and each
+        # view folds the one accepted row.
+        assert id(root) in db.registry._compiler.seeded
+        assert cost["delta_cache_hit"] == 0
+        assert cost["tuple_op"] == 2
         assert a.value((1,), "total") == 5
         assert b.value((1,), "n") == 1
 
     def test_partial_sharing_breaks_fusion_at_shared_node(self):
-        db = ChronicleDatabase()
-        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+        db = self.joined_calls_db()
         db.define_view(
-            "DEFINE VIEW a AS SELECT caller, SUM(minutes) AS total "
-            "FROM calls WHERE minutes > 0 GROUP BY caller"
+            f"DEFINE VIEW a AS SELECT plan, SUM(minutes) AS total {self.JOIN} "
+            "WHERE minutes > 0 GROUP BY plan"
         )
         db.define_view(
-            "DEFINE VIEW b AS SELECT caller, SUM(minutes) AS total "
-            "FROM calls WHERE minutes > 0 AND caller > 0 GROUP BY caller"
+            f"DEFINE VIEW b AS SELECT plan, SUM(minutes) AS total {self.JOIN} "
+            "WHERE minutes > 0 AND caller > 0 GROUP BY plan"
         )
         root_a = db.registry.interned_expression("a")
         root_b = db.registry.interned_expression("b")
         assert root_a is not root_b
-        # The trees differ but overlap: at least the scan is one object.
+        # The trees differ but overlap: at least the filtered scan is one object.
         shared = {id(n) for n in root_a.walk()} & {id(n) for n in root_b.walk()}
         assert shared
         with GLOBAL_COUNTERS.measure() as cost:
@@ -465,16 +501,18 @@ class TestInterning:
         assert list(b)[0]["n"] == list(evaluate_summary(b.summary))[0]["n"]
 
     def test_unregister_releases_sharing(self):
-        db = ChronicleDatabase()
-        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+        db = self.joined_calls_db()
         db.define_view(
-            "DEFINE VIEW a AS SELECT caller, SUM(minutes) AS total "
-            "FROM calls WHERE minutes > 2 GROUP BY caller"
+            f"DEFINE VIEW a AS SELECT plan, SUM(minutes) AS total {self.JOIN} "
+            "WHERE minutes > 2 GROUP BY plan"
         )
         b = db.define_view(
-            "DEFINE VIEW b AS SELECT caller, COUNT(*) AS n "
-            "FROM calls WHERE minutes > 2 GROUP BY caller"
+            f"DEFINE VIEW b AS SELECT plan, COUNT(*) AS n {self.JOIN} "
+            "WHERE minutes > 2 GROUP BY plan"
         )
+        with GLOBAL_COUNTERS.measure() as cost:
+            db.append("calls", {"caller": 2, "minutes": 9})
+        assert cost["delta_cache_hit"] == 1
         db.drop_view("a")
         with pytest.raises(ViewRegistrationError):
             db.registry.interned_expression("a")
@@ -482,7 +520,7 @@ class TestInterning:
             db.append("calls", {"caller": 2, "minutes": 9})
         # Only one consumer left: nothing is served from the cache.
         assert cost["delta_cache_hit"] == 0
-        assert b.value((2,), "n") == 1
+        assert b.value(("a",), "n") == 2
 
     def test_registry_prefilter_skips_views(self):
         registry = ViewRegistry(prefilter=True)
@@ -536,7 +574,9 @@ class TestInterning:
         )
         with GLOBAL_COUNTERS.measure() as cost:
             db.append("calls", {"caller": 1, "minutes": 5})
-        assert cost["delta_cache_hit"] == 1
+        # Both read the one seeded root: the dispatch index computed it.
+        assert id(db.registry.interned_expression("live")) in db.registry._compiler.seeded
+        assert cost["delta_cache_hit"] == 0
         assert live.value((1,), "total") == 5 and twin.value((1,), "n") == 1
 
 

@@ -14,10 +14,14 @@ import urllib.request
 import pytest
 
 from repro import ChronicleDatabase, DatabaseConfig
+from repro.aggregates import COUNT, SUM, spec
+from repro.algebra.ast import scan
 from repro.errors import ObservabilityError
 from repro.obs import CostLedger, Observability, costmodel
 from repro.obs import runtime as obs_runtime
 from repro.obs.explain import ExplainReport, explain, explain_analyze
+from repro.relational.predicate import attr_cmp
+from repro.sca.summarize import GroupBySummary
 
 
 @pytest.fixture(autouse=True)
@@ -38,6 +42,16 @@ def make_banking_db(**kwargs):
         "WHERE amount > 10 GROUP BY acct"
     )
     return db
+
+
+def projected_deposits(db):
+    """``π[sn, acct, amount] σ(amount > 10)(deposits)``: a reshaping step,
+    so the plan (not the dispatch index) computes its delta."""
+    return (
+        scan(db.chronicle("deposits"))
+        .select(attr_cmp("amount", ">", 10))
+        .project(["sn", "acct", "amount"])
+    )
 
 
 def drive(db, events=10):
@@ -115,13 +129,19 @@ class TestLedgerFromIngest:
 
     def test_operator_entries_carry_counters(self):
         db = make_banking_db()
+        # balance's selection is computed by the dispatch index; this
+        # view's plan step does its own work.
+        db.define_view(
+            GroupBySummary(projected_deposits(db), ["acct"], [spec(SUM, "amount")]),
+            name="projected",
+        )
         obs = Observability(audit="off")
         with obs_runtime.installed(obs):
             drive(db, events=8)
         op_entries = [
             e
             for e in obs.cost_ledger.entries()
-            if e.view == "balance" and e.operator != "maintain"
+            if e.view == "projected" and e.operator != "maintain"
         ]
         assert op_entries
         assert any(e.counters for e in op_entries)
@@ -208,14 +228,19 @@ class TestExplain:
         with pytest.raises(ObservabilityError):
             explain(db, "nope")
 
-    def test_shared_scan_annotated(self):
+    def test_shared_step_annotated(self):
         db = make_banking_db()
         db.define_view(
             "DEFINE VIEW deposits_count AS "
             "SELECT acct, COUNT(*) AS n FROM deposits GROUP BY acct"
         )
-        text = explain(db, "deposits_count").format()
-        assert "shared" in text  # the interned ChronicleScan serves both views
+        # The interned scan serves every view but is one dict read, so it
+        # is not a cache point; a shared reshaping step is.
+        assert "shared" not in explain(db, "deposits_count").format()
+        node = projected_deposits(db)
+        for name, aggregate in (("p_sum", spec(SUM, "amount")), ("p_count", spec(COUNT))):
+            db.define_view(GroupBySummary(node, ["acct"], [aggregate]), name=name)
+        assert "[shared ×2]" in explain(db, "p_count").format()
 
     def test_dispatch_key_and_residual_shown(self):
         db = make_banking_db()

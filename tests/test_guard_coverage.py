@@ -9,7 +9,9 @@ path that maintains a view: the serial registry, a shard unit of the
 sharded engine, a periodic view set, a standalone view's ``apply_event``
 and a direct ``apply_delta`` called outside any extent.  The registry and
 shard-unit cases also check that the read met the *one* extent the event
-opened, not one the fold opened for itself.
+opened, not one the fold opened for itself.  The registry's routing runs
+in that extent too: its tests are the selection step of the views the
+dispatch index seeds, so a predicate read there is refused as well.
 """
 
 import pytest
@@ -35,9 +37,10 @@ def read(chronicle):
 
 class ReadingComparison(Comparison):
     """``minutes > 0``, in the CA fragment, whose test reads a chronicle:
-    what a plan step calls for each row.  The registry's prefilter runs
-    the test too, outside maintenance, where the read is allowed (and
-    finds nothing: the chronicle stores nothing)."""
+    what a selection step calls for each row.  With the prefilter on, the
+    registry's routing runs the test too, inside the event's extent: for
+    a view whose χ is σ…σ(scan) it *is* the selection step, since the
+    plan reads the rows routing accepted."""
 
     __slots__ = ()
 
@@ -80,6 +83,13 @@ def make_db(config=None):
 def plan_reading(calls):
     """A grouped summary whose plan step reads *calls*."""
     expression = scan(calls).select(ReadingComparison(calls))
+    return GroupBySummary(expression, ["caller"], [spec(SUM, "minutes", output="total")])
+
+
+def projected_reading(calls):
+    """A filtered summary the dispatch index does not seed: a projection
+    reshapes the selection, so its plan computes the delta."""
+    expression = scan(calls).select(ReadingComparison(calls)).project(["sn", "caller", "minutes"])
     return GroupBySummary(expression, ["caller"], [spec(SUM, "minutes", output="total")])
 
 
@@ -127,6 +137,18 @@ def test_registry_event_extent_covers_plan_and_fold(config, build, guard_entries
     with pytest.raises(ChronicleAccessError):
         db.append("calls", {"caller": 1, "minutes": 5})
     assert guard_entries == [1]  # the event's one extent, nothing nested
+    assert not in_maintenance()
+
+
+def test_registry_event_extent_covers_routing(guard_entries):
+    db = make_db()
+    db.define_view(projected_reading(db.chronicle("calls")), name="v")
+    assert not db.registry._views["v"].seeded
+    # The record fails the test, so no plan runs: the read is the
+    # routing test's, and it meets the event's one extent.
+    with pytest.raises(ChronicleAccessError):
+        db.append("calls", {"caller": 1, "minutes": 0})
+    assert guard_entries == [1]
     assert not in_maintenance()
 
 
