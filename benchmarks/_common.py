@@ -19,7 +19,7 @@ from repro.complexity.counters import GLOBAL_COUNTERS
 from repro.core.group import ChronicleGroup
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.sca.maintenance import attach_view
+from repro.views.registry import attach_view
 from repro.sca.summarize import GroupBySummary
 from repro.sca.view import PersistentView
 

@@ -8,8 +8,8 @@ Three knobs DESIGN.md calls out, each measured on/off:
    log factor, B+-tree probes grow with log |V|.
 2. **per-event delta sharing** — N views, each built independently
    over a structurally equal filtered scan, maintained each by its own
-   standalone plan (``attach_view``: no registry, nothing shared) vs by
-   one registry, whose interner merges the N subtrees into one node with
+   standalone plan (``attach_view``: a one-view registry each, nothing
+   shared) vs by one registry, whose interner merges the N subtrees into one node with
    one delta per event.  Expected: without sharing the selection runs N
    times per append; with sharing once.
 3. **compiler selection pushdown** — the same selective joined view
@@ -29,7 +29,7 @@ from repro.complexity.counters import GLOBAL_COUNTERS
 from repro.complexity.harness import format_table
 from repro.core.group import ChronicleGroup
 from repro.relational.predicate import attr_cmp, attr_eq
-from repro.sca.maintenance import attach_view
+from repro.views.registry import attach_view
 from repro.sca.summarize import GroupBySummary
 from repro.sca.view import PersistentView
 from repro.storage.hash_index import HashIndex

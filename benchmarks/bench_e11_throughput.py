@@ -23,7 +23,7 @@ from repro.complexity.counters import GLOBAL_COUNTERS
 from repro.complexity.harness import format_table
 from repro.core.group import ChronicleGroup
 from repro.relational.predicate import attrs_cmp
-from repro.sca.maintenance import attach_view
+from repro.views.registry import attach_view
 from repro.sca.summarize import GroupBySummary
 from repro.sca.view import PersistentView
 from repro.workloads import FrequentFlyerWorkload

@@ -24,7 +24,7 @@ from repro.complexity.fitting import fit_series, is_flat
 from repro.complexity.harness import format_table
 from repro.core.group import ChronicleGroup
 from repro.relational.predicate import attrs_cmp
-from repro.sca.maintenance import attach_view
+from repro.views.registry import attach_view
 from repro.sca.summarize import GroupBySummary
 from repro.sca.view import PersistentView
 

@@ -28,6 +28,7 @@ from repro.algebra.ast import scan
 from repro.views.calendar import sliding
 from repro.views.moving import KeyedMovingWindow
 from repro.views.periodic import PeriodicViewSet
+from repro.views.registry import ViewRegistry
 from repro.workloads import StockWorkload
 
 WIDTHS = [5, 10, 20, 40]
@@ -53,7 +54,9 @@ def _periodic_cost(width, trades):
         chronon_of=lambda row: float(row["day"]),
         expire_after=1.0,
     )
-    views.attach(group)
+    registry = ViewRegistry()
+    registry.register_periodic(views, group)
+    registry.attach(group)
     with GLOBAL_COUNTERS.measure() as cost:
         for record in trades:
             group.append(

@@ -799,9 +799,8 @@ _DELTA_RULES: Dict[type, Callable[[PlanCompiler, Any], PlanFn]] = {
 def standalone_plan(expression: Node) -> CompiledPlan:
     """Compile *expression* on its own, sharing with no other view.
 
-    What maintains a view that no registry owns: a periodic view set's
-    interval views (one plan for the whole set) and a single view wired
-    straight to a group.
+    What maintains a periodic view set's interval views (one plan for the
+    whole set, fed each interval's rows).
     """
     compiler = PlanCompiler()
     return compiler.compile(compiler.add_root(expression))

@@ -28,7 +28,8 @@ Both forms work on the serial engine and on sharded databases (a
 partitioned view is described from one shard's registry — every shard
 compiles the same plan), except that ANALYZE raises
 :class:`~repro.errors.ObservabilityError` for a view partitioned across
-``executor="process"`` workers, which trace nothing.
+``executor="process"`` workers, which trace nothing.  EXPLAIN describes a
+periodic view set by its one plan; ANALYZE refuses one.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..algebra.plan import PlanNode, describe_aggregates, describe_plan, split_prefilter
-from ..errors import ObservabilityError
+from ..algebra.plan import (
+    PlanCompiler, PlanNode, describe_aggregates, describe_plan, split_prefilter
+)
+from ..errors import ObservabilityError, ViewRegistrationError
 from .core import Observability
 from .costmodel import CostEntry, CostLedger, shape_paths
 
@@ -287,12 +290,17 @@ def _describe_dispatch(predicate: Any) -> Dict[str, str]:
 
 
 def explain(db: Any, name: str) -> ExplainReport:
-    """Describe the maintenance plan of view *name* on *db*."""
+    """Describe the maintenance plan of view (or periodic set) *name*."""
     registry, note = _locate_registry(db, name)
-    registered = registry._views[name]
+    registered = registry.registered(name)
     view = registered.view
-    registry.ensure_compiled()
-    plan = describe_plan(registered.root, registry._compiler)
+    if registered.root is None:  # a periodic view set
+        compiler = PlanCompiler()
+        plan = describe_plan(compiler.add_root(view.summary.expression), compiler)
+        note = f"periodic view set over {view.calendar!r}: one plan for every interval"
+    else:
+        registry.ensure_compiled()
+        plan = describe_plan(registered.root, registry._compiler)
     dispatch = {
         # No conjunction = an unfiltered scan: one always-entry with no test.
         chronicle: [_describe_dispatch(p) for p in predicates] or [{}]
@@ -335,6 +343,8 @@ def explain_analyze(
         raise ValueError("events must be >= 1")
     if batch < 1:
         raise ValueError("batch must be >= 1")
+    if name in db.registry and db.registry.registered(name).root is None:  # a set
+        raise ViewRegistrationError(f"{name!r} is a periodic view set; ANALYZE measures one view")
     report = explain(db, name)
     view = db.view(name)
     chronicles = view.chronicle_names()

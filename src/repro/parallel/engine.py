@@ -59,7 +59,6 @@ from ..algebra.plan import (
     summary_spec,
 )
 from ..core.chronicle import Chronicle
-from ..core.delta import Delta
 from ..core.group import ChronicleGroup
 from ..core.sequence import SequenceNumber
 from ..errors import EngineError
@@ -984,9 +983,10 @@ class ShardEngine:
     def _materialize(shard_group: ShardGroup, view_name: str, summary: Summary) -> None:
         """Initialize a new view's partitions from stored history.
 
-        Routes the retained rows of each scanned chronicle to their
-        shards and folds them into *this view only* (sibling views of
-        the key class already absorbed that history incrementally).
+        Routes the retained rows of each scanned chronicle to their shards
+        and replays each unit's rows, as one untraced event, into a registry
+        holding *this view only* (sibling views of the key class already
+        absorbed that history incrementally).
         """
         pending: Dict[int, Dict[str, List[Row]]] = {}
         for chronicle in {c.name: c for c in summary.expression.chronicles()}.values():
@@ -999,13 +999,10 @@ class ShardEngine:
                 ).extend(rows)
         for index, event in pending.items():
             unit = shard_group.units[index]
-            with unit.lock:
-                view = unit.registry.view(view_name)
-                deltas = {
-                    name: Delta(unit.group[name].schema, tuple(rows))
-                    for name, rows in event.items()
-                }
-                view.apply_event(deltas)
+            with unit.lock, obs_runtime.suspended():
+                replay = ViewRegistry(prefilter=False)
+                replay.register(unit.registry.view(view_name))
+                replay.on_event(unit.group, {name: tuple(rows) for name, rows in event.items()})
 
     def drop_view(self, name: str) -> bool:
         """Drop *name* if it is partitioned (True); else forget any fallback."""

@@ -16,22 +16,21 @@ The maintenance path (:meth:`apply_delta`, fed by a compiled plan of
 computing the χ-delta and folding it into the view can never read a
 chronicle store, which is the mechanical content of Theorems 4.2/4.4.
 
-The extent contract: whoever maintains an event opens one no-access
-extent around the plans and folds of every view it reaches — the
-registry per event, a periodic set per event, :meth:`apply_event` per
-call — and :meth:`apply_delta` folds inside the caller's extent,
-opening one of its own only when called outside any.  The fold itself
-is compiled once per view, at construction (:meth:`_compile_fold`).
+The extent contract: the registry that maintains an event (serial, or
+a shard unit's) opens one no-access extent around the plans and folds of
+every view and periodic set it reaches, and :meth:`apply_delta` folds
+inside that extent, opening one of its own only when called outside
+any.  The fold itself is compiled once per view, at construction
+(:meth:`_compile_fold`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra.ast import Node
 from ..algebra.classify import Classification, IMClass, Language, classify
 from ..algebra.evaluate import evaluate
-from ..algebra.plan import CompiledPlan, standalone_plan
 from ..complexity.counters import GLOBAL_COUNTERS
 from ..core.chronicle import in_maintenance, maintenance_guard
 from ..core.delta import Delta
@@ -97,9 +96,6 @@ class PersistentView:
         # None (the default) records nothing.
         self._touched: Optional[Dict[Tuple[Any, ...], List[Any]]] = None
         self._maintenance_count = 0
-        # Compiled by the first apply_event(); registry-owned views never
-        # need it.
-        self._plan: Optional[CompiledPlan] = None
         self._fold = self._compile_fold()
         self._show_global_group()
 
@@ -129,21 +125,6 @@ class PersistentView:
         return self._maintenance_count
 
     # -- maintenance ------------------------------------------------------------------
-
-    def apply_event(self, deltas: Mapping[str, Delta]) -> int:
-        """Maintain the view for one append event; returns rows folded.
-
-        The view's own plan, compiled on first use, computes the χ-delta
-        and the fold folds it, both in one no-access extent.  This is the
-        path of a view no registry owns; a registry's plans share
-        subexpressions across views, so it computes the χ-delta and calls
-        :meth:`apply_delta` inside its own per-event extent.
-        """
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = standalone_plan(self.expression)
-        with maintenance_guard():
-            return self.apply_delta(plan(deltas))
 
     def apply_delta(self, delta: Delta) -> int:
         """Fold one χ-delta into the view; returns rows folded.

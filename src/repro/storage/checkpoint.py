@@ -160,8 +160,8 @@ def _start_recording(db: Any) -> None:
         view.record_touched()
     for name in db.partitioned_views:
         db.view(name).record_touched()
-    for view_set in db.registry._periodic.values():
-        view_set.record_touched()
+    for registered in db.registry._periodic.values():
+        registered.view.record_touched()
     for relation in db.relations.values():
         relation.record_dirty()
 
@@ -179,8 +179,8 @@ def _checkpoint_document(db: Any) -> Dict[str, Any]:
             for view in db.registry.views()
         },
         "periodic": {
-            name: _periodic_state(view_set, delta=False)
-            for name, view_set in db.registry._periodic.items()
+            name: _periodic_state(registered.view, delta=False)
+            for name, registered in db.registry._periodic.items()
         },
     }
     # Sharded engine: partitioned views live behind MergedView facades,
@@ -224,8 +224,8 @@ def _delta_document(db: Any) -> Optional[Dict[str, Any]]:
     views = {view.name: _touched_state(view) for view in db.registry.views()}
     merged = {name: _touched_state(db.view(name)) for name in db.partitioned_views}
     periodic = {
-        name: _periodic_state(view_set, delta=True)
-        for name, view_set in db.registry._periodic.items()
+        name: _periodic_state(registered.view, delta=True)
+        for name, registered in db.registry._periodic.items()
     }
     if None in views.values() or None in merged.values() or None in periodic.values():
         return None
@@ -359,7 +359,7 @@ def _load_checkpoint(db: Any, source: Union[str, IO[str], Dict[str, Any]]) -> No
             raise CheckpointError(
                 f"checkpoint names unknown periodic view {name!r}"
             )
-        _restore_periodic(db.registry._periodic[name], payload, upsert)
+        _restore_periodic(db.registry.periodic(name), payload, upsert)
 
 
 def _relation(db: Any, name: str) -> Any:

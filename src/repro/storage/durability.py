@@ -264,8 +264,8 @@ class DurabilityManager:
         db = self._db_ref()
         if db is None:
             return
-        for name, view_set in db.registry._periodic.items():
-            clock = view_set._clock
+        for name, registered in db.registry._periodic.items():
+            clock = registered.view._clock
             if clock is None:
                 continue
             clock = float(clock)
@@ -288,7 +288,7 @@ class DurabilityManager:
             return
         if view_set._clock is None or recovered > view_set._clock:
             view_set._clock = recovered
-            view_set._expire_stale()
+            view_set.expire_stale()
 
     # -- catalog + relation logging -------------------------------------------
 
@@ -494,8 +494,8 @@ class DurabilityManager:
             # Text-defined periodic views were rebuilt by the DDL replay
             # above; hand each its persisted clock in case the truncated
             # tail no longer reaches the last pre-crash chronon.
-            for view_set in db.registry._periodic.values():
-                self.seed_periodic_clock(view_set)
+            for registered in db.registry._periodic.values():
+                self.seed_periodic_clock(registered.view)
             self._logged_clocks = dict(self._recovered_clocks)
             elapsed = time.perf_counter() - started
             self._batches_since_snapshot = replayed

@@ -6,10 +6,11 @@ from .derived import ViewQuery, top_k
 from .calendar import Calendar, ExplicitCalendar, Interval, PeriodicCalendar, monthly, sliding
 from .moving import KeyedMovingWindow, MovingWindowAggregate
 from .periodic import PeriodicViewSet
-from .registry import ViewRegistry, scan_prefilters
+from .registry import ViewRegistry, attach_view, scan_prefilters
 
 __all__ = [
     "ViewRegistry",
+    "attach_view",
     "ViewQuery",
     "top_k",
     "scan_prefilters",

@@ -14,6 +14,9 @@ implements this with:
 * **expiration** — a view is dropped ``expire_after`` chronons past its
   interval's end, allowing the system to "implement an infinite number of
   periodic views, provided only a finite number of them are current".
+
+The :class:`~repro.views.registry.ViewRegistry` maintains a set like a
+view, inside the event's no-access extent, and expires it after.
 """
 
 from __future__ import annotations
@@ -21,12 +24,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..algebra.plan import standalone_plan
-from ..core.chronicle import maintenance_guard
 from ..core.delta import Delta
-from ..core.group import ChronicleGroup
 from ..errors import ViewExpiredError
 from ..relational.tuples import Row
-from ..sca.maintenance import event_deltas
 from ..sca.summarize import Summary
 from ..sca.view import PersistentView
 
@@ -49,9 +49,9 @@ class PeriodicViewSet:
         The calendar D.
     chronon_of:
         Row → chronon mapping used to place base-chronicle tuples into
-        intervals.  Defaults to the owning group's chronon mapper applied
-        to the row's sequence number, per Section 5.1 ("a mapping from
-        sequence numbers in a chronicle to time intervals").
+        intervals.  Registration defaults it to the owning group's chronon
+        mapper applied to the row's sequence number, per Section 5.1 ("a
+        mapping from sequence numbers in a chronicle to time intervals").
     expire_after:
         Chronons past an interval's end after which its view is dropped;
         ``None`` disables expiration.
@@ -72,7 +72,7 @@ class PeriodicViewSet:
         self.name = name
         self.summary = summary
         self.calendar = calendar
-        self._chronon_of = chronon_of
+        self.chronon_of = chronon_of
         self.expire_after = expire_after
         self.on_expire = on_expire
         self._active: Dict[int, PersistentView] = {}
@@ -87,67 +87,44 @@ class PeriodicViewSet:
         #: One plan for every interval view: V_i differs from V only in
         #: which rows it is given.
         self._plan = standalone_plan(summary.expression)
-        self._group: Optional[ChronicleGroup] = None
-
-    # -- wiring ------------------------------------------------------------------
-
-    def attach(self, group: ChronicleGroup) -> None:
-        """Subscribe to a group's append events."""
-        if self._chronon_of is None:
-            chronons = group.chronons
-
-            def default_chronon(row: Row) -> float:
-                return chronons.chronon(row.sequence_number)
-
-            self._chronon_of = default_chronon
-        group.subscribe(self._listener)
-        self._group = group
-
-    def detach(self) -> None:
-        """Stop maintaining: unsubscribe from the group (drop view)."""
-        if self._group is not None:
-            self._group.unsubscribe(self._listener)
-            self._group = None
-
-    def _listener(self, group: ChronicleGroup, event: Mapping[str, Tuple[Row, ...]]) -> None:
-        deltas = event_deltas(group, event)
-        if deltas:
-            self.route_event(deltas)
 
     # -- maintenance ----------------------------------------------------------------
 
-    def route_event(self, deltas: Mapping[str, Delta]) -> int:
-        """Split one event across interval views and maintain each.
+    def maintain(self, deltas: Mapping[str, Delta]) -> int:
+        """Place one event's rows in intervals, then run the set's plan
+        and fold for each interval; returns the rows folded."""
+        folded = 0
+        for index, rows_by_chronicle in self.place(deltas).items():
+            interval_deltas = {
+                name: Delta.unchecked(deltas[name].schema, rows)
+                for name, rows in rows_by_chronicle.items()
+            }
+            folded += self._active[index].apply_delta(self._plan(interval_deltas))
+        return folded
 
-        Returns the number of interval views touched.
-        """
-        assert self._chronon_of is not None, "attach() the view set first"
+    def place(self, deltas: Mapping[str, Delta]) -> Dict[int, Dict[str, List[Row]]]:
+        """Split one event's rows by interval and chronicle, advancing
+        the clock and instantiating each interval a row falls in (alone,
+        for an event the prefilter skips: intervals and expiry then do
+        not depend on the prefilter)."""
+        chronon_of = self.chronon_of
         per_interval: Dict[int, Dict[str, List[Row]]] = {}
         for chronicle_name, delta in deltas.items():
             if chronicle_name not in self._dependencies:
                 continue
             for row in delta.rows:
-                chronon = self._chronon_of(row)
+                chronon = chronon_of(row)
                 if self._clock is None or chronon > self._clock:
                     self._clock = chronon
                 for index in self.calendar.indices_containing(chronon):
                     if index in self._expired:
                         continue
-                    bucket = per_interval.setdefault(index, {})
+                    bucket = per_interval.get(index)
+                    if bucket is None:
+                        self._view(index)
+                        bucket = per_interval[index] = {}
                     bucket.setdefault(chronicle_name, []).append(row)
-        plan = self._plan
-        # One no-access extent for the event, around every interval's
-        # plan and fold.
-        with maintenance_guard():
-            for index, rows_by_chronicle in per_interval.items():
-                interval_deltas = {
-                    name: Delta.unchecked(deltas[name].schema, rows)
-                    for name, rows in rows_by_chronicle.items()
-                }
-                delta = plan(interval_deltas)
-                self._view(index).apply_delta(delta)
-        self._expire_stale()
-        return len(per_interval)
+        return per_interval
 
     def _view(self, index: int) -> PersistentView:
         view = self._active.get(index)
@@ -176,7 +153,9 @@ class PeriodicViewSet:
             return None
         return {index: view.take_touched() for index, view in self._active.items()}
 
-    def _expire_stale(self) -> None:
+    def expire_stale(self) -> None:
+        """Drop (and pass to ``on_expire``) every interval view
+        ``expire_after`` chronons past its end."""
         if self.expire_after is None or self._clock is None:
             return
         stale = [

@@ -34,14 +34,15 @@ routing runs inside the event's no-access extent, since its tests are
 now the maintenance path's selection step.  A registry with the
 prefilter off seeds nothing and compiles full plans.
 
-The registry is also the natural owner of periodic view sets: only the
-views *active* for the current interval are maintained (third bullet of
-Section 5.2).
+The registry is the one maintainer.  Periodic view sets are filed and
+maintained like views, so only the views *active* for the current
+interval are maintained (third bullet of Section 5.2); a set is never
+seeded, since it splits rows by interval before its own plan runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..algebra.ast import ChronicleScan, Node, Select
 from ..algebra.plan import (
@@ -59,9 +60,22 @@ from ..obs import runtime as obs_runtime
 from ..relational.predicate import Predicate, conjunction
 from ..relational.schema import Schema
 from ..relational.tuples import Row
-from ..sca.maintenance import event_deltas
 from ..sca.view import PersistentView
 from .periodic import PeriodicViewSet
+
+
+def event_deltas(group: ChronicleGroup, event: Mapping[str, Tuple[Row, ...]]) -> Dict[str, Delta]:
+    """Convert one append event into per-chronicle deltas.
+
+    An event's rows per chronicle are already a set: the group
+    deduplicated each admitted batch, and a coalesced window joins
+    batches with different sequence numbers.
+    """
+    deltas: Dict[str, Delta] = {}
+    for name, rows in event.items():
+        if rows:
+            deltas[name] = Delta.unchecked(group[name].schema, rows)
+    return deltas
 
 
 def scan_prefilters(expression: Node) -> Dict[str, List[Predicate]]:
@@ -114,21 +128,25 @@ def _prefilter_walk(expression: Node) -> Tuple[Dict[str, List[Predicate]], bool]
 
 
 class RegisteredView:
-    """Registry bookkeeping for one persistent view.
+    """Registry bookkeeping for one persistent view or periodic view set.
 
-    *rank* is the view's registration order; survivors of an event are
-    maintained by ascending rank.  *root* is the view's interned
+    *rank* is the registration order; survivors of an event are
+    maintained by ascending rank.  *root* is a view's interned
     expression; *plan* its :class:`~repro.algebra.plan.CompiledPlan`,
-    ``None`` until the registry next compiles.  *seeded* says whether the
-    dispatch index computes the root's delta (see the module docstring).
+    ``None`` until the registry next compiles, and always for a set.
+    *seeded* says whether the dispatch index computes the root's delta
+    (see the module docstring).
     """
 
     __slots__ = ("view", "rank", "prefilters", "seeded", "root", "plan", "partition")
 
-    def __init__(self, view: PersistentView, rank: int, root: Node) -> None:
+    def __init__(
+        self, view: PersistentView | PeriodicViewSet, rank: int, root: Optional[Node] = None
+    ) -> None:
         self.view = view
         self.rank = rank
-        self.prefilters, self.seeded = _prefilter_walk(view.expression)
+        self.prefilters, seeded = _prefilter_walk(view.summary.expression)
+        self.seeded = seeded and root is not None
         self.root = root
         self.plan: Optional[CompiledPlan] = None
         #: Partition declaration (PartitionSpec or UNPARTITIONABLE) —
@@ -242,7 +260,8 @@ class ChronicleDispatch:
 
 
 class ViewRegistry:
-    """Owns every persistent view of a database and routes appends.
+    """Owns every persistent view and periodic view set of a database,
+    routes appends, and is the only code that maintains them.
 
     Maintenance runs through compiled plans (:mod:`repro.algebra.plan`):
     view expressions are structurally interned at registration so
@@ -258,13 +277,14 @@ class ViewRegistry:
         Enable the selection prefilter: route each event through the
         predicate dispatch index and maintain only the views it returns.
         Off, every view over a touched chronicle is maintained (shard
-        units run that way; benchmark E9 measures the difference).
+        units and :func:`attach_view` run that way; benchmark E9
+        measures the difference).
     """
 
     def __init__(self, prefilter: bool = True) -> None:
         self.prefilter = prefilter
         self._views: Dict[str, RegisteredView] = {}
-        self._periodic: Dict[str, PeriodicViewSet] = {}
+        self._periodic: Dict[str, RegisteredView] = {}
         self._by_chronicle: Dict[str, ChronicleDispatch] = {}
         self._next_rank = 0
         self._stats = {
@@ -290,39 +310,42 @@ class ViewRegistry:
         """Register a persistent view for maintenance."""
         if view.name in self._views or view.name in self._periodic:
             raise ViewRegistrationError(f"view name {view.name!r} already registered")
-        registered = RegisteredView(
-            view, self._next_rank, self._compiler.add_root(view.expression)
-        )
-        self._next_rank += 1
+        root = self._compiler.add_root(view.expression)
+        self._views[view.name] = self._file(RegisteredView(view, self._next_rank, root))
         # Sharing boundaries may have moved: recompile lazily, off the
         # append path.
         self._plans_stale = True
-        self._views[view.name] = registered
-        schemas = {c.name: c.schema for c in view.expression.chronicles()}
-        for name, predicates in registered.prefilters.items():
-            dispatch = self._by_chronicle.get(name)
-            if dispatch is None:
-                dispatch = self._by_chronicle[name] = ChronicleDispatch()
-            dispatch.add(registered, predicates, schemas[name])
         return view
 
     def register_periodic(self, view_set: PeriodicViewSet, group: ChronicleGroup) -> PeriodicViewSet:
-        """Register a periodic view set (it handles its own routing)."""
+        """Register a periodic view set; with no ``chronon_of`` it places
+        rows by *group*'s chronon of their sequence number (§5.1)."""
         if view_set.name in self._views or view_set.name in self._periodic:
             raise ViewRegistrationError(f"view name {view_set.name!r} already registered")
-        self._periodic[view_set.name] = view_set
-        view_set.attach(group)
+        if view_set.chronon_of is None:
+            chronons = group.chronons
+            view_set.chronon_of = lambda row: chronons.chronon(row.sequence_number)
+        self._periodic[view_set.name] = self._file(RegisteredView(view_set, self._next_rank))
         return view_set
 
+    def _file(self, registered: RegisteredView) -> RegisteredView:
+        """File *registered* in the dispatch index; it took the next rank."""
+        self._next_rank += 1
+        schemas = {c.name: c.schema for c in registered.view.summary.expression.chronicles()}
+        for chronicle_name, predicates in registered.prefilters.items():
+            dispatch = self._by_chronicle.get(chronicle_name)
+            if dispatch is None:
+                dispatch = self._by_chronicle[chronicle_name] = ChronicleDispatch()
+            dispatch.add(registered, predicates, schemas[chronicle_name])
+        return registered
+
     def unregister(self, name: str) -> None:
-        """Drop a registered view."""
-        view_set = self._periodic.pop(name, None)
-        if view_set is not None:
-            view_set.detach()
-            return
-        registered = self._views.pop(name, None)
-        if registered is None:
-            raise ViewRegistrationError(f"no view named {name!r}")
+        """Drop a registered view or periodic view set."""
+        registered = self.registered(name)
+        if self._periodic.pop(name, None) is None:
+            del self._views[name]
+            self._compiler.remove_root(registered.root)
+            self._plans_stale = True
         obs = obs_runtime.ACTIVE
         if obs is not None:
             # Restarts the view's per-view stats on the handle.
@@ -330,10 +353,15 @@ class ViewRegistry:
                 pass
         for chronicle_name in registered.prefilters:
             self._by_chronicle[chronicle_name].discard(registered.rank)
-        self._compiler.remove_root(registered.root)
-        self._plans_stale = True
 
     # -- lookup ------------------------------------------------------------------------
+
+    def registered(self, name: str) -> RegisteredView:
+        """The bookkeeping of the view or periodic view set *name*."""
+        registered = self._views.get(name) or self._periodic.get(name)
+        if registered is None:
+            raise ViewRegistrationError(f"no view named {name!r}")
+        return registered
 
     def view(self, name: str) -> PersistentView:
         try:
@@ -343,7 +371,7 @@ class ViewRegistry:
 
     def periodic(self, name: str) -> PeriodicViewSet:
         try:
-            return self._periodic[name]
+            return self._periodic[name].view
         except KeyError:
             raise ViewRegistrationError(f"no periodic view named {name!r}") from None
 
@@ -405,12 +433,9 @@ class ViewRegistry:
             registered.plan = compiler.compile(registered.root)
         self._plans_stale = False
 
-    def interned_expression(self, name: str) -> Node:
-        """The interned (shared-subtree) expression of a registered view."""
-        registered = self._views.get(name)
-        if registered is None:
-            raise ViewRegistrationError(f"no view named {name!r}")
-        return registered.root
+    def interned_expression(self, name: str) -> Optional[Node]:
+        """The interned (shared-subtree) expression of a view; None for a set."""
+        return self.registered(name).root
 
     # -- routing -----------------------------------------------------------------------
 
@@ -421,12 +446,15 @@ class ViewRegistry:
     def on_event(self, group: ChronicleGroup, event: Mapping[str, Tuple[Row, ...]]) -> int:
         """Route one append event; returns how many views were maintained.
 
-        Periodic view sets attached to the group route themselves.
+        Views and periodic sets are maintained alike, in one no-access
+        extent; a set the prefilter skips still places the event's rows
+        in its intervals (:meth:`PeriodicViewSet.place`), and every
+        set's expiry (its ``on_expire``) runs after the extent closes.
 
         With observability installed, candidate filtering runs inside a
-        ``prefilter`` span and each view's maintenance inside its own
-        ``maintain`` span (see :mod:`repro.obs`); when it is not, the
-        only added cost is one module-attribute load per event.
+        ``prefilter`` span and each view's or set's maintenance inside
+        its own ``maintain`` span (see :mod:`repro.obs`); when it is not,
+        the only added cost is one module-attribute load per event.
         """
         obs = obs_runtime.ACTIVE
         tracer = obs.tracer if obs is not None else None
@@ -449,6 +477,8 @@ class ViewRegistry:
         if not count:
             return 0
         stats["candidate_views"] += count
+        periodic = self._periodic
+        sets = [r for r in periodic.values() if r.rank in candidates] if periodic else ()
         # One no-access extent per event, around routing (whose tests are
         # the seeded views' selection step) and every survivor's plan and
         # fold: apply_delta folds inside it instead of opening its own.
@@ -475,7 +505,7 @@ class ViewRegistry:
                 finally:
                     if span is not None:
                         tracer.finish(span)
-                if not survivors:
+                if not survivors and not sets:
                     return 0
                 # One delta cache per event: interned nodes shared between
                 # plans are computed once, and seeded roots are put there.
@@ -489,6 +519,10 @@ class ViewRegistry:
                 survivors = list(candidates.values())
                 cache = {}
             deltas = event_deltas(group, event)
+            for registered in sets:
+                if self.prefilter and registered.rank not in hit:
+                    # Nothing to fold, but rows still move the clock and open intervals.
+                    registered.view.place(deltas)
             for registered in survivors:
                 span = (
                     tracer.start("maintain", view=registered.view.name, engine="compiled")
@@ -496,12 +530,28 @@ class ViewRegistry:
                     else None
                 )
                 try:
-                    folded = registered.view.apply_delta(registered.plan(deltas, cache))
+                    plan = registered.plan
+                    if plan is None:  # a periodic set: its own per-interval plan
+                        folded = registered.view.maintain(deltas)
+                    else:
+                        folded = registered.view.apply_delta(plan(deltas, cache))
                     if span is not None:
                         span.attrs["rows"] = folded
                 finally:
                     if span is not None:
                         tracer.finish(span)
+        for registered in sets:
+            registered.view.expire_stale()
         maintained = len(survivors)
         stats["maintained_views"] += maintained
         return maintained
+
+
+def attach_view(view: PersistentView, group: ChronicleGroup) -> Callable[..., int]:
+    """Maintain a single view, by a one-view registry with the prefilter
+    off, on *group*'s append events; returns the listener (to
+    :meth:`~repro.core.group.ChronicleGroup.unsubscribe`)."""
+    registry = ViewRegistry(prefilter=False)
+    registry.register(view)
+    registry.attach(group)
+    return registry.on_event

@@ -9,7 +9,7 @@ from repro.baselines.recompute import RecomputeMaintainer
 from repro.baselines.trigger import BuggyTriggerUpdater, TriggerStyleUpdater
 from repro.complexity.counters import GLOBAL_COUNTERS
 from repro.core.group import ChronicleGroup
-from repro.sca.maintenance import attach_view
+from repro.views.registry import attach_view
 from repro.sca.summarize import GroupBySummary, ProjectSummary
 from repro.sca.view import PersistentView
 

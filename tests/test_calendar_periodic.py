@@ -17,6 +17,7 @@ from repro.views.calendar import (
     sliding,
 )
 from repro.views.periodic import PeriodicViewSet
+from repro.views.registry import ViewRegistry
 
 
 class TestInterval:
@@ -148,7 +149,9 @@ def build_periodic(calendar, expire_after=None, on_expire=None):
         expire_after=expire_after,
         on_expire=on_expire,
     )
-    view_set.attach(group)
+    registry = ViewRegistry()
+    registry.register_periodic(view_set, group)
+    registry.attach(group)
     return group, calls, view_set
 
 
@@ -220,7 +223,9 @@ class TestPeriodicViews:
         calls = group.create_chronicle("calls", [("acct", "INT"), ("mins", "INT")])
         summary = GroupBySummary(scan(calls), ["acct"], [spec(COUNT)])
         views = PeriodicViewSet("v", summary, monthly(month_length=10))
-        views.attach(group)
+        registry = ViewRegistry()
+        registry.register_periodic(views, group)
+        registry.attach(group)
         for _ in range(25):
             group.append(calls, {"acct": 1, "mins": 1})
         # Identity chronons: sequence numbers 0..24 → months 0,1,2.

@@ -246,6 +246,21 @@ class TestScripts:
         assert "error:" in out.getvalue()
         assert "created" in out.getvalue()
 
+    def test_run_script_explains_a_periodic_view_and_continues(self):
+        out = io.StringIO()
+        failures = Session().run_script(
+            "CREATE CHRONICLE calls (caller INT, minutes INT) RETENTION 0;"
+            "DEFINE PERIODIC VIEW monthly OVER EVERY 30 AS "
+            "SELECT caller, SUM(minutes) AS total FROM calls GROUP BY caller;"
+            "EXPLAIN monthly; EXPLAIN ANALYZE monthly;"
+            'APPEND calls {"caller": 1, "minutes": 5}; SHOW CATALOG;',
+            out,
+        )
+        text = out.getvalue()
+        assert failures == 1  # ANALYZE: a periodic set is not one view
+        assert "EXPLAIN view 'monthly'" in text and "periodic view set" in text
+        assert "error:" in text and "appended" in text
+
 
 class TestConformanceStatements:
     def _define(self, session):

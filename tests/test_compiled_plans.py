@@ -43,10 +43,9 @@ from repro.relational.predicate import Or, attr_cmp, attr_eq, attrs_cmp
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.relational.tuples import Row
-from repro.sca.maintenance import attach_view, event_deltas
 from repro.sca.summarize import GroupBySummary, ProjectSummary
 from repro.sca.view import PersistentView, evaluate_summary
-from repro.views.registry import ViewRegistry
+from repro.views.registry import ViewRegistry, attach_view, event_deltas
 
 ACCT_RANGE = 4
 MINS_RANGE = 10

@@ -16,7 +16,7 @@ import pytest
 from repro import ChronicleDatabase, DatabaseConfig
 from repro.aggregates import COUNT, SUM, spec
 from repro.algebra.ast import scan
-from repro.errors import ObservabilityError
+from repro.errors import ObservabilityError, ViewRegistrationError
 from repro.obs import CostLedger, Observability, costmodel
 from repro.obs import runtime as obs_runtime
 from repro.obs.explain import ExplainReport, explain, explain_analyze
@@ -262,6 +262,31 @@ class TestExplain:
         assert db.explain("acct7").to_dict()["dispatch"] == {
             "deposits": [{"key": "(acct = 7)", "residual": "(amount > 10)"}]
         }
+
+    def test_periodic_view_set_described(self):
+        db = make_banking_db()
+        db.define_view(
+            "DEFINE PERIODIC VIEW monthly OVER EVERY 30 AS SELECT acct, "
+            "SUM(amount) AS total FROM deposits WHERE amount > 100 GROUP BY acct"
+        )
+        report = db.explain("monthly")
+        text = report.format()
+        assert "EXPLAIN view 'monthly'" in text
+        assert "σ" in text and "scan deposits" in text  # its one plan
+        assert "dispatch[deposits]: always; residual (amount > 100)" in text
+        assert "PeriodicCalendar(origin=0" in report.to_dict()["note"]
+        assert "seeded" not in text  # rows are split by interval first
+
+    def test_periodic_view_set_cannot_be_analyzed(self):
+        db = make_banking_db()
+        db.define_view(
+            "DEFINE PERIODIC VIEW monthly OVER EVERY 30 AS "
+            "SELECT acct, SUM(amount) AS total FROM deposits GROUP BY acct"
+        )
+        before = db.chronicle("deposits").appended_count
+        with pytest.raises(ViewRegistrationError, match="periodic"):
+            db.explain("monthly", analyze=True)
+        assert db.chronicle("deposits").appended_count == before
 
     def test_to_dict_serializable(self):
         db = make_banking_db()

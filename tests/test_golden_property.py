@@ -16,7 +16,7 @@ from repro.core.group import ChronicleGroup
 from repro.relational.predicate import Or, attr_cmp, attr_eq
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.sca.maintenance import attach_view
+from repro.views.registry import attach_view
 from repro.sca.summarize import GroupBySummary, ProjectSummary
 from repro.sca.view import PersistentView, evaluate_summary
 

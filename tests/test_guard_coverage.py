@@ -5,11 +5,13 @@ Theorems 4.2/4.4 say maintenance never reads a chronicle; the guard
 raise :class:`~repro.errors.ChronicleAccessError`.  Two kinds of user code
 run during maintenance: a predicate evaluated by a plan step, and a custom
 aggregate's ``step`` called by the fold.  Each must meet the guard on every
-path that maintains a view: the serial registry, a shard unit of the
-sharded engine, a periodic view set, a standalone view's ``apply_event``
-and a direct ``apply_delta`` called outside any extent.  The registry and
-shard-unit cases also check that the read met the *one* extent the event
-opened, not one the fold opened for itself.  The registry's routing runs
+path that maintains a view.  The registry is the one maintainer, so the
+paths are the registries that reach it: the serial registry (views and
+periodic view sets alike), a shard unit of the sharded engine, the
+one-view registry of ``attach_view``, and a direct ``apply_delta``
+called outside any extent.  The registry cases also check that the read
+met the *one* extent the event opened, not one the fold opened for
+itself.  The registry's routing runs
 in that extent too: its tests are the selection step of the views the
 dispatch index seeds, so a predicate read there is refused as well.
 """
@@ -28,6 +30,7 @@ from repro.relational.predicate import Comparison
 from repro.sca.summarize import GroupBySummary
 from repro.sca.view import PersistentView
 from repro.views.calendar import PeriodicCalendar
+from repro.views.registry import attach_view
 
 
 def read(chronicle):
@@ -168,13 +171,12 @@ def test_periodic_set_extent_covers_plan_and_fold(build, guard_entries):
 
 
 @pytest.mark.parametrize("build", list(BUILDERS.values()), ids=list(BUILDERS))
-def test_standalone_apply_event_covers_plan_and_fold(build, guard_entries):
+def test_attach_view_covers_plan_and_fold(build, guard_entries):
     db = make_db()
     calls = db.chronicle("calls")
-    view = PersistentView("v", build(calls))
-    rows = db.group().append(calls, {"caller": 1, "minutes": 5})
+    attach_view(PersistentView("v", build(calls)), db.group())
     with pytest.raises(ChronicleAccessError):
-        view.apply_event({"calls": Delta(calls.schema, rows)})
+        db.append("calls", {"caller": 1, "minutes": 5})
     assert guard_entries == [1]
     assert not in_maintenance()
 

@@ -12,7 +12,7 @@ from repro.core.delta import Delta
 from repro.core.group import ChronicleGroup
 from repro.errors import CompileError, SchemaError
 from repro.relational.predicate import attr_cmp
-from repro.sca.maintenance import attach_view
+from repro.views.registry import attach_view
 from repro.sca.summarize import GroupBySummary
 from repro.sca.view import PersistentView, evaluate_summary
 from repro.views.registry import ViewRegistry

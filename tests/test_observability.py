@@ -414,7 +414,7 @@ class TestDatabaseIntegration:
     def test_single_view_hook_emits_the_registry_span_model(self):
         """attach_view (no registry) and the registry emit the same
         ``maintain`` subtree: same engine label, same ``delta`` steps."""
-        from repro.sca.maintenance import attach_view
+        from repro.views.registry import attach_view
         from repro.sca.view import PersistentView
 
         db = make_db()

@@ -37,10 +37,14 @@ grew a switch.  And no surface without a reader: the metrics-history
 stack (its sampler thread, ``/timeline``, ``/dashboard``, ``SHOW
 TIMELINE``, ``HistoryConfig``) and the ``/snapshot`` route stay deleted,
 so the exporter serves four routes and observing starts no thread.
-Maintenance, finally: a registry event enters the no-access guard once,
-whatever the number of views it maintains, and each view folds through
-the step compiled when it is built (no ``_fold_groups`` or
-``_fold_projection`` interpreted per event).  And one measurement
+Maintenance, finally: the view registry is the one maintainer — views,
+periodic view sets and a single view wired by ``attach_view`` alike — so
+``sca/maintenance.py``, ``PersistentView.apply_event`` and a periodic
+set's own group listener stay deleted; a registry event enters the
+no-access guard once, whatever the number of views and sets it
+maintains, and each view folds through the step compiled when it is
+built (no ``_fold_groups`` or ``_fold_projection`` interpreted per
+event).  And one measurement
 driver: every conformance sweep point and EXPLAIN ANALYZE window runs
 through :func:`repro.obs.conformance.drive`, and the second sweep
 harness (``complexity.harness.Sweep`` and friends) stays deleted.
@@ -58,6 +62,7 @@ import pytest
 
 import repro
 from repro.algebra.ast import Node
+from repro.core.chronicle import in_maintenance
 from repro.core.config import EXECUTORS, DatabaseConfig, DurabilityConfig
 from repro.core.database import ChronicleDatabase
 from repro.obs import explain
@@ -67,7 +72,9 @@ from repro.obs.costmodel import CostLedger
 from repro.obs.exporters import ROUTES
 from repro.obs.recorder import FlightRecorder
 from repro.sca.view import PersistentView
-from repro.views.registry import ViewRegistry
+from repro.views.calendar import PeriodicCalendar
+from repro.views.periodic import PeriodicViewSet
+from repro.views.registry import ViewRegistry, attach_view
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 REFERENCE = "repro.algebra.reference"
@@ -132,7 +139,8 @@ def test_constructor_surfaces():
 
     assert parameters(ViewRegistry.__init__) == ["prefilter"]
     assert parameters(ChronicleDatabase.__init__) == ["config", "observability"]
-    assert parameters(PersistentView.apply_event) == ["deltas"]
+    assert parameters(attach_view) == ["view", "group"]
+    assert parameters(PeriodicViewSet.maintain) == ["deltas"]
 
 
 def _classes():
@@ -436,7 +444,7 @@ ADMISSION_PATH = (
     CORE / "chronicle.py",
     CORE / "group.py",
     CORE / "delta.py",
-    SRC / "sca" / "maintenance.py",
+    SRC / "views" / "registry.py",
     ALGEBRA / "plan.py",
 )
 
@@ -476,7 +484,7 @@ def test_an_event_is_deduplicated_once():
         function = _function(CORE / "group.py", "ChronicleGroup", name)
         assert not {"fromkeys", "set"} & set(_called(function)), name
         assert not _constructs_delta(function), name
-    event_deltas = _function(SRC / "sca" / "maintenance.py", "maintenance", "event_deltas")
+    event_deltas = _function(SRC / "views" / "registry.py", "registry", "event_deltas")
     assert "unchecked" in set(_called(event_deltas))
     assert not _constructs_delta(event_deltas)
 
@@ -581,9 +589,23 @@ def test_the_interpreted_fold_stays_deleted():
     assert "_fold_groups" not in view_source and "_fold_projection" not in view_source
 
 
+def _define_periodic_sets(db):
+    """Two periodic sets over ``calls``; no record here passes the second's
+    ``WHERE``, so the prefilter skips it on every event."""
+    for name, where in (("monthly", ""), ("huge", "WHERE minutes > 1000 ")):
+        db.define_view(
+            f"DEFINE PERIODIC VIEW {name} OVER EVERY 30 AS "
+            f"SELECT caller, SUM(minutes) AS t FROM calls {where}GROUP BY caller"
+        )
+
+
 @pytest.mark.parametrize("observe", [False, True], ids=["off", "observed"])
-@pytest.mark.parametrize("survivors", [1, 6, 41])
-def test_one_guard_extent_per_registry_event(monkeypatch, survivors, observe):
+@pytest.mark.parametrize(
+    "survivors, periodic",
+    [(1, False), (6, False), (41, False), (1, True)],
+    ids=["1", "6", "41", "1+periodic"],
+)
+def test_one_guard_extent_per_registry_event(monkeypatch, survivors, periodic, observe):
     from repro.core.chronicle import maintenance_guard
 
     db = ChronicleDatabase(config=DatabaseConfig(observe=observe))
@@ -595,15 +617,136 @@ def test_one_guard_extent_per_registry_event(monkeypatch, survivors, observe):
                 f"DEFINE VIEW v{index} AS SELECT caller, {aggregate} AS out "
                 f"FROM calls WHERE minutes > {index} GROUP BY caller"
             )
+        if periodic:
+            _define_periodic_sets(db)
         entries = _counting(monkeypatch, maintenance_guard, "__enter__")
         for event in range(5):
             records = [{"caller": event % 2, "minutes": 100 + event}, {"caller": 7, "minutes": 50}]
             db.append("calls", records)
             assert len(entries) == event + 1
-        assert db.registry.stats["maintained_views"] == 5 * survivors
+        assert db.registry.stats["maintained_views"] == 5 * (survivors + periodic)
     finally:
         db.close()
         db.disable_observability()
+
+
+def test_periodic_maintenance_is_audited_and_prefiltered():
+    db = ChronicleDatabase()
+    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")], retention=0)
+    db.define_view(
+        "DEFINE VIEW usage AS SELECT caller, SUM(minutes) AS t FROM calls GROUP BY caller"
+    )
+    _define_periodic_sets(db)
+    with db.enable_observability(audit="raise"):
+        obs = db.observability
+        for event in range(25):
+            db.append("calls", {"caller": event % 3, "minutes": event + 1})
+        assert obs.auditor.checked_spans == 2 * 25  # usage and monthly
+        assert obs.auditor.summary()["violations"] == 0
+        monthly = [
+            span for trace in obs.tracer.traces() for span in trace.find("maintain")
+            if span.attrs["view"] == "monthly"
+        ]
+        assert len(monthly) == 25
+    stats = db.registry.stats
+    assert stats["candidate_views"] == 3 * 25
+    assert stats["prefilter_hits"] == 25  # huge, every event
+    assert db.periodic_view("monthly").view(0).value((0,), "t") == sum(range(1, 26, 3))
+    # The skipped set still places rows: interval 0 opened, empty.
+    assert db.periodic_view("huge").active_indices() == [0]
+    assert list(db.periodic_view("huge").view(0).rows()) == []
+    db.close()
+
+
+def test_on_expire_runs_outside_the_maintenance_extent():
+    """Expiry follows the event's extent, so a callback may read the
+    chronicle (here: the detail window of the expired interval)."""
+    db = ChronicleDatabase()
+    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT"), ("day", "INT")])
+    statements = {}
+
+    def bill(index, view):
+        assert not in_maintenance()
+        statements[index] = (view.value((1,), "t"), len(db.detail_window("calls")))
+
+    db.define_periodic_view(
+        "monthly",
+        "DEFINE VIEW monthly AS SELECT caller, SUM(minutes) AS t FROM calls GROUP BY caller",
+        PeriodicCalendar(0, 30),
+        chronon_of=lambda row: float(row["day"]),
+        expire_after=0.0,
+        on_expire=bill,
+    )
+    db.append("calls", {"caller": 1, "minutes": 5, "day": 3})
+    db.append("calls", {"caller": 1, "minutes": 7, "day": 10})
+    assert statements == {}
+    db.append("calls", {"caller": 1, "minutes": 9, "day": 31})  # interval 0 ends
+    assert statements == {0: (12, 3)}
+    db.close()
+
+
+@pytest.mark.parametrize("prefilter", [True, False], ids=["prefilter", "no-prefilter"])
+def test_skipped_periodic_set_still_expires(prefilter):
+    """Rows failing a set's WHERE still move its clock, so expiry (and
+    ``on_expire``) does not depend on the prefilter."""
+    db = ChronicleDatabase(config=DatabaseConfig(prefilter_views=prefilter))
+    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT"), ("day", "INT")])
+    expired = []
+    db.define_periodic_view(
+        "big",
+        "DEFINE VIEW big AS SELECT caller, SUM(minutes) AS t FROM calls "
+        "WHERE minutes > 100 GROUP BY caller",
+        PeriodicCalendar(0, 30),
+        chronon_of=lambda row: float(row["day"]),
+        expire_after=0.0,
+        on_expire=lambda index, view: expired.append((index, view.value((1,), "t"))),
+    )
+    db.append("calls", {"caller": 1, "minutes": 200, "day": 3})
+    db.append("calls", {"caller": 1, "minutes": 5, "day": 10})
+    assert expired == []
+    db.append("calls", {"caller": 1, "minutes": 5, "day": 31})  # interval 0 ends
+    assert expired == [(0, 200)]
+    assert db.periodic_view("big").active_indices() == [1]
+    assert db.registry.stats["prefilter_hits"] == (2 if prefilter else 0)
+    db.close()
+
+
+def test_defining_a_sharded_view_is_not_maintenance():
+    """Replaying stored history into a new view's partitions is untraced."""
+    db = ChronicleDatabase(config=DatabaseConfig(engine="sharded", shards=2))
+    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+    db.append("calls", [{"caller": c, "minutes": 10 + c} for c in range(6)])
+    with db.enable_observability():
+        obs = db.observability
+        db.define_view(
+            "DEFINE VIEW usage AS SELECT caller, SUM(minutes) AS t FROM calls GROUP BY caller"
+        )
+        assert [s for trace in obs.tracer.traces() for s in trace.find("maintain")] == []
+        assert db.view_value("usage", (5,), "t") == 15
+        db.append("calls", {"caller": 5, "minutes": 1})
+        assert len([s for trace in obs.tracer.traces() for s in trace.find("maintain")]) == 1
+    db.close()
+
+
+def test_one_maintainer():
+    assert importlib.util.find_spec("repro.sca.maintenance") is None
+    assert not hasattr(PersistentView, "apply_event")
+    for name in ("attach", "detach", "_listener", "route_event"):
+        assert not hasattr(PeriodicViewSet, name), name
+    subscribers = sorted(
+        (str(path.relative_to(SRC)), owner, function.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for owner, function in _functions(path)
+        if "subscribe" in set(_called(function))
+    )
+    assert subscribers == [
+        ("baselines/recompute.py", "RecomputeMaintainer", "attach"),
+        ("baselines/trigger.py", "TriggerStyleUpdater", "attach"),
+        ("core/database.py", "ChronicleDatabase", "create_group"),
+        ("parallel/engine.py", "ShardUnit", "__init__"),
+        ("parallel/worker.py", "UnitReplica", "__init__"),
+        ("views/registry.py", "ViewRegistry", "attach"),
+    ]
 
 
 def test_the_fold_is_compiled_once_per_view(monkeypatch):

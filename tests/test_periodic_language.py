@@ -167,7 +167,10 @@ class TestDatabaseIntegration:
 
 
 class TestDropPeriodicView:
-    """A dropped periodic view is no longer maintained (both facades)."""
+    """A dropped periodic view is no longer maintained (both facades).
+
+    The registry maintains periodic sets, so defining or dropping one
+    subscribes nothing: the group's listener list stays as it was."""
 
     DDL = (
         "DEFINE PERIODIC VIEW m OVER EVERY 30 BY day AS "
@@ -185,7 +188,7 @@ class TestDropPeriodicView:
         group = db.chronicle("calls").group
         listeners_before = len(group._listeners)
         dropped = db.define_view(self.DDL)
-        assert len(group._listeners) == listeners_before + 1
+        assert len(group._listeners) == listeners_before
         db.append("calls", {"caller": 1, "minutes": 5, "day": 3})
         assert dropped.active_indices() == [0]
         folded = dropped.view(0).maintenance_count
@@ -202,7 +205,7 @@ class TestDropPeriodicView:
 
         # Re-defining under the same name starts one fresh set, not two.
         again = db.define_view(self.DDL)
-        assert len(group._listeners) == listeners_before + 1
+        assert len(group._listeners) == listeners_before
         db.append("calls", {"caller": 1, "minutes": 2, "day": 5})
         assert again.view(0).value((1,), "t") == 2
         assert again.view(0).maintenance_count == 1

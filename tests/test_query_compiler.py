@@ -178,7 +178,7 @@ class TestWhere:
     def test_pushdown_preserves_semantics(self, catalog):
         from repro.core.group import ChronicleGroup
         from repro.sca.view import PersistentView, evaluate_summary
-        from repro.sca.maintenance import attach_view
+        from repro.views.registry import attach_view
 
         flights = catalog.chronicles["flights"]
         customers = catalog.relations["customers"]

@@ -24,7 +24,7 @@ from repro.relational.predicate import attr_cmp
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuples import Row
-from repro.sca.maintenance import attach_view
+from repro.views.registry import attach_view
 from repro.sca.summarize import GroupBySummary, ProjectSummary
 from repro.sca.view import PersistentView, evaluate_summary
 from repro.storage.btree import BPlusTree
