@@ -12,8 +12,10 @@ bundle** (the files the workflow uploads as artifacts):
 2. **shard-worker error** — the sharded engine's dispatch fan-out
    raises :class:`~repro.errors.EngineError`; the recorder dumps
    ``incident-*-shard-worker-error.json`` with per-shard watermarks,
-   and the subsequent health evaluation reports ``FAILING`` (hard
-   engine-error breach).
+   and the subsequent health evaluation reports ``FAILING`` with
+   ``engine_errors`` as its only breach, dumping
+   ``incident-*-slo-breach.json`` whose report lists exactly the three
+   checks of :class:`~repro.obs.health.SloPolicy`.
 
 Each bundle is then re-read and validated: parseable JSON, the ring's
 recent spans carry trace ids, and the context holds watermarks plus
@@ -100,14 +102,31 @@ def drill_shard_worker_error(incident_dir):
             raise SystemExit("worker drill: expected EngineError")
 
         report = db.health()
-        print(f"worker drill: health now {report.status}")
-        if report.status != "FAILING":
+        breaches = [check.name for check in report.breaches]
+        print(f"worker drill: health now {report.status} (breaches {breaches})")
+        if report.status != "FAILING" or breaches != ["engine_errors"]:
             raise SystemExit(
-                f"worker drill: expected FAILING health, got {report.status}"
+                f"worker drill: expected FAILING on engine_errors alone, "
+                f"got {report.status} on {breaches}"
             )
+        check_slo_breach_bundle(incident_dir)
     finally:
         db.observability.uninstall()
         db.close()
+
+
+def check_slo_breach_bundle(incident_dir):
+    """The latest ``slo-breach`` bundle's report names exactly the checks."""
+    names = sorted(
+        name for name in os.listdir(incident_dir) if name.endswith("-slo-breach.json")
+    )
+    if not names:
+        raise SystemExit("worker drill: no slo-breach bundle was dumped")
+    with open(os.path.join(incident_dir, names[-1])) as handle:
+        checks = [c["name"] for c in json.load(handle)["context"]["health"]["checks"]]
+    expected = ["maintain_p99_seconds", "auditor_violations", "engine_errors"]
+    if checks != expected:
+        raise SystemExit(f"worker drill: slo-breach report checks {checks}, expected {expected}")
 
 
 def validate_bundle(path):

@@ -32,7 +32,7 @@ commands::
 
 ``SHOW STATS`` prints the registry routing statistics and the metrics
 snapshot; ``SHOW HEALTH`` evaluates the session's SLO policy and prints
-the OK/DEGRADED/FAILING report (with per-shard lag when sharded);
+the OK/DEGRADED/FAILING report, one line per check;
 ``SHOW SHARDS`` lists the sharded engine's key classes and units —
 each unit's watermark and rows, and on the process executor its
 worker's pool slot;

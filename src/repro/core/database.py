@@ -676,13 +676,6 @@ class ChronicleDatabase:
         """Names of views the sharded engine left on the serial registry."""
         return () if self._shards is None else tuple(self._shards.fallbacks)
 
-    def shard_health(self) -> Optional[Any]:
-        """A live :class:`~repro.obs.health.ShardHealth` (None when serial)."""
-        if self._shards is None:
-            return None
-        admission = max((group.watermark for group in self.groups.values()), default=-1)
-        return self._shards.health(admission)
-
     # -- health & incidents ------------------------------------------------------------
 
     def health(self) -> Any:
@@ -690,7 +683,7 @@ class ChronicleDatabase:
 
         Requires observability to be enabled (``observe=True`` or
         :meth:`enable_observability`) — health is defined over the
-        metrics, auditor, and shard watermarks that layer collects.
+        metrics and auditor that layer collects.
         """
         obs = self._observability
         if obs is None:

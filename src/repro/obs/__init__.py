@@ -40,8 +40,6 @@ from .exporters import (
 from .health import (
     HealthCheck,
     HealthReport,
-    ShardHealth,
-    ShardLag,
     SloPolicy,
     evaluate_health,
 )
@@ -101,8 +99,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "Observability",
-    "ShardHealth",
-    "ShardLag",
     "SloPolicy",
     "Span",
     "SweepVerdict",

@@ -13,9 +13,9 @@ comes from this module, from one of three sources:
   ``failure=True`` (the engine's and recovery's own error sites) counts
   its reason's counter;
 * **state** — :meth:`Observability.collect` reads the series that mirror
-  database state (appended and stored rows, shard lag) off the bound
-  database whenever a reader takes :attr:`Observability.metrics`;
-  nothing pushes them.
+  database state (appended and stored rows) off the bound database
+  whenever a reader takes :attr:`Observability.metrics`; nothing pushes
+  them.
 
 Adding a metric is one row here, never a call in a hot-path module;
 ``docs/observability.md`` lists every family with its source.  The
@@ -235,10 +235,16 @@ class Observability:
         slo: Optional[SloPolicy] = None,
         incident_dir: Optional[str] = None,
     ) -> None:
+        if not isinstance(trace_operators, bool):
+            raise ObservabilityError(
+                f"trace_operators must be a bool, got {trace_operators!r}"
+            )
+        if not isinstance(ring, int) or isinstance(ring, bool) or ring < 1:
+            raise ObservabilityError(f"ring must be an int >= 1, got {ring!r}")
         # Written by the span rules; read through :attr:`metrics`.
         self._metrics = MetricsRegistry()
         self.auditor = Auditor(mode=audit, metrics=self._metrics)
-        self.trace_operators = bool(trace_operators)
+        self.trace_operators = trace_operators
         self.tracer = Tracer(capacity=ring, on_span_end=self.on_span_end)
         #: Conformance certificates by view name (JSON-ready dicts),
         #: published by :class:`~repro.obs.conformance.ConformanceProfiler`
@@ -360,9 +366,8 @@ class Observability:
 
         ``chronicle_appends_total`` (rows appended since the bind) and
         ``chronicle_stored_rows`` for each of the database's chronicles
-        appended to since the bind, and ``shard_lag_batches`` /
-        ``shard_lag_seconds`` for each shard unit that has been
-        dispatched to: the values the latest write would have pushed.
+        appended to since the bind: the values the latest write would
+        have pushed.
         Runs whenever a reader takes :attr:`metrics`, so a scrape, a
         snapshot and a health evaluation all see current state, and the
         write path pushes none of it.  The values
@@ -380,13 +385,6 @@ class Observability:
                 if appended > 0:
                     metrics.counter("chronicle_appends_total", chronicle=name).value = appended
                     metrics.set("chronicle_stored_rows", chronicle.stored_count, chronicle=name)
-        for shard_group in db.shard_groups:
-            for unit in shard_group.units:
-                if unit.windows_applied or unit.dispatched > unit.watermark:
-                    lag = max(0, unit.dispatched - unit.watermark)
-                    metrics.set("shard_lag_batches", lag, shard=unit.label)
-                if unit.windows_applied:
-                    metrics.set("shard_lag_seconds", unit.last_lag_seconds, shard=unit.label)
 
     def _maintained(self) -> Dict[Any, float]:
         """``view_maintained_total`` per view, over engines, shards and workers."""
@@ -440,15 +438,11 @@ class Observability:
     def health(self) -> HealthReport:
         """Evaluate the SLO policy against the current state.
 
-        Uses the bound database's :meth:`shard_health` snapshot (None on
-        the serial engine); a transition *into* ``FAILING`` triggers an
-        ``slo-breach`` incident dump.  Nothing evaluates health in the
-        background: ``/health``, ``SHOW HEALTH`` and ``db.health()`` are
-        the callers.
+        A transition *into* ``FAILING`` triggers an ``slo-breach``
+        incident dump.  Nothing evaluates health in the background:
+        ``/health``, ``SHOW HEALTH`` and ``db.health()`` are the callers.
         """
-        db = self.database()
-        shard_health = db.shard_health() if db is not None else None
-        report = evaluate_health(self, self.slo, shard_health)
+        report = evaluate_health(self, self.slo)
         if report.status == "FAILING" and self._last_health_status != "FAILING":
             self.incident("slo-breach", health=report.as_dict())
         self._last_health_status = report.status

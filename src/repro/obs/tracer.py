@@ -30,12 +30,10 @@ contort the hot path.
 
 Every span carries identity: a process-unique :attr:`Span.span_id`, the
 :attr:`Span.trace_id` of the trace it belongs to (the root span's own
-id), and the :attr:`Span.parent_id` of its enclosing span.  Within one
-thread the ids flow through the thread-local stack; across threads the
-producer captures :meth:`Tracer.current` and the consumer opens its
-span with :meth:`Tracer.start_linked`, so e.g. a shard worker's
-``shard_apply`` span carries the ``trace_id`` of the ``ingest`` that
-produced its window even though it runs on a different thread.
+id), and the :attr:`Span.parent_id` of its enclosing span.  The ids
+flow through the thread-local stack: every span opened while another is
+open on the same thread nests under it (a shard's ``shard_apply`` runs
+on the admitting thread, so it nests under the write's ``ingest``).
 """
 
 from __future__ import annotations
@@ -90,8 +88,7 @@ class Span:
         self.span_id: int = next(_SPAN_IDS)
         #: Id of the trace this span belongs to (the root span's id).
         self.trace_id: int = self.span_id
-        #: Id of the enclosing span (``None`` for thread-local roots
-        #: without a cross-thread link).
+        #: Id of the enclosing span (``None`` for roots).
         self.parent_id: Optional[int] = None
         self._t0 = time.perf_counter()
         self._scope_cm = None
@@ -205,34 +202,6 @@ class Tracer:
         span._scope = cm.__enter__()
         span._scope_cm = cm
         return span
-
-    def start_linked(
-        self, name: str, trace_id: int, parent_id: Optional[int], **attrs: Any
-    ) -> Span:
-        """Open a span linked to a trace context from *another* thread.
-
-        A worker thread has an empty span stack, so a plain
-        :meth:`start` would begin a brand-new trace.  This adopts the
-        producer's context instead: the new span keeps its thread-local
-        root status (it still enters the ring as its own trace tree)
-        but carries the producer's ``trace_id`` and the producing
-        span's id as ``parent_id``, so offline tools can stitch the
-        cross-thread tree back together.  If the current thread already
-        has an open span, ordinary nesting wins and the link arguments
-        are ignored.
-        """
-        span = self.start(name, **attrs)
-        if span._is_root:
-            # Set before any child starts: children copy trace_id from
-            # their parent at start().
-            span.trace_id = trace_id
-            span.parent_id = parent_id
-        return span
-
-    def current(self) -> Optional[Span]:
-        """The innermost open span of the calling thread, if any."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
 
     def finish(self, span: Span) -> Span:
         """Close *span*: stamp duration and counters, ring roots."""

@@ -41,7 +41,6 @@ half-applied window (snapshot consistency via per-shard watermarks).
 from __future__ import annotations
 
 import multiprocessing
-import time
 import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -63,7 +62,6 @@ from ..core.group import ChronicleGroup
 from ..core.sequence import SequenceNumber
 from ..errors import EngineError
 from ..obs import runtime as obs_runtime
-from ..obs.health import ShardHealth, ShardLag
 from ..relational.algebra import Table
 from ..relational.tuples import Row
 from ..sca.summarize import Summary
@@ -128,29 +126,6 @@ def rebind_summary(summary: Summary, chronicles: Mapping[str, Chronicle]) -> Sum
 # ---------------------------------------------------------------------------
 
 
-class ShardWindow:
-    """Dispatch-time context riding along with one maintenance window.
-
-    Built once per write on the admission (serial) thread and shared by
-    every task of the window: the trace identity of the producing
-    ``ingest`` span (``None`` ids when tracing is off) and the admission
-    wall-clock instant, from which workers measure the per-shard
-    admission→visible lag.
-    """
-
-    __slots__ = ("trace_id", "parent_id", "admitted_at")
-
-    def __init__(
-        self,
-        trace_id: Optional[int],
-        parent_id: Optional[int],
-        admitted_at: float,
-    ) -> None:
-        self.trace_id = trace_id
-        self.parent_id = parent_id
-        self.admitted_at = admitted_at
-
-
 class ShardUnit:
     """One worker shard of one key class: mirrors + a private registry.
 
@@ -166,12 +141,6 @@ class ShardUnit:
         "registry",
         "lock",
         "watermark",
-        "dispatched",
-        "dispatched_at",
-        "last_apply_at",
-        "last_lag_seconds",
-        "records_applied",
-        "windows_applied",
         "remote_stats",
     )
 
@@ -194,19 +163,6 @@ class ShardUnit:
         self.lock = RLock()
         #: Highest sequence number this shard has absorbed (-1 initially).
         self.watermark: SequenceNumber = -1
-        #: Highest sequence number dispatched *to* this shard (set on the
-        #: admission thread before the worker runs; ``dispatched >
-        #: watermark`` means a window is in flight or queued).
-        self.dispatched: SequenceNumber = -1
-        #: Admission instant of the most recently dispatched window.
-        self.dispatched_at: float = 0.0
-        #: Wall-clock instant of the last applied window (0.0 = never).
-        self.last_apply_at: float = 0.0
-        #: Admission→visible latency of the last applied window.
-        self.last_lag_seconds: float = 0.0
-        #: Lifetime records / windows absorbed by this shard.
-        self.records_applied: int = 0
-        self.windows_applied: int = 0
         #: Cumulative registry stats of this shard's worker-process
         #: replica (empty unless the process executor maintains it —
         #: the parent-side registry then never sees events itself).
@@ -225,72 +181,35 @@ class ShardUnit:
             self.group.adopt(existing)
         return existing
 
-    def apply(
-        self,
-        event: Mapping[str, Sequence[Row]],
-        watermark: SequenceNumber,
-        window: Optional[ShardWindow] = None,
-    ) -> None:
-        """Absorb one coalesced maintenance window (runs on a worker).
+    def apply(self, event: Mapping[str, Sequence[Row]], watermark: SequenceNumber) -> None:
+        """Absorb one coalesced maintenance window in place.
 
-        When *window* carries a trace identity, the ``shard_apply`` span
-        is linked to the producing ``ingest``/``append`` span
-        (:meth:`~repro.obs.tracer.Tracer.start_linked`), so cross-thread
-        traces correlate: every worker span carries the admission span's
-        ``trace_id``.
+        Runs on the admitting thread, inside the write's ``ingest`` span,
+        so the ``shard_apply`` span nests under it.
         """
         obs = obs_runtime.ACTIVE
-        records = sum(len(rows) for rows in event.values())
         with self.lock:
-            span = self._open_apply_span(obs, window, records=records)
+            span = (
+                obs.tracer.start(
+                    "shard_apply",
+                    shard=self.label,
+                    records=sum(len(rows) for rows in event.values()),
+                )
+                if obs is not None
+                else None
+            )
             try:
                 self.group.ingest_stamped(event, watermark)
             finally:
                 if span is not None:
                     obs.tracer.finish(span)
-            self.mark_applied(watermark, window, records)
-
-    def _open_apply_span(
-        self, obs: Any, window: Optional[ShardWindow], **attrs: Any
-    ) -> Any:
-        """Open this unit's ``shard_apply`` span (``None`` when unobserved).
-
-        Linked to the producing admission span when *window* carries a
-        trace identity; a root span otherwise.
-        """
-        if obs is None:
-            return None
-        if window is not None and window.trace_id is not None:
-            return obs.tracer.start_linked(
-                "shard_apply", window.trace_id, window.parent_id, shard=self.label, **attrs
-            )
-        return obs.tracer.start("shard_apply", shard=self.label, **attrs)
-
-    def mark_applied(
-        self,
-        watermark: SequenceNumber,
-        window: Optional[ShardWindow],
-        records: int,
-    ) -> None:
-        """Watermark/lag bookkeeping shared by every executor backend.
-
-        Caller holds :attr:`lock` and has just made a whole window
-        visible (either by applying it in place or by absorbing a
-        worker's results).
-        """
-        self.watermark = watermark
-        now = time.time()
-        self.last_apply_at = now
-        self.windows_applied += 1
-        self.records_applied += records
-        if window is not None:
-            self.last_lag_seconds = max(0.0, now - window.admitted_at)
+            self.watermark = watermark
 
     def absorb(
         self,
         per_view_items: Mapping[str, Sequence[Tuple[Any, Any]]],
         watermark: SequenceNumber,
-        window: Optional[ShardWindow],
+        window: None,
         records: int,
         worker_seconds: float,
         stats: Dict[str, Any],
@@ -300,14 +219,23 @@ class ShardUnit:
         The worker returns only the ``(key, state)`` pairs the window
         touched per view; this merges them into the parent-side
         partition views under the unit lock — the same snapshot
-        consistency readers get from the inline executor — and performs
-        the same watermark/lag/trace bookkeeping, with the worker's
-        wall-clock attached to the ``shard_apply`` span.
+        consistency readers get from the inline executor — and advances
+        the watermark, with the worker's wall-clock attached to the
+        ``shard_apply`` span.  *window* is unused (always ``None``); it
+        stays in the signature because callers pass the arguments by
+        position.
         """
         obs = obs_runtime.ACTIVE
         with self.lock:
-            span = self._open_apply_span(
-                obs, window, records=records, worker_seconds=worker_seconds
+            span = (
+                obs.tracer.start(
+                    "shard_apply",
+                    shard=self.label,
+                    records=records,
+                    worker_seconds=worker_seconds,
+                )
+                if obs is not None
+                else None
             )
             try:
                 for name, items in per_view_items.items():
@@ -316,7 +244,7 @@ class ShardUnit:
                 if span is not None:
                     obs.tracer.finish(span)
             self.remote_stats = stats
-            self.mark_applied(watermark, window, records)
+            self.watermark = watermark
 
     # -- portability -------------------------------------------------------------------
 
@@ -574,23 +502,20 @@ class ShardTask:
 
     Built on the admission thread by :meth:`ShardEngine._dispatch`;
     backends decide *where* it runs (inline or in a worker process) —
-    the routing, watermark bookkeeping, and trace context are already
-    fixed.
+    the routing and the watermark are already fixed.
     """
 
-    __slots__ = ("unit", "event", "watermark", "window")
+    __slots__ = ("unit", "event", "watermark")
 
     def __init__(
         self,
         unit: ShardUnit,
         event: Mapping[str, Sequence[Row]],
         watermark: SequenceNumber,
-        window: Optional[ShardWindow],
     ) -> None:
         self.unit = unit
         self.event = event
         self.watermark = watermark
-        self.window = window
 
     def summary(self) -> Dict[str, Any]:
         """A compact description of this task's window, for diagnostics.
@@ -623,11 +548,7 @@ class ShardBackend:
 
     def run(self, tasks: Sequence[ShardTask]) -> None:
         for task in tasks:
-            task.unit.apply(task.event, task.watermark, task.window)
-
-    def queue_depth(self) -> int:
-        """Tasks waiting to execute (0 when nothing is in flight)."""
-        return 0
+            task.unit.apply(task.event, task.watermark)
 
     def view_added(self, shard_group: "ShardGroup", name: str) -> None:
         """A view was registered after workers may have state."""
@@ -788,18 +709,9 @@ class ProcessShardBackend(ShardBackend):
             except BaseException as exc:
                 failures.append(self._failed(task, exc, " mid-window"))
                 continue
-            task.unit.absorb(items, task.watermark, task.window, records, elapsed, stats)
+            task.unit.absorb(items, task.watermark, None, records, elapsed, stats)
         if failures:
             raise failures[0]
-
-    def queue_depth(self) -> int:
-        depth = 0
-        for pool in self._pools:
-            if pool is not None:
-                pending = getattr(pool, "_pending_work_items", None)
-                if pending is not None:
-                    depth += len(pending)
-        return depth
 
     # -- registration tracking ---------------------------------------------------------
 
@@ -856,14 +768,14 @@ class FanOut:
 
     Opened *before* admission, so the root ``ingest`` span brackets
     admission through all-shards-visible (dispatch is synchronous): its
-    duration is the end-to-end freshness gap and its identity is what
-    ``shard_apply`` spans link to.  Fed each stamped batch as the group
+    duration is the end-to-end freshness gap, and every ``shard_apply``
+    span nests under it.  Fed each stamped batch as the group
     admits it; closed exactly once, when every routed-to shard receives
     **one** coalesced window — also after a batch was refused, so that
     what the group did admit is never left unmaintained.
     """
 
-    __slots__ = ("_engine", "_group", "_span", "_admitted_at", "_pending")
+    __slots__ = ("_engine", "_group", "_span", "_pending")
 
     def __init__(self, engine: "ShardEngine", group: ChronicleGroup, path: str) -> None:
         self._engine = engine
@@ -874,7 +786,6 @@ class FanOut:
             if obs is not None
             else None
         )
-        self._admitted_at = time.time()
         self._pending: Routed = {}
 
     def route(self, event: Mapping[str, Sequence[Row]]) -> None:
@@ -885,9 +796,7 @@ class FanOut:
         """Dispatch the window, then end the ``ingest`` span."""
         try:
             if self._pending:
-                self._engine._dispatch(
-                    self._pending, self._group.watermark, self._admitted_at
-                )
+                self._engine._dispatch(self._pending, self._group.watermark)
         finally:
             obs = obs_runtime.ACTIVE
             if self._span is not None and obs is not None:
@@ -1039,34 +948,12 @@ class ShardEngine:
                     unit_event = pending.setdefault(shard_group.units[index], {})
                     unit_event.setdefault(name, []).extend(bucket)
 
-    def _dispatch(
-        self,
-        pending: Routed,
-        watermark: SequenceNumber,
-        admitted_at: Optional[float] = None,
-    ) -> None:
-        tasks: List[ShardTask] = []
-        obs = obs_runtime.ACTIVE
-        window: Optional[ShardWindow] = None
-        if admitted_at is None:
-            admitted_at = time.time()
-        if obs is not None:
-            producer = obs.tracer.current()
-            window = (
-                ShardWindow(None, None, admitted_at)
-                if producer is None
-                else ShardWindow(producer.trace_id, producer.span_id, admitted_at)
-            )
-        for unit, event in pending.items():
-            # Mark the dispatch on the admission thread *before* the
-            # worker runs: a concurrent health probe or scrape sees the
-            # in-flight window as lag, not as silence.
-            unit.dispatched = watermark
-            unit.dispatched_at = admitted_at
-            tasks.append(ShardTask(unit, event, watermark, window))
+    def _dispatch(self, pending: Routed, watermark: SequenceNumber) -> None:
+        tasks = [ShardTask(unit, event, watermark) for unit, event in pending.items()]
         try:
             self.backend.run(tasks)
         except BaseException as exc:
+            obs = obs_runtime.ACTIVE
             if obs is not None:
                 # Watermarks and registry stats come from the database the
                 # handle is bound to; the failing task's window summary
@@ -1110,7 +997,6 @@ class ShardEngine:
             for unit in shard_group.units:
                 with unit.lock:
                     unit.watermark = watermark
-                    unit.dispatched = watermark
         self.backend.reset_units()
 
     # -- introspection -----------------------------------------------------------------
@@ -1131,39 +1017,6 @@ class ShardEngine:
             # Under the process executor the maintaining registry lives
             # in the worker; each window returns its cumulative stats.
             + [unit.remote_stats for unit in units if unit.remote_stats]
-        )
-
-    def health(self, admission: SequenceNumber) -> ShardHealth:
-        """A live freshness snapshot across every shard unit.
-
-        Lag is measured against what was *dispatched to* each unit, not
-        the global admission watermark — a shard that simply received no
-        rows for a while is caught up, not lagging.  ``lag_seconds`` is
-        staleness: zero when absorbed, else the age of the oldest
-        in-flight window.
-        """
-        now = time.time()
-        shards = tuple(
-            ShardLag(
-                shard=unit.label,
-                watermark=unit.watermark,
-                lag_batches=max(0, unit.dispatched - unit.watermark),
-                lag_seconds=(
-                    max(0.0, now - unit.dispatched_at)
-                    if unit.dispatched > unit.watermark
-                    else 0.0
-                ),
-                records_applied=unit.records_applied,
-                windows_applied=unit.windows_applied,
-                last_apply_at=unit.last_apply_at,
-            )
-            for unit in self.units()
-        )
-        return ShardHealth(
-            admission_watermark=admission,
-            shards=shards,
-            queue_depth=self.backend.queue_depth(),
-            at=now,
         )
 
     def close(self) -> None:

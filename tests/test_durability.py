@@ -471,13 +471,20 @@ class TestIngestCommitPoint:
 
             def spy():
                 stamped = take()
-                snapshots.append((stamped, _commit_state(db), db.shard_health()))
+                snapshots.append((stamped, _commit_state(db), db.watermarks()))
                 return stamped
+
+            def caught_up(since):
+                # No shard was still behind at a snapshot: every unit's
+                # watermark it saw is the one the write returned with.
+                for _, _, marks in snapshots[since:]:
+                    assert marks == db.watermarks()
 
             db.durability.snapshot = spy
             # Callers beyond the four subscribers widen usage, so the base
             # outweighs the deltas after it and a chain forms.
             db.ingest("calls", _WIDE)
+            caught_up(0)
             for batch in _WIDE:
                 reference.append("calls", batch)
             at_watermark[reference.group().watermark] = _commit_state(reference)
@@ -485,6 +492,7 @@ class TestIngestCommitPoint:
                 before = len(snapshots)
                 _commit_apply(db, op)
                 assert len(snapshots) - before <= 1, op[0]
+                caught_up(before)
                 if op[0] == "ingest":
                     for batch in op[1]:
                         reference.append("calls", batch)
@@ -496,11 +504,9 @@ class TestIngestCommitPoint:
             # 7 + 1 + 2 + 2 + 4 + 1 = 17 logged batches at interval 3, but a
             # window is one commit point: the 7-batch one took one snapshot.
             assert 4 <= len(snapshots) <= 7
-            for stamped, state, fleet in snapshots:
-                # What a snapshot holds is the state *at* its stamp: no
-                # shard was still behind the watermark it was stamped with.
+            for stamped, state, _ in snapshots:
+                # What a snapshot holds is the state *at* its stamp.
                 assert state == at_watermark[stamped]
-                assert fleet is None or fleet.max_lag_batches == 0
             formats = _formats(directory)
             assert formats[0] == 1 and formats.count("delta-1") >= 2, formats
             db.durability.abort()  # crash: no final snapshot

@@ -370,6 +370,27 @@ class TestRuntime:
             assert obs_runtime.ACTIVE is outer
         assert obs_runtime.ACTIVE is None
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"audit": "bogus"},
+            {"ring": True},
+            {"ring": 0},
+            {"ring": 2.5},
+            {"ring": "4"},
+            {"trace_operators": "no"},
+            {"trace_operators": 1},
+        ],
+        ids=repr,
+    )
+    def test_bad_arguments_raise_observability_error(self, kwargs):
+        with pytest.raises(ObservabilityError):
+            Observability(**kwargs)
+        db = make_db()
+        with pytest.raises(ObservabilityError):
+            db.enable_observability(**kwargs)
+        assert db.observability is None and obs_runtime.ACTIVE is None
+
 
 # ---------------------------------------------------------------------------
 # End-to-end: the database under observation

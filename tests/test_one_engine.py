@@ -858,9 +858,6 @@ def test_the_telemetry_relay_stays_deleted():
         assert not hasattr(MetricsRegistry, name), name
     assert [f.name for f in dataclasses.fields(SloPolicy)] == [
         "max_maintain_p99_seconds",
-        "max_shard_lag_batches",
-        "max_shard_lag_seconds",
-        "max_queue_depth",
         "max_auditor_violations",
         "max_engine_errors",
     ]
@@ -877,3 +874,46 @@ def test_the_telemetry_relay_stays_deleted():
     ]
     with pytest.raises(CliError, match="unknown target 'WORKERS'"):
         Session().execute("SHOW WORKERS")
+
+
+# -- shards are maintained before the write returns ----------------------------------
+
+#: Names of the freshness bookkeeping that synchronous dispatch made
+#: constant: lag gauges, queue depth, their SLO checks and the
+#: cross-thread span link.
+FRESHNESS_NAMES = (
+    "ShardWindow",
+    "ShardLag",
+    "ShardHealth",
+    "start_linked",
+    "shard_health",
+    "shard_lag",
+    "queue_depth",
+    "mark_applied",
+    "dispatched_at",
+    "last_lag_seconds",
+    "last_apply_at",
+    "windows_applied",
+    "records_applied",
+    "max_shard_lag_batches",
+    "max_shard_lag_seconds",
+    "max_queue_depth",
+)
+
+
+def test_the_freshness_bookkeeping_stays_deleted():
+    from repro.obs import tracer
+    from repro.parallel import engine
+
+    found = [
+        (str(path.relative_to(SRC)), name)
+        for path in sorted(SRC.rglob("*.py"))
+        for name in FRESHNESS_NAMES
+        if name in path.read_text()
+    ]
+    assert found == []
+    assert not hasattr(tracer.Tracer, "current")
+    assert not hasattr(engine.ShardEngine, "health")
+    assert not hasattr(ChronicleDatabase, "shard_health")
+    assert list(engine.ShardTask.__slots__) == ["unit", "event", "watermark"]
+    assert "dispatched" not in engine.ShardUnit.__slots__

@@ -18,20 +18,20 @@ runs, all with ``observe=True``:
   processes, observed on the parent side only.
 
 Per run the golden holds ``metrics.as_dict()`` (counter and gauge values
-kept, histograms reduced to their count, the timing gauges to presence,
-and so is ``cost_index_probe_total``, the one cost count that still moves
-with the hash seed),
+kept, histograms reduced to their count, and ``cost_index_probe_total``,
+the one cost count that still moves with the hash seed, to presence),
 the (name, identity attrs, children) shape of every trace, the health
 verdict, the incident-bundle keys and the ``SHOW STATS`` / ``TRACE 3``
 text with timings masked.  The capture runs in a child interpreter
 under ``PYTHONHASHSEED=0``.
 
 The golden is compared as captured, with no adjustments.  It was last
-re-captured when the registry's dispatch index began computing the delta
-of views whose χ is σ…σ(scan): those views' ``delta [operator=Select]``
-spans lost their nested ``ChronicleScan`` span, and the
-``ChronicleScan`` invocation/row series, ``cost_tuple_op_total`` and
-``cost_delta_cache_hit_total`` counts moved with them.
+re-captured when the shard lag gauges and their health checks were
+deleted (a window is applied before the write returns, so both read 0):
+the two sharded runs lost the ``shard_lag_batches`` and
+``shard_lag_seconds`` families and the ``shard_lag_batches``,
+``shard_lag_seconds`` and ``queue_depth`` checks, and nothing else
+moved.
 
 To re-capture after a change that is *meant* to alter one of these
 results, run ``PYTHONHASHSEED=0 PYTHONPATH=src python -m
@@ -58,10 +58,9 @@ from repro.core.config import DurabilityConfig
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).with_name("one_hook_golden.json")
 
-#: Gauges whose value is a wall-clock reading, and the one cost count
-#: that still moves with the hash seed (by one probe in ~90 on the serial
-#: run between seeds 0 and 1): kept as presence only.
-PRESENCE_ONLY = ("shard_lag_seconds", "cost_index_probe_total")
+#: The one cost count that still moves with the hash seed (by one probe
+#: in ~90 on the serial run between seeds 0 and 1): kept as presence only.
+PRESENCE_ONLY = ("cost_index_probe_total",)
 #: Span attributes that name a span rather than measure it.  ``engine`` is
 #: one value everywhere; the metrics' ``engine`` labels pin it.
 IDENTITY_ATTRS = ("view", "operator", "group", "chronicle", "shard", "kind")
@@ -342,3 +341,43 @@ def test_chronicle_series_are_the_chronicles_state_on_every_engine(captured):
 if __name__ == "__main__":
     json.dump(capture(), sys.stdout, indent=1, ensure_ascii=False, sort_keys=True)
     sys.stdout.write("\n")
+
+
+#: Families the table lists that only a failure emits, so no golden run
+#: (all of them healthy) shows them.
+FAILURE_ONLY = (
+    "engine_errors_total",
+    "recovery_failures_total",
+    "audit_violations_total",
+    "auditor_violations_total",
+    "span_listener_errors_total",
+    "span_label_missing_total",
+)
+
+
+def metric_table() -> List[str]:
+    """The family names (or ``cost_<event>_total``-style patterns) in the
+    first column of ``docs/observability.md``'s metric table."""
+    lines = (ROOT / "docs" / "observability.md").read_text().splitlines()
+    start = lines.index("| metric | type | labels | source |") + 2
+    names = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cell = re.sub(r"\(.*?\)", "", line.split("|")[1])  # drop "(e.g. ...)"
+        names.extend(re.findall(r"`([^`]+)`", cell))
+    return names
+
+
+def test_the_metric_table_lists_what_the_goldens_emit(golden):
+    table = metric_table()
+    patterns = [re.compile(re.sub(r"<\w+>", r"\\w+", name) + "$") for name in table]
+    emitted = {name for run in runs(golden).values() for name in run["metrics"]}
+    assert [n for n in sorted(emitted) if not any(p.match(n) for p in patterns)] == []
+    assert set(FAILURE_ONLY) <= set(table)
+    listed_but_silent = [
+        name
+        for name, pattern in zip(table, patterns)
+        if name not in FAILURE_ONLY and not any(pattern.match(n) for n in emitted)
+    ]
+    assert listed_but_silent == []

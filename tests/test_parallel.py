@@ -408,12 +408,12 @@ class TestEngineLifecycle:
                 _define_usage(each)
                 each.ingest("calls", [[{"caller": c % 3, "minutes": c}] for c in range(6)])
             (retired,) = db.shard_groups
-            applied = [unit.windows_applied for unit in retired.units]
+            applied = [unit.watermark for unit in retired.units]
             for each in (serial, db):
                 each.drop_view("usage")
                 each.append("calls", {"caller": 1, "minutes": 50})
             assert db.shard_groups == ()
-            assert [unit.windows_applied for unit in retired.units] == applied
+            assert [unit.watermark for unit in retired.units] == applied
             assert set(db.watermarks()) == {"serial/default"}
             for each in (serial, db):
                 _define_usage(each)
@@ -653,7 +653,6 @@ class TestEngineSelection:
         try:
             assert type(db) is ChronicleDatabase
             assert db.config.engine == "sharded"
-            assert db.shard_health() is not None
         finally:
             db.close()
 
@@ -663,7 +662,6 @@ class TestEngineSelection:
         assert db.shard_groups == ()
         assert db.partitioned_views == ()
         assert db.fallback_views == ()
-        assert db.shard_health() is None
 
     def test_thread_executor_is_a_config_error_naming_the_replacement(self):
         with pytest.raises(ConfigError, match='"serial"'):
