@@ -7,7 +7,7 @@ Three knobs DESIGN.md calls out, each measured on/off:
    ordered access).  Expected: the hash index wins on probes by the
    log factor, B+-tree probes grow with log |V|.
 2. **per-event delta sharing** — N views, each built independently
-   over a structurally equal filtered scan, maintained each by its own
+   over a structurally equal π(σ(scan)), maintained each by its own
    standalone plan (``attach_view``: a one-view registry each, nothing
    shared) vs by one registry, whose interner merges the N subtrees into one node with
    one delta per event.  Expected: without sharing the selection runs N
@@ -63,10 +63,12 @@ def _state_index_probes(groups, use_hash):
 
 def _sharing_work(view_count, share):
     group, calls = make_group(retention=0)
-    registry = ViewRegistry(prefilter=False)
+    registry = ViewRegistry()
     registry.attach(group)
     for index in range(view_count):
-        node = scan(calls).select(attr_cmp("mins", ">=", 0))
+        # π over σ(scan): not a bare selection chain, so no registry seeds
+        # it and every arm runs the selection as a counted plan step.
+        node = scan(calls).select(attr_cmp("mins", ">=", 0)).project(["sn", "acct", "mins"])
         view = PersistentView(f"v{index}", GroupBySummary(node, ["acct"], [spec(COUNT)]))
         if share:
             registry.register(view)
@@ -87,7 +89,7 @@ def _pushdown_skip_rate(pushdown, appends=1000):
         "calls", [("acct", "INT"), ("mins", "INT")], retention=0
     )
     customers = make_customers(64)
-    registry = ViewRegistry(prefilter=True)
+    registry = ViewRegistry()
     registry.attach(group)
     base = scan(calls)
     if pushdown:
@@ -152,7 +154,7 @@ def test_a1_hash_state_index_correct():
 def test_a1_sharing_flattens_selection_cost():
     no_share = _sharing_work(32, share=False)
     shared = _sharing_work(32, share=True)
-    # Unshared: 32 selections + 32 folds; shared: 1 selection + 32 folds.
+    # Unshared: 32 σπ pipelines + 32 folds; shared: one σπ + 32 folds.
     assert no_share >= shared + 25
 
 

@@ -126,8 +126,6 @@ class DatabaseConfig:
         (worker processes holding portable shard replicas; views whose
         definitions cannot cross a process boundary fall back to the
         serial shard with a warning).
-    prefilter_views:
-        Enable the Section 5.2 affected-view prefilter.
     observe:
         Create and install an :class:`~repro.obs.Observability` handle.
         Under ``executor="process"`` it observes the parent side only:
@@ -152,7 +150,6 @@ class DatabaseConfig:
     engine: str = "serial"
     shards: int = 4
     executor: str = "serial"
-    prefilter_views: bool = True
     observe: bool = False
     audit_mode: str = "warn"
     slo: Optional[SloPolicy] = None
@@ -192,9 +189,8 @@ class DatabaseConfig:
             )
         if not isinstance(self.shards, int) or isinstance(self.shards, bool) or self.shards < 1:
             raise ConfigError(f"shards must be a positive int, got {self.shards!r}")
-        for name in ("prefilter_views", "observe"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.observe, bool):
+            raise ConfigError(f"observe must be a bool, got {self.observe!r}")
 
     def replace(self, **changes: Any) -> "DatabaseConfig":
         """A copy of this config with *changes* applied (validated)."""

@@ -84,7 +84,7 @@ class ChronicleDatabase:
         self.config = config
         self.groups: Dict[str, ChronicleGroup] = {}
         self.relations: Dict[str, VersionedRelation] = {}
-        self.registry = ViewRegistry(prefilter=config.prefilter_views)
+        self.registry = ViewRegistry()
         self.aggregates = (
             config.aggregates if config.aggregates is not None else default_registry()
         )

@@ -65,7 +65,7 @@ from ..obs import runtime as obs_runtime
 from ..relational.algebra import Table
 from ..relational.tuples import Row
 from ..sca.summarize import Summary
-from ..sca.view import PersistentView
+from ..sca.view import PersistentView, summary_key
 from ..views.registry import ViewRegistry
 from .router import ShardRouter
 from .worker import (
@@ -153,12 +153,7 @@ class ShardUnit:
         self.index = index
         self.label = label
         self.group = ChronicleGroup(f"{source_group.name}::{label}")
-        # No prefilter: units see coalesced multi-batch events, which are
-        # large enough that nearly every view is affected — the prefilter
-        # would re-scan the whole event per view only to say "yes".  The
-        # prefilter stays on the serial registry, where per-batch events
-        # are small and most views are untouched.
-        self.registry = ViewRegistry(prefilter=False)
+        self.registry = ViewRegistry()
         self.group.subscribe(self.registry.on_event)
         self.lock = RLock()
         #: Highest sequence number this shard has absorbed (-1 initially).
@@ -387,14 +382,14 @@ class MergedView:
     # -- reads ------------------------------------------------------------------
 
     def lookup(self, key: Sequence[Any]) -> Optional[Row]:
-        key = tuple(key)
+        key = summary_key(self.name, self.summary, key)
         sg = self._shard_group
         unit = sg.units[sg.router.shard_of_key(key)]
         with unit.lock:
             return self._partition(unit).lookup(key)
 
     def value(self, key: Sequence[Any], output: str) -> Any:
-        key = tuple(key)
+        key = summary_key(self.name, self.summary, key)
         sg = self._shard_group
         unit = sg.units[sg.router.shard_of_key(key)]
         with unit.lock:
@@ -909,7 +904,7 @@ class ShardEngine:
         for index, event in pending.items():
             unit = shard_group.units[index]
             with unit.lock, obs_runtime.suspended():
-                replay = ViewRegistry(prefilter=False)
+                replay = ViewRegistry()
                 replay.register(unit.registry.view(view_name))
                 replay.on_event(unit.group, {name: tuple(rows) for name, rows in event.items()})
 

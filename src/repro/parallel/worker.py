@@ -6,10 +6,10 @@ schema specs, plus a private :class:`~repro.views.registry.ViewRegistry`
 of views rebuilt from portable summary specs
 (:func:`~repro.algebra.plan.summary_spec`) and seeded from the parent's
 fold-state snapshot.  The replica is a faithful reconstruction of the
-parent-side :class:`~repro.parallel.engine.ShardUnit` — same registry
-settings (no prefilter, compile as configured), same coalesced
-``ingest_stamped`` maintenance path — so the per-window fold it computes
-is exactly what the inline executor would compute in place.
+parent-side :class:`~repro.parallel.engine.ShardUnit` — same registry,
+same coalesced ``ingest_stamped`` maintenance path — so the per-window
+fold it computes is exactly what the inline executor would compute in
+place.
 
 The cross-process contract is byte-minimal in both directions:
 
@@ -85,7 +85,7 @@ class UnitReplica:
     def __init__(self, spec: ShardUnitSpec) -> None:
         self.label = spec.label
         self.group = ChronicleGroup(f"{spec.label}::replica", start=spec.watermark + 1)
-        self.registry = ViewRegistry(prefilter=False)
+        self.registry = ViewRegistry()
         self.group.subscribe(self.registry.on_event)
         self.watermark: SequenceNumber = spec.watermark
         self.ensure_chronicles(spec.chronicles)

@@ -377,15 +377,18 @@ class PersistentView:
         return sum(1 for _ in self.rows())
 
     def lookup(self, key: Sequence[Any]) -> Optional[Row]:
-        """The view row for one summary key (group key / projected tuple).
+        """The view row for one summary key (group key / projected tuple;
+        ``()`` for a global aggregate).
 
-        A row hidden by the HAVING filter reads as absent.
+        A row hidden by the HAVING filter reads as absent; a key whose
+        arity is not the summary key's raises :class:`ViewError`.
         """
-        if self.relation.schema.key is None:
+        key = summary_key(self.name, self.summary, key)
+        if not key:
             rows = list(self.relation.rows())
             row = rows[0] if rows else None
         else:
-            row = self.relation.lookup_key(tuple(key))
+            row = self.relation.lookup_key(key)
         if row is not None and not self.summary.visible(row):
             return None
         return row
@@ -404,6 +407,21 @@ class PersistentView:
             f"PersistentView({self.name!r}, {len(self.relation)} rows, "
             f"{self.language.value}, {self.im_class.value})"
         )
+
+
+def summary_key(name: str, summary: Summary, key: Sequence[Any]) -> Tuple[Any, ...]:
+    """*key* as a tuple locating one row of view *name*.
+
+    Raises :class:`ViewError` unless *key* is a sequence of as many values
+    as *summary*'s key has attributes (none for a global aggregate).
+    """
+    names = summary.output_schema.key or ()
+    if isinstance(key, (tuple, list)) and len(key) == len(names):
+        return tuple(key)
+    raise ViewError(
+        f"view {name!r} is keyed by ({', '.join(names)}): a key is a tuple of "
+        f"{len(names)} value(s), got {key!r}"
+    )
 
 
 def _project_table(summary: ProjectSummary, table: Table) -> Table:

@@ -31,8 +31,9 @@ under the view's interned root, and the compiled plan reads them there
 (:class:`~repro.algebra.plan.PlanCompiler` compiles a seeded root to one
 step that reads its seed).  Each row is tested once per filed entry, and
 routing runs inside the event's no-access extent, since its tests are
-now the maintenance path's selection step.  A registry with the
-prefilter off seeds nothing and compiles full plans.
+now the maintenance path's selection step.  Seeding stays sound on a
+coalesced multi-batch event (a shard unit's window): σ of the window's
+union is the union of each batch's σ-delta.
 
 The registry is the one maintainer.  Periodic view sets are filed and
 maintained like views, so only the views *active* for the current
@@ -271,18 +272,12 @@ class ViewRegistry:
     lazily after registration changes; appends never pay compilation cost
     twice.
 
-    Parameters
-    ----------
-    prefilter:
-        Enable the selection prefilter: route each event through the
-        predicate dispatch index and maintain only the views it returns.
-        Off, every view over a touched chronicle is maintained (shard
-        units and :func:`attach_view` run that way; benchmark E9
-        measures the difference).
+    Every event is routed through the predicate dispatch index, and only
+    the views it returns are maintained (benchmark E9 measures that
+    against maintaining every candidate).
     """
 
-    def __init__(self, prefilter: bool = True) -> None:
-        self.prefilter = prefilter
+    def __init__(self) -> None:
         self._views: Dict[str, RegisteredView] = {}
         self._periodic: Dict[str, RegisteredView] = {}
         self._by_chronicle: Dict[str, ChronicleDispatch] = {}
@@ -291,8 +286,7 @@ class ViewRegistry:
             "events": 0,
             "candidate_views": 0,
             # Candidates the router looked at: the views a dispatch lookup
-            # returned plus the always list (every candidate with the
-            # prefilter off).
+            # returned plus the always list.
             "views_examined": 0,
             "maintained_views": 0,
             # Prefilter effectiveness: a *hit* is a candidate view the
@@ -406,7 +400,7 @@ class ViewRegistry:
         chronicles), ``views_examined`` (the candidates the dispatch
         index made the router look at), ``maintained_views``,
         ``prefilter_hits`` / ``prefilter_misses`` (candidates skipped /
-        not skipped by the Section 5.2 prefilter; with it on they sum to
+        not skipped by the Section 5.2 prefilter; they sum to
         ``candidate_views``).  The same numbers are surfaced as metrics
         (``view_prefilter_total{outcome}``, ``view_maintained_total``)
         when observability is installed; per-view span counts and
@@ -426,9 +420,7 @@ class ViewRegistry:
         if not self._plans_stale:
             return
         compiler = self._compiler
-        compiler.seeded = (
-            {id(r.root) for r in self._views.values() if r.seeded} if self.prefilter else set()
-        )
+        compiler.seeded = {id(r.root) for r in self._views.values() if r.seeded}
         for registered in self._views.values():
             registered.plan = compiler.compile(registered.root)
         self._plans_stale = False
@@ -483,44 +475,35 @@ class ViewRegistry:
         # the seeded views' selection step) and every survivor's plan and
         # fold: apply_delta folds inside it instead of opening its own.
         with maintenance_guard():
-            if self.prefilter:
-                span = (
-                    tracer.start("prefilter", candidates=count)
-                    if tracer is not None
-                    else None
-                )
-                try:
-                    hit: Hits = {}
-                    examined: Set[int] = set()
-                    for dispatch, rows in touched:
-                        dispatch.route(rows, hit, examined)
-                    survivors = [candidates[rank] for rank in sorted(hit)]
-                    hits = count - len(survivors)
-                    stats["views_examined"] += len(examined)
-                    stats["prefilter_hits"] += hits
-                    stats["prefilter_misses"] += len(survivors)
-                    if span is not None:
-                        span.attrs["skipped"] = hits
-                        span.attrs["examined"] = len(examined)
-                finally:
-                    if span is not None:
-                        tracer.finish(span)
-                if not survivors and not sets:
-                    return 0
-                # One delta cache per event: interned nodes shared between
-                # plans are computed once, and seeded roots are put there.
-                cache: Dict[int, Delta] = {}
-                for rank, accepted in hit.items():
-                    if accepted is not None:
-                        root = candidates[rank].root
-                        cache[id(root)] = Delta.unchecked(root.schema, accepted)
-            else:
-                stats["views_examined"] += count
-                survivors = list(candidates.values())
-                cache = {}
+            span = tracer.start("prefilter", candidates=count) if tracer is not None else None
+            try:
+                hit: Hits = {}
+                examined: Set[int] = set()
+                for dispatch, rows in touched:
+                    dispatch.route(rows, hit, examined)
+                survivors = [candidates[rank] for rank in sorted(hit)]
+                hits = count - len(survivors)
+                stats["views_examined"] += len(examined)
+                stats["prefilter_hits"] += hits
+                stats["prefilter_misses"] += len(survivors)
+                if span is not None:
+                    span.attrs["skipped"] = hits
+                    span.attrs["examined"] = len(examined)
+            finally:
+                if span is not None:
+                    tracer.finish(span)
+            if not survivors and not sets:
+                return 0
+            # One delta cache per event: interned nodes shared between
+            # plans are computed once, and seeded roots are put there.
+            cache: Dict[int, Delta] = {}
+            for rank, accepted in hit.items():
+                if accepted is not None:
+                    root = candidates[rank].root
+                    cache[id(root)] = Delta.unchecked(root.schema, accepted)
             deltas = event_deltas(group, event)
             for registered in sets:
-                if self.prefilter and registered.rank not in hit:
+                if registered.rank not in hit:
                     # Nothing to fold, but rows still move the clock and open intervals.
                     registered.view.place(deltas)
             for registered in survivors:
@@ -548,10 +531,10 @@ class ViewRegistry:
 
 
 def attach_view(view: PersistentView, group: ChronicleGroup) -> Callable[..., int]:
-    """Maintain a single view, by a one-view registry with the prefilter
-    off, on *group*'s append events; returns the listener (to
+    """Maintain a single view, by a one-view registry, on *group*'s
+    append events; returns the listener (to
     :meth:`~repro.core.group.ChronicleGroup.unsubscribe`)."""
-    registry = ViewRegistry(prefilter=False)
+    registry = ViewRegistry()
     registry.register(view)
     registry.attach(group)
     return registry.on_event

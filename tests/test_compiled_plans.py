@@ -522,7 +522,7 @@ class TestInterning:
         assert b.value(("a",), "n") == 2
 
     def test_registry_prefilter_skips_views(self):
-        registry = ViewRegistry(prefilter=True)
+        registry = ViewRegistry()
         group, calls, _, _ = build_group()
         registry.attach(group)
         selective = registry.register(

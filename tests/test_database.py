@@ -1,5 +1,7 @@
 """End-to-end tests for the ChronicleDatabase façade (Definition 2.1)."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.aggregates import SUM, spec
@@ -14,8 +16,10 @@ from repro.errors import (
     SequenceOrderError,
     TypeMismatchError,
     UnknownAttributeError,
+    ViewError,
     ViewRegistrationError,
 )
+from repro.parallel.engine import UnpartitionableViewWarning
 from repro.sca.summarize import GroupBySummary
 from repro.views.calendar import monthly
 
@@ -266,6 +270,31 @@ class TestQueries:
             db.append("calls", {"m": i})
         with pytest.raises(RetentionError):
             db.detail_window("calls", 0, 5)
+
+    @pytest.mark.parametrize("engine", ["serial", "sharded"])
+    def test_key_of_the_wrong_arity_raises_view_error(self, engine):
+        """A key locates a row only with one value per summary key
+        attribute; a global aggregate's key is ``()``."""
+        db = ChronicleDatabase(config=DatabaseConfig(engine=engine, shards=2))
+        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")], retention=0)
+        db.define_view(
+            "DEFINE VIEW usage AS SELECT caller, SUM(minutes) AS total "
+            "FROM calls GROUP BY caller"
+        )
+        with pytest.warns(UnpartitionableViewWarning) if engine == "sharded" else nullcontext():
+            db.define_view("DEFINE VIEW grand AS SELECT SUM(minutes) AS total FROM calls")
+        db.append("calls", {"caller": 1, "minutes": 5})
+        cases = [("usage", (1, 2)), ("usage", 1), ("usage", ()), ("grand", (1,)), ("grand", "x")]
+        for name, key in cases:
+            names = r"\(caller\)" if name == "usage" else r"\(\)"
+            with pytest.raises(ViewError, match=names):
+                db.view_row(name, key)
+            with pytest.raises(ViewError, match=names):
+                db.view_value(name, key, "total")
+        assert db.view_value("usage", (1,), "total") == 5
+        assert db.view_value("usage", [1], "total") == 5
+        assert db.view_value("grand", (), "total") == 5
+        db.close()
 
     def test_summary_query_needs_no_chronicle(self):
         """The paper's subsecond summary-query promise: answers come from

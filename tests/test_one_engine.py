@@ -65,6 +65,7 @@ from repro.algebra.ast import Node
 from repro.core.chronicle import in_maintenance
 from repro.core.config import EXECUTORS, DatabaseConfig, DurabilityConfig
 from repro.core.database import ChronicleDatabase
+from repro.errors import ConfigError
 from repro.obs import explain
 from repro.obs.auditor import Auditor
 from repro.obs.core import INCIDENT_COUNTERS, SPAN_RULES, Observability
@@ -137,7 +138,7 @@ def test_constructor_surfaces():
     def parameters(function):
         return [name for name in inspect.signature(function).parameters if name != "self"]
 
-    assert parameters(ViewRegistry.__init__) == ["prefilter"]
+    assert parameters(ViewRegistry.__init__) == []
     assert parameters(ChronicleDatabase.__init__) == ["config", "observability"]
     assert parameters(attach_view) == ["view", "group"]
     assert parameters(PeriodicViewSet.maintain) == ["deltas"]
@@ -175,7 +176,7 @@ def test_write_methods_are_written_once():
 
 def test_no_new_knob():
     assert EXECUTORS == ("serial", "process")
-    assert len(dataclasses.fields(DatabaseConfig)) == 9
+    assert len(dataclasses.fields(DatabaseConfig)) == 8
     assert len(dataclasses.fields(DurabilityConfig)) == 4
 
 
@@ -498,7 +499,7 @@ def test_admission_adds_no_knob():
 
     assert parameters(Chronicle.__init__) == ["name", "schema", "retention"]
     assert parameters(ChronicleGroup.__init__) == ["name", "chronons", "start"]
-    assert len(dataclasses.fields(DatabaseConfig)) == 9
+    assert len(dataclasses.fields(DatabaseConfig)) == 8
     offenders = [
         (str(path.relative_to(SRC)), node.lineno)
         for path in ADMISSION_PATH
@@ -523,7 +524,7 @@ def test_one_fold_per_observation():
     assert parameters(CostLedger) == []
     assert parameters(FlightRecorder) == ["directory", "cooldown_seconds"]
     assert parameters(Auditor) == ["mode", "metrics"]
-    assert len(dataclasses.fields(DatabaseConfig)) == 9
+    assert len(dataclasses.fields(DatabaseConfig)) == 8
     assert not hasattr(explain, "OperatorMeasurement")
     for name in ("record_span", "note", "events"):
         assert not hasattr(FlightRecorder, name), name
@@ -548,7 +549,7 @@ def test_one_fold_per_observation():
 
 def test_the_metrics_history_stays_deleted():
     assert importlib.util.find_spec("repro.obs.history") is None
-    assert len(dataclasses.fields(DatabaseConfig)) == 9
+    assert len(dataclasses.fields(DatabaseConfig)) == 8
     assert set(ROUTES) == {"/metrics", "/certificates", "/costs", "/health"}
     for owner in (ChronicleDatabase, Observability):
         for name in ("start_history", "stop_history"):
@@ -685,11 +686,10 @@ def test_on_expire_runs_outside_the_maintenance_extent():
     db.close()
 
 
-@pytest.mark.parametrize("prefilter", [True, False], ids=["prefilter", "no-prefilter"])
-def test_skipped_periodic_set_still_expires(prefilter):
+def test_skipped_periodic_set_still_expires():
     """Rows failing a set's WHERE still move its clock, so expiry (and
     ``on_expire``) does not depend on the prefilter."""
-    db = ChronicleDatabase(config=DatabaseConfig(prefilter_views=prefilter))
+    db = ChronicleDatabase()
     db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT"), ("day", "INT")])
     expired = []
     db.define_periodic_view(
@@ -707,8 +707,26 @@ def test_skipped_periodic_set_still_expires(prefilter):
     db.append("calls", {"caller": 1, "minutes": 5, "day": 31})  # interval 0 ends
     assert expired == [(0, 200)]
     assert db.periodic_view("big").active_indices() == [1]
-    assert db.registry.stats["prefilter_hits"] == (2 if prefilter else 0)
+    assert db.registry.stats["prefilter_hits"] == 2
     db.close()
+
+
+def test_the_prefilter_switch_stays_deleted():
+    """Every registry routes through the dispatch index: no switch turns
+    routing off, in the config or in any registry the source builds."""
+    assert "prefilter_views" not in {f.name for f in dataclasses.fields(DatabaseConfig)}
+    with pytest.raises(TypeError, match="prefilter_views"):
+        DatabaseConfig(prefilter_views=False)
+    with pytest.raises(ConfigError, match="prefilter_views"):
+        DatabaseConfig().replace(prefilter_views=False)
+    assert "prefilter" not in inspect.signature(ViewRegistry).parameters
+    offenders = [
+        (str(path.relative_to(SRC)), name)
+        for path in sorted(SRC.rglob("*.py"))
+        for name in ("prefilter=", "prefilter_views")
+        if name in path.read_text()
+    ]
+    assert offenders == []
 
 
 def test_defining_a_sharded_view_is_not_maintenance():

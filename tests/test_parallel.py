@@ -586,7 +586,6 @@ class TestDatabaseConfig:
         assert config.engine == "serial"
         assert config.shards == 4
         assert config.executor == "serial"
-        assert config.prefilter_views
         assert not config.observe
 
     def test_frozen(self):
@@ -606,7 +605,6 @@ class TestDatabaseConfig:
             # A non-empty string is truthy: "false" would turn observing on.
             {"observe": "false"},
             {"observe": 1},
-            {"prefilter_views": "no"},
         ],
     )
     def test_validation(self, kwargs):
@@ -623,7 +621,7 @@ class TestDatabaseConfig:
         assert DatabaseConfig is ConfigAlias
 
     def test_database_exposes_config(self):
-        config = DatabaseConfig(prefilter_views=False)
+        config = DatabaseConfig(shards=2)
         db = ChronicleDatabase(config=config)
         assert db.config is config
 

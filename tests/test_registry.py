@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.aggregates import COUNT, SUM, spec
 from repro.algebra.ast import scan
 from repro.algebra.plan import compile_prefilter
+from repro.complexity.counters import GLOBAL_COUNTERS
 from repro.core.group import ChronicleGroup
 from repro.errors import ViewRegistrationError
 from repro.obs import Observability, runtime
@@ -14,7 +15,7 @@ from repro.relational.predicate import And, Not, Or, attr_cmp, attr_eq, attrs_cm
 from repro.relational.schema import Attribute
 from repro.relational.tuples import Row
 from repro.sca.summarize import GroupBySummary
-from repro.sca.view import PersistentView
+from repro.sca.view import PersistentView, evaluate_summary
 from repro.views.registry import ViewRegistry, scan_prefilters
 
 
@@ -83,7 +84,7 @@ class TestRegistryRouting:
 
     def test_prefilter_skips_unaffected_views(self):
         group, calls, _ = build()
-        registry = ViewRegistry(prefilter=True)
+        registry = ViewRegistry()
         registry.attach(group)
         selective = registry.register(
             view_over(calls, "acct1", attr_eq("acct", 1))
@@ -92,35 +93,6 @@ class TestRegistryRouting:
         assert selective.maintenance_count == 0
         group.append(calls, {"acct": 1, "mins": 5})
         assert selective.maintenance_count == 1
-
-    def test_prefilter_disabled_maintains_all(self):
-        group, calls, _ = build()
-        registry = ViewRegistry(prefilter=False)
-        registry.attach(group)
-        selective = registry.register(view_over(calls, "acct1", attr_eq("acct", 1)))
-        group.append(calls, {"acct": 2, "mins": 5})
-        assert selective.maintenance_count == 1  # maintained (vacuously)
-        assert selective.value((2,), "sum_mins") is None
-
-    def test_prefiltered_and_unfiltered_results_agree(self):
-        group, calls, _ = build()
-        fast = ViewRegistry(prefilter=True)
-        group2 = ChronicleGroup("g2")
-        calls2 = group2.create_chronicle("calls", [("acct", "INT"), ("mins", "INT")])
-        slow = ViewRegistry(prefilter=False)
-        fast.attach(group)
-        slow.attach(group2)
-        fast_view = fast.register(view_over(calls, "v", attr_cmp("mins", ">", 5)))
-        slow_view = slow.register(view_over(calls2, "v", attr_cmp("mins", ">", 5)))
-        import random
-
-        rng = random.Random(5)
-        for _ in range(100):
-            record = {"acct": rng.randrange(4), "mins": rng.randrange(12)}
-            group.append(calls, dict(record))
-            group2.append(calls2, dict(record))
-        assert sorted(r.values for r in fast_view) == sorted(r.values for r in slow_view)
-        assert fast_view.maintenance_count < slow_view.maintenance_count
 
     def test_stats_tracked(self):
         group, calls, _ = build()
@@ -152,7 +124,7 @@ class TestRegistryRouting:
 
     def test_dispatch_keys_follow_predicate_equality(self):
         """1 / 1.0 / True share a bucket (they are ``==``); NULL finds none."""
-        side = Side(prefilter=True)
+        side = Side()
         side.register("null_const", [("calls", [attr_eq("mins", None)])])
         side.register("float_const", [("calls", [attr_eq("acct", 1.0)])])
         side.register("bool_const", [("calls", [attr_eq("acct", True)])])
@@ -162,17 +134,6 @@ class TestRegistryRouting:
         assert side.log == ["float_const", "bool_const", "int_on_bool"]
         side.send({"calls": [{"acct": 0, "mins": None, "rate": None, "flag": False}]})
         assert side.log == []
-
-    def test_prefilter_off_examines_every_candidate(self):
-        group, calls, _ = build()
-        registry = ViewRegistry(prefilter=False)
-        registry.attach(group)
-        for bucket in range(5):
-            registry.register(view_over(calls, f"b{bucket}", attr_eq("acct", bucket)))
-        group.append(calls, {"acct": 1, "mins": 5})
-        stats = registry.stats
-        assert stats["views_examined"] == stats["candidate_views"] == 5
-        assert stats["prefilter_hits"] == stats["prefilter_misses"] == 0
 
     def test_merge_stats_sums_views_examined(self):
         merged = ViewRegistry.merge_stats(
@@ -335,25 +296,40 @@ class LoggedView(PersistentView):
         return super().apply_delta(delta)
 
 
+def summary_of(group, recipe):
+    """The view a recipe describes, over *group*'s chronicles."""
+    node = None
+    for chronicle, selections in recipe:
+        branch = scan(group[chronicle])
+        for predicate in selections:
+            branch = branch.select(predicate)
+        node = branch if node is None else node.union(branch)
+    return GroupBySummary(node, ["acct"], [spec(COUNT), spec(SUM, "acct")])
+
+
+def oracle_rows(recipe, sends):
+    """The batch oracle: the recipe evaluated over a group storing *sends*."""
+    group = ChronicleGroup("oracle")
+    for name in ("calls", "fees"):
+        group.create_chronicle(name, ATTRIBUTES)
+    for batches in sends:
+        group.append_simultaneous(batches)
+    return sorted(r.values for r in evaluate_summary(summary_of(group, recipe)))
+
+
 class Side:
     """One group + registry; builds views from recipes over its own chronicles."""
 
-    def __init__(self, prefilter):
+    def __init__(self):
         self.group = ChronicleGroup("g")
         for name in ("calls", "fees"):
             self.group.create_chronicle(name, ATTRIBUTES, retention=0)
-        self.registry = ViewRegistry(prefilter=prefilter)
+        self.registry = ViewRegistry()
         self.registry.attach(self.group)
         self.log = []
 
     def register(self, name, recipe):
-        node = None
-        for chronicle, selections in recipe:
-            branch = scan(self.group[chronicle])
-            for predicate in selections:
-                branch = branch.select(predicate)
-            node = branch if node is None else node.union(branch)
-        view = LoggedView(name, GroupBySummary(node, ["acct"], [spec(COUNT), spec(SUM, "acct")]))
+        view = LoggedView(name, summary_of(self.group, recipe))
         view.log = self.log
         return self.registry.register(view)
 
@@ -393,43 +369,43 @@ def test_dispatch_key_and_residual_equal_the_predicate(predicate, record):
 @settings(max_examples=500, deadline=None)
 @given(operations)
 def test_dispatch_index_maintains_exactly_the_oracles_views(ops):
-    indexed = Side(prefilter=True)
-    maintain_all = Side(prefilter=False)
+    indexed = Side()
     names = []  # registration order
+    recipes, sends, since = {}, [], {}  # a view sees the sends after its registration
+    candidate_views = 0
     for op in ops:
         if op[0] == "register":
             free = [f"v{i}" for i in range(len(names) + 1) if f"v{i}" not in names]
             indexed.register(free[0], op[1])
-            maintain_all.register(free[0], op[1])
             names.append(free[0])
+            recipes[free[0]], since[free[0]] = op[1], len(sends)
         elif op[0] == "unregister":
             if names:
                 name = names.pop(op[1] % len(names))
                 indexed.registry.unregister(name)
-                maintain_all.registry.unregister(name)
         else:
             if op[0] == "append":
                 batches = {op[1]: op[2]}
             else:
                 batches = {"calls": op[1], "fees": op[2]}
-            event = indexed.send(batches)
-            maintain_all.send(batches)
+            with GLOBAL_COUNTERS.measure() as cost:
+                event = indexed.send(batches)
+            assert cost["chronicle_read"] == 0
+            sends.append(batches)
             expected = [
                 name for name in names
                 if oracle_affected(indexed.registry.view(name), event)
             ]
             assert indexed.log == expected
-            candidates = [
-                name for name in names
+            candidate_views += sum(
+                1 for name in names
                 if set(indexed.registry.view(name).chronicle_names()) & set(event)
-            ]
-            assert maintain_all.log == candidates
+            )
     stats = indexed.registry.stats
     assert stats["prefilter_hits"] + stats["prefilter_misses"] == stats["candidate_views"]
     assert stats["maintained_views"] == stats["prefilter_misses"]
     assert stats["maintained_views"] <= stats["views_examined"] <= stats["candidate_views"]
-    assert stats["candidate_views"] == maintain_all.registry.stats["candidate_views"]
+    assert stats["candidate_views"] == candidate_views
     for name in names:
-        fast = indexed.registry.view(name)
-        slow = maintain_all.registry.view(name)
-        assert sorted(r.values for r in fast) == sorted(r.values for r in slow)
+        rows = sorted(r.values for r in indexed.registry.view(name))
+        assert rows == oracle_rows(recipes[name], sends[since[name]:]), name

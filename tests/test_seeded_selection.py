@@ -9,14 +9,13 @@ testing the rows again.  These tests pin that:
 * the residual test of a seeded view runs once per (row, filed entry) per
   event, never again in the plan;
 * a differential property over generated catalogs (the recipes of
-  ``tests/test_one_walk.py``): the seeded registry, a registry with the
-  prefilter off and the batch oracle agree, with ``chronicle_read == 0``,
+  ``tests/test_one_walk.py``): the seeded registry and the batch oracle
+  agree, with ``chronicle_read == 0``,
   across NULLs, a σ root registered twice, a seeded root shared inside a
   join view, ``append_simultaneous``, ``ingest`` windows and drop →
   re-define;
 * the compiled shape: seeded roots and chronicle scans are not wrapped in
-  the delta cache, EXPLAIN shows a seeded root as one step, and a
-  registry with the prefilter off seeds nothing.
+  the delta cache, and EXPLAIN shows a seeded root as one step.
 """
 
 import itertools
@@ -26,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ChronicleDatabase, DatabaseConfig
+from repro import ChronicleDatabase
 from repro.aggregates import COUNT, SUM, spec
 from repro.algebra.ast import scan
 from repro.complexity.counters import GLOBAL_COUNTERS
@@ -94,19 +93,6 @@ def test_a_seeded_residual_runs_once_per_row_and_entry(keyed):
     assert view.value((1,), "total") == 20 + 20 + 30 + 50
     expected_caller_2 = None if keyed else 40
     assert (view.value((2,), "total") if view.lookup((2,)) else None) == expected_caller_2
-
-
-def test_prefilter_off_compiles_the_full_plan():
-    db = ChronicleDatabase(config=DatabaseConfig(prefilter_views=False))
-    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")], retention=0)
-    residual = CountingComparison("minutes", ">", 10)
-    db.define_view(
-        GroupBySummary(scan(db.chronicle("calls")).select(residual), [], [spec(COUNT)]),
-        name="v",
-    )
-    db.append("calls", [{"caller": 1, "minutes": 20}, {"caller": 1, "minutes": 5}])
-    assert residual.calls == 2  # the plan's selection: no routing test to share
-    assert not db.registry._compiler.seeded
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +189,8 @@ GROUPING = ("k", "state")
 class Side:
     """One database over the recipe environment of ``test_one_walk``."""
 
-    def __init__(self, prefilter):
-        self.db = ChronicleDatabase(config=DatabaseConfig(prefilter_views=prefilter))
+    def __init__(self):
+        self.db = ChronicleDatabase()
         for name in CHRONICLES:
             self.db.create_chronicle(name, ATTRIBUTES)
         customers = self.db.create_relation(
@@ -299,28 +285,23 @@ def write(side, op):
 
 @settings(max_examples=300, deadline=None)
 @given(catalogs, operations)
-def test_seeded_equals_maintain_all_equals_the_batch_oracle(catalog, ops):
-    seeded, maintain_all = Side(prefilter=True), Side(prefilter=False)
+def test_seeded_equals_the_batch_oracle(catalog, ops):
+    seeded = Side()
     views = expand(catalog)
-    for side in (seeded, maintain_all):
-        for name, recipe in views:
-            side.define(name, recipe)
+    for name, recipe in views:
+        seeded.define(name, recipe)
     assert any(r.seeded for r in seeded.db.registry._views.values())
     numbers = itertools.count()
     for op in ops:
         if op[0] == "redefine":  # drop → re-define, materialized from history
             name, recipe = views[op[1] % len(views)]
-            for side in (seeded, maintain_all):
-                side.db.drop_view(name)
-                side.define(name, recipe)
+            seeded.db.drop_view(name)
+            seeded.define(name, recipe)
             continue
-        op = numbered(op, numbers)
-        for side in (seeded, maintain_all):
-            with GLOBAL_COUNTERS.measure() as cost:
-                write(side, op)
-            assert cost["chronicle_read"] == 0
+        with GLOBAL_COUNTERS.measure() as cost:
+            write(seeded, numbered(op, numbers))
+        assert cost["chronicle_read"] == 0
     for name, _ in views:
         summary = seeded.db.view(name).summary
         oracle = sorted(map(repr, (r.values for r in evaluate_summary(summary))))
         assert seeded.rows(name) == oracle, name
-        assert maintain_all.rows(name) == oracle, name
