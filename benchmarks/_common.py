@@ -56,10 +56,15 @@ def make_customers(size: int, ordered: bool = False) -> Relation:
     return customers
 
 
-def sum_view(node: Node, grouping: List[str], name: str = "v") -> PersistentView:
-    """A SUM+COUNT persistent view over *node*."""
+def sum_view(
+    node: Node, grouping: List[str], name: str = "v", state_index: Any = None
+) -> PersistentView:
+    """A SUM+COUNT persistent view over *node* (its state in
+    *state_index* when given)."""
     return PersistentView(
-        name, GroupBySummary(node, grouping, [spec(SUM, "mins"), spec(COUNT)])
+        name,
+        GroupBySummary(node, grouping, [spec(SUM, "mins"), spec(COUNT)]),
+        state_index=state_index,
     )
 
 

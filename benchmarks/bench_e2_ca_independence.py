@@ -3,8 +3,9 @@
 A composite CA-join view (σ, ∪, ⋈key, GROUPBY) is maintained while the
 chronicle (swept up to 100k appends, stored nowhere) and the view (swept
 up to 50k groups) grow.  Expected shape: per-append tuple work is flat in
-both sweeps; only the O(log |V|) locate probes grow — additively, never
-multiplicatively.
+both sweeps; the locate probes may grow by at most O(log |V|), additively,
+never multiplicatively — on the view's default hash-map store they stay
+flat.
 """
 
 import sys

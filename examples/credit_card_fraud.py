@@ -67,7 +67,7 @@ def main() -> None:
         db.append("purchases", record)
 
     risky = sorted(db.view("risky"), key=lambda r: -r["advance_cents"])
-    tracked = len(db.view("risky").relation)  # state for every card seen
+    tracked = len(db.view("risky").state_export())  # state for every card seen
     print(f"purchases processed : {len(records):,} "
           f"(stored: {len(db.chronicle('purchases'))})")
     print(f"risk view           : {len(risky)} cards over "

@@ -368,7 +368,7 @@ class Session:
             )
             for unit in shard_group.units:
                 rows = sum(
-                    len(unit.registry.view(name).relation)
+                    len(unit.registry.view(name).state_export())
                     for name in shard_group.views
                 )
                 line = f"    shard {unit.label}: watermark={unit.watermark} rows={rows}"
@@ -395,9 +395,8 @@ class Session:
 
     def _show_stats(self) -> str:
         obs = self._observability()
-        registry = self.db.registry
-        stats = registry.stats
-        per_view = obs.view_stats(view.name for view in registry.views())
+        stats = self.db.stats
+        per_view = stats.pop("per_view", None)
         lines = ["== registry =="]
         for key, value in sorted(stats.items()):
             lines.append(f"  {key}: {value}")

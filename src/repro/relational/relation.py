@@ -94,12 +94,15 @@ class Relation:
         """Insert one row; returns the stored :class:`Row`."""
         row = _as_row(self.schema, value)
         key = self._key_of(row)
+        if self._key_index is not None and self._key_index.contains(key):
+            raise KeyViolationError(f"relation {self.name!r}: duplicate key {key!r}")
+        slot = len(self._slots)
+        self._slots.append(row)
+        self._count += 1
         if self._key_index is not None:
-            if self._key_index.contains(key):
-                raise KeyViolationError(
-                    f"relation {self.name!r}: duplicate key {key!r}"
-                )
-        self.insert_at_key(key, row)
+            self._key_index.insert(key, slot)
+        for attrs, index in self._indexes.items():
+            index.insert(self._index_key(attrs, row), slot)
         return row
 
     def insert_many(self, values: Iterable[RowLike]) -> List[Row]:
@@ -173,38 +176,6 @@ class Relation:
         assert row is not None
         self._replace_slot(slot, row.replace(**changes))
         return True
-
-    def insert_at_key(self, key: Optional[Tuple[Any, ...]], row: Row) -> int:
-        """Trusted insert; returns the slot the row was stored in.
-
-        The caller guarantees what :meth:`insert` checks: *row* is a
-        :class:`Row` of this schema, *key* is its key (``None`` for a
-        keyless relation) and no stored row carries it — on the
-        persistent-view fold path the view's state index has just said
-        so.  The returned slot stays valid until a delete compacts the
-        relation or :meth:`clear` empties it, and is the very ``int`` the
-        key index holds, so remembering it costs the caller one pointer.
-        """
-        slot = len(self._slots)
-        self._slots.append(row)
-        self._count += 1
-        if self._key_index is not None:
-            self._key_index.insert(key, slot)
-        for attrs, index in self._indexes.items():
-            index.insert(self._index_key(attrs, row), slot)
-        return slot
-
-    def replace_at(self, slot: int, row: Row) -> None:
-        """Trusted swap of the row in *slot* for one carrying the same key.
-
-        The other half of :meth:`insert_at_key`: no key probe and no key
-        re-derivation — the caller located the row once, through its own
-        index, and kept the slot.
-        """
-        if self._indexes:
-            self._replace_slot(slot, row)
-        else:
-            self._slots[slot] = row
 
     def _replace_slot(self, slot: int, new_row: Row) -> None:
         old_row = self._slots[slot]

@@ -4,10 +4,11 @@ A :class:`PersistentView` owns
 
 * the chronicle-algebra expression χ and its summarization
   (:class:`~repro.sca.summarize.Summary`);
-* the materialized relation holding the view's visible rows;
-* per-group aggregate accumulators (or per-tuple multiplicities) in a
-  B+-tree keyed by the summary key — the O(log |V|) locate step of
-  Theorem 4.4;
+* one state store keyed by the summary key, whose entry per key holds
+  the key's aggregate accumulators (or its multiplicity) and its
+  visible row — an insertion-ordered map by default, so the locate step
+  of Theorem 4.4 is one expected-O(1) hash probe (a B+-tree passed as
+  ``state_index`` gives the theorem's O(log |V|));
 * its :class:`~repro.algebra.classify.Classification` (language fragment
   and IM class).
 
@@ -36,10 +37,27 @@ from ..core.chronicle import in_maintenance, maintenance_guard
 from ..core.delta import Delta
 from ..errors import ViewError
 from ..relational.algebra import Table, group_by as ra_group_by, project as ra_project
-from ..relational.relation import Relation
 from ..relational.tuples import Row
-from ..storage.btree import BPlusTree
 from .summarize import GroupBySummary, ProjectSummary, Summary
+
+_count = GLOBAL_COUNTERS.count
+
+
+class _StateMap(dict):
+    """The default state store: summary key → entry, in insertion order.
+
+    ``get`` is one hash locate and counts as one (one ``index_lookup``,
+    one ``index_probe``); ``insert`` is a plain set.
+    """
+
+    __slots__ = ()
+
+    def get(self, key: Tuple[Any, ...]) -> Optional[List[Any]]:
+        _count("index_lookup")
+        _count("index_probe")
+        return dict.get(self, key)
+
+    insert = dict.__setitem__
 
 
 class PersistentView:
@@ -48,7 +66,7 @@ class PersistentView:
     Parameters
     ----------
     name:
-        View name (also the name of the materialized relation).
+        View name.
     summary:
         The summarization over a chronicle-algebra expression.
     require_language:
@@ -80,18 +98,17 @@ class PersistentView:
                 f"view {name!r} is in {self.classification.language.value}, "
                 f"outside the required fragment {require_language.value}"
             )
-        self.relation = Relation(name, summary.output_schema)
         self._grouped = isinstance(summary, GroupBySummary)
-        # Summary-key → one mutable entry per key.  Grouping: the
-        # accumulators followed by the slot of the key's visible row in
-        # ``relation`` — ``[acc_1, …, acc_|AL|, slot]``; projection: the
-        # multiplicity, ``[count]``.  The index hands the entry itself
-        # back from ``get``, so a fold locates a key once, steps the
-        # entry in place and swaps the visible row by slot.  A B+-tree by
-        # default — the paper's O(log |V|) locate; a unique hash index
-        # can be substituted (expected O(1), no ordered scans) via
-        # *state_index* — the A1 ablation measures the difference.
-        self._state = state_index if state_index is not None else BPlusTree(unique=True)
+        # The view's whole state: summary key → one mutable entry,
+        # ``[acc_1, …, acc_|AL|, row]`` for a grouping summary and
+        # ``[count, row]`` for a projection, where ``row`` is the key's
+        # visible row.  ``get`` hands the entry itself back, so a fold
+        # locates a key once, steps the entry in place and sets its row.
+        # The default store keeps keys in the order first seen;
+        # *state_index* substitutes any store with
+        # ``get/insert/items/clear/__len__`` (a B+-tree for Theorem 4.4's
+        # O(log |V|) locate, as the A1 ablation and the E4 sweep build it).
+        self._state = state_index if state_index is not None else _StateMap()
         # key → entry of every key folded since the last take_touched();
         # None (the default) records nothing.
         self._touched: Optional[Dict[Tuple[Any, ...], List[Any]]] = None
@@ -104,7 +121,7 @@ class PersistentView:
     @property
     def schema(self):
         """The view's output schema (no sequencing attribute)."""
-        return self.relation.schema
+        return self.summary.output_schema
 
     @property
     def im_class(self) -> IMClass:
@@ -146,20 +163,22 @@ class PersistentView:
         """The view's fold step, compiled once, at construction.
 
         Grouping is Theorem 4.4: one locate per distinct key, one O(1)
-        step per aggregate per row, one visible-row swap per key; the
+        step per aggregate per row, one visible row built per key; the
         accumulators are stepped in place, so a ``step`` that raises
-        part-way leaves this view's state ahead of its visible rows.  A
-        projection counts each row into its tuple's multiplicity.  Either
-        way the step binds every summary and index callable it needs
-        here, so a fold reads no attribute of the view but the
-        touched-key recorder.
+        part-way leaves this view's state ahead of its visible rows (a
+        key first seen in that delta is not stored).  A projection
+        counts each row into its tuple's multiplicity.  Either way the
+        step binds every summary and store callable it needs here, so a
+        fold reads no attribute of the view but the touched-key
+        recorder.
         """
         summary = self.summary
         key_of = summary.key_of_values
         locate = self._state.get
+        insert = self._state.insert
+        view_row = summary.view_row
         count = GLOBAL_COUNTERS.count
         if not self._grouped:
-            show_tuple = self._show_tuple
 
             def fold_projection(rows: Tuple[Row, ...]) -> int:
                 if not rows:
@@ -169,9 +188,10 @@ class PersistentView:
                     key = key_of(row.values)
                     entry = touched.get(key)
                     if entry is None:
-                        entry = locate(key)  # O(log |V|), once per key
+                        entry = locate(key)  # once per key
                         if entry is None:
-                            entry = show_tuple(key, 0)
+                            entry = [0, view_row(key)]
+                            insert(key, entry)
                         touched[key] = entry
                     entry[0] += 1
                 count("tuple_op", len(rows))
@@ -182,9 +202,6 @@ class PersistentView:
             return fold_projection
         steps = summary.steps
         initial_states = summary.initial_states
-        view_row = summary.view_row
-        replace_at = self.relation.replace_at
-        show_group = self._show_group
 
         def fold_groups(rows: Tuple[Row, ...]) -> int:
             if not rows:
@@ -195,7 +212,7 @@ class PersistentView:
                 key = key_of(values)
                 entry = touched.get(key)
                 if entry is None:
-                    entry = locate(key)  # O(log |V|), once per key
+                    entry = locate(key)  # once per key
                     if entry is None:
                         entry = initial_states() + [None]
                     touched[key] = entry
@@ -206,38 +223,23 @@ class PersistentView:
             count("tuple_op", len(rows))
             count("aggregate_step", len(rows) * len(steps))
             for key, entry in touched.items():
-                slot = entry[-1]
-                if slot is None:
-                    show_group(key, entry)
-                else:
-                    replace_at(slot, view_row(key, entry[:-1]))
+                first_seen = entry[-1] is None
+                entry[-1] = view_row(key, entry[:-1])
+                if first_seen:
+                    insert(key, entry)
             if self._touched is not None:
                 self._touched.update(touched)
             return len(rows)
 
         return fold_groups
 
-    def _show_group(self, key: Tuple[Any, ...], entry: List[Any]) -> None:
-        """Index and show a group not seen before: one ``relation``
-        insert and one index insert, after which the entry remembers the
-        slot its visible row is swapped by."""
-        row = self.summary.view_row(key, entry[:-1])
-        entry[-1] = self.relation.insert_at_key(key, row)
-        self._state.insert(key, entry)
-
     def _show_global_group(self) -> None:
         """A global aggregate always has its single group row (SQL
         semantics: COUNT over the empty set is 0, not absent)."""
         summary = self.summary
         if self._grouped and not summary.grouping and not len(self._state):
-            self._show_group((), summary.initial_states() + [None])
-
-    def _show_tuple(self, key: Tuple[Any, ...], count: int) -> List[Any]:
-        """Index and show a projected tuple not seen before; its entry."""
-        entry = [count]
-        self._state.insert(key, entry)
-        self.relation.insert_at_key(key, self.summary.view_row(key))
-        return entry
+            states = summary.initial_states()
+            self._state.insert((), states + [summary.view_row((), states)])
 
     def _put(self, key: Tuple[Any, ...], state: Any) -> List[Any]:
         """Locate *key* once and install a state computed elsewhere;
@@ -245,18 +247,20 @@ class PersistentView:
         entry = self._state.get(key)
         if not self._grouped:
             if entry is None:
-                return self._show_tuple(key, state)
-            entry[0] = state
-        elif entry is None:
-            entry = list(state) + [None]
-            self._show_group(key, entry)
-        else:
-            entry[:-1] = state
-            self.relation.replace_at(entry[-1], self.summary.view_row(key, state))
+                entry = [state, self.summary.view_row(key)]
+                self._state.insert(key, entry)
+            else:
+                entry[0] = state
+            return entry
+        new = [*state, self.summary.view_row(key, state)]
+        if entry is None:
+            self._state.insert(key, new)
+            return new
+        entry[:] = new
         return entry
 
     def _portable(self, entry: List[Any]) -> Any:
-        """An entry's state as it is exported: no slot, no aliasing."""
+        """An entry's state as it is exported: no row, no aliasing."""
         return entry[:-1] if self._grouped else entry[0]
 
     # -- portable state ---------------------------------------------------------------
@@ -269,9 +273,9 @@ class PersistentView:
         definition this is the view's *entire* durable state — the
         visible rows are a pure function of it (``view_row``) — so the
         items are what crosses process boundaries (shard snapshots) and
-        what checkpoints persist.  Items are copies: later folds do not
-        change them, and where a row sits in the relation is not part
-        of them.
+        what checkpoints persist.  Items are copies, in the order the
+        keys were first seen: later folds do not change them, and the
+        visible row is not part of them.
         """
         portable = self._portable
         return [(key, portable(entry)) for key, entry in self._state.items()]
@@ -285,10 +289,10 @@ class PersistentView:
         """Replace the fold state wholesale; rebuilds the visible rows.
 
         The inverse of :meth:`state_export`: clears current state and
-        regenerates the materialized relation from the imported
-        accumulators, so a view rebuilt in a worker process (or restored
-        from a checkpoint) holds exactly the state and rows of the view
-        that exported, the rows in the order of *items*.  With *upsert*
+        rebuilds each key's visible row from its imported accumulators,
+        so a view rebuilt in a worker process (or restored from a
+        checkpoint) holds exactly the state and rows of the view that
+        exported, the rows in the order of *items*.  With *upsert*
         nothing is cleared: each item replaces (or adds) its own key, the
         way a delta snapshot is applied over its base.
 
@@ -299,7 +303,6 @@ class PersistentView:
         if maintenance_count is not None:
             self._maintenance_count = maintenance_count
         if not upsert:
-            self.relation.clear()
             self._state.clear()
         for key, state in items:
             self._put(tuple(key), state)
@@ -312,10 +315,10 @@ class PersistentView:
         The parent-side half of process-shard maintenance: a worker
         returns the post-fold state of exactly the keys one window
         touched, and this replaces those keys' accumulators and visible
-        rows — the same locate-once insert/swap discipline as the
-        fold, so a reader under the shard lock sees whole
-        windows or nothing.  Each call counts as one maintenance window,
-        mirroring :meth:`apply_delta`, and records the keys like a fold.
+        rows — one locate per key, as in the fold, so a reader under the
+        shard lock sees whole windows or nothing.  Each call counts as one
+        maintenance window, mirroring :meth:`apply_delta`, and records the
+        keys like a fold.
         """
         self._maintenance_count += 1
         put = self._put
@@ -364,16 +367,17 @@ class PersistentView:
 
     def rows(self) -> Iterator[Row]:
         """The view's visible rows (HAVING filter applied)."""
+        rows = (entry[-1] for _, entry in self._state.items())
         if self.summary.having is None:
-            return self.relation.rows()
-        return (row for row in self.relation.rows() if self.summary.visible(row))
+            return rows
+        return (row for row in rows if self.summary.visible(row))
 
     def __iter__(self) -> Iterator[Row]:
         return self.rows()
 
     def __len__(self) -> int:
         if self.summary.having is None:
-            return len(self.relation)
+            return len(self._state)
         return sum(1 for _ in self.rows())
 
     def lookup(self, key: Sequence[Any]) -> Optional[Row]:
@@ -383,15 +387,10 @@ class PersistentView:
         A row hidden by the HAVING filter reads as absent; a key whose
         arity is not the summary key's raises :class:`ViewError`.
         """
-        key = summary_key(self.name, self.summary, key)
-        if not key:
-            rows = list(self.relation.rows())
-            row = rows[0] if rows else None
-        else:
-            row = self.relation.lookup_key(key)
-        if row is not None and not self.summary.visible(row):
+        entry = self._state.get(summary_key(self.name, self.summary, key))
+        if entry is None or not self.summary.visible(entry[-1]):
             return None
-        return row
+        return entry[-1]
 
     def value(self, key: Sequence[Any], output: str) -> Any:
         """One output attribute of the row at *key* (None when absent)."""
@@ -400,11 +399,11 @@ class PersistentView:
 
     def to_table(self) -> Table:
         """Snapshot of the visible rows (for oracle comparisons)."""
-        return Table(self.relation.schema, list(self.rows()))
+        return Table(self.schema, list(self.rows()))
 
     def __repr__(self) -> str:
         return (
-            f"PersistentView({self.name!r}, {len(self.relation)} rows, "
+            f"PersistentView({self.name!r}, {len(self._state)} rows, "
             f"{self.language.value}, {self.im_class.value})"
         )
 

@@ -182,7 +182,7 @@ class TestRowsAreNotPersisted:
         fresh = build()
         fresh.restore(LEGACY_DOCUMENT)
         assert [row.values for row in fresh.view("usage")] == [
-            (1, 63, 21.0, 10, 33),  # key order, not first-appearance order
+            (1, 63, 21.0, 10, 33),  # the state items' order, not the "rows" order
             (2, 5, 5.0, 5, 5),
             (3, 7, 7.0, 7, 7),
         ]

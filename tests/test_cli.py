@@ -337,6 +337,24 @@ class TestShardStatements:
         assert "engine=sharded shards=2" in out
         assert "watermark=-1" in out  # shards exist, nothing routed yet
 
+    def test_show_stats_counts_the_shards(self):
+        s = self._sharded()
+        s.execute(
+            "DEFINE VIEW long AS SELECT caller, COUNT(*) AS n "
+            "FROM calls WHERE minutes > 2 GROUP BY caller"
+        )
+        for i in range(6):
+            s.execute('APPEND calls {"caller": %d, "minutes": %d}' % (i % 3, i))
+        stats = s.db.stats
+        assert s.db.partitioned_views == ("long", "usage")
+        assert stats["candidate_views"] == 12
+        out = s.execute("SHOW STATS")
+        registry, views = out.split("== audit ==")[0].split("== views ==")
+        for key in ("events", "candidate_views", "prefilter_hits", "maintained_views"):
+            assert f"  {key}: {stats[key]}\n" in registry
+        assert "usage: 6 maintain spans" in views
+        assert "long: 3 maintain spans" in views
+
     def test_show_shards_names_the_executor(self):
         s = self._sharded()
         out = s.execute("SHOW SHARDS")

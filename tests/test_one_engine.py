@@ -935,3 +935,28 @@ def test_the_freshness_bookkeeping_stays_deleted():
     assert not hasattr(ChronicleDatabase, "shard_health")
     assert list(engine.ShardTask.__slots__) == ["unit", "event", "watermark"]
     assert "dispatched" not in engine.ShardUnit.__slots__
+
+
+# -- one store per view ----------------------------------------------------------------
+
+
+def test_a_view_keeps_one_store():
+    from repro.relational.relation import Relation
+
+    db = ChronicleDatabase()
+    db.create_chronicle("calls", [("acct", "INT"), ("mins", "INT")], retention=0)
+    db.define_view(
+        "DEFINE VIEW v AS SELECT acct, SUM(mins) AS total FROM calls GROUP BY acct"
+    )
+    db.append("calls", [{"acct": 1, "mins": 5}])
+    view = db.view("v")
+    assert isinstance(view, PersistentView)
+    assert not hasattr(view, "relation")
+    assert not hasattr(Relation, "replace_at")
+    assert not hasattr(Relation, "insert_at_key")
+    names = {
+        name.rsplit(".", 1)[-1] for name in imported_modules(SRC / "sca" / "view.py")
+    }
+    assert {"Relation", "BPlusTree"} & names == set()
+    # The walk does see the names view.py imports by name.
+    assert {"Row", "Table"} <= names

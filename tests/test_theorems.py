@@ -21,6 +21,7 @@ from repro.relational.schema import Schema
 from repro.views.registry import attach_view
 from repro.sca.summarize import GroupBySummary
 from repro.sca.view import PersistentView
+from repro.storage.btree import BPlusTree
 from repro.views.registry import ViewRegistry
 
 
@@ -166,6 +167,39 @@ class TestTheorem44:
         for i in range(1000):
             group.append(calls, {"acct": i % 37, "mins": 1})
         assert len(view.state_export()) == len(view) == 37
+
+    @staticmethod
+    def locate_probes(groups, state_index=None):
+        """Index probes of one t=1 append into a view holding *groups* keys."""
+        group = ChronicleGroup("g")
+        calls = group.create_chronicle(
+            "calls", [("acct", "INT"), ("mins", "INT")], retention=0
+        )
+        view = PersistentView(
+            "v",
+            GroupBySummary(scan(calls), ["acct"], [spec(SUM, "mins")]),
+            state_index=state_index,
+        )
+        attach_view(view, group)
+        with GLOBAL_COUNTERS.disabled():
+            for start in range(0, groups, 1000):
+                batch = range(start, min(start + 1000, groups))
+                group.append(calls, [{"acct": acct, "mins": 1} for acct in batch])
+        assert len(view) == groups
+        with GLOBAL_COUNTERS.measure() as cost:
+            group.append(calls, {"acct": groups // 2, "mins": 1})
+        return cost["index_probe"]
+
+    def test_default_store_locates_in_flat_probes(self):
+        sizes = (100, 1_000, 10_000, 100_000)
+        assert [self.locate_probes(size) for size in sizes] == [1, 1, 1, 1]
+
+    def test_btree_store_locates_in_log_probes(self):
+        probes = [
+            self.locate_probes(size, BPlusTree(unique=True))
+            for size in (100, 10_000, 100_000)
+        ]
+        assert probes == sorted(probes) and probes[0] < probes[-1]
 
 
 class TestProposition31AndTheorem43:
