@@ -3,11 +3,11 @@
 Three knobs DESIGN.md calls out, each measured on/off:
 
 1. **view-state index structure** — B+-tree (the paper's O(log |V|)
-   locate, ordered scans) vs unique hash index (expected O(1), no
-   ordered access), each passed to the view as its ``state_index``.
-   Expected: the hash index wins on probes by the log factor, B+-tree
-   probes grow with log |V|.  (A view's default store is a hash map
-   too; E4 checks its probes are flat in |V|.)
+   locate, ordered scans) vs the engine's hash map (``HashMap``:
+   expected O(1), no ordered access), each passed to the view as its
+   ``state_index``.  Expected: the hash map wins on probes by the log
+   factor, B+-tree probes grow with log |V|.  (``HashMap`` is also a
+   view's default store; E4 checks its probes are flat in |V|.)
 2. **per-event delta sharing** — N views, each built independently
    over a structurally equal π(σ(scan)), maintained each by its own
    standalone plan (``attach_view``: a one-view registry each, nothing
@@ -35,7 +35,7 @@ from repro.views.registry import attach_view
 from repro.sca.summarize import GroupBySummary
 from repro.sca.view import PersistentView
 from repro.storage.btree import BPlusTree
-from repro.storage.hash_index import HashIndex
+from repro.storage.hash_index import HashMap
 from repro.views.registry import ViewRegistry
 
 from _common import make_customers, make_group
@@ -46,7 +46,7 @@ from _common import make_customers, make_group
 
 def _state_index_probes(groups, use_hash):
     group, calls = make_group(retention=0)
-    state_index = HashIndex(unique=True) if use_hash else BPlusTree(unique=True)
+    state_index = HashMap() if use_hash else BPlusTree(unique=True)
     view = PersistentView(
         "v",
         GroupBySummary(scan(calls), ["acct"], [spec(SUM, "mins")]),
@@ -146,7 +146,7 @@ def test_a1_hash_state_index_correct():
     view = PersistentView(
         "v",
         GroupBySummary(scan(calls), ["acct"], [spec(SUM, "mins")]),
-        state_index=HashIndex(unique=True),
+        state_index=HashMap(),
     )
     attach_view(view, group)
     for i in range(200):
@@ -172,7 +172,7 @@ def test_a1_state_index_append(benchmark, use_hash):
     view = PersistentView(
         "v",
         GroupBySummary(scan(calls), ["acct"], [spec(SUM, "mins")]),
-        state_index=HashIndex(unique=True) if use_hash else BPlusTree(unique=True),
+        state_index=HashMap() if use_hash else BPlusTree(unique=True),
     )
     attach_view(view, group)
     with GLOBAL_COUNTERS.disabled():

@@ -56,12 +56,9 @@ RowValues = Union[Mapping[str, Any], Sequence[Any]]
 class _MaintenanceDepth(threading.local):
     """Depth of nested maintenance sections active on the current thread.
 
-    Thread-local: the guard marks a *dynamic extent*, and with the sharded
-    engine several worker threads maintain views concurrently — each
-    worker's guard must cover its own maintenance only (an unguarded
-    reader thread may read freely while another thread maintains).  A
-    module-global counter would also corrupt under concurrent non-atomic
-    +=/-=.
+    Thread-local: the guard marks a *dynamic extent* of the thread that
+    maintains, so an unguarded reader thread may read a chronicle freely
+    while another thread maintains.
     """
 
     depth = 0

@@ -10,12 +10,13 @@ index layer; temporal versioning is layered on in
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import partial
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..complexity.counters import GLOBAL_COUNTERS
 from ..errors import IntegrityError, KeyViolationError, UnknownAttributeError
 from ..storage.btree import BPlusTree
-from ..storage.hash_index import HashIndex
+from ..storage.hash_index import HashIndex, HashMap
 from .predicate import Predicate
 from .schema import Schema
 from .tuples import Row
@@ -37,10 +38,14 @@ def _as_row(schema: Schema, value: RowLike) -> Row:
 class Relation:
     """A stored, mutable relation.
 
-    Rows are kept in insertion order in a slot list; deletion leaves
-    tombstones that are skipped on scan and compacted opportunistically.
-    A unique index enforces the schema's key; additional secondary indexes
-    (hash or B+-tree) can be attached per attribute list.
+    Rows live in one insertion-ordered dict from a row id to the
+    :class:`Row`; removing an entry is O(1) and keeps the order, so a
+    delete leaves nothing to compact.  When the schema declares a key, a
+    :class:`~repro.storage.hash_index.HashMap` maps each key to its row
+    id; secondary indexes (hash or B+-tree) map a value to row ids.
+    Every mutation checks the key and every unique index before it
+    writes, so a refused one leaves the relation as it was.  Inserting
+    or deleting rows while iterating :meth:`rows` raises ``RuntimeError``.
 
     Parameters
     ----------
@@ -48,31 +53,21 @@ class Relation:
         Relation name (used in error messages and the database catalog).
     schema:
         The relation's schema.  When the schema declares a key, a unique
-        hash index over it is created automatically.
+        hash map over it is created automatically.
     """
 
-    __slots__ = (
-        "name",
-        "schema",
-        "_slots",
-        "_count",
-        "_key_index",
-        "_key_positions",
-        "_indexes",
-        "_tombstones",
-    )
+    __slots__ = ("name", "schema", "_rows", "_next_id", "_key_map", "_key_positions", "_indexes")
 
     def __init__(self, name: str, schema: Schema) -> None:
         self.name = name
         self.schema = schema
-        self._slots: List[Optional[Row]] = []
-        self._count = 0
-        self._tombstones = 0
+        self._rows: Dict[int, Row] = {}
+        self._next_id = 0
         self._indexes: Dict[Tuple[str, ...], Union[HashIndex, BPlusTree]] = {}
-        self._key_index: Optional[HashIndex] = None
+        self._key_map: Optional[HashMap] = None
         self._key_positions: Optional[Tuple[int, ...]] = None
         if schema.key is not None:
-            self._key_index = HashIndex(unique=True)
+            self._key_map = HashMap()
             self._key_positions = schema.positions(schema.key)
 
     # -- key helpers -----------------------------------------------------------------
@@ -88,21 +83,64 @@ class Relation:
             return row[attrs[0]]
         return tuple(row[name] for name in attrs)
 
+    def _key_id(self, key: Sequence[Any]) -> Optional[int]:
+        if self._key_map is None:
+            raise IntegrityError(f"relation {self.name!r} has no key")
+        return self._key_map.get(tuple(key))
+
+    # -- check, then write -------------------------------------------------------------
+
+    def _check(self, edits: List[Tuple[int, Optional[Row], Row]]) -> None:
+        """Raise :class:`KeyViolationError` unless writing every
+        ``(row id, old row or None, new row)`` of *edits* keeps the key
+        and each unique index unique; changes nothing.
+
+        An update sets the same values on every row it edits, so no row
+        of it can take a value another row of it gives up: a new value is
+        free when no stored row holds it and no earlier edit took it.
+        """
+        guarantees = [("key", self._key_of, self._key_map.get)] if self._key_map is not None else []
+        guarantees.extend(
+            (f"value of unique index {attrs}", partial(self._index_key, attrs), index.get)
+            for attrs, index in self._indexes.items()
+            if index.unique
+        )
+        for what, value_of, holder_of in guarantees:
+            taken = set()
+            for _, old, new in edits:
+                value = value_of(new)
+                moved = old is None or value_of(old) != value
+                if value in taken or (moved and holder_of(value) is not None):
+                    raise KeyViolationError(f"relation {self.name!r}: duplicate {what} {value!r}")
+                taken.add(value)
+
+    def _write(self, edits: List[Tuple[int, Optional[Row], Row]]) -> None:
+        """Check *edits*, then store them, re-filing only the index
+        entries whose value changed."""
+        self._check(edits)
+        key_map = self._key_map
+        for row_id, old, new in edits:
+            if key_map is not None and (old is None or self._key_of(old) != self._key_of(new)):
+                if old is not None:
+                    del key_map[self._key_of(old)]
+                key_map.insert(self._key_of(new), row_id)
+            for attrs, index in self._indexes.items():
+                value = self._index_key(attrs, new)
+                if old is not None:
+                    old_value = self._index_key(attrs, old)
+                    if old_value == value:
+                        continue
+                    index.remove(old_value, row_id)
+                index.insert(value, row_id)
+            self._rows[row_id] = new
+
     # -- mutation ----------------------------------------------------------------------
 
     def insert(self, value: RowLike) -> Row:
         """Insert one row; returns the stored :class:`Row`."""
         row = _as_row(self.schema, value)
-        key = self._key_of(row)
-        if self._key_index is not None and self._key_index.contains(key):
-            raise KeyViolationError(f"relation {self.name!r}: duplicate key {key!r}")
-        slot = len(self._slots)
-        self._slots.append(row)
-        self._count += 1
-        if self._key_index is not None:
-            self._key_index.insert(key, slot)
-        for attrs, index in self._indexes.items():
-            index.insert(self._index_key(attrs, row), slot)
+        self._write([(self._next_id, None, row)])
+        self._next_id += 1
         return row
 
     def insert_many(self, values: Iterable[RowLike]) -> List[Row]:
@@ -111,100 +149,52 @@ class Relation:
 
     def delete_where(self, predicate: Predicate) -> int:
         """Delete every row satisfying *predicate*; returns count deleted."""
-        deleted = 0
-        for slot, row in enumerate(self._slots):
-            if row is not None and predicate.evaluate(row):
-                self._delete_slot(slot)
-                deleted += 1
-        self._maybe_compact()
-        return deleted
+        doomed = [row_id for row_id, row in self._rows.items() if predicate.evaluate(row)]
+        for row_id in doomed:
+            self._delete(row_id)
+        return len(doomed)
 
     def delete_key(self, key: Sequence[Any]) -> bool:
         """Delete the row with the given primary-key value."""
-        if self._key_index is None:
-            raise IntegrityError(f"relation {self.name!r} has no key")
-        slot = self._key_index.get(tuple(key))
-        if slot is None:
+        row_id = self._key_id(key)
+        if row_id is None:
             return False
-        self._delete_slot(slot)
-        self._maybe_compact()
+        self._delete(row_id)
         return True
 
-    def _delete_slot(self, slot: int) -> None:
-        row = self._slots[slot]
-        if row is None:
-            return
-        self._slots[slot] = None
-        self._count -= 1
-        self._tombstones += 1
-        if self._key_index is not None:
-            self._key_index.remove(self._key_of(row))
+    def _delete(self, row_id: int) -> None:
+        row = self._rows.pop(row_id)
+        if self._key_map is not None:
+            del self._key_map[self._key_of(row)]
         for attrs, index in self._indexes.items():
-            index.remove(self._index_key(attrs, row), slot)
-
-    def _maybe_compact(self) -> None:
-        if self._tombstones <= max(32, self._count):
-            return
-        live = [row for row in self._slots if row is not None]
-        self._slots = []
-        self._count = 0
-        self._tombstones = 0
-        if self._key_index is not None:
-            self._key_index.clear()
-        for index in self._indexes.values():
-            index.clear()
-        for row in live:
-            self.insert(row)
+            index.remove(self._index_key(attrs, row), row_id)
 
     def update_where(self, predicate: Predicate, **changes: Any) -> int:
-        """Set the given attributes on every row matching *predicate*."""
-        updated = 0
-        for slot, row in enumerate(self._slots):
-            if row is not None and predicate.evaluate(row):
-                self._replace_slot(slot, row.replace(**changes))
-                updated += 1
-        return updated
+        """Set the given attributes on every row matching *predicate*;
+        refused whole when any updated row would break a unique key or
+        index."""
+        edits = [
+            (row_id, row, row.replace(**changes))
+            for row_id, row in self._rows.items()
+            if predicate.evaluate(row)
+        ]
+        self._write(edits)
+        return len(edits)
 
     def update_key(self, key: Sequence[Any], **changes: Any) -> bool:
         """Update the row with the given primary-key value."""
-        if self._key_index is None:
-            raise IntegrityError(f"relation {self.name!r} has no key")
-        slot = self._key_index.get(tuple(key))
-        if slot is None:
+        row_id = self._key_id(key)
+        if row_id is None:
             return False
-        row = self._slots[slot]
-        assert row is not None
-        self._replace_slot(slot, row.replace(**changes))
+        row = self._rows[row_id]
+        self._write([(row_id, row, row.replace(**changes))])
         return True
-
-    def _replace_slot(self, slot: int, new_row: Row) -> None:
-        old_row = self._slots[slot]
-        assert old_row is not None
-        new_key = self._key_of(new_row)
-        old_key = self._key_of(old_row)
-        if self._key_index is not None and new_key != old_key:
-            existing = self._key_index.get(new_key)
-            if existing is not None and existing != slot:
-                raise KeyViolationError(
-                    f"relation {self.name!r}: update duplicates key {new_key!r}"
-                )
-            self._key_index.remove(old_key)
-            self._key_index.insert(new_key, slot)
-        for attrs, index in self._indexes.items():
-            old_value = self._index_key(attrs, old_row)
-            new_value = self._index_key(attrs, new_row)
-            if old_value != new_value:
-                index.remove(old_value, slot)
-                index.insert(new_value, slot)
-        self._slots[slot] = new_row
 
     def clear(self) -> None:
         """Remove every row."""
-        self._slots = []
-        self._count = 0
-        self._tombstones = 0
-        if self._key_index is not None:
-            self._key_index.clear()
+        self._rows.clear()
+        if self._key_map is not None:
+            self._key_map.clear()
         for index in self._indexes.values():
             index.clear()
 
@@ -227,9 +217,8 @@ class Relation:
             return
         index: Union[HashIndex, BPlusTree]
         index = BPlusTree(unique=unique) if ordered else HashIndex(unique=unique)
-        for slot, row in enumerate(self._slots):
-            if row is not None:
-                index.insert(self._index_key(key, row), slot)
+        for row_id, row in self._rows.items():
+            index.insert(self._index_key(key, row), row_id)
         self._indexes[key] = index
 
     def has_index(self, attrs: Sequence[str]) -> bool:
@@ -253,12 +242,8 @@ class Relation:
 
     def lookup_key(self, key: Sequence[Any]) -> Optional[Row]:
         """The row with the given primary-key value, if any."""
-        if self._key_index is None:
-            raise IntegrityError(f"relation {self.name!r} has no key")
-        slot = self._key_index.get(tuple(key))
-        if slot is None:
-            return None
-        return self._slots[slot]
+        row_id = self._key_id(key)
+        return None if row_id is None else self._rows[row_id]
 
     def lookup(self, attrs: Sequence[str], value: Any) -> List[Row]:
         """Rows whose *attrs* equal *value*, via index when available.
@@ -268,17 +253,12 @@ class Relation:
         index — the cost model makes the difference visible.
         """
         key = tuple(attrs)
-        if self.schema.key == key and self._key_index is not None:
+        if self.schema.key == key and self._key_map is not None:
             row = self.lookup_key(value if isinstance(value, tuple) else (value,))
             return [row] if row is not None else []
         index = self._indexes.get(key)
         if index is not None:
-            rows = []
-            for slot in index.get_all(value):
-                row = self._slots[slot]
-                if row is not None:
-                    rows.append(row)
-            return rows
+            return [self._rows[row_id] for row_id in index.get_all(value)]
         matches = []
         for row in self.rows():
             GLOBAL_COUNTERS.count("tuple_op")
@@ -293,16 +273,15 @@ class Relation:
     # -- iteration -----------------------------------------------------------------------
 
     def rows(self) -> Iterator[Row]:
-        """Iterate live rows in insertion order."""
-        for row in self._slots:
-            if row is not None:
-                yield row
+        """Iterate the rows in insertion order (an update keeps a row's
+        place)."""
+        return iter(self._rows.values())
 
     def __iter__(self) -> Iterator[Row]:
         return self.rows()
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._rows)
 
     def __contains__(self, value: object) -> bool:
         if not isinstance(value, Row):
@@ -314,4 +293,4 @@ class Relation:
         return frozenset(self.rows())
 
     def __repr__(self) -> str:
-        return f"Relation({self.name!r}, {self._count} rows, schema={self.schema!r})"
+        return f"Relation({self.name!r}, {len(self._rows)} rows, schema={self.schema!r})"

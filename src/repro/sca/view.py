@@ -6,9 +6,9 @@ A :class:`PersistentView` owns
   (:class:`~repro.sca.summarize.Summary`);
 * one state store keyed by the summary key, whose entry per key holds
   the key's aggregate accumulators (or its multiplicity) and its
-  visible row — an insertion-ordered map by default, so the locate step
-  of Theorem 4.4 is one expected-O(1) hash probe (a B+-tree passed as
-  ``state_index`` gives the theorem's O(log |V|));
+  visible row — the engine's counted hash map by default, so the locate
+  step of Theorem 4.4 is one expected-O(1) hash probe (a B+-tree passed
+  as ``state_index`` gives the theorem's O(log |V|));
 * its :class:`~repro.algebra.classify.Classification` (language fragment
   and IM class).
 
@@ -38,26 +38,8 @@ from ..core.delta import Delta
 from ..errors import ViewError
 from ..relational.algebra import Table, group_by as ra_group_by, project as ra_project
 from ..relational.tuples import Row
+from ..storage.hash_index import HashMap
 from .summarize import GroupBySummary, ProjectSummary, Summary
-
-_count = GLOBAL_COUNTERS.count
-
-
-class _StateMap(dict):
-    """The default state store: summary key → entry, in insertion order.
-
-    ``get`` is one hash locate and counts as one (one ``index_lookup``,
-    one ``index_probe``); ``insert`` is a plain set.
-    """
-
-    __slots__ = ()
-
-    def get(self, key: Tuple[Any, ...]) -> Optional[List[Any]]:
-        _count("index_lookup")
-        _count("index_probe")
-        return dict.get(self, key)
-
-    insert = dict.__setitem__
 
 
 class PersistentView:
@@ -108,7 +90,7 @@ class PersistentView:
         # *state_index* substitutes any store with
         # ``get/insert/items/clear/__len__`` (a B+-tree for Theorem 4.4's
         # O(log |V|) locate, as the A1 ablation and the E4 sweep build it).
-        self._state = state_index if state_index is not None else _StateMap()
+        self._state = state_index if state_index is not None else HashMap()
         # key → entry of every key folded since the last take_touched();
         # None (the default) records nothing.
         self._touched: Optional[Dict[Tuple[Any, ...], List[Any]]] = None

@@ -16,8 +16,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, List, Optional, Tuple
 
-from ..complexity.counters import GLOBAL_COUNTERS, CostCounters
+from ..complexity.counters import GLOBAL_COUNTERS
 from ..errors import KeyViolationError
+
+_count = GLOBAL_COUNTERS.count
 
 
 class _Leaf:
@@ -48,25 +50,17 @@ class BPlusTree:
     unique:
         When true, inserting an existing key raises
         :class:`~repro.errors.KeyViolationError`.
-    counters:
-        Cost-model sink; defaults to the process-wide counters.
     """
 
-    __slots__ = ("order", "unique", "_root", "_size", "_counters")
+    __slots__ = ("order", "unique", "_root", "_size")
 
-    def __init__(
-        self,
-        order: int = 32,
-        unique: bool = False,
-        counters: Optional[CostCounters] = None,
-    ) -> None:
+    def __init__(self, order: int = 32, unique: bool = False) -> None:
         if order < 3:
             raise ValueError("B+-tree order must be at least 3")
         self.order = order
         self.unique = unique
         self._root: Any = _Leaf()
         self._size = 0  # number of (key, value) entries
-        self._counters = counters if counters is not None else GLOBAL_COUNTERS
 
     # -- search helpers ------------------------------------------------------------
 
@@ -80,7 +74,7 @@ class BPlusTree:
         while type(node) is _Internal:
             probes += 1
             node = node.children[bisect_right(node.keys, key)]
-        self._counters.count("index_probe", probes)
+        _count("index_probe", probes)
         return node
 
     def _leftmost_leaf(self) -> _Leaf:
@@ -93,7 +87,7 @@ class BPlusTree:
 
     def get(self, key: Any) -> Optional[Any]:
         """First value stored at *key*, or ``None``."""
-        self._counters.count("index_lookup")
+        _count("index_lookup")
         leaf = self._find_leaf(key)
         position = bisect_left(leaf.keys, key)
         if position < len(leaf.keys) and leaf.keys[position] == key:
@@ -102,7 +96,7 @@ class BPlusTree:
 
     def get_all(self, key: Any) -> List[Any]:
         """Every value stored at *key* (empty list when absent)."""
-        self._counters.count("index_lookup")
+        _count("index_lookup")
         leaf = self._find_leaf(key)
         position = bisect_left(leaf.keys, key)
         if position < len(leaf.keys) and leaf.keys[position] == key:
@@ -111,7 +105,7 @@ class BPlusTree:
 
     def contains(self, key: Any) -> bool:
         """Whether any entry exists for *key*."""
-        self._counters.count("index_lookup")
+        _count("index_lookup")
         leaf = self._find_leaf(key)
         position = bisect_left(leaf.keys, key)
         return position < len(leaf.keys) and leaf.keys[position] == key
@@ -129,7 +123,7 @@ class BPlusTree:
         Either bound may be ``None`` (unbounded).  *inclusive* controls
         whether each bound is closed.
         """
-        self._counters.count("index_lookup")
+        _count("index_lookup")
         if low is None:
             leaf: Optional[_Leaf] = self._leftmost_leaf()
             position = 0
@@ -180,7 +174,7 @@ class BPlusTree:
 
     def insert(self, key: Any, value: Any) -> None:
         """Insert a ``key → value`` entry."""
-        self._counters.count("index_lookup")
+        _count("index_lookup")
         # One descent, remembering the path so splits can propagate up.
         path: List[Tuple[_Internal, int]] = []
         node = self._root
@@ -188,7 +182,7 @@ class BPlusTree:
             child_pos = bisect_right(node.keys, key)
             path.append((node, child_pos))
             node = node.children[child_pos]
-        self._counters.count("index_probe", len(path) + 1)
+        _count("index_probe", len(path) + 1)
         position = bisect_left(node.keys, key)
         if position < len(node.keys) and node.keys[position] == key:
             if self.unique:
@@ -243,7 +237,7 @@ class BPlusTree:
         Returns whether an entry was removed.  Underflowing nodes are
         rebalanced by borrowing from or merging with siblings.
         """
-        self._counters.count("index_lookup")
+        _count("index_lookup")
         removed = self._remove(self._root, key, value)
         if removed:
             self._size -= 1
@@ -267,7 +261,7 @@ class BPlusTree:
 
     def _remove(self, node: Any, key: Any, value: Any) -> bool:
         if isinstance(node, _Leaf):
-            self._counters.count("index_probe")
+            _count("index_probe")
             position = bisect_left(node.keys, key)
             if position >= len(node.keys) or node.keys[position] != key:
                 return False
@@ -283,7 +277,7 @@ class BPlusTree:
                 del node.keys[position]
                 del node.values[position]
             return True
-        self._counters.count("index_probe")
+        _count("index_probe")
         child_pos = bisect_right(node.keys, key)
         child = node.children[child_pos]
         removed = self._remove(child, key, value)

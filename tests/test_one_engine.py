@@ -960,3 +960,30 @@ def test_a_view_keeps_one_store():
     assert {"Relation", "BPlusTree"} & names == set()
     # The walk does see the names view.py imports by name.
     assert {"Row", "Table"} <= names
+
+
+# -- one hash map ----------------------------------------------------------------------
+
+
+def test_one_hash_map():
+    from repro.relational.relation import Relation
+    from repro.storage import BPlusTree, HashIndex
+
+    for cls in (HashIndex, BPlusTree):
+        assert "counters" not in inspect.signature(cls).parameters
+    assert "initial_buckets" not in inspect.signature(HashIndex).parameters
+    for name in ("_slots", "_tombstones", "_maybe_compact"):
+        assert not hasattr(Relation, name)
+    counting_dicts = [
+        (str(path.relative_to(SRC)), node.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "dict" for base in node.bases)
+        and any(
+            isinstance(leaf, ast.Constant) and leaf.value == "index_lookup"
+            for leaf in ast.walk(node)
+        )
+    ]
+    assert counting_dicts == [("storage/hash_index.py", "HashMap")]
+    assert "_StateMap" not in (SRC / "sca" / "view.py").read_text()

@@ -57,17 +57,6 @@ class TestHashIndexBasics:
         assert len(index) == 0
         assert index.get("k") is None
 
-    def test_growth_preserves_entries(self):
-        index = HashIndex(initial_buckets=8)
-        for i in range(1000):
-            index.insert(i, i * 2)
-        assert len(index) == 1000
-        assert all(index.get(i) == i * 2 for i in range(0, 1000, 97))
-
-    def test_bad_initial_buckets(self):
-        with pytest.raises(ValueError):
-            HashIndex(initial_buckets=6)
-
     def test_items_iteration(self):
         index = HashIndex()
         for i in range(20):

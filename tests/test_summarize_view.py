@@ -28,7 +28,7 @@ from repro.views.registry import attach_view
 from repro.sca.summarize import GroupBySummary, ProjectSummary
 from repro.sca.view import PersistentView, evaluate_summary
 from repro.storage.btree import BPlusTree
-from repro.storage.hash_index import HashIndex
+from repro.storage.hash_index import HashMap
 
 
 def build(retention=None):
@@ -296,7 +296,7 @@ STATE_INDEXES = {
     "default": lambda: None,
     # order 4: a few dozen keys already make a tree three levels deep.
     "btree": lambda: BPlusTree(order=4, unique=True),
-    "hash": lambda: HashIndex(unique=True),
+    "hash": HashMap,
 }
 
 # Few accounts and kinds: keys repeat inside one batch, and most batches
