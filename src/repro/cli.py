@@ -286,16 +286,11 @@ class Session:
                 )
             for name in sorted(self.db.relations):
                 lines.append(f"  relation {name}: {len(self.db.relations[name])} rows")
-            for view in self.db.registry.views():
+            for view in self.db.views():
+                sharded = ", sharded" if view.name in self.db.partitioned_views else ""
                 lines.append(
                     f"  view {view.name}: {len(view)} rows "
-                    f"[{view.language.value}, {view.im_class.value}]"
-                )
-            for name in self.db.partitioned_views:
-                view = self.db.view(name)
-                lines.append(
-                    f"  view {name}: {len(view)} rows "
-                    f"[{view.language.value}, {view.im_class.value}, sharded]"
+                    f"[{view.language.value}, {view.im_class.value}{sharded}]"
                 )
             return "\n".join(lines) if lines else "  (empty catalog)"
         if target == "VIEW":

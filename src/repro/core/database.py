@@ -33,7 +33,7 @@ from __future__ import annotations
 import warnings
 import weakref
 from contextlib import nullcontext
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..aggregates.registry import default_registry
 from ..errors import ChronicleGroupError, ObservabilityError, ViewRegistrationError
@@ -503,6 +503,13 @@ class ChronicleDatabase:
                 return merged
         return self.registry.view(name)
 
+    def views(self) -> Iterator[Any]:
+        """Every persistent view: the registry's, then the merged handles
+        of the partitioned ones, by name."""
+        yield from self.registry.views()
+        for name in self.partitioned_views:
+            yield self._shards.merged[name]
+
     def periodic_view(self, name: str) -> PeriodicViewSet:
         """Fetch a registered periodic view set."""
         return self.registry.periodic(name)
@@ -644,8 +651,7 @@ class ChronicleDatabase:
             stats = self._shards.stats(stats)
         obs = self._observability
         if obs is not None:
-            views = [view.name for view in self.registry.views()]
-            per_view = obs.view_stats(views + list(self.partitioned_views))
+            per_view = obs.view_stats([view.name for view in self.views()])
             if per_view:
                 stats["per_view"] = per_view
         return stats

@@ -325,10 +325,6 @@ class ChronicleGroup:
             return [records]
         return records  # type: ignore[return-value]
 
-    def same_group(self, *chronicles: Chronicle) -> bool:
-        """Whether every argument chronicle belongs to this group."""
-        return all(c.group is self for c in chronicles)
-
     def __repr__(self) -> str:
         return (
             f"ChronicleGroup({self.name!r}, chronicles={sorted(self.chronicles)}, "

@@ -43,10 +43,6 @@ class KeyViolationError(IntegrityError):
     """An insert/update would duplicate a key value."""
 
 
-class ForeignKeyError(IntegrityError):
-    """A referenced tuple does not exist in the target relation."""
-
-
 # ---------------------------------------------------------------------------
 # Chronicle model rule violations (Section 2 of the paper)
 # ---------------------------------------------------------------------------

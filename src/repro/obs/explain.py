@@ -223,7 +223,7 @@ class ExplainReport:
             matched = {paths[id(node)] for node in self.plan.walk()}
             extras = sorted(set(measurements) - matched)
             if extras:
-                lines.append("  unmatched spans (interpreter fallback inside a step):")
+                lines.append("  unmatched spans (measured steps at no node path of this plan):")
                 for path in extras:
                     m = measurements[path]
                     lines.append(

@@ -5,7 +5,7 @@ One *trace* is the tree of spans produced by a single append event::
     append                      (ChronicleGroup.append_simultaneous)
     ├─ prefilter                (ViewRegistry candidate filtering)
     ├─ maintain view=v0         (one span per maintained view)
-    │  ├─ delta op=Select       (compiled plan step / interpreter node)
+    │  ├─ delta op=Select       (one span per compiled plan step)
     │  └─ delta op=GroupBySeq
     └─ maintain view=v1
        └─ ...

@@ -46,7 +46,7 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from threading import RLock
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..algebra.ast import Node
 from ..algebra.plan import (
@@ -417,27 +417,23 @@ class MergedView:
 
     # -- durability --------------------------------------------------------------------
 
-    def export_state(self) -> Tuple[List[Tuple[Any, Any]], int]:
+    def state_export(self) -> List[Tuple[Any, Any]]:
         """Union of the partitions' fold state, for checkpointing.
 
-        Returns ``(state items, total maintenance count)``.  The items
-        alone determine the visible rows (``view_row`` is pure), and
-        partition keys are disjoint, so the union is the state the
-        serial engine would hold — checkpoints are engine-portable.
+        The items alone determine the visible rows (``view_row`` is
+        pure), and partition keys are disjoint, so the union is the state
+        the serial engine would hold — checkpoints are engine-portable.
         """
         items: List[Tuple[Any, Any]] = []
-        count = 0
         for unit in self._shard_group.units:
             with unit.lock:
-                view = self._partition(unit)
-                items.extend(view.state_export())
-                count += view.maintenance_count
-        return items, count
+                items.extend(self._partition(unit).state_export())
+        return items
 
-    def import_state(
+    def state_import(
         self,
-        items: Sequence[Tuple[Any, Any]],
-        maintenance_count: int = 0,
+        items: Iterable[Tuple[Any, Any]],
+        maintenance_count: Optional[int] = None,
         upsert: bool = False,
     ) -> None:
         """Restore the partitions from checkpointed fold state.
@@ -446,8 +442,8 @@ class MergedView:
         hash — which is why restore works across processes at all — and
         each partition rebuilds its rows from its bucket (or, with
         *upsert*, replaces only the bucket's keys: a delta snapshot).
-        The combined maintenance count is assigned to shard 0 so the
-        merged total round-trips.
+        A given combined maintenance count is assigned to shard 0 (the
+        others to 0) so the merged total round-trips.
         """
         sg = self._shard_group
         buckets: List[List[Tuple[Any, Any]]] = [[] for _ in sg.units]
@@ -458,7 +454,9 @@ class MergedView:
             with unit.lock:
                 self._partition(unit).state_import(
                     buckets[index],
-                    maintenance_count=maintenance_count if index == 0 else 0,
+                    maintenance_count=(
+                        0 if index and maintenance_count is not None else maintenance_count
+                    ),
                     upsert=upsert,
                 )
 

@@ -90,9 +90,6 @@ class Catalog:
         self.chronicles: Dict[str, Chronicle] = dict(chronicles or {})
         self.relations: Dict[str, Any] = dict(relations or {})
 
-    def add_chronicle(self, chronicle: Chronicle) -> None:
-        self.chronicles[chronicle.name] = chronicle
-
     def add_relation(self, relation: Any) -> None:
         self.relations[relation.name] = relation
 

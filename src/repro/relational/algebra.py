@@ -46,10 +46,6 @@ class Table:
             self.rows = tuple(rows)
 
     @classmethod
-    def from_rows(cls, schema: Schema, rows: Iterable[Row]) -> "Table":
-        return cls(schema, rows)
-
-    @classmethod
     def from_relation(cls, relation: Any) -> "Table":
         """Build from anything exposing ``schema`` and row iteration."""
         return cls(relation.schema, list(relation))

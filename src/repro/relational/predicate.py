@@ -205,10 +205,6 @@ class And(Predicate):
     def is_ca_predicate(self) -> bool:
         return False
 
-    def unfold(self) -> Tuple[Predicate, ...]:
-        """The conjuncts, each usable as a separate cascaded selection."""
-        return self.terms
-
     def __repr__(self) -> str:
         return "(" + " AND ".join(map(repr, self.terms)) + ")"
 

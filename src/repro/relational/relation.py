@@ -136,59 +136,69 @@ class Relation:
 
     # -- mutation ----------------------------------------------------------------------
 
+    # Each mutation is one _write (or _deletes) of (row id, old row or
+    # None, new row or None) edits, which it returns: the versioned layer
+    # logs exactly those, so a past version replays by row identity.
+
     def insert(self, value: RowLike) -> Row:
         """Insert one row; returns the stored :class:`Row`."""
-        row = _as_row(self.schema, value)
-        self._write([(self._next_id, None, row)])
-        self._next_id += 1
-        return row
+        return self._inserts((value,))[0][2]
 
     def insert_many(self, values: Iterable[RowLike]) -> List[Row]:
-        """Insert several rows; returns the stored rows."""
-        return [self.insert(value) for value in values]
+        """Insert several rows; returns the stored rows.  Refused whole
+        when any row would break a unique key or index."""
+        return [new for _, _, new in self._inserts(values)]
+
+    def _inserts(self, values: Iterable[RowLike]) -> List[Tuple[int, None, Row]]:
+        first = self._next_id
+        edits = [(first + i, None, _as_row(self.schema, v)) for i, v in enumerate(values)]
+        self._write(edits)
+        self._next_id += len(edits)
+        return edits
 
     def delete_where(self, predicate: Predicate) -> int:
         """Delete every row satisfying *predicate*; returns count deleted."""
-        doomed = [row_id for row_id, row in self._rows.items() if predicate.evaluate(row)]
-        for row_id in doomed:
-            self._delete(row_id)
-        return len(doomed)
+        return len(self._deletes(self._matching(predicate)))
 
     def delete_key(self, key: Sequence[Any]) -> bool:
         """Delete the row with the given primary-key value."""
-        row_id = self._key_id(key)
-        if row_id is None:
-            return False
-        self._delete(row_id)
-        return True
+        return bool(self._deletes(self._key_ids(key)))
 
-    def _delete(self, row_id: int) -> None:
-        row = self._rows.pop(row_id)
-        if self._key_map is not None:
-            del self._key_map[self._key_of(row)]
-        for attrs, index in self._indexes.items():
-            index.remove(self._index_key(attrs, row), row_id)
+    def _deletes(self, row_ids: List[int]) -> List[Tuple[int, Row, None]]:
+        edits = []
+        for row_id in row_ids:
+            row = self._rows.pop(row_id)
+            if self._key_map is not None:
+                del self._key_map[self._key_of(row)]
+            for attrs, index in self._indexes.items():
+                index.remove(self._index_key(attrs, row), row_id)
+            edits.append((row_id, row, None))
+        return edits
 
     def update_where(self, predicate: Predicate, **changes: Any) -> int:
         """Set the given attributes on every row matching *predicate*;
         refused whole when any updated row would break a unique key or
         index."""
-        edits = [
-            (row_id, row, row.replace(**changes))
-            for row_id, row in self._rows.items()
-            if predicate.evaluate(row)
-        ]
-        self._write(edits)
-        return len(edits)
+        return len(self._updates(self._matching(predicate), changes))
 
     def update_key(self, key: Sequence[Any], **changes: Any) -> bool:
         """Update the row with the given primary-key value."""
+        return bool(self._updates(self._key_ids(key), changes))
+
+    def _updates(self, row_ids: List[int], changes: Dict[str, Any]) -> List[Tuple[int, Row, Row]]:
+        rows = self._rows
+        edits = [(row_id, rows[row_id], rows[row_id].replace(**changes)) for row_id in row_ids]
+        self._write(edits)
+        return edits
+
+    def _matching(self, predicate: Predicate) -> List[int]:
+        """Ids of the rows satisfying *predicate*, collected before any
+        mutation."""
+        return [row_id for row_id, row in self._rows.items() if predicate.evaluate(row)]
+
+    def _key_ids(self, key: Sequence[Any]) -> List[int]:
         row_id = self._key_id(key)
-        if row_id is None:
-            return False
-        row = self._rows[row_id]
-        self._write([(row_id, row, row.replace(**changes))])
-        return True
+        return [] if row_id is None else [row_id]
 
     def clear(self) -> None:
         """Remove every row."""

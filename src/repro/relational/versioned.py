@@ -29,10 +29,6 @@ from .relation import Relation, RowLike
 from .schema import Schema
 from .tuples import Row
 
-#: Operation kinds recorded in the version log.
-_INSERT, _DELETE, _UPDATE = "insert", "delete", "update"
-
-
 class VersionedRelation:
     """A relation with proactive-update enforcement and optional history.
 
@@ -61,8 +57,9 @@ class VersionedRelation:
         self.current = Relation(name, schema)
         self._watermark = watermark if watermark is not None else (lambda: -1)
         self.keep_history = keep_history
-        # (effective_from_sn, op, payload) — payload depends on op
-        self._log: List[Tuple[int, str, Any]] = []
+        # (effective_from_sn, row id, old row or None, new row or None):
+        # the edits of the current relation, in order.
+        self._log: List[Tuple[int, int, Optional[Row], Optional[Row]]] = []
         # Keys of the rows changed since the last take_dirty(); None (the
         # default) records nothing.  A keyless relation records ().
         self._dirty: Optional[Set[Tuple[Any, ...]]] = None
@@ -110,10 +107,19 @@ class VersionedRelation:
             self._dirty = set()
         return dirty
 
-    def _mark(self, row: Optional[Row]) -> None:
-        if self._dirty is not None and row is not None:
+    def _record(self, effective: int, edits: List[Tuple[int, Any, Any]]) -> List[Any]:
+        """Mark the keys of, and log, the ``(row id, old, new)`` edits one
+        mutation of :attr:`current` wrote; returns them."""
+        dirty = self._dirty
+        if dirty is not None:
             key = self.schema.key
-            self._dirty.add(tuple(row[name] for name in key) if key is not None else ())
+            for _, old, new in edits:
+                for row in (old, new):
+                    if row is not None:
+                        dirty.add(tuple(row[name] for name in key) if key is not None else ())
+        if self.keep_history:
+            self._log.extend([(effective, *edit) for edit in edits])
+        return edits
 
     # -- restore (checkpoints) ---------------------------------------------------------
 
@@ -130,18 +136,13 @@ class VersionedRelation:
         the restored one.  Dirty-key recording stops: the change did not
         come through a recorded mutation.
         """
-        effective = self._watermark() + 1
+        current = self.current
         if keys is None:
-            old = list(self.current.rows())
-            self.current.clear()
+            row_ids = list(current._rows)
         else:
-            old = [row for row in map(self.current.lookup_key, keys) if row is not None]
-            for key in keys:
-                self.current.delete_key(key)
-        new = [self.current.insert(value) for value in rows]
-        if self.keep_history:
-            self._log.extend((effective, _DELETE, row) for row in old)
-            self._log.extend((effective, _INSERT, row) for row in new)
+            row_ids = [row_id for key in keys for row_id in current._key_ids(key)]
+        edits = current._deletes(row_ids) + current._inserts(rows)
+        self._record(self._watermark() + 1, edits)
         self._dirty = None
 
     # -- mutation (proactive) ----------------------------------------------------------
@@ -149,56 +150,32 @@ class VersionedRelation:
     def insert(self, value: RowLike, effective_from: Optional[int] = None) -> Row:
         """Proactively insert a row, effective for future sequence numbers."""
         effective = self._effective_from(effective_from)
-        row = self.current.insert(value)
-        self._mark(row)
-        if self.keep_history:
-            self._log.append((effective, _INSERT, row))
-        return row
+        return self._record(effective, self.current._inserts((value,)))[0][2]
 
-    def insert_many(self, values: Sequence[RowLike], effective_from: Optional[int] = None) -> List[Row]:
-        """Proactively insert several rows."""
-        return [self.insert(value, effective_from) for value in values]
+    def insert_many(
+        self, values: Iterable[RowLike], effective_from: Optional[int] = None
+    ) -> List[Row]:
+        """Proactively insert several rows; refused whole when any row
+        would break a unique key or index."""
+        effective = self._effective_from(effective_from)
+        return [new for _, _, new in self._record(effective, self.current._inserts(values))]
 
     def delete_key(self, key: Sequence[Any], effective_from: Optional[int] = None) -> bool:
         """Proactively delete the row with the given key."""
         effective = self._effective_from(effective_from)
-        row = self.current.lookup_key(key)
-        deleted = self.current.delete_key(key)
-        if deleted:
-            self._mark(row)
-            if self.keep_history:
-                self._log.append((effective, _DELETE, row))
-        return deleted
+        return bool(self._record(effective, self.current._deletes(self.current._key_ids(key))))
 
     def update_key(self, key: Sequence[Any], effective_from: Optional[int] = None, **changes: Any) -> bool:
         """Proactively update the row with the given key."""
         effective = self._effective_from(effective_from)
-        before = self.current.lookup_key(key)
-        if before is None:
-            return False
-        updated = self.current.update_key(key, **changes)
-        if updated:
-            after = self.current.lookup_key(
-                tuple(changes.get(name, before[name]) for name in self.schema.key)
-            )
-            self._mark(before)
-            self._mark(after)
-            if self.keep_history:
-                self._log.append((effective, _UPDATE, (before, after)))
-        return updated
+        edits = self.current._updates(self.current._key_ids(key), changes)
+        return bool(self._record(effective, edits))
 
     def update_where(self, predicate: Predicate, effective_from: Optional[int] = None, **changes: Any) -> int:
         """Proactively update every row matching *predicate*."""
         effective = self._effective_from(effective_from)
-        touched = [row for row in self.current.rows() if predicate.evaluate(row)]
-        count = self.current.update_where(predicate, **changes)
-        for before in touched:
-            after = before.replace(**changes)
-            self._mark(before)
-            self._mark(after)
-            if self.keep_history:
-                self._log.append((effective, _UPDATE, (before, after)))
-        return count
+        edits = self.current._updates(self.current._matching(predicate), changes)
+        return len(self._record(effective, edits))
 
     # -- temporal read ------------------------------------------------------------------
 
@@ -216,28 +193,25 @@ class VersionedRelation:
     def as_of(self, sequence_number: int) -> Relation:
         """Reconstruct the relation version at *sequence_number*.
 
-        Replays the operation log from empty; intended for audit queries
-        and tests, never for the maintenance path (which only ever needs
-        the current version thanks to the proactive rule).
+        Replays the logged edits from empty by row id, so a keyless
+        relation's rows and every relation's row order come back as they
+        were; intended for audit queries and tests, never for the
+        maintenance path (which only ever needs the current version
+        thanks to the proactive rule).
         """
         if not self.keep_history:
             raise RetroactiveUpdateError(
                 f"relation {self.name!r} keeps no history; as-of queries unavailable"
             )
         snapshot = Relation(f"{self.name}@{sequence_number}", self.schema)
-        for effective, op, payload in self._log:
+        for effective, row_id, old, new in self._log:
             if effective > sequence_number:
                 break
-            if op == _INSERT:
-                snapshot.insert(payload)
-            elif op == _DELETE:
-                if payload is not None and self.schema.key is not None:
-                    snapshot.delete_key(tuple(payload[name] for name in self.schema.key))
-            else:  # update
-                before, after = payload
-                if self.schema.key is not None:
-                    snapshot.delete_key(tuple(before[name] for name in self.schema.key))
-                snapshot.insert(after)
+            if new is None:
+                snapshot._deletes([row_id])
+            else:
+                snapshot._write([(row_id, old, new)])
+        snapshot._next_id = self.current._next_id
         return snapshot
 
     # -- passthrough reads ----------------------------------------------------------------

@@ -218,13 +218,6 @@ class GroupBySummary(Summary):
         """Fresh accumulators, one per aggregation-list entry."""
         return [a.function.initial() for a in self.aggregates]
 
-    def merge_states(self, left: List[Any], right: List[Any]) -> List[Any]:
-        """Merge two accumulator lists (decomposed evaluation)."""
-        return [
-            a.function.merge(l, r)
-            for a, l, r in zip(self.aggregates, left, right)
-        ]
-
     def view_row(self, key: Tuple[Any, ...], states: Sequence[Any]) -> Row:
         """Build the visible view row for a group's accumulators."""
         finalizers = self._finalizers

@@ -14,10 +14,11 @@ history.  A production deployment therefore needs durability for:
 
 The format is a single JSON document (version-tagged).  JSON keeps the
 checkpoint inspectable and avoids pickle's code-execution surface; the
-value codec (:mod:`repro.storage.codec`, shared with the WAL subsystem)
-handles the tuples that aggregate accumulators use.
+value codec (:mod:`repro.storage.codec`, shared with the WAL's snapshot
+chain) handles the tuples that aggregate accumulators use.
 
-Two kinds of document share that codec and one loader:
+Two kinds of document share that codec, one builder (:func:`_document`:
+a base is the delta of every key) and one loader:
 
 * a **base** (:func:`checkpoint_document`, ``"format": 1``) holds all of
   the state — what :func:`write_checkpoint` writes and what a durability
@@ -78,13 +79,16 @@ def _decode_items(payload: Dict[str, Any]) -> Iterator[Tuple[Any, Any]]:
     )
 
 
-def _view_state(items: Any, maintenance_count: int) -> Dict[str, Any]:
-    """One view's durable state: portable fold-state items.
+def _view_state(view: Any, items: Any) -> Optional[Dict[str, Any]]:
+    """One view's durable state: portable fold-state items (None when a
+    delta finds the view not recording).
 
     The visible rows are a pure function of that state, so they are not
     written.
     """
-    return {"state": _encode_items(items), "maintenance_count": maintenance_count}
+    if items is None:
+        return None
+    return {"state": _encode_items(items), "maintenance_count": view.maintenance_count}
 
 
 def _restore_view(view: Any, payload: Dict[str, Any], upsert: bool) -> None:
@@ -97,24 +101,24 @@ def _restore_view(view: Any, payload: Dict[str, Any], upsert: bool) -> None:
     )
 
 
-def _periodic_state(view_set: Any, delta: bool) -> Optional[Dict[str, Any]]:
+def _periodic_state(view_set: Any, base: bool) -> Optional[Dict[str, Any]]:
     """A periodic view set's clock, expiry and active interval views.
 
     In a delta every active interval is listed (an absent one expired),
     with only its touched items; None when the set is not recording.
     """
-    if delta:
+    if base:
+        items = {index: view.state_export() for index, view in view_set._active.items()}
+    else:
         items = view_set.take_touched()
         if items is None:
             return None
-    else:
-        items = {index: view.state_export() for index, view in view_set._active.items()}
     return {
         "clock": view_set._clock,
         "expired": sorted(view_set._expired),
         "instantiated": view_set._instantiated,
         "views": {
-            str(index): _view_state(items[index], view.maintenance_count)
+            str(index): _view_state(view, items[index])
             for index, view in view_set._active.items()
         },
     }
@@ -145,59 +149,14 @@ def checkpoint_document(db: Any, record: bool = False) -> Dict[str, Any]:
     every view, periodic set and relation also starts recording what
     changes from here on — the content of the next :func:`delta_document`.
     """
-    try:
-        if record:
-            _start_recording(db)
-        return _checkpoint_document(db)
-    except CodecError as exc:
-        # The shared codec reports the offending value; at this boundary
-        # that is a checkpoint failure.
-        raise CheckpointError(str(exc)) from exc
-
-
-def _start_recording(db: Any) -> None:
-    for view in db.registry.views():
-        view.record_touched()
-    for name in db.partitioned_views:
-        db.view(name).record_touched()
-    for registered in db.registry._periodic.values():
-        registered.view.record_touched()
-    for relation in db.relations.values():
-        relation.record_dirty()
-
-
-def _checkpoint_document(db: Any) -> Dict[str, Any]:
-    document: Dict[str, Any] = {
-        "format": FORMAT_VERSION,
-        "groups": _groups(db),
-        "relations": {
-            name: [_encode_value(row.values) for row in relation.rows()]
-            for name, relation in db.relations.items()
-        },
-        "views": {
-            view.name: _view_state(view.state_export(), view.maintenance_count)
-            for view in db.registry.views()
-        },
-        "periodic": {
-            name: _periodic_state(registered.view, delta=False)
-            for name, registered in db.registry._periodic.items()
-        },
-    }
-    # Sharded engine: partitioned views live behind MergedView facades,
-    # not in the base registry.  Their durable state is the union of the
-    # partitions' fold state (rows regenerate from it on restore), which
-    # is exactly the serial engine's state for the same view — so these
-    # checkpoints restore into either engine.
-    if db.partitioned_views:
-        document["merged"] = {}
-        for name in db.partitioned_views:
-            items, count = db.view(name).export_state()
-            document["merged"][name] = _view_state(items, count)
-    return document
-
-
-def _groups(db: Any) -> Dict[str, Any]:
-    return {name: {"watermark": group.watermark} for name, group in db.groups.items()}
+    if record:
+        for view in db.views():
+            view.record_touched()
+        for registered in db.registry._periodic.values():
+            registered.view.record_touched()
+        for relation in db.relations.values():
+            relation.record_dirty()
+    return _document(db, base=True)
 
 
 def delta_document(db: Any) -> Optional[Dict[str, Any]]:
@@ -209,53 +168,58 @@ def delta_document(db: Any) -> Optional[Dict[str, Any]]:
     Recording restarts empty either way: a None must be followed by a
     base.
     """
+    return _document(db, base=False)
+
+
+def _document(db: Any, base: bool) -> Optional[Dict[str, Any]]:
+    """The one document builder: a base is the delta of every key.
+
+    Each view (a partitioned view through its merged handle, whose state
+    is the union of its partitions' — so documents restore into either
+    engine) writes its whole state in a base and its touched items in a
+    delta; each relation writes every row in a base and, in a delta, its
+    changed keys (a deleted key as None) or, keyless, every row.
+    """
     try:
-        return _delta_document(db)
-    except CodecError as exc:
-        raise CheckpointError(str(exc)) from exc
-
-
-def _touched_state(view: Any) -> Optional[Dict[str, Any]]:
-    items = view.take_touched()
-    return None if items is None else _view_state(items, view.maintenance_count)
-
-
-def _delta_document(db: Any) -> Optional[Dict[str, Any]]:
-    views = {view.name: _touched_state(view) for view in db.registry.views()}
-    merged = {name: _touched_state(db.view(name)) for name in db.partitioned_views}
-    periodic = {
-        name: _periodic_state(registered.view, delta=True)
-        for name, registered in db.registry._periodic.items()
-    }
-    if None in views.values() or None in merged.values() or None in periodic.values():
-        return None
-    # Keyless relations changed as a whole; keyed ones by key, a deleted
-    # key as None.
-    relations: Dict[str, Any] = {}
-    relation_rows: Dict[str, Any] = {}
-    for name, relation in db.relations.items():
-        dirty = relation.take_dirty()
-        if dirty is None:
+        views = {
+            view.name: _view_state(view, view.state_export() if base else view.take_touched())
+            for view in db.views()
+        }
+        periodic = {
+            name: _periodic_state(registered.view, base)
+            for name, registered in db.registry._periodic.items()
+        }
+        if None in views.values() or None in periodic.values():
             return None
-        if dirty and relation.schema.key is None:
-            relations[name] = [_encode_value(row.values) for row in relation.rows()]
-        elif dirty:
-            rows = {key: relation.lookup_key(key) for key in dirty}
-            relation_rows[name] = [
-                [_encode_value(key), None if row is None else _encode_value(row.values)]
-                for key, row in rows.items()
-            ]
-    document: Dict[str, Any] = {
-        "format": DELTA_FORMAT,
-        "groups": _groups(db),
-        "relations": relations,
-        "relation_rows": relation_rows,
-        "views": views,
-        "periodic": periodic,
-    }
-    if merged:
-        document["merged"] = merged
-    return document
+        relations: Dict[str, Any] = {}
+        relation_rows: Dict[str, Any] = {}
+        for name, relation in db.relations.items():
+            dirty = True if base else relation.take_dirty()
+            if dirty is None:
+                return None
+            if dirty and (base or relation.schema.key is None):
+                relations[name] = [_encode_value(row.values) for row in relation.rows()]
+            elif dirty:
+                rows = {key: relation.lookup_key(key) for key in dirty}
+                relation_rows[name] = [
+                    [_encode_value(key), None if row is None else _encode_value(row.values)]
+                    for key, row in rows.items()
+                ]
+        document: Dict[str, Any] = {
+            "format": FORMAT_VERSION if base else DELTA_FORMAT,
+            "groups": {name: {"watermark": g.watermark} for name, g in db.groups.items()},
+            "relations": relations,
+            "relation_rows": relation_rows,
+            "views": views,
+            "periodic": periodic,
+        }
+        if base:  # a base replaces every relation whole
+            del document["relation_rows"]
+        return document
+    except CodecError as exc:
+        # The shared codec reports the offending value; at this boundary
+        # that is a checkpoint failure.
+        raise CheckpointError(str(exc)) from exc
 
 
 def write_checkpoint(db: Any, target: Union[str, IO[str]]) -> Dict[str, Any]:
@@ -331,29 +295,12 @@ def _load_checkpoint(db: Any, source: Union[str, IO[str], Dict[str, Any]]) -> No
             ],
             keys=[_decode_value(key) for key, _ in changed],
         )
-    known_views = {view.name: view for view in db.registry.views()}
-    merged_views = {name: db.view(name) for name in db.partitioned_views}
-    for name, payload in document["views"].items():
-        if name in known_views:
-            _restore_view(known_views[name], payload, upsert)
-        elif name in merged_views:
-            # A serial checkpoint restoring into a sharded database: the
-            # fold state routes to the owning shards; rows regenerate.
-            merged_views[name].import_state(
-                _decode_items(payload), payload.get("maintenance_count", 0), upsert
-            )
-        else:
+    views = {view.name: view for view in db.views()}
+    # Builds before partitioned views joined "views" wrote them to "merged".
+    for name, payload in {**document["views"], **document.get("merged", {})}.items():
+        if name not in views:
             raise CheckpointError(f"checkpoint names unknown view {name!r}")
-    for name, payload in document.get("merged", {}).items():
-        if name in merged_views:
-            merged_views[name].import_state(
-                _decode_items(payload), payload.get("maintenance_count", 0), upsert
-            )
-        elif name in known_views:
-            # A sharded checkpoint restoring into a serial database.
-            _restore_view(known_views[name], payload, upsert)
-        else:
-            raise CheckpointError(f"checkpoint names unknown view {name!r}")
+        _restore_view(views[name], payload, upsert)
     for name, payload in document.get("periodic", {}).items():
         if name not in db.registry._periodic:
             raise CheckpointError(

@@ -1,10 +1,12 @@
-"""Shared value codec for every durable artifact.
+"""Shared value codec for every snapshot document.
 
-Checkpoints, WAL snapshots, and the append-ahead log all serialize the
-same things: row value tuples and aggregate accumulator state.  Keeping
-one codec means the three artifacts cannot drift on value encoding — a
-checkpoint written today restores from the same byte-level conventions a
-WAL snapshot replays tomorrow.
+Checkpoint files and the WAL's snapshot chain store the same document
+(:mod:`repro.storage.checkpoint`): row value tuples and aggregate
+accumulator state.  Keeping one codec means the two cannot drift on
+value encoding — a checkpoint written today restores from the same
+conventions a WAL snapshot replays tomorrow.  The append-ahead log
+itself does not use it: ``ChronicleWal.log_batch``, ``log_ddl`` and
+``log_relation_update`` pickle their payloads.
 
 The encoding is JSON-compatible: tuples are tagged (JSON has no tuple
 type, and accumulators rely on tuple/list distinction), and any value

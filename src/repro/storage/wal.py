@@ -287,13 +287,6 @@ class ChronicleWal:
                 (key, value),
             )
 
-    def get_meta(self, key: str) -> Optional[str]:
-        with self._lock:
-            row = self._require().execute(
-                "SELECT value FROM meta WHERE key = ?", (key,)
-            ).fetchone()
-        return None if row is None else str(row[0])
-
     def meta_items(self, prefix: str) -> Iterator[Tuple[str, str]]:
         """All ``meta`` rows whose key starts with *prefix*, key-ordered."""
         with self._lock:

@@ -80,8 +80,3 @@ class Workload:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(seed={self.seed})"
-
-
-def round_currency(value: float) -> float:
-    """Round to cents — keeps float totals comparable across orderings."""
-    return round(value, 2)

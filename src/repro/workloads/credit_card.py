@@ -8,7 +8,7 @@ affected-view prefilter.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from .base import SchemaSpec, Workload, ZipfChooser
 
@@ -77,20 +77,6 @@ class CreditCardWorkload(Workload):
             "cents": cents,
             "day": index // self.purchases_per_day,
         }
-
-    def cardholder_rows(self) -> List[Dict[str, Any]]:
-        """Rows for a ``cardholders`` relation (card, limit, tier)."""
-        tiers = ("standard", "gold", "platinum")
-        rows = []
-        for offset in range(self.cards):
-            rows.append(
-                {
-                    "card": 4_000_000 + offset,
-                    "limit_cents": self.rng.randrange(100_000, 2_000_001),
-                    "tier": tiers[self.rng.randrange(len(tiers))],
-                }
-            )
-        return rows
 
     CARDHOLDER_SCHEMA: SchemaSpec = [
         ("card", "INT"),

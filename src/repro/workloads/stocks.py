@@ -8,7 +8,7 @@ lot-sized integers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from .base import SchemaSpec, Workload, ZipfChooser
 
@@ -69,18 +69,6 @@ class StockWorkload(Workload):
             "price_cents": price,
             "day": index // self.trades_per_day,
         }
-
-    def symbol_rows(self) -> List[Dict[str, Any]]:
-        """Rows for a ``symbols`` relation (symbol, ticker, sector)."""
-        sectors = ("tech", "finance", "energy", "health", "retail")
-        return [
-            {
-                "symbol": symbol,
-                "ticker": f"SYM{symbol:03d}",
-                "sector": sectors[symbol % len(sectors)],
-            }
-            for symbol in range(self.symbols)
-        ]
 
     SYMBOL_SCHEMA: SchemaSpec = [
         ("symbol", "INT"),

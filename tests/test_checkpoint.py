@@ -6,16 +6,19 @@ import json
 
 import pytest
 
+from repro.core.config import DatabaseConfig
 from repro.core.database import ChronicleDatabase
 from repro.storage.checkpoint import (
     CheckpointError,
+    checkpoint_document,
+    delta_document,
     write_checkpoint,
     load_checkpoint,
 )
 
 
-def build(define_views=True, materialize=False):
-    db = ChronicleDatabase()
+def build(define_views=True, materialize=False, config=None):
+    db = ChronicleDatabase(config=config)
     db.create_chronicle(
         "calls", [("caller", "INT"), ("minutes", "INT")], retention=0
     )
@@ -307,3 +310,77 @@ class TestValidation:
         db.checkpoint(path)
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".ckpt" and p.name != "db.ckpt"]
         assert leftovers == []
+
+
+# -- documents written by a build that kept partitioned views in "merged" ------------
+
+#: ``checkpoint_document(db, record=True)`` of ``build()`` on the sharded
+#: engine (2 shards) after appending (1, 10), (2, 5), (1, 20), (3, 7),
+#: then ``delta_document(db)`` after (1, 33), (4, 8) and a subscriber
+#: insert — as written when a partitioned view's state went to a
+#: ``"merged"`` section beside ``"views"``.
+MERGED_BASE = json.loads(
+    """
+{"format": 1, "groups": {"default": {"watermark": 3}},
+ "relations": {"subscribers": [{"__tuple__": [1, "NJ"]}]},
+ "views": {"grand": {"state": [[{"__tuple__": []}, [4]]], "maintenance_count": 4}},
+ "periodic": {},
+ "merged": {"usage": {"state": [
+   [{"__tuple__": [1]}, [30, {"__tuple__": [30, 2]}, 10, {"__tuple__": [true, 20]}]],
+   [{"__tuple__": [3]}, [7, {"__tuple__": [7, 1]}, 7, {"__tuple__": [true, 7]}]],
+   [{"__tuple__": [2]}, [5, {"__tuple__": [5, 1]}, 5, {"__tuple__": [true, 5]}]]],
+  "maintenance_count": 4}}}
+"""
+)
+MERGED_DELTA = json.loads(
+    """
+{"format": "delta-1", "groups": {"default": {"watermark": 5}},
+ "relations": {},
+ "relation_rows": {"subscribers": [[{"__tuple__": [2]}, {"__tuple__": [2, "NY"]}]]},
+ "views": {"grand": {"state": [[{"__tuple__": []}, [6]]], "maintenance_count": 6}},
+ "periodic": {},
+ "merged": {"usage": {"state": [
+   [{"__tuple__": [1]}, [63, {"__tuple__": [63, 3]}, 10, {"__tuple__": [true, 33]}]],
+   [{"__tuple__": [4]}, [8, {"__tuple__": [8, 1]}, 8, {"__tuple__": [true, 8]}]]],
+  "maintenance_count": 6}}}
+"""
+)
+ENGINES = {"serial": None, "sharded": DatabaseConfig(engine="sharded", shards=2)}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestMergedSectionStillRestores:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_base_then_delta(self, engine):
+        db = build(config=ENGINES[engine])
+        db.restore(MERGED_BASE)
+        assert sorted(row.values for row in db.view("usage").rows()) == [
+            (1, 30, 15.0, 10, 20), (2, 5, 5.0, 5, 5), (3, 7, 7.0, 7, 7),
+        ]
+        db.restore(MERGED_DELTA)
+        assert sorted(row.values for row in db.view("usage").rows()) == [
+            (1, 63, 21.0, 10, 33), (2, 5, 5.0, 5, 5), (3, 7, 7.0, 7, 7), (4, 8, 8.0, 8, 8),
+        ]
+        assert db.view_value("grand", (), "n") == 6
+        assert db.view("usage").maintenance_count == 6
+        assert db.relation("subscribers").lookup_key((2,))["state"] == "NY"
+        db.append("calls", {"caller": 2, "minutes": 9})
+        assert db.group().watermark == 6
+        assert db.view_value("usage", (2,), "mean") == 7.0  # AVG state resumed
+
+    def test_new_documents_write_every_view_under_views(self):
+        db = build(config=ENGINES["sharded"])
+        assert db.partitioned_views == ("usage",)
+        db.append("calls", {"caller": 1, "minutes": 10})
+        base = checkpoint_document(db, record=True)
+        db.append("calls", {"caller": 2, "minutes": 5})
+        delta = delta_document(db)
+        for document in (base, delta):
+            assert "merged" not in document
+            assert sorted(document["views"]) == ["grand", "usage"]
+        serial = build()
+        serial.restore(base)
+        serial.restore(delta)
+        assert sorted(row.values for row in serial.view("usage").rows()) == [
+            (1, 10, 10.0, 10, 10), (2, 5, 5.0, 5, 5),
+        ]

@@ -241,6 +241,33 @@ def test_checkpoint_module_is_the_one_document_codec():
     assert not STATE_HOOKS & set(_called(_tree(DURABILITY)))
 
 
+def test_one_snapshot_builder():
+    """One function builds every snapshot document, base or delta, and
+    the sharded engine's merged handle saves and loads state through the
+    methods (and signatures) every persistent view has."""
+    from repro.parallel.engine import MergedView
+
+    def builds_a_document(function):
+        return any(
+            isinstance(node, ast.Dict)
+            and any(isinstance(k, ast.Constant) and k.value == "format" for k in node.keys)
+            for node in ast.walk(function)
+        )
+
+    builders = [
+        node.name
+        for node in ast.walk(_tree(CHECKPOINT))
+        if isinstance(node, ast.FunctionDef) and builds_a_document(node)
+    ]
+    assert builders == ["_document"]
+    assert not hasattr(MergedView, "export_state")
+    assert not hasattr(MergedView, "import_state")
+    for name in ("state_export", "state_import"):
+        merged = inspect.signature(getattr(MergedView, name)).parameters
+        persistent = inspect.signature(getattr(PersistentView, name)).parameters
+        assert list(merged.values()) == list(persistent.values()), name
+
+
 def _functions(path):
     """``(owner, function)`` for each module- and class-level function."""
     for node in _tree(path).body:

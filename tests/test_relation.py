@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IntegrityError, KeyViolationError, UnknownAttributeError
-from repro.relational.predicate import attr_cmp, attr_eq
+from repro.relational.predicate import Predicate, attr_cmp, attr_eq
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuples import Row
@@ -234,6 +234,8 @@ REFUSED = {
     "update_where": lambda r: r.update_where(attr_eq("a", 2), b=7),
     "update_where_collision": lambda r: r.update_where(attr_cmp("a", ">", 0), b=9),
     "update_where_key_collision": lambda r: r.update_where(attr_cmp("a", ">", 0), a=4),
+    "insert_many": lambda r: r.insert_many([{"a": 3, "b": 9}, {"a": 1, "b": 6}]),
+    "insert_many_collision": lambda r: r.insert_many([{"a": 3, "b": 9}, {"a": 4, "b": 9}]),
 }
 
 
@@ -377,3 +379,133 @@ def test_relation_matches_list_model(seed_rows, steps):
             with pytest.raises(KeyViolationError):
                 _run(relation, step)
         _agrees(relation, model, indexes)
+
+
+# -- the versioned layer: one pass per update, past versions by row identity ------------
+
+
+class CountingPredicate(Predicate):
+    """A predicate that counts its evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def evaluate(self, row):
+        self.calls += 1
+        return self.inner.evaluate(row)
+
+
+def test_versioned_update_where_evaluates_each_row_once():
+    relation = VersionedRelation("r", Schema.build(("a", "INT"), ("b", "INT"), key=["a"]))
+    relation.insert_many([{"a": 1, "b": 7}, {"a": 2, "b": 7}])
+    predicate = CountingPredicate(attr_eq("b", 7))
+    assert relation.update_where(predicate, b=8) == 2
+    assert predicate.calls == 2
+    assert [(old.values, new.values) for _, _, old, new in relation._log[2:]] == [
+        ((1, 7), (1, 8)),
+        ((2, 7), (2, 8)),
+    ]
+
+
+_v = st.integers(0, 3)
+_pair = st.tuples(_v, _v)
+_vchanges = st.dictionaries(st.sampled_from("ab"), _v, min_size=1, max_size=2)
+_KEYED_ONLY = {"delete_key", "update_key", "restore_keys"}
+_vsteps = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert_many"), st.lists(_pair, min_size=1, max_size=3)),
+        st.tuples(st.just("update_where"), st.sampled_from("ab"), _v, _vchanges),
+        st.tuples(st.just("restore"), st.lists(_pair, max_size=3)),
+        st.tuples(st.just("delete_key"), _v),
+        st.tuples(st.just("update_key"), _v, _vchanges),
+        st.tuples(
+            st.just("restore_keys"),
+            st.lists(st.tuples(_v, st.none() | _v), max_size=3, unique_by=lambda t: t[0]),
+        ),
+    ),
+    max_size=12,
+)
+
+
+def _versioned_expected(model, keyed, step):
+    """The model's rows after *step* (a list of ``(a, b)`` in order)."""
+    kind, *args = step
+    if kind == "insert_many":
+        return model + list(args[0])
+    if kind == "restore":
+        rows = list(args[0])
+        return list({a: (a, b) for a, b in rows}.values()) if keyed else rows
+    if kind == "restore_keys":
+        keys = {a for a, _ in args[0]}
+        kept = [r for r in model if r[0] not in keys]
+        return kept + [(a, b) for a, b in args[0] if b is not None]
+    if kind == "delete_key":
+        return [r for r in model if r[0] != args[0]]
+    attr, value, changes = ("a", *args) if kind == "update_key" else args
+    position = "ab".index(attr)
+    return [
+        (changes.get("a", r[0]), changes.get("b", r[1])) if r[position] == value else r
+        for r in model
+    ]
+
+
+def as_dicts(pairs):
+    return [{"a": a, "b": b} for a, b in pairs]
+
+
+def _versioned_run(relation, step):
+    kind, *args = step
+    if kind == "insert_many":
+        relation.insert_many(as_dicts(args[0]))
+    elif kind == "restore":
+        rows = args[0]
+        if relation.schema.key is not None:
+            rows = list({a: (a, b) for a, b in rows}.values())
+        relation.restore_rows(as_dicts(rows))
+    elif kind == "restore_keys":
+        relation.restore_rows(
+            as_dicts((a, b) for a, b in args[0] if b is not None),
+            keys=[(a,) for a, _ in args[0]],
+        )
+    elif kind == "delete_key":
+        relation.delete_key((args[0],))
+    elif kind == "update_key":
+        relation.update_key((args[0],), **args[1])
+    else:
+        relation.update_where(attr_eq(args[0], args[1]), **args[2])
+
+
+@pytest.mark.parametrize("keyed", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(seed=st.lists(_pair, max_size=3), steps=_vsteps)
+def test_as_of_matches_list_model(keyed, seed, steps):
+    """Property: after every mutation, ``as_of(s)`` for each logged
+    effective sequence number ``s`` equals a list model's rows, in order
+    — keyed or keyless, updated in place, deleted or restored."""
+    if keyed:
+        seed = list({a: (a, b) for a, b in seed}.values())
+    else:
+        steps = [step for step in steps if step[0] not in _KEYED_ONLY]
+    clock = [-1]
+    relation = VersionedRelation(
+        "r",
+        Schema.build(("a", "INT"), ("b", "INT"), key=["a"] if keyed else None),
+        watermark=lambda: clock[0],
+    )
+    relation.insert_many([{"a": a, "b": b} for a, b in seed])
+    model = list(seed)
+    versions = {0: model}
+    for sequence_number, step in enumerate(steps, start=1):
+        clock[0] = sequence_number - 1  # the step takes effect at sequence_number
+        after = _versioned_expected(model, keyed, step)
+        if keyed and len({a for a, _ in after}) != len(after):
+            with pytest.raises(KeyViolationError):
+                _versioned_run(relation, step)
+        else:
+            _versioned_run(relation, step)
+            model = after
+        versions[sequence_number] = model
+        assert [row.values for row in relation.rows()] == model
+    for effective in sorted({entry[0] for entry in relation._log}):
+        assert [row.values for row in relation.as_of(effective).rows()] == versions[effective]
