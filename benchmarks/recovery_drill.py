@@ -4,14 +4,15 @@ CI's black-box check for the durability subsystem, the counterpart of
 ``incident_smoke.py``:
 
 1. **kill -9 drill** — a child process opens a durable database
-   (``wal`` mode, ``fsync="always"``), builds the banking catalog, and
+   (``fsync="always"``, and a snapshot interval no batch count reaches,
+   so the whole log replays), builds the banking catalog, and
    ingests batches, printing a marker line after each durable commit.
    The parent SIGKILLs it mid-stream, then recovers the directory via
    ``ChronicleDatabase.open`` and cross-checks the recovered views
    against the batch count read straight off the SQLite log (every
    printed marker must be on disk — ``fsync="always"``), plus
    cross-view consistency (per-key sums/counts vs the global view).
-2. **chain drill** — the same, under ``wal+snapshot``: the child
+2. **chain drill** — the same, but the child
    snapshots every few batches, and is SIGKILLed once at least three
    delta snapshots have committed after the chain's base.  The parent
    counts the deltas and the committed batches straight off the SQLite
@@ -47,22 +48,25 @@ BATCH = 4
 KILL_AFTER = 8  # marker lines before the SIGKILL
 CHAIN_INTERVAL = 4  # chain drill: snapshot every this many batches
 CHAIN_DELTAS = 3  # chain drill: committed deltas before the SIGKILL
+#: kill -9 and corruption drills: an interval no drill reaches, so no
+#: snapshot truncates the log and recovery replays every batch.
+REPLAY_INTERVAL = 1_000_000
 
 _CHILD = textwrap.dedent(
     """
     import sys
 
-    sys.path.insert(0, sys.argv[4])
+    sys.path.insert(0, sys.argv[3])
 
     from recovery_drill import BATCH, build
     from repro import ChronicleDatabase, DatabaseConfig, DurabilityConfig
 
 
     def main():
-        directory, mode, interval = sys.argv[1], sys.argv[2], int(sys.argv[3])
+        directory, interval = sys.argv[1], int(sys.argv[2])
         config = DatabaseConfig(
             durability=DurabilityConfig(
-                mode=mode,
+                mode="wal+snapshot",
                 dir=directory,
                 fsync="always",
                 snapshot_interval_batches=interval,
@@ -117,7 +121,17 @@ def _views(db):
     }
 
 
-def _run_child(artifact_dir, name, mode, interval, done):
+def _config(directory, interval):
+    """The parent's durable config for reopening a drill directory."""
+    return DatabaseConfig(
+        durability=DurabilityConfig(
+            mode="wal+snapshot", dir=directory, fsync="off",
+            snapshot_interval_batches=interval,
+        )
+    )
+
+
+def _run_child(artifact_dir, name, interval, done):
     """Start the child on ``<name>-db``, read its markers until
     ``done(seen, deltas)``, SIGKILL it; returns ``(directory, seen)``."""
     directory = os.path.join(artifact_dir, f"{name}-db")
@@ -126,7 +140,7 @@ def _run_child(artifact_dir, name, mode, interval, done):
         handle.write(_CHILD)
     here = os.path.dirname(os.path.abspath(__file__))
     proc = subprocess.Popen(
-        [sys.executable, script, directory, mode, str(interval), here],
+        [sys.executable, script, directory, str(interval), here],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -172,7 +186,7 @@ def _logged_batches(directory):
 
 def drill_kill9(artifact_dir):
     directory, seen = _run_child(
-        artifact_dir, "kill9", "wal", 512, lambda seen, _: seen >= KILL_AFTER
+        artifact_dir, "kill9", REPLAY_INTERVAL, lambda seen, _: seen >= KILL_AFTER
     )
     logged = _logged_batches(directory)
     if logged < seen:
@@ -181,10 +195,7 @@ def drill_kill9(artifact_dir):
             f"printed {seen} durable commits"
         )
 
-    config = DatabaseConfig(
-        durability=DurabilityConfig(mode="wal", dir=directory, fsync="off")
-    )
-    db = ChronicleDatabase.open(directory, config=config)
+    db = ChronicleDatabase.open(directory, config=_config(directory, REPLAY_INTERVAL))
     try:
         report = db.durability.last_recovery
         if report.replayed_batches != logged:
@@ -219,7 +230,6 @@ def drill_chain(artifact_dir):
     directory, seen = _run_child(
         artifact_dir,
         "chain",
-        "wal+snapshot",
         CHAIN_INTERVAL,
         lambda seen, deltas: deltas >= CHAIN_DELTAS and seen % CHAIN_INTERVAL == 2,
     )
@@ -250,13 +260,7 @@ def drill_chain(artifact_dir):
             f"printed {seen} durable commits"
         )
 
-    config = DatabaseConfig(
-        durability=DurabilityConfig(
-            mode="wal+snapshot", dir=directory, fsync="off",
-            snapshot_interval_batches=CHAIN_INTERVAL,
-        )
-    )
-    db = ChronicleDatabase.open(directory, config=config)
+    db = ChronicleDatabase.open(directory, config=_config(directory, CHAIN_INTERVAL))
     try:
         report = db.durability.last_recovery
         if report.replayed_batches != tail:
@@ -280,9 +284,7 @@ def drill_chain(artifact_dir):
 
 def drill_corruption(artifact_dir):
     directory = os.path.join(artifact_dir, "corrupt-db")
-    config = DatabaseConfig(
-        durability=DurabilityConfig(mode="wal", dir=directory, fsync="off")
-    )
+    config = _config(directory, REPLAY_INTERVAL)
     db = ChronicleDatabase.open(directory, config=config)
     db.create_chronicle("t", [("k", "INT")])
     for i in range(4):

@@ -28,7 +28,7 @@ EXECUTORS = ("serial", "process")
 AUDIT_MODES = ("off", "warn", "raise")
 
 #: Supported durability modes.
-DURABILITY_MODES = ("off", "wal", "wal+snapshot")
+DURABILITY_MODES = ("off", "wal+snapshot")
 
 #: Supported WAL fsync policies.
 FSYNC_POLICIES = ("always", "batch", "off")
@@ -42,10 +42,10 @@ class DurabilityConfig:
     ----------
     mode:
         ``"off"`` — no durability, the hot path is untouched (default);
-        ``"wal"`` — every admitted batch is written to the append-ahead
-        log before maintenance applies it; ``"wal+snapshot"`` — the WAL
-        plus periodic watermark-stamped view snapshots, after which the
-        log tail is truncated (bounded recovery and bounded disk).
+        ``"wal+snapshot"`` — every acknowledged batch is written to the
+        log once its maintenance returned, and periodic watermark-stamped
+        view snapshots truncate the log tail (bounded recovery and
+        bounded disk).
     dir:
         Directory holding the database's durability file (one SQLite
         file per database, ``wal`` journal mode).  Required whenever
@@ -58,8 +58,8 @@ class DurabilityConfig:
         ``flush()``, and ``close()``); ``"off"`` — no sync at all
         (benchmarking only).
     snapshot_interval_batches:
-        In ``"wal+snapshot"`` mode, take a snapshot every N logged
-        batches (N >= 1).
+        Take a snapshot every N logged batches (N >= 1).  A large N
+        replays a long log tail on recovery instead.
     """
 
     mode: str = "off"

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from contextlib import nullcontext
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..aggregates.registry import default_registry
@@ -220,9 +219,9 @@ class ChronicleDatabase:
         """Release background resources and finalize the log (idempotent).
 
         With durability on, a final snapshot is taken if batches were
-        logged since the last one (``wal+snapshot`` mode), the log is
-        fsynced, and the durability file is closed — after which new
-        appends are no longer logged.  Stops the metrics exporter's
+        logged since the last one, the log is fsynced, and the
+        durability file is closed — after which new appends are no
+        longer logged.  Stops the metrics exporter's
         serving thread if one is running and ends the shard executor's
         worker processes.  The database remains usable for in-process
         work afterwards (a later write respawns workers and reinstalls
@@ -264,7 +263,6 @@ class ChronicleDatabase:
         group.subscribe(self.registry.on_event)
         self.groups[name] = group
         if self._durability is not None:
-            self._durability.attach_group(group)
             if chronons is not None:
                 from ..storage.durability import NonDurableWarning
 
@@ -519,8 +517,9 @@ class ChronicleDatabase:
     # One write path: admit through the group (serial — one sequence-number
     # domain per group, whatever maintains the views); on the sharded engine
     # route the stamped rows and dispatch one window; then one durability
-    # commit point per call.  A snapshot taken between the batches of a
-    # window would truncate log entries the shards have not absorbed.
+    # commit point per call, handed the call's stamped batches.  It is
+    # reached only once every registry and shard maintained them: a call
+    # that raises logs nothing.
 
     def _owning_group(self, chronicle: str) -> ChronicleGroup:
         group_name = self._chronicle_group.get(chronicle)
@@ -550,7 +549,9 @@ class ChronicleDatabase:
             if fan_out is not None:
                 fan_out.close(1)
         if self._durability is not None:
-            self._durability.batch_committed()
+            self._durability.batch_committed(
+                [(group, {chronicle: rows}, group.watermark)] if rows else ()
+            )
         return rows
 
     def append_simultaneous(
@@ -576,7 +577,10 @@ class ChronicleDatabase:
             if fan_out is not None:
                 fan_out.close(1)
         if self._durability is not None:
-            self._durability.batch_committed()
+            event = {name: rows for name, rows in stamped.items() if rows}
+            self._durability.batch_committed(
+                [(owner, event, owner.watermark)] if event else ()
+            )
         return stamped
 
     def ingest(
@@ -594,25 +598,28 @@ class ChronicleDatabase:
         **one** coalesced event for the whole window — the per-event
         fixed costs are paid once instead of ``len(batches)`` times.
         The window is one durability commit point: its batches' log rows
-        commit as one transaction.
+        commit as one transaction once the whole window was maintained,
+        and a window that raises logs none of them.
         """
         group = self._owning_group(chronicle)
         durability = self._durability
+        committed = [] if durability is not None else None
         total = 0
-        with nullcontext() if durability is None else durability.window():
-            shards = self._shards
-            fan_out = shards.open(group, "ingest") if shards is not None else None
-            try:
-                for records in batches:
-                    rows = group.append(chronicle, records, instant=instant)
-                    total += len(rows)
-                    if fan_out is not None:
-                        fan_out.route({chronicle: rows})
-            finally:
+        shards = self._shards
+        fan_out = shards.open(group, "ingest") if shards is not None else None
+        try:
+            for records in batches:
+                rows = group.append(chronicle, records, instant=instant)
+                total += len(rows)
+                if committed is not None and rows:
+                    committed.append((group, {chronicle: rows}, group.watermark))
                 if fan_out is not None:
-                    fan_out.close(len(batches))
+                    fan_out.route({chronicle: rows})
+        finally:
+            if fan_out is not None:
+                fan_out.close(len(batches))
         if durability is not None:
-            durability.batch_committed()
+            durability.batch_committed(committed)
         return total
 
     def update_relation(self, name: str, key: Sequence[Any], **changes: Any) -> bool:

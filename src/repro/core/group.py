@@ -69,14 +69,6 @@ class ChronicleGroup:
         self.chronons = chronons if chronons is not None else IdentityChronons()
         self._issuer = SequenceIssuer(start)
         self._listeners: List[AppendListener] = []
-        #: Durability hook: when set (by :class:`~repro.storage.durability
-        #: .DurabilityManager`), called with ``(group, event, watermark)``
-        #: after admission/storage but *before* the maintenance listeners —
-        #: the append-ahead discipline.  ``None`` keeps the hot path
-        #: untouched (one attribute load per append event).
-        self.wal_sink: Optional[
-            Callable[["ChronicleGroup", Dict[str, Tuple[Row, ...]], SequenceNumber], None]
-        ] = None
 
     # -- membership --------------------------------------------------------------
 
@@ -240,9 +232,6 @@ class ChronicleGroup:
             stamped[chronicle.name] = rows
         event = {name: rows for name, rows in stamped.items() if rows}
         if event:
-            sink = self.wal_sink
-            if sink is not None:
-                sink(self, event, stamp)
             for listener in self._listeners:
                 listener(self, event)
         return stamped

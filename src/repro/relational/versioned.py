@@ -134,15 +134,24 @@ class VersionedRelation:
         version effective from the next sequence number, so earlier
         versions stay reconstructible and later chronicle tuples join
         the restored one.  Dirty-key recording stops: the change did not
-        come through a recorded mutation.
+        come through a recorded mutation.  A restore the key or a unique
+        index refuses changes nothing, as a refused ``insert_many``.
         """
         current = self.current
         if keys is None:
             row_ids = list(current._rows)
         else:
             row_ids = [row_id for key in keys for row_id in current._key_ids(key)]
-        edits = current._deletes(row_ids) + current._inserts(rows)
-        self._record(self._watermark() + 1, edits)
+        deleted = current._deletes(row_ids)
+        try:
+            inserted = current._inserts(rows)
+        except BaseException:
+            # The deleted rows go back, in row-id order: the order every
+            # mutation keeps.
+            current._write([(row_id, None, old) for row_id, old, _ in deleted])
+            current._rows = dict(sorted(current._rows.items()))
+            raise
+        self._record(self._watermark() + 1, deleted + inserted)
         self._dirty = None
 
     # -- mutation (proactive) ----------------------------------------------------------

@@ -5,24 +5,26 @@ stored, so a crash that loses the views would force exactly the
 unbounded recompute the model forbids.  :class:`DurabilityManager` makes
 restart cheap instead:
 
-* every **admitted batch** is written to the append-ahead log *before*
-  maintenance applies it (the ``wal_sink`` hook fires between chronicle
-  storage and the maintenance listeners in
-  :meth:`~repro.core.group.ChronicleGroup._append_impl`);
+* every **acknowledged batch** is written to the log at the facade's
+  commit point (:meth:`DurabilityManager.batch_committed`), reached once
+  every registry and shard maintained the call — one log transaction
+  per call.  A call that raises (admission, maintenance, or a shard's
+  apply or absorb) logs nothing, so the log holds exactly the history
+  the callers were told succeeded and always replays;
 * catalog operations (groups, chronicles, relations, view definitions)
   are interleaved in the same ordered log, so a view defined mid-stream
   replays at the right point relative to the data;
-* in ``wal+snapshot`` mode, a watermark-stamped snapshot is written
-  every ``snapshot_interval_batches`` batches and the covered log tail
-  is truncated — recovery work and disk are both bounded by the
-  interval.  Snapshots form a **base + delta chain**
-  (:mod:`repro.storage.checkpoint` builds both kinds): a delta holds
-  only what the folds touched since the previous snapshot; a base holds
-  everything and replaces the chain.  A base is written when there is
-  no chain, after any catalog change, when some state is not being
-  recorded (restored or created since), after a failed snapshot, and
-  when the chain's delta bytes reach ``COMPACTION_RATIO`` times the
-  base's — so the chain stays under two bases plus one delta.
+* a watermark-stamped snapshot is written every
+  ``snapshot_interval_batches`` batches (and after each view
+  definition) and the covered log tail is truncated — recovery work and
+  disk are both bounded by the interval.  Snapshots form a **base +
+  delta chain** (:mod:`repro.storage.checkpoint` builds both kinds): a
+  delta holds only what the folds touched since the previous snapshot;
+  a base holds everything and replaces the chain.  A base is written
+  when there is no chain, after any catalog change, when some state is
+  not being recorded (restored or created since), after a failed
+  snapshot, and when the chain's delta bytes reach ``COMPACTION_RATIO``
+  times the base's — so the chain stays under two bases plus one delta.
 
 Recovery (:func:`open_database`, reached through
 ``ChronicleDatabase.open``) rebuilds the catalog from the logged DDL,
@@ -55,9 +57,8 @@ import threading
 import time
 import warnings
 import weakref
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ChronicleError
 from ..obs import runtime as obs_runtime
@@ -156,10 +157,10 @@ class DurabilityManager:
     """Owns one database's append-ahead log, snapshots, and recovery.
 
     Created by the facade when ``config.durability.mode != "off"``; the
-    facade and the chronicle groups call in through narrow hooks
-    (``admission_sink``, ``record_ddl``, ``batch_committed``) that are
-    never reached when durability is off — the zero-cost idiom of the
-    observability layer.
+    facade calls in through narrow hooks (``batch_committed``,
+    ``record_ddl``, ``record_view_definition``,
+    ``record_relation_update``) that are never reached when durability
+    is off — the zero-cost idiom of the observability layer.
     """
 
     def __init__(self, db: Any, config: Any) -> None:
@@ -209,14 +210,13 @@ class DurabilityManager:
 
     # -- hot path -------------------------------------------------------------
 
-    def attach_group(self, group: Any) -> None:
-        """Point a group's ``wal_sink`` at this manager."""
-        group.wal_sink = self.admission_sink
-
     def admission_sink(self, group: Any, event: Mapping[str, Any], watermark: int) -> None:
-        """Log one admitted batch — called *before* maintenance applies it."""
-        if self._closed or not self._live:
-            return
+        """Log one maintained batch (called by :meth:`batch_committed`).
+
+        The name is from when batches were logged at admission, before
+        maintenance; it stays because the benchmark's layer tracer wraps
+        this method by name (``storage.wal_log``).
+        """
         payload = {
             name: [row.values for row in rows] for name, rows in event.items()
         }
@@ -228,33 +228,30 @@ class DurabilityManager:
                 span.attrs["bytes"] = self.wal.log_batch(group.name, payload, watermark)
         self._batches_since_snapshot += 1
 
-    @contextmanager
-    def window(self) -> Iterator[None]:
-        """One durable ``ingest`` window: its batches' log rows commit as
-        one transaction.  They commit when the window raises too, so the
-        log holds the rows one commit per batch would have left."""
-        if self._closed or not self._live:
-            yield
-            return
-        self.wal.begin()
-        try:
-            yield
-        finally:
-            self.wal.commit()
+    def batch_committed(
+        self, events: Sequence[Tuple[Any, Mapping[str, Any], int]]
+    ) -> None:
+        """The commit point: one write call's batches, after maintenance.
 
-    def batch_committed(self) -> None:
-        """Facade hook after maintenance finished one batch/window.
-
-        Snapshots run here — never inside the admission path — so the
+        *events* holds one ``(group, {chronicle: rows}, watermark)`` per
+        stamped batch of the call.  The facade calls this only once every
+        registry and shard maintained them, so a call that raised logs
+        nothing.  The batches are logged in one transaction, then a
+        snapshot is taken if one is due — never mid-call, so the
         checkpoint document always captures fully-maintained view state.
         """
         if self._closed or not self._live:
             return
+        if len(events) == 1:
+            # One row commits on its own: BEGIN/COMMIT around it costs
+            # ≈ 5 µs (docs/performance.md §8).
+            self.admission_sink(*events[0])
+        elif events:
+            with self.wal.transaction():
+                for event in events:
+                    self.admission_sink(*event)
         self._record_periodic_clocks()
-        if (
-            self.config.mode == "wal+snapshot"
-            and self._batches_since_snapshot >= self.config.snapshot_interval_batches
-        ):
+        if self._batches_since_snapshot >= self.config.snapshot_interval_batches:
             self.snapshot()
 
     # -- periodic-view clocks ---------------------------------------------------
@@ -322,11 +319,8 @@ class DurabilityManager:
         # A view defined mid-stream may have materialized from chronicle
         # history the truncated log can no longer rebuild; snapshotting
         # right after the definition captures that state while it is
-        # fresh (DDL is rare, so the cost is bounded).  In plain "wal"
-        # mode the full log replays from the start, which rebuilds the
-        # history exactly — no snapshot needed.
-        if self.config.mode == "wal+snapshot":
-            self.snapshot()
+        # fresh (DDL is rare, so the cost is bounded).
+        self.snapshot()
 
     def record_relation_update(
         self, name: str, key: Any, changes: Dict[str, Any]
@@ -565,13 +559,12 @@ class DurabilityManager:
                 self.wal.flush()
 
     def close(self) -> None:
-        """Finalize the log: final snapshot (if due), fsync, detach, close."""
+        """Finalize the log: final snapshot (if due), fsync, close."""
         if self._closed:
             return
         self._record_periodic_clocks()
-        if self.config.mode == "wal+snapshot" and self._batches_since_snapshot:
+        if self._batches_since_snapshot:
             self.snapshot()
-        self._detach()
         self.wal.close()
         self._closed = True
 
@@ -579,15 +572,8 @@ class DurabilityManager:
         """Fault injection: simulate a crash (no snapshot, no finalize)."""
         if self._closed:
             return
-        self._detach()
         self.wal.abort()
         self._closed = True
-
-    def _detach(self) -> None:
-        db = self._db_ref()
-        if db is not None:
-            for group in db.groups.values():
-                group.wal_sink = None
 
     @property
     def closed(self) -> bool:

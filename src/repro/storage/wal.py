@@ -35,8 +35,9 @@ that knows only version 1 refuses a version 2 file, whose implicit
 rowids could reuse ids a snapshot covers.
 
 Every write is one autocommitted statement, except a snapshot (one
-transaction) and a durable ``ingest`` window, whose batches commit
-together (:meth:`ChronicleWal.begin` / :meth:`ChronicleWal.commit`).
+transaction) and a write call of several batches (a durable ``ingest``
+window), whose batches commit together or not at all
+(:meth:`ChronicleWal.transaction`).
 The fsync policy maps onto SQLite's ``synchronous`` pragma: ``always``
 → FULL (fsync per commit), ``batch`` → NORMAL (commit per batch or
 window; in WAL mode this survives process crash without a per-commit
@@ -50,6 +51,7 @@ import os
 import pickle
 import sqlite3
 import threading
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import ChronicleError
@@ -110,8 +112,7 @@ class ChronicleWal:
     concurrent reads (a lock serializes statements); all writes are
     autocommitted per statement except snapshots, which commit the
     snapshot row, the chain it replaces, and the log-tail truncation
-    atomically, and the rows logged between :meth:`begin` and
-    :meth:`commit`.
+    atomically, and the rows logged inside one :meth:`transaction`.
     """
 
     def __init__(self, directory: str, fsync: str = "batch") -> None:
@@ -219,14 +220,18 @@ class ChronicleWal:
             )
             self._next_id = entry_id + 1
 
-    def begin(self) -> None:
-        """Open a transaction: the rows logged until :meth:`commit`
-        commit together (one durable ``ingest`` window)."""
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """The rows logged inside the block commit together, or not at
+        all when it raises (one write call's batches)."""
         with self._lock:
             self._require().execute("BEGIN")
-
-    def commit(self) -> None:
-        """Commit the transaction :meth:`begin` opened."""
+        try:
+            yield
+        except BaseException:
+            with self._lock:
+                self._require().execute("ROLLBACK")
+            raise
         with self._lock:
             self._require().execute("COMMIT")
 

@@ -273,7 +273,9 @@ def test_deltas_built_without_dedup_are_sets(expression_factory, per_sn, summary
         assert_compiled_matches_reference(expression_factory, summary_factory, events)
         serial = ChronicleDatabase()
         sharded = ChronicleDatabase(config=DatabaseConfig(engine="sharded", shards=2))
-        durability = DurabilityConfig(mode="wal", dir=d, fsync="off")
+        durability = DurabilityConfig(
+            mode="wal+snapshot", dir=d, fsync="off", snapshot_interval_batches=1000
+        )
         durable = ChronicleDatabase.open(d, config=DatabaseConfig(durability=durability))
         for db in (serial, sharded, durable):
             summary = database_catalog(db, expression_factory, summary_factory)

@@ -11,7 +11,8 @@ writes, corrupt or malformed chains, what forces a base, relation rows
 and periodic expiry carried by deltas, the chain's metrics and status),
 a directory in the pre-chain single-snapshot layout, mid-stream DDL
 (views defined between snapshots rebuild with their history-derived
-state), relation proactivity updates, wal-only full replay, cross-engine
+state), relation proactivity updates, full replay of a log no snapshot
+truncated, a raising call that logs nothing, cross-engine
 recovery, corrupt-log failure (RecoveryError + incident bundle), the
 unified lifecycle API (open/flush/close, the refusal to construct over
 existing durable state), zero-cost off mode, DurabilityConfig
@@ -52,7 +53,7 @@ from repro.obs import runtime as obs_runtime
 from repro.parallel import UnpartitionableViewWarning
 from repro.relational.predicate import attr_cmp
 from repro.sca.summarize import GroupBySummary
-from repro.storage.durability import NonDurableWarning, RecoveryError
+from repro.storage.durability import DurabilityManager, NonDurableWarning, RecoveryError
 from repro.storage.wal import PAGE_SIZE, SCHEMA_VERSION, ChronicleWal, WalError, wal_path
 
 
@@ -84,10 +85,10 @@ ENGINES = {
 }
 
 
-def _config(directory, engine="serial", mode="wal+snapshot", interval=3, fsync="off"):
+def _config(directory, engine="serial", interval=3, fsync="off"):
     return DatabaseConfig(
         durability=DurabilityConfig(
-            mode=mode,
+            mode="wal+snapshot",
             dir=directory,
             fsync=fsync,
             snapshot_interval_batches=interval,
@@ -149,10 +150,10 @@ def _arm_crash(db):
     """Make the next admitted batch die during maintenance.
 
     The listener is subscribed after the registry's, so it fires once
-    the batch has been admitted, WAL-logged, and (serially) maintained —
-    but before the facade's commit hook (and, on the sharded engine,
-    before shard dispatch).  Either way the batch is on the log and
-    recovery must replay it.
+    the batch has been admitted and (serially) maintained — but before
+    the facade's commit point (and, on the sharded engine, before shard
+    dispatch).  Either way the call raises, the batch never reaches the
+    log, and recovery must bring back the acknowledged batches only.
     """
 
     def _boom(group, event):
@@ -194,14 +195,12 @@ class TestCrashRecovery:
                 with pytest.raises(_InjectedCrash):
                     db.append(workload.NAME, records[-1])
                 db.durability.abort()
-                expected = _reference(
-                    workload_cls, key, value, [[r] for r in records]
-                )
             else:
                 db.close()
-                expected = _reference(
-                    workload_cls, key, value, [[r] for r in records[:committed]]
-                )
+            # The raising batch was never acknowledged: it is not logged.
+            expected = _reference(
+                workload_cls, key, value, [[r] for r in records[:committed]]
+            )
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UnpartitionableViewWarning)
@@ -210,11 +209,9 @@ class TestCrashRecovery:
                 assert _state(recovered) == expected
                 report = recovered.durability.last_recovery
                 # Replay work is bounded by the snapshot interval: the
-                # crashed batch plus at most interval-1 committed since
-                # the last snapshot.  A clean close snapshots everything.
-                assert report.replayed_batches <= (interval if crash else 0)
-                if crash:
-                    assert report.replayed_batches >= 1
+                # acknowledged batches since the last snapshot.  A clean
+                # close snapshots everything.
+                assert report.replayed_batches == (committed % interval if crash else 0)
             finally:
                 recovered.close()
         finally:
@@ -235,12 +232,15 @@ class TestCrashRecovery:
         with pytest.raises(_InjectedCrash):
             db.append(workload.NAME, records[-1])
         db.durability.abort()
-        expected = _reference(workload_cls, key, value, [[r] for r in records])
+        acknowledged = records[:7]
+        expected = _reference(workload_cls, key, value, [[r] for r in acknowledged])
 
-        # Sharded crash -> serial recovery.
+        # Sharded crash -> serial recovery: the seventh acknowledged
+        # batch sits in the tail past the last snapshot.
         serial = _config(directory, engine="serial", interval=3)
         recovered = ChronicleDatabase.open(directory, config=serial)
         assert _state(recovered) == expected
+        assert recovered.durability.last_recovery.replayed_batches == 1
         recovered.close()
 
         # Serial close -> sharded recovery, which keeps ingesting.
@@ -254,7 +254,7 @@ class TestCrashRecovery:
             for record in more:
                 again.append(workload.NAME, record)
             expected_more = _reference(
-                workload_cls, key, value, [[r] for r in records + more]
+                workload_cls, key, value, [[r] for r in acknowledged + more]
             )
             assert _state(again) == expected_more
         finally:
@@ -286,11 +286,13 @@ class TestCrashRecovery:
             recovered.close()
 
     def test_wal_only_mode_replays_full_log(self, tmp_path):
-        """Without snapshots, recovery rebuilds everything from batch 0."""
+        """With an interval no batch count reaches, the only snapshots are
+        the view definitions', taken before the first batch: recovery
+        rebuilds everything from batch 0 off the log."""
         directory = str(tmp_path / "db")
         workload_cls, key, value = WORKLOADS[1]
         records = list(workload_cls(seed=7).records(9))
-        config = _config(directory, mode="wal")
+        config = _config(directory, interval=1000)
         db = ChronicleDatabase.open(directory, config=config)
         workload = _catalog(db, workload_cls, key, value)
         for record in records:
@@ -300,7 +302,7 @@ class TestCrashRecovery:
         recovered = ChronicleDatabase.open(directory, config=config)
         try:
             report = recovered.durability.last_recovery
-            assert report.snapshot_watermark is None
+            assert report.snapshot_watermark == -1
             assert report.replayed_batches == len(records)
             assert _state(recovered) == _reference(
                 workload_cls, key, value, [[r] for r in records]
@@ -819,7 +821,12 @@ _CHILD = textwrap.dedent(
             engine="sharded",
             shards=2,
             executor=executor,
-            durability=DurabilityConfig(mode="wal", dir=directory, fsync="always"),
+            durability=DurabilityConfig(
+                mode="wal+snapshot",
+                dir=directory,
+                fsync="always",
+                snapshot_interval_batches=1_000_000,
+            ),
         )
         db = ChronicleDatabase.open(directory, config=config)
         workload = BankingWorkload(seed=7)
@@ -888,9 +895,7 @@ class TestKillNine:
             conn.close()
         assert logged >= seen
 
-        config = DatabaseConfig(
-            durability=DurabilityConfig(mode="wal", dir=directory, fsync="off")
-        )
+        config = _config(directory, interval=1_000_000)
         db = ChronicleDatabase.open(directory, config=config)
         try:
             assert db.durability.last_recovery.replayed_batches == logged
@@ -1195,7 +1200,7 @@ class TestLogIds:
         file (one leaf page each, plus the leaf splits); with 4 KiB pages
         and an AUTOINCREMENT counter page it was about 2·N."""
         directory = str(tmp_path / "db")
-        db = ChronicleDatabase.open(directory, config=_config(directory, mode="wal"))
+        db = ChronicleDatabase.open(directory, config=_config(directory, interval=1000))
         try:
             _commit_catalog(db)
             db.flush()
@@ -1243,13 +1248,15 @@ class TestIngestWindowTransaction:
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_raising_window_logs_what_per_batch_commits_log(self, tmp_path, engine):
-        """Maintenance raises on the third batch of five: the window's
-        log holds the same rows as three autocommitted appends."""
+        """Maintenance raises on the third batch of five.  A window is one
+        commit point, so the raising window logs none of its batches;
+        appends commit one by one, so the two that returned are logged.
+        Either way recovery replays exactly the acknowledged batches."""
         window = [[{"caller": c, "minutes": c + 1}] for c in range(5)]
-        logs = []
-        for feed in ("ingest", "append"):
+        for feed, acknowledged in (("ingest", 0), ("append", 2)):
             directory = str(tmp_path / feed)
-            db = _reopen(directory, _config(directory, engine=engine, mode="wal"))
+            config = _config(directory, engine=engine, interval=1000)
+            db = _reopen(directory, config)
             try:
                 _commit_catalog(db)
                 seen = []
@@ -1269,9 +1276,20 @@ class TestIngestWindowTransaction:
                 assert not db.durability.wal._conn.in_transaction
             finally:
                 db.durability.abort()
-            logs.append(_log_rows(directory))
-        assert logs[0] == logs[1]
-        assert [row[1] for row in logs[0]].count("batch") == 3
+            logged = [row[1] for row in _log_rows(directory)].count("batch")
+            assert logged == acknowledged, feed
+            recovered = _reopen(directory, config)
+            reference = ChronicleDatabase()
+            try:
+                _commit_catalog(reference)
+                for batch in window[:acknowledged]:
+                    reference.append("calls", batch)
+                assert recovered.durability.last_recovery.replayed_batches == acknowledged
+                assert _commit_state(recovered) == _commit_state(reference)
+                assert recovered.group().watermark == reference.group().watermark
+            finally:
+                recovered.close()
+                reference.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1282,7 +1300,7 @@ class TestIngestWindowTransaction:
 class TestRecoveryFailure:
     def test_corrupt_log_entry(self, tmp_path):
         directory = str(tmp_path / "db")
-        config = _config(directory, mode="wal")
+        config = _config(directory, interval=1000)
         db = ChronicleDatabase.open(directory, config=config)
         db.create_chronicle("t", [("k", "INT")])
         for i in range(3):
@@ -1335,7 +1353,7 @@ class TestLifecycle:
         directory = str(tmp_path / "actual")
         elsewhere = str(tmp_path / "ignored")
         config = DatabaseConfig(
-            durability=DurabilityConfig(mode="wal", dir=elsewhere)
+            durability=DurabilityConfig(mode="wal+snapshot", dir=elsewhere)
         )
         db = ChronicleDatabase.open(directory, config=config)
         try:
@@ -1364,8 +1382,12 @@ class TestLifecycle:
         db.close()
         db.close()
         assert manager.closed
-        # Groups are detached: no sink remains after close.
-        assert all(g.wal_sink is None for g in db.groups.values())
+        # A write after close() still maintains the views but adds no
+        # log row.
+        rows = _log_rows(directory)
+        db.append("t", {"k": 2})
+        assert db.chronicle("t").appended_count == 2
+        assert _log_rows(directory) == rows
 
     def test_flush_and_status(self, tmp_path):
         directory = str(tmp_path / "db")
@@ -1383,16 +1405,24 @@ class TestLifecycle:
         finally:
             db.close()
 
-    def test_off_mode_is_zero_cost(self):
+    def test_off_mode_is_zero_cost(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a write reached the durability layer")
+
+        for name in ("batch_committed", "admission_sink"):
+            monkeypatch.setattr(DurabilityManager, name, unreachable)
         db = ChronicleDatabase()
         try:
             assert db.durability is None
             db.create_chronicle("t", [("k", "INT")])
-            assert all(g.wal_sink is None for g in db.groups.values())
             db.append("t", {"k": 1})
+            db.ingest("t", [{"k": 2}, {"k": 3}])
             db.flush()  # no-op, no error
         finally:
             db.close()
+        # Nor does a write after close().
+        db.append("t", {"k": 4})
+        assert db.chronicle("t").appended_count == 4
 
     def test_open_database_rejects_off_mode(self):
         from repro.storage.durability import open_database
@@ -1559,12 +1589,13 @@ class TestDurabilityConfig:
         "kwargs",
         [
             {"mode": "psync"},
-            {"mode": "wal"},  # mode without dir
+            {"mode": "wal", "dir": "/tmp/x"},  # deleted: one durable mode
+            {"mode": "wal+snapshot"},  # mode without dir
             {"mode": "wal+snapshot", "dir": "/tmp/x", "fsync": "sometimes"},
             {"dir": 7},
-            {"mode": "wal", "dir": "/tmp/x", "snapshot_interval_batches": 0},
-            {"mode": "wal", "dir": "/tmp/x", "snapshot_interval_batches": True},
-            {"mode": "wal", "dir": "/tmp/x", "snapshot_interval_batches": 2.5},
+            {"mode": "wal+snapshot", "dir": "/tmp/x", "snapshot_interval_batches": 0},
+            {"mode": "wal+snapshot", "dir": "/tmp/x", "snapshot_interval_batches": True},
+            {"mode": "wal+snapshot", "dir": "/tmp/x", "snapshot_interval_batches": 2.5},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -1572,7 +1603,7 @@ class TestDurabilityConfig:
             DurabilityConfig(**kwargs)
 
     def test_replace_validates(self):
-        config = DurabilityConfig(mode="wal", dir="/tmp/x")
+        config = DurabilityConfig(mode="wal+snapshot", dir="/tmp/x")
         assert config.replace(fsync="always").fsync == "always"
         with pytest.raises(ConfigError):
             config.replace(fsyncing="always")
@@ -1582,7 +1613,7 @@ class TestDurabilityConfig:
     def test_database_config_normalizes_none(self):
         assert DatabaseConfig().durability == DurabilityConfig()
         with pytest.raises(ConfigError):
-            DatabaseConfig(durability={"mode": "wal"})
+            DatabaseConfig(durability={"mode": "wal+snapshot"})
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,10 @@ built (no ``_fold_groups`` or ``_fold_projection`` interpreted per
 event).  And one measurement
 driver: every conformance sweep point and EXPLAIN ANALYZE window runs
 through :func:`repro.obs.conformance.drive`, and the second sweep
-harness (``complexity.harness.Sweep`` and friends) stays deleted.
+harness (``complexity.harness.Sweep`` and friends) stays deleted.  And
+one commit point: a batch reaches the log only from the facade's
+``DurabilityManager.batch_committed``, after maintenance, and
+``"wal+snapshot"`` is the one durable mode.
 """
 
 import ast
@@ -1014,3 +1017,46 @@ def test_one_hash_map():
     ]
     assert counting_dicts == [("storage/hash_index.py", "HashMap")]
     assert "_StateMap" not in (SRC / "sca" / "view.py").read_text()
+
+
+# -- one commit point, one durable mode --------------------------------------------------
+
+
+def test_one_commit_point_and_one_durable_mode():
+    """A batch reaches the log in one place — the facade's commit point,
+    after every registry and shard maintained the call — and every
+    durable database snapshots: the group's append-ahead hook, the ingest
+    window's commit-on-raise and plain ``"wal"`` stay deleted."""
+    from repro.core.config import DURABILITY_MODES
+    from repro.core.group import ChronicleGroup
+    from repro.storage.durability import DurabilityManager
+    from repro.storage.wal import ChronicleWal
+
+    assert DURABILITY_MODES == ("off", "wal+snapshot")
+    with pytest.raises(ConfigError, match=r"wal\+snapshot"):
+        DurabilityConfig(mode="wal", dir="unused")
+    assert not hasattr(ChronicleGroup("g"), "wal_sink")
+    for name in ("window", "attach_group", "_detach"):
+        assert not hasattr(DurabilityManager, name), name
+    for name in ("begin", "commit"):
+        assert not hasattr(ChronicleWal, name), name
+    assert [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if "wal_sink" in path.read_text()
+    ] == []
+    # The benchmark's tracer wraps admission_sink by name: it stays a
+    # class attribute, reached from batch_committed alone.
+    assert "admission_sink" in DurabilityManager.__dict__
+    reached_from = sorted(
+        (str(path.relative_to(SRC)), owner, function.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for owner, function in _functions(path)
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "admission_sink"
+            for node in ast.walk(function)
+        )
+    )
+    assert reached_from == [
+        ("storage/durability.py", "DurabilityManager", "batch_committed")
+    ]

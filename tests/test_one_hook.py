@@ -26,12 +26,11 @@ text with timings masked.  The capture runs in a child interpreter
 under ``PYTHONHASHSEED=0``.
 
 The golden is compared as captured, with no adjustments.  It was last
-re-captured when the shard lag gauges and their health checks were
-deleted (a window is applied before the write returns, so both read 0):
-the two sharded runs lost the ``shard_lag_batches`` and
-``shard_lag_seconds`` families and the ``shard_lag_batches``,
-``shard_lag_seconds`` and ``queue_depth`` checks, and nothing else
-moved.
+re-captured when batches moved to the log at the facade's commit point,
+after maintenance: each durable write's ``wal_append`` span is now a
+trace of its own after the write's ``append`` trace (as ``snapshot``
+already was), so the ``durable`` run's trace shapes and ``TRACE 3`` text
+moved, and no metric, health check or bundle key did.
 
 To re-capture after a change that is *meant* to alter one of these
 results, run ``PYTHONHASHSEED=0 PYTHONPATH=src python -m

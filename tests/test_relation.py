@@ -264,6 +264,29 @@ class TestRefusedMutation:
             REFUSED[call](relation)
         assert (observed(relation.current), len(relation._log)) == before
 
+    @pytest.mark.parametrize(
+        "rows, keys",
+        [
+            ([{"a": 5, "b": 1}, {"a": 5, "b": 2}], None),
+            ([{"a": 5, "b": 1}, {"a": 5, "b": 2}], [(1,)]),
+            ([{"a": 2, "b": 1}], [(1,)]),
+        ],
+        ids=["base", "delta", "delta_collision"],
+    )
+    def test_a_refused_restore_changes_nothing(self, rows, keys):
+        """A restore refused by the key is refused whole, as insert_many
+        is: the rows it deleted first come back, and history agrees."""
+        relation = VersionedRelation(
+            "r", Schema.build(("a", "INT"), ("b", "INT"), key=["a"]), watermark=lambda: 4
+        )
+        relation.create_index(["b"], unique=True)
+        relation.insert_many([{"a": 1, "b": 7}, {"a": 2, "b": 8}])
+        before = (observed(relation.current), len(relation._log))
+        with pytest.raises(KeyViolationError):
+            relation.restore_rows(rows, keys=keys)
+        assert (observed(relation.current), len(relation._log)) == before
+        assert observed(relation.as_of(5)) == before[0]
+
     def test_a_freed_unique_value_can_be_taken(self):
         relation = unique_b(ordered=False)
         relation.update_key((1,), b=9)

@@ -18,13 +18,18 @@ restored into a fresh catalog whose chronicle stores start empty.
 
 Scope: the serial engine and the sharded engine with the ``serial``
 executor, each also durable (``wal+snapshot`` at a snapshot interval of
-3, so base + delta snapshot chains form) with three more rules — flush
+3, so base + delta snapshot chains form) with four more rules — flush
 (after which a copy of the directory must recover to the live state),
-crash (``durability.abort()``) → ``ChronicleDatabase.open()``, and
-``close()`` → ``open()`` — over the definitions the log can rebuild:
-text DDL, portable ``Summary`` specs and text-DDL periodic views; every
-durable example ends in a crash and a recovery.  The process executor
-and worker kills belong to the wider harness on the ROADMAP.
+crash (``durability.abort()``) → ``ChronicleDatabase.open()``,
+``close()`` → ``open()``, and a write whose maintenance raises (an
+``UNLUCKY`` view meets its sentinel) followed by a crash and an open,
+which must bring back the acknowledged history only — over the
+definitions the log can rebuild: text DDL, portable ``Summary`` specs
+and text-DDL periodic views; every durable example ends in a crash and a
+recovery.  :func:`test_a_raising_call_logs_no_batch` checks the same
+commit point directly, call by call, on the process executor too.  The
+process executor's machines and worker kills belong to the wider
+harness on the ROADMAP.
 """
 
 import os
@@ -40,6 +45,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro import ChronicleDatabase, DatabaseConfig, DurabilityConfig
 from repro.aggregates import AVG, COUNT, MAX, MIN, SUM, spec
+from repro.aggregates.registry import default_registry
+from repro.aggregates.standard import Sum
 from repro.algebra.ast import scan
 from repro.complexity.counters import GLOBAL_COUNTERS
 from repro.errors import SchemaError, TypeMismatchError, UnknownAttributeError
@@ -91,6 +98,31 @@ MALFORMED = (
 )
 
 
+#: The value on which ``UNLUCKY`` raises; ``records`` never draws it.
+SENTINEL = 13
+
+
+class UnluckyError(RuntimeError):
+    """What maintenance raises when ``UNLUCKY`` meets the sentinel."""
+
+
+class Unlucky(Sum):
+    """``SUM``, except that it raises on :data:`SENTINEL`."""
+
+    name = "UNLUCKY"
+
+    def step(self, state, value):
+        if value == SENTINEL:
+            raise UnluckyError("unlucky")
+        return state + value
+
+
+#: The standard aggregates plus ``UNLUCKY``: every durable database and
+#: every text definition compiles against it.
+AGGREGATES = default_registry()
+AGGREGATES.register(Unlucky())
+
+
 # -- view definitions -----------------------------------------------------------
 #
 # A definition builds its summary over whichever database it is given, so
@@ -105,7 +137,7 @@ class Definition(NamedTuple):
 
 def text_definition(select):
     def build(db):
-        return compile_view(f"DEFINE VIEW v AS {select}", db.catalog(), db.aggregates)[1]
+        return compile_view(f"DEFINE VIEW v AS {select}", db.catalog(), AGGREGATES)[1]
 
     return Definition(build, select)
 
@@ -153,6 +185,8 @@ PLAIN = (
 #: What the log can rebuild: text DDL and programmatic summaries with a
 #: portable plan spec (PLAIN[4] keyjoins a live relation: it has none).
 DURABLE_PLAIN = tuple(d for i, d in enumerate(PLAIN) if i != 4)
+#: A view whose maintenance raises on the sentinel (durable machines).
+UNLUCKY = text_definition("SELECT acct, UNLUCKY(mins) AS total FROM calls GROUP BY acct")
 
 PERIODIC_SUMMARY = Definition(
     lambda db: GroupBySummary(
@@ -424,7 +458,7 @@ class DurableMachine(FacadeMachine):
     """The machine over ``wal+snapshot``: every crash and reopen must
     bring back exactly the acknowledged history."""
 
-    DEFINITIONS = DURABLE_PLAIN
+    DEFINITIONS = DURABLE_PLAIN + (UNLUCKY,)
     PERIODIC = PERIODIC_TEXT
 
     def open_system(self, name="db"):
@@ -432,11 +466,10 @@ class DurableMachine(FacadeMachine):
         durability = DurabilityConfig(
             mode="wal+snapshot", dir=directory, fsync="off", snapshot_interval_batches=3
         )
+        config = self.CONFIG.replace(durability=durability, aggregates=AGGREGATES)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnpartitionableViewWarning)
-            return ChronicleDatabase.open(
-                directory, config=self.CONFIG.replace(durability=durability)
-            )
+            return ChronicleDatabase.open(directory, config=config)
 
     @staticmethod
     def build_catalog(db):
@@ -487,6 +520,30 @@ class DurableMachine(FacadeMachine):
         self.db.close()
         self.reopen()
 
+    @precondition(
+        lambda self: any(model.definition is UNLUCKY for model in self.views.values())
+    )
+    @rule(
+        batch=records,
+        position=st.integers(0, 4),
+        call=st.sampled_from(("append", "append_simultaneous", "ingest")),
+    )
+    def raising_write_then_crash(self, batch, position, call):
+        """A batch holding the sentinel: maintenance raises, so the call
+        is not acknowledged and the oracle is not fed.  The views in
+        memory may be torn; the directory must reopen, after a crash, to
+        the acknowledged history."""
+        sentinel = {"acct": position % ACCOUNTS, "mins": SENTINEL, "day": 0}
+        raising = batch[:position] + [sentinel] + batch[position:]
+        with pytest.raises(UnluckyError):
+            if call == "append":
+                self.db.append("calls", raising)
+            elif call == "append_simultaneous":
+                self.db.append_simultaneous({"calls": raising})
+            else:  # a window whose first batch is maintained
+                self.db.ingest("calls", [batch, raising])
+        self.crash_and_open()
+
     @rule()
     def checkpoint_and_restore(self):
         # In place: the directory belongs to this database.  The restored
@@ -509,3 +566,50 @@ TestDurableSerialEngine = DurableMachine.TestCase
 TestDurableSerialEngine.settings = DURABLE_SETTINGS
 TestDurableShardedEngine = DurableShardedMachine.TestCase
 TestDurableShardedEngine.settings = DURABLE_SHARDED_SETTINGS
+
+
+@pytest.mark.parametrize("call", ("append", "append_simultaneous", "ingest"))
+@pytest.mark.parametrize(
+    "engine",
+    [
+        {},
+        {"engine": "sharded", "shards": 2},
+        {"engine": "sharded", "shards": 2, "executor": "process"},
+    ],
+    ids=["serial", "sharded", "sharded-process"],
+)
+def test_a_raising_call_logs_no_batch(tmp_path, engine, call):
+    """A call whose maintenance raises — on the registry, or in a shard's
+    apply inline or in a worker — was not acknowledged: it leaves no
+    ``batch`` row, and a crash reopens to the batches before it."""
+    directory = str(tmp_path / "db")
+    durability = DurabilityConfig(
+        mode="wal+snapshot", dir=directory, fsync="off", snapshot_interval_batches=1000
+    )
+    config = DatabaseConfig(aggregates=AGGREGATES, durability=durability, **engine)
+    db = ChronicleDatabase.open(directory, config=config)
+    try:
+        db.create_chronicle("calls", [("k", "STR"), ("m", "INT")])
+        db.define_view("DEFINE VIEW a AS SELECT k, SUM(m) AS s FROM calls GROUP BY k")
+        db.define_view("DEFINE VIEW b AS SELECT k, UNLUCKY(m) AS s FROM calls GROUP BY k")
+        db.append("calls", {"k": "k1", "m": 5})
+        batch = [{"k": "k1", "m": 1}, {"k": "k2", "m": SENTINEL}]
+        with pytest.raises(UnluckyError):
+            if call == "append":
+                db.append("calls", batch)
+            elif call == "append_simultaneous":
+                db.append_simultaneous({"calls": batch})
+            else:
+                db.ingest("calls", [[{"k": "k1", "m": 2}], batch])
+        kinds = [entry.kind for entry in db.durability.wal.entries()]
+        assert kinds.count("batch") == 1
+        db.durability.abort()
+    finally:
+        db.close()
+    recovered = ChronicleDatabase.open(directory, config=config)
+    try:
+        assert recovered.durability.last_recovery.replayed_batches == 1
+        for name in ("a", "b"):
+            assert sorted_rows(recovered.view(name)) == [("k1", 5)], name
+    finally:
+        recovered.close()
