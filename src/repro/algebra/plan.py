@@ -288,6 +288,33 @@ def split_prefilter(predicate: Predicate) -> Tuple[Optional[Comparison], List[Pr
     return None, terms
 
 
+#: The comparisons a dispatch bucket answers with one ``bisect`` per row.
+RANGE_OPS = ("<", "<=", ">", ">=")
+
+
+def range_threshold(predicate: Predicate, schema: Schema) -> Optional[Tuple[int, str, Any]]:
+    """The threshold of a scan conjunction whose residual is one range atom.
+
+    Returns ``(attribute position, op, constant)`` when what is left of
+    *predicate* after its dispatch atom is exactly one ``attr op const``
+    with *op* in :data:`RANGE_OPS` and a number for the constant, else
+    ``None``.  The registry's dispatch index files such an entry in a
+    sorted list of constants instead of testing it.  A NaN constant
+    orders against nothing, and a comparison subclass may test
+    differently, so neither qualifies.
+    """
+    _, rest = split_prefilter(predicate)
+    if len(rest) != 1:
+        return None
+    (term,) = rest
+    if type(term) is not Comparison or term.op not in RANGE_OPS or term.rhs_is_attr:
+        return None
+    constant = term.rhs
+    if type(constant) not in (int, float, bool) or constant != constant:
+        return None
+    return schema.position(term.attr), term.op, constant
+
+
 def compile_prefilter(
     predicate: Predicate, schema: Schema
 ) -> Tuple[Optional[Tuple[int, Any]], Optional[ValuesPredicate]]:

@@ -213,6 +213,10 @@ class ChronicleGroup:
             (chronicle, chronicle.admit(records, stamp))
             for chronicle, records in resolved.items()
         ]
+        if not any(values for _, values in admissions):
+            # An empty call is no event: it spends no sequence number and
+            # records no chronon, so nothing the log cannot replay moves.
+            return {chronicle.name: () for chronicle, _ in admissions}
         if instant is not None:
             self.chronons.record(stamp, instant)
         self._issuer.accept(stamp)

@@ -18,10 +18,11 @@ Summaries are pure *specifications*: the stateful machinery lives in
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..aggregates.base import AggregateSpec, identity_finalize
+from ..aggregates.base import AggregateSpec, IncrementalAggregate, identity_finalize
+from ..aggregates.standard import Count, Sum
 from ..algebra.ast import Node, aggregate_attribute
 from ..errors import AlgebraError, NotAChronicleError, SchemaError
 from ..relational.predicate import Predicate
@@ -38,6 +39,19 @@ def _key_getter(positions: Sequence[int]) -> Callable[[Tuple[Any, ...]], Tuple[A
     if not positions:
         return lambda values: ()
     return itemgetter(*positions)
+
+
+def _fold_step(
+    function: IncrementalAggregate, position: Optional[int]
+) -> Callable[[Any, Any], Any]:
+    """*function*'s step as the fold calls it: the C-level ``+`` for SUM,
+    and for COUNT(*), whose missing argument the fold passes as 1; the
+    aggregate's own ``step`` otherwise (a subclass that overrides
+    ``step`` keeps it)."""
+    step = type(function).step
+    if step is Sum.step or (step is Count.step and position is None):
+        return add
+    return function.step
 
 
 class Summary:
@@ -78,9 +92,10 @@ class Summary:
             )
         self.expression = expression
 
-    #: The view-location key (group key / projected tuple) of one delta
-    #: row, from its value tuple; set by the subclasses from their key
-    #: positions.
+    #: The positions in χ's value tuples of the view-location key (group
+    #: key / projected tuple), and the key of one delta row from its value
+    #: tuple; both set by the subclasses.
+    key_positions: Tuple[int, ...]
     key_of_values: Callable[[Tuple[Any, ...]], Tuple[Any, ...]]
 
     def __repr__(self) -> str:
@@ -116,7 +131,8 @@ class ProjectSummary(Summary):
         for name in names:
             expression.schema.position(name)
         self.names: Tuple[str, ...] = tuple(names)
-        self.key_of_values = _key_getter(expression.schema.positions(names))
+        self.key_positions = tuple(expression.schema.positions(names))
+        self.key_of_values = _key_getter(self.key_positions)
         attrs = [expression.schema.attribute(n) for n in names]
         self.output_schema = Schema(attrs, key=list(names))
 
@@ -176,7 +192,8 @@ class GroupBySummary(Summary):
             raise SchemaError(f"duplicate output attribute names in {outputs + grouping}")
         self.grouping: Tuple[str, ...] = tuple(grouping)
         self.aggregates: Tuple[AggregateSpec, ...] = tuple(aggregates)
-        self.key_of_values = _key_getter(expression.schema.positions(grouping))
+        self.key_positions = tuple(expression.schema.positions(grouping))
+        self.key_of_values = _key_getter(self.key_positions)
         attrs = [expression.schema.attribute(n) for n in grouping]
         attrs += [aggregate_attribute(expression.schema, a) for a in aggregates]
         self.output_schema = Schema(attrs, key=list(grouping) if grouping else None)
@@ -184,13 +201,13 @@ class GroupBySummary(Summary):
         #: aggregation-list entry (position ``None`` for COUNT(*)): the
         #: fold steps a group's accumulator list in place through these,
         #: indexing the χ row instead of looking names up.
+        positions = [
+            None if a.attribute is None else expression.schema.position(a.attribute)
+            for a in self.aggregates
+        ]
         self.steps: Tuple[Tuple[int, Callable[[Any, Any], Any], Optional[int]], ...] = tuple(
-            (
-                index,
-                a.function.step,
-                None if a.attribute is None else expression.schema.position(a.attribute),
-            )
-            for index, a in enumerate(self.aggregates)
+            (index, _fold_step(a.function, position), position)
+            for index, (a, position) in enumerate(zip(self.aggregates, positions))
         )
         # ``finalize`` per aggregate, ``None`` where it is the identity;
         # the whole tuple is ``None`` when every one is (SUM/COUNT/MIN/MAX
@@ -200,6 +217,9 @@ class GroupBySummary(Summary):
             for a in self.aggregates
         )
         self._finalizers = finalizers if any(finalizers) else None
+        #: Whether a group's visible row is its key plus its accumulators
+        #: as they are (every finalizer is the identity).
+        self.rows_are_states = self._finalizers is None
         # HAVING: a visibility filter over the summary's output rows.  It
         # does not affect maintenance (every group's state is kept — a
         # group may enter/leave the HAVING set as it accumulates); only

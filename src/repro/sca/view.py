@@ -23,6 +23,14 @@ every view and periodic set it reaches, and :meth:`apply_delta` folds
 inside that extent, opening one of its own only when called outside
 any.  The fold itself is compiled once per view, at construction
 (:meth:`_compile_fold`).
+
+Views that share a chronicle set and a summary-key lineage form a
+:class:`KeyClass` in the registry that maintains them.  Each member
+keeps its own store; the class adds one map from a key to every
+member's entry at that key, so an event reaching several members
+locates each distinct key once and steps every member's entry in place
+(:func:`compile_fold`).  A view alone is a class of one: it has no
+class map and folds into its own store.
 """
 
 from __future__ import annotations
@@ -95,6 +103,10 @@ class PersistentView:
         # None (the default) records nothing.
         self._touched: Optional[Dict[Tuple[Any, ...], List[Any]]] = None
         self._maintenance_count = 0
+        #: The key class folding this view with others (set by the
+        #: registry), and the view's slot in it; None for a class of one.
+        self._key_class: Optional[KeyClass] = None
+        self._slot = 0
         self._fold = self._compile_fold()
         self._show_global_group()
 
@@ -125,95 +137,36 @@ class PersistentView:
 
     # -- maintenance ------------------------------------------------------------------
 
-    def apply_delta(self, delta: Delta) -> int:
+    def apply_delta(self, delta: "Delta | FoldBatch") -> int:
         """Fold one χ-delta into the view; returns rows folded.
 
         The χ-delta comes from a compiled plan — computed once per
         shared subexpression per event — and only the fold step is the
-        view's.  The fold runs in the caller's no-access extent, and in
-        one of its own only when called outside any.
+        view's.  The registry passes a :data:`FoldBatch` instead: the
+        rows of every member of this view's key class that the event
+        reached, folded in one pass, and the return value counts every
+        member's rows.  The fold runs in the caller's no-access extent,
+        and in one of its own only when called outside any.
         """
+        batch = delta if type(delta) is list else [(self, delta.rows)]
+        key_class = self._key_class
+        fold = self._fold_alone if key_class is None else key_class.fold
         if in_maintenance():
-            folded = self._fold(delta.rows)
-        else:
-            with maintenance_guard():
-                folded = self._fold(delta.rows)
+            return fold(batch)
+        with maintenance_guard():
+            return fold(batch)
+
+    def _fold_alone(self, batch: "FoldBatch") -> int:
+        """A class of one folds its one ``(view, rows)`` pair."""
+        ((_, rows),) = batch
+        folded = self._fold(rows)
         self._maintenance_count += 1
         return folded
 
-    def _compile_fold(self) -> Callable[[Tuple[Row, ...]], int]:
-        """The view's fold step, compiled once, at construction.
-
-        Grouping is Theorem 4.4: one locate per distinct key, one O(1)
-        step per aggregate per row, one visible row built per key; the
-        accumulators are stepped in place, so a ``step`` that raises
-        part-way leaves this view's state ahead of its visible rows (a
-        key first seen in that delta is not stored).  A projection
-        counts each row into its tuple's multiplicity.  Either way the
-        step binds every summary and store callable it needs here, so a
-        fold reads no attribute of the view but the touched-key
-        recorder.
-        """
-        summary = self.summary
-        key_of = summary.key_of_values
-        locate = self._state.get
-        insert = self._state.insert
-        view_row = summary.view_row
-        count = GLOBAL_COUNTERS.count
-        if not self._grouped:
-
-            def fold_projection(rows: Tuple[Row, ...]) -> int:
-                if not rows:
-                    return 0
-                touched: Dict[Tuple[Any, ...], List[Any]] = {}
-                for row in rows:
-                    key = key_of(row.values)
-                    entry = touched.get(key)
-                    if entry is None:
-                        entry = locate(key)  # once per key
-                        if entry is None:
-                            entry = [0, view_row(key)]
-                            insert(key, entry)
-                        touched[key] = entry
-                    entry[0] += 1
-                count("tuple_op", len(rows))
-                if self._touched is not None:
-                    self._touched.update(touched)
-                return len(rows)
-
-            return fold_projection
-        steps = summary.steps
-        initial_states = summary.initial_states
-
-        def fold_groups(rows: Tuple[Row, ...]) -> int:
-            if not rows:
-                return 0
-            touched: Dict[Tuple[Any, ...], List[Any]] = {}
-            for row in rows:
-                values = row.values
-                key = key_of(values)
-                entry = touched.get(key)
-                if entry is None:
-                    entry = locate(key)  # once per key
-                    if entry is None:
-                        entry = initial_states() + [None]
-                    touched[key] = entry
-                for index, step, position in steps:
-                    entry[index] = step(
-                        entry[index], 1 if position is None else values[position]
-                    )
-            count("tuple_op", len(rows))
-            count("aggregate_step", len(rows) * len(steps))
-            for key, entry in touched.items():
-                first_seen = entry[-1] is None
-                entry[-1] = view_row(key, entry[:-1])
-                if first_seen:
-                    insert(key, entry)
-            if self._touched is not None:
-                self._touched.update(touched)
-            return len(rows)
-
-        return fold_groups
+    def _compile_fold(self) -> Callable[[Sequence[Row]], int]:
+        """The view's own fold step, compiled once, at construction
+        (:func:`compile_fold` for a class of one)."""
+        return compile_fold([self])
 
     def _show_global_group(self) -> None:
         """A global aggregate always has its single group row (SQL
@@ -222,6 +175,12 @@ class PersistentView:
         if self._grouped and not summary.grouping and not len(self._state):
             states = summary.initial_states()
             self._state.insert((), states + [summary.view_row((), states)])
+
+    def _unindex(self) -> None:
+        """This view's store changed outside its class fold: the class
+        map is rebuilt from the members' stores before the next fold."""
+        if self._key_class is not None:
+            self._key_class.stale = True
 
     def _put(self, key: Tuple[Any, ...], state: Any) -> List[Any]:
         """Locate *key* once and install a state computed elsewhere;
@@ -282,6 +241,7 @@ class PersistentView:
         saw no longer accounts for every change since it started.
         """
         self._touched = None
+        self._unindex()
         if maintenance_count is not None:
             self._maintenance_count = maintenance_count
         if not upsert:
@@ -303,6 +263,7 @@ class PersistentView:
         keys like a fold.
         """
         self._maintenance_count += 1
+        self._unindex()
         put = self._put
         touched = self._touched
         if touched is None:
@@ -343,6 +304,7 @@ class PersistentView:
         empty.  Returns the number of χ rows folded.
         """
         table = evaluate(self.expression)
+        self._unindex()
         return self._fold(Delta(self.expression.schema, table.rows).rows)
 
     # -- queries ----------------------------------------------------------------------
@@ -388,6 +350,268 @@ class PersistentView:
             f"PersistentView({self.name!r}, {len(self._state)} rows, "
             f"{self.language.value}, {self.im_class.value})"
         )
+
+
+#: What one event hands a key class's fold: ``(member view, its χ-delta
+#: rows)`` for each member the event reached, in slot order.
+FoldBatch = List[Tuple[PersistentView, Sequence[Row]]]
+
+
+class KeyClass:
+    """Registered views that share a chronicle set and a summary-key
+    lineage, folded as one.
+
+    Every member keeps its own store (so its rows, length, export order
+    and lookups are its own); *index* maps a key to the list of every
+    member's entry at that key, by slot (``None`` where the member has no
+    row), the same entry lists the members' stores hold.  Only the class
+    fold keeps *index* current; a member whose store changes another way
+    (an import, an absorbed window, a materialization) sets *stale*, and
+    the next fold rebuilds *index* from the stores first.
+    """
+
+    __slots__ = ("members", "index", "stale", "fold")
+
+    def __init__(self, members: Sequence[PersistentView]) -> None:
+        self.members = list(members)
+        self.index: Dict[Tuple[Any, ...], List[Optional[List[Any]]]] = {}
+        self.stale = True
+        for slot, view in enumerate(self.members):
+            view._key_class = self
+            view._slot = slot
+        self.fold: Callable[[FoldBatch], int] = compile_fold(self.members, self)
+
+    @staticmethod
+    def admits(view: PersistentView) -> bool:
+        """Whether *view* can fold in a class: its store is the default
+        hash map, and its class keeps this module's fold seam (a subclass
+        that replaces ``apply_delta`` folds alone)."""
+        return (
+            type(view._state) is HashMap
+            and type(view).apply_delta is PersistentView.apply_delta
+        )
+
+    def reindex(self) -> None:
+        """Rebuild :attr:`index` from the members' stores."""
+        index = self.index
+        index.clear()
+        width = len(self.members)
+        for slot, view in enumerate(self.members):
+            for key, entry in view._state.items():
+                entries = index.get(key)
+                if entries is None:
+                    entries = index[key] = [None] * width
+                entries[slot] = entry
+        self.stale = False
+
+    def dissolve(self) -> None:
+        """Release the members: each folds into its own store again."""
+        for view in self.members:
+            if view._key_class is self:
+                view._key_class = None
+                view._slot = 0
+
+
+def _fold_parts(view: PersistentView) -> Tuple[Any, ...]:
+    """What a fold binds of one view: its key extractor, aggregate steps
+    (``None`` for a projection), fresh accumulators, row builder and
+    store insert."""
+    summary = view.summary
+    steps = summary.steps if view._grouped else None
+    initial_states = summary.initial_states if view._grouped else None
+    return summary.key_of_values, steps, initial_states, summary.view_row, view._state.insert
+
+
+def compile_fold(
+    views: Sequence[PersistentView], key_class: Optional[KeyClass] = None
+) -> Callable[..., int]:
+    """The fold compiler: one view's fold, or a key class's.
+
+    Grouping is Theorem 4.4: one locate per distinct key, one O(1) step
+    per aggregate per row, one visible row built per key; the
+    accumulators are stepped in place, so a ``step`` that raises part-way
+    leaves the state ahead of its visible rows.  A projection counts each
+    row into its tuple's multiplicity.  The step binds every summary and
+    store callable it needs here, so a fold reads no attribute of a view
+    but the touched-key recorder (and, for a class, the maintenance
+    count).
+
+    Without *key_class*, the one view's fold ``fold(rows)`` locates each
+    key in the view's own store (a key first seen in a delta whose step
+    raises is not stored).  With it, ``fold(batch)`` folds a
+    :data:`FoldBatch`: each distinct key of the whole batch is located
+    once in the class map, every member's entry there is stepped in
+    place, a key new to a member enters the member's store, and the
+    counts are added once per fold — ``index_probe`` once per key per
+    class, ``index_lookup`` once per key per member, as the members'
+    own locates would have counted.
+    """
+    count = GLOBAL_COUNTERS.count
+    if key_class is None:
+        (view,) = views
+        return _compile_own_fold(view, count)
+    parts = []
+    for view in views:
+        summary = view.summary
+        positions = summary.key_positions
+        position = positions[0] if len(positions) == 1 else None
+        # A visible row that is the key plus the accumulators is built
+        # here; any other goes through the summary (``row_schema`` None).
+        plain = view._grouped and summary.rows_are_states
+        parts.append(
+            (position, summary.output_schema if plain else None) + _fold_parts(view)
+        )
+    width = len(views)
+    index = key_class.index
+    index_get = index.get
+    new_row = object.__new__
+
+    def fold_class(batch: FoldBatch) -> int:
+        if key_class.stale:
+            key_class.reindex()
+        located: Dict[Tuple[Any, ...], List[Any]] = {}
+        folded = stepped = lookups = 0
+        for view, rows in batch:
+            slot = view._slot
+            key_position, row_schema, key_of, steps, initial_states, view_row, insert = parts[slot]
+            view._maintenance_count += 1
+            if len(rows) == 1 and steps is not None:
+                # Most members take one row per event: no key dict, and
+                # the visible row is built right after the step.
+                values = rows[0].values
+                key = key_of(values) if key_position is None else (values[key_position],)
+                entries = located.get(key)
+                if entries is None:
+                    entries = index_get(key)  # once per key per class
+                    if entries is None:
+                        entries = index[key] = [None] * width
+                    located[key] = entries
+                entry = entries[slot]
+                first_seen = entry is None
+                if first_seen:
+                    entry = entries[slot] = initial_states() + [None]
+                for at, step, position in steps:
+                    entry[at] = step(entry[at], 1 if position is None else values[position])
+                if row_schema is None:
+                    entry[-1] = view_row(key, entry[:-1])
+                else:
+                    visible = entry[-1] = new_row(Row)
+                    visible.schema = row_schema
+                    visible.values = key + tuple(entry[:-1])
+                if first_seen:
+                    insert(key, entry)
+                folded += 1
+                lookups += 1
+                stepped += len(steps)
+                if view._touched is not None:
+                    view._touched[key] = entry
+                continue
+            touched: Dict[Tuple[Any, ...], List[Any]] = {}
+            for row in rows:
+                values = row.values
+                key = key_of(values) if key_position is None else (values[key_position],)
+                entry = touched.get(key)
+                if entry is None:
+                    entries = located.get(key)
+                    if entries is None:
+                        entries = index_get(key)  # once per key per class
+                        if entries is None:
+                            entries = index[key] = [None] * width
+                        located[key] = entries
+                    entry = entries[slot]
+                    if entry is None:
+                        if steps is None:
+                            entry = entries[slot] = [0, view_row(key)]
+                            insert(key, entry)
+                        else:
+                            entry = entries[slot] = initial_states() + [None]
+                    touched[key] = entry
+                if steps is None:
+                    entry[0] += 1
+                else:
+                    for at, step, position in steps:
+                        entry[at] = step(entry[at], 1 if position is None else values[position])
+            if steps is not None:
+                stepped += len(rows) * len(steps)
+                for key, entry in touched.items():
+                    first_seen = entry[-1] is None
+                    if row_schema is None:
+                        entry[-1] = view_row(key, entry[:-1])
+                    else:
+                        visible = entry[-1] = new_row(Row)
+                        visible.schema = row_schema
+                        visible.values = key + tuple(entry[:-1])
+                    if first_seen:
+                        insert(key, entry)
+            folded += len(rows)
+            lookups += len(touched)
+            if view._touched is not None:
+                view._touched.update(touched)
+        if folded:
+            count("index_lookup", lookups)
+            count("index_probe", len(located))
+            count("tuple_op", folded)
+            if stepped:
+                count("aggregate_step", stepped)
+        return folded
+
+    return fold_class
+
+
+def _compile_own_fold(view: PersistentView, count: Callable[..., None]) -> Callable[..., int]:
+    """A class of one: the view's fold over its own store."""
+    key_of, steps, initial_states, view_row, insert = _fold_parts(view)
+    locate = view._state.get
+    if steps is None:
+
+        def fold_projection(rows: Sequence[Row]) -> int:
+            if not rows:
+                return 0
+            touched: Dict[Tuple[Any, ...], List[Any]] = {}
+            for row in rows:
+                key = key_of(row.values)
+                entry = touched.get(key)
+                if entry is None:
+                    entry = locate(key)  # once per key
+                    if entry is None:
+                        entry = [0, view_row(key)]
+                        insert(key, entry)
+                    touched[key] = entry
+                entry[0] += 1
+            count("tuple_op", len(rows))
+            if view._touched is not None:
+                view._touched.update(touched)
+            return len(rows)
+
+        return fold_projection
+
+    def fold_groups(rows: Sequence[Row]) -> int:
+        if not rows:
+            return 0
+        touched: Dict[Tuple[Any, ...], List[Any]] = {}
+        for row in rows:
+            values = row.values
+            key = key_of(values)
+            entry = touched.get(key)
+            if entry is None:
+                entry = locate(key)  # once per key
+                if entry is None:
+                    entry = initial_states() + [None]
+                touched[key] = entry
+            for index, step, position in steps:
+                entry[index] = step(entry[index], 1 if position is None else values[position])
+        count("tuple_op", len(rows))
+        count("aggregate_step", len(rows) * len(steps))
+        for key, entry in touched.items():
+            first_seen = entry[-1] is None
+            entry[-1] = view_row(key, entry[:-1])
+            if first_seen:
+                insert(key, entry)
+        if view._touched is not None:
+            view._touched.update(touched)
+        return len(rows)
+
+    return fold_groups
 
 
 def summary_key(name: str, summary: Summary, key: Sequence[Any]) -> Tuple[Any, ...]:

@@ -35,6 +35,25 @@ now the maintenance path's selection step.  Seeding stays sound on a
 coalesced multi-batch event (a shard unit's window): σ of the window's
 union is the union of each batch's σ-delta.
 
+Inside a bucket (and on the *always* list), an entry whose residual is
+one range atom ``attr <|<=|>|>= const`` is not tested: it sits in a list
+of constants sorted per (attribute, operator), and one ``bisect`` per
+row finds the accepting prefix or suffix (Abo-Khamis et al.: index an
+update by the shape of what it can touch).
+
+Maintenance is *plan, then fold*.  Every survivor's χ-delta is
+collected first — a seeded view's is the rows routing accepted, with no
+``Delta`` and no plan call; any other view runs its compiled plan — and
+only then does anything fold, so a plan that raises leaves every view
+as it was.  Views that share a chronicle set and a summary-key lineage
+(as :func:`~repro.algebra.plan.infer_partition` computes it) form one
+:class:`~repro.sca.view.KeyClass`, and the event's rows for all its
+members fold in one :meth:`~repro.sca.view.PersistentView.apply_delta`
+call: each distinct key is located once per class.  With observability
+installed each survivor keeps its own ``maintain`` span around its plan
+and its fold, so spans, per-view metrics and certificates keep their
+meaning; there the plans and folds of different views interleave.
+
 The registry is the one maintainer.  Periodic view sets are filed and
 maintained like views, so only the views *active* for the current
 interval are maintained (third bullet of Section 5.2); a set is never
@@ -43,6 +62,7 @@ seeded, since it splits rows by interval before its own plan runs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..algebra.ast import ChronicleScan, Node, Select
@@ -52,6 +72,7 @@ from ..algebra.plan import (
     ValuesPredicate,
     compile_prefilter,
     infer_partition,
+    range_threshold,
 )
 from ..core.chronicle import maintenance_guard
 from ..core.delta import Delta
@@ -61,7 +82,7 @@ from ..obs import runtime as obs_runtime
 from ..relational.predicate import Predicate, conjunction
 from ..relational.schema import Schema
 from ..relational.tuples import Row
-from ..sca.view import PersistentView
+from ..sca.view import FoldBatch, KeyClass, PersistentView
 from .periodic import PeriodicViewSet
 
 
@@ -136,10 +157,20 @@ class RegisteredView:
     expression; *plan* its :class:`~repro.algebra.plan.CompiledPlan`,
     ``None`` until the registry next compiles, and always for a set.
     *seeded* says whether the dispatch index computes the root's delta
-    (see the module docstring).
+    (see the module docstring).  *key_class* is the view's :class:`~repro.sca.view.KeyClass` in this
+    registry, ``None`` for a class of one.
     """
 
-    __slots__ = ("view", "rank", "prefilters", "seeded", "root", "plan", "partition")
+    __slots__ = (
+        "view",
+        "rank",
+        "prefilters",
+        "seeded",
+        "root",
+        "plan",
+        "partition",
+        "key_class",
+    )
 
     def __init__(
         self, view: PersistentView | PeriodicViewSet, rank: int, root: Optional[Node] = None
@@ -153,10 +184,23 @@ class RegisteredView:
         #: Partition declaration (PartitionSpec or UNPARTITIONABLE) —
         #: the sharded engine routes records by it.
         self.partition = infer_partition(view.summary)
+        self.key_class: Optional[KeyClass] = None
+
+    def class_key(self) -> Optional[Tuple[Any, ...]]:
+        """What views of one key class share: the chronicle set and the
+        summary-key lineage; ``None`` when the view folds on its own.
+
+        A periodic set, a view with no lineage (a global aggregate, a
+        key computed from aggregates or relation attributes) and a view
+        :meth:`KeyClass.admits` refuses each fold alone.
+        """
+        if self.root is None or not self.partition or not KeyClass.admits(self.view):
+            return None
+        return self.partition.canonical()
 
 
-#: One filed scan conjunction: (registration rank, its compiled test over a
-#: raw value tuple or ``None`` to accept every row, whether the view is
+#: One tested scan conjunction: (registration rank, its compiled test over
+#: a raw value tuple or ``None`` to accept every row, whether the view is
 #: seeded).
 DispatchEntry = Tuple[int, Optional[ValuesPredicate], bool]
 
@@ -164,16 +208,122 @@ DispatchEntry = Tuple[int, Optional[ValuesPredicate], bool]
 #: order, or ``None`` for any other affected view.
 Hits = Dict[int, Optional[List[Row]]]
 
+#: For each range operator: the bisect that finds the first accepting
+#: constant's boundary, and whether the accepting constants are the
+#: suffix (``x < c`` holds for every ``c`` past ``x``) or the prefix.
+_RANGE_CUTS = {
+    "<": (bisect_right, True),
+    "<=": (bisect_left, True),
+    ">": (bisect_left, False),
+    ">=": (bisect_right, False),
+}
+
+
+class Bucket:
+    """The scan conjunctions filed under one dispatch key, or on the
+    *always* list.
+
+    *filed* is every entry in filing order, ``(rank, test, seeded,
+    threshold)``.  Entries with a range threshold are answered by
+    *ranges*, one ``(position, bisect, constants, entries, suffix)`` per
+    (attribute, operator) with the constants sorted and *entries* the
+    matching ``(rank, seeded)`` pairs; the rest are tested one by one
+    from *tests*.  *ranks* is every rank filed here (what routing counts
+    as examined when a row reaches the bucket).
+    """
+
+    __slots__ = ("filed", "tests", "ranges", "ranks")
+
+    def __init__(self) -> None:
+        self.filed: List[Tuple[int, Optional[ValuesPredicate], bool, Any]] = []
+        self.tests: List[DispatchEntry] = []
+        self.ranges: List[Tuple[int, Callable[..., int], List[Any], List[Any], bool]] = []
+        self.ranks: Tuple[int, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.filed)
+
+    def add(self, rank: int, test: Optional[ValuesPredicate], seeded: bool, threshold: Any) -> None:
+        self.filed.append((rank, test, seeded, threshold))
+        self._rebuild()
+
+    def discard(self, rank: int) -> None:
+        self.filed = [entry for entry in self.filed if entry[0] != rank]
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        self.tests = [
+            (rank, test, seeded) for rank, test, seeded, threshold in self.filed if threshold is None
+        ]
+        lists: Dict[Tuple[int, str], List[Tuple[Any, int, bool]]] = {}
+        for rank, _, seeded, threshold in self.filed:
+            if threshold is not None:
+                position, op, constant = threshold
+                lists.setdefault((position, op), []).append((constant, rank, seeded))
+        self.ranges = []
+        for (position, op), filed in lists.items():
+            # A stable sort keeps filing order among equal constants.
+            filed.sort(key=lambda item: item[0])
+            cut, suffix = _RANGE_CUTS[op]
+            self.ranges.append(
+                (
+                    position,
+                    cut,
+                    [constant for constant, _, _ in filed],
+                    [(rank, seeded) for _, rank, seeded in filed],
+                    suffix,
+                )
+            )
+        self.ranks = tuple(entry[0] for entry in self.filed)
+
+    def route(self, rows: Tuple[Row, ...], hit: Hits) -> None:
+        """Add what *rows* hit among this bucket's entries to *hit*.
+
+        A seeded entry keeps the rows it accepts, in event order; any
+        other entry is done with at its first accepting row.
+        """
+        for rank, test, seeded in self.tests:
+            if seeded:
+                accepted = [row for row in rows if test is None or test(row.values)]
+                if accepted:
+                    previous = hit.get(rank)
+                    if previous is None:
+                        hit[rank] = accepted
+                    else:
+                        previous.extend(accepted)
+            elif rank not in hit and (test is None or any(test(row.values) for row in rows)):
+                hit[rank] = None
+        ranges = self.ranges
+        if not ranges:
+            return
+        for row in rows:
+            values = row.values
+            for position, cut, constants, entries, suffix in ranges:
+                value = values[position]
+                if value is None or value != value:  # NULL and NaN pass no comparison
+                    continue
+                boundary = cut(constants, value)
+                for rank, seeded in entries[boundary:] if suffix else entries[:boundary]:
+                    if not seeded:
+                        if rank not in hit:
+                            hit[rank] = None
+                        continue
+                    accepted = hit.get(rank)
+                    if accepted is None:
+                        hit[rank] = [row]
+                    else:
+                        accepted.append(row)
+
 
 class ChronicleDispatch:
     """Both indexes of one chronicle: its dependent views and their filters.
 
     *views* is the dependency index (rank → view, so in registration
     order).  Every scan conjunction of every dependent view is filed
-    exactly once in the predicate dispatch index: under
+    exactly once in the predicate dispatch index: in the bucket
     ``tables[position][constant]`` when it contains the atom
     ``attribute = constant`` (the entry then tests only the residual
-    conjuncts), on the *always* list otherwise.  A view scanning the
+    conjuncts), in the *always* bucket otherwise.  A view scanning the
     chronicle twice files two entries and is affected when either
     accepts a row; a view with an unfiltered scan files one always-entry
     with no test.  A seeded view files one entry, and routing tests every
@@ -184,36 +334,36 @@ class ChronicleDispatch:
 
     def __init__(self) -> None:
         self.views: Dict[int, RegisteredView] = {}
-        self.always: List[DispatchEntry] = []
-        self.tables: Dict[int, Dict[Any, List[DispatchEntry]]] = {}
+        self.always = Bucket()
+        self.tables: Dict[int, Dict[Any, Bucket]] = {}
 
     def add(self, registered: RegisteredView, predicates: List[Predicate], schema: Schema) -> None:
         """File *registered* and its scan conjunctions over this chronicle."""
         rank, seeded = registered.rank, registered.seeded
         self.views[rank] = registered
         if not predicates:  # some scan of the chronicle is unfiltered
-            self.always.append((rank, None, False))
+            self.always.add(rank, None, False, None)
             return
         for predicate in predicates:
             key, residual = compile_prefilter(predicate, schema)
+            threshold = range_threshold(predicate, schema)
             if key is None:
-                self.always.append((rank, residual, seeded))
+                bucket = self.always
             else:
                 position, constant = key
-                self.tables.setdefault(position, {}).setdefault(constant, []).append(
-                    (rank, residual, seeded)
-                )
+                bucket = self.tables.setdefault(position, {}).get(constant)
+                if bucket is None:
+                    bucket = self.tables[position][constant] = Bucket()
+            bucket.add(rank, residual, seeded, threshold)
 
     def discard(self, rank: int) -> None:
         """Remove the view registered as *rank* and every entry it filed."""
         del self.views[rank]
-        self.always = [entry for entry in self.always if entry[0] != rank]
+        self.always.discard(rank)
         for position, table in list(self.tables.items()):
             for constant, bucket in list(table.items()):
-                kept = [entry for entry in bucket if entry[0] != rank]
-                if kept:
-                    table[constant] = kept
-                else:
+                bucket.discard(rank)
+                if not bucket:
                     del table[constant]
             if not table:
                 del self.tables[position]
@@ -224,20 +374,14 @@ class ChronicleDispatch:
         A seeded view's entry is tested against every row, and *hit*
         keeps the rows it accepts; any other view is done with at its
         first accepting row.  *examined* collects the rank of every view
-        looked at.  Row values come from typed domains (numbers, strings,
-        booleans, NULL), all hashable; NULL finds no bucket because no
-        constant is NULL.
+        filed in a bucket some row reached.  Row values come from typed
+        domains (numbers, strings, booleans, NULL), all hashable; NULL
+        finds no bucket because no constant is NULL.
         """
-        # A rank already hit was examined when it was hit, so adding every
-        # rank looked at counts each examined view once.
-        for rank, test, seeded in self.always:
-            examined.add(rank)
-            if seeded:
-                accepted = [row for row in rows if test(row.values)]
-                if accepted:
-                    hit[rank] = accepted
-            elif rank not in hit and (test is None or any(test(row.values) for row in rows)):
-                hit[rank] = None
+        always = self.always
+        if always:
+            examined.update(always.ranks)
+            always.route(rows, hit)
         tables = self.tables
         if not tables:
             return
@@ -245,19 +389,9 @@ class ChronicleDispatch:
             values = row.values
             for position, table in tables.items():
                 bucket = table.get(values[position])
-                if bucket is None:
-                    continue
-                for rank, test, seeded in bucket:
-                    examined.add(rank)
-                    if seeded:
-                        if test is None or test(values):
-                            accepted = hit.get(rank)
-                            if accepted is None:
-                                hit[rank] = [row]
-                            else:
-                                accepted.append(row)
-                    elif rank not in hit and (test is None or test(values)):
-                        hit[rank] = None
+                if bucket is not None:
+                    examined.update(bucket.ranks)
+                    bucket.route((row,), hit)
 
 
 class ViewRegistry:
@@ -274,13 +408,18 @@ class ViewRegistry:
 
     Every event is routed through the predicate dispatch index, and only
     the views it returns are maintained (benchmark E9 measures that
-    against maintaining every candidate).
+    against maintaining every candidate).  Views of one key class are
+    folded together (see the module docstring).
     """
 
     def __init__(self) -> None:
         self._views: Dict[str, RegisteredView] = {}
         self._periodic: Dict[str, RegisteredView] = {}
         self._by_chronicle: Dict[str, ChronicleDispatch] = {}
+        #: class key → its members, in registration order.
+        self._classes: Dict[Tuple[Any, ...], List[RegisteredView]] = {}
+        #: Ranks of the seeded views whose delta another plan reads.
+        self._shared_seeds: Set[int] = set()
         self._next_rank = 0
         self._stats = {
             "events": 0,
@@ -305,11 +444,34 @@ class ViewRegistry:
         if view.name in self._views or view.name in self._periodic:
             raise ViewRegistrationError(f"view name {view.name!r} already registered")
         root = self._compiler.add_root(view.expression)
-        self._views[view.name] = self._file(RegisteredView(view, self._next_rank, root))
+        registered = self._file(RegisteredView(view, self._next_rank, root))
+        self._views[view.name] = registered
+        key = registered.class_key()
+        if key is not None:
+            members = self._classes.setdefault(key, [])
+            members.append(registered)
+            self._reclass(members)
         # Sharing boundaries may have moved: recompile lazily, off the
         # append path.
         self._plans_stale = True
         return view
+
+    @staticmethod
+    def _reclass(members: List[RegisteredView]) -> None:
+        """Rebuild one key class after a member joined or left.
+
+        The class map is rebuilt from the members' stores before its
+        next fold; a class of one has none, and its view folds into its
+        own store.
+        """
+        for registered in members:
+            if registered.key_class is not None:
+                registered.key_class.dissolve()
+                registered.key_class = None
+        if len(members) > 1:
+            key_class = KeyClass([registered.view for registered in members])
+            for registered in members:
+                registered.key_class = key_class
 
     def register_periodic(self, view_set: PeriodicViewSet, group: ChronicleGroup) -> PeriodicViewSet:
         """Register a periodic view set; with no ``chronon_of`` it places
@@ -340,6 +502,17 @@ class ViewRegistry:
             del self._views[name]
             self._compiler.remove_root(registered.root)
             self._plans_stale = True
+            key = registered.class_key()
+            if key is not None:
+                members = self._classes[key]
+                members.remove(registered)
+                if registered.key_class is not None:
+                    registered.key_class.dissolve()
+                    registered.key_class = None
+                if members:
+                    self._reclass(members)
+                else:
+                    del self._classes[key]
         obs = obs_runtime.ACTIVE
         if obs is not None:
             # Restarts the view's per-view stats on the handle.
@@ -423,6 +596,9 @@ class ViewRegistry:
         compiler.seeded = {id(r.root) for r in self._views.values() if r.seeded}
         for registered in self._views.values():
             registered.plan = compiler.compile(registered.root)
+        self._shared_seeds = {
+            r.rank for r in self._views.values() if r.seeded and compiler.is_shared(r.root)
+        }
         self._plans_stale = False
 
     def interned_expression(self, name: str) -> Optional[Node]:
@@ -481,53 +657,93 @@ class ViewRegistry:
                 examined: Set[int] = set()
                 for dispatch, rows in touched:
                     dispatch.route(rows, hit, examined)
-                survivors = [candidates[rank] for rank in sorted(hit)]
-                hits = count - len(survivors)
+                maintained = len(hit)
+                hits = count - maintained
                 stats["views_examined"] += len(examined)
                 stats["prefilter_hits"] += hits
-                stats["prefilter_misses"] += len(survivors)
+                stats["prefilter_misses"] += maintained
                 if span is not None:
                     span.attrs["skipped"] = hits
                     span.attrs["examined"] = len(examined)
             finally:
                 if span is not None:
                     tracer.finish(span)
-            if not survivors and not sets:
+            if not maintained and not sets:
                 return 0
             # One delta cache per event: interned nodes shared between
-            # plans are computed once, and seeded roots are put there.
+            # plans are computed once, and a seeded root another plan
+            # reads is put there.
             cache: Dict[int, Delta] = {}
-            for rank, accepted in hit.items():
-                if accepted is not None:
-                    root = candidates[rank].root
-                    cache[id(root)] = Delta.unchecked(root.schema, accepted)
-            deltas = event_deltas(group, event)
-            for registered in sets:
-                if registered.rank not in hit:
-                    # Nothing to fold, but rows still move the clock and open intervals.
-                    registered.view.place(deltas)
-            for registered in survivors:
-                span = (
-                    tracer.start("maintain", view=registered.view.name, engine="compiled")
-                    if tracer is not None
-                    else None
+            seeds = hit if tracer is not None else self._shared_seeds
+            if seeds:
+                for rank in seeds:
+                    accepted = hit.get(rank)
+                    if accepted is not None:
+                        root = candidates[rank].root
+                        cache[id(root)] = Delta.unchecked(root.schema, accepted)
+            deltas = event_deltas(group, event) if sets or tracer is not None else None
+            if tracer is not None:
+                self._maintain_observed(
+                    tracer, hit, [candidates[rank] for rank in sorted(hit)], sets, deltas, cache
                 )
-                try:
-                    plan = registered.plan
-                    if plan is None:  # a periodic set: its own per-interval plan
-                        folded = registered.view.maintain(deltas)
+            else:
+                # Plan, then fold: every survivor's delta is collected
+                # before any view or set folds, one fold batch per key class.
+                batches: Dict[Any, FoldBatch] = {}
+                for rank, rows in sorted(hit.items()):
+                    registered = candidates[rank]
+                    if rows is None:
+                        plan = registered.plan
+                        if plan is None:  # a periodic set: its own per-interval plan
+                            continue
+                        if deltas is None:
+                            deltas = event_deltas(group, event)
+                        rows = plan(deltas, cache).rows
+                    fold_key = registered.key_class or registered
+                    batch = batches.get(fold_key)
+                    if batch is None:
+                        batches[fold_key] = [(registered.view, rows)]
                     else:
-                        folded = registered.view.apply_delta(plan(deltas, cache))
-                    if span is not None:
-                        span.attrs["rows"] = folded
-                finally:
-                    if span is not None:
-                        tracer.finish(span)
+                        batch.append((registered.view, rows))
+                for registered in sets:
+                    if registered.rank in hit:
+                        registered.view.maintain(deltas)
+                    else:
+                        # Nothing to fold, but rows still move the clock and open intervals.
+                        registered.view.place(deltas)
+                for batch in batches.values():
+                    batch[0][0].apply_delta(batch)
         for registered in sets:
             registered.view.expire_stale()
-        maintained = len(survivors)
         stats["maintained_views"] += maintained
         return maintained
+
+    @staticmethod
+    def _maintain_observed(
+        tracer: Any,
+        hit: Hits,
+        survivors: List[RegisteredView],
+        sets: Iterable[RegisteredView],
+        deltas: Dict[str, Delta],
+        cache: Dict[int, Delta],
+    ) -> None:
+        """Each survivor's plan and fold in its own ``maintain`` span,
+        by rank: what the per-view metrics, the cost ledger and the
+        conformance certificates read."""
+        for registered in sets:
+            if registered.rank not in hit:
+                registered.view.place(deltas)
+        for registered in survivors:
+            span = tracer.start("maintain", view=registered.view.name, engine="compiled")
+            try:
+                plan = registered.plan
+                if plan is None:  # a periodic set: its own per-interval plan
+                    folded = registered.view.maintain(deltas)
+                else:
+                    folded = registered.view.apply_delta(plan(deltas, cache))
+                span.attrs["rows"] = folded
+            finally:
+                tracer.finish(span)
 
 
 def attach_view(view: PersistentView, group: ChronicleGroup) -> Callable[..., int]:

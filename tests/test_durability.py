@@ -310,6 +310,37 @@ class TestCrashRecovery:
         finally:
             recovered.close()
 
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_empty_calls_spend_no_sequence_number(self, tmp_path, engine):
+        """An empty call is no event: the log holds nothing for it, so it
+        must not move the watermark either, or a crash moves it back."""
+        directory = str(tmp_path / "db")
+        config = _config(directory, engine=engine, interval=1000)
+        db = ChronicleDatabase.open(directory, config=config)
+        db.create_chronicle("t", [("k", "INT"), ("v", "INT")])
+        db.create_chronicle("u", [("k", "INT"), ("v", "INT")])
+        db.define_view(
+            "DEFINE VIEW byk AS SELECT k, SUM(v) AS total FROM t GROUP BY k"
+        )
+        db.append("t", [{"k": 1, "v": 1}])
+        assert db.append("t", []) == ()
+        assert db.append_simultaneous({"t": [], "u": []}) == {"t": (), "u": ()}
+        assert db.ingest("t", [[], [{"k": 2, "v": 5}], []]) == 1
+        db.append("t", [{"k": 1, "v": 2}])
+        live = db.group().watermark
+        assert live == 2
+        db.durability.abort()
+
+        recovered = ChronicleDatabase.open(directory, config=config)
+        try:
+            assert recovered.group().watermark == live
+            assert recovered.durability.last_recovery.replayed_batches == 3
+            assert sorted(r.values for r in recovered.view("byk").rows()) == [(1, 3), (2, 5)]
+            recovered.append("t", [{"k": 2, "v": 1}])
+            assert recovered.group().watermark == live + 1
+        finally:
+            recovered.close()
+
     def test_mid_stream_view_definition_recovers_history(self, tmp_path):
         """A view defined between snapshots materializes from chronicle
         history the truncated log cannot rebuild — the definition-time

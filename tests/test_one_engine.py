@@ -813,6 +813,48 @@ def test_the_fold_is_compiled_once_per_view(monkeypatch):
     assert len(db.view("seen")) == 3
 
 
+def test_one_fold_compiler_and_one_fold_per_key_class(monkeypatch):
+    """``compile_fold`` is the one place a fold loop is compiled — a
+    view's own, or its key class's — and the registry always folds a
+    class in one ``apply_delta`` call: no per-view fold comes back
+    behind a field, a parameter or an environment switch."""
+    from repro.sca import view as view_module
+    from repro.views.registry import ViewRegistry
+
+    compilers = sorted(
+        (str(path.relative_to(SRC)), owner, function.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for owner, function in _functions(path)
+        if any(
+            isinstance(node, ast.FunctionDef) and node.name.startswith("fold")
+            for node in ast.walk(function)
+            if node is not function
+        )
+    )
+    assert compilers == [
+        ("sca/view.py", "view", "_compile_own_fold"),
+        ("sca/view.py", "view", "compile_fold"),
+    ]
+    assert len(dataclasses.fields(DatabaseConfig)) == 8
+    assert list(inspect.signature(ViewRegistry).parameters) == []
+    assert "environ" not in (SRC / "views" / "registry.py").read_text()
+    assert "environ" not in (SRC / "sca" / "view.py").read_text()
+    folds = _counting(monkeypatch, view_module.KeyClass, "reindex")
+    applied = _counting(monkeypatch, PersistentView, "apply_delta")
+    db = ChronicleDatabase()
+    db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")], retention=0)
+    for index in range(41):
+        db.define_view(
+            f"DEFINE VIEW v{index} AS SELECT caller, SUM(minutes) AS out "
+            f"FROM calls WHERE minutes > {index} GROUP BY caller"
+        )
+    for event in range(5):
+        db.append("calls", [{"caller": event % 2, "minutes": 100}, {"caller": 7, "minutes": 3}])
+    assert len(applied) == 5
+    assert len(folds) == 1  # the class map is built once, then kept by the fold
+    assert db.view_value("v3", (7,), "out") is None and db.view_value("v3", (1,), "out") == 200
+
+
 # -- one measurement driver -----------------------------------------------------------
 
 

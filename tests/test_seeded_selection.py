@@ -19,21 +19,26 @@ testing the rows again.  These tests pin that:
 """
 
 import itertools
+import os
+import warnings
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ChronicleDatabase
+from repro import ChronicleDatabase, DatabaseConfig
 from repro.aggregates import COUNT, SUM, spec
 from repro.algebra.ast import scan
 from repro.complexity.counters import GLOBAL_COUNTERS
+from repro.core.group import ChronicleGroup
 from repro.obs.explain import explain_analyze
+from repro.parallel import UnpartitionableViewWarning
 from repro.relational.predicate import Comparison
 from repro.relational.schema import Attribute
 from repro.sca.summarize import GroupBySummary
-from repro.sca.view import evaluate_summary
+from repro.sca.view import PersistentView, evaluate_summary
+from repro.views.registry import ViewRegistry, scan_prefilters
 from tests.test_one_walk import _predicates, build, flat_recipes
 
 # ---------------------------------------------------------------------------
@@ -189,8 +194,8 @@ GROUPING = ("k", "state")
 class Side:
     """One database over the recipe environment of ``test_one_walk``."""
 
-    def __init__(self):
-        self.db = ChronicleDatabase()
+    def __init__(self, config=None):
+        self.db = ChronicleDatabase(config=config)
         for name in CHRONICLES:
             self.db.create_chronicle(name, ATTRIBUTES)
         customers = self.db.create_relation(
@@ -305,3 +310,331 @@ def test_seeded_equals_the_batch_oracle(catalog, ops):
         summary = seeded.db.view(name).summary
         oracle = sorted(map(repr, (r.values for r in evaluate_summary(summary))))
         assert seeded.rows(name) == oracle, name
+
+
+# ---------------------------------------------------------------------------
+# Key classes: one fold per class, against the batch oracle
+# ---------------------------------------------------------------------------
+
+#: Every view a class catalog can hold: a seeded chain (alone, under a key
+#: join, under a projection, or beside a flat tree) grouped by ``k`` — one
+#: class per chronicle set —, or by ``state`` or nothing, which fold alone.
+class_views = st.tuples(
+    st.one_of(
+        seeded_chains,
+        st.tuples(st.just("keyjoin"), seeded_chains),
+        st.tuples(st.just("project"), seeded_chains, st.just(("sn", "k", "a"))),
+        st.tuples(st.just("union"), seeded_chains, flat_recipes),
+    ),
+    st.sampled_from(["k", "k", "global", "state"]),
+)
+class_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.sampled_from(CHRONICLES), batches),
+        st.tuples(st.just("simultaneous"), batches, batches),
+        st.tuples(
+            st.just("ingest"),
+            st.sampled_from(CHRONICLES),
+            st.lists(batches, min_size=1, max_size=3),
+        ),
+        st.tuples(st.just("define"), class_views, st.booleans()),
+        st.tuples(st.just("drop"), st.integers(min_value=0)),
+        st.tuples(st.just("restore")),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class ClassWorld:
+    """A database under test beside an oracle world fed the same writes.
+
+    The oracle stores every record and holds no view; a view's expected
+    rows are :func:`evaluate_summary` over the oracle's history from the
+    first sequence number the view covers."""
+
+    def __init__(self, config, tmp):
+        self.config = config
+        self.tmp = tmp
+        self.db = Side(config).db
+        self.oracle = Side()
+        self.views = {}  # name -> (view recipe, first covered sequence number)
+        self.floor = 0  # first sequence number the store under test holds
+        self.numbers = itertools.count()
+        self.restores = 0
+
+    @staticmethod
+    def summary(env, view):
+        recipe, key = view
+        node = build(recipe, env)
+        if key == "global" or (key == "state" and "state" not in node.schema.names):
+            grouping = []
+        else:
+            grouping = [key]
+        return GroupBySummary(node, grouping, [spec(COUNT), spec(SUM, "k", output="total")])
+
+    def define(self, name, view, materialize):
+        db = self.db
+        env = SimpleNamespace(
+            chronicles={n: db.chronicle(n) for n in CHRONICLES},
+            relations={n: db.relation(n) for n in ("customers", "plans")},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnpartitionableViewWarning)
+            db.define_view(self.summary(env, view), name=name, materialize=materialize)
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == "define":
+            name = f"v{len(self.views)}_{next(self.numbers)}"
+            since = self.floor if op[2] else self.db.group().watermark + 1
+            self.define(name, op[1], op[2])
+            self.views[name] = (op[1], since)
+        elif kind == "drop":
+            if self.views:
+                name = sorted(self.views)[op[1] % len(self.views)]
+                self.db.drop_view(name)
+                del self.views[name]
+        elif kind == "restore":
+            path = os.path.join(self.tmp, f"state{self.restores}.ckpt")
+            self.restores += 1
+            self.db.checkpoint(path)
+            self.db.close()
+            self.db = Side(self.config).db
+            for name, (view, _) in self.views.items():
+                self.define(name, view, materialize=False)
+            self.db.restore(path)
+            self.floor = self.db.group().watermark + 1
+        else:
+            op = numbered(op, self.numbers)
+            with GLOBAL_COUNTERS.measure() as cost:
+                write(SimpleNamespace(db=self.db), op)
+            assert cost["chronicle_read"] == 0
+            write(self.oracle, op)
+
+    def check(self):
+        for name, (view, since) in self.views.items():
+            summary = self.summary(self.oracle.env, view)
+            covered = summary.expression.select(Comparison("sn", ">=", since))
+            expected = evaluate_summary(summary.over(covered))
+            rows = sorted(map(repr, (r.values for r in self.db.view(name))))
+            assert rows == sorted(map(repr, (r.values for r in expected))), name
+
+
+@pytest.mark.parametrize(
+    "config",
+    [None, DatabaseConfig(engine="sharded", shards=2)],
+    ids=["serial", "sharded-inline"],
+)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(class_views, min_size=2, max_size=5), class_operations)
+def test_key_classes_equal_the_batch_oracle(tmp_path_factory, config, catalog, ops):
+    """Views sharing a chronicle set and ``k`` fold as one class; every
+    DDL interleaving — defining into a class mid-stream, materialized or
+    not, dropping members down to the last, checkpoint → restore — keeps
+    every view equal to the batch oracle, with no chronicle read."""
+    world = ClassWorld(config, str(tmp_path_factory.mktemp("classes")))
+    try:
+        for view in catalog:
+            world.apply(("define", view, False))
+        for op in ops:
+            world.apply(op)
+            world.check()
+    finally:
+        world.db.close()
+
+
+def test_a_key_class_folds_once_per_event():
+    """Three views of one class and one of another key: one apply_delta
+    call per class per event, one index probe per key per class, and the
+    class's counts of rows, steps and lookups as per-view folds would
+    count them."""
+    db = calls_db()
+    db.create_chronicle("fees", [("caller", "INT"), ("minutes", "INT")], retention=0)
+    for name, where in (("all", ""), ("long", "WHERE minutes > 10"), ("one", "WHERE caller = 1")):
+        db.define_view(
+            f"DEFINE VIEW {name} AS SELECT caller, SUM(minutes) AS m, COUNT(*) AS n "
+            f"FROM calls {where} GROUP BY caller"
+        )
+    db.define_view("DEFINE VIEW fees AS SELECT caller, COUNT(*) AS n FROM fees GROUP BY caller")
+    registered = db.registry._views
+    key_class = registered["all"].key_class
+    assert key_class is not None and key_class is registered["long"].key_class
+    assert [view.name for view in key_class.members] == ["all", "long", "one"]
+    assert registered["fees"].key_class is None
+    calls = []
+    original = PersistentView.apply_delta
+
+    def counted(self, delta):
+        calls.append(self.name)
+        return original(self, delta)
+
+    PersistentView.apply_delta = counted
+    try:
+        with GLOBAL_COUNTERS.measure() as cost:
+            db.append_simultaneous(
+                {
+                    "calls": [{"caller": 1, "minutes": 20}, {"caller": 2, "minutes": 30}],
+                    "fees": [{"caller": 1, "minutes": 1}],
+                }
+            )
+    finally:
+        PersistentView.apply_delta = original
+    assert calls == ["all", "fees"]
+    # all: 2 rows, long: 2 rows, one: 1 row; 2 distinct keys in the class.
+    assert cost["tuple_op"] == 5 + 1
+    assert cost["aggregate_step"] == 2 * 5 + 1
+    assert cost["index_lookup"] == 5 + 1
+    assert cost["index_probe"] == 2 + 1
+    assert cost["chronicle_read"] == 0
+    assert [view.maintenance_count for view in key_class.members] == [1, 1, 1]
+    assert db.view_value("one", (1,), "m") == 20 and db.view("one").lookup((2,)) is None
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_sharded_key_classes_absorb_touched_states(tmp_path, executor):
+    """A shard unit's views fold as one class, in the parent or in a
+    worker (whose touched states the parent absorbs); defining into the
+    class, dropping members and checkpoint → restore agree with the
+    serial engine."""
+
+    def catalog(db, names):
+        for name in names:
+            where = {
+                "all": "",
+                "low": "WHERE minutes < 10",
+                "k1": "WHERE kind = 1 AND minutes >= 5",
+                "late": "WHERE minutes > 20",
+            }[name]
+            db.define_view(
+                f"DEFINE VIEW {name} AS SELECT caller, SUM(minutes) AS m, COUNT(*) AS n "
+                f"FROM calls {where} GROUP BY caller"
+            )
+
+    def fresh(config):
+        db = ChronicleDatabase(config=config)
+        db.create_chronicle("calls", [("caller", "INT"), ("kind", "INT"), ("minutes", "INT")])
+        return db
+
+    def window(start):
+        return [
+            [{"caller": (start + i) % 5, "kind": i % 3, "minutes": (7 * (start + i)) % 31}]
+            for i in range(6)
+        ]
+
+    sharded_config = DatabaseConfig(engine="sharded", shards=2, executor=executor)
+    serial, sharded = fresh(DatabaseConfig()), fresh(sharded_config)
+    try:
+        for db in (serial, sharded):
+            catalog(db, ["all", "low", "k1"])
+            db.ingest("calls", window(0))
+            catalog(db, ["late"])  # into the class, materialized from the store
+            db.ingest("calls", window(6))
+            db.drop_view("low")
+            db.ingest("calls", window(12))
+        path = str(tmp_path / "state.ckpt")
+        sharded.checkpoint(path)
+        sharded.close()
+        sharded = fresh(sharded_config)
+        catalog(sharded, ["all", "k1", "late"])
+        sharded.restore(path)
+        for db in (serial, sharded):
+            for name in ("all", "k1"):
+                db.drop_view(name)  # down to the class's last member
+            db.ingest("calls", window(18))
+        rows = sorted(r.values for r in serial.view("late").rows())
+        assert rows and sorted(r.values for r in sharded.view("late").rows()) == rows
+    finally:
+        serial.close()
+        sharded.close()
+
+
+# ---------------------------------------------------------------------------
+# The threshold index: one bisect per row, the linear scan's hits
+# ---------------------------------------------------------------------------
+
+#: Range constants of every kind a comparison can hold, NaN included.
+range_constants = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-1.5, 0.0, 0.5, 2.5, float("nan"), True, False]),
+)
+range_atoms = st.tuples(
+    st.sampled_from(["x", "f"]), st.sampled_from(["<", "<=", ">", ">="]), range_constants
+)
+#: One scan conjunction: an optional ``g = const`` atom and a range atom,
+#: or two range atoms (no threshold: the residual is tested).
+conjunctions = st.tuples(
+    st.one_of(st.none(), st.integers(0, 2)),
+    range_atoms,
+    st.one_of(st.none(), range_atoms),
+)
+#: A view: one seeded chain, or the union of two chains (not seeded).
+dispatch_views = st.one_of(
+    st.tuples(st.just("seeded"), conjunctions),
+    st.tuples(st.just("union"), conjunctions, conjunctions),
+)
+dispatch_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "g": st.integers(0, 2),
+            "x": st.one_of(st.none(), st.integers(-4, 4)),
+            "f": st.one_of(
+                st.none(), st.sampled_from([-2.0, -1.5, 0.0, 0.5, 1.0, 3.0, float("nan")])
+            ),
+        }
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def conjunction_node(chronicle, conjunction):
+    equality, first, second = conjunction
+    node = scan(chronicle)
+    if equality is not None:
+        node = node.select(Comparison("g", "=", equality))
+    for atom in (first, second):
+        if atom is not None:
+            node = node.select(Comparison(*atom))
+    return node
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(dispatch_views, min_size=1, max_size=8), dispatch_rows)
+def test_threshold_hits_equal_the_linear_scan(views, records):
+    """Routing by sorted thresholds finds what testing every filed
+    conjunction against every row finds, rows in the same order, over
+    int, float and bool constants, NULL row values and NaN on both
+    sides; a NaN constant stays out of the sorted lists."""
+    group = ChronicleGroup("g")
+    chronicle = group.create_chronicle(
+        "c",
+        [
+            Attribute("g", "INT"),
+            Attribute("x", "INT", nullable=True),
+            Attribute("f", "FLOAT", nullable=True),
+        ],
+        retention=0,
+    )
+    registry = ViewRegistry()
+    conjunction_lists = []
+    for index, view in enumerate(views):
+        nodes = [conjunction_node(chronicle, c) for c in view[1:]]
+        node = nodes[0] if len(nodes) == 1 else nodes[0].union(nodes[1])
+        registry.register(PersistentView(f"v{index}", GroupBySummary(node, ["g"], [spec(COUNT)])))
+        conjunction_lists.append((view[0] == "seeded", scan_prefilters(node)["c"]))
+    rows = group.append(chronicle, records)
+    dispatch = registry._by_chronicle["c"]
+    hit = {}
+    dispatch.route(rows, hit, set())
+    expected = {}
+    for rank, (seeded, conjunctions) in enumerate(conjunction_lists):
+        accepted = [row for row in rows if any(c.evaluate(row) for c in conjunctions)]
+        if accepted:
+            expected[rank] = accepted if seeded else None
+    assert hit == expected
+    buckets = [dispatch.always, *(b for table in dispatch.tables.values() for b in table.values())]
+    for bucket in buckets:
+        for _, _, constants, _, _ in bucket.ranges:
+            assert all(c == c for c in constants)
+            assert constants == sorted(constants)

@@ -18,12 +18,15 @@ restored into a fresh catalog whose chronicle stores start empty.
 
 Scope: the serial engine and the sharded engine with the ``serial``
 executor, each also durable (``wal+snapshot`` at a snapshot interval of
-3, so base + delta snapshot chains form) with four more rules — flush
+3, so base + delta snapshot chains form) with five more rules — flush
 (after which a copy of the directory must recover to the live state),
 crash (``durability.abort()``) → ``ChronicleDatabase.open()``,
-``close()`` → ``open()``, and a write whose maintenance raises (an
+``close()`` → ``open()``, a write whose maintenance raises (an
 ``UNLUCKY`` view meets its sentinel) followed by a crash and an open,
-which must bring back the acknowledged history only — over the
+which must bring back the acknowledged history only, and a write whose
+plan raises (an ``UNLUCKY_WHERE`` view's ``WHERE`` meets it), after which
+every view in memory must still equal the acknowledged history, since
+every plan runs before any view folds — over the
 definitions the log can rebuild: text DDL, portable ``Summary`` specs
 and text-DDL periodic views; every durable example ends in a crash and a
 recovery.  :func:`test_a_raising_call_logs_no_batch` checks the same
@@ -52,7 +55,7 @@ from repro.complexity.counters import GLOBAL_COUNTERS
 from repro.errors import SchemaError, TypeMismatchError, UnknownAttributeError
 from repro.parallel import UnpartitionableViewWarning
 from repro.query.compiler import compile_view
-from repro.relational.predicate import And, attr_cmp
+from repro.relational.predicate import And, Comparison, attr_cmp
 from repro.sca.summarize import GroupBySummary, ProjectSummary, Summary
 from repro.sca.view import evaluate_summary
 from repro.views.calendar import monthly, sliding
@@ -115,6 +118,23 @@ class Unlucky(Sum):
         if value == SENTINEL:
             raise UnluckyError("unlucky")
         return state + value
+
+
+def _unlucky_at_least(left, right):
+    if left == SENTINEL:
+        raise UnluckyError("unlucky")
+    return left >= right
+
+
+class UnluckyAtLeast(Comparison):
+    """``attr >= rhs``, except that it raises when *attr* is
+    :data:`SENTINEL`; it pickles, so a durable log can hold it."""
+
+    __slots__ = ()
+
+    def __init__(self, attr, rhs):
+        super().__init__(attr, ">=", rhs)
+        self._fn = _unlucky_at_least
 
 
 #: The standard aggregates plus ``UNLUCKY``: every durable database and
@@ -180,6 +200,18 @@ PLAIN = (
             [spec(SUM, "mins"), spec(COUNT)],
         )
     ),
+)
+#: A view whose ``WHERE`` raises on the sentinel, above a projection: not
+#: seeded, so its compiled plan runs the test.  A global aggregate, it
+#: stays on the facade's registry on the sharded engine too.
+UNLUCKY_WHERE = Definition(
+    lambda db: GroupBySummary(
+        scan(db.chronicle("calls"))
+        .project(["sn", "acct", "mins"])
+        .select(UnluckyAtLeast("mins", 0)),
+        [],
+        [spec(COUNT), spec(SUM, "mins")],
+    )
 )
 
 #: What the log can rebuild: text DDL and programmatic summaries with a
@@ -458,7 +490,7 @@ class DurableMachine(FacadeMachine):
     """The machine over ``wal+snapshot``: every crash and reopen must
     bring back exactly the acknowledged history."""
 
-    DEFINITIONS = DURABLE_PLAIN + (UNLUCKY,)
+    DEFINITIONS = DURABLE_PLAIN + (UNLUCKY, UNLUCKY_WHERE)
     PERIODIC = PERIODIC_TEXT
 
     def open_system(self, name="db"):
@@ -542,6 +574,31 @@ class DurableMachine(FacadeMachine):
                 self.db.append_simultaneous({"calls": raising})
             else:  # a window whose first batch is maintained
                 self.db.ingest("calls", [batch, raising])
+        self.crash_and_open()
+
+    @precondition(
+        lambda self: any(model.definition is UNLUCKY_WHERE for model in self.views.values())
+    )
+    @rule(
+        batch=records,
+        position=st.integers(0, 4),
+        call=st.sampled_from(("append", "append_simultaneous", "ingest")),
+    )
+    def raising_plan_then_crash(self, batch, position, call):
+        """A batch holding the sentinel: a plan raises before any view
+        folded the batch (plan, then fold), so every view in memory
+        still equals the batch oracle over the acknowledged history, and
+        the directory reopens to it."""
+        sentinel = {"acct": position % ACCOUNTS, "mins": SENTINEL, "day": 0}
+        raising = batch[:position] + [sentinel] + batch[position:]
+        with pytest.raises(UnluckyError):
+            if call == "append":
+                self.db.append("calls", raising)
+            elif call == "append_simultaneous":
+                self.db.append_simultaneous({"calls": raising})
+            else:
+                self.db.ingest("calls", [raising])
+        self.views_equal_the_batch_oracle()
         self.crash_and_open()
 
     @rule()
